@@ -22,7 +22,6 @@ import sys
 
 from .completion import (
     DEFAULT_PRECISION,
-    DiscreteSeriesPlace,
     series_element_residue,
     series_element_value,
     uniformize_discrete_rational,
@@ -32,9 +31,9 @@ from .errors import (
     InsufficientPrecisionError,
     PreconditionError,
     ResourceError,
+    SchemaError,
 )
 from .expr import parse_series
-from .fields import BaseField
 from .jsonio import (
     _get,
     _need,
@@ -46,7 +45,6 @@ from .jsonio import (
     system_to_json,
 )
 from .polyfield import ratfun_str
-from .series import series_str
 from .uniformize import verify
 from .valuation import (
     MonomialPlace,
@@ -79,6 +77,15 @@ def _load(path: str):
 
 def _element_text(doc) -> str:
     return _need(_get(doc, "element", ""), str, "element", "an expression string")
+
+
+def _max_steps(doc) -> int | None:
+    steps = _get(doc, "max_steps", "", default=None)
+    if steps is not None:
+        _need(steps, int, "max_steps", "a non-negative integer")
+        if steps < 0:
+            raise SchemaError(f"expected a non-negative integer, got {steps}", "max_steps")
+    return steps
 
 
 def _is_series_literal(text: str) -> bool:
@@ -127,8 +134,6 @@ def _cmd_residue(doc, args):
 
 
 def _cmd_perron(doc, args):
-    from .errors import SchemaError
-
     order = parse_order(_get(doc, "order", ""), "order")
     alphas_doc = _need(_get(doc, "alphas", ""), list, "alphas", "a list")
     alphas = []
@@ -143,7 +148,7 @@ def _cmd_perron(doc, args):
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"bad rational {c!r}", f"alphas[{i}][{k}]") from None
         alphas.append(order.element(coords))
-    res = perron_positive_basis(order, alphas, max_steps=doc.get("max_steps"))
+    res = perron_positive_basis(order, alphas, max_steps=_max_steps(doc))
     result = {
         "basis": [[str(c) for c in el.coords] for el in res.basis],
         "change": [list(map(int, row)) for row in res.change],
@@ -169,7 +174,7 @@ def _cmd_uniformize(doc, args):
         _parse_rf(z, place.base, place.ambient_names, f"zetas[{i}]")
         for i, z in enumerate(zetas_doc)
     ]
-    system = uniformize_abhyankar(place, zetas, max_steps=doc.get("max_steps"))
+    system = uniformize_abhyankar(place, zetas, max_steps=_max_steps(doc))
     report = verify(system)
     result = {"system": system_to_json(system), "report": report.as_dict()}
     return result, _system_text(system) + "\n" + report.summary()
@@ -177,7 +182,9 @@ def _cmd_uniformize(doc, args):
 
 def _cmd_discrete_uniformize(doc, args):
     pres, doc_prec = parse_presentation(_get(doc, "presentation", ""), "presentation")
-    precision = args.precision or doc_prec or DEFAULT_PRECISION
+    precision = args.precision if args.precision is not None else doc_prec
+    if precision is None:
+        precision = DEFAULT_PRECISION
     zetas_doc = _need(_get(doc, "zetas", ""), list, "zetas", "a list")
     names = pres.ambient_names
     zetas = [
@@ -309,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.precision is not None and args.precision < 1:
+            raise InputError("--precision must be at least 1")
         doc = _load(args.input)
         result, text = args.handler(doc, args)
     except InputError as e:

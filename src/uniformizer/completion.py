@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     InsufficientPrecisionError,
@@ -39,7 +40,6 @@ from .series import (
     eval_poly_at_series,
     eval_ratfun_at_series,
     poly_to_series,
-    ratfun_to_series,
 )
 from .surd import SurdScalar
 from .uniformize import TriangularSystem, compose, uniformize_abhyankar
@@ -112,6 +112,7 @@ class SeriesContext:
             )
         self.place = place
         self.precision = precision
+        self.zero = 0
         t = TruncatedSeries.monomial(place.base, 1, precision)
         self.args = [t] + [g.truncate(precision) for g in place.gen_series]
 
@@ -138,44 +139,19 @@ class SeriesContext:
     def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
         return eval_poly_at_series(f, args, self.precision)
 
-    def one(self) -> TruncatedSeries:
-        return TruncatedSeries.constant(self.place.base, 1, self.precision)
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def div(self, a, b):
-        if b.is_zero_to_precision:
-            raise ZeroDivisionError("division by a series that vanishes to precision")
-        return a / b
-
     def is_zero(self, a) -> bool:
         return a.is_zero_to_precision
 
-    def in_ring(self, a) -> bool:
-        o = a.order()
-        return o is None or o >= 0
-
-    def value_sign(self, a) -> int:
+    def valuation(self, a: TruncatedSeries):
+        """(order, residue) of a series nonzero to precision; the residue is
+        None unless the order is zero."""
         o = a.known_order()
-        return 0 if o == 0 else (1 if o > 0 else -1)
+        return o, (a.residue() if o == 0 else None)
 
-    def value_str(self, a) -> str:
-        return str(a.known_order())
-
-    def residue_is_zero(self, a) -> bool:
-        return a.residue() == 0
-
-    def residue_str(self, a) -> str:
-        return self.place.base.scalar_str(a.residue())
-
-    def describe(self, a) -> str:
-        from .series import series_str
-
-        return series_str(a, self.place.uniformizer)
+    def residue_text(self, residues) -> str:
+        """The product of the given residues, as a scalar of K0."""
+        base = self.place.base
+        return base.scalar_str(reduce(base.mul, residues, base.one))
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +567,6 @@ def _up_entry_in_ring(rf: RationalFunction) -> bool:
     return ord_num - ord_den >= 0
 
 
-def _rf_t_poly(base: BaseField, p: SparsePoly) -> RationalFunction:
-    return RationalFunction.from_poly(p)
-
-
 def _monomial_poly(base: BaseField, coeff: Scalar, exp: int) -> SparsePoly:
     return SparsePoly.make(base, 1, [((exp,), coeff)])
 
@@ -640,14 +612,10 @@ def _zeta_block(
     """
     base = pool.base
     nvars = ctx.place.nvars
-    s_off = 0  # blocks use no t-variables of their own
 
     coords = ring.of_ratfun(zeta)
     h = ring.min_poly(coords)
     k = _up_deg(h)
-
-    def prow():
-        return _RowBuilder(base, 0, 0)  # widths fixed later by the caller
 
     if k == 1:
         # zeta already lies in K0(t): one affine row X - c
@@ -976,12 +944,65 @@ def realize_presentation(
     return place, conj
 
 
-def _witness_expr(base, n_total, nc, pool, j_winv, b_poly, a_poly) -> RationalFunction:
-    b = _RowBuilder(base, 0, n_total)
-    b.add(tuple(0 if i != j_winv else 1 for i in range(n_total)), pool.ref(_RF.from_poly(b_poly)))
-    if not a_poly.is_zero:
-        b.add((0,) * n_total, pool.ref(_RF.from_poly(a_poly)))
-    return RationalFunction.from_poly(b.materialize(nc))
+def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> TriangularSystem:
+    """Relative certificate over K0(t) for the requested elements of K0(t, z).
+
+    Each distinct element, and z itself, gets one block of rows; the
+    blocks share one coefficient pool, whose entries become the system's
+    coefficient table, and the block for z carries the witness for z.
+    """
+    base = pres.base
+    place, conj = realize_presentation(pres, precision)
+    ctx = place.make_context()
+    ring = _QuotientRing(base, _poly2_to_up(_monic_min_poly(pres.min_poly)))
+    requested = [_coerce_ambient(base, 2, f) for f in zetas]
+
+    unique = list(dict.fromkeys(requested))
+    zvar = RationalFunction.variable(base, 2, 1)
+    if zvar not in unique:
+        unique.append(zvar)
+
+    pool = _CoeffPool(base)
+    blocks = []
+    n_total = 0
+    for f in unique:
+        blk = _zeta_block(pool, ring, ctx, conj, f, n_total)
+        blocks.append(blk)
+        n_total += len(blk.rows)
+
+    nc = len(pool.entries)
+    rows = [r for blk in blocks for r in blk.rows]
+    fs = _materialize_rows(base, n_total, rows, nc)
+    etas = [e for blk in blocks for e in blk.etas]
+
+    eta_offset = []
+    at = 0
+    for blk in blocks:
+        eta_offset.append(at + blk.zeta_eta)
+        at += len(blk.etas)
+    zeta_indices = tuple(eta_offset[unique.index(f)] for f in requested)
+
+    # only the block for z itself reconstructs the generator, as
+    # b*X_winv + a; the other blocks' affine rows reconstruct their own
+    # element.  Both references are already in the pool from that row.
+    witnesses = []
+    for j_winv, b_poly, a_poly in blocks[unique.index(zvar)].witness_exprs:
+        wb = _RowBuilder(base, 0, n_total)
+        wb.add(_onehot(n_total, j_winv), pool.ref(_RF.from_poly(b_poly)))
+        if not a_poly.is_zero:
+            wb.add((0,) * n_total, pool.ref(_RF.from_poly(a_poly)))
+        witnesses.append((pres.gen_name, RationalFunction.from_poly(wb.materialize(nc))))
+
+    return TriangularSystem(
+        place=place,
+        tvars=(),
+        etas=tuple(etas),
+        fs=tuple(fs),
+        coeff_field_names=(pres.uniformizer,),
+        coeff_table=tuple(pool.entries),
+        zeta_indices=zeta_indices,
+        witnesses=tuple(witnesses),
+    )
 
 
 def uniformize_completion_algebraic(
@@ -1007,29 +1028,7 @@ def uniformize_completion_algebraic(
         residue=min_poly.base.coerce(residue),
         conjugate_residues=conjugate_residues,
     )
-    place, conj = realize_presentation(pres, precision)
-    base = place.base
-    ctx = place.make_context()
-    ring = _QuotientRing(base, _poly2_to_up(_monic_min_poly(min_poly)))
-    pool = _CoeffPool(base)
-    zeta = RationalFunction.variable(base, 2, 1)
-    block = _zeta_block(pool, ring, ctx, conj, zeta, 0)
-    n_total = len(block.rows)
-    nc = len(pool.entries)
-    fs = _materialize_rows(base, n_total, block.rows, nc)
-    witnesses = []
-    for j_winv, b_poly, a_poly in block.witness_exprs:
-        witnesses.append((gen_name, _witness_expr(base, n_total, nc, pool, j_winv, b_poly, a_poly)))
-    return TriangularSystem(
-        place=place,
-        tvars=(),
-        etas=tuple(block.etas),
-        fs=tuple(fs),
-        coeff_field_names=(uniformizer,),
-        coeff_table=tuple(pool.entries),
-        zeta_indices=(block.zeta_eta,),
-        witnesses=tuple(witnesses),
-    )
+    return _relative_system(pres, [RationalFunction.variable(pres.base, 2, 1)], precision)
 
 
 def uniformize_immediate_simple(
@@ -1185,72 +1184,14 @@ def uniformize_discrete_rational(
         ground = [_coerce_ambient(base, 1, f) for f in zetas]
         return uniformize_abhyankar(inner_place, ground, max_steps=max_steps)
 
-    place, conj = realize_presentation(pres, precision)
-    ctx = place.make_context()
-    ring = _QuotientRing(base, _poly2_to_up(_monic_min_poly(pres.min_poly)))
-    requested = [_coerce_ambient(base, 2, f) for f in zetas]
-
-    unique: list[RationalFunction] = []
-    request_slot = []
-    for f in requested:
-        for i, known in enumerate(unique):
-            if known == f:
-                request_slot.append(i)
-                break
-        else:
-            unique.append(f)
-            request_slot.append(len(unique) - 1)
-    zvar = RationalFunction.variable(base, 2, 1)
-    if not any(f == zvar for f in unique):
-        unique.append(zvar)
-
-    pool = _CoeffPool(base)
-    blocks = []
-    n_total = 0
-    for f in unique:
-        blk = _zeta_block(pool, ring, ctx, conj, f, n_total)
-        blocks.append(blk)
-        n_total += len(blk.rows)
-
-    nc = len(pool.entries)
-    rows = [r for blk in blocks for r in blk.rows]
-    fs = _materialize_rows(base, n_total, rows, nc)
-    etas = [e for blk in blocks for e in blk.etas]
-
-    eta_offset = []
-    at = 0
-    for blk in blocks:
-        eta_offset.append(at + blk.zeta_eta)
-        at += len(blk.etas)
-    zeta_indices = tuple(eta_offset[slot] for slot in request_slot)
-
-    # only the block for z itself reconstructs the generator; the other
-    # blocks' affine rows reconstruct their own element
-    witnesses = []
-    z_slot = next(i for i, f in enumerate(unique) if f == zvar)
-    for j_winv, b_poly, a_poly in blocks[z_slot].witness_exprs:
-        witnesses.append(
-            (pres.gen_name, _witness_expr(base, n_total, nc, pool, j_winv, b_poly, a_poly))
-        )
-
-    outer = TriangularSystem(
-        place=place,
-        tvars=(),
-        etas=tuple(etas),
-        fs=tuple(fs),
-        coeff_field_names=(pres.uniformizer,),
-        coeff_table=tuple(pool.entries),
-        zeta_indices=zeta_indices,
-        witnesses=tuple(witnesses),
-    )
-
-    for entry in pool.entries:
+    outer = _relative_system(pres, zetas, precision)
+    for entry in outer.coeff_table:
         if not _up_entry_in_ring(entry):
             raise PreconditionError(
                 "a coefficient-field element of the relative system lies outside "
                 "the valuation ring"
             )
-    inner = uniformize_abhyankar(inner_place, list(pool.entries), max_steps=max_steps)
+    inner = uniformize_abhyankar(inner_place, list(outer.coeff_table), max_steps=max_steps)
     return compose(outer, inner)
 
 

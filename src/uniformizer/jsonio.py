@@ -194,15 +194,22 @@ def _name_list(doc, path: str) -> list[str]:
 # discrete series places and presentations
 
 
+def _parse_precision(doc, path: str, default=_MISSING) -> int | None:
+    precision = _get(doc, "precision", path, default)
+    if precision is not None:
+        _need(precision, int, f"{path}.precision", "an integer")
+        if precision < 1:
+            raise SchemaError("precision must be at least 1", f"{path}.precision")
+    return precision
+
+
 def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None]:
     _need(doc, dict, path, "an object")
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
         _get(doc, "uniformizer", path, default="t"), str, f"{path}.uniformizer", "a string"
     )
-    precision = _get(doc, "precision", path, default=None)
-    if precision is not None:
-        _need(precision, int, f"{path}.precision", "an integer")
+    precision = _parse_precision(doc, path, default=None)
     gen = _get(doc, "generator", path, default=None)
     if gen is None:
         return DiscretePresentation(base=base, uniformizer=uniformizer), precision
@@ -242,9 +249,7 @@ def parse_series_place(doc, path: str) -> DiscreteSeriesPlace:
     uniformizer = _need(
         _get(doc, "uniformizer", path, default="t"), str, f"{path}.uniformizer", "a string"
     )
-    precision = _need(
-        _get(doc, "precision", path), int, f"{path}.precision", "an integer"
-    )
+    precision = _parse_precision(doc, path)
     gens = _get(doc, "generators", path, default=[])
     _need(gens, list, f"{path}.generators", "a list")
     names, series = [], []
@@ -301,7 +306,9 @@ def parse_place(doc, path: str, precision: int | None = None):
         if "generators" in doc:
             return parse_series_place(doc, path)
         pres, doc_prec = parse_presentation(doc, path)
-        chosen = precision or doc_prec or DEFAULT_PRECISION
+        chosen = precision if precision is not None else doc_prec
+        if chosen is None:
+            chosen = DEFAULT_PRECISION
         place, _ = realize_presentation(pres, chosen)
         return place
     raise SchemaError("kind must be 'monomial' or 'discrete_series'", f"{path}.kind")

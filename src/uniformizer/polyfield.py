@@ -626,14 +626,6 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
     return RationalFunction.make(num_acc, den_acc)
 
 
-def substitute_ratfun(f: RationalFunction, args) -> RationalFunction:
-    num = substitute(f.num, args)
-    den = substitute(f.den, args)
-    if den.is_zero:
-        raise ZeroDivisionError("denominator vanishes under substitution")
-    return num / den
-
-
 def laurent_monomial_substitute(f: SparsePoly, matrix) -> RationalFunction:
     """Substitute x_i -> prod_j x'_j ** matrix[i][j] for the leading variables.
 

@@ -104,17 +104,6 @@ class SurdScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_rational(self) -> bool:
-        return all(d == 1 for _, d in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if self.is_rational:
-            return self.terms[0][0]
-        raise PreconditionError(f"{self} is irrational")
-
     def sign(self) -> int:
         if not self.terms:
             return 0

@@ -19,31 +19,46 @@ plus a generation check: every ambient generator of the field must equal
 its recorded witness expression in the system variables (or literally be
 one of the T or eta elements).
 
+U3 is read from the diagonal entries, each valued once: the product
+vanishes iff an entry does, its value is the sum of the entry values, and
+when that sum is zero its residue is the product of the entry residues.
+The product itself is never formed.
+
 Over a monomial place all checks are exact rational-function identities;
 over a truncated-series place identities hold to the tracked precision,
-which the report carries.
+which the report carries.  Each place kind supplies a verification
+context with this contract:
+  ambient(rf), coeff(rf, names), generator(i)
+        embed an ambient element, a coefficient-field element, or the i-th
+        ambient generator;
+  eval_poly(f, args), is_zero(a)
+        evaluate a row and test for zero;
+  valuation(a)
+        (value, residue) of a nonzero element, the residue None unless the
+        value is zero; values add, and compare with the attribute ``zero``;
+  residue_text(residues)
+        render the product of residues returned by valuation;
+and the attribute ``precision`` (None on a monomial place).  Elements
+support ``-`` and ``/`` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotInValuationRingError, PreconditionError
 from .polyfield import (
     RationalFunction,
     SparsePoly,
     hasse_derivative,
-    poly_str,
     ratfun_str,
     substitute,
 )
 from .valuation import (
     MonomialPlace,
+    _residue_numerator,
     in_valuation_ring,
-    residue_in_ring,
     value_of_poly,
-    value_of_ratfun,
 )
 from .valuegroup import perron_positive_basis, unimodular_inverse
 
@@ -173,6 +188,7 @@ class MonomialContext:
     def __init__(self, place: MonomialPlace):
         self.place = place
         self.precision = None
+        self.zero = place.order.zero()
 
     def ambient(self, rf: RationalFunction) -> RationalFunction:
         if rf.nvars != self.place.nvars or rf.base != self.place.base:
@@ -195,62 +211,41 @@ class MonomialContext:
     def eval_poly(self, f: SparsePoly, args) -> RationalFunction:
         return substitute(f, args)
 
-    def one(self) -> RationalFunction:
-        return RationalFunction.const(self.place.base, self.place.nvars, 1)
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def div(self, a, b):
-        return a / b
-
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def in_ring(self, a) -> bool:
-        return in_valuation_ring(self.place, a)
+    def valuation(self, a: RationalFunction):
+        """(value, residue) of a nonzero element; the residue is None unless
+        the value is zero, and is then kept as the minimal terms of the
+        numerator and the denominator."""
+        vn, tn = value_of_poly(self.place, a.num)
+        vd, td = value_of_poly(self.place, a.den)
+        value = vn - vd
+        return value, ((tn, td) if value.is_zero else None)
 
-    def value_sign(self, a) -> int:
-        return value_of_ratfun(self.place, a).sign()
-
-    def value_str(self, a) -> str:
-        return str(value_of_ratfun(self.place, a))
-
-    def residue_is_zero(self, a) -> bool:
-        return residue_in_ring(self.place, a).is_zero
-
-    def residue_str(self, a) -> str:
-        return str(residue_in_ring(self.place, a))
-
-    def describe(self, a) -> str:
-        return ratfun_str(a, ambient_names(self.place))
-
-
-def _context_for(place):
-    if isinstance(place, MonomialPlace):
-        return MonomialContext(place)
-    maker = getattr(place, "make_context", None)
-    if maker is None:
-        raise PreconditionError("place cannot provide a verification context")
-    return maker()
+    def residue_text(self, residues) -> str:
+        """The product of the given residues, in the ybar variables."""
+        place = self.place
+        num = den = SparsePoly.const(place.base, place.tau, place.base.one)
+        for tn, td in residues:
+            num = num * _residue_numerator(place, tn)
+            den = den * _residue_numerator(place, td)
+        return ratfun_str(RationalFunction.make(num, den), place.residue_names)
 
 
-def verify(system: TriangularSystem, context=None, precision: int | None = None) -> VerificationReport:
+def verify(system: TriangularSystem, precision: int | None = None) -> VerificationReport:
     """Check (U1)-(U3) and generation; return a full report.
 
-    Raises NotInValuationRingError if a listed element fails membership in
-    the valuation ring, since such a system is malformed rather than merely
-    failing a check.
+    ``precision`` selects the series precision on a series place and is
+    ignored on a monomial place.  Raises NotInValuationRingError if a listed
+    element fails membership in the valuation ring, since such a system is
+    malformed rather than merely failing a check.
     """
-    ctx = context
-    if ctx is None:
-        if precision is not None and not isinstance(system.place, MonomialPlace):
-            ctx = system.place.make_context(precision)
-        else:
-            ctx = _context_for(system.place)
+    place = system.place
+    if isinstance(place, MonomialPlace):
+        ctx = MonomialContext(place)
+    else:
+        ctx = place.make_context(precision)
     s, n = system.s, system.n
 
     ts = [ctx.ambient(rf) for rf in system.tvars]
@@ -258,7 +253,7 @@ def verify(system: TriangularSystem, context=None, precision: int | None = None)
     cs = [ctx.coeff(rf, system.coeff_field_names) for rf in system.coeff_table]
     for kind, elems in (("T", ts), ("eta", xs), ("coefficient", cs)):
         for i, el in enumerate(elems):
-            if not ctx.in_ring(el):
+            if not ctx.is_zero(el) and ctx.valuation(el)[0] < ctx.zero:
                 raise NotInValuationRingError(
                     f"{kind} element {i + 1} lies outside the valuation ring"
                 )
@@ -285,37 +280,38 @@ def verify(system: TriangularSystem, context=None, precision: int | None = None)
             u2 = CheckResult(False, f"row {i + 1} does not vanish")
             break
 
-    # U3: the product of diagonal partials is a unit
-    entries = []
-    prod = ctx.one()
+    # U3: the product of diagonal partials is a unit.  It vanishes iff an
+    # entry does, its value is the sum of the entry values, and when that
+    # sum is zero its residue is the product of the entry residues.
+    vals = []
     for i, f in enumerate(system.fs):
         d = ctx.eval_poly(hasse_derivative(f, 1, var=s + i), args)
-        entries.append(d)
-        prod = ctx.mul(prod, d)
-    if ctx.is_zero(prod):
+        vals.append(None if ctx.is_zero(d) else ctx.valuation(d))
+    entry_strs = tuple(
+        "0" if v is None
+        else f"value {v[0]}" if v[1] is None
+        else ctx.residue_text([v[1]])
+        for v in vals
+    )
+    if any(v is None for v in vals):
         u3 = CheckResult(False, "diagonal product vanishes")
         dval, dres = "undefined", "0"
     else:
-        sign = ctx.value_sign(prod)
-        if sign != 0:
+        dval = str(sum((value for value, _ in vals), ctx.zero))
+        residues = [r for _, r in vals]
+        if any(r is None for r in residues):
+            # the entries lie in the valuation ring, so the value is positive
             u3 = CheckResult(False, "diagonal product has nonzero value")
-            dval, dres = ctx.value_str(prod), "0" if sign > 0 else "undefined"
+            dres = "0"
         else:
-            dres = ctx.residue_str(prod)
-            dval = ctx.value_str(prod)
-            ok = not ctx.residue_is_zero(prod)
-            u3 = CheckResult(ok, "" if ok else "diagonal residue is zero")
-    entry_strs = tuple(
-        "0" if ctx.is_zero(d)
-        else (ctx.residue_str(d) if ctx.value_sign(d) == 0 else f"value {ctx.value_str(d)}")
-        for d in entries
-    )
+            u3 = CheckResult(True)
+            dres = ctx.residue_text(residues)
 
     # generation: each ambient generator from T, eta, and witnesses;
     # coefficient-field generators are free in a relative system
     missing = []
     wmap = system.witness_map()
-    names = ambient_names(system.place)
+    names = ambient_names(place)
     for i, name in enumerate(names):
         if name in system.coeff_field_names:
             continue
@@ -323,13 +319,12 @@ def verify(system: TriangularSystem, context=None, precision: int | None = None)
         if name in wmap:
             try:
                 wit = _eval_witness(ctx, wmap[name], args)
-                if not ctx.is_zero(ctx.sub(wit, gen)):
+                if not ctx.is_zero(wit - gen):
                     missing.append(f"{name} (witness does not reproduce it)")
             except ZeroDivisionError:
                 missing.append(f"{name} (witness denominator vanishes)")
             continue
-        direct = any(_same_element(ctx, gen, el) for el in list(ts) + list(xs))
-        if not direct:
+        if not any(ctx.is_zero(gen - el) for el in ts + xs):
             missing.append(f"{name} (no witness)")
     generation = CheckResult(not missing, "; ".join(missing))
 
@@ -341,7 +336,7 @@ def verify(system: TriangularSystem, context=None, precision: int | None = None)
         diagonal_value=dval,
         diagonal_residue=dres,
         diagonal_entries=entry_strs,
-        precision=getattr(ctx, "precision", None),
+        precision=ctx.precision,
     )
 
 
@@ -350,11 +345,7 @@ def _eval_witness(ctx, w: RationalFunction, args):
     den = ctx.eval_poly(w.den, args)
     if ctx.is_zero(den):
         raise ZeroDivisionError("witness denominator vanishes")
-    return ctx.div(num, den)
-
-
-def _same_element(ctx, a, b) -> bool:
-    return ctx.is_zero(ctx.sub(a, b))
+    return num / den
 
 
 # ---------------------------------------------------------------------------

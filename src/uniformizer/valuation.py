@@ -71,9 +71,6 @@ class MonomialPlace:
     def term_value(self, exps) -> GroupElement:
         return self.order.element([Fraction(e) for e in exps[: self.rho]])
 
-    def zero_value(self) -> GroupElement:
-        return self.order.zero()
-
 
 @dataclass(frozen=True)
 class ResidueElement:

@@ -96,11 +96,6 @@ class GroupOrder:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (Fraction(0),) * self.ngens)
 
-    def standard_basis(self, i: int) -> "GroupElement":
-        coords = [Fraction(0)] * self.ngens
-        coords[i] = Fraction(1)
-        return GroupElement(self, tuple(coords))
-
     def block_values(self, coords) -> list[SurdScalar]:
         """Exact real contribution of each block for the given coordinates."""
         out, at = [], 0

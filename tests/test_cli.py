@@ -243,3 +243,40 @@ def test_precision_flag_reaches_the_place(tmp_path, capsys):
     doc = {"place": PRES_F5, "element": "(z - 1 - 3*t)/t^2"}
     code, _, _ = run(tmp_path, capsys, "value", doc, "--precision", "16")
     assert code == 0
+
+
+@pytest.mark.parametrize("steps", ["abc", [1], -5, True])
+@pytest.mark.parametrize("command", ["perron", "uniformize"])
+def test_max_steps_is_validated(tmp_path, capsys, command, steps):
+    if command == "perron":
+        doc = {"order": [[{"q": "1"}, {"q": "1", "d": 2}]], "alphas": [["3", "-2"]]}
+    else:
+        doc = {"place": PLACE_R2, "zetas": ["x2/x1"]}
+    code, _, err = run(tmp_path, capsys, command, dict(doc, max_steps=steps))
+    assert code == 4
+    assert "max_steps" in err and "Traceback" not in err
+
+
+def test_precision_below_one_is_rejected(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["z"]}
+    for flag in ("0", "-1"):
+        code, _, err = run(tmp_path, capsys, "discrete-uniformize", doc, "--precision", flag)
+        assert code == 4 and "--precision" in err
+    system = run_json(tmp_path, capsys, "discrete-uniformize", doc)["result"]["system"]
+    for flag in ("0", "-1"):
+        code, _, err = run(tmp_path, capsys, "verify", {"system": system}, "--precision", flag)
+        assert code == 4 and "--precision" in err
+
+    pres0 = dict(PRES_F5, precision=0)
+    code, _, err = run(tmp_path, capsys, "discrete-uniformize", dict(doc, presentation=pres0))
+    assert code == 4 and "presentation.precision" in err
+    code, _, err = run(tmp_path, capsys, "value", {"place": pres0, "element": "z - 1"})
+    assert code == 4 and "place.precision" in err
+
+
+def test_precision_flag_overrides_the_document(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["z"]}
+    env = run_json(tmp_path, capsys, "discrete-uniformize", doc, "--precision", "8")
+    assert env["result"]["report"]["precision"] == 8
+    env = run_json(tmp_path, capsys, "discrete-uniformize", doc)
+    assert env["result"]["report"]["precision"] == 16

@@ -317,6 +317,43 @@ def test_pipeline_ground_system():
         assert sys_.etas[idx] == want
 
 
+def _u3_fields(system):
+    r = verify(system)
+    assert r.u1.passed and r.u2.passed
+    return (r.u3.passed, r.u3.detail, r.diagonal_value, r.diagonal_residue, r.diagonal_entries)
+
+
+def test_u3_on_a_series_place():
+    import dataclasses
+
+    zv = RationalFunction.variable(F5, 2, 1)
+    sys_ = uniformize_discrete_rational(_pres5(), [zv], precision=16)
+    t1 = SparsePoly.variable(F5, sys_.s + sys_.n, 0)
+
+    def mutant(changes):
+        fs = list(sys_.fs)
+        for row, change in changes.items():
+            fs[row] = change(fs[row])
+        return dataclasses.replace(sys_, fs=tuple(fs))
+
+    assert _u3_fields(sys_) == (True, "", "0", "1", ("1",) * 5)
+    # t1 * f keeps the zero and gives its X-partial value 1
+    assert _u3_fields(mutant({2: lambda f: f * t1})) == (
+        False, "diagonal product has nonzero value", "1", "0",
+        ("1", "1", "value 1", "1", "1"),
+    )
+    # f^2 keeps the zero and its X-partial 2*f*f_X vanishes there
+    assert _u3_fields(mutant({4: lambda f: f * f})) == (
+        False, "diagonal product vanishes", "undefined", "0",
+        ("1", "1", "1", "1", "0"),
+    )
+    # the diagonal residue is the product of the entry residues
+    double = lambda f: f.scale(2)
+    assert _u3_fields(mutant({2: double, 4: double})) == (
+        True, "", "0", "4", ("1", "1", "2", "1", "2"),
+    )
+
+
 def test_pipeline_handles_coefficient_field_elements():
     t = RationalFunction.variable(F5, 2, 0)
     one = RationalFunction.const(F5, 2, 1)
