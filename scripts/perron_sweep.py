@@ -2,7 +2,10 @@
 
 Samples ordered groups with surd weights and integer value vectors, runs
 the reduction, checks the validity contract, and prints basis-entry and
-timing statistics per rank.
+timing statistics per rank.  Exits 1 when any reduction fails the
+contract, 0 otherwise.
+
+    PYTHONPATH=src python scripts/perron_sweep.py --instances 200
 """
 
 import argparse
@@ -48,6 +51,7 @@ def main(argv=None):
     cfg = SweepConfig(instances=args.instances, coord_bound=args.coord_bound, seed=args.seed)
 
     rng = random.Random(cfg.seed)
+    failed = 0
     for rank in cfg.ranks:
         entries = []
         elapsed = 0.0
@@ -66,7 +70,8 @@ def main(argv=None):
             f"max basis entry median={entries[len(entries) // 2]} worst={entries[-1]}, "
             f"total {elapsed:.2f}s"
         )
-    return 0
+        failed += cfg.instances - valid
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

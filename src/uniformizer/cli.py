@@ -190,7 +190,9 @@ def _cmd_discrete_uniformize(doc, args):
     zetas = [
         _parse_rf(z, pres.base, names, f"zetas[{i}]") for i, z in enumerate(zetas_doc)
     ]
-    system = uniformize_discrete_rational(pres, zetas, precision=precision)
+    system = uniformize_discrete_rational(
+        pres, zetas, precision=precision, max_steps=_max_steps(doc)
+    )
     report = verify(system)
     result = {"system": system_to_json(system), "report": report.as_dict()}
     return result, _system_text(system) + "\n" + report.summary()
@@ -209,6 +211,16 @@ def _cmd_compose(doc, args):
 
 def _cmd_verify(doc, args):
     system = parse_system(_get(doc, "system", ""), "system")
+    place = system.place
+    if (
+        args.precision is not None
+        and not isinstance(place, MonomialPlace)
+        and args.precision > place.precision
+    ):
+        raise InputError(
+            f"--precision {args.precision} exceeds the certificate place's realized "
+            f"precision {place.precision}"
+        )
     report = verify(system, precision=args.precision)
     return {"report": report.as_dict()}, report.summary()
 

@@ -105,10 +105,10 @@ class SeriesContext:
         if precision is None:
             precision = place.precision
         if precision > place.precision:
-            raise InsufficientPrecisionError(
+            # the place's series are fixed, so no rerun can reach more
+            raise PreconditionError(
                 f"place is realized to precision {place.precision}, "
-                f"{precision} was requested",
-                needed=precision,
+                f"{precision} was requested"
             )
         self.place = place
         self.precision = precision

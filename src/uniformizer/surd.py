@@ -1,19 +1,31 @@
 """Exact real numbers of the form  q1*sqrt(d1) + ... + qk*sqrt(dk).
 
 The d are pairwise distinct square-free positive integers and the q are
-rationals.  Square roots of distinct square-free integers are linearly
-independent over the rationals, so such a sum is zero exactly when every
-coefficient is zero, and the sign of a nonzero sum can be decided by
-refining dyadic enclosures of each square root until the enclosure of the
-sum clears zero.  Termination of that refinement relies on the sum being
-provably nonzero, which the syntactic zero test guarantees.
+rationals.  Every sign in the package is decided by one integer kernel,
+``surd_sign``: the sign of  c1*sqrt(d1) + ... + ck*sqrt(dk)  for integers c
+and distinct square-free d.  ``SurdScalar.sign`` scales its coefficients by
+the lcm of their denominators and calls it; ``valuegroup`` calls it on the
+integer value vectors of its weight matrices.
+
+Ties are exact: square roots of distinct square-free integers are linearly
+independent over the rationals, so the sum is zero exactly when every c is
+zero, and a nonzero sum is never mistaken for zero.  The kernel's filter
+uses the integer root bounds  r = isqrt(d << 2*b), which satisfy
+r <= 2**b * sqrt(d) < r + 1 (with equality on the left for d = 1), so
+
+    | 2**b * sum(c*sqrt(d)) - sum(c*r) |  <=  sum(|c|).
+
+When  |sum(c*r)| > sum(|c|)  the sign of  sum(c*r)  is the answer.  At
+b = 64 that decides every sum with  |value| > 2**-63 * sum(|c|); otherwise b
+doubles until it does, which terminates because a nonzero sum has
+positive distance from zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import PreconditionError
 
@@ -40,11 +52,40 @@ def is_square_free(n: int) -> bool:
     return n >= 1 and square_free_part(n)[0] == 1
 
 
-def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    # lo <= sqrt(d) < lo + 2**-bits, both bounds exact rationals
-    scale = 1 << bits
-    lo = isqrt(d * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
+FILTER_BITS = 64
+
+
+def root_bounds(radicands, bits: int = FILTER_BITS) -> tuple[int, ...]:
+    """isqrt(d << 2*bits) for each d: the floor of 2**bits * sqrt(d)."""
+    return tuple(isqrt(d << (2 * bits)) for d in radicands)
+
+
+def surd_sign(coeffs, radicands, roots=None) -> int:
+    """Sign of sum(c * sqrt(d)) for integers c and distinct square-free d.
+
+    ``roots`` may carry ``root_bounds(radicands)`` when the caller has them.
+    """
+    err, pos, neg = 0, False, False
+    for c in coeffs:
+        if c > 0:
+            err, pos = err + c, True
+        elif c < 0:
+            err, neg = err - c, True
+    if not neg:
+        return 1 if pos else 0
+    if not pos:
+        return -1
+    bits = FILTER_BITS
+    if roots is None:
+        roots = root_bounds(radicands, bits)
+    while True:
+        approx = sum(c * r for c, r in zip(coeffs, roots))
+        if approx > err:
+            return 1
+        if approx < -err:
+            return -1
+        bits *= 2
+        roots = root_bounds(radicands, bits)
 
 
 @dataclass(frozen=True)
@@ -105,35 +146,11 @@ class SurdScalar:
         return not self.terms
 
     def sign(self) -> int:
-        if not self.terms:
-            return 0
-        signs = {1 if q > 0 else -1 for q, _ in self.terms}
-        if len(signs) == 1:
-            return signs.pop()
-        if len(self.terms) == 2:
-            # q1*sqrt(d1) vs -q2*sqrt(d2): compare squares, sign given by the larger
-            (q1, d1), (q2, d2) = self.terms
-            lhs, rhs = q1 * q1 * d1, q2 * q2 * d2
-            if lhs != rhs:
-                big_is_first = lhs > rhs
-                return (1 if q1 > 0 else -1) if big_is_first else (1 if q2 > 0 else -1)
-            # equal magnitudes with opposite signs cannot happen: d1 != d2
-        bits = 16
-        while True:
-            lo = hi = Fraction(0)
-            for q, d in self.terms:
-                a, b = _sqrt_bounds(d, bits)
-                if q >= 0:
-                    lo += q * a
-                    hi += q * b
-                else:
-                    lo += q * b
-                    hi += q * a
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
+        den = lcm(*(q.denominator for q, _ in self.terms))
+        return surd_sign(
+            [q.numerator * (den // q.denominator) for q, _ in self.terms],
+            [d for _, d in self.terms],
+        )
 
     def __lt__(self, other: "SurdScalar") -> bool:
         return (self - other).sign() < 0

@@ -6,21 +6,32 @@ An element is an integer (or rational) coordinate vector split across the
 blocks; its sign is decided lexicographically, block by block, where the
 contribution of a block is the exact real number  sum(coord * weight).
 
+Each order computes, once per block, the sorted radicands of its weights,
+the weight matrix over those radicands scaled to integers by the lcm of its
+denominators, and the 64-bit root bounds of the radicands.  A coordinate
+row, scaled to integers, times that matrix is the block value as an
+integer vector on the radicands, and ``surd.surd_sign`` decides its sign
+exactly.  Compares, the Perron reduction's floor quotients and the bounded
+search all run on plain integers.
+
 Independence of the weights inside a block makes the per-block value map
 injective on rational vectors, which several algorithms here rely on:
-distinct basis rows always have distinct values, and the minimal-value row
-in the Perron reduction is unique.
+distinct basis rows always have distinct values, the minimal-value row in
+the Perron reduction is unique, and only a zero coordinate row has a zero
+value vector, so ties are decided on the integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DimensionError, InputError, PreconditionError, ResourceError
-from .surd import SurdScalar
+from .surd import FILTER_BITS, SurdScalar, root_bounds, surd_sign
 
 DEFAULT_MAX_PERRON_STEPS = 10_000
 _ENV_CAP = "UNIFORMIZER_MAX_PERRON_STEPS"
@@ -60,10 +71,53 @@ def _row_rank(rows) -> int:
 
 
 @dataclass(frozen=True)
+class _Block:
+    """One block's weights as an integer matrix over their radicands.
+
+    Row i of ``matrix`` holds the coefficients of weight i on ``radicands``,
+    all scaled by one positive integer, so an integer coordinate row x has a
+    block value of the same sign as  value(x) . sqrt(radicands).
+    """
+
+    weights: tuple[SurdScalar, ...]
+    radicands: tuple[int, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
+
+    @staticmethod
+    def of(weights) -> "_Block":
+        weights = tuple(weights)
+        radicands = tuple(sorted({d for w in weights for _, d in w.terms}))
+        den = lcm(*(q.denominator for w in weights for q, _ in w.terms))
+        matrix = []
+        for w in weights:
+            row = dict.fromkeys(radicands, 0)
+            for q, d in w.terms:
+                row[d] = q.numerator * (den // q.denominator)
+            matrix.append(tuple(row.values()))
+        return _Block(weights, radicands, tuple(matrix), root_bounds(radicands))
+
+    def value(self, x) -> list[int]:
+        """Integer value vector of an integer coordinate row."""
+        return [sum(map(mul, x, col)) for col in zip(*self.matrix)]
+
+    def sign(self, v) -> int:
+        """Sign of a value vector."""
+        return surd_sign(v, self.radicands, self.roots)
+
+
+def _integer_coords(coords) -> list[int]:
+    # a positive multiple of the rational vector keeps every block sign
+    den = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords]
+
+
+@dataclass(frozen=True)
 class GroupOrder:
     """Blocks of weights defining a lexicographic product of rank-1 groups."""
 
     blocks: tuple[tuple[SurdScalar, ...], ...]
+    _blocks: tuple[_Block, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for b, block in enumerate(self.blocks):
@@ -76,6 +130,18 @@ class GroupOrder:
                 raise PreconditionError(
                     f"weights in block {b} are linearly dependent over Q"
                 )
+        object.__setattr__(self, "_blocks", tuple(_Block.of(b) for b in self.blocks))
+
+    def _sign_of(self, x) -> int:
+        """Lexicographic sign of an integer coordinate vector, block by block."""
+        at = 0
+        for block in self._blocks:
+            part = x[at : at + len(block.weights)]
+            at += len(block.weights)
+            if any(part):
+                # independent weights: a nonzero row has a nonzero value
+                return block.sign(block.value(part))
+        return 0
 
     @property
     def ngens(self) -> int:
@@ -133,11 +199,7 @@ class GroupElement:
         return GroupElement(self.order, tuple(n * a for a in self.coords))
 
     def sign(self) -> int:
-        for v in self.order.block_values(self.coords):
-            s = v.sign()
-            if s:
-                return s
-        return 0
+        return self.order._sign_of(_integer_coords(self.coords))
 
     @property
     def is_zero(self) -> bool:
@@ -164,7 +226,8 @@ class GroupElement:
 def compare(a: GroupElement, b: GroupElement) -> int:
     """-1, 0, or 1 as a is below, equal to, or above b in the group order."""
     a._need_same(b)
-    return (a - b).sign()
+    x, n = _integer_coords(a.coords + b.coords), len(a.coords)
+    return a.order._sign_of([p - q for p, q in zip(x, x[n:])])
 
 
 def rational_rank(order: GroupOrder) -> int:
@@ -283,41 +346,42 @@ class _CapExceeded(Exception):
     pass
 
 
-def _block_value(weights, row) -> SurdScalar:
-    acc = SurdScalar()
-    for w, c in zip(weights, row):
-        acc = acc + w.scale(c)
-    return acc
+def _floor_ratio(block: _Block, num, den) -> int:
+    """Largest integer q with q*den <= num, for the value vectors of positive values.
+
+    The quotient of the root-bound estimates of num and den is only a hint;
+    two exact signs confirm it.  A hint that fails is recomputed from bounds
+    with twice the bits.  The estimates converge to num/den, and an integral
+    num/den means num == q*den as vectors, whose estimates divide exactly,
+    so the loop ends.
+    """
+
+    def fits(q):
+        return block.sign([a - q * b for a, b in zip(num, den)]) >= 0
+
+    roots, bits = block.roots, FILTER_BITS
+    while True:
+        est_den = sum(map(mul, den, roots))
+        if est_den > 0:
+            q = max(0, sum(map(mul, num, roots)) // est_den)
+            if fits(q) and not fits(q + 1):
+                return q
+        bits *= 2
+        roots = root_bounds(block.radicands, bits)
 
 
-def _floor_ratio(num: SurdScalar, den: SurdScalar) -> int:
-    """Largest integer q with q*den <= num, for positive num and den."""
-    if (num - den).sign() < 0:
-        return 0
-    q = 1
-    while (num - den.scale(2 * q)).sign() >= 0:
-        q *= 2
-    lo, hi = q, 2 * q  # den*lo <= num < den*hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (num - den.scale(mid)).sign() >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _perron_single_block(weights, alphas, budget: _Budget):
+def _perron_single_block(block: _Block, alphas, budget: _Budget):
     """Positive basis for one rank-1 block by floor-quotient reduction.
 
     Repeatedly subtracts the minimal-value basis row from the others until
     every input coordinate row is non-negative.  Values of distinct basis
     rows are always distinct (independent weights), so the minimal row is
-    unique and every quotient is at least 1.
+    unique and every quotient is at least 1.  Each row's value is kept as an
+    integer vector over the block's radicands.
     """
-    r = len(weights)
+    r = len(block.weights)
     basis = [[int(i == j) for j in range(r)] for i in range(r)]
-    vals = [SurdScalar() + w for w in weights]
+    vals = [list(row) for row in block.matrix]
     coeffs = [list(map(int, a)) for a in alphas]
     if r == 1:
         # a single positive weight: non-negative value forces a non-negative
@@ -328,15 +392,15 @@ def _perron_single_block(weights, alphas, budget: _Budget):
     while any(c < 0 for row in coeffs for c in row):
         m = 0
         for j in range(1, r):
-            if (vals[j] - vals[m]).sign() < 0:
+            if block.sign([a - b for a, b in zip(vals[j], vals[m])]) < 0:
                 m = j
         for j in range(r):
             if j == m:
                 continue
             budget.spend()
-            q = _floor_ratio(vals[j], vals[m])
+            q = _floor_ratio(block, vals[j], vals[m])
             basis[j] = [a - q * b for a, b in zip(basis[j], basis[m])]
-            vals[j] = vals[j] - vals[m].scale(q)
+            vals[j] = [a - q * b for a, b in zip(vals[j], vals[m])]
             for row in coeffs:
                 row[m] += q * row[j]
     return basis, coeffs
@@ -349,10 +413,11 @@ def brute_force_positive_basis(weights, alphas, bound: int):
     oracle.  Returns (basis_rows, coeff_rows) or None if no basis with the
     given entry bound exists.
     """
-    r = len(weights)
+    block = _Block.of(weights)
+    r = len(block.weights)
     rows = []
     for v in itertools.product(range(-bound, bound + 1), repeat=r):
-        if _block_value(weights, v).sign() == 1:
+        if block.sign(block.value(v)) == 1:
             rows.append(list(v))
     rows.sort(key=lambda v: (max(abs(c) for c in v), v))
 
@@ -378,12 +443,12 @@ def brute_force_positive_basis(weights, alphas, bound: int):
     return extend([])
 
 
-def _perron_block_guarded(weights, alphas, budget: _Budget):
+def _perron_block_guarded(block: _Block, alphas, budget: _Budget):
     try:
-        return _perron_single_block(weights, list(alphas), budget)
+        return _perron_single_block(block, list(alphas), budget)
     except _CapExceeded:
-        bound = 10 if len(weights) <= 2 else 2
-        hit = brute_force_positive_basis(weights, alphas, bound)
+        bound = 10 if len(block.weights) <= 2 else 2
+        hit = brute_force_positive_basis(block.weights, alphas, bound)
         if hit is None:
             raise ResourceError(
                 "positive-basis reduction exceeded its step cap and the bounded "
@@ -394,10 +459,10 @@ def _perron_block_guarded(weights, alphas, budget: _Budget):
 
 
 def _perron_multi(blocks, alphas, budget: _Budget):
-    width = sum(len(b) for b in blocks)
+    width = sum(len(b.weights) for b in blocks)
     if len(blocks) == 1:
         return _perron_block_guarded(blocks[0], alphas, budget)
-    r1 = len(blocks[0])
+    r1 = len(blocks[0].weights)
     splus = [k for k, a in enumerate(alphas) if any(a[:r1])]
     s0 = [k for k, a in enumerate(alphas) if not any(a[:r1])]
     top, n_top = _perron_block_guarded(blocks[0], [alphas[k][:r1] for k in splus], budget)
@@ -437,9 +502,12 @@ def _resolve_cap(max_steps: int | None) -> int:
     if raw is None:
         return DEFAULT_MAX_PERRON_STEPS
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InputError(f"{_ENV_CAP} must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = None) -> PerronResult:
@@ -466,7 +534,7 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
         vectors.append([int(c) for c in a.coords])
 
     budget = _Budget(_resolve_cap(max_steps))
-    rows, coeffs = _perron_multi(order.blocks, vectors, budget)
+    rows, coeffs = _perron_multi(order._blocks, vectors, budget)
     result = PerronResult(
         basis=tuple(order.element(row) for row in rows),
         coeffs=tuple(tuple(int(c) for c in row) for row in coeffs),

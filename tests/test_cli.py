@@ -245,13 +245,15 @@ def test_precision_flag_reaches_the_place(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("steps", ["abc", [1], -5, True])
-@pytest.mark.parametrize("command", ["perron", "uniformize"])
+@pytest.mark.parametrize("steps", ["abc", [1], -5, True, -1])
+@pytest.mark.parametrize("command", ["perron", "uniformize", "discrete-uniformize"])
 def test_max_steps_is_validated(tmp_path, capsys, command, steps):
     if command == "perron":
         doc = {"order": [[{"q": "1"}, {"q": "1", "d": 2}]], "alphas": [["3", "-2"]]}
-    else:
+    elif command == "uniformize":
         doc = {"place": PLACE_R2, "zetas": ["x2/x1"]}
+    else:
+        doc = {"presentation": PRES_F5, "zetas": ["z"]}
     code, _, err = run(tmp_path, capsys, command, dict(doc, max_steps=steps))
     assert code == 4
     assert "max_steps" in err and "Traceback" not in err
@@ -272,6 +274,16 @@ def test_precision_below_one_is_rejected(tmp_path, capsys):
     assert code == 4 and "presentation.precision" in err
     code, _, err = run(tmp_path, capsys, "value", {"place": pres0, "element": "z - 1"})
     assert code == 4 and "place.precision" in err
+
+
+def test_verify_precision_above_the_place_is_rejected(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["z"]}
+    system = run_json(tmp_path, capsys, "discrete-uniformize", doc)["result"]["system"]
+    code, _, err = run(tmp_path, capsys, "verify", {"system": system}, "--precision", "32")
+    assert code == 4
+    assert "--precision" in err and "16" in err and "Traceback" not in err
+    env = run_json(tmp_path, capsys, "verify", {"system": system}, "--precision", "16")
+    assert env["result"]["report"]["precision"] == 16
 
 
 def test_precision_flag_overrides_the_document(tmp_path, capsys):

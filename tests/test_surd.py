@@ -1,11 +1,12 @@
 """Exact real scalars: canonical form, arithmetic, and sign decisions."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from uniformizer.surd import SurdScalar, is_square_free, square_free_part
+from uniformizer.surd import SurdScalar, is_square_free, root_bounds, square_free_part, surd_sign
 
 
 def test_square_free_part_examples():
@@ -90,3 +91,82 @@ def test_ring_axioms(a, b, c):
 def test_scale_matches_repeated_addition(s):
     assert s.scale(3) == s + s + s
     assert s.scale(0).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel, against oracles that do not use it
+
+PELL = [(99, 70), (114243, 80782)]  # a*a - 2*b*b == 1: a - b*sqrt(2) is tiny
+
+
+def test_kernel_pell_near_ties():
+    for a, b in PELL:
+        by_squares = 1 if a * a > 2 * b * b else -1
+        assert surd_sign([a, -b], [1, 2]) == by_squares
+        assert surd_sign([-a, b], [1, 2]) == -by_squares
+        assert (SurdScalar.rational(a) - SurdScalar.sqrt(2, b)).sign() == by_squares
+        # (a - b*sqrt(2))/7 written with sqrt(8) = 2*sqrt(2)
+        s = SurdScalar.make([(Fraction(a, 7), 1), (Fraction(-b, 14), 8)])
+        assert s.sign() == by_squares
+
+
+def test_kernel_refines_past_the_filter():
+    # (1 + sqrt(2))**n = a + b*sqrt(2) with a*a - 2*b*b == (-1)**n, so
+    # |a - b*sqrt(2)| = 1/(a + b*sqrt(2)) falls far below 2**-63 * (a + b),
+    # and its sign alternates
+    a, b = 1, 1
+    for _ in range(120):
+        by_squares = 1 if a * a > 2 * b * b else -1
+        assert surd_sign([a, -b], [1, 2]) == by_squares
+        assert surd_sign([-a, b, 0], [1, 2, 3]) == -by_squares
+        a, b = a + 2 * b, a + b
+
+
+def test_kernel_beyond_float_range():
+    big = 10**400
+    assert surd_sign([big * 99, -big * 70], [1, 2]) == 1
+    assert surd_sign([-big * 99, big * 70], [1, 2]) == -1
+    # a Pell tie one unit off at this scale: big*99 - big*70*sqrt2 + 1 > 0
+    assert surd_sign([big * 99 + 1, -big * 70], [1, 2]) == 1
+    assert surd_sign([big * 114243, -big * 80782, 1], [1, 2, 3]) == 1
+    assert surd_sign([-big * 114243, big * 80782, 1], [1, 2, 3]) == -1
+
+
+def test_kernel_exact_exits_and_given_roots():
+    assert surd_sign([], []) == 0
+    assert surd_sign([0, 0], [2, 3]) == 0
+    assert surd_sign([0, 3, 1], [1, 2, 5]) == 1
+    assert surd_sign([-1, 0, -4], [1, 2, 5]) == -1
+    assert surd_sign([3, -2], [1, 2], root_bounds([1, 2])) == 1
+
+
+_SQUARE_FREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23]
+
+
+def _decimal_value(coeffs, radicands):
+    with localcontext() as ctx:
+        ctx.prec = 100
+        return sum(Decimal(c) * Decimal(d).sqrt() for c, d in zip(coeffs, radicands))
+
+
+@st.composite
+def near_ties(draw):
+    """3- and 4-term sums whose last coefficient nearly cancels the rest."""
+    k = draw(st.integers(min_value=3, max_value=4))
+    radicands = draw(st.lists(st.sampled_from(_SQUARE_FREE), min_size=k, max_size=k, unique=True))
+    coeffs = [draw(st.integers(min_value=-10**12, max_value=10**12)) for _ in range(k - 1)]
+    with localcontext() as ctx:
+        ctx.prec = 100
+        head = _decimal_value(coeffs, radicands)
+        last = int((-head / Decimal(radicands[-1]).sqrt()).to_integral_value())
+    coeffs.append(last + draw(st.integers(min_value=-2, max_value=2)))
+    return coeffs, radicands
+
+
+@given(near_ties())
+@settings(max_examples=300)
+def test_kernel_matches_decimal_oracle(case):
+    coeffs, radicands = case
+    value = _decimal_value(coeffs, radicands)
+    if abs(value) > Decimal("1e-80"):
+        assert surd_sign(coeffs, radicands) == (1 if value > 0 else -1)

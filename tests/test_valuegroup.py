@@ -1,11 +1,14 @@
 """Ordered groups of values and positive-basis computation."""
 
+import importlib.util
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uniformizer.errors import PreconditionError, ResourceError
+from uniformizer.errors import InputError, PreconditionError, ResourceError
 from uniformizer.surd import SurdScalar
 from uniformizer.valuegroup import (
     GroupOrder,
@@ -197,3 +200,89 @@ def test_ordering_total_and_translation_invariant(a, b):
     shift = order.element([1, -2, 3])
     assert compare(ga + shift, gb + shift) == c
     assert (ga == gb) == (c == 0)
+
+
+# ---------------------------------------------------------------------------
+# signs on the integer weight matrix
+
+
+def test_rational_coordinates():
+    # 3/2 - sqrt(2) > 0 and 99/7 - 10*sqrt(2) > 0 (9801 > 9800)
+    assert ORDER_R2.element([Fraction(3, 2), -1]).sign() == 1
+    assert ORDER_R2.element([Fraction(99, 7), -10]).sign() == 1
+    assert ORDER_R2.element([Fraction(-99, 7), 10]).sign() == -1
+    a = ORDER_R2.element([Fraction(1, 3), Fraction(1, 5)])
+    b = ORDER_R2.element([Fraction(2, 6), Fraction(3, 15)])
+    assert compare(a, b) == 0
+    # rational weights too: 1/3 and sqrt(2)/5 at (3/4, -7/4): 1/4 - 7*sqrt(2)/20 < 0
+    order = _order([(Fraction(1, 3), 1), (Fraction(1, 5), 2)])
+    assert order.element([Fraction(3, 4), Fraction(-7, 4)]).sign() == -1
+    assert order.element([Fraction(3, 4), Fraction(-1, 4)]).sign() == 1
+    assert ORDER_2BLOCK.element([Fraction(1, 2), Fraction(-9), 0]).sign() == 1
+    assert ORDER_2BLOCK.element([0, Fraction(-1, 2), Fraction(1, 3)]).sign() == -1
+
+
+_ORACLE_WEIGHTS = [(Fraction(1, 2), 1), (Fraction(1, 3), 2), (Fraction(5, 4), 3)]
+
+
+@given(st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50), min_size=3, max_size=3))
+@settings(max_examples=150)
+def test_sign_matches_decimal_oracle(coords):
+    order = _order(_ORACLE_WEIGHTS)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        value = sum(
+            Decimal(c.numerator) / c.denominator * Decimal(q.numerator) / q.denominator * Decimal(d).sqrt()
+            for c, (q, d) in zip(coords, _ORACLE_WEIGHTS)
+        )
+    if abs(value) > Decimal("1e-80"):
+        assert order.element(coords).sign() == (1 if value > 0 else -1)
+    elif value == 0:
+        assert order.element(coords).sign() == 0
+
+
+def test_perron_large_quotient_is_pinned():
+    # weights 1 and sqrt(2)/1000: the first quotient is 707; the rows and
+    # coefficients below are the output of the Fraction-refinement reduction
+    order = _order([(1, 1), (Fraction(1, 1000), 2)])
+    alphas = [order.element([10, -7071]), order.element([1, -1])]
+    res = perron_positive_basis(order, alphas)
+    assert res.change == ((19, -13435), (-9, 6364))
+    assert res.coeffs == ((1, 1), (6355, 13416))
+
+
+def test_perron_deep_reduction_is_pinned():
+    # alpha = a - b*sqrt(2) for a Pell pair near 4e19: the reduction walks
+    # the continued fraction of sqrt(2) down to values far below 2**-64
+    # times their coefficients, where the 64-bit quotient hints miss; the
+    # pinned output is that of the Fraction-refinement reduction
+    a, b = 3, 2
+    for _ in range(25):
+        a, b = 3 * a + 4 * b, 2 * a + 3 * b
+    alphas = [ORDER_R2.element([a, -b]), ORDER_R2.element([1, 0])]
+    res = perron_positive_basis(ORDER_R2, alphas)
+    assert res.change == (
+        (40114893348711941777, -28365513113449345692),
+        (-16616132878186749607, 11749380235262596085),
+    )
+    assert res.coeffs == ((1, 0), (11749380235262596085, 28365513113449345692))
+
+
+def test_negative_perron_cap_is_rejected(monkeypatch):
+    monkeypatch.setenv("UNIFORMIZER_MAX_PERRON_STEPS", "-5")
+    with pytest.raises(InputError, match="UNIFORMIZER_MAX_PERRON_STEPS"):
+        perron_positive_basis(ORDER_R2, [ORDER_R2.element([2, -1])])
+    monkeypatch.setenv("UNIFORMIZER_MAX_PERRON_STEPS", "many")
+    with pytest.raises(InputError, match="UNIFORMIZER_MAX_PERRON_STEPS"):
+        perron_positive_basis(ORDER_R2, [ORDER_R2.element([2, -1])])
+
+
+def test_perron_sweep_script_smoke(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "perron_sweep.py"
+    spec = importlib.util.spec_from_file_location("perron_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--instances", "5"]) == 0
+    assert "rank 2: 5/5 valid" in capsys.readouterr().out
+    monkeypatch.setattr(sweep, "perron_is_valid", lambda *args: False)
+    assert sweep.main(["--instances", "2"]) == 1
