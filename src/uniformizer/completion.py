@@ -18,6 +18,7 @@ and composes the two layers into one ground system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -324,176 +325,176 @@ def value_via_lvpol(witness: ApproximationWitness, f: SparsePoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomial arithmetic over the rational-function field K0(t)
-
-_RF = RationalFunction
-
-
-def _rf_zero(base: BaseField) -> _RF:
-    return _RF.const(base, 1, 0)
-
-
-def _rf_one(base: BaseField) -> _RF:
-    return _RF.const(base, 1, 1)
-
-
-def _up_trim(p: list) -> list:
-    while p and p[-1].is_zero:
-        p.pop()
-    return p
+# The quotient ring K0(t)[X]/(m), computed fraction-free over K0[t]
+#
+# An element of K0[t] is a dense coefficient list, lowest degree first, with
+# no trailing zeros: ints in [0, p) over F_p, and plain ints over Q, where
+# every denominator is cleared on the way in.  A ring element is a vector of
+# dim such lists over the power basis 1, X, ..., X^(dim-1), read over one
+# common denominator in K0[t] that is kept beside it.  m is monic in X, so
+# reduction modulo m never divides.  Linear algebra is Bareiss elimination
+# (E. H. Bareiss, 1968): every entry after a step is a minor of the input
+# rows, so dividing by the previous pivot is exact in K0[t] and needs no gcd.
+# The only gcds are the ones RationalFunction.make takes, once per output
+# coefficient of a minimal polynomial.
 
 
-def _up_deg(p: list) -> int:
-    return len(p) - 1
+def _kt_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _up_add(a: list, b: list, base) -> list:
-    n = max(len(a), len(b))
-    z = _rf_zero(base)
-    return _up_trim([
-        (a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)
-    ])
+def _kt_add(a: list, b: list, p: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % p if p else out[i] + y
+    return _kt_trim(out)
 
 
-def _up_neg(a: list) -> list:
-    return [-c for c in a]
-
-
-def _up_mul(a: list, b: list, base) -> list:
+def _kt_mul(a: list, b: list, p: int) -> list:
     if not a or not b:
         return []
-    z = _rf_zero(base)
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            if cb.is_zero:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return _up_trim(out)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out] if p else out
 
 
-def _up_divmod(a: list, b: list, base) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    z = _rf_zero(base)
-    r = list(a)
-    q = [z] * max(0, len(a) - len(b) + 1)
-    db = _up_deg(b)
-    inv_lead = _rf_one(base) / b[-1]
-    while _up_trim(r) and _up_deg(r) >= db:
-        dr = _up_deg(r)
-        c = r[-1] * inv_lead
-        q[dr - db] = q[dr - db] + c
-        for i in range(len(b)):
-            r[dr - db + i] = r[dr - db + i] - c * b[i]
-        r = _up_trim(r)
-    return _up_trim(q), _up_trim(r)
+def _kt_divexact(a: list, b: list, p: int) -> list:
+    """a / b in K0[t], where b is known to divide a."""
+    if not a or b == [1]:
+        return a
+    a, n, lead = list(a), len(b) - 1, b[-1]
+    inv = pow(lead, -1, p) if p else 0
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + n] * inv % p if p else a[k + n] // lead
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q
 
 
-def _up_mod(a: list, b: list, base) -> list:
-    return _up_divmod(a, b, base)[1]
-
-
-def _up_ext_gcd(a: list, b: list, base) -> tuple[list, list, list]:
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    one, zero = _rf_one(base), _rf_zero(base)
-    r0, r1 = list(a), list(b)
-    u0, u1 = [one], []
-    v0, v1 = [], [one]
-    while _up_trim(list(r1)):
-        q, r = _up_divmod(r0, r1, base)
-        r0, r1 = r1, r
-        u0, u1 = u1, _up_add(u0, _up_neg(_up_mul(q, u1, base)), base)
-        v0, v1 = v1, _up_add(v0, _up_neg(_up_mul(q, v1, base)), base)
-    if not r0:
-        return [], u0, v0
-    lead = r0[-1]
-    scale = one / lead
-    return (
-        [c * scale for c in r0],
-        [c * scale for c in u0],
-        [c * scale for c in v0],
-    )
-
-
-def _poly2_to_up(f: SparsePoly) -> list:
-    """SparsePoly in (t, X) -> coefficients in K0(t) indexed by X-degree."""
-    base = f.base
-    deg = f.degree_in(1) if not f.is_zero else -1
-    out = []
-    for k in range(deg + 1):
-        terms = [((e[0],), c) for e, c in f.terms if e[1] == k]
-        out.append(_RF.from_poly(SparsePoly.make(base, 1, terms)))
-    return _up_trim(out)
-
-
-def _ratfun2_to_up_pair(f: RationalFunction) -> tuple[list, list]:
-    return _poly2_to_up(f.num), _poly2_to_up(f.den)
+def _kt_unit(n: int, j: int) -> list:
+    return [[1] if i == j else [] for i in range(n)]
 
 
 class _QuotientRing:
-    """K0(t)[X] / (m), with m monic; elements are coefficient vectors."""
+    """K0(t)[X]/(m) for a monic m in (t, X), and the minimal polynomials of
+    its elements over K0(t)."""
 
-    def __init__(self, base: BaseField, m: list):
-        self.base = base
-        self.m = m
-        self.dim = _up_deg(m)
+    def __init__(self, m: SparsePoly, names):
+        self.base = m.base
+        self.p = m.base.characteristic
+        self.names = tuple(names)
+        self.dim = m.degree_in(1)
+        # over Q, the coordinate Y = L*X with L the lcm of m's denominators
+        # makes m monic with integer coefficients
+        self.L = 1 if self.p else math.lcm(*(c.denominator for _, c in m.terms))
+        self.neg_m = [_kt_mul(c, [-1], self.p) for c in self._split(m)[0][:-1]]
 
-    def reduce(self, p: list) -> list:
-        return self._pad(_up_mod(p, self.m, self.base))
+    def _split(self, f: SparsePoly) -> tuple[list, int]:
+        """(P, s) with f = P(Y)/s: P over Y with K0[t] entries, s an integer."""
+        if f.is_zero:
+            return [], 1
+        n = f.degree_in(1)
+        P = [[0] * (f.degree_in(0) + 1) for _ in range(n + 1)]
+        for (i, j), c in f.terms:
+            P[j][i] = c * self.L ** (n - j)
+        if self.p:
+            return [_kt_trim(row) for row in P], 1
+        s = math.lcm(*(c.denominator for row in P for c in row))
+        return [_kt_trim([int(c * s) for c in row]) for row in P], s * self.L**n
 
-    def _pad(self, p: list) -> list:
-        z = _rf_zero(self.base)
-        return list(p) + [z] * (self.dim - len(p))
+    def _reduce(self, P: list) -> list:
+        """P modulo m, as a vector of length dim."""
+        P, dim, p = list(P), self.dim, self.p
+        for k in range(len(P) - 1, dim - 1, -1):
+            if P[k]:
+                for i, c in enumerate(self.neg_m):
+                    P[k - dim + i] = _kt_add(P[k - dim + i], _kt_mul(P[k], c, p), p)
+        return P[:dim] + [[]] * (dim - len(P))
 
-    def mul(self, a: list, b: list) -> list:
-        return self.reduce(_up_mul(_up_trim(list(a)), _up_trim(list(b)), self.base))
+    def _mul(self, A: list, B: list) -> list:
+        p = self.p
+        out = [[] for _ in range(len(A) + len(B) - 1)]
+        for i, a in enumerate(A):
+            if a:
+                for j, b in enumerate(B):
+                    out[i + j] = _kt_add(out[i + j], _kt_mul(a, b, p), p)
+        return self._reduce(out)
 
-    def inverse(self, a: list) -> list:
-        at = _up_trim(list(a))
-        if not at:
-            raise ZeroDivisionError("element is zero in the quotient ring")
-        g, u, _ = _up_ext_gcd(at, self.m, self.base)
-        if _up_deg(g) != 0:
-            raise PreconditionError("element is a zero divisor modulo the minimal polynomial")
-        inv_g = _rf_one(self.base) / g[0]
-        return self.reduce([c * inv_g for c in u])
+    def _eliminate(self, pivots: list, row: list):
+        """One more row through the Bareiss steps of the pivot rows.
 
-    def of_ratfun(self, f: RationalFunction) -> list:
-        num, den = _ratfun2_to_up_pair(f)
-        return self.mul(self._pad(self.reduce(num)), self.inverse(self.reduce(den)))
+        Returns the row's tail (past the first dim columns) when its head
+        reduces to zero; otherwise records the row as a pivot and returns None.
+        """
+        p, prev = self.p, [1]
+        for col, prow in pivots:
+            piv, neg_c = prow[col], _kt_mul(row[col], [-1], p)
+            row = [
+                _kt_divexact(_kt_add(_kt_mul(piv, x, p), _kt_mul(neg_c, y, p), p), prev, p)
+                for x, y in zip(row, prow)
+            ]
+            prev = piv
+        col = next((j for j in range(self.dim) if row[j]), None)
+        if col is None:
+            return row[self.dim:]
+        pivots.append((col, row))
+        return None
 
-    def min_poly(self, w: list) -> list:
-        """Monic minimal polynomial of w over K0(t), by incremental kernels."""
-        base = self.base
-        one, zero = _rf_one(base), _rf_zero(base)
-        # rows[i] = reduced echelon form data over the power basis
-        pivots: list[tuple[int, list, list]] = []  # (pivot col, vector, expression over powers)
-        power = self._pad([one])
-        k = 0
-        while True:
-            vec = list(power)
-            expr = [zero] * (self.dim + 1)
-            expr[k] = one
-            for col, pvec, pexpr in pivots:
-                c = vec[col]
-                if not c.is_zero:
-                    vec = [a - c * b for a, b in zip(vec, pvec)]
-                    expr = [a - c * b for a, b in zip(expr, pexpr)]
-            col = next((i for i, c in enumerate(vec) if not c.is_zero), None)
-            if col is None:
-                # dependency found: expr gives the minimal polynomial
-                lead = expr[k]
-                coeffs = [c / lead for c in expr[: k + 1]]
-                return _up_trim(coeffs)
-            inv = one / vec[col]
-            pivots.append((col, [c * inv for c in vec], [c * inv for c in expr]))
-            k += 1
-            if k > self.dim:  # pragma: no cover - dimension bound
-                raise PreconditionError("no dependency found below the ring dimension")
-            power = self.mul(power, w)
+    def _poly(self, c: list) -> SparsePoly:
+        return SparsePoly.make(self.base, 1, [((i,), v) for i, v in enumerate(c) if v])
+
+    def min_poly(self, f: RationalFunction) -> list:
+        """Monic minimal polynomial of f over K0(t), lowest coefficient first."""
+        dim, p = self.dim, self.p
+        num, num_s = self._split(f.num)
+        den, den_s = self._split(f.den)
+        D = self._reduce(den)
+        if not any(D):
+            raise ZeroDivisionError(self._bad_denominator(f, "vanishes"))
+        # rows D*X^j (j < dim), then 1; their dependency
+        # sum_j e_j D X^j + e_dim = 0 gives 1/D = -(sum_j e_j X^j)/e_dim
+        pivots: list = []
+        col = D
+        for j in range(dim):
+            if self._eliminate(pivots, col + _kt_unit(dim + 1, j)) is not None:
+                raise PreconditionError(self._bad_denominator(f, "is a zero divisor"))
+            col = self._reduce([[]] + col)
+        e = self._eliminate(pivots, _kt_unit(dim, 0) + _kt_unit(dim + 1, dim))
+        # f = A/d over the common denominator d
+        A = self._mul(self._reduce(num), [_kt_mul(c, [-den_s], p) for c in e[:dim]])
+        d = _kt_mul(e[dim], [num_s], p)
+        # the first dependency sum_i e_i A^i = 0 among the powers of A gives
+        # sum_i e_i d^i f^i = 0
+        pivots, power = [], _kt_unit(dim, 0)
+        for k in range(dim + 1):
+            e = self._eliminate(pivots, power + _kt_unit(dim + 1, k))
+            if e is not None:
+                break
+            power = self._mul(power, A)
+        else:  # pragma: no cover - dimension bound
+            raise PreconditionError("no dependency found below the ring dimension")
+        out, d_pow = [RationalFunction.const(self.base, 1, 1)], d
+        for i in range(k - 1, -1, -1):
+            den_i = self._poly(_kt_mul(e[k], d_pow, p))
+            out.append(RationalFunction.make(self._poly(e[i]), den_i))
+            d_pow = _kt_mul(d_pow, d, p)
+        return out[::-1]
+
+    def _bad_denominator(self, f: RationalFunction, how: str) -> str:
+        return (
+            f"element {ratfun_str(f, self.names)} has a denominator that {how} "
+            "modulo the minimal polynomial"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Relative triangular blocks over the coefficient field K0(t)
@@ -558,7 +559,7 @@ class _RowBuilder:
         return SparsePoly.make(self.base, width, out)
 
 
-def _up_entry_in_ring(rf: RationalFunction) -> bool:
+def _rf_in_ring(rf: RationalFunction) -> bool:
     """Order of a K0(t) element at t = 0 is >= 0."""
     if rf.is_zero:
         return True
@@ -613,26 +614,24 @@ def _zeta_block(
     base = pool.base
     nvars = ctx.place.nvars
 
-    coords = ring.of_ratfun(zeta)
-    h = ring.min_poly(coords)
-    k = _up_deg(h)
+    h = ring.min_poly(zeta)
+    k = len(h) - 1
 
     if k == 1:
         # zeta already lies in K0(t): one affine row X - c
         c_rf = -h[0]
-        if not _up_entry_in_ring(c_rf):
+        if not _rf_in_ring(c_rf):
             raise NotInValuationRingError(
                 f"element {ratfun_str(zeta, ctx.place.ambient_names)} lies outside the valuation ring"
             )
         row = ("affine1", n_before, pool.ref(c_rf))
         return _Block(rows=[row], etas=[zeta], zeta_eta=0, witness_exprs=[])
 
-    # realize zeta and its conjugates as series
-    zs = ctx.ambient(zeta)
-    conj_vals = []
-    for czs in conj_series:
-        picked = [ctx.args[0]] + [czs]
-        conj_vals.append(eval_ratfun_at_series(zeta, picked, ctx.precision))
+    # realize zeta and its conjugates as series; conj_series[0] is z itself
+    conj_vals = [
+        eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision) for czs in conj_series
+    ]
+    zs = conj_vals[0]
     # cluster the conjugate values; the number of distinct ones must be k
     reps: list[TruncatedSeries] = []
     for v in conj_vals:
@@ -676,17 +675,16 @@ def _zeta_block(
     w_amb = b_amb / (zeta - a_amb)
     winv_amb = (zeta - a_amb) / b_amb
 
-    w_coords = ring.of_ratfun(w_amb)
-    hw = ring.min_poly(w_coords)
-    if _up_deg(hw) != k:
+    hw = ring.min_poly(w_amb)
+    if len(hw) - 1 != k:
         raise PreconditionError(
             "w = b/(zeta - a) does not generate the same extension; "
             "this lies outside the realized scope"
         )
     # sanity: each coefficient must lie in the valuation ring and reduce to
     # the coefficients of X^k - X^(k-1)
-    for i, c in enumerate(hw[:-1] + [_rf_one(base)]):
-        if not _up_entry_in_ring(c):
+    for i, c in enumerate(hw):
+        if not _rf_in_ring(c):
             raise PreconditionError(
                 "minimal polynomial of w has a coefficient outside the valuation ring"
             )
@@ -710,8 +708,8 @@ def _zeta_block(
             "affine3",
             n_before + 2,
             n_before + 1,
-            pool.ref(_RF.from_poly(b_poly)),
-            pool.ref(_RF.from_poly(a_poly)) if not a_poly.is_zero else None,
+            pool.ref(RationalFunction.from_poly(b_poly)),
+            pool.ref(RationalFunction.from_poly(a_poly)) if not a_poly.is_zero else None,
         ),
     ]
     etas = [w_amb, winv_amb, zeta]
@@ -954,7 +952,7 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
     base = pres.base
     place, conj = realize_presentation(pres, precision)
     ctx = place.make_context()
-    ring = _QuotientRing(base, _poly2_to_up(_monic_min_poly(pres.min_poly)))
+    ring = _QuotientRing(_monic_min_poly(pres.min_poly), place.ambient_names)
     requested = [_coerce_ambient(base, 2, f) for f in zetas]
 
     unique = list(dict.fromkeys(requested))
@@ -988,9 +986,9 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
     witnesses = []
     for j_winv, b_poly, a_poly in blocks[unique.index(zvar)].witness_exprs:
         wb = _RowBuilder(base, 0, n_total)
-        wb.add(_onehot(n_total, j_winv), pool.ref(_RF.from_poly(b_poly)))
+        wb.add(_onehot(n_total, j_winv), pool.ref(RationalFunction.from_poly(b_poly)))
         if not a_poly.is_zero:
-            wb.add((0,) * n_total, pool.ref(_RF.from_poly(a_poly)))
+            wb.add((0,) * n_total, pool.ref(RationalFunction.from_poly(a_poly)))
         witnesses.append((pres.gen_name, RationalFunction.from_poly(wb.materialize(nc))))
 
     return TriangularSystem(
@@ -1080,20 +1078,20 @@ def uniformize_immediate_simple(
         for i, gi in enumerate(gam_h):
             if gi.is_zero:
                 continue
-            ref = pool.ref(_RF.from_poly(gi) / _RF.from_poly(n_h))
+            ref = pool.ref(RationalFunction.from_poly(gi) / RationalFunction.from_poly(n_h))
             terms.append(((i,) + _onehot(n, j), ref, 1))
         for i, gi in enumerate(gam_g):
             if gi.is_zero:
                 continue
-            ref = pool.ref(_RF.from_poly(gi) / _RF.from_poly(n_h))
+            ref = pool.ref(RationalFunction.from_poly(gi) / RationalFunction.from_poly(n_h))
             terms.append(((i,) + (0,) * n, ref, -1))
         rows.append(terms)
 
     # witness references can extend the pool, so take them before sizing rows
     wb = _RowBuilder(base, 1, n)
-    wb.add((1,) + (0,) * n, pool.ref(_RF.from_poly(b_poly)))
+    wb.add((1,) + (0,) * n, pool.ref(RationalFunction.from_poly(b_poly)))
     if not a_poly.is_zero:
-        wb.add((0,) * (1 + n), pool.ref(_RF.from_poly(a_poly)))
+        wb.add((0,) * (1 + n), pool.ref(RationalFunction.from_poly(a_poly)))
 
     nc = len(pool.entries)
     fs = []
@@ -1186,7 +1184,7 @@ def uniformize_discrete_rational(
 
     outer = _relative_system(pres, zetas, precision)
     for entry in outer.coeff_table:
-        if not _up_entry_in_ring(entry):
+        if not _rf_in_ring(entry):
             raise PreconditionError(
                 "a coefficient-field element of the relative system lies outside "
                 "the valuation ring"

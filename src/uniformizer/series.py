@@ -27,17 +27,21 @@ class TruncatedSeries:
 
     @staticmethod
     def make(base: BaseField, offset: int, coeffs, precision: int) -> "TruncatedSeries":
-        coeffs = [base.coerce(c) for c in coeffs]
+        return TruncatedSeries._trimmed(base, offset, [base.coerce(c) for c in coeffs], precision)
+
+    @staticmethod
+    def _trimmed(base: BaseField, offset: int, coeffs: list, precision: int) -> "TruncatedSeries":
+        """make for coefficients already in canonical form."""
         # drop anything at or beyond the precision bound, then trim zeros
-        coeffs = coeffs[: max(0, precision - offset)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            offset += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
+        hi = min(len(coeffs), max(0, precision - offset))
+        lo = 0
+        while lo < hi and coeffs[lo] == 0:
+            lo += 1
+        while hi > lo and coeffs[hi - 1] == 0:
+            hi -= 1
+        if lo == hi:
             return TruncatedSeries(base, 0, (), precision)
-        return TruncatedSeries(base, offset, tuple(coeffs), precision)
+        return TruncatedSeries(base, offset + lo, tuple(coeffs[lo:hi]), precision)
 
     @staticmethod
     def zero(base: BaseField, precision: int) -> "TruncatedSeries":
@@ -107,7 +111,7 @@ class TruncatedSeries:
         coeffs = [
             self.base.add(self._at(k), other._at(k)) for k in range(lo, prec)
         ]
-        return TruncatedSeries.make(self.base, lo, coeffs, prec)
+        return TruncatedSeries._trimmed(self.base, lo, coeffs, prec)
 
     def _at(self, k: int) -> Scalar:
         if k < self.offset or k >= self.offset + len(self.coeffs):
@@ -142,7 +146,7 @@ class TruncatedSeries:
                 if b == 0:
                     continue
                 acc[k] = base.add(acc[k], base.mul(a, b))
-        return TruncatedSeries.make(base, lo, acc, prec)
+        return TruncatedSeries._trimmed(base, lo, acc, prec)
 
     def scale(self, c) -> "TruncatedSeries":
         c = self.base.coerce(c)
@@ -171,7 +175,7 @@ class TruncatedSeries:
             for i in range(1, k + 1):
                 s = base.add(s, base.mul(u[i], inv[k - i]))
             inv[k] = base.neg(base.mul(inv[0], s))
-        return TruncatedSeries.make(base, -o, inv, self.precision - 2 * o)
+        return TruncatedSeries._trimmed(base, -o, inv, self.precision - 2 * o)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self * other.inverse()
@@ -272,11 +276,14 @@ def eval_poly_at_series(p: SparsePoly, args, precision: int) -> TruncatedSeries:
         raise PreconditionError("wrong number of series arguments")
     base = p.base
     acc = TruncatedSeries.zero(base, precision)
+    powers = [{} for _ in args]  # powers[i][k] = args[i] ** k
     for e, c in p.terms:
         term = TruncatedSeries.constant(base, c, precision)
-        for a, k in zip(args, e):
+        for a, table, k in zip(args, powers, e):
             if k:
-                term = term * (a ** k)
+                if k not in table:
+                    table[k] = a ** k
+                term = term * table[k]
         acc = acc + term
     return acc
 

@@ -188,6 +188,16 @@ def test_exit_code_3_on_insufficient_precision(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_vanishing_denominator_is_named(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["1/(z^2 - 1 - t)"]}
+    code, _, err = run(tmp_path, capsys, "discrete-uniformize", doc)
+    assert code == 2
+    assert (
+        "element (1)/(z^2 + 4*t + 4) has a denominator that vanishes "
+        "modulo the minimal polynomial"
+    ) in err
+
+
 def test_exit_code_4_on_bad_input(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

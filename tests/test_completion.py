@@ -1,12 +1,18 @@
 """Series completions: Hensel lifting, separating truncations, certificates."""
 
+import importlib.util
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformizer.completion import (
     DiscretePresentation,
+    _QuotientRing,
+    _monic_min_poly,
+    _relative_system,
     DiscreteSeriesPlace,
     hensel_lift_root,
     kaplansky_normalize,
@@ -24,6 +30,7 @@ from uniformizer.errors import (
     PreconditionError,
     ValueOfZeroError,
 )
+from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
 from uniformizer.series import TruncatedSeries, equal_to_precision, eval_poly_at_series, poly_to_series
@@ -35,6 +42,7 @@ from uniformizer.surd import SurdScalar
 Q = QQ()
 F2 = GF(2)
 F5 = GF(5)
+F7 = GF(7)
 
 
 def P(base, nvars, terms):
@@ -387,6 +395,167 @@ def test_pipeline_insufficient_precision_surfaces():
     # be told apart; a tiny budget must fail loudly rather than guess
     with pytest.raises(InsufficientPrecisionError):
         uniformize_discrete_rational(_pres5(), [], precision=1)
+
+
+# ---------------------------------------------------------------------------
+# the quotient ring K0(t)[X]/(m) and its minimal polynomials
+
+
+def _ring(base, m_text):
+    m = _monic_min_poly(parse_element(m_text, base, ("t", "X")).num)
+    return _QuotientRing(m, ("t", "z"))
+
+
+def _strs(rfs):
+    return [ratfun_str(c, ("t",)) for c in rfs]
+
+
+@st.composite
+def _ring_cases(draw):
+    """An irreducible m of degree 2 or 3 as in the benchmark, and one element.
+
+    r^2 + c1*t + c2*t^3 is no square, and z^3 - z = c1*t + c2*t^2 has no
+    root in K0(t), so both m are irreducible over K0(t).
+    """
+    base = draw(st.sampled_from((Q, F5, F7)))
+    nonzero = [k for k in range(-4, 5) if k % (base.p or 11)]
+    c1, c2 = draw(st.sampled_from(nonzero)), draw(st.integers(-4, 4))
+    small = st.sampled_from([k for k in range(-3, 4) if k % (base.p or 7)])
+    a, b, c = draw(small), draw(small), draw(small)
+    i = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([k for k in range(1, 5) if k % (base.p or 11)]))
+        m, inside = f"X^2 - {r * r} - ({c1})*t - ({c2})*t^3", "z^2"
+    else:
+        r = draw(st.sampled_from((1, -1)))
+        m, inside = f"X^3 - X - ({c1})*t - ({c2})*t^2", "(z^3 - z)"
+    elements = [
+        f"({a})*z + ({b})*t^{i}",
+        f"({a})*z^2 + ({b})*t*z",
+        f"(z - ({r}))/t",
+        f"(({a})*z + ({b})*t)/(1 + ({c})*t*z)",
+        inside,
+        f"({a})*{inside}/(1 + ({b})*t)",
+    ]
+    return base, m, draw(st.sampled_from(elements))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_cases())
+def test_ring_min_poly_matches_the_resultant(case):
+    """h^(dim/deg h) is Res_X(m, Y*D - N) over its Y^dim coefficient."""
+    sp = pytest.importorskip("sympy")
+    base, m_text, f_text = case
+    ring = _ring(base, m_text)
+    f = parse_element(f_text, base, ("t", "z"))
+    h = ring.min_poly(f)
+    t, X, Y = sp.symbols("t X Y")
+
+    def sym(poly, gens):
+        return sum(
+            sp.Rational(c.numerator, c.denominator) * sp.Mul(*(g**k for g, k in zip(gens, e)))
+            for e, c in poly.terms
+        )
+
+    m = _monic_min_poly(parse_element(m_text, base, ("t", "X")).num)
+    dim = m.degree_in(1)
+    # over F_p the integer resultant of the lifts reduces to the resultant
+    # mod p: m is monic, and no lifted coefficient vanishes mod p
+    res = sp.resultant(sym(m, (t, X)), Y * sym(f.den, (t, X)) - sym(f.num, (t, X)), X)
+    res = sp.Poly(res, Y)
+    lead = res.coeff_monomial(Y**dim)
+    if len(h) - 1 == dim:
+        want = [(sym(c.num, (t,)), sym(c.den, (t,))) for c in h]
+    else:
+        assert len(h) == 2
+        n0, d0 = sym(h[0].num, (t,)), sym(h[0].den, (t,))
+        want = [(math.comb(dim, i) * n0 ** (dim - i), d0 ** (dim - i)) for i in range(dim + 1)]
+    p = base.characteristic
+    for i, (num, den) in enumerate(want):
+        diff = sp.Poly(sp.expand(res.coeff_monomial(Y**i) * den - lead * num), t)
+        assert all(c % p == 0 for c in diff.all_coeffs()) if p else diff.is_zero
+
+
+# minimal polynomials as computed by the K0(t)-coefficient ring this one replaced
+PINNED_MIN_POLYS = [
+    (F5, "X^2 - 1 - t", "(z - 1)/t", ["(4)/(t)", "(2)/(t)", "1"]),
+    (F5, "X^2 - 1 - t", "(2*z + t)/(1 + 3*t*z)",
+     ["(t^2 + t + 1)/(t^3 + t^2 + 1)", "(2*t^2)/(t^3 + t^2 + 1)", "1"]),
+    (F5, "X^2 - 1 - t", "z^2 + t*z", ["4*t^3 + 2*t + 1", "3*t + 3", "1"]),
+    (F7, "X^3 - X - 2*t - 3*t^2", "(z - 1)/t", ["(4*t + 5)/(t^2)", "(2)/(t^2)", "(3)/(t)", "1"]),
+    (F7, "X^3 - X - 2*t - 3*t^2", "(3*z + t)/(1 + t*z)", [
+        "(2*t^3 + t^2 + 6*t)/(t^5 + 3*t^4 + 2*t^2 + 5)",
+        "(6*t^3 + 3*t^2 + 4)/(t^5 + 3*t^4 + 2*t^2 + 5)",
+        "(5*t^4 + 6*t^3 + t)/(t^5 + 3*t^4 + 2*t^2 + 5)",
+        "1",
+    ]),
+    (F7, "X^3 - X - 2*t - 3*t^2", "z^3 - z", ["4*t^2 + 5*t", "1"]),
+    (Q, "2*X^2 - 1 - t", "(z - 1)/t", ["(-t + 1)/(2*t^2)", "(2)/(t)", "1"]),
+    (Q, "2*X^2 - 1 - t", "1/(z + t)", ["(2)/(2*t^2 - t - 1)", "(-4*t)/(2*t^2 - t - 1)", "1"]),
+    (Q, "X^3 - X/4 - t/3", "z", ["(-t)/(3)", "(-1)/(4)", "0", "1"]),
+    (Q, "X^3 - X/4 - t/3", "z^2 + t*z",
+     ["(-12*t^4 - t^2)/(36)", "(-20*t^2 + 1)/(16)", "(-1)/(2)", "1"]),
+]
+
+
+@pytest.mark.parametrize("base, m_text, f_text, want", PINNED_MIN_POLYS)
+def test_ring_min_poly_pinned(base, m_text, f_text, want):
+    f = parse_element(f_text, base, ("t", "z"))
+    assert _strs(_ring(base, m_text).min_poly(f)) == want
+
+
+@pytest.mark.parametrize("base, m_text, residue, zetas, precision, want", [
+    (F5, "X^2 - 1 - t", 1, ["z", "z + t", "(z - 1)/t"], 16,
+     ["t", "3*t", "(t)/(t + 2)", "(2*t + 3)/(t + 2)", "4*t", "t^2", "2*t + 4"]),
+    (Q, "X^3 - X - t", 0, ["z"], 32, ["t^2", "-t"]),
+    (Q, "X^2 - 4 - t + 2*t^3", 2, ["(3*z + t)/(1 - t*z)"], 16, [
+        "(6050*t^6 - 3025*t^4 - 12100*t^3 + 3025*t)/"
+        "(1152*t^4 + 1152*t^3 - 288*t^2 - 2864*t - 2640)",
+        "(660*t^5 + 330*t^4 - 330*t^3 - 1485*t^2 - 715*t + 330)/"
+        "(144*t^4 + 144*t^3 - 36*t^2 - 358*t - 330)",
+        "(55*t)/(4)",
+        "(t)/(32*t^2 - 16)",
+        "(1)/(2*t^2 - 1)",
+        "(t)/(4)",
+    ]),
+])
+def test_relative_coefficient_table_pinned(base, m_text, residue, zetas, precision, want):
+    m = parse_element(m_text, base, ("t", "X")).num
+    pres = DiscretePresentation(base, min_poly=m, residue=base.coerce(residue))
+    system = _relative_system(pres, [parse_element(s, base, ("t", "z")) for s in zetas], precision)
+    assert _strs(system.coeff_table) == want
+
+
+def test_ring_denominators_on_a_split_modulus():
+    ring = _ring(F5, "(X - 1)*(X - 2)")
+    z = parse_element("z", F5, ("t", "z"))
+    assert _strs(ring.min_poly(z)) == ["2", "2", "1"]
+    assert _strs(ring.min_poly(z * z - z - z - z)) == ["2", "1"]
+    zero = parse_element("1/((z - 1)*(z - 2))", F5, ("t", "z"))
+    with pytest.raises(ZeroDivisionError) as err:
+        ring.min_poly(zero)
+    assert str(err.value) == (
+        f"element {ratfun_str(zero, ('t', 'z'))} has a denominator that vanishes "
+        "modulo the minimal polynomial"
+    )
+    divisor = parse_element("1/(z - 1)", F5, ("t", "z"))
+    with pytest.raises(PreconditionError) as err:
+        ring.min_poly(divisor)
+    assert str(err.value) == (
+        "element (1)/(z + 4) has a denominator that is a zero divisor "
+        "modulo the minimal polynomial"
+    )
+
+
+def test_run_pipeline_script_smoke(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_pipeline", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    assert script.main(["--p", "0", "--min-poly", "X^3-X-t", "--zeta", "z", "--precision", "32"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("generation: pass") == 2
 
 
 # ---------------------------------------------------------------------------
