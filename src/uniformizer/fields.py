@@ -110,6 +110,10 @@ class BaseField:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
+    def pow(self, a: Scalar, k: int) -> Scalar:
+        """a ** k for an integer k >= 0, by square-and-multiply."""
+        return pow(a, k, self.p) if self.p else a ** k
+
     def scalar_str(self, a: Scalar) -> str:
         if self.p is None:
             f = Fraction(a)

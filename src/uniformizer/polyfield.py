@@ -173,8 +173,8 @@ class SparsePoly:
         for e, c in self.terms:
             term = c
             for a, k in zip(args, e):
-                for _ in range(k):
-                    term = base.mul(term, a)
+                if k:
+                    term = base.mul(term, base.pow(a, k))
             total = base.add(total, term)
         return total
 
@@ -321,8 +321,8 @@ def _eval_except(f: SparsePoly, var: int, point) -> SparsePoly:
         for j, exp in enumerate(e):
             if j == var:
                 continue
-            for _ in range(exp):
-                val = base.mul(val, point[pi])
+            if exp:
+                val = base.mul(val, base.pow(point[pi], exp))
             pi += 1
         if val != 0:
             acc[e[var]] = base.add(acc.get(e[var], base.zero), val)
@@ -600,7 +600,16 @@ def ratfun_str(f: RationalFunction, names) -> str:
 
 
 def substitute(f: SparsePoly, args) -> RationalFunction:
-    """Evaluate f at rational-function arguments, one per variable."""
+    """Evaluate f at rational-function arguments, one per variable.
+
+    With d_i the degree of f in variable i, the result is N / D over the
+    common denominator D = prod_i den_i ** d_i, where each term c * x^e of f
+    adds c * prod_i num_i ** e_i * den_i ** (d_i - e_i) to N.  An argument
+    whose numerator and denominator are single terms contributes, for each
+    exponent, one exponent vector and one coefficient; any other argument
+    contributes a polynomial computed once per distinct exponent.  Variables
+    of degree zero contribute nothing.
+    """
     args = list(args)
     if len(args) != f.nvars:
         raise PreconditionError("wrong number of substitution arguments")
@@ -613,17 +622,46 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
             raise PreconditionError("substitution arguments live in different fields")
     if f.is_zero:
         return RationalFunction.const(base, target_nvars, 0)
-    degs = [f.degree_in(i) for i in range(f.nvars)]
-    num_acc = SparsePoly.zero(base, target_nvars)
+    degs = [max(col) for col in zip(*(e for e, _ in f.terms))]
+    live = [i for i, d in enumerate(degs) if d]
+    factors: dict[tuple[int, int], tuple] = {}
+
+    def factor(i: int, k: int) -> tuple:
+        """The terms of num_i ** k * den_i ** (d_i - k)."""
+        out = factors.get((i, k))
+        if out is None:
+            num, den, r = args[i].num, args[i].den, degs[i] - k
+            if len(num.terms) == 1 and len(den.terms) == 1:
+                (en, cn), (ed, cd) = num.terms[0], den.terms[0]
+                exps = tuple(k * a + r * b for a, b in zip(en, ed))
+                out = ((exps, base.mul(base.pow(cn, k), base.pow(cd, r))),)
+            else:
+                out = (num ** k * den ** r).terms
+            factors[(i, k)] = out
+        return out
+
+    def expand(c, ks) -> dict[Exps, Scalar]:
+        """c * prod_i factor(i, ks[i]) over the live variables, as a dict."""
+        terms = {(0,) * target_nvars: c}
+        for i in live:
+            acc: dict[Exps, Scalar] = {}
+            for eb, cb in factor(i, ks[i]):
+                for ea, ca in terms.items():
+                    e = tuple(map(int.__add__, ea, eb))
+                    prod = base.mul(ca, cb)
+                    prev = acc.get(e)
+                    acc[e] = prod if prev is None else base.add(prev, prod)
+            terms = acc
+        return terms
+
+    num_terms: dict[Exps, Scalar] = {}
     for e, c in f.terms:
-        term = SparsePoly.const(base, target_nvars, c)
-        for i, k in enumerate(e):
-            term = term * (args[i].num ** k) * (args[i].den ** (degs[i] - k))
-        num_acc = num_acc + term
-    den_acc = SparsePoly.const(base, target_nvars, base.one)
-    for i, d in enumerate(degs):
-        den_acc = den_acc * (args[i].den ** d)
-    return RationalFunction.make(num_acc, den_acc)
+        for te, tc in expand(c, e).items():
+            prev = num_terms.get(te)
+            num_terms[te] = tc if prev is None else base.add(prev, tc)
+    num = SparsePoly.make(base, target_nvars, num_terms)
+    den = SparsePoly.make(base, target_nvars, expand(base.one, (0,) * f.nvars))
+    return RationalFunction.make(num, den)
 
 
 def laurent_monomial_substitute(f: SparsePoly, matrix) -> RationalFunction:

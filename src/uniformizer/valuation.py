@@ -93,28 +93,27 @@ class ResidueElement:
 
 
 def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tuple]:
-    """Value of a nonzero polynomial and its minimal-value terms."""
+    """Value of a nonzero polynomial and its minimal-value terms.
+
+    Terms compare on the integer difference of their x-exponent vectors,
+    block by block through the order's integer weight matrices; only the
+    minimum becomes a GroupElement.  A zero difference is the only tie,
+    since the weights in each block are independent.
+    """
     if f.base != place.base or f.nvars != place.nvars:
         raise PreconditionError("polynomial does not live in the ambient ring")
     if f.is_zero:
         raise ValueOfZeroError("the zero polynomial has no value")
-    best: GroupElement | None = None
+    order, rho = place.order, place.rho
+    best_head = None
     best_terms: list = []
     for e, c in f.terms:
-        val = place.term_value(e)
-        if best is None:
-            best, best_terms = val, [(e, c)]
-            continue
-        s = compare(val, best)
-        if s < 0:
-            best, best_terms = val, [(e, c)]
-        elif s == 0:
+        head = e[:rho]
+        if head == best_head:
             best_terms.append((e, c))
-    rho = place.rho
-    heads = {e[:rho] for e, _ in best_terms}
-    if len(heads) != 1:  # pragma: no cover - excluded by weight independence
-        raise PreconditionError("minimal terms disagree on x-exponents")
-    return best, tuple(best_terms)
+        elif best_head is None or order._sign_of([p - q for p, q in zip(head, best_head)]) < 0:
+            best_head, best_terms = head, [(e, c)]
+    return place.term_value(best_head), tuple(best_terms)
 
 
 def value_of_ratfun(place: MonomialPlace, f: RationalFunction) -> GroupElement:

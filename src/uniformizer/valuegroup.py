@@ -546,29 +546,34 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
 
 
 def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
-    """Check the full contract of ``perron_positive_basis`` on a candidate."""
+    """Check the full contract of ``perron_positive_basis`` on a candidate.
+
+    Every clause runs on the integer rows of ``result.change``: the basis
+    elements carry exactly those rows, the rows have determinant +-1 and
+    positive values, and each alpha is the combination of the rows by its
+    non-negative integer coefficient row.
+    """
     n = order.ngens
-    change = [list(row) for row in result.change]
+    change = result.change
     if len(change) != n or any(len(row) != n for row in change):
         return False
     if int_det(change) not in (1, -1):
         return False
     if len(result.basis) != n:
         return False
-    for el, row in zip(result.basis, result.change):
-        if el.order != order or tuple(el.coords) != tuple(Fraction(c) for c in row):
+    for el, row in zip(result.basis, change):
+        if el.order != order or tuple(el.coords) != tuple(row):
             return False
-        if el.sign() != 1:
+        if order._sign_of(_integer_coords(row)) != 1:
             return False
-    if len(result.coeffs) != len(list(alphas)):
+    alphas = list(alphas)
+    if len(result.coeffs) != len(alphas):
         return False
+    columns = list(zip(*change))
     for a, row in zip(alphas, result.coeffs):
         if len(row) != n or any((not isinstance(c, int)) or c < 0 for c in row):
             return False
         target = a if isinstance(a, GroupElement) else order.element(a)
-        combo = order.zero()
-        for c, b in zip(row, result.basis):
-            combo = combo + b.scale(c)
-        if combo.coords != target.coords:
+        if tuple(target.coords) != tuple(sum(map(mul, row, col)) for col in columns):
             return False
     return True

@@ -200,3 +200,106 @@ def test_ratfun_field_axioms(a, b, c, d):
         assert (x / y) * y == x
     # normalization is idempotent: rebuilding from num/den changes nothing
     assert RationalFunction.make(x.num, x.den) == x
+
+
+# ---------------------------------------------------------------------------
+# exponent-space substitution and large exponents
+
+
+def test_field_pow_is_square_and_multiply():
+    assert Q.pow(Q.coerce(Fraction(-2, 3)), 5) == Fraction(-32, 243)
+    assert Q.pow(Q.coerce(7), 0) == 1
+    assert F5.pow(2, 10**8) == 1  # 2 has order 4 mod 5
+    assert F5.pow(3, 10**8 + 1) == 3
+    assert F5.pow(0, 0) == 1
+
+
+def test_evaluate_at_huge_exponents():
+    f = P(F5, 2, [((10**8, 3), 1), ((0, 0), 1)])  # x1^(10^8) * x2^3 + 1
+    assert f.evaluate([2, 3]) == 3  # 1 * 27 + 1 = 28 = 3 mod 5
+    g = P(Q, 1, [((10**5,), 1), ((1,), 2)])
+    assert g.evaluate([-1]) == Fraction(-1)
+
+
+def test_normalisation_with_huge_exponents():
+    # the coprimality certificate specializes these at sample points; each
+    # specialization is one power per variable, not one product per unit
+    for base, k in ((Q, 10**5), (F5, 10**8)):
+        num = P(base, 2, [((k, 1), 1), ((0, 0), 1)])  # x1^k*x2 + 1
+        den = P(base, 2, [((k, 0), 1), ((0, 1), 1)])  # x1^k + x2
+        rf = RationalFunction.make(num, den)
+        assert (rf.num, rf.den) == (num, den)
+        assert str(rf) == f"(x1^{k}*x2 + 1)/(x1^{k} + x2)"
+
+
+def _reference_substitute(f, args):
+    """sum(c * prod(args[i] ** k)), in rational-function arithmetic only."""
+    acc = RationalFunction.const(f.base, args[0].nvars, 0)
+    for e, c in f.terms:
+        term = RationalFunction.const(f.base, args[0].nvars, c)
+        for a, k in zip(args, e):
+            term = term * a ** k
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def monomial_args(draw, base, nvars=2):
+    """c * x^a / x^b with c != 0, 1 allowed and both sides possibly nontrivial."""
+    c = draw(st.sampled_from([1, -1, 2, 3, Fraction(-4, 3)]))
+    top = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nvars))
+    bottom = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nvars))
+    return RationalFunction.make(P(base, nvars, [(top, c)]), P(base, nvars, [(bottom, 1)]))
+
+
+@st.composite
+def substitution_cases(draw):
+    base = draw(st.sampled_from([Q, F5]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    f = draw(polys(base, nvars=nvars, max_terms=4, max_exp=3))
+    args = []
+    for _ in range(nvars):
+        if draw(st.booleans()):
+            args.append(draw(monomial_args(base)))
+        else:
+            num = draw(polys(base, max_terms=2, max_exp=2))
+            den = draw(polys(base, max_terms=2, max_exp=2))
+            if den.is_zero:
+                den = P(base, 2, [((0, 1), 1), ((0, 0), 2)])
+            args.append(RationalFunction.make(num, den))
+    return f, args
+
+
+@given(substitution_cases())
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_term_by_term_reference(case):
+    f, args = case
+    assert substitute(f, args) == _reference_substitute(f, args)
+
+
+def test_substitute_skips_absent_variables_and_zero():
+    x = RationalFunction.variable(F5, 2, 0)
+    y = RationalFunction.variable(F5, 2, 1)
+    f = P(F5, 3, [((2, 0, 0), 3), ((0, 0, 1), 1)])  # 3*X1^2 + X3, X2 absent
+    out = substitute(f, [x / y, x * x + y, y])
+    assert out == RationalFunction.const(F5, 2, 3) * (x / y) ** 2 + y
+    assert substitute(P(F5, 3, []), [x, y, x]).is_zero
+    assert substitute(P(Q, 0, [((), 4)]), []) == RationalFunction.const(Q, 0, 4)
+
+
+def test_substitute_at_perron_sized_exponents():
+    x1 = RationalFunction.variable(F5, 2, 0)
+    x2 = RationalFunction.variable(F5, 2, 1)
+    a1 = RationalFunction.const(F5, 2, 2) * x1 ** 3 / x2 ** 2  # 2*x1^3/x2^2
+    a2 = x2 / x1
+    f = P(F5, 2, [((10**8, 1), 1), ((0, 2), 3)])  # X1^(10^8)*X2 + 3*X2^2
+    out = substitute(f, [a1, a2])
+    # 2^(10^8) = 1 in F5, so out = x1^(3e8-1)/x2^(2e8-1) + 3*x2^2/x1^2
+    assert str(out) == "(x1^300000001 + 3*x2^200000001)/(x1^2*x2^199999999)"
+    assert out == _reference_substitute(f, [a1, a2])
+
+    y1 = RationalFunction.variable(Q, 2, 0)
+    y2 = RationalFunction.variable(Q, 2, 1)
+    g = P(Q, 2, [((4 * 10**8, 0), 1), ((0, 3), -1)])  # X1^(4e8) - X2^3
+    out = substitute(g, [y1 ** 5 / y2 ** 2, -y2])
+    assert str(out) == "(x1^2000000000 + x2^800000003)/(x2^800000000)"

@@ -228,6 +228,25 @@ def test_term_scan_matches_oracle_on_rational_orders(data):
     assert got == _oracle_value(qweights, f)
 
 
+@given(place_and_polys(npolys=1))
+@settings(max_examples=120, deadline=None)
+def test_term_scan_matches_group_compares(data):
+    # the scan over integer block vectors against a scan that builds and
+    # compares a GroupElement per term, on irrational and two-block orders
+    place, (f,) = data
+    if f.is_zero:
+        return
+    best, terms = None, []
+    for e, c in f.terms:
+        v = place.order.element(e[: place.rho])
+        s = -1 if best is None else compare(v, best)
+        if s < 0:
+            best, terms = v, [(e, c)]
+        elif s == 0:
+            terms.append((e, c))
+    assert value_of_poly(place, f) == (best, tuple(terms))
+
+
 @given(place_and_polys())
 @settings(max_examples=80, deadline=None)
 def test_residue_is_multiplicative_on_units(data):

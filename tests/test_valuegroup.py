@@ -1,6 +1,7 @@
 """Ordered groups of values and positive-basis computation."""
 
 import importlib.util
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from uniformizer.errors import InputError, PreconditionError, ResourceError
 from uniformizer.surd import SurdScalar
 from uniformizer.valuegroup import (
     GroupOrder,
+    PerronResult,
     brute_force_positive_basis,
     compare,
     convex_decompose,
@@ -286,3 +288,82 @@ def test_perron_sweep_script_smoke(capsys, monkeypatch):
     assert "rank 2: 5/5 valid" in capsys.readouterr().out
     monkeypatch.setattr(sweep, "perron_is_valid", lambda *args: False)
     assert sweep.main(["--instances", "2"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# perron_is_valid rejects a result that breaks any one clause
+
+
+def _valid_rank3():
+    order = _order([(1, 1), (1, 2), (1, 3)])
+    alphas = [order.element([4, -1, -1]), order.element([5, -2, 1]), order.zero()]
+    res = perron_positive_basis(order, alphas)
+    assert perron_is_valid(order, alphas, res)
+    return order, alphas, res
+
+
+def _with_row(rows, i, row):
+    return tuple(row if j == i else r for j, r in enumerate(rows))
+
+
+def test_perron_is_valid_accepts_coordinate_alphas():
+    order, alphas, res = _valid_rank3()
+    coords = [[int(c) for c in a.coords] for a in alphas]
+    assert perron_is_valid(order, coords, res)
+    assert perron_is_valid(order, [[str(c) for c in row] for row in coords], res)
+
+
+def test_perron_is_valid_rejects_each_broken_clause():
+    order, alphas, res = _valid_rank3()
+    change, coeffs, basis = res.change, res.coeffs, res.basis
+    other = _order([(1, 1), (1, 2), (1, 5)])
+    doubled = tuple(2 * c for c in change[0])
+    negated = tuple(-c for c in change[0])
+    bumped = tuple(c + 1 for c in coeffs[0])
+    broken = {
+        "change has a missing row": replace(res, change=change[:-1]),
+        "change row too short": replace(res, change=_with_row(change, 0, change[0][:-1])),
+        "determinant 2": replace(
+            res, change=_with_row(change, 0, doubled),
+            basis=_with_row(basis, 0, order.element(doubled)),
+        ),
+        "basis too short": replace(res, basis=basis[:-1]),
+        "basis row differs from change": replace(
+            res, basis=_with_row(basis, 0, basis[1])
+        ),
+        "basis in another order": replace(
+            res, basis=_with_row(basis, 0, other.element(change[0]))
+        ),
+        "row of negative value": replace(
+            res, change=_with_row(change, 0, negated),
+            basis=_with_row(basis, 0, order.element(negated)),
+        ),
+        "coefficient rows missing": replace(res, coeffs=coeffs[:-1]),
+        "coefficient row too long": replace(res, coeffs=_with_row(coeffs, 0, coeffs[0] + (0,))),
+        "negative coefficient": replace(
+            res, coeffs=_with_row(coeffs, 2, (-1,) + coeffs[2][1:])
+        ),
+        "fractional coefficient": replace(
+            res, coeffs=_with_row(coeffs, 0, (Fraction(coeffs[0][0]),) + coeffs[0][1:])
+        ),
+        "combination misses alpha": replace(res, coeffs=_with_row(coeffs, 0, bumped)),
+    }
+    for label, bad in broken.items():
+        assert not perron_is_valid(order, alphas, bad), label
+    # results that break only the determinant or only the positivity clause
+    alpha = ORDER_R2.element([0, 2])
+    for rows in (((2, 0), (0, 1)), ((-1, 0), (0, 1))):
+        lone = PerronResult(tuple(ORDER_R2.element(r) for r in rows), ((0, 2),), rows)
+        assert not perron_is_valid(ORDER_R2, [alpha], lone), rows
+    good = ((1, 0), (0, 1))
+    assert perron_is_valid(
+        ORDER_R2, [alpha], PerronResult(tuple(ORDER_R2.element(r) for r in good), ((0, 2),), good)
+    )
+    # the alpha side: a different target, or one off the integer lattice
+    assert not perron_is_valid(order, [alphas[1], alphas[0], alphas[2]], res)
+    assert not perron_is_valid(order, alphas[:-1], res)
+    *head, last = alphas[0].coords
+    off_by_one = order.element(head + [last + 1])
+    assert not perron_is_valid(order, [off_by_one] + alphas[1:], res)
+    half = [[Fraction(1, 2), 0, 0]] + alphas[1:]
+    assert not perron_is_valid(order, half, res)
