@@ -164,7 +164,9 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
 
     Requires f(0, x0) = 0 and (df/dX)(0, x0) != 0; Newton steps double the
     correct precision each round, and remain valid in characteristic p
-    because only the first derivative is involved.
+    because only the first derivative is involved.  The inverse of f'(z)
+    is carried along as a second Newton iterate, one doubling per round,
+    instead of being recomputed from scratch.
     """
     if f.nvars != 2:
         raise PreconditionError("expected a polynomial in (t, X)")
@@ -172,27 +174,34 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
         raise PreconditionError("precision must be at least 1")
     base = f.base
     x0 = base.coerce(x0)
-    fbar = [(e, c) for e, c in f.terms if e[0] == 0]
-    red = SparsePoly.make(base, 2, fbar)
-    if red.evaluate([base.zero, x0]) != 0:
+
+    def at_residue(g: SparsePoly) -> Scalar:  # g(0, x0)
+        return base.coerce(sum(c * base.pow(x0, e[1]) for e, c in g.terms if e[0] == 0))
+
+    if at_residue(f) != 0:
         raise PreconditionError("x0 is not a root of the reduction")
     dfdx = hasse_derivative(f, 1, var=1)
-    dred = SparsePoly.make(base, 2, [(e, c) for e, c in dfdx.terms if e[0] == 0])
-    if dred.evaluate([base.zero, x0]) == 0:
+    d0 = at_residue(dfdx)
+    if d0 == 0:
         raise PreconditionError(
             "x0 is not a simple root of the reduction; the root does not lift"
         )
     z = TruncatedSeries.constant(base, x0, 1)
+    w = TruncatedSeries.constant(base, base.inv(d0), 1)
+    t = TruncatedSeries.monomial(base, 1, precision)  # each evaluation below caps its terms at p2
+    two = TruncatedSeries.constant(base, 2, precision)
     p = 1
     while p < precision:
         p2 = min(2 * p, precision)
         # the known coefficients form a polynomial approximant; Newton
-        # corrects everything beyond the old precision automatically
-        zt = TruncatedSeries.make(base, z.offset, list(z.coeffs), p2)
-        t = TruncatedSeries.monomial(base, 1, p2)
-        fz = eval_poly_at_series(f, [t, zt], p2)
-        dz = eval_poly_at_series(dfdx, [t, zt], p2)
-        z = zt - fz / dz
+        # corrects everything beyond the old precision automatically.
+        # f(zt) vanishes below p, so w = 1/f'(z) below p settles z below p2
+        zt = TruncatedSeries(base, z.offset, z.coeffs, p2)
+        z = zt - eval_poly_at_series(f, [t, zt], p2) * w
+        if p2 < precision:
+            # the second Newton iterate, w <- w (2 - f'(z) w): 1/f'(z) below p2
+            wt = TruncatedSeries(base, w.offset, w.coeffs, p2)
+            w = wt * (two - eval_poly_at_series(dfdx, [t, z], p2) * wt)
         p = p2
     return z
 

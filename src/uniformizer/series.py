@@ -7,15 +7,135 @@ pessimistically, so a result never claims more exponents than the inputs
 justify.  A series whose stored coefficients are all zero may still be
 nonzero beyond its precision; order and residue queries distinguish the
 two situations honestly.
+
+The arithmetic runs on Python integers, with one code path per
+operation for both kinds of field.
+
+- Coefficients.  ``_clear`` turns a coefficient list into an integer row
+  over one denominator: over F_p the residues themselves over 1, over Q
+  the numerators scaled to the lcm of the denominators.  ``_settle``
+  turns a row back into canonical scalars: one ``% p`` per coefficient
+  over F_p, one ``Fraction(c, d)`` per coefficient over Q.
+- Products (``_convolve``): one integer convolution by Kronecker
+  substitution.  Each row is packed into one integer as its value at
+  2^w, the two integers are multiplied once, and the product is read back
+  w bits at a time.  A coefficient of the convolution is a sum of at most
+  min(len a, len b) products, so ``bound = max|a| * max|b| * min(len a,
+  len b)`` bounds every output, and every input too when both rows are
+  nonzero; w is a whole number of bytes with bound < 2^(w-1).  When a row
+  has a negative entry, every digit is biased by 2^(w-1) on the way in and
+  on the way out.  A biased digit c + 2^(w-1) lies in [0, 2^w), so no
+  digit borrows from or carries into its neighbour, and each w-bit field
+  of the biased product is exactly one coefficient plus 2^(w-1): the
+  signed unpack is exact.  Rows with no negative entry need no bias.
+- Sums (``_combine``): the overlap of two aligned slices, added or
+  subtracted in place.
+- Inverses (``_inverse``): Newton's g <- g + g(1 - u g) on that product,
+  doubling the known coefficients each round.  The iterate stays one
+  integer row, reduced after every round (``% p``, or by the gcd with its
+  denominator), so no intermediate swells.
+- Polynomial evaluation (``eval_poly_at_series``): each term multiplies
+  the cached powers of its arguments as integer rows and adds the product,
+  scaled by its coefficient, into one dense integer accumulator over a
+  common denominator, settled once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InsufficientPrecisionError, NotInValuationRingError, PreconditionError
 from .fields import BaseField, Scalar
 from .polyfield import RationalFunction, SparsePoly
+
+
+def _clear(base: BaseField, coeffs) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator."""
+    if base.p:
+        return list(coeffs), 1
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _settle(base: BaseField, nums, den: int) -> list:
+    """Canonical scalars nums[i] / den."""
+    if base.p:
+        p = base.p
+        return [c % p for c in nums]
+    if den == 1:
+        return [Fraction(c) for c in nums]
+    return [Fraction(c, den) for c in nums]
+
+
+def _reduced(base: BaseField, nums: list[int], den: int) -> tuple[list[int], int]:
+    """The same row with its integers made small: % p, or divided by their gcd with den."""
+    if base.p:
+        p = base.p
+        return [c % p for c in nums], 1
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """The coefficients below n of the product of two integer coefficient lists.
+
+    The list stops where the product does, after min(n, len(a) + len(b) - 1)
+    entries.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return []
+    n = min(n, len(a) + len(b) - 1)
+    low_a, low_b = min(a), min(b)
+    bound = max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    size = (bound.bit_length() + 8) >> 3  # bytes per digit, so that bound < 2^(8*size - 1)
+    # nonnegative digits cannot borrow; signed ones are biased into [0, 2^(8*size))
+    bias = 0 if low_a >= 0 <= low_b else 1 << ((size << 3) - 1)
+    product = _pack(a, size, bias) * _pack(b, size, bias)
+    if bias:
+        product += bias * _ones(size, n)
+    width = size * n
+    digits = (product & ((1 << (width << 3)) - 1)).to_bytes(width, "little")
+    return [int.from_bytes(digits[i : i + size], "little") - bias for i in range(0, width, size)]
+
+
+def _ones(size: int, n: int) -> int:
+    """sum(2^(8*size*i) for i < n): a 1 in each of n digits of size bytes."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+
+
+def _pack(coeffs: list[int], size: int, bias: int) -> int:
+    """sum(c_i * 2^(8*size*i)), from the bytes of the digits c_i + bias."""
+    digits = b"".join([(c + bias).to_bytes(size, "little") for c in coeffs])
+    packed = int.from_bytes(digits, "little")
+    return packed - bias * _ones(size, len(coeffs)) if bias else packed
+
+
+def _inverse(base: BaseField, u, n: int) -> list:
+    """1/u below exponent n, for u[0] != 0.
+
+    Newton's g <- g + g(1 - u g): when g is 1/u below t^k and
+    u g = 1 + t^k r, the coefficients k .. 2k-1 of 1/u are those of -g r.
+    As g stops at t^k, r only meets u from t^1 on, so a constant u needs
+    no product at all.
+    """
+    nu, du = _clear(base, u[1:n])  # the coefficients of u from t^1 on
+    ng, dg = _clear(base, [base.inv(u[0])])
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        r = _convolve(nu, ng, k2 - 1)[k - 1 :]  # over du * dg
+        tail = _convolve(ng, r, k2 - k)  # g r, over dg * du * dg
+        scale = du * dg
+        ng = [c * scale for c in ng] + [-c for c in tail] + [0] * (k2 - k - len(tail))
+        ng, dg = _reduced(base, ng, dg * scale)
+        k = k2
+    return _settle(base, ng, dg)
 
 
 @dataclass(frozen=True)
@@ -104,27 +224,32 @@ class TruncatedSeries:
         if self.base != other.base:
             raise PreconditionError("series over different base fields")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _combine(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
+        """self op other for op = operator.add or operator.sub, on aligned slices."""
         self._mate(other)
         prec = min(self.precision, other.precision)
         lo = min(self._lower_bound(), other._lower_bound(), prec)
-        coeffs = [
-            self.base.add(self._at(k), other._at(k)) for k in range(lo, prec)
-        ]
-        return TruncatedSeries._trimmed(self.base, lo, coeffs, prec)
+        out = [self.base.zero] * (prec - lo)
+        mine = self.coeffs[: max(0, prec - self.offset)]
+        i = self.offset - lo
+        out[i : i + len(mine)] = mine
+        theirs = other.coeffs[: max(0, prec - other.offset)]
+        j = other.offset - lo
+        mixed = map(op, out[j : j + len(theirs)], theirs)
+        p = self.base.p
+        out[j : j + len(theirs)] = [c % p for c in mixed] if p else list(mixed)
+        return TruncatedSeries._trimmed(self.base, lo, out, prec)
 
-    def _at(self, k: int) -> Scalar:
-        if k < self.offset or k >= self.offset + len(self.coeffs):
-            return self.base.zero
-        return self.coeffs[k - self.offset]
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.base, self.offset, tuple(self.base.neg(c) for c in self.coeffs), self.precision
-        )
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self._combine(other, operator.sub)
+
+    def __neg__(self) -> "TruncatedSeries":
+        p = self.base.p
+        coeffs = tuple(-c % p for c in self.coeffs) if p else tuple(-c for c in self.coeffs)
+        return TruncatedSeries(self.base, self.offset, coeffs, self.precision)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._mate(other)
@@ -134,27 +259,19 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.base, prec)
         base = self.base
         lo = self.offset + other.offset
-        width = max(0, prec - lo)
-        acc = [base.zero] * width
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= width:
-                    break
-                if b == 0:
-                    continue
-                acc[k] = base.add(acc[k], base.mul(a, b))
-        return TruncatedSeries._trimmed(base, lo, acc, prec)
+        width = prec - lo  # >= 1: each offset lies below its own precision
+        na, da = _clear(base, self.coeffs[:width])
+        nb, db = _clear(base, other.coeffs[:width])
+        coeffs = _settle(base, _convolve(na, nb, width), da * db)
+        return TruncatedSeries._trimmed(base, lo, coeffs, prec)
 
     def scale(self, c) -> "TruncatedSeries":
         c = self.base.coerce(c)
         if c == 0:
             return TruncatedSeries.zero(self.base, self.precision)
-        return TruncatedSeries.make(
-            self.base, self.offset, [self.base.mul(a, c) for a in self.coeffs], self.precision
-        )
+        p = self.base.p
+        coeffs = [a * c % p for a in self.coeffs] if p else [a * c for a in self.coeffs]
+        return TruncatedSeries(self.base, self.offset, tuple(coeffs), self.precision)
 
     def shift(self, k: int) -> "TruncatedSeries":
         return TruncatedSeries(self.base, self.offset + k, self.coeffs, self.precision + k)
@@ -168,13 +285,7 @@ class TruncatedSeries:
         base = self.base
         o = self.offset
         rel = self.precision - o  # known coefficients of the unit part
-        u = [self._at(o + i) for i in range(rel)]
-        inv = [base.inv(u[0])] + [base.zero] * (rel - 1)
-        for k in range(1, rel):
-            s = base.zero
-            for i in range(1, k + 1):
-                s = base.add(s, base.mul(u[i], inv[k - i]))
-            inv[k] = base.neg(base.mul(inv[0], s))
+        inv = _inverse(base, self.coeffs, rel)
         return TruncatedSeries._trimmed(base, -o, inv, self.precision - 2 * o)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -183,17 +294,16 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        out = TruncatedSeries.constant(self.base, 1, self.precision + max(0, -self.offset) * n)
-        square = self
-        first = True
-        while n:
+        if n == 0:
+            return TruncatedSeries.constant(self.base, 1, self.precision)
+        out, square = None, self
+        while True:
             if n & 1:
-                out = square if first else out * square
-                first = False
+                out = square if out is None else out * square
             n >>= 1
-            if n:
-                square = square * square
-        return out
+            if not n:
+                return out
+            square = square * square
 
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
@@ -271,21 +381,60 @@ def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
 
 
 def eval_poly_at_series(p: SparsePoly, args, precision: int) -> TruncatedSeries:
-    """Evaluate a multivariate polynomial at series arguments."""
+    """Evaluate a multivariate polynomial at series arguments.
+
+    Each term multiplies only its cached argument powers, as integer rows
+    cut to the result's precision; its coefficient scales that product as
+    it goes into one dense integer accumulator.  The result carries the
+    precision of the sum of the terms constant(c) * a1**k1 * a2**k2 * ...
+    """
     if len(args) != p.nvars:
         raise PreconditionError("wrong number of series arguments")
     base = p.base
-    acc = TruncatedSeries.zero(base, precision)
-    powers = [{} for _ in args]  # powers[i][k] = args[i] ** k
+    powers = []  # powers[i][k] = args[i] ** k for the exponents in use, built upwards
+    for a, column in zip(args, zip(*[e for e, _ in p.terms])):
+        if a.base != base and any(column):
+            raise PreconditionError("series over different base fields")
+        table = {1: a}
+        for k in sorted(set(column)):
+            if k > 1:
+                table[k] = table[k - 1] * a if k - 1 in table else a ** k
+        powers.append(table)
+    terms = []  # (coefficient, the powers it multiplies)
+    prec = precision
     for e, c in p.terms:
-        term = TruncatedSeries.constant(base, c, precision)
-        for a, table, k in zip(args, powers, e):
-            if k:
-                if k not in table:
-                    table[k] = a ** k
-                term = term * table[k]
-        acc = acc + term
-    return acc
+        factors = [table[k] for table, k in zip(powers, e) if k]
+        # lower bound and precision of the chain constant(c) * factors[0] * ...
+        low, top = min(0, precision), precision
+        for s in factors:
+            slow = s.offset if s.coeffs else s.precision
+            top = min(top + slow, s.precision + low)
+            low = min(low + slow, top)
+        prec = min(prec, top)
+        terms.append((c, factors))
+    cleared = {}  # id of a power -> its integer row
+    rows = []  # (offset, integer numerators, scale numerator, denominator)
+    for c, factors in terms:
+        off = sum(s.offset for s in factors)
+        if off >= prec or not all(s.coeffs for s in factors):
+            continue
+        nums, d = [1], 1
+        for i, s in enumerate(factors):
+            row = cleared.get(id(s))
+            if row is None:
+                row = cleared[id(s)] = _clear(base, s.coeffs)
+            nums = row[0][: prec - off] if i == 0 else _convolve(nums, row[0], prec - off)
+            d *= row[1]
+        cn, cd = (c, 1) if base.p else (c.numerator, c.denominator)
+        rows.append((off, nums, cn, cd * d))
+    lo = min((row[0] for row in rows), default=prec)
+    den = lcm(*(row[3] for row in rows))
+    acc = [0] * (prec - lo)
+    for off, nums, cn, d in rows:
+        f = cn * (den // d)
+        i = off - lo
+        acc[i : i + len(nums)] = [x + f * y for x, y in zip(acc[i : i + len(nums)], nums)]
+    return TruncatedSeries._trimmed(base, lo, _settle(base, acc, den), prec)
 
 
 def eval_ratfun_at_series(f: RationalFunction, args, precision: int) -> TruncatedSeries:

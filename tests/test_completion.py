@@ -579,3 +579,50 @@ def test_immediate_simple_rejects_nonring_elements():
     one = RationalFunction.const(Q, 2, 1)
     with pytest.raises(NotInValuationRingError):
         uniformize_immediate_simple(z, [one / zv])
+
+
+# ---------------------------------------------------------------------------
+# Hensel roots against sympy's expansions over Q, and their reductions mod p
+
+HENSEL_CASES = [
+    # (min_poly, residue, sympy expansion of the root in t)
+    ("X^2 - 1 - t", 1, "sqrt"),
+    ("X^2 - 1 - t", -1, "-sqrt"),
+    ("X^3 - X - t", 0, "reversion"),  # irreducible: a root in Q(t) would be a polynomial
+]
+
+
+def _sympy_root_coefficients(sp, kind, precision):
+    t = sp.Symbol("t")
+    if kind == "reversion":
+        from sympy.polys.ring_series import rs_series_reversion
+
+        R, X, y = sp.ring("X,y", sp.QQ)
+        expansion = rs_series_reversion(X**3 - X, X, precision, y)
+        return {e[1]: Fraction(int(c.numerator), int(c.denominator)) for e, c in expansion.terms()}
+    sign = -1 if kind.startswith("-") else 1
+    series = sp.expand(sp.series(sign * sp.sqrt(1 + t), t, 0, precision).removeO())
+    out = {}
+    for term in sp.Add.make_args(series):
+        c, e = term.as_coeff_exponent(t)
+        out[int(e)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+@pytest.mark.parametrize("m_text, residue, kind", HENSEL_CASES)
+def test_hensel_root_matches_sympy_over_q_and_reduces_mod_p(m_text, residue, kind):
+    sp = pytest.importorskip("sympy")
+    n = 48
+    want = _sympy_root_coefficients(sp, kind, n)
+    m = parse_element(m_text, Q, ("t", "X")).num
+    z = hensel_lift_root(m, residue, n)
+    assert z.precision == n
+    assert [z.coefficient(k) for k in range(n)] == [want.get(k, 0) for k in range(n)]
+    for p in (5, 7):
+        base = GF(p)
+        mp = parse_element(m_text, base, ("t", "X")).num
+        zp = hensel_lift_root(mp, residue, n)
+        t = TruncatedSeries.monomial(base, 1, n)
+        residual = eval_poly_at_series(mp, [t, zp], n)
+        assert residual.is_zero_to_precision and residual.precision == n
+        assert [zp.coefficient(k) for k in range(n)] == [base.coerce(want.get(k, 0)) for k in range(n)]

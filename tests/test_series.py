@@ -1,6 +1,8 @@
 """Truncated Laurent series arithmetic and its precision bookkeeping."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,3 +216,235 @@ def test_inverse_is_two_sided_to_precision(pair):
     prod = s * s.inverse()
     one = TruncatedSeries.constant(Q, 1, prod.precision)
     assert equal_to_precision(prod, one)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a schoolbook reference: coefficient by
+# coefficient arithmetic through BaseField, with the same precision rules
+
+P61 = (1 << 61) - 1
+P63 = 9223372036854775783  # the largest prime BaseField accepts
+KERNEL_FIELDS = [Q, GF(2), F5, GF(P61), GF(P63)]
+
+
+def _ref_at(s, k):
+    if k < s.offset or k >= s.offset + len(s.coeffs):
+        return s.base.zero
+    return s.coeffs[k - s.offset]
+
+
+def _ref_add(a, b):
+    prec = min(a.precision, b.precision)
+    lo = min(a._lower_bound(), b._lower_bound(), prec)
+    coeffs = [a.base.add(_ref_at(a, k), _ref_at(b, k)) for k in range(lo, prec)]
+    return S(a.base, lo, coeffs, prec)
+
+
+def _ref_mul(a, b):
+    base = a.base
+    prec = min(a.precision + b._lower_bound(), b.precision + a._lower_bound())
+    if not a.coeffs or not b.coeffs:
+        return TruncatedSeries.zero(base, prec)
+    lo = a.offset + b.offset
+    width = max(0, prec - lo)
+    acc = [base.zero] * width
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < width:
+                acc[i + j] = base.add(acc[i + j], base.mul(x, y))
+    return S(base, lo, acc, prec)
+
+
+def _ref_inverse(s):
+    base, o = s.base, s.offset
+    rel = s.precision - o
+    u = [_ref_at(s, o + i) for i in range(rel)]
+    inv = [base.inv(u[0])] + [base.zero] * (rel - 1)
+    for k in range(1, rel):
+        acc = base.zero
+        for i in range(1, k + 1):
+            acc = base.add(acc, base.mul(u[i], inv[k - i]))
+        inv[k] = base.neg(base.mul(inv[0], acc))
+    return S(base, -o, inv, s.precision - 2 * o)
+
+
+def _ref_pow(a, n):
+    out = None
+    for _ in range(n):
+        out = a if out is None else _ref_mul(out, a)
+    return out
+
+
+def _ref_eval(p, args, precision):
+    acc = TruncatedSeries.zero(p.base, precision)
+    for e, c in p.terms:
+        term = TruncatedSeries.constant(p.base, c, precision)
+        for a, k in zip(args, e):
+            if k:
+                term = _ref_mul(term, _ref_pow(a, k))
+        acc = _ref_add(acc, term)
+    return acc
+
+
+def _same(a, b):
+    assert (a.offset, a.coeffs, a.precision) == (b.offset, b.coeffs, b.precision)
+
+
+def _scalars(base):
+    if base.p is None:
+        num = st.integers(min_value=-(10**30), max_value=10**30)
+        return st.builds(Fraction, num, st.integers(min_value=1, max_value=10**6))
+    # the largest residue sets the digit width
+    return st.integers(min_value=0, max_value=base.p - 1) | st.just(base.p - 1)
+
+
+@st.composite
+def kernel_series(draw, base, max_blocks=5):
+    """Series with interior zero runs, possibly zero or cut by the precision."""
+    blocks = draw(
+        st.lists(
+            st.lists(st.just(0), min_size=1, max_size=5) | st.lists(_scalars(base), min_size=1, max_size=4),
+            max_size=max_blocks,
+        )
+    )
+    coeffs = [c for block in blocks for c in block]
+    offset = draw(st.integers(min_value=-4, max_value=4))
+    precision = offset + draw(st.integers(min_value=-2, max_value=len(coeffs) + 3))
+    return S(base, offset, coeffs, precision)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_add_sub_mul_match_schoolbook(base, data):
+    a = data.draw(kernel_series(base))
+    b = data.draw(kernel_series(base))
+    _same(a + b, _ref_add(a, b))
+    _same(a - b, _ref_add(a, -b))
+    _same(a * b, _ref_mul(a, b))
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_inverse_matches_schoolbook(base, data):
+    s = data.draw(kernel_series(base))
+    if s.is_zero_to_precision:
+        with pytest.raises(InsufficientPrecisionError):
+            s.inverse()
+        return
+    _same(s.inverse(), _ref_inverse(s))
+
+
+@st.composite
+def kernel_polys(draw, base, nvars):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    terms = draw(st.lists(st.tuples(exps, _scalars(base)), max_size=5))
+    return SparsePoly.make(base, nvars, terms)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(min_value=1, max_value=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_kernel_eval_poly_matches_schoolbook(base, nvars, data):
+    p = data.draw(kernel_polys(base, nvars))
+    args = [data.draw(kernel_series(base, max_blocks=3)) for _ in range(nvars)]
+    precision = data.draw(st.integers(min_value=-2, max_value=12))
+    _same(eval_poly_at_series(p, args, precision), _ref_eval(p, args, precision))
+
+
+@pytest.mark.parametrize("base", [Q, F5, GF(P63)], ids=str)
+def test_kernel_matches_schoolbook_at_width_64(base):
+    # several Newton doublings and wide Kronecker digits in one product
+    coeffs = [((7 * k + 3) % 11 - 5) * (10**20 if base.p is None else 1) for k in range(64)]
+    coeffs = [Fraction(c, k % 7 + 1) for k, c in enumerate(coeffs)] if base.p is None else coeffs
+    coeffs[0] = coeffs[0] or 1
+    u = S(base, 0, coeffs, 64)
+    v = S(base, -1, coeffs[::-1], 63)
+    _same(u * v, _ref_mul(u, v))
+    _same(u.inverse(), _ref_inverse(u))
+    _same(u + v, _ref_add(u, v))
+
+
+def test_kernel_inverse_when_a_newton_product_meets_a_zero_run():
+    # the first Newton round multiplies the zero u_1 by the wide residue 1/2
+    s = S(GF(P61), 0, [2, 0, P61 - 1], 3)
+    _same(s.inverse(), _ref_inverse(s))
+
+
+def test_eval_rejects_a_used_argument_over_another_field():
+    p = SparsePoly.make(Q, 2, [((1, 0), 1)])
+    t = TruncatedSeries.monomial(Q, 1, 8)
+    with pytest.raises(PreconditionError):
+        eval_poly_at_series(p, [TruncatedSeries.monomial(F5, 1, 8), t], 8)
+    # an argument the polynomial never uses is not inspected
+    out = eval_poly_at_series(p, [t, TruncatedSeries.monomial(F5, 1, 8)], 8)
+    assert out.coeffs == (Fraction(1),)
+
+
+# ---------------------------------------------------------------------------
+# ratfun_to_series against sympy's expansion over Q
+
+
+def _sympy_coefficients(sp, expr, t, precision):
+    """Exponent -> Fraction coefficient of sympy's expansion of expr below t^precision."""
+    out = {}
+    for term in sp.Add.make_args(sp.expand(sp.series(expr, t, 0, precision).removeO())):
+        c, e = term.as_coeff_exponent(t)
+        out[int(e)] = out.get(int(e), 0) + Fraction(int(c.p), int(c.q))
+    return out
+
+
+def _assert_matches_sympy(sp, f, precision):
+    t = sp.Symbol("t")
+
+    def sym(poly):
+        return sum(sp.Rational(c.numerator, c.denominator) * t ** e[0] for e, c in poly.terms)
+
+    want = _sympy_coefficients(sp, sym(f.num) / sym(f.den), t, precision)
+    s = ratfun_to_series(f, precision)
+    assert s.precision == precision
+    for k in range(min([s._lower_bound(), *want]), precision):
+        assert s.coefficient(k) == want.get(k, 0), k
+
+
+def _univariate(pairs):
+    return SparsePoly.make(Q, 1, [((e,), c) for e, c in pairs])
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([(0, 1), (1, 2)], [(0, 1), (1, -1), (2, -3)]),
+        ([(0, Fraction(3, 4)), (5, -1)], [(0, 7), (1, -2), (4, 1)]),
+        ([(2, 1), (0, -5)], [(1, 8), (2, 12), (3, 6), (4, 1)]),  # t*(2 + t)^3: a Laurent tail
+    ],
+)
+def test_ratfun_to_series_matches_sympy_at_64(num, den):
+    sp = pytest.importorskip("sympy")
+    _assert_matches_sympy(sp, RationalFunction.make(_univariate(num), _univariate(den)), 64)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 5)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 5)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=25, deadline=None)
+def test_ratfun_to_series_matches_sympy(num, den, precision):
+    sp = pytest.importorskip("sympy")
+    num, den = _univariate(num), _univariate(den)
+    if num.is_zero or den.is_zero:
+        return
+    _assert_matches_sympy(sp, RationalFunction.make(num, den), precision)
+
+
+def test_series_sweep_script_smoke(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "series_sweep.py"
+    spec = importlib.util.spec_from_file_location("series_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--precisions", "4,8"]) == 0
+    out = capsys.readouterr().out
+    assert "   Q      8" in out and "  F5      8" in out and "FAIL" not in out
+    # a generator that fails m(t, z) = O(t^n) is reported
+    monkeypatch.setattr(sweep, "eval_poly_at_series", lambda f, args, n: TruncatedSeries.constant(Q, 1, n))
+    assert sweep.main(["--precisions", "4", "--fields", "0"]) == 1
+    assert "m(t, z) is not O(t^4)" in capsys.readouterr().out
