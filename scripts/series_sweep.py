@@ -1,11 +1,11 @@
 """Precision sweep over the series layer of a discrete presentation.
 
 For each field and precision n it times three steps on the presentation
-m(t, X) with a chosen residue root:
+MIN_POLY = X^2 - 1 - t with the residue root RESIDUE = 1:
 
 - realize: Hensel-lift the generator z to precision n;
-- value: the value of one element of K0(t, z) at that place;
-- verify: check a certificate for the listed elements at precision n
+- value: the value of ELEMENT = z/(1 - t*z) at that place;
+- verify: check the certificate for ZETAS = z, (z - 1)/t at precision n
   (the certificate is built first, untimed).
 
 It checks that m(t, z) = O(t^n), and that every result at precision n
@@ -35,6 +35,10 @@ from uniformizer.uniformize import verify
 
 PRECISIONS = (64, 128, 256, 512, 1024, 2048)
 QUICK_PRECISIONS = (64, 128)
+MIN_POLY = "X^2 - 1 - t"
+RESIDUE = 1
+ELEMENT = "z/(1 - t*z)"
+ZETAS = ("z", "(z - 1)/t")
 
 
 @dataclass
@@ -65,13 +69,13 @@ def run_cell(pres, element, zetas, n) -> Cell:
     return Cell(place.gen_series[0], place.element_series(element), value, report.passed, seconds)
 
 
-def sweep_field(p, precisions, min_poly, residue, element_text, zeta_texts):
+def sweep_field(p, precisions):
     """Print one row per precision; return the number of failed checks."""
     base = QQ() if p == 0 else GF(p)
-    m = parse_element(min_poly, base, ("t", "X")).num
-    pres = DiscretePresentation(base, min_poly=m, residue=base.coerce(residue))
-    element = parse_element(element_text, base, ("t", "z"))
-    zetas = [parse_element(text, base, ("t", "z")) for text in zeta_texts]
+    m = parse_element(MIN_POLY, base, ("t", "X")).num
+    pres = DiscretePresentation(base, min_poly=m, residue=base.coerce(RESIDUE))
+    element = parse_element(ELEMENT, base, ("t", "z"))
+    zetas = [parse_element(text, base, ("t", "z")) for text in ZETAS]
     failed = 0
     previous = None
     for n in precisions:
@@ -108,20 +112,15 @@ def main(argv=None):
     ap.add_argument("--fields", default="0,5", help="characteristics, comma-separated; 0 is Q")
     ap.add_argument("--precisions", default=",".join(map(str, PRECISIONS)))
     ap.add_argument("--quick", action="store_true", help=f"precisions {QUICK_PRECISIONS} only")
-    ap.add_argument("--min-poly", default="X^2 - 1 - t")
-    ap.add_argument("--residue", type=int, default=1)
-    ap.add_argument("--element", default="z/(1 - t*z)", help="element whose value is timed")
-    ap.add_argument("--zeta", action="append", help="certificate element (repeatable)")
     args = ap.parse_args(argv)
 
     precisions = tuple(int(n) for n in args.precisions.split(","))
     if args.quick:
         precisions = QUICK_PRECISIONS
-    zetas = args.zeta or ["z", "(z - 1)/t"]
     print(f"{'K0':>4} {'prec':>6} {'realize_s':>10} {'value_s':>10} {'verify_s':>10}  checks")
     failed = 0
     for p in (int(x) for x in args.fields.split(",")):
-        failed += sweep_field(p, precisions, args.min_poly, args.residue, args.element, zetas)
+        failed += sweep_field(p, precisions)
     return 1 if failed else 0
 
 

@@ -116,6 +116,18 @@ def _pack(coeffs: list[int], size: int, bias: int) -> int:
     return packed - bias * _ones(size, len(coeffs)) if bias else packed
 
 
+def _product_bounds(low_a: int, prec_a: int, low_b: int, prec_b: int) -> tuple[int, int]:
+    """Lower bound and precision of a product, from those of its factors.
+
+    The precision is what both factors justify.  When both factors have a
+    nonzero leading term, so does the product, at the sum of their
+    bounds, unless that sum reaches the precision; when either is zero to
+    its precision, the sum is at least the precision.
+    """
+    prec = min(prec_a + low_b, prec_b + low_a)
+    return min(low_a + low_b, prec), prec
+
+
 def _inverse(base: BaseField, u, n: int) -> list:
     """1/u below exponent n, for u[0] != 0.
 
@@ -253,8 +265,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._mate(other)
-        la, lb = self._lower_bound(), other._lower_bound()
-        prec = min(self.precision + lb, other.precision + la)
+        _, prec = _product_bounds(
+            self._lower_bound(), self.precision, other._lower_bound(), other.precision
+        )
         if not self.coeffs or not other.coeffs:
             return TruncatedSeries.zero(self.base, prec)
         base = self.base
@@ -407,9 +420,7 @@ def eval_poly_at_series(p: SparsePoly, args, precision: int) -> TruncatedSeries:
         # lower bound and precision of the chain constant(c) * factors[0] * ...
         low, top = min(0, precision), precision
         for s in factors:
-            slow = s.offset if s.coeffs else s.precision
-            top = min(top + slow, s.precision + low)
-            low = min(low + slow, top)
+            low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
         prec = min(prec, top)
         terms.append((c, factors))
     cleared = {}  # id of a power -> its integer row
