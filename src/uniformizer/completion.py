@@ -143,6 +143,9 @@ class SeriesContext:
     def is_zero(self, a) -> bool:
         return a.is_zero_to_precision
 
+    def equal(self, a, b) -> bool:
+        return (a - b).is_zero_to_precision
+
     def valuation(self, a: TruncatedSeries):
         """(order, residue) of a series nonzero to precision; the residue is
         None unless the order is zero."""

@@ -3,11 +3,27 @@
 Polynomials store their terms as a tuple of (exponent tuple, coefficient)
 pairs sorted in descending graded-lexicographic order with no zero
 coefficients, so structural equality decides mathematical equality.
-Rational functions keep numerator and denominator coprime; over the
-rationals both are integer polynomials with no common integer content and
-the denominator's graded-lex leading coefficient is positive, over a prime
-field the denominator is monic.  Construction goes through ``make`` style
-factories which enforce the canonical form.
+Coefficients are ``Fraction`` over the rationals and ints in ``[0, p)``
+over a prime field.  Rational functions keep numerator and denominator
+coprime; over the rationals both are integer polynomials with no common
+integer content and the denominator's graded-lex leading coefficient is
+positive, over a prime field the denominator is monic.
+
+There are two ways in.  ``SparsePoly.make`` validates: it coerces every
+coefficient and checks every exponent vector, and it is the constructor
+for external input (parsers, JSON, user code).  ``SparsePoly._canon``
+trusts: it takes a dict of canonical scalars keyed by valid exponent
+tuples, sorts the keys and drops zeros, and is what the arithmetic here
+uses on its own results.  Code that keeps both the order and the nonzero
+coefficients (a shift of every exponent, a scaling by a unit) builds the
+dataclass directly.
+
+Hot loops compute on plain integers.  ``_ints`` reads a polynomial over Q
+as integers over one positive denominator; products, ``substitute`` and the
+normalisation in ``RationalFunction.make`` work on those integers and make
+one ``Fraction`` per output coefficient.  ``substitute`` relies on one
+invariant: over Q the numerator and denominator of a canonical rational
+function are integral, so its arguments are read as integer polynomials.
 """
 
 from __future__ import annotations
@@ -20,12 +36,16 @@ from functools import reduce
 
 from .errors import PreconditionError
 from .fields import BaseField, Scalar
-from .valuegroup import int_det
 
 Exps = tuple[int, ...]
 
 
 def _grlex_key(e: Exps):
+    return (sum(e), e)
+
+
+def _term_key(term):
+    e = term[0]
     return (sum(e), e)
 
 
@@ -48,12 +68,14 @@ class SparsePoly:
             c = base.coerce(c)
             prev = acc.get(e)
             acc[e] = base.add(prev, c) if prev is not None else c
-        cleaned = tuple(
-            (e, c)
-            for e, c in sorted(acc.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-            if c != 0
-        )
-        return SparsePoly(base, nvars, cleaned)
+        return SparsePoly._canon(base, nvars, acc)
+
+    @staticmethod
+    def _canon(base: BaseField, nvars: int, acc: dict) -> "SparsePoly":
+        """Trusted: acc maps valid exponent tuples to canonical scalars."""
+        return SparsePoly(base, nvars, tuple(
+            sorted((t for t in acc.items() if t[1]), key=_term_key, reverse=True)
+        ))
 
     @staticmethod
     def zero(base: BaseField, nvars: int) -> "SparsePoly":
@@ -61,13 +83,13 @@ class SparsePoly:
 
     @staticmethod
     def const(base: BaseField, nvars: int, c) -> "SparsePoly":
-        return SparsePoly.make(base, nvars, [((0,) * nvars, c)])
+        return SparsePoly._canon(base, nvars, {(0,) * nvars: base.coerce(c)})
 
     @staticmethod
     def variable(base: BaseField, nvars: int, i: int) -> "SparsePoly":
         e = [0] * nvars
         e[i] = 1
-        return SparsePoly.make(base, nvars, [(tuple(e), base.one)])
+        return SparsePoly(base, nvars, ((tuple(e), base.one),))
 
     # -- queries -------------------------------------------------------
 
@@ -77,7 +99,8 @@ class SparsePoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e, _ in self.terms)
+        # the leading term has the largest total degree
+        return not self.terms or not any(self.terms[0][0])
 
     def constant_value(self) -> Scalar:
         if self.is_zero:
@@ -119,7 +142,12 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_mate(other)
-        return SparsePoly.make(self.base, self.nvars, list(self.terms) + list(other.terms))
+        p = self.base.p
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            prev = acc.get(e)
+            acc[e] = c if prev is None else (prev + c) % p if p else prev + c
+        return SparsePoly._canon(self.base, self.nvars, acc)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.base, self.nvars,
@@ -130,19 +158,13 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_mate(other)
-        base = self.base
-        acc: dict[Exps, Scalar] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = base.mul(ca, cb)
-                prev = acc.get(e)
-                acc[e] = base.add(prev, c) if prev is not None else c
-        return SparsePoly(base, self.nvars, tuple(
-            (e, c)
-            for e, c in sorted(acc.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-            if c != 0
-        ))
+        (a, da), (b, db) = _ints(self), _ints(other)
+        acc: dict[Exps, int] = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(map(int.__add__, ea, eb))
+                acc[e] = acc.get(e, 0) + ca * cb
+        return _from_ints(self.base, self.nvars, acc, da * db)
 
     def scale(self, c) -> "SparsePoly":
         c = self.base.coerce(c)
@@ -182,17 +204,41 @@ class SparsePoly:
         """Reindex variables: old variable i becomes new variable mapping[i]."""
         if len(mapping) != self.nvars:
             raise PreconditionError("variable mapping has the wrong length")
-        out = []
+        p = self.base.p
+        acc: dict[Exps, Scalar] = {}
         for e, c in self.terms:
             ne = [0] * new_nvars
             for i, k in enumerate(e):
                 if k:
                     ne[mapping[i]] += k
-            out.append((tuple(ne), c))
-        return SparsePoly.make(self.base, new_nvars, out)
+            ne = tuple(ne)
+            prev = acc.get(ne)
+            acc[ne] = c if prev is None else (prev + c) % p if p else prev + c
+        return SparsePoly._canon(self.base, new_nvars, acc)
 
     def __str__(self):
         return poly_str(self, default_names(self.nvars))
+
+
+def _ints(f: SparsePoly) -> tuple[list[tuple[Exps, int]], int]:
+    """f's terms as integers over one positive denominator d: f = (1/d) sum.
+
+    Over a prime field the coefficients already are ints and d is 1.
+    """
+    if f.base.p:
+        return f.terms, 1
+    d = math.lcm(*(c.denominator for _, c in f.terms))
+    return [(e, c.numerator * (d // c.denominator)) for e, c in f.terms], d
+
+
+def _from_ints(base: BaseField, nvars: int, acc: dict, d: int = 1) -> SparsePoly:
+    """The polynomial (1/d) sum_e acc[e] x^e, from integer coefficients."""
+    p = base.p
+    if p:
+        return SparsePoly._canon(base, nvars, {e: v % p for e, v in acc.items()})
+    if d == 1:
+        return SparsePoly._canon(base, nvars, {e: Fraction(v) for e, v in acc.items() if v})
+    return SparsePoly._canon(base, nvars, {e: Fraction(v, d) for e, v in acc.items() if v})
 
 
 def default_names(n: int) -> list[str]:
@@ -232,15 +278,14 @@ def hasse_derivative(f: SparsePoly, i: int, var: int = 0) -> SparsePoly:
         raise PreconditionError("Hasse derivative order must be non-negative")
     if not 0 <= var < f.nvars:
         raise PreconditionError(f"no variable {var} in a {f.nvars}-variable ring")
-    out = []
+    out = {}
     for e, c in f.terms:
         if e[var] < i:
             continue
-        coeff = f.base.mul(c, f.base.coerce(math.comb(e[var], i)))
         ne = list(e)
         ne[var] -= i
-        out.append((tuple(ne), coeff))
-    return SparsePoly.make(f.base, f.nvars, out)
+        out[tuple(ne)] = f.base.mul(c, math.comb(e[var], i))
+    return SparsePoly._canon(f.base, f.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +297,19 @@ def _split_main(f: SparsePoly) -> dict[int, SparsePoly]:
     buckets: dict[int, list] = {}
     for e, c in f.terms:
         buckets.setdefault(e[0], []).append((e[1:], c))
+    # within one bucket e[0] is fixed, so the grlex order of e is that of e[1:]
     return {
-        d: SparsePoly.make(f.base, f.nvars - 1, pairs)
+        d: SparsePoly(f.base, f.nvars - 1, tuple(pairs))
         for d, pairs in buckets.items()
     }
 
 
 def _join_main(base: BaseField, nvars: int, coeffs: dict[int, SparsePoly]) -> SparsePoly:
-    out = []
+    out = {}
     for d, poly in coeffs.items():
         for e, c in poly.terms:
-            out.append(((d,) + e, c))
-    return SparsePoly.make(base, nvars, out)
+            out[(d,) + e] = c
+    return SparsePoly._canon(base, nvars, out)
 
 
 def _gcd_univariate(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -290,7 +336,7 @@ def _gcd_univariate(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     while b:
         a, b = b, remainder(a, b)
     lead = a[max(a)]
-    return SparsePoly.make(base, 1, [((k,), base.div(c, lead)) for k, c in a.items()])
+    return SparsePoly._canon(base, 1, {(k,): base.div(c, lead) for k, c in a.items()})
 
 
 def poly_content(f: SparsePoly) -> SparsePoly:
@@ -306,8 +352,9 @@ def _min_exps(f: SparsePoly) -> tuple[int, ...]:
 def _shift_down(f: SparsePoly, shift) -> SparsePoly:
     if not any(shift):
         return f
-    return SparsePoly.make(
-        f.base, f.nvars, [(tuple(a - b for a, b in zip(e, shift)), c) for e, c in f.terms]
+    # one shift for every term keeps the grlex order
+    return SparsePoly(
+        f.base, f.nvars, tuple((tuple(map(int.__sub__, e, shift)), c) for e, c in f.terms)
     )
 
 
@@ -326,7 +373,7 @@ def _eval_except(f: SparsePoly, var: int, point) -> SparsePoly:
             pi += 1
         if val != 0:
             acc[e[var]] = base.add(acc.get(e[var], base.zero), val)
-    return SparsePoly.make(base, 1, [((k,), v) for k, v in acc.items()])
+    return SparsePoly._canon(base, 1, {(k,): v for k, v in acc.items()})
 
 
 def _sample_point(base: BaseField, rng, n: int):
@@ -338,10 +385,11 @@ def _sample_point(base: BaseField, rng, n: int):
 def _var_bound_zero(base: BaseField, f: SparsePoly, g: SparsePoly, var: int, rng) -> bool:
     for primary, other in ((f, g), (g, f)):
         d = primary.degree_in(var)
-        lc = SparsePoly.make(
+        # dropping a coordinate that is d in every kept term keeps the order
+        lc = SparsePoly(
             base,
             primary.nvars - 1,
-            [(e[:var] + e[var + 1 :], c) for e, c in primary.terms if e[var] == d],
+            tuple((e[:var] + e[var + 1 :], c) for e, c in primary.terms if e[var] == d),
         )
         for _ in range(4):
             point = _sample_point(base, rng, primary.nvars - 1)
@@ -393,7 +441,7 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         return _gcd_univariate(f, g)
 
     sf, sg = _min_exps(f), _min_exps(g)
-    mono = SparsePoly.make(base, f.nvars, [(tuple(min(a, b) for a, b in zip(sf, sg)), base.one)])
+    mono = SparsePoly(base, f.nvars, ((tuple(map(min, sf, sg)), base.one),))
     f, g = _shift_down(f, sf), _shift_down(g, sg)
     if f.is_constant or g.is_constant or _certified_coprime(f, g):
         return mono
@@ -440,7 +488,7 @@ def _pseudo_rem(a: SparsePoly, b: SparsePoly) -> SparsePoly:
         dr = max(cr)
         if dr < db:
             break
-        shift = SparsePoly.make(a.base, nv, [((dr - db,) + (0,) * (nv - 1), a.base.one)])
+        shift = SparsePoly(a.base, nv, (((dr - db,) + (0,) * (nv - 1), a.base.one),))
         r = lead_b * r - shift * lift(cr[dr]) * b
     return r
 
@@ -468,7 +516,7 @@ def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
                 rem.pop(key, None)
             else:
                 rem[key] = val
-    return SparsePoly.make(base, f.nvars, list(out.items()))
+    return SparsePoly._canon(base, f.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +533,30 @@ class RationalFunction:
         num._check_mate(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        base = num.base
+        base, nvars, p = num.base, num.nvars, num.base.p
         if num.is_zero:
-            return RationalFunction(num, SparsePoly.const(base, num.nvars, base.one))
-        g = poly_gcd(num, den)
-        if not g.is_constant:
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        if base.is_rationals:
-            scale = Fraction(
-                math.lcm(*(Fraction(c).denominator for _, c in num.terms + den.terms))
-            )
-            ni = [(e, Fraction(c) * scale) for e, c in num.terms]
-            di = [(e, Fraction(c) * scale) for e, c in den.terms]
-            content = math.gcd(*(int(c) for _, c in ni + di))
-            lead_sign = 1 if di[0][1] > 0 else -1
-            k = Fraction(lead_sign, content)
-            num = SparsePoly.make(base, num.nvars, [(e, c * k) for e, c in ni])
-            den = SparsePoly.make(base, num.nvars, [(e, c * k) for e, c in di])
+            return RationalFunction(num, SparsePoly.const(base, nvars, base.one))
+        if not (num.is_constant or den.is_constant):
+            g = poly_gcd(num, den)
+            if not g.is_constant:
+                num = poly_divexact(num, g)
+                den = poly_divexact(den, g)
+        # scaling by a nonzero constant keeps the terms' order, so the
+        # normalised tuples are built directly
+        if p:
+            inv = pow(den.terms[0][1], -1, p)
+            ns = tuple((e, c * inv % p) for e, c in num.terms)
+            ds = tuple((e, c * inv % p) for e, c in den.terms)
         else:
-            inv = base.inv(den.leading()[1])
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RationalFunction(num, den)
+            terms = num.terms + den.terms
+            lcm = math.lcm(*(c.denominator for _, c in terms))
+            ints = [c.numerator * (lcm // c.denominator) for _, c in terms]
+            k = math.gcd(*ints)
+            if ints[len(num.terms)] < 0:
+                k = -k
+            scaled = [(e, Fraction(v // k)) for (e, _), v in zip(terms, ints)]
+            ns, ds = tuple(scaled[: len(num.terms)]), tuple(scaled[len(num.terms):])
+        return RationalFunction(SparsePoly(base, nvars, ns), SparsePoly(base, nvars, ds))
 
     @staticmethod
     def from_poly(p: SparsePoly) -> "RationalFunction":
@@ -519,7 +568,10 @@ class RationalFunction:
 
     @staticmethod
     def variable(base: BaseField, nvars: int, i: int) -> "RationalFunction":
-        return RationalFunction.from_poly(SparsePoly.variable(base, nvars, i))
+        # x_i / 1 is already in canonical form
+        return RationalFunction(
+            SparsePoly.variable(base, nvars, i), SparsePoly.const(base, nvars, base.one)
+        )
 
     @property
     def base(self) -> BaseField:
@@ -609,6 +661,11 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
     exponent, one exponent vector and one coefficient; any other argument
     contributes a polynomial computed once per distinct exponent.  Variables
     of degree zero contribute nothing.
+
+    The expansion runs on integers.  Over Q the arguments are canonical, so
+    their numerators and denominators are integral; f is scaled once by the
+    lcm L of its coefficient denominators and L goes into D.  Over F_p the
+    sums are reduced once per variable pass.
     """
     args = list(args)
     if len(args) != f.nvars:
@@ -616,7 +673,7 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
     if not args:
         return RationalFunction.const(f.base, 0, f.constant_value() if not f.is_zero else 0)
     target_nvars = args[0].nvars
-    base = f.base
+    base, p = f.base, f.base.p
     for a in args:
         if a.nvars != target_nvars or a.base != base:
             raise PreconditionError("substitution arguments live in different fields")
@@ -624,71 +681,47 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
         return RationalFunction.const(base, target_nvars, 0)
     degs = [max(col) for col in zip(*(e for e, _ in f.terms))]
     live = [i for i, d in enumerate(degs) if d]
+    if p is None and any(
+        c.denominator != 1 for i in live for g in (args[i].num, args[i].den) for _, c in g.terms
+    ):
+        raise PreconditionError("substitution argument is not in canonical form")
     factors: dict[tuple[int, int], tuple] = {}
 
     def factor(i: int, k: int) -> tuple:
-        """The terms of num_i ** k * den_i ** (d_i - k)."""
+        """The integer terms of num_i ** k * den_i ** (d_i - k)."""
         out = factors.get((i, k))
         if out is None:
             num, den, r = args[i].num, args[i].den, degs[i] - k
             if len(num.terms) == 1 and len(den.terms) == 1:
                 (en, cn), (ed, cd) = num.terms[0], den.terms[0]
                 exps = tuple(k * a + r * b for a, b in zip(en, ed))
-                out = ((exps, base.mul(base.pow(cn, k), base.pow(cd, r))),)
+                if p:
+                    c = pow(cn, k, p) * pow(cd, r, p) % p
+                else:
+                    c = cn.numerator ** k * cd.numerator ** r
+                out = ((exps, c),)
             else:
-                out = (num ** k * den ** r).terms
+                out = _ints(num ** k * den ** r)[0]
             factors[(i, k)] = out
         return out
 
-    def expand(c, ks) -> dict[Exps, Scalar]:
+    def expand(c: int, ks) -> dict[Exps, int]:
         """c * prod_i factor(i, ks[i]) over the live variables, as a dict."""
         terms = {(0,) * target_nvars: c}
         for i in live:
-            acc: dict[Exps, Scalar] = {}
+            acc: dict[Exps, int] = {}
             for eb, cb in factor(i, ks[i]):
                 for ea, ca in terms.items():
                     e = tuple(map(int.__add__, ea, eb))
-                    prod = base.mul(ca, cb)
-                    prev = acc.get(e)
-                    acc[e] = prod if prev is None else base.add(prev, prod)
-            terms = acc
+                    acc[e] = acc.get(e, 0) + ca * cb
+            terms = {e: v % p for e, v in acc.items()} if p else acc
         return terms
 
-    num_terms: dict[Exps, Scalar] = {}
-    for e, c in f.terms:
+    fi, lcm = _ints(f)
+    num_terms: dict[Exps, int] = {}
+    for e, c in fi:
         for te, tc in expand(c, e).items():
-            prev = num_terms.get(te)
-            num_terms[te] = tc if prev is None else base.add(prev, tc)
-    num = SparsePoly.make(base, target_nvars, num_terms)
-    den = SparsePoly.make(base, target_nvars, expand(base.one, (0,) * f.nvars))
-    return RationalFunction.make(num, den)
-
-
-def laurent_monomial_substitute(f: SparsePoly, matrix) -> RationalFunction:
-    """Substitute x_i -> prod_j x'_j ** matrix[i][j] for the leading variables.
-
-    ``matrix`` must be square, integer, and unimodular; it acts on the first
-    len(matrix) variables of f, any remaining variables pass through.
-    Negative result exponents go to the denominator.
-    """
-    k = len(matrix)
-    if any(len(row) != k for row in matrix):
-        raise PreconditionError("exponent matrix must be square")
-    if f.nvars < k:
-        raise PreconditionError("polynomial has fewer variables than the matrix")
-    if int_det(matrix) not in (1, -1):
-        raise PreconditionError("exponent matrix is not unimodular")
-    new_terms: list[tuple[list[int], Scalar]] = []
-    for e, c in f.terms:
-        head = [sum(e[i] * matrix[i][j] for i in range(k)) for j in range(k)]
-        new_terms.append((head + list(e[k:]), c))
-    mins = [0] * f.nvars
-    for vec, _ in new_terms:
-        for j, x in enumerate(vec):
-            mins[j] = min(mins[j], x)
-    num = SparsePoly.make(
-        f.base, f.nvars,
-        [(tuple(x - m for x, m in zip(vec, mins)), c) for vec, c in new_terms],
-    )
-    den = SparsePoly.make(f.base, f.nvars, [(tuple(-m for m in mins), f.base.one)])
+            num_terms[te] = num_terms.get(te, 0) + tc
+    num = _from_ints(base, target_nvars, num_terms)
+    den = _from_ints(base, target_nvars, expand(lcm, (0,) * f.nvars))
     return RationalFunction.make(num, den)

@@ -31,8 +31,8 @@ context with this contract:
   ambient(rf), coeff(rf, names), generator(i)
         embed an ambient element, a coefficient-field element, or the i-th
         ambient generator;
-  eval_poly(f, args), is_zero(a)
-        evaluate a row and test for zero;
+  eval_poly(f, args), is_zero(a), equal(a, b)
+        evaluate a row, test for zero, and test two elements for equality;
   valuation(a)
         (value, residue) of a nonzero element, the residue None unless the
         value is zero; values add, and compare with the attribute ``zero``;
@@ -214,6 +214,10 @@ class MonomialContext:
     def is_zero(self, a) -> bool:
         return a.is_zero
 
+    def equal(self, a, b) -> bool:
+        # canonical forms are unique, so equal elements are equal structures
+        return a == b
+
     def valuation(self, a: RationalFunction):
         """(value, residue) of a nonzero element; the residue is None unless
         the value is zero, and is then kept as the minimal terms of the
@@ -319,12 +323,12 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
         if name in wmap:
             try:
                 wit = _eval_witness(ctx, wmap[name], args)
-                if not ctx.is_zero(wit - gen):
+                if not ctx.equal(wit, gen):
                     missing.append(f"{name} (witness does not reproduce it)")
             except ZeroDivisionError:
                 missing.append(f"{name} (witness denominator vanishes)")
             continue
-        if not any(ctx.is_zero(gen - el) for el in ts + xs):
+        if not any(ctx.equal(gen, el) for el in ts + xs):
             missing.append(f"{name} (no witness)")
     generation = CheckResult(not missing, "; ".join(missing))
 
@@ -414,14 +418,14 @@ def uniformize_abhyankar(
     width = s + n
 
     def rewrite(poly: SparsePoly, mu0, c0) -> SparsePoly:
-        terms = []
+        # distinct x-exponents have distinct coordinates in the basis
+        terms = {}
         inv_c0 = base.inv(c0)
         for e, c in poly.terms:
             xi = tuple(a - b for a, b in zip(e[:rho], mu0))
             nu = row_of[xi]
-            exps = tuple(nu) + tuple(e[rho:]) + (0,) * n
-            terms.append((exps, base.mul(c, inv_c0)))
-        return SparsePoly.make(base, width, terms)
+            terms[tuple(nu) + tuple(e[rho:]) + (0,) * n] = base.mul(c, inv_c0)
+        return SparsePoly._canon(base, width, terms)
 
     fs = []
     for j, z in enumerate(zetas):
@@ -458,8 +462,8 @@ def _x_monomial(place: MonomialPlace, exps) -> RationalFunction:
     num = [max(e, 0) for e in exps] + [0] * place.tau
     den = [max(-e, 0) for e in exps] + [0] * place.tau
     return RationalFunction.make(
-        SparsePoly.make(base, place.nvars, [(tuple(num), 1)]),
-        SparsePoly.make(base, place.nvars, [(tuple(den), 1)]),
+        SparsePoly._canon(base, place.nvars, {tuple(num): base.one}),
+        SparsePoly._canon(base, place.nvars, {tuple(den): base.one}),
     )
 
 
@@ -468,8 +472,8 @@ def _t_monomial(base, width: int, rho: int, basis_inv, i: int) -> RationalFuncti
     num = [max(e, 0) for e in exps] + [0] * (width - rho)
     den = [max(-e, 0) for e in exps] + [0] * (width - rho)
     return RationalFunction.make(
-        SparsePoly.make(base, width, [(tuple(num), 1)]),
-        SparsePoly.make(base, width, [(tuple(den), 1)]),
+        SparsePoly._canon(base, width, {tuple(num): base.one}),
+        SparsePoly._canon(base, width, {tuple(den): base.one}),
     )
 
 

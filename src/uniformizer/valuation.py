@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import (
     NotAUnitError,
-    NotInValuationRingError,
     PreconditionError,
     ValueOfZeroError,
 )
@@ -131,8 +130,9 @@ def in_valuation_ring(place: MonomialPlace, f: RationalFunction) -> bool:
 
 
 def _residue_numerator(place: MonomialPlace, terms) -> SparsePoly:
+    # minimal-value terms share their x-exponents, so the y-exponents differ
     rho, tau = place.rho, place.tau
-    return SparsePoly.make(place.base, tau, [(e[rho:], c) for e, c in terms])
+    return SparsePoly._canon(place.base, tau, {e[rho:]: c for e, c in terms})
 
 
 def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
@@ -149,19 +149,6 @@ def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
         _residue_numerator(place, tn), _residue_numerator(place, td)
     )
     return ResidueElement(place, rep)
-
-
-def residue_in_ring(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
-    """Residue of any element of the valuation ring (zero when v f > 0)."""
-    if f.is_zero:
-        return ResidueElement(place, RationalFunction.const(place.base, place.tau, 0))
-    v = value_of_ratfun(place, f)
-    s = v.sign()
-    if s < 0:
-        raise NotInValuationRingError("element has negative value")
-    if s > 0:
-        return ResidueElement(place, RationalFunction.const(place.base, place.tau, 0))
-    return residue_of(place, f)
 
 
 @dataclass(frozen=True)

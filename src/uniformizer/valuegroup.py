@@ -235,35 +235,6 @@ def rational_rank(order: GroupOrder) -> int:
     return order.ngens
 
 
-@dataclass(frozen=True)
-class ConvexDecomposition:
-    """Split after the first k blocks: quotient on top, convex subgroup below."""
-
-    order: GroupOrder
-    k: int
-    quotient: GroupOrder
-    subgroup: GroupOrder
-
-    def project_quotient(self, e: GroupElement) -> GroupElement:
-        n = self.quotient.ngens
-        return self.quotient.element(e.coords[:n])
-
-    def project_subgroup(self, e: GroupElement) -> GroupElement:
-        n = self.quotient.ngens
-        return self.subgroup.element(e.coords[n:])
-
-
-def convex_decompose(order: GroupOrder, k: int) -> ConvexDecomposition:
-    """Decompose along the convex subgroup spanned by blocks k..end."""
-    if not 0 <= k <= order.nblocks:
-        raise PreconditionError(
-            f"split index {k} out of range for {order.nblocks} blocks"
-        )
-    return ConvexDecomposition(
-        order, k, GroupOrder(order.blocks[:k]), GroupOrder(order.blocks[k:])
-    )
-
-
 # ---------------------------------------------------------------------------
 # Perron-style positive bases
 

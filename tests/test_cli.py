@@ -188,6 +188,16 @@ def test_exit_code_3_on_insufficient_precision(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_coefficient_without_inverse_exits_4(tmp_path, capsys):
+    place = dict(PLACE_R2, base={"field": "Fp", "p": 5})
+    code, _, err = run(tmp_path, capsys, "value", {"place": place, "element": "1/5*x1"})
+    assert code == 4 and "division by zero" in err
+    generator = dict(PRES_F5["generator"], residue="1/5")
+    pres = dict(PRES_F5, generator=generator)
+    code, _, err = run(tmp_path, capsys, "value", {"place": pres, "element": "z"})
+    assert code == 4 and "place.generator.residue" in err
+
+
 def test_vanishing_denominator_is_named(tmp_path, capsys):
     doc = {"presentation": PRES_F5, "zetas": ["1/(z^2 - 1 - t)"]}
     code, _, err = run(tmp_path, capsys, "discrete-uniformize", doc)

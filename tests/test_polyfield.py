@@ -11,7 +11,6 @@ from uniformizer.polyfield import (
     RationalFunction,
     SparsePoly,
     hasse_derivative,
-    laurent_monomial_substitute,
     poly_divexact,
     poly_gcd,
     poly_str,
@@ -21,6 +20,7 @@ from uniformizer.polyfield import (
 
 Q = QQ()
 F5 = GF(5)
+F7 = GF(7)
 
 
 def P(base, nvars, terms):
@@ -91,22 +91,25 @@ def test_substitute_common_denominator():
     assert out == (x * x) / (y * y) + y
 
 
-def test_laurent_monomial_substitute():
-    x1x2 = P(Q, 2, [((1, 1), 1)])
-    m = [[1, 0], [-1, 1]]
-    out = laurent_monomial_substitute(x1x2, m)
-    assert ratfun_str(out, ("u", "v")) == "v"
-    f = P(Q, 2, [((1, 0), 1), ((0, 1), 1)])
-    out = laurent_monomial_substitute(f, m)
-    assert ratfun_str(out, ("u", "v")) == "(u^2 + v)/(u)"
+def test_make_validates_external_input():
     with pytest.raises(PreconditionError):
-        laurent_monomial_substitute(f, [[2, 0], [0, 1]])  # det 2
+        P(Q, 2, [((1,), 1)])  # one exponent for two variables
+    with pytest.raises(PreconditionError):
+        P(Q, 2, [((1, -1), 1)])
+    with pytest.raises(PreconditionError):
+        P(Q, 1, [((1,), True)])
+    with pytest.raises(PreconditionError):
+        P(F5, 1, [((1,), Fraction(1, 5))])
 
 
 def test_map_vars_merges_exponents():
     f = P(Q, 2, [((1, 1), 1)])
     g = f.map_vars([0, 0], 1)  # both variables onto the first
     assert g == P(Q, 1, [((2,), 1)])
+    # terms that land on one exponent add up
+    h = P(Q, 2, [((1, 0), 1), ((0, 1), Fraction(1, 2))])
+    assert h.map_vars([0, 0], 1) == P(Q, 1, [((1,), Fraction(3, 2))])
+    assert P(F5, 2, [((1, 0), 3), ((0, 1), 2)]).map_vars([0, 0], 1).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +306,98 @@ def test_substitute_at_perron_sized_exponents():
     g = P(Q, 2, [((4 * 10**8, 0), 1), ((0, 3), -1)])  # X1^(4e8) - X2^3
     out = substitute(g, [y1 ** 5 / y2 ** 2, -y2])
     assert str(out) == "(x1^2000000000 + x2^800000003)/(x2^800000000)"
+
+
+# ---------------------------------------------------------------------------
+# the canonical form that the trusted constructor relies on
+
+_FRACTIONS = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([2, 3, 4, 6])),
+)
+
+
+@st.composite
+def fraction_polys(draw, base, nvars=2, max_terms=3, max_exp=2):
+    n = draw(st.integers(min_value=0, max_value=max_terms))
+    return SparsePoly.make(base, nvars, [
+        (tuple(draw(st.integers(min_value=0, max_value=max_exp)) for _ in range(nvars)),
+         draw(_FRACTIONS))
+        for _ in range(n)
+    ])
+
+
+def _assert_canonical(r):
+    """r is what the validating constructor makes of its own terms."""
+    polys_of = (r.num, r.den) if isinstance(r, RationalFunction) else (r,)
+    for poly in polys_of:
+        assert poly == SparsePoly.make(poly.base, poly.nvars, poly.terms)
+        if poly.base.is_rationals:
+            assert all(type(c) is Fraction for _, c in poly.terms)
+        else:
+            assert all(type(c) is int and 0 <= c < poly.base.p for _, c in poly.terms)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_results_are_canonical(data):
+    base = data.draw(st.sampled_from([Q, F5, F7]))
+    f, g, h = (data.draw(fraction_polys(base)) for _ in range(3))
+    out = [
+        f + g, f - g, f * g, -f, f ** 2,
+        f.map_vars([1, 0], 2), f.map_vars([0, 0], 1), f.map_vars([2, 0], 3),
+        hasse_derivative(f, 1), hasse_derivative(f, 2, var=1),
+        SparsePoly.const(base, 2, 3), SparsePoly.variable(base, 2, 1),
+    ]
+    if not g.is_zero:
+        out += [poly_divexact(f * g, g), poly_gcd(f * h, g * h), poly_gcd(f, g)]
+    if not g.is_zero and not h.is_zero:
+        x, y = RationalFunction.make(f, g), RationalFunction.make(g, h)
+        out += [
+            x, y, x + y, x - y, x * y, x / y, -x, y ** -2, x.map_vars([1, 0], 2),
+            RationalFunction.const(base, 2, Fraction(2, 3)), RationalFunction.variable(base, 2, 0),
+            substitute(f, [x, y]), substitute(h, [y, x]),
+        ]
+    for r in out:
+        _assert_canonical(r)
+    for point in ([2, 3], [-3, 1]):
+        fv, gv = f.evaluate(point), g.evaluate(point)
+        assert (f * g).evaluate(point) == base.mul(fv, gv)
+        assert (f - g).evaluate(point) == base.sub(fv, gv)
+
+
+@st.composite
+def content_args(draw, nvars=2):
+    """Canonical arguments whose numerator or denominator has a non-unit content."""
+    num = draw(fraction_polys(Q, nvars=nvars, max_terms=2)).scale(draw(st.sampled_from([2, 3, 4, 9])))
+    den = draw(fraction_polys(Q, nvars=nvars, max_terms=2)).scale(draw(st.sampled_from([2, 3, 6])))
+    if den.is_zero:
+        den = P(Q, nvars, [((1, 0), 9)])
+    return RationalFunction.make(num, den)
+
+
+@given(fraction_polys(Q, max_terms=4, max_exp=2), content_args(), content_args())
+@settings(max_examples=100, deadline=None)
+def test_integer_substitute_matches_reference(f, a, b):
+    assert substitute(f, [a, b]) == _reference_substitute(f, [a, b])
+
+
+def test_integer_substitute_with_fractional_coefficients():
+    x = RationalFunction.variable(Q, 2, 0)
+    y = RationalFunction.variable(Q, 2, 1)
+    f = P(Q, 2, [((2, 1), Fraction(-4, 3)), ((0, 2), Fraction(5, 6)), ((1, 0), 1)])
+    a = RationalFunction.const(Q, 2, 4) * x ** 2 / (RationalFunction.const(Q, 2, 9) * y)
+    b = (RationalFunction.const(Q, 2, 6) * x + RationalFunction.const(Q, 2, 4)) / (
+        RationalFunction.const(Q, 2, 3) * y + RationalFunction.const(Q, 2, 9)
+    )
+    assert str(a) == "(4*x1^2)/(9*x2)" and str(b) == "(6*x1 + 4)/(3*x2 + 9)"
+    out = substitute(f, [a, b])
+    assert out == _reference_substitute(f, [a, b])
+    assert out.num.terms[0][1].denominator == 1
+
+
+def test_substitute_rejects_non_canonical_arguments():
+    half = P(Q, 2, [((1, 0), Fraction(1, 2))])
+    arg = RationalFunction(half, SparsePoly.const(Q, 2, 1))  # not made by make
+    with pytest.raises(PreconditionError):
+        substitute(P(Q, 1, [((1,), 1)]), [arg])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from uniformizer.errors import (
     NotAUnitError,
-    NotInValuationRingError,
     PreconditionError,
     ValueOfZeroError,
 )
@@ -18,7 +17,6 @@ from uniformizer.valuation import (
     MonomialPlace,
     abhyankar_report,
     in_valuation_ring,
-    residue_in_ring,
     residue_of,
     value_of_poly,
     value_of_ratfun,
@@ -101,15 +99,6 @@ def test_residue_requires_value_zero():
         residue_of(PLACE_R2, x1)
     with pytest.raises(ValueOfZeroError):
         residue_of(PLACE_R2, RationalFunction.const(Q, 3, 0))
-
-
-def test_residue_in_ring_extends_by_zero():
-    x1 = RationalFunction.variable(Q, 3, 0)
-    assert residue_in_ring(PLACE_R2, x1).is_zero
-    assert residue_in_ring(PLACE_R2, RationalFunction.const(Q, 3, 0)).is_zero
-    assert residue_in_ring(PLACE_R2, RationalFunction.const(Q, 3, 1)).is_one
-    with pytest.raises(NotInValuationRingError):
-        residue_in_ring(PLACE_R2, x1 ** -1)
 
 
 def test_abhyankar_report_counts():

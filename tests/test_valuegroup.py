@@ -16,7 +16,6 @@ from uniformizer.valuegroup import (
     PerronResult,
     brute_force_positive_basis,
     compare,
-    convex_decompose,
     int_det,
     perron_is_valid,
     perron_positive_basis,
@@ -60,16 +59,8 @@ def test_sign_within_block_uses_exact_surds():
     assert ORDER_R2.element([0, 0]).sign() == 0
 
 
-def test_rational_rank_and_convex_decomposition():
+def test_rational_rank():
     assert rational_rank(ORDER_2BLOCK) == 3
-    dec = convex_decompose(ORDER_2BLOCK, 1)
-    assert dec.quotient.ngens == 1
-    assert dec.subgroup.ngens == 2
-    g = ORDER_2BLOCK.element([2, 3, -1])
-    assert dec.project_quotient(g).coords == (Fraction(2),)
-    assert dec.project_subgroup(g).coords == (Fraction(3), Fraction(-1))
-    with pytest.raises(PreconditionError):
-        convex_decompose(ORDER_2BLOCK, 5)
 
 
 def test_int_det_and_unimodular_inverse():
