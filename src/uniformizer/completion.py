@@ -14,6 +14,14 @@ polynomial of w = b/(zeta - a), whose reduction is X^k - X^(k-1) in every
 characteristic), collects all coefficient-field elements those blocks
 use, uniformizes the coefficients over K0(t) with the monomial machinery,
 and composes the two layers into one ground system.
+
+A row is built as a list of terms (exps, c, scalar) before its width is
+known.  exps maps a variable index to an exponent; c is the index of a
+pooled coefficient-field element, which becomes one c-variable after the
+leading variables, or None; scalar is a canonical element of K0, into
+which a constant coefficient is folded when the term is made.  Once every
+block has registered its coefficients, the pool turns each list into a
+polynomial over (leading variables | c-variables).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .fields import BaseField, Scalar
 from .polyfield import (
     RationalFunction,
     SparsePoly,
+    _from_ints,
     hasse_derivative,
     ratfun_str,
 )
@@ -40,7 +49,6 @@ from .series import (
     equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
-    poly_to_series,
 )
 from .surd import SurdScalar
 from .uniformize import TriangularSystem, compose, uniformize_abhyankar
@@ -230,43 +238,49 @@ class ApproximationWitness:
     depth: int
     tables: tuple[tuple[tuple[int, int], ...], ...]
 
-
-def _truncation_poly(z: TruncatedSeries, below: int) -> SparsePoly:
-    """The terms of z with exponent < below, as a polynomial in t."""
-    if z.order() is not None and z.order() < 0:
-        raise PreconditionError("series with negative order cannot be truncated to a polynomial")
-    out = []
-    for k in range(max(0, z.offset), min(below, z.precision)):
-        c = z.coefficient(k)
-        if c != 0:
-            out.append(((k,), c))
-    return SparsePoly.make(z.base, 1, out)
+    @property
+    def b(self) -> SparsePoly:
+        """The monomial b_coeff * t^b_exp."""
+        return SparsePoly(self.a.base, 1, (((self.b_exp,), self.b_coeff),))
 
 
-def _value_table(f: SparsePoly, a: SparsePoly, b_exp: int) -> tuple[tuple[int, int], ...]:
-    """(i, v(f^[i](a) b^i)) for every i with f^[i](a) nonzero; exact."""
-    if f.nvars != 2:
-        raise PreconditionError("expected a polynomial in (t, X)")
-    deg = f.degree_in(1) if not f.is_zero else 0
-    rows = []
-    for i in range(deg + 1):
-        fi = hasse_derivative(f, i, var=1)
-        val = _eval_at_poly(fi, a)
-        if val.is_zero:
-            continue
-        ord_t = min(e[0] for e, _ in val.terms)
-        rows.append((i, ord_t + i * b_exp))
-    return tuple(rows)
+def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePoly]:
+    """(a, b): the terms of z below t^below, and the exact leading monomial of
+    z - a.  z has order >= 0 and below is at most its precision."""
+    coeffs = z.coeffs
+    cut = min(len(coeffs), max(0, below - z.offset))
+    a = SparsePoly._canon(z.base, 1, {(z.offset + i,): c for i, c in enumerate(coeffs[:cut])})
+    k = next((i for i in range(cut, len(coeffs)) if coeffs[i]), None)
+    if k is None:
+        raise InsufficientPrecisionError(
+            "series vanishes to precision; its leading monomial is not determined",
+            needed=z.precision + 1,
+        )
+    return a, SparsePoly(z.base, 1, (((z.offset + k,), coeffs[k]),))
 
 
 def _eval_at_poly(f: SparsePoly, a: SparsePoly) -> SparsePoly:
     """f(t, a(t)) as an exact polynomial in t."""
-    base = f.base
-    acc = SparsePoly.zero(base, 1)
-    for e, c in f.terms:
-        term = SparsePoly.make(base, 1, [((e[0],), c)])
-        acc = acc + term * (a ** e[1])
+    acc = SparsePoly.zero(f.base, 1)
+    for (i, j), c in f.terms:
+        acc = acc + SparsePoly._canon(f.base, 1, {(i,): c}) * a ** j
     return acc
+
+
+def _gamma_table(g: SparsePoly, a: SparsePoly, b: SparsePoly) -> list[SparsePoly]:
+    """gamma_i = g^[i](a) * b^i, exact polynomials in t."""
+    deg = g.degree_in(1) if not g.is_zero else -1
+    return [_eval_at_poly(hasse_derivative(g, i, var=1), a) * b ** i for i in range(deg + 1)]
+
+
+def _value_table(f: SparsePoly, a: SparsePoly, b: SparsePoly) -> tuple[tuple[int, int], ...]:
+    """(i, v(f^[i](a) b^i)) for every i with f^[i](a) nonzero; exact."""
+    if f.nvars != 2:
+        raise PreconditionError("expected a polynomial in (t, X)")
+    # the lowest term of a polynomial in t alone comes last
+    return tuple(
+        (i, g.terms[-1][0][0]) for i, g in enumerate(_gamma_table(f, a, b)) if not g.is_zero
+    )
 
 
 def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) -> ApproximationWitness:
@@ -301,17 +315,10 @@ def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) ->
                 "series precision exhausted before the term values separated",
                 needed=below,
             )
-        a = _truncation_poly(z, below)
-        rest = z - poly_to_series(a, z.precision)
-        if rest.is_zero_to_precision:
-            raise InsufficientPrecisionError(
-                "z - a vanishes to precision; cannot take its leading monomial",
-                needed=z.precision + 1,
-            )
-        b_exp = rest.known_order()
-        b_coeff = rest.coefficient(b_exp)
-        tables = tuple(_value_table(f, a, b_exp) for f in fs)
+        a, b = _split_series(z, below)
+        tables = tuple(_value_table(f, a, b) for f in fs)
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
+            (b_exp,), b_coeff = b.terms[0]
             return ApproximationWitness(
                 fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, tables=tables
             )
@@ -326,7 +333,7 @@ def value_via_lvpol(witness: ApproximationWitness, f: SparsePoly) -> int:
             tab = t
             break
     if tab is None:
-        tab = _value_table(f, witness.a, witness.b_exp)
+        tab = _value_table(f, witness.a, witness.b)
         if len({v for _, v in tab}) != len(tab):
             raise PreconditionError(
                 "the witness truncation does not separate this polynomial's term values"
@@ -462,7 +469,7 @@ class _QuotientRing:
         return None
 
     def _poly(self, c: list) -> SparsePoly:
-        return SparsePoly.make(self.base, 1, [((i,), v) for i, v in enumerate(c) if v])
+        return _from_ints(self.base, 1, {(i,): v for i, v in enumerate(c) if v})
 
     def min_poly(self, f: RationalFunction) -> list:
         """Monic minimal polynomial of f over K0(t), lowest coefficient first."""
@@ -515,97 +522,59 @@ class _QuotientRing:
 class _CoeffPool:
     """Ordered, deduplicated registry of coefficient-field elements.
 
-    Non-constant elements of K0(t) become c-variables; constants are
-    inlined into the rows directly.
+    Non-constant elements of K0(t) become c-variables, numbered in order of
+    first use; constants are folded into the scalar of the term using them.
     """
 
     def __init__(self, base: BaseField):
         self.base = base
-        self.entries: list[RationalFunction] = []
+        self.entries: dict[RationalFunction, int] = {}
 
-    def ref(self, rf: RationalFunction):
-        """('const', scalar) or ('coeff', index)."""
+    def term(self, exps: dict, rf: RationalFunction, scalar: Scalar) -> tuple:
+        """The row term exps * rf * scalar."""
         if rf.is_constant:
-            return ("const", rf.constant_value())
-        for i, known in enumerate(self.entries):
-            if known == rf:
-                return ("coeff", i)
-        self.entries.append(rf)
-        return ("coeff", len(self.entries) - 1)
+            return exps, None, self.base.mul(scalar, rf.constant_value())
+        return exps, self.entries.setdefault(rf, len(self.entries)), scalar
+
+    def poly(self, terms, nlead: int) -> SparsePoly:
+        """A row over (nlead leading variables | the c-variables); every
+        entry must be registered before the first call."""
+        width = nlead + len(self.entries)
+        acc = {}
+        for exps, c, scalar in terms:
+            e = [0] * width
+            for v, k in exps.items():
+                e[v] = k
+            if c is not None:
+                e[nlead + c] = 1
+            acc[tuple(e)] = scalar
+        return SparsePoly._canon(self.base, width, acc)
 
 
-class _RowBuilder:
-    """Accumulates one row as terms over (t-vars | X-vars | c-vars).
-
-    Widths are not known until the pool is frozen, so terms carry the
-    c-index separately and are materialized at the end.
-    """
-
-    def __init__(self, base: BaseField, s: int, n: int):
-        self.base = base
-        self.s = s
-        self.n = n
-        self.terms: list[tuple[tuple[int, ...], int | None, Scalar]] = []
-
-    def add(self, txexp: tuple[int, ...], ref_or_none, scalar: Scalar = 1):
-        """txexp covers the s + n leading variables; ref is a pool ref or None."""
-        c_idx = None
-        c = self.base.coerce(scalar)
-        if ref_or_none is not None:
-            kind, payload = ref_or_none
-            if kind == "const":
-                c = self.base.mul(c, payload)
-            else:
-                c_idx = payload
-        if c != 0:
-            self.terms.append((tuple(txexp), c_idx, c))
-
-    def materialize(self, nc: int) -> SparsePoly:
-        width = self.s + self.n + nc
-        out = []
-        for txexp, c_idx, c in self.terms:
-            e = list(txexp) + [0] * nc
-            if c_idx is not None:
-                e[self.s + self.n + c_idx] += 1
-            out.append((tuple(e), c))
-        return SparsePoly.make(self.base, width, out)
-
-
-def _rf_in_ring(rf: RationalFunction) -> bool:
-    """Order of a K0(t) element at t = 0 is >= 0."""
+def _residue_at_zero(rf: RationalFunction) -> Scalar | None:
+    """Value of a K0(t) element at t = 0, or None when its order there is negative."""
+    base = rf.base
     if rf.is_zero:
-        return True
-    ord_num = min(e[0] for e, _ in rf.num.terms)
-    ord_den = min(e[0] for e, _ in rf.den.terms)
-    return ord_num - ord_den >= 0
+        return base.zero
+    # the lowest term of a polynomial in t alone comes last
+    (ord_num,), cn = rf.num.terms[-1]
+    (ord_den,), cd = rf.den.terms[-1]
+    if ord_num < ord_den:
+        return None
+    return base.div(cn, cd) if ord_num == ord_den else base.zero
 
 
-def _monomial_poly(base: BaseField, coeff: Scalar, exp: int) -> SparsePoly:
-    return SparsePoly.make(base, 1, [((exp,), coeff)])
-
-
-def _ambient_rf_from_t_poly(base: BaseField, nvars: int, p: SparsePoly) -> RationalFunction:
+def _ambient_rf_from_t_poly(nvars: int, p: SparsePoly) -> RationalFunction:
     """Lift a polynomial in t alone into the ambient (t, gens) ring."""
-    lifted = p.map_vars([0], nvars)
-    return RationalFunction.from_poly(lifted)
+    return RationalFunction.from_poly(p.map_vars([0], nvars))
 
 
 @dataclass
 class _Block:
-    rows: list
+    rows: list  # term lists
     etas: list
-    zeta_eta: int
-    witness_exprs: list
-
-
-def _series_leading_monomial(s: TruncatedSeries) -> tuple[Scalar, int]:
-    if s.is_zero_to_precision:
-        raise InsufficientPrecisionError(
-            "series vanishes to precision; its leading monomial is not determined",
-            needed=s.precision + 1,
-        )
-    e = s.known_order()
-    return s.coefficient(e), e
+    zeta_at: int  # index of the requested element among all etas
+    witness: list  # terms of b*X_winv + a, the element again; empty in K0(t)
 
 
 def _zeta_block(
@@ -616,7 +585,8 @@ def _zeta_block(
     zeta: RationalFunction,
     n_before: int,
 ) -> _Block:
-    """Rows for one valuation-ring element of K0(t, z).
+    """Rows for one valuation-ring element of K0(t, z), on the variables
+    from X_(n_before) on.
 
     Elements of K0(t) itself give a single row X - c.  Anything of degree
     k >= 2 over K0(t) gives three rows: the minimal polynomial of
@@ -624,7 +594,8 @@ def _zeta_block(
     X_w * X_winv - 1, and the affine row X_zeta - b*X_winv - a.
     """
     base = pool.base
-    nvars = ctx.place.nvars
+    one, minus = base.one, base.neg(base.one)
+    j = n_before
 
     h = ring.min_poly(zeta)
     k = len(h) - 1
@@ -632,21 +603,18 @@ def _zeta_block(
     if k == 1:
         # zeta already lies in K0(t): one affine row X - c
         c_rf = -h[0]
-        if not _rf_in_ring(c_rf):
+        if _residue_at_zero(c_rf) is None:
             raise NotInValuationRingError(
                 f"element {ratfun_str(zeta, ctx.place.ambient_names)} lies outside the valuation ring"
             )
-        row = ("affine1", n_before, pool.ref(c_rf))
-        return _Block(rows=[row], etas=[zeta], zeta_eta=0, witness_exprs=[])
+        row = [({j: 1}, None, one), pool.term({}, c_rf, minus)]
+        return _Block(rows=[row], etas=[zeta], zeta_at=j, witness=[])
 
-    # realize zeta and its conjugates as series; conj_series[0] is z itself
-    conj_vals = [
-        eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision) for czs in conj_series
-    ]
-    zs = conj_vals[0]
-    # cluster the conjugate values; the number of distinct ones must be k
+    # realize zeta at z and its conjugates, conj_series[0] being z itself,
+    # and cluster the values; the number of distinct ones must be k
     reps: list[TruncatedSeries] = []
-    for v in conj_vals:
+    for czs in conj_series:
+        v = eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision)
         if not any(equal_to_precision(v, r) for r in reps):
             reps.append(v)
     if len(reps) != k:
@@ -655,37 +623,19 @@ def _zeta_block(
             f"polynomial has degree {k}; raise the precision",
             needed=2 * ctx.precision,
         )
-    others = [r for r in reps if not equal_to_precision(r, zs)]
-    if len(others) != k - 1:
-        raise InsufficientPrecisionError(
-            "conjugate expansions do not separate from the element itself",
-            needed=2 * ctx.precision,
-        )
-
+    zs = reps[0]  # zeta's own value
     o = zs.order()
     if o is not None and o < 0:
         raise NotInValuationRingError(
             f"element {ratfun_str(zeta, ctx.place.ambient_names)} lies outside the valuation ring"
         )
-    exps = []
-    for r in others:
-        diff = zs - r
-        if diff.is_zero_to_precision:
-            raise InsufficientPrecisionError(
-                "conjugates collide to precision", needed=2 * ctx.precision
-            )
-        exps.append(diff.known_order())
-    below = max(exps) + 1 if exps else 1
-    below = max(below, 1)
-    a_poly = _truncation_poly(zs, below)
-    rest = zs - poly_to_series(a_poly, zs.precision)
-    b_coeff, b_exp = _series_leading_monomial(rest)
-    b_poly = _monomial_poly(base, b_coeff, b_exp)
+    # truncating past every order of zs - r, r another conjugate value,
+    # separates zeta from its conjugates
+    a, b = _split_series(zs, 1 + max(0, *((zs - r).known_order() for r in reps[1:])))
 
-    a_amb = _ambient_rf_from_t_poly(base, nvars, a_poly)
-    b_amb = _ambient_rf_from_t_poly(base, nvars, b_poly)
-    w_amb = b_amb / (zeta - a_amb)
-    winv_amb = (zeta - a_amb) / b_amb
+    rest = zeta - _ambient_rf_from_t_poly(ctx.place.nvars, a)
+    b_amb = _ambient_rf_from_t_poly(ctx.place.nvars, b)
+    w_amb, winv_amb = b_amb / rest, rest / b_amb
 
     hw = ring.min_poly(w_amb)
     if len(hw) - 1 != k:
@@ -695,17 +645,12 @@ def _zeta_block(
         )
     # sanity: each coefficient must lie in the valuation ring and reduce to
     # the coefficients of X^k - X^(k-1)
-    for i, c in enumerate(hw):
-        if not _rf_in_ring(c):
+    for c, want in zip(hw, [base.zero] * (k - 1) + [minus, one]):
+        res = _residue_at_zero(c)
+        if res is None:
             raise PreconditionError(
                 "minimal polynomial of w has a coefficient outside the valuation ring"
             )
-        res = _rf_residue_at_zero(base, c)
-        want = base.zero
-        if i == k:
-            want = base.one
-        elif i == k - 1:
-            want = base.neg(base.one)
         if res != want:
             raise InsufficientPrecisionError(
                 "minimal polynomial of w does not reduce to X^k - X^(k-1); "
@@ -713,75 +658,14 @@ def _zeta_block(
                 needed=2 * ctx.precision,
             )
 
-    rows = [
-        ("minpoly", n_before, [pool.ref(c) for c in hw[:-1]], k),
-        ("invert", n_before, n_before + 1),
-        (
-            "affine3",
-            n_before + 2,
-            n_before + 1,
-            pool.ref(RationalFunction.from_poly(b_poly)),
-            pool.ref(RationalFunction.from_poly(a_poly)) if not a_poly.is_zero else None,
-        ),
-    ]
-    etas = [w_amb, winv_amb, zeta]
-    return _Block(rows=rows, etas=etas, zeta_eta=2, witness_exprs=[(n_before + 1, b_poly, a_poly)])
-
-
-def _rf_residue_at_zero(base: BaseField, rf: RationalFunction) -> Scalar:
-    """Value of a K0(t) element at t = 0; requires order >= 0."""
-    if rf.is_zero:
-        return base.zero
-    ord_num = min(e[0] for e, _ in rf.num.terms)
-    ord_den = min(e[0] for e, _ in rf.den.terms)
-    if ord_num < ord_den:
-        raise NotInValuationRingError("element has negative order at t = 0")
-    if ord_num > ord_den:
-        return base.zero
-    cn = next(c for e, c in rf.num.terms if e[0] == ord_num)
-    cd = next(c for e, c in rf.den.terms if e[0] == ord_den)
-    return base.div(cn, cd)
-
-
-def _materialize_rows(base: BaseField, n_total: int, rows, nc: int) -> list[SparsePoly]:
-    """Turn tagged row specs into polynomials over (X-vars | c-vars)."""
-    out = []
-    zero_e = (0,) * n_total
-
-    def onehot(j, k=1):
-        e = [0] * n_total
-        e[j] = k
-        return tuple(e)
-
-    for row in rows:
-        b = _RowBuilder(base, 0, n_total)
-        kind = row[0]
-        if kind == "affine1":
-            _, j, ref = row
-            b.add(onehot(j), None)
-            b.add(zero_e, ref, -1)
-        elif kind == "minpoly":
-            _, j, refs, k = row
-            b.add(onehot(j, k), None)
-            for i, ref in enumerate(refs):
-                b.add(onehot(j, i) if i else zero_e, ref)
-        elif kind == "invert":
-            _, j, j2 = row
-            e = [0] * n_total
-            e[j] = 1
-            e[j2] = 1
-            b.add(tuple(e), None)
-            b.add(zero_e, None, -1)
-        elif kind == "affine3":
-            _, jz, jw, ref_b, ref_a = row
-            b.add(onehot(jz), None)
-            b.add(onehot(jw), ref_b, -1)
-            if ref_a is not None:
-                b.add(zero_e, ref_a, -1)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown row kind {kind!r}")
-        out.append(b.materialize(nc))
-    return out
+    a_rf, b_rf = RationalFunction.from_poly(a), RationalFunction.from_poly(b)
+    minpoly = [({j: k}, None, one)] + [pool.term({j: i}, c, one) for i, c in enumerate(hw[:-1])]
+    invert = [({j: 1, j + 1: 1}, None, one), ({}, None, minus)]
+    affine = [({j + 2: 1}, None, one), pool.term({j + 1: 1}, b_rf, minus), pool.term({}, a_rf, minus)]
+    witness = [pool.term({j + 1: 1}, b_rf, one), pool.term({}, a_rf, one)]
+    return _Block(
+        rows=[minpoly, invert, affine], etas=[w_amb, winv_amb, zeta], zeta_at=j + 2, witness=witness
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +710,7 @@ def _find_one_root(base: BaseField, coeffs: list) -> Scalar | None:
             shift += 1
         if shift:
             return Fraction(0)
-        from math import lcm
-
-        den = lcm(*[Fraction(c).denominator for c in coeffs])
+        den = math.lcm(*[Fraction(c).denominator for c in coeffs])
         ints = [int(Fraction(c) * den) for c in coeffs]
         lead, const = ints[-1], ints[0]
         if abs(lead) > _DIVISOR_LIMIT or abs(const) > _DIVISOR_LIMIT:
@@ -980,38 +862,22 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
         blocks.append(blk)
         n_total += len(blk.rows)
 
-    nc = len(pool.entries)
-    rows = [r for blk in blocks for r in blk.rows]
-    fs = _materialize_rows(base, n_total, rows, nc)
-    etas = [e for blk in blocks for e in blk.etas]
-
-    eta_offset = []
-    at = 0
-    for blk in blocks:
-        eta_offset.append(at + blk.zeta_eta)
-        at += len(blk.etas)
-    zeta_indices = tuple(eta_offset[unique.index(f)] for f in requested)
-
-    # only the block for z itself reconstructs the generator, as
-    # b*X_winv + a; the other blocks' affine rows reconstruct their own
-    # element.  Both references are already in the pool from that row.
-    witnesses = []
-    for j_winv, b_poly, a_poly in blocks[unique.index(zvar)].witness_exprs:
-        wb = _RowBuilder(base, 0, n_total)
-        wb.add(_onehot(n_total, j_winv), pool.ref(RationalFunction.from_poly(b_poly)))
-        if not a_poly.is_zero:
-            wb.add((0,) * n_total, pool.ref(RationalFunction.from_poly(a_poly)))
-        witnesses.append((pres.gen_name, RationalFunction.from_poly(wb.materialize(nc))))
+    # only the block for z itself reconstructs the generator; the other
+    # blocks' witness terms give back their own element
+    z_terms = blocks[unique.index(zvar)].witness
+    witnesses = ()
+    if z_terms:
+        witnesses = ((pres.gen_name, RationalFunction.from_poly(pool.poly(z_terms, n_total))),)
 
     return TriangularSystem(
         place=place,
         tvars=(),
-        etas=tuple(etas),
-        fs=tuple(fs),
+        etas=tuple(e for blk in blocks for e in blk.etas),
+        fs=tuple(pool.poly(row, n_total) for blk in blocks for row in blk.rows),
         coeff_field_names=(pres.uniformizer,),
         coeff_table=tuple(pool.entries),
-        zeta_indices=zeta_indices,
-        witnesses=tuple(witnesses),
+        zeta_indices=tuple(blocks[unique.index(f)].zeta_at for f in requested),
+        witnesses=witnesses,
     )
 
 
@@ -1067,58 +933,39 @@ def uniformize_immediate_simple(
             polys.append(f.num)
         polys.append(f.den)
     witness = kaplansky_normalize(polys, z)
-    a_poly = witness.a
-    b_poly = _monomial_poly(base, witness.b_coeff, witness.b_exp)
+    a, b = witness.a, witness.b
+    one, minus = base.one, base.neg(base.one)
 
+    # variables (t1 = ztilde | X_1..X_n | c-variables)
     n = len(zetas)
     pool = _CoeffPool(base)
     rows = []
-    for j, f in enumerate(zetas):
+    for j, f in enumerate(zetas, 1):
         if f.num.is_zero:
-            rows.append([((0,) + _onehot(n, j), None, 1)])
+            rows.append([({j: 1}, None, one)])
             continue
-        gam_g = _gamma_table(f.num, a_poly, b_poly)
-        gam_h = _gamma_table(f.den, a_poly, b_poly)
-        m_h, c_h = _min_term(gam_h)
-        m_g, c_g = _min_term(gam_g)
-        if m_g < m_h:
-            raise NotInValuationRingError(
-                f"element {j + 1} lies outside the valuation ring"
-            )
-        n_h = _monomial_poly(base, c_h, m_h)
-        terms = []
-        for i, gi in enumerate(gam_h):
-            if gi.is_zero:
-                continue
-            ref = pool.ref(RationalFunction.from_poly(gi) / RationalFunction.from_poly(n_h))
-            terms.append(((i,) + _onehot(n, j), ref, 1))
-        for i, gi in enumerate(gam_g):
-            if gi.is_zero:
-                continue
-            ref = pool.ref(RationalFunction.from_poly(gi) / RationalFunction.from_poly(n_h))
-            terms.append(((i,) + (0,) * n, ref, -1))
-        rows.append(terms)
+        gam_g = _gamma_table(f.num, a, b)
+        gam_h = _gamma_table(f.den, a, b)
+        low_h = _min_term(gam_h)
+        if _min_term(gam_g)[0] < low_h[0]:
+            raise NotInValuationRingError(f"element {j} lies outside the valuation ring")
+        n_h = RationalFunction.from_poly(SparsePoly(base, 1, (low_h,)))
+        # (h(z) X_j - g(z))/n_h, with h(z) = sum_i gamma_i(h) ztilde^i
+        rows.append(
+            [pool.term({0: i, j: 1}, RationalFunction.from_poly(gi) / n_h, one)
+             for i, gi in enumerate(gam_h) if not gi.is_zero]
+            + [pool.term({0: i}, RationalFunction.from_poly(gi) / n_h, minus)
+               for i, gi in enumerate(gam_g) if not gi.is_zero]
+        )
+    # z = b*ztilde + a can extend the pool, so it comes before any row is sized
+    z_terms = [
+        pool.term({0: 1}, RationalFunction.from_poly(b), one),
+        pool.term({}, RationalFunction.from_poly(a), one),
+    ]
+    fs = [pool.poly(row, 1 + n) for row in rows]
 
-    # witness references can extend the pool, so take them before sizing rows
-    wb = _RowBuilder(base, 1, n)
-    wb.add((1,) + (0,) * n, pool.ref(RationalFunction.from_poly(b_poly)))
-    if not a_poly.is_zero:
-        wb.add((0,) * (1 + n), pool.ref(RationalFunction.from_poly(a_poly)))
-
-    nc = len(pool.entries)
-    fs = []
-    for terms in rows:
-        b = _RowBuilder(base, 1, n)
-        for txexp, ref, sgn in terms:
-            b.add(txexp, ref, sgn)
-        fs.append(b.materialize(nc))
-
-    a_amb = _ambient_rf_from_t_poly(base, 2, a_poly)
-    b_amb = _ambient_rf_from_t_poly(base, 2, b_poly)
     zvar = RationalFunction.variable(base, 2, 1)
-    ztilde = (zvar - a_amb) / b_amb
-
-    z_witness = RationalFunction.from_poly(wb.materialize(nc))
+    ztilde = (zvar - _ambient_rf_from_t_poly(2, a)) / _ambient_rf_from_t_poly(2, b)
 
     return TriangularSystem(
         place=place,
@@ -1128,7 +975,7 @@ def uniformize_immediate_simple(
         coeff_field_names=(uniformizer,),
         coeff_table=tuple(pool.entries),
         zeta_indices=tuple(range(n)),
-        witnesses=((gen_name, z_witness),),
+        witnesses=((gen_name, RationalFunction.from_poly(pool.poly(z_terms, 1 + n))),),
     )
 
 
@@ -1142,35 +989,12 @@ def _coerce_ambient(base: BaseField, nvars: int, f) -> RationalFunction:
     raise PreconditionError(f"cannot interpret {f!r} as an ambient element")
 
 
-def _onehot(n: int, j: int, k: int = 1) -> tuple[int, ...]:
-    e = [0] * n
-    e[j] = k
-    return tuple(e)
-
-
-def _gamma_table(g: SparsePoly, a_poly: SparsePoly, b_poly: SparsePoly) -> list[SparsePoly]:
-    """gamma_i = g^[i](a) * b^i, exact polynomials in t."""
-    deg = g.degree_in(1) if not g.is_zero else -1
-    out = []
-    for i in range(deg + 1):
-        gi = _eval_at_poly(hasse_derivative(g, i, var=1), a_poly)
-        out.append(gi * (b_poly ** i))
-    return out
-
-
-def _min_term(gam: list[SparsePoly]) -> tuple[int, Scalar]:
-    """Order and coefficient of the lowest t-term across the table; unique by separation."""
-    best = None
-    for gi in gam:
-        if gi.is_zero:
-            continue
-        e = min(e[0] for e, _ in gi.terms)
-        c = next(c for ee, c in gi.terms if ee[0] == e)
-        if best is None or e < best[0]:
-            best = (e, c)
-    if best is None:
+def _min_term(gam: list[SparsePoly]) -> tuple:
+    """The lowest t-term ((order,), coefficient) across the table; unique by separation."""
+    lows = [g.terms[-1] for g in gam if not g.is_zero]
+    if not lows:
         raise PreconditionError("element vanishes identically")
-    return best
+    return min(lows, key=lambda term: term[0])
 
 
 def uniformize_discrete_rational(
@@ -1196,7 +1020,7 @@ def uniformize_discrete_rational(
 
     outer = _relative_system(pres, zetas, precision)
     for entry in outer.coeff_table:
-        if not _rf_in_ring(entry):
+        if _residue_at_zero(entry) is None:
             raise PreconditionError(
                 "a coefficient-field element of the relative system lies outside "
                 "the valuation ring"

@@ -17,7 +17,7 @@ from .completion import (
     DiscreteSeriesPlace,
     realize_presentation,
 )
-from .errors import SchemaError
+from .errors import ExprSyntaxError, InputError, PreconditionError, SchemaError
 from .expr import parse_element, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
@@ -61,10 +61,8 @@ def _scalar_in(value, base: BaseField, path: str):
     _need(value, str, path, "a rational written as a string")
     try:
         q = parse_rational(value)
-    except ValueError as e:
+    except InputError as e:
         raise SchemaError(str(e), path) from None
-    from .errors import PreconditionError
-
     try:
         return base.coerce(q)
     except PreconditionError as e:
@@ -77,7 +75,7 @@ def _rational_in(value, path: str) -> Fraction:
     _need(value, str, path, "a rational written as a string")
     try:
         return parse_rational(value)
-    except ValueError as e:
+    except InputError as e:
         raise SchemaError(str(e), path) from None
 
 
@@ -92,8 +90,6 @@ def parse_base(doc, path: str) -> BaseField:
         return QQ()
     if field == "Fp":
         p = _need(_get(doc, "p", path), int, f"{path}.p", "an integer")
-        from .errors import PreconditionError
-
         try:
             return GF(p)
         except PreconditionError as e:
@@ -152,8 +148,6 @@ def parse_order(doc, path: str) -> GroupOrder:
                 parse_weight(w, f"{path}[{b}][{i}]") for i, w in enumerate(block)
             )
         )
-    from .errors import PreconditionError
-
     try:
         return GroupOrder(tuple(blocks))
     except PreconditionError as e:
@@ -171,8 +165,6 @@ def parse_monomial_place(doc, path: str) -> MonomialPlace:
     _need(tau, int, f"{path}.tau", "an integer")
     x_names = _name_list(_get(doc, "x_names", path, default=None), f"{path}.x_names")
     y_names = _name_list(_get(doc, "y_names", path, default=None), f"{path}.y_names")
-    from .errors import PreconditionError
-
     try:
         return MonomialPlace(
             base, order, tau=tau, x_names=tuple(x_names), y_names=tuple(y_names)
@@ -227,8 +219,6 @@ def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None
             _scalar_in(c, base, f"{gpath}.conjugate_residues[{i}]")
             for i, c in enumerate(conj)
         )
-    from .errors import PreconditionError
-
     try:
         pres = DiscretePresentation(
             base=base,
@@ -253,8 +243,6 @@ def parse_series_place(doc, path: str) -> DiscreteSeriesPlace:
     gens = _get(doc, "generators", path, default=[])
     _need(gens, list, f"{path}.generators", "a list")
     names, series = [], []
-    from .errors import ExprSyntaxError, PreconditionError
-
     for i, g in enumerate(gens):
         gp = f"{path}.generators[{i}]"
         _need(g, dict, gp, "an object")
@@ -320,8 +308,6 @@ def parse_place(doc, path: str, precision: int | None = None):
 
 def _parse_rf(text, base, names, path: str) -> RationalFunction:
     _need(text, str, path, "an expression string")
-    from .errors import ExprSyntaxError
-
     try:
         return parse_element(text, base, names)
     except ExprSyntaxError as e:
@@ -401,8 +387,6 @@ def parse_system(doc, path: str) -> TriangularSystem:
             raise SchemaError("expected a [name, expression] pair", wp)
         wname = _need(pair[0], str, f"{wp}[0]", "a string")
         witnesses.append((wname, _parse_rf(pair[1], base, names, f"{wp}[1]")))
-
-    from .errors import PreconditionError
 
     try:
         return TriangularSystem(

@@ -6,6 +6,7 @@ plugin prints a one-line verdict per criterion at the end of the run.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -416,10 +417,17 @@ def test_criterion_6_lvpol_value_formula():
 # -- criterion 7: full pipeline through the command-line interface --------
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_cli(args, path):
+    # the child finds the package in this checkout, whatever PYTHONPATH says
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "uniformizer"] + args + ["--input", str(path)],
         capture_output=True,
+        env=env,
     )
 
 

@@ -116,6 +116,32 @@ def test_discrete_uniformize_and_determinism(tmp_path, capsys):
     assert res["system"]["coeff_table"] == []
 
 
+def test_discrete_uniformize_elements_of_the_coefficient_field(tmp_path, capsys):
+    # z^2 = 1 + t and t*z^2/(1 + t^2) lie in K0(t): each gets the single row
+    # X - c, with c pooled as the negated constant coefficient of its
+    # minimal polynomial
+    doc = {"presentation": PRES_F5, "zetas": ["z^2", "t*z^2/(1 + t^2)"]}
+    system = run_json(tmp_path, capsys, "discrete-uniformize", doc)["result"]["system"]
+    assert system["etas"] == [
+        "t + 1", "(t^2 + t)/(t^2 + 1)", "t", "3*t", "z^2", "(t*z^2)/(t^2 + 1)",
+        "(3*t)/(z + 4)", "(2*z + 3)/(t)", "z",
+    ]
+    assert system["fs"] == [
+        "4*t1 + X1 + 4",
+        "t1^2*X2 + 4*t1^2 + 4*t1 + X2",
+        "4*t1 + X3",
+        "2*t1 + X4",
+        "4*X1 + X5",
+        "4*X2 + X6",
+        "X7^2 + X3 + 4*X7",
+        "X7*X8 + 4",
+        "4*X4*X8 + X9 + 4",
+    ]
+    assert system["coeff_table"] == [] and system["tvars"] == ["t"]
+    assert system["witnesses"] == [["t", "t1"], ["z", "X4*X8 + 1"]]
+    assert system["zeta_indices"] == [4, 5]
+
+
 def test_verify_round_trip(tmp_path, capsys):
     doc = {"presentation": PRES_F5, "zetas": ["z"]}
     env = run_json(tmp_path, capsys, "discrete-uniformize", doc)
@@ -235,6 +261,15 @@ def test_schema_path_for_bad_weight(tmp_path, capsys):
     code, _, err = run(tmp_path, capsys, "value", {"place": place, "element": "x1"})
     assert code == 4
     assert "place.x_weights[0][1].d" in err
+    # malformed rationals name their document path too
+    place["x_weights"] = [[{"q": "1/0"}, {"q": "1"}]]
+    code, _, err = run(tmp_path, capsys, "value", {"place": place, "element": "x1"})
+    assert code == 4
+    assert "place.x_weights[0][0].q" in err
+    pres = dict(PRES_F5, generator=dict(PRES_F5["generator"], residue="abc"))
+    code, _, err = run(tmp_path, capsys, "value", {"place": pres, "element": "z"})
+    assert code == 4
+    assert "place.generator.residue" in err
 
 
 def test_text_format_and_seed(tmp_path, capsys):
