@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,10 +67,14 @@ def _load(path: str):
                 text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("the request must be a JSON object")
     return doc
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact certificates for places of rational function fields",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
+    for name in _HANDLERS:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument(
             "--input", required=True, help="path to a JSON request, or - for stdin"
@@ -321,17 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="series precision override where applicable",
         )
-        p.set_defaults(handler=handler)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    It names the subcommand only; ``main`` looks its handler up in
+    ``_HANDLERS`` on every call, so a handler rebound later still runs.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.precision is not None and args.precision < 1:
             raise InputError("--precision must be at least 1")
         doc = _load(args.input)
-        result, text = args.handler(doc, args)
+        result, text = _HANDLERS[args.command](doc, args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

@@ -108,11 +108,20 @@ class DiscreteSeriesPlace:
 
 
 class SeriesContext:
-    """Evaluation of ambient rational functions into truncated series."""
+    """Evaluation of ambient rational functions into truncated series.
+
+    The context keeps one power table (see ``series``) for its lifetime:
+    ``ambient``, ``coeff`` and ``eval_poly`` all evaluate through it, so a
+    power a^k of an argument, and its integer row, is built once per
+    context rather than once per call.  An element whose denominator is a
+    constant c is its numerator scaled by 1/c, with no series inverse.
+    """
 
     def __init__(self, place: DiscreteSeriesPlace, precision: int | None = None):
         if precision is None:
             precision = place.precision
+        if precision < 1:
+            raise PreconditionError("precision must be at least 1")
         if precision > place.precision:
             # the place's series are fixed, so no rerun can reach more
             raise PreconditionError(
@@ -124,11 +133,12 @@ class SeriesContext:
         self.zero = 0
         t = TruncatedSeries.monomial(place.base, 1, precision)
         self.args = [t] + [g.truncate(precision) for g in place.gen_series]
+        self.powers = {}  # the power table of every argument evaluated so far
 
     def ambient(self, rf: RationalFunction) -> TruncatedSeries:
         if rf.nvars != self.place.nvars or rf.base != self.place.base:
             raise PreconditionError("element does not live in the ambient field")
-        return eval_ratfun_at_series(rf, self.args, self.precision)
+        return eval_ratfun_at_series(rf, self.args, self.precision, self.powers)
 
     def coeff(self, rf: RationalFunction, names) -> TruncatedSeries:
         amb = self.place.ambient_names
@@ -140,13 +150,13 @@ class SeriesContext:
             ) from None
         if rf.nvars != len(picked):
             raise PreconditionError("coefficient entry has the wrong width")
-        return eval_ratfun_at_series(rf, picked, self.precision)
+        return eval_ratfun_at_series(rf, picked, self.precision, self.powers)
 
     def generator(self, i: int) -> TruncatedSeries:
         return self.args[i]
 
     def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
-        return eval_poly_at_series(f, args, self.precision)
+        return eval_poly_at_series(f, args, self.precision, self.powers)
 
     def is_zero(self, a) -> bool:
         return a.is_zero_to_precision
@@ -170,6 +180,15 @@ class SeriesContext:
 # Hensel lifting
 
 
+_NOT_SIMPLE = "x0 is not a simple root of the reduction; the root does not lift"
+
+
+def _at_residue(g: SparsePoly, x0) -> Scalar:
+    """g(0, x0) for g in (t, X)."""
+    base = g.base
+    return base.coerce(sum(c * base.pow(x0, e[1]) for e, c in g.terms if e[0] == 0))
+
+
 def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     """Root series of f(t, X) starting from a simple residue root x0.
 
@@ -185,18 +204,12 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
         raise PreconditionError("precision must be at least 1")
     base = f.base
     x0 = base.coerce(x0)
-
-    def at_residue(g: SparsePoly) -> Scalar:  # g(0, x0)
-        return base.coerce(sum(c * base.pow(x0, e[1]) for e, c in g.terms if e[0] == 0))
-
-    if at_residue(f) != 0:
+    if _at_residue(f, x0) != 0:
         raise PreconditionError("x0 is not a root of the reduction")
     dfdx = hasse_derivative(f, 1, var=1)
-    d0 = at_residue(dfdx)
+    d0 = _at_residue(dfdx, x0)
     if d0 == 0:
-        raise PreconditionError(
-            "x0 is not a simple root of the reduction; the root does not lift"
-        )
+        raise PreconditionError(_NOT_SIMPLE)
     z = TruncatedSeries.constant(base, x0, 1)
     w = TruncatedSeries.constant(base, base.inv(d0), 1)
     t = TruncatedSeries.monomial(base, 1, precision)  # each evaluation below caps its terms at p2
@@ -610,11 +623,11 @@ def _zeta_block(
         row = [({j: 1}, None, one), pool.term({}, c_rf, minus)]
         return _Block(rows=[row], etas=[zeta], zeta_at=j, witness=[])
 
-    # realize zeta at z and its conjugates, conj_series[0] being z itself,
+    # realize zeta at z and its conjugates, conj_series[0] being ctx's own z,
     # and cluster the values; the number of distinct ones must be k
     reps: list[TruncatedSeries] = []
     for czs in conj_series:
-        v = eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision)
+        v = eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision, ctx.powers)
         if not any(equal_to_precision(v, r) for r in reps):
             reps.append(v)
     if len(reps) != k:
@@ -818,8 +831,13 @@ def _monic_min_poly(m: SparsePoly) -> SparsePoly:
 
 def realize_presentation(
     pres: DiscretePresentation, precision: int = DEFAULT_PRECISION
-) -> tuple[DiscreteSeriesPlace, list[TruncatedSeries]]:
-    """The series place and the full list of conjugate root series (main first)."""
+) -> tuple[DiscreteSeriesPlace, list]:
+    """The series place and the residues of the other conjugates of z.
+
+    Only z is lifted.  Each conjugate residue is checked to be a simple
+    root of the reduction, which is all its lift needs, so a presentation
+    that realizes here also gives the relative block its conjugates.
+    """
     base = pres.base
     if pres.min_poly is None:
         place = DiscreteSeriesPlace(base, pres.uniformizer, (), (), precision)
@@ -831,9 +849,11 @@ def realize_presentation(
         if e[0] == 0:
             mbar[e[1]] = c
     others = _conjugate_residue_roots(base, mbar, pres.residue, pres.conjugate_residues)
-    conj = [z] + [hensel_lift_root(m, r, precision) for r in others]
+    dmdx = hasse_derivative(m, 1, var=1)
+    if any(_at_residue(dmdx, r) == 0 for r in others):
+        raise PreconditionError(_NOT_SIMPLE)
     place = DiscreteSeriesPlace(base, pres.uniformizer, (pres.gen_name,), (z,), precision)
-    return place, conj
+    return place, others
 
 
 def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> TriangularSystem:
@@ -844,9 +864,11 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
     coefficient table, and the block for z carries the witness for z.
     """
     base = pres.base
-    place, conj = realize_presentation(pres, precision)
+    place, others = realize_presentation(pres, precision)
     ctx = place.make_context()
-    ring = _QuotientRing(_monic_min_poly(pres.min_poly), place.ambient_names)
+    m = _monic_min_poly(pres.min_poly)
+    conj = ctx.args[1:] + [hensel_lift_root(m, r, precision) for r in others]
+    ring = _QuotientRing(m, place.ambient_names)
     requested = [_coerce_ambient(base, 2, f) for f in zetas]
 
     unique = list(dict.fromkeys(requested))

@@ -13,6 +13,10 @@ element round-trips:
 '^' binds tighter than unary minus, so -x^2 means -(x^2).  Exponents are
 integer literals; negative exponents invert.  Series literals are sums of
 t-monomials with a trailing + O(t^N) marking the precision.
+
+The parser descends recursively, so it bounds the nesting of parentheses
+and unary minus signs at MAX_NESTING and reports deeper input as a syntax
+error, well before the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .errors import ExprSyntaxError
 from .fields import BaseField
 from .polyfield import RationalFunction
 from .series import TruncatedSeries
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class _Parser:
     def __init__(self, text: str, base: BaseField, names):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs around the current token
         self.base = base
         self.names = list(names)
 
@@ -92,6 +99,11 @@ class _Parser:
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise ExprSyntaxError(message, tok.line, tok.column)
+
+    def nest(self, tok: _Token):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("expression nested too deeply", tok)
 
     def expect_op(self, op: str):
         tok = self.take()
@@ -130,8 +142,10 @@ class _Parser:
 
     def factor(self) -> RationalFunction:
         if self.peek().kind == "op" and self.peek().text == "-":
-            self.take()
-            return -self.factor()
+            self.nest(self.take())
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> RationalFunction:
@@ -172,8 +186,10 @@ class _Parser:
                 self.fail(f"unknown variable {tok.text!r}", tok)
             return RationalFunction.variable(self.base, len(self.names), i)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         self.fail("expected a number, a variable, or '('", tok)
 

@@ -35,9 +35,18 @@ operation for both kinds of field.
   integer row, reduced after every round (``% p``, or by the gcd with its
   denominator), so no intermediate swells.
 - Polynomial evaluation (``eval_poly_at_series``): each term multiplies
-  the cached powers of its arguments as integer rows and adds the product,
-  scaled by its coefficient, into one dense integer accumulator over a
-  common denominator, settled once.
+  the powers of the arguments its nonzero exponents name, as integer rows,
+  and adds the product, scaled by its coefficient, into one dense integer
+  accumulator over a common denominator, settled once.  The powers come
+  from a power table keyed by id(a): an entry holds a itself (so no other
+  series takes over its id while the table lives) and a, a^2, ... with
+  their integer rows, each a^(k+1) built as a^k * a on first use.  A
+  caller that evaluates many polynomials at the same arguments, such as
+  ``completion.SeriesContext``, keeps one table for all of them; without
+  one, a call builds its own.  ``eval_ratfun_at_series`` shares the table
+  between numerator and denominator and, when the denominator is a
+  constant c, scales the numerator by 1/c with the precision of the
+  product num * constant(1/c, precision), instead of inverting a series.
 """
 
 from __future__ import annotations
@@ -393,49 +402,61 @@ def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
     return (num / den).truncate(precision)
 
 
-def eval_poly_at_series(p: SparsePoly, args, precision: int) -> TruncatedSeries:
+def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> tuple:
+    """(a ** k, its integer row), from the table, built upwards on first use."""
+    entry = powers.get(id(a))
+    if entry is None:
+        if a.base != base:
+            raise PreconditionError("series over different base fields")
+        # the entry holds a itself, so its id stays a's while the table lives
+        entry = powers[id(a)] = (a, [None, (a, _clear(base, a.coeffs))])
+    table = entry[1]
+    while len(table) <= k:
+        s = table[-1][0] * a
+        table.append((s, _clear(base, s.coeffs)))
+    return table[k]
+
+
+def eval_poly_at_series(
+    p: SparsePoly, args, precision: int, powers: dict | None = None
+) -> TruncatedSeries:
     """Evaluate a multivariate polynomial at series arguments.
 
-    Each term multiplies only its cached argument powers, as integer rows
-    cut to the result's precision; its coefficient scales that product as
-    it goes into one dense integer accumulator.  The result carries the
-    precision of the sum of the terms constant(c) * a1**k1 * a2**k2 * ...
+    Each term multiplies only the powers of the arguments its nonzero
+    exponents name, as integer rows cut to the result's precision; its
+    coefficient scales that product as it goes into one dense integer
+    accumulator.  The result carries the precision of the sum of the terms
+    constant(c) * a1**k1 * a2**k2 * ...
+
+    ``powers`` is the table those powers come from: it maps id(a) to a and
+    the powers of a built so far, each with its integer row, and callers
+    that evaluate many polynomials at the same arguments pass one table to
+    every call.  None gives a table for this call alone.
     """
     if len(args) != p.nvars:
         raise PreconditionError("wrong number of series arguments")
     base = p.base
-    powers = []  # powers[i][k] = args[i] ** k for the exponents in use, built upwards
-    for a, column in zip(args, zip(*[e for e, _ in p.terms])):
-        if a.base != base and any(column):
-            raise PreconditionError("series over different base fields")
-        table = {1: a}
-        for k in sorted(set(column)):
-            if k > 1:
-                table[k] = table[k - 1] * a if k - 1 in table else a ** k
-        powers.append(table)
-    terms = []  # (coefficient, the powers it multiplies)
+    if powers is None:
+        powers = {}
+    terms = []  # (coefficient, the (power, row) pairs it multiplies)
     prec = precision
     for e, c in p.terms:
-        factors = [table[k] for table, k in zip(powers, e) if k]
+        factors = [_power(powers, args[i], k, base) for i, k in enumerate(e) if k]
         # lower bound and precision of the chain constant(c) * factors[0] * ...
         low, top = min(0, precision), precision
-        for s in factors:
+        for s, _ in factors:
             low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
         prec = min(prec, top)
         terms.append((c, factors))
-    cleared = {}  # id of a power -> its integer row
     rows = []  # (offset, integer numerators, scale numerator, denominator)
     for c, factors in terms:
-        off = sum(s.offset for s in factors)
-        if off >= prec or not all(s.coeffs for s in factors):
+        off = sum(s.offset for s, _ in factors)
+        if off >= prec or not all(s.coeffs for s, _ in factors):
             continue
         nums, d = [1], 1
-        for i, s in enumerate(factors):
-            row = cleared.get(id(s))
-            if row is None:
-                row = cleared[id(s)] = _clear(base, s.coeffs)
-            nums = row[0][: prec - off] if i == 0 else _convolve(nums, row[0], prec - off)
-            d *= row[1]
+        for i, (_, (row, row_den)) in enumerate(factors):
+            nums = row[: prec - off] if i == 0 else _convolve(nums, row, prec - off)
+            d *= row_den
         cn, cd = (c, 1) if base.p else (c.numerator, c.denominator)
         rows.append((off, nums, cn, cd * d))
     lo = min((row[0] for row in rows), default=prec)
@@ -448,7 +469,24 @@ def eval_poly_at_series(p: SparsePoly, args, precision: int) -> TruncatedSeries:
     return TruncatedSeries._trimmed(base, lo, _settle(base, acc, den), prec)
 
 
-def eval_ratfun_at_series(f: RationalFunction, args, precision: int) -> TruncatedSeries:
-    num = eval_poly_at_series(f.num, args, precision)
-    den = eval_poly_at_series(f.den, args, precision)
-    return num / den
+def eval_ratfun_at_series(
+    f: RationalFunction, args, precision: int, powers: dict | None = None
+) -> TruncatedSeries:
+    """num / den at series arguments, both evaluated through one power table.
+
+    A constant denominator c only scales the numerator by 1/c: the result
+    is num * constant(1/c, precision), coefficients and precision alike,
+    with no series of c built or inverted.
+    """
+    if powers is None:
+        powers = {}
+    num = eval_poly_at_series(f.num, args, precision, powers)
+    if not f.den.is_constant:
+        return num / eval_poly_at_series(f.den, args, precision, powers)
+    base = f.base
+    inv = base.inv(f.den.constant_value())
+    # constant(1/c, precision) starts at exponent 0, or is zero when precision < 1
+    _, prec = _product_bounds(num._lower_bound(), num.precision, min(0, precision), precision)
+    p = base.p
+    coeffs = [x * inv % p for x in num.coeffs] if p else [x * inv for x in num.coeffs]
+    return TruncatedSeries._trimmed(base, num.offset, coeffs, prec)

@@ -347,3 +347,53 @@ def test_precision_flag_overrides_the_document(tmp_path, capsys):
     assert env["result"]["report"]["precision"] == 8
     env = run_json(tmp_path, capsys, "discrete-uniformize", doc)
     assert env["result"]["report"]["precision"] == 16
+
+
+def test_double_conjugate_residue_exits_2(tmp_path, capsys):
+    # X^3 + 3*X + 1 + t over F5: the residue 1 is simple, but the conjugate
+    # residue 2 is a double root of the reduction, so the presentation is
+    # refused even by queries that read z alone
+    generator = {"name": "z", "min_poly": "X^3 + 3*X + 1 + t", "residue": 1}
+    doc = {"place": dict(PRES_F5, generator=generator), "element": "z"}
+    code, _, err = run(tmp_path, capsys, "value", doc)
+    assert code == 2
+    assert "error:" in err and "not a simple root" in err
+
+
+def _assert_input_error(code, err):
+    assert code == 4
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_request_that_is_not_utf8_exits_4(tmp_path, capsys):
+    path = tmp_path / "req.json"
+    path.write_bytes(b"\xff\xfe")
+    code = main(["value", "--input", str(path)])
+    _assert_input_error(code, capsys.readouterr().err)
+
+
+def test_deeply_nested_json_exits_4(tmp_path, capsys):
+    path = tmp_path / "req.json"
+    path.write_text("[" * 100000)
+    code = main(["value", "--input", str(path)])
+    _assert_input_error(code, capsys.readouterr().err)
+
+
+def test_deeply_nested_element_exits_4(tmp_path, capsys):
+    doc = {"place": PLACE_R2, "element": "(" * 5000 + "x1" + ")" * 5000}
+    code, _, err = run(tmp_path, capsys, "value", doc)
+    _assert_input_error(code, err)
+    assert "nested too deeply" in err
+
+
+def test_parser_is_reused_and_handlers_are_looked_up_per_call(tmp_path, capsys, monkeypatch):
+    from uniformizer import cli
+
+    doc = {"place": PLACE_R2}
+    run_json(tmp_path, capsys, "report", doc)
+    parser = cli._parser()
+    # a handler rebound after the parser exists is the one that runs
+    monkeypatch.setitem(cli._HANDLERS, "report", lambda doc, args: ({"stub": True}, "stub"))
+    env = run_json(tmp_path, capsys, "report", doc)
+    assert env["result"] == {"stub": True}
+    assert cli._parser() is parser

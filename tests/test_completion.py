@@ -210,14 +210,28 @@ def test_lvpol_matches_exact_order(which, zpairs, fterms):
 
 
 def test_realize_presentation_conjugates():
+    # only z is lifted; the other conjugates come back as residues, which
+    # lift to the other root series
     pres = DiscretePresentation(base=F5, min_poly=_sqrt_1_plus_t(F5), residue=1)
-    place, conj = realize_presentation(pres, 12)
+    place, others = realize_presentation(pres, 12)
     assert place.gen_names == ("z",)
-    assert len(conj) == 2
-    assert equal_to_precision(conj[1], -conj[0])
+    assert others == [4]
+    conj = hensel_lift_root(_sqrt_1_plus_t(F5), others[0], 12)
+    assert equal_to_precision(conj, -place.gen_series[0])
     presq = DiscretePresentation(base=Q, min_poly=_sqrt_1_plus_t(Q), residue=1)
-    _, conjq = realize_presentation(presq, 12)
-    assert len(conjq) == 2 and equal_to_precision(conjq[1], -conjq[0])
+    placeq, othersq = realize_presentation(presq, 12)
+    assert othersq == [-1]
+    conjq = hensel_lift_root(_sqrt_1_plus_t(Q), othersq[0], 12)
+    assert equal_to_precision(conjq, -placeq.gen_series[0])
+
+
+def test_realize_presentation_rejects_a_double_conjugate():
+    # X^3 + 3X + 1 + t over F5: the residue 1 is simple, the conjugate
+    # residue 2 is a double root of the reduction, so it cannot be lifted
+    m = parse_element("X^3 + 3*X + 1 + t", F5, ("t", "X")).num
+    pres = DiscretePresentation(base=F5, min_poly=m, residue=1)
+    with pytest.raises(PreconditionError, match="not a simple root"):
+        realize_presentation(pres, 8)
 
 
 def test_presentation_validation():

@@ -369,6 +369,97 @@ def test_kernel_inverse_when_a_newton_product_meets_a_zero_run():
     _same(s.inverse(), _ref_inverse(s))
 
 
+EVAL_FIELDS = [Q, F5, GF(P61)]
+
+
+def _eval_args(base, nvars):
+    """Arguments with interior zeros, zero ones and negative orders, t^-1 among them."""
+    t_inv = TruncatedSeries.monomial(base, 1, 10).inverse()
+    return st.lists(
+        kernel_series(base, max_blocks=3) | st.just(t_inv), min_size=nvars, max_size=nvars
+    )
+
+
+@given(st.sampled_from(EVAL_FIELDS), st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_shared_power_table_matches_fresh_tables_and_schoolbook(base, nvars, data):
+    args = data.draw(_eval_args(base, nvars))
+    shared = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        p = data.draw(kernel_polys(base, nvars))
+        precision = data.draw(st.integers(min_value=-2, max_value=12))
+        out = eval_poly_at_series(p, args, precision, shared)
+        _same(out, eval_poly_at_series(p, args, precision))
+        _same(out, _ref_eval(p, args, precision))
+
+
+@given(st.sampled_from(EVAL_FIELDS), st.integers(min_value=1, max_value=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_constant_denominator_scales_the_numerator(base, nvars, data):
+    # built directly, so that a constant denominator c != 1 also occurs over F_p
+    num = data.draw(kernel_polys(base, nvars))
+    c = data.draw(_scalars(base).filter(lambda c: c != 0))
+    f = RationalFunction(num, SparsePoly.const(base, nvars, c))
+    args = data.draw(_eval_args(base, nvars))
+    precision = data.draw(st.integers(min_value=-2, max_value=12))
+    want = eval_poly_at_series(num, args, precision) * TruncatedSeries.constant(
+        base, base.inv(base.coerce(c)), precision
+    )
+    _same(eval_ratfun_at_series(f, args, precision), want)
+    _same(eval_ratfun_at_series(f, args, precision, {}), want)
+
+
+def test_constant_denominator_of_a_numerator_zero_to_precision():
+    # t^12 / 3 vanishes to precision 8 at t; the product rule keeps precision 8
+    t = TruncatedSeries.monomial(Q, 1, 8)
+    f = RationalFunction(SparsePoly.make(Q, 1, [((12,), 1)]), SparsePoly.const(Q, 1, 3))
+    out = eval_ratfun_at_series(f, [t], 8)
+    assert out.is_zero_to_precision and out.precision == 8
+    # x/2 at x = t^-1 + O(t^6) is t^-1/2, known to the precision 6 of its argument
+    t_inv = t.inverse()
+    f = RationalFunction(SparsePoly.make(Q, 1, [((1,), 1)]), SparsePoly.const(Q, 1, 2))
+    _same(eval_ratfun_at_series(f, [t_inv], 8), S(Q, -1, [Fraction(1, 2)], 6))
+
+
+def test_verify_evaluates_each_power_once(monkeypatch):
+    # verify of the F5 X^2 - 1 - t certificate for z and (z - 1)/t: the
+    # context's power table and the constant-denominator rule fix how many
+    # series products and inverses it takes; a context that rebuilt its
+    # powers on every call would give the same report with more of both
+    from uniformizer.completion import DiscretePresentation, uniformize_discrete_rational
+    from uniformizer.expr import parse_element
+    from uniformizer.uniformize import verify
+
+    m = parse_element("X^2 - 1 - t", F5, ("t", "X")).num
+    pres = DiscretePresentation(base=F5, min_poly=m, residue=1)
+    zetas = [parse_element(z, F5, ("t", "z")) for z in ("z", "(z - 1)/t")]
+    system = uniformize_discrete_rational(pres, zetas, precision=16)
+    counts = {"mul": 0, "inverse": 0}
+    mul, inverse = TruncatedSeries.__mul__, TruncatedSeries.inverse
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_inverse(a):
+        counts["inverse"] += 1
+        return inverse(a)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+    assert verify(system).passed
+    assert counts == {"mul": 11, "inverse": 7}
+    # three rows square a variable; a second pass over the rows through the
+    # same context finds those squares in its table
+    ctx = system.place.make_context()
+    args = [ctx.ambient(rf) for rf in system.tvars + system.etas]
+    counts.update(mul=0, inverse=0)
+    for _ in range(2):
+        for f in system.fs:
+            ctx.eval_poly(f, args)
+        assert counts == {"mul": 3, "inverse": 0}
+
+
 def test_eval_rejects_a_used_argument_over_another_field():
     p = SparsePoly.make(Q, 2, [((1, 0), 1)])
     t = TruncatedSeries.monomial(Q, 1, 8)
