@@ -26,7 +26,6 @@ polynomial over (leading variables | c-variables).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -36,11 +35,12 @@ from .errors import (
     NotInValuationRingError,
     PreconditionError,
 )
-from .fields import BaseField, Scalar
+from .fields import BaseField, Scalar, clear_denominators
 from .polyfield import (
     RationalFunction,
     SparsePoly,
     _from_ints,
+    _ints,
     hasse_derivative,
     ratfun_str,
 )
@@ -157,6 +157,13 @@ class SeriesContext:
 
     def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
         return eval_poly_at_series(f, args, self.precision, self.powers)
+
+    def eval_ratfun(self, f: RationalFunction, args) -> TruncatedSeries:
+        try:
+            return eval_ratfun_at_series(f, args, self.precision, self.powers)
+        except InsufficientPrecisionError:
+            # its one way to fail: a denominator zero to precision has no inverse
+            raise ZeroDivisionError("denominator vanishes to precision") from None
 
     def is_zero(self, a) -> bool:
         return a.is_zero_to_precision
@@ -427,7 +434,7 @@ class _QuotientRing:
         self.dim = m.degree_in(1)
         # over Q, the coordinate Y = L*X with L the lcm of m's denominators
         # makes m monic with integer coefficients
-        self.L = 1 if self.p else math.lcm(*(c.denominator for _, c in m.terms))
+        self.L = _ints(m)[1]
         self.neg_m = [_kt_mul(c, [-1], self.p) for c in self._split(m)[0][:-1]]
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
@@ -440,8 +447,9 @@ class _QuotientRing:
             P[j][i] = c * self.L ** (n - j)
         if self.p:
             return [_kt_trim(row) for row in P], 1
-        s = math.lcm(*(c.denominator for row in P for c in row))
-        return [_kt_trim([int(c * s) for c in row]) for row in P], s * self.L**n
+        flat, s = clear_denominators([c for row in P for c in row])
+        w = len(P[0])
+        return [_kt_trim(flat[j * w : (j + 1) * w]) for j in range(n + 1)], s * self.L**n
 
     def _reduce(self, P: list) -> list:
         """P modulo m, as a vector of length dim."""
@@ -723,8 +731,7 @@ def _find_one_root(base: BaseField, coeffs: list) -> Scalar | None:
             shift += 1
         if shift:
             return Fraction(0)
-        den = math.lcm(*[Fraction(c).denominator for c in coeffs])
-        ints = [int(Fraction(c) * den) for c in coeffs]
+        ints, _ = clear_denominators(coeffs)
         lead, const = ints[-1], ints[0]
         if abs(lead) > _DIVISOR_LIMIT or abs(const) > _DIVISOR_LIMIT:
             return None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import ExprSyntaxError
 from .fields import BaseField
 from .polyfield import RationalFunction
-from .series import TruncatedSeries
+from .series import TruncatedSeries, ratfun_to_series
 
 MAX_NESTING = 100
 
@@ -248,10 +248,7 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     if not head:
         return TruncatedSeries.zero(base, precision)
     src = text[: _offset_of(text, tokens[head_end])]
-    rf = parse_element(src, base, (name,))
-    from .series import ratfun_to_series
-
-    return ratfun_to_series(rf, precision + _den_order_slack(rf)).truncate(precision)
+    return ratfun_to_series(parse_element(src, base, (name,)), precision)
 
 
 def _offset_of(text: str, tok: _Token) -> int:
@@ -266,9 +263,3 @@ def _offset_of(text: str, tok: _Token) -> int:
         else:
             col += 1
     return len(text)
-
-
-def _den_order_slack(rf: RationalFunction) -> int:
-    if rf.is_zero:
-        return 0
-    return min(e[0] for e, _ in rf.den.terms)

@@ -4,12 +4,24 @@ Scalars are plain values: ``Fraction`` over the rationals, ``int`` in
 ``[0, p)`` over a prime field.  A ``BaseField`` instance supplies the
 operations whose meaning depends on which field is intended, so polynomial
 code can stay field-agnostic.
+
+This module also owns the two formats the other layers share.
+
+- Integer rows.  Exact kernels compute on a list of integers over one
+  positive denominator.  ``clear_denominators`` reads a list of rationals
+  that way; ``BaseField.int_row`` reads a list of scalars (over F_p the
+  residues themselves, over 1) and ``BaseField.settle_row`` turns a row
+  back into canonical scalars.
+- Text.  ``BaseField.scalar_str`` renders one scalar and
+  ``BaseField.sum_str`` a signed sum of scalar multiples of monomials,
+  the form every printer of the package emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import InputError, PreconditionError
@@ -41,6 +53,13 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(nums, den) with values[i] == nums[i] / den, for ints and Fractions;
+    den is the lcm of the denominators, 1 for an empty list."""
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 @dataclass(frozen=True)
@@ -114,11 +133,41 @@ class BaseField:
         """a ** k for an integer k >= 0, by square-and-multiply."""
         return pow(a, k, self.p) if self.p else a ** k
 
+    def int_row(self, coeffs) -> tuple[list[int], int]:
+        """Canonical scalars as integer numerators over one positive denominator."""
+        if self.p:
+            return list(coeffs), 1
+        return clear_denominators(coeffs)
+
+    def settle_row(self, nums, den: int) -> list:
+        """Canonical scalars nums[i] / den."""
+        if self.p:
+            p = self.p
+            return [c % p for c in nums]
+        if den == 1:
+            return [Fraction(c) for c in nums]
+        return [Fraction(c, den) for c in nums]
+
     def scalar_str(self, a: Scalar) -> str:
         if self.p is None:
             f = Fraction(a)
             return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
         return str(a % self.p)
+
+    def sum_str(self, terms) -> str:
+        """Render  c1*m1 + c2*m2 - ...  from nonzero (scalar, monomial text)
+        pairs.  A unit coefficient before a monomial is left out, and an
+        empty monomial leaves the coefficient alone."""
+        parts = []
+        for c, mono in terms:
+            cs = self.scalar_str(c)
+            negative = cs.startswith("-")
+            body = cs[1:] if negative else cs
+            if mono:
+                body = mono if body == "1" else f"{body}*{mono}"
+            parts.append(("- " if negative else "+ ") + body)
+        text = " ".join(parts)
+        return "-" + text[2:] if text.startswith("- ") else text[2:]
 
     def __str__(self):
         return "Q" if self.p is None else f"F{self.p}"

@@ -18,8 +18,10 @@ uses on its own results.  Code that keeps both the order and the nonzero
 coefficients (a shift of every exponent, a scaling by a unit) builds the
 dataclass directly.
 
-Hot loops compute on plain integers.  ``_ints`` reads a polynomial over Q
-as integers over one positive denominator; products, ``substitute`` and the
+Hot loops compute on plain integers, in the integer-row format of
+``fields``.  ``_ints`` reads a polynomial over Q as integers over one
+positive denominator (``clear_denominators``) and ``_from_ints`` reads
+them back (``BaseField.settle_row``); products, ``substitute`` and the
 normalisation in ``RationalFunction.make`` work on those integers and make
 one ``Fraction`` per output coefficient.  ``substitute`` relies on one
 invariant: over Q the numerator and denominator of a canonical rational
@@ -35,9 +37,21 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import PreconditionError
-from .fields import BaseField, Scalar
+from .fields import BaseField, Scalar, clear_denominators
 
 Exps = tuple[int, ...]
+
+
+def power(x, n: int):
+    """x ** n for an integer n >= 1, by square-and-multiply."""
+    out, square = None, x
+    while True:
+        if n & 1:
+            out = square if out is None else out * square
+        n >>= 1
+        if not n:
+            return out
+        square = square * square
 
 
 def _grlex_key(e: Exps):
@@ -176,15 +190,9 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
-        out = SparsePoly.const(self.base, self.nvars, self.base.one)
-        square = self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out
+        if n == 0:
+            return SparsePoly.const(self.base, self.nvars, self.base.one)
+        return power(self, n)
 
     def evaluate(self, args) -> Scalar:
         args = [self.base.coerce(a) for a in args]
@@ -227,18 +235,13 @@ def _ints(f: SparsePoly) -> tuple[list[tuple[Exps, int]], int]:
     """
     if f.base.p:
         return f.terms, 1
-    d = math.lcm(*(c.denominator for _, c in f.terms))
-    return [(e, c.numerator * (d // c.denominator)) for e, c in f.terms], d
+    nums, d = clear_denominators([c for _, c in f.terms])
+    return list(zip([e for e, _ in f.terms], nums)), d
 
 
 def _from_ints(base: BaseField, nvars: int, acc: dict, d: int = 1) -> SparsePoly:
     """The polynomial (1/d) sum_e acc[e] x^e, from integer coefficients."""
-    p = base.p
-    if p:
-        return SparsePoly._canon(base, nvars, {e: v % p for e, v in acc.items()})
-    if d == 1:
-        return SparsePoly._canon(base, nvars, {e: Fraction(v) for e, v in acc.items() if v})
-    return SparsePoly._canon(base, nvars, {e: Fraction(v, d) for e, v in acc.items() if v})
+    return SparsePoly._canon(base, nvars, dict(zip(acc, base.settle_row(acc.values(), d))))
 
 
 def default_names(n: int) -> list[str]:
@@ -251,20 +254,10 @@ def poly_str(f: SparsePoly, names) -> str:
         return "0"
     if len(names) != f.nvars:
         raise PreconditionError("wrong number of variable names")
-    chunks = []
-    for e, c in f.terms:
-        mono = "*".join(
-            names[i] if k == 1 else f"{names[i]}^{k}"
-            for i, k in enumerate(e) if k
-        )
-        cs = f.base.scalar_str(c)
-        negative = cs.startswith("-")
-        body = cs[1:] if negative else cs
-        if mono:
-            body = mono if body == "1" else f"{body}*{mono}"
-        chunks.append(("- " if negative else "+ ") + body)
-    text = " ".join(chunks)
-    return "-" + text[2:] if text.startswith("- ") else text[2:]
+    return f.base.sum_str(
+        (c, "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k))
+        for e, c in f.terms
+    )
 
 
 def hasse_derivative(f: SparsePoly, i: int, var: int = 0) -> SparsePoly:
@@ -549,8 +542,7 @@ class RationalFunction:
             ds = tuple((e, c * inv % p) for e, c in den.terms)
         else:
             terms = num.terms + den.terms
-            lcm = math.lcm(*(c.denominator for _, c in terms))
-            ints = [c.numerator * (lcm // c.denominator) for _, c in terms]
+            ints, _ = clear_denominators([c for _, c in terms])
             k = math.gcd(*ints)
             if ints[len(num.terms)] < 0:
                 k = -k
@@ -620,15 +612,9 @@ class RationalFunction:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             return RationalFunction.make(self.den, self.num) ** (-n)
-        out = RationalFunction.const(self.base, self.nvars, self.base.one)
-        square = self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out
+        if n == 0:
+            return RationalFunction.const(self.base, self.nvars, self.base.one)
+        return power(self, n)
 
     def map_vars(self, mapping, new_nvars: int) -> "RationalFunction":
         return RationalFunction.make(

@@ -11,11 +11,12 @@ two situations honestly.
 The arithmetic runs on Python integers, with one code path per
 operation for both kinds of field.
 
-- Coefficients.  ``_clear`` turns a coefficient list into an integer row
-  over one denominator: over F_p the residues themselves over 1, over Q
-  the numerators scaled to the lcm of the denominators.  ``_settle``
-  turns a row back into canonical scalars: one ``% p`` per coefficient
-  over F_p, one ``Fraction(c, d)`` per coefficient over Q.
+- Coefficients.  ``BaseField.int_row`` (see ``fields``) turns a
+  coefficient list into an integer row over one denominator: over F_p the
+  residues themselves over 1, over Q the numerators scaled to the lcm of
+  the denominators.  ``BaseField.settle_row`` turns a row back into
+  canonical scalars: one ``% p`` per coefficient over F_p, one
+  ``Fraction(c, d)`` per coefficient over Q.
 - Products (``_convolve``): one integer convolution by Kronecker
   substitution.  Each row is packed into one integer as its value at
   2^w, the two integers are multiplied once, and the product is read back
@@ -53,30 +54,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InsufficientPrecisionError, NotInValuationRingError, PreconditionError
 from .fields import BaseField, Scalar
-from .polyfield import RationalFunction, SparsePoly
-
-
-def _clear(base: BaseField, coeffs) -> tuple[list[int], int]:
-    """Integer numerators over one positive denominator."""
-    if base.p:
-        return list(coeffs), 1
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _settle(base: BaseField, nums, den: int) -> list:
-    """Canonical scalars nums[i] / den."""
-    if base.p:
-        p = base.p
-        return [c % p for c in nums]
-    if den == 1:
-        return [Fraction(c) for c in nums]
-    return [Fraction(c, den) for c in nums]
+from .polyfield import RationalFunction, SparsePoly, power
 
 
 def _reduced(base: BaseField, nums: list[int], den: int) -> tuple[list[int], int]:
@@ -145,8 +127,8 @@ def _inverse(base: BaseField, u, n: int) -> list:
     As g stops at t^k, r only meets u from t^1 on, so a constant u needs
     no product at all.
     """
-    nu, du = _clear(base, u[1:n])  # the coefficients of u from t^1 on
-    ng, dg = _clear(base, [base.inv(u[0])])
+    nu, du = base.int_row(u[1:n])  # the coefficients of u from t^1 on
+    ng, dg = base.int_row([base.inv(u[0])])
     k = 1
     while k < n:
         k2 = min(2 * k, n)
@@ -156,7 +138,7 @@ def _inverse(base: BaseField, u, n: int) -> list:
         ng = [c * scale for c in ng] + [-c for c in tail] + [0] * (k2 - k - len(tail))
         ng, dg = _reduced(base, ng, dg * scale)
         k = k2
-    return _settle(base, ng, dg)
+    return base.settle_row(ng, dg)
 
 
 @dataclass(frozen=True)
@@ -282,9 +264,9 @@ class TruncatedSeries:
         base = self.base
         lo = self.offset + other.offset
         width = prec - lo  # >= 1: each offset lies below its own precision
-        na, da = _clear(base, self.coeffs[:width])
-        nb, db = _clear(base, other.coeffs[:width])
-        coeffs = _settle(base, _convolve(na, nb, width), da * db)
+        na, da = base.int_row(self.coeffs[:width])
+        nb, db = base.int_row(other.coeffs[:width])
+        coeffs = base.settle_row(_convolve(na, nb, width), da * db)
         return TruncatedSeries._trimmed(base, lo, coeffs, prec)
 
     def scale(self, c) -> "TruncatedSeries":
@@ -318,14 +300,7 @@ class TruncatedSeries:
             return self.inverse() ** (-n)
         if n == 0:
             return TruncatedSeries.constant(self.base, 1, self.precision)
-        out, square = None, self
-        while True:
-            if n & 1:
-                out = square if out is None else out * square
-            n >>= 1
-            if not n:
-                return out
-            square = square * square
+        return power(self, n)
 
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
@@ -341,30 +316,14 @@ def series_str(s: TruncatedSeries, name: str = "t") -> str:
     tail = f"O({name}^{s.precision})"
     if not s.coeffs:
         return tail
-    parts = []
-    for i, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        cs = s.base.scalar_str(c)
-        neg = cs.startswith("-")
-        body = cs[1:] if neg else cs
-        if i == 1:
-            mono = name
-        elif i > 1:
-            mono = f"{name}^{i}"
-        else:
-            mono = ""
-        if mono:
-            body = mono if body == "1" else f"{body}*{mono}"
-        parts.append(("- " if neg else "+ ") + body)
-    inner = " ".join(parts)
-    inner = "-" + inner[2:] if inner.startswith("- ") else inner[2:]
+    inner = s.base.sum_str(
+        (c, "" if i == 0 else name if i == 1 else f"{name}^{i}")
+        for i, c in enumerate(s.coeffs) if c
+    )
     if s.offset == 0:
-        head = inner
-    else:
-        power = name if s.offset == 1 else f"{name}^{s.offset}"
-        head = f"{power}*({inner})"
-    return f"{head} + {tail}"
+        return f"{inner} + {tail}"
+    head = name if s.offset == 1 else f"{name}^{s.offset}"
+    return f"{head}*({inner}) + {tail}"
 
 
 def equal_to_precision(a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -409,11 +368,11 @@ def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> tuple:
         if a.base != base:
             raise PreconditionError("series over different base fields")
         # the entry holds a itself, so its id stays a's while the table lives
-        entry = powers[id(a)] = (a, [None, (a, _clear(base, a.coeffs))])
+        entry = powers[id(a)] = (a, [None, (a, base.int_row(a.coeffs))])
     table = entry[1]
     while len(table) <= k:
         s = table[-1][0] * a
-        table.append((s, _clear(base, s.coeffs)))
+        table.append((s, base.int_row(s.coeffs)))
     return table[k]
 
 
@@ -466,7 +425,7 @@ def eval_poly_at_series(
         f = cn * (den // d)
         i = off - lo
         acc[i : i + len(nums)] = [x + f * y for x, y in zip(acc[i : i + len(nums)], nums)]
-    return TruncatedSeries._trimmed(base, lo, _settle(base, acc, den), prec)
+    return TruncatedSeries._trimmed(base, lo, base.settle_row(acc, den), prec)
 
 
 def eval_ratfun_at_series(

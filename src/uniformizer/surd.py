@@ -25,9 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import PreconditionError
+from .fields import QQ, clear_denominators
+
+_Q = QQ()
 
 
 def square_free_part(n: int) -> tuple[int, int]:
@@ -93,8 +96,8 @@ class SurdScalar:
     """Canonical sum of rational multiples of square roots.
 
     ``terms`` maps are stored as a tuple of (coefficient, radicand) pairs,
-    sorted by radicand, with no zero coefficients; the rational part uses
-    radicand 1.
+    sorted (by coefficient, then radicand), with no zero coefficients; the
+    rational part uses radicand 1.
     """
 
     terms: tuple[tuple[Fraction, int], ...] = ()
@@ -146,11 +149,8 @@ class SurdScalar:
         return not self.terms
 
     def sign(self) -> int:
-        den = lcm(*(q.denominator for q, _ in self.terms))
-        return surd_sign(
-            [q.numerator * (den // q.denominator) for q, _ in self.terms],
-            [d for _, d in self.terms],
-        )
+        nums, _ = clear_denominators([q for q, _ in self.terms])
+        return surd_sign(nums, [d for _, d in self.terms])
 
     def __lt__(self, other: "SurdScalar") -> bool:
         return (self - other).sign() < 0
@@ -167,18 +167,4 @@ class SurdScalar:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for q, d in self.terms:
-            if d == 1:
-                body = _frac_str(abs(q))
-            elif abs(q) == 1:
-                body = f"sqrt({d})"
-            else:
-                body = f"{_frac_str(abs(q))}*sqrt({d})"
-            parts.append(("- " if q < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return _Q.sum_str((q, "" if d == 1 else f"sqrt({d})") for q, d in self.terms)

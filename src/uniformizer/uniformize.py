@@ -31,8 +31,10 @@ context with this contract:
   ambient(rf), coeff(rf, names), generator(i)
         embed an ambient element, a coefficient-field element, or the i-th
         ambient generator;
-  eval_poly(f, args), is_zero(a), equal(a, b)
-        evaluate a row, test for zero, and test two elements for equality;
+  eval_poly(f, args), eval_ratfun(f, args), is_zero(a), equal(a, b)
+        evaluate a row or a witness, test for zero, and test two elements
+        for equality; eval_ratfun raises ZeroDivisionError when the
+        denominator vanishes;
   valuation(a)
         (value, residue) of a nonzero element, the residue None unless the
         value is zero; values add, and compare with the attribute ``zero``;
@@ -85,9 +87,13 @@ class TriangularSystem:
                     f"row {i + 1} has {f.nvars} variables, expected {width}"
                 )
         ambient = set(ambient_names(self.place))
+        seen = set()
         for name, w in self.witnesses:
             if name not in ambient:
                 raise PreconditionError(f"witness for unknown generator {name!r}")
+            if name in seen:
+                raise PreconditionError(f"more than one witness for generator {name!r}")
+            seen.add(name)
             if w.nvars != width:
                 raise PreconditionError(f"witness for {name!r} has the wrong width")
         for idx in self.zeta_indices:
@@ -211,6 +217,9 @@ class MonomialContext:
     def eval_poly(self, f: SparsePoly, args) -> RationalFunction:
         return substitute(f, args)
 
+    def eval_ratfun(self, f: RationalFunction, args) -> RationalFunction:
+        return substitute(f.num, args) / substitute(f.den, args)
+
     def is_zero(self, a) -> bool:
         return a.is_zero
 
@@ -322,7 +331,7 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
         gen = ctx.generator(i)
         if name in wmap:
             try:
-                wit = _eval_witness(ctx, wmap[name], args)
+                wit = ctx.eval_ratfun(wmap[name], args)
                 if not ctx.equal(wit, gen):
                     missing.append(f"{name} (witness does not reproduce it)")
             except ZeroDivisionError:
@@ -342,14 +351,6 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
         diagonal_entries=entry_strs,
         precision=ctx.precision,
     )
-
-
-def _eval_witness(ctx, w: RationalFunction, args):
-    num = ctx.eval_poly(w.num, args)
-    den = ctx.eval_poly(w.den, args)
-    if ctx.is_zero(den):
-        raise ZeroDivisionError("witness denominator vanishes")
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +439,13 @@ def uniformize_abhyankar(
         num_poly = rewrite(z.num, mu0, c0)
         fs.append(den_poly * xj - num_poly)
 
-    tvars = [_x_monomial(place, row) for row in basis]
+    tvars = [_monomial(base, place.nvars, row) for row in basis]
     tvars += [
         RationalFunction.variable(base, place.nvars, rho + j) for j in range(tau)
     ]
     witnesses = []
     for i in range(rho):
-        witnesses.append((place.x_names[i], _t_monomial(base, width, rho, basis_inv, i)))
+        witnesses.append((place.x_names[i], _monomial(base, width, basis_inv[i])))
 
     return TriangularSystem(
         place=place,
@@ -456,24 +457,15 @@ def uniformize_abhyankar(
     )
 
 
-def _x_monomial(place: MonomialPlace, exps) -> RationalFunction:
-    """x^exps as a rational function, negative exponents in the denominator."""
-    base = place.base
-    num = [max(e, 0) for e in exps] + [0] * place.tau
-    den = [max(-e, 0) for e in exps] + [0] * place.tau
-    return RationalFunction.make(
-        SparsePoly._canon(base, place.nvars, {tuple(num): base.one}),
-        SparsePoly._canon(base, place.nvars, {tuple(den): base.one}),
-    )
-
-
-def _t_monomial(base, width: int, rho: int, basis_inv, i: int) -> RationalFunction:
-    exps = [basis_inv[i][j] for j in range(rho)]
-    num = [max(e, 0) for e in exps] + [0] * (width - rho)
-    den = [max(-e, 0) for e in exps] + [0] * (width - rho)
-    return RationalFunction.make(
-        SparsePoly._canon(base, width, {tuple(num): base.one}),
-        SparsePoly._canon(base, width, {tuple(den): base.one}),
+def _monomial(base, nvars: int, exps) -> RationalFunction:
+    """x^exps over nvars variables, exps padded with zeros, negative
+    exponents in the denominator."""
+    pad = [0] * (nvars - len(exps))
+    num = tuple([max(e, 0) for e in exps] + pad)
+    den = tuple([max(-e, 0) for e in exps] + pad)
+    # coprime monic monomials: already canonical
+    return RationalFunction(
+        SparsePoly(base, nvars, ((num, base.one),)), SparsePoly(base, nvars, ((den, base.one),))
     )
 
 

@@ -82,11 +82,6 @@ class ResidueElement:
     def is_zero(self) -> bool:
         return self.rep.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        one = RationalFunction.const(self.place.base, self.place.tau, 1)
-        return self.rep == one
-
     def __str__(self):
         return ratfun_str(self.rep, self.place.residue_names)
 

@@ -12,7 +12,9 @@ denominators, and the 64-bit root bounds of the radicands.  A coordinate
 row, scaled to integers, times that matrix is the block value as an
 integer vector on the radicands, and ``surd.surd_sign`` decides its sign
 exactly.  Compares, the Perron reduction's floor quotients and the bounded
-search all run on plain integers.
+search all run on plain integers, and so do ranks, determinants and
+unimodular inverses, which come from one fraction-free Gauss-Jordan
+elimination (``gauss_jordan``).
 
 Independence of the weights inside a block makes the per-block value map
 injective on rational vectors, which several algorithms here rely on:
@@ -27,47 +29,70 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import DimensionError, InputError, PreconditionError, ResourceError
+from .fields import clear_denominators
 from .surd import FILTER_BITS, SurdScalar, root_bounds, surd_sign
 
 DEFAULT_MAX_PERRON_STEPS = 10_000
 _ENV_CAP = "UNIFORMIZER_MAX_PERRON_STEPS"
 
 
+def _weight_matrix(weights) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(radicands, rows): the sorted radicands of the weights, and for each
+    weight its coefficients on them, all scaled by one positive integer."""
+    radicands = tuple(sorted({d for w in weights for _, d in w.terms}))
+    at, r = {d: i for i, d in enumerate(radicands)}, len(radicands)
+    flat = [0] * (len(weights) * r)
+    for k, w in enumerate(weights):
+        for q, d in w.terms:
+            flat[k * r + at[d]] = q
+    nums, _ = clear_denominators(flat)
+    return radicands, [nums[k * r : (k + 1) * r] for k in range(len(weights))]
+
+
 def is_independent(weights) -> bool:
     """Whether the given SurdScalars are linearly independent over Q."""
     weights = list(weights)
-    radicands = sorted({d for w in weights for _, d in w.terms})
-    index = {d: i for i, d in enumerate(radicands)}
-    rows = []
-    for w in weights:
-        row = [Fraction(0)] * len(radicands)
-        for q, d in w.terms:
-            row[index[d]] = q
-        rows.append(row)
-    return _row_rank(rows) == len(weights)
+    radicands, rows = _weight_matrix(weights)
+    return gauss_jordan(rows, len(radicands))[0] == len(weights)
 
 
-def _row_rank(rows) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
+def gauss_jordan(rows, ncols: int) -> tuple[int, int, list[list[int]]]:
+    """(rank, sign, reduced rows) of an integer matrix, by fraction-free
+    Gauss-Jordan elimination on its first ncols columns.
+
+    Each step takes the next column with a nonzero entry at or below the
+    current row, swaps that entry into place (sign records the parity of
+    the swaps), and clears the column in every other row by
+    row <- (pivot * row - entry * pivot row) / previous pivot.  Every entry
+    is then a minor of the matrix, so each division is exact (Bareiss
+    1968), and after k steps the k pivot entries all equal the k-th pivot,
+    the minor of the row-swapped matrix on its first k rows and the k pivot
+    columns.  Columns past ncols
+    ride along: on [A | I] with A square and nonsingular the result is
+    [d*I | d*A^-1] with d = sign * det(A).
+    """
+    m = [list(row) for row in rows]
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        prow = m[rank]
+        piv = prow[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            # a row with no entry in the column is only scaled, by piv/prev
+            if i != rank and (f or piv != prev):
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = piv
         rank += 1
-    return rank
+    return rank, sign, m
 
 
 @dataclass(frozen=True)
@@ -87,15 +112,8 @@ class _Block:
     @staticmethod
     def of(weights) -> "_Block":
         weights = tuple(weights)
-        radicands = tuple(sorted({d for w in weights for _, d in w.terms}))
-        den = lcm(*(q.denominator for w in weights for q, _ in w.terms))
-        matrix = []
-        for w in weights:
-            row = dict.fromkeys(radicands, 0)
-            for q, d in w.terms:
-                row[d] = q.numerator * (den // q.denominator)
-            matrix.append(tuple(row.values()))
-        return _Block(weights, radicands, tuple(matrix), root_bounds(radicands))
+        radicands, rows = _weight_matrix(weights)
+        return _Block(weights, radicands, tuple(map(tuple, rows)), root_bounds(radicands))
 
     def value(self, x) -> list[int]:
         """Integer value vector of an integer coordinate row."""
@@ -104,12 +122,6 @@ class _Block:
     def sign(self, v) -> int:
         """Sign of a value vector."""
         return surd_sign(v, self.radicands, self.roots)
-
-
-def _integer_coords(coords) -> list[int]:
-    # a positive multiple of the rational vector keeps every block sign
-    den = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords]
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,8 @@ class GroupElement:
         return GroupElement(self.order, tuple(n * a for a in self.coords))
 
     def sign(self) -> int:
-        return self.order._sign_of(_integer_coords(self.coords))
+        # a positive multiple of the rational vector keeps every block sign
+        return self.order._sign_of(clear_denominators(self.coords)[0])
 
     @property
     def is_zero(self) -> bool:
@@ -226,7 +239,7 @@ class GroupElement:
 def compare(a: GroupElement, b: GroupElement) -> int:
     """-1, 0, or 1 as a is below, equal to, or above b in the group order."""
     a._need_same(b)
-    x, n = _integer_coords(a.coords + b.coords), len(a.coords)
+    x, n = clear_denominators(a.coords + b.coords)[0], len(a.coords)
     return a.order._sign_of([p - q for p, q in zip(x, x[n:])])
 
 
@@ -255,52 +268,27 @@ class PerronResult:
 
 
 def int_det(matrix) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    """Exact determinant of an integer matrix."""
     m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if n == 0:
+    if not m:
         return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    rank, sign, m = gauss_jordan(m, len(m))
+    return sign * m[-1][-1] if rank == len(m) else 0
 
 
 def unimodular_inverse(matrix) -> list[list[int]]:
     """Inverse of an integer matrix with determinant +-1, as integers."""
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [[int(matrix[i][j]) for j in range(n)] + [int(i == j) for j in range(n)]
            for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise PreconditionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            if aug[i][j].denominator != 1:
-                raise PreconditionError("matrix is not unimodular")
-            row.append(int(aug[i][j]))
-        out.append(row)
-    return out
+    rank, _, aug = gauss_jordan(aug, n)
+    if rank < n:
+        raise PreconditionError("matrix is singular")
+    # [d*I | d*A^-1]: the inverse is integral exactly when d = +-1
+    d = aug[0][0] if n else 1
+    if d not in (1, -1):
+        raise PreconditionError("matrix is not unimodular")
+    return [[d * c for c in row[n:]] for row in aug]
 
 
 class _Budget:
@@ -405,7 +393,7 @@ def brute_force_positive_basis(weights, alphas, bound: int):
                 coeffs.append(row)
             return [row[:] for row in chosen], coeffs
         for v in rows:
-            if _row_rank([[Fraction(c) for c in row] for row in chosen + [v]]) == len(chosen) + 1:
+            if gauss_jordan(chosen + [v], r)[0] == len(chosen) + 1:
                 hit = extend(chosen + [v])
                 if hit is not None:
                     return hit
@@ -535,7 +523,7 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     for el, row in zip(result.basis, change):
         if el.order != order or tuple(el.coords) != tuple(row):
             return False
-        if order._sign_of(_integer_coords(row)) != 1:
+        if order._sign_of(clear_denominators(row)[0]) != 1:
             return False
     alphas = list(alphas)
     if len(result.coeffs) != len(alphas):

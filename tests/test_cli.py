@@ -98,6 +98,34 @@ def test_uniformize_monomial(tmp_path, capsys):
     assert ["x1", "t1"] in res["system"]["witnesses"]
 
 
+def test_duplicate_witness_names_exit_4(tmp_path, capsys):
+    # a second witness for x1 would hide the first from verify, which
+    # reads the witnesses by name
+    doc = {"place": PLACE_R2, "zetas": ["x2/x1"]}
+    system = run_json(tmp_path, capsys, "uniformize", doc)["result"]["system"]
+    system["witnesses"].insert(0, ["x1", "t1 + 7"])
+    code, _, err = run(tmp_path, capsys, "verify", {"system": system})
+    assert code == 4
+    assert "more than one witness for generator 'x1'" in err
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("uniformize", {"place": PLACE_R2, "zetas": ["x2/x1"]}, "x1"),
+    ("discrete-uniformize", {"presentation": PRES_F5, "zetas": ["z"]}, "z"),
+])
+def test_witness_over_a_vanishing_denominator_fails_generation(tmp_path, capsys, command, doc, name):
+    # over a row, which vanishes at the system's point: exactly on a
+    # monomial place, to precision on a series place
+    system = run_json(tmp_path, capsys, command, doc)["result"]["system"]
+    system["witnesses"] = [
+        [n, f"1/({system['fs'][0]})" if n == name else w] for n, w in system["witnesses"]
+    ]
+    report = run_json(tmp_path, capsys, "verify", {"system": system})["result"]["report"]
+    assert report["generation"] == {
+        "passed": False, "detail": f"{name} (witness denominator vanishes)"
+    }
+
+
 def test_uniformize_rejects_series_place(tmp_path, capsys):
     doc = {"place": PRES_F5, "zetas": ["z"]}
     code, _, err = run(tmp_path, capsys, "uniformize", doc)

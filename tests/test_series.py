@@ -423,9 +423,13 @@ def test_constant_denominator_of_a_numerator_zero_to_precision():
 
 def test_verify_evaluates_each_power_once(monkeypatch):
     # verify of the F5 X^2 - 1 - t certificate for z and (z - 1)/t: the
-    # context's power table and the constant-denominator rule fix how many
-    # series products and inverses it takes; a context that rebuilt its
-    # powers on every call would give the same report with more of both
+    # context's power table and the constant-denominator rule, which also
+    # serves the polynomial witnesses of t and z, fix how many series
+    # products and inverses it takes; a context that rebuilt its powers on
+    # every call, or divided by a witness denominator, would give the same
+    # report with more of both
+    from dataclasses import replace
+
     from uniformizer.completion import DiscretePresentation, uniformize_discrete_rational
     from uniformizer.expr import parse_element
     from uniformizer.uniformize import verify
@@ -448,7 +452,12 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
     assert verify(system).passed
-    assert counts == {"mul": 11, "inverse": 7}
+    assert counts == {"mul": 9, "inverse": 5}
+    # the witnesses of t and z are polynomials: checking them takes no inverse
+    assert all(w.den.is_constant for _, w in system.witnesses)
+    counts.update(mul=0, inverse=0)
+    assert verify(replace(system, witnesses=())).passed
+    assert counts["inverse"] == 5
     # three rows square a variable; a second pass over the rows through the
     # same context finds those squares in its table
     ctx = system.place.make_context()
