@@ -18,13 +18,17 @@ r <= 2**b * sqrt(d) < r + 1 (with equality on the left for d = 1), so
 When  |sum(c*r)| > sum(|c|)  the sign of  sum(c*r)  is the answer.  At
 b = 64 that decides every sum with  |value| > 2**-63 * sum(|c|); otherwise b
 doubles until it does, which terminates because a nonzero sum has
-positive distance from zero.
+positive distance from zero.  The root bounds of each (radicands, b) are
+computed once, in a size-bounded memo (``root_bounds``); the Perron
+reduction in ``valuegroup`` carries the same estimate and error per basis
+row and takes its root bounds from that memo too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import PreconditionError
@@ -59,7 +63,16 @@ FILTER_BITS = 64
 
 
 def root_bounds(radicands, bits: int = FILTER_BITS) -> tuple[int, ...]:
-    """isqrt(d << 2*bits) for each d: the floor of 2**bits * sqrt(d)."""
+    """isqrt(d << 2*bits) for each d: the floor of 2**bits * sqrt(d).
+
+    Each (radicands, bits) pair is computed once and kept in a size-bounded
+    memo, which ``surd_sign``'s doubling loop and the Perron reduction share.
+    """
+    return _root_bounds(tuple(radicands), bits)
+
+
+@lru_cache(maxsize=256)
+def _root_bounds(radicands: tuple[int, ...], bits: int) -> tuple[int, ...]:
     return tuple(isqrt(d << (2 * bits)) for d in radicands)
 
 
@@ -150,7 +163,7 @@ class SurdScalar:
 
     def sign(self) -> int:
         nums, _ = clear_denominators([q for q, _ in self.terms])
-        return surd_sign(nums, [d for _, d in self.terms])
+        return surd_sign(nums, tuple(d for _, d in self.terms))
 
     def __lt__(self, other: "SurdScalar") -> bool:
         return (self - other).sign() < 0

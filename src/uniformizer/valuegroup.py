@@ -11,10 +11,17 @@ the weight matrix over those radicands scaled to integers by the lcm of its
 denominators, and the 64-bit root bounds of the radicands.  A coordinate
 row, scaled to integers, times that matrix is the block value as an
 integer vector on the radicands, and ``surd.surd_sign`` decides its sign
-exactly.  Compares, the Perron reduction's floor quotients and the bounded
-search all run on plain integers, and so do ranks, determinants and
-unimodular inverses, which come from one fraction-free Gauss-Jordan
-elimination (``gauss_jordan``).
+exactly.  Compares and the bounded search run on plain integers, and so do
+ranks, determinants and unimodular inverses, which come from one
+fraction-free Gauss-Jordan elimination (``gauss_jordan``).
+
+The Perron reduction carries, per basis row, an integer estimate of its
+value at b bits and an error bound, the interval that ``surd_sign`` filters
+on.  A step updates the estimate exactly, since it is linear in the row;
+the minimal row and each floor quotient are read off the intervals, and
+only where intervals overlap does b double, for the rest of the reduction.
+Root bounds at every (radicands, b) come from the memo in ``surd`` that
+``surd_sign`` shares.  ``perron_is_valid`` checks every result exactly.
 
 Independence of the weights inside a block makes the per-block value map
 injective on rational vectors, which several algorithms here rely on:
@@ -130,6 +137,7 @@ class GroupOrder:
 
     blocks: tuple[tuple[SurdScalar, ...], ...]
     _blocks: tuple[_Block, ...] = field(init=False, repr=False, compare=False)
+    _ngens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for b, block in enumerate(self.blocks):
@@ -143,6 +151,7 @@ class GroupOrder:
                     f"weights in block {b} are linearly dependent over Q"
                 )
         object.__setattr__(self, "_blocks", tuple(_Block.of(b) for b in self.blocks))
+        object.__setattr__(self, "_ngens", sum(len(b) for b in self.blocks))
 
     def _sign_of(self, x) -> int:
         """Lexicographic sign of an integer coordinate vector, block by block."""
@@ -157,7 +166,7 @@ class GroupOrder:
 
     @property
     def ngens(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return self._ngens
 
     @property
     def nblocks(self) -> int:
@@ -293,54 +302,52 @@ def unimodular_inverse(matrix) -> list[list[int]]:
 
 class _Budget:
     def __init__(self, steps: int):
-        self.left = steps
+        self.cap = self.left = steps
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise _CapExceeded()
+            raise ResourceError(
+                f"positive-basis reduction exceeded its step cap of {self.cap}; "
+                f"raise max_steps or {_ENV_CAP} to allow more steps"
+            )
 
 
-class _CapExceeded(Exception):
-    pass
-
-
-def _floor_ratio(block: _Block, num, den) -> int:
-    """Largest integer q with q*den <= num, for the value vectors of positive values.
-
-    The quotient of the root-bound estimates of num and den is only a hint;
-    two exact signs confirm it.  A hint that fails is recomputed from bounds
-    with twice the bits.  The estimates converge to num/den, and an integral
-    num/den means num == q*den as vectors, whose estimates divide exactly,
-    so the loop ends.
-    """
-
-    def fits(q):
-        return block.sign([a - q * b for a, b in zip(num, den)]) >= 0
-
-    roots, bits = block.roots, FILTER_BITS
-    while True:
-        est_den = sum(map(mul, den, roots))
-        if est_den > 0:
-            q = max(0, sum(map(mul, num, roots)) // est_den)
-            if fits(q) and not fits(q + 1):
-                return q
-        bits *= 2
-        roots = root_bounds(block.radicands, bits)
+def _estimates(block: _Block, vals, bits: int) -> list[int]:
+    """vals[j] . root_bounds(radicands, bits) for each value vector."""
+    roots = root_bounds(block.radicands, bits)
+    return [sum(map(mul, v, roots)) for v in vals]
 
 
 def _perron_single_block(block: _Block, alphas, budget: _Budget):
     """Positive basis for one rank-1 block by floor-quotient reduction.
 
-    Repeatedly subtracts the minimal-value basis row from the others until
-    every input coordinate row is non-negative.  Values of distinct basis
-    rows are always distinct (independent weights), so the minimal row is
-    unique and every quotient is at least 1.  Each row's value is kept as an
-    integer vector over the block's radicands.
+    Repeatedly subtracts the minimal-value basis row m from every other row
+    j, q = floor(V_j / V_m) times, until every input coordinate row is
+    non-negative.  Each row's value V_j is kept as an integer vector
+    vals[j] over the block's radicands, and with the root bounds r at b bits
+    each row carries an interval
+
+        A_j = vals[j] . r,   E_j = sum(|vals[j]|),   |2**b * V_j - A_j| < E_j
+
+    (the bound of ``surd.surd_sign``).  A_j is linear in the row, so the
+    step vals[j] -= q * vals[m] updates it exactly as A_j -= q * A_m; only
+    E_j is recomputed.  The minimal row is the one whose interval lies below
+    every other, and q is (A_j - E_j) // (A_m + E_m) when that equals
+    (A_j + E_j) // (A_m - E_m), since the two bound V_j / V_m from either
+    side.  In any other case b doubles, for the rest of the reduction, and
+    every A_j is recomputed from the root bounds at the new b.
+
+    The refinement ends.  The weights are independent, so only a zero row
+    has value zero; the basis stays unimodular, so no row is an integer
+    multiple of another.  Hence the row values are positive and distinct,
+    the minimal row is unique, and no V_j / V_m is an integer.  As b grows,
+    2**b * V_j doubles while E_j stays put, so the intervals separate and
+    both floor bounds meet floor(V_j / V_m).  Every choice of m and q is
+    therefore the exact one, and every quotient is at least 1.
     """
     r = len(block.weights)
     basis = [[int(i == j) for j in range(r)] for i in range(r)]
-    vals = [list(row) for row in block.matrix]
     coeffs = [list(map(int, a)) for a in alphas]
     if r == 1:
         # a single positive weight: non-negative value forces a non-negative
@@ -348,18 +355,33 @@ def _perron_single_block(block: _Block, alphas, budget: _Budget):
         if any(row[0] < 0 for row in coeffs):
             raise PreconditionError("negative coordinate on a single positive weight")
         return basis, coeffs
+    vals = [list(row) for row in block.matrix]
+    err = [sum(map(abs, v)) for v in vals]
+    bits = FILTER_BITS
+    est = _estimates(block, vals, bits)
     while any(c < 0 for row in coeffs for c in row):
-        m = 0
-        for j in range(1, r):
-            if block.sign([a - b for a, b in zip(vals[j], vals[m])]) < 0:
-                m = j
+        m = min(range(r), key=est.__getitem__)
+        top = est[m] + err[m]
+        if any(est[k] - err[k] < top for k in range(r) if k != m):
+            bits *= 2
+            est = _estimates(block, vals, bits)
+            continue
         for j in range(r):
             if j == m:
                 continue
             budget.spend()
-            q = _floor_ratio(block, vals[j], vals[m])
+            while True:
+                low = est[m] - err[m]
+                if low > 0:
+                    q = (est[j] - err[j]) // (est[m] + err[m])
+                    if q == (est[j] + err[j]) // low:
+                        break
+                bits *= 2
+                est = _estimates(block, vals, bits)
             basis[j] = [a - q * b for a, b in zip(basis[j], basis[m])]
             vals[j] = [a - q * b for a, b in zip(vals[j], vals[m])]
+            est[j] -= q * est[m]
+            err[j] = sum(map(abs, vals[j]))
             for row in coeffs:
                 row[m] += q * row[j]
     return basis, coeffs
@@ -368,9 +390,9 @@ def _perron_single_block(block: _Block, alphas, budget: _Budget):
 def brute_force_positive_basis(weights, alphas, bound: int):
     """Exhaustive search for a valid basis with entries bounded by ``bound``.
 
-    Independent of the reduction above; used as its fallback and as a test
-    oracle.  Returns (basis_rows, coeff_rows) or None if no basis with the
-    given entry bound exists.
+    Independent of the reduction above and unbudgeted; a test oracle only.
+    Returns (basis_rows, coeff_rows) or None if no basis with the given
+    entry bound exists.
     """
     block = _Block.of(weights)
     r = len(block.weights)
@@ -402,29 +424,14 @@ def brute_force_positive_basis(weights, alphas, bound: int):
     return extend([])
 
 
-def _perron_block_guarded(block: _Block, alphas, budget: _Budget):
-    try:
-        return _perron_single_block(block, list(alphas), budget)
-    except _CapExceeded:
-        bound = 10 if len(block.weights) <= 2 else 2
-        hit = brute_force_positive_basis(block.weights, alphas, bound)
-        if hit is None:
-            raise ResourceError(
-                "positive-basis reduction exceeded its step cap and the bounded "
-                f"search (entries up to {bound}) found no basis; raise "
-                f"{_ENV_CAP} to allow more steps"
-            ) from None
-        return hit
-
-
 def _perron_multi(blocks, alphas, budget: _Budget):
     width = sum(len(b.weights) for b in blocks)
     if len(blocks) == 1:
-        return _perron_block_guarded(blocks[0], alphas, budget)
+        return _perron_single_block(blocks[0], alphas, budget)
     r1 = len(blocks[0].weights)
     splus = [k for k, a in enumerate(alphas) if any(a[:r1])]
     s0 = [k for k, a in enumerate(alphas) if not any(a[:r1])]
-    top, n_top = _perron_block_guarded(blocks[0], [alphas[k][:r1] for k in splus], budget)
+    top, n_top = _perron_single_block(blocks[0], [alphas[k][:r1] for k in splus], budget)
     low, n_low = _perron_multi(blocks[1:], [alphas[k][r1:] for k in s0], budget)
     rest = width - r1
     low_inv = unimodular_inverse(low)
@@ -475,9 +482,9 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
     Every alpha must be a non-negative integer vector element of ``order``.
     Returns rows forming a unimodular change of generators, each of positive
     value, such that each alpha is a non-negative integer combination of the
-    rows.  Raises ResourceError when the step cap (argument, else the
-    UNIFORMIZER_MAX_PERRON_STEPS environment variable, else 10000) is
-    exhausted and the bounded fallback search fails.
+    rows.  Raises ResourceError, naming the knob, when the step cap
+    (argument, else the UNIFORMIZER_MAX_PERRON_STEPS environment variable,
+    else 10000) is exhausted; a step is one floor-quotient subtraction.
     """
     alphas = list(alphas)
     vectors = []
@@ -507,14 +514,16 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
 def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     """Check the full contract of ``perron_positive_basis`` on a candidate.
 
-    Every clause runs on the integer rows of ``result.change``: the basis
-    elements carry exactly those rows, the rows have determinant +-1 and
-    positive values, and each alpha is the combination of the rows by its
-    non-negative integer coefficient row.
+    Every clause runs on the integer rows of ``result.change``: the rows
+    hold ``int`` entries only, the basis elements carry exactly those rows,
+    the rows have determinant +-1 and positive values, and each alpha is the
+    combination of the rows by its non-negative integer coefficient row.
     """
     n = order.ngens
     change = result.change
     if len(change) != n or any(len(row) != n for row in change):
+        return False
+    if any(not isinstance(c, int) for row in change for c in row):
         return False
     if int_det(change) not in (1, -1):
         return False
@@ -523,7 +532,7 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     for el, row in zip(result.basis, change):
         if el.order != order or tuple(el.coords) != tuple(row):
             return False
-        if order._sign_of(clear_denominators(row)[0]) != 1:
+        if order._sign_of(row) != 1:
             return False
     alphas = list(alphas)
     if len(result.coeffs) != len(alphas):

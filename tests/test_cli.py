@@ -82,6 +82,19 @@ def test_perron(tmp_path, capsys):
         assert all(isinstance(x, int) and x >= 0 for x in row)
 
 
+def test_perron_step_cap_exits_2_and_names_the_knob(tmp_path, capsys):
+    # weights 1, sqrt(2), sqrt(3); 99 - 70*sqrt(2) is about 0.005, so the
+    # reduction needs steps; a cap overrun ends the request at once
+    doc = {
+        "order": [[{"q": "1"}, {"q": "1", "d": 2}, {"q": "1", "d": 3}]],
+        "alphas": [[8, -1, 0], [-1, 1, 0], [99, -70, 0]],
+        "max_steps": 0,
+    }
+    code, out, err = run(tmp_path, capsys, "perron", doc)
+    assert code == 2 and out == ""
+    assert "UNIFORMIZER_MAX_PERRON_STEPS" in err and "Traceback" not in err
+
+
 def test_perron_schema_path(tmp_path, capsys):
     doc = {"order": [[{"q": "1"}]], "alphas": [[1.5]]}
     code, _, err = run(tmp_path, capsys, "perron", doc)

@@ -4,19 +4,22 @@ import importlib.util
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import uniformizer.valuegroup as vg
 from uniformizer.errors import InputError, PreconditionError, ResourceError
-from uniformizer.surd import SurdScalar
+from uniformizer.surd import FILTER_BITS, SurdScalar, root_bounds
 from uniformizer.valuegroup import (
     GroupOrder,
     PerronResult,
     brute_force_positive_basis,
     compare,
     int_det,
+    is_independent,
     perron_is_valid,
     perron_positive_basis,
     rational_rank,
@@ -100,13 +103,10 @@ def test_perron_rejects_negative_alpha():
 
 
 def test_perron_cap_raises_resource_error(monkeypatch):
-    import uniformizer.valuegroup as vg
-
     monkeypatch.setenv("UNIFORMIZER_MAX_PERRON_STEPS", "1")
-    monkeypatch.setattr(vg, "brute_force_positive_basis", lambda *a, **k: None)
     order = _order([(1, 1), (1, 2), (1, 3)])
     alphas = [order.element([4, -1, -1]), order.element([5, -2, 1])]
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="UNIFORMIZER_MAX_PERRON_STEPS"):
         perron_positive_basis(order, alphas)
 
 
@@ -358,3 +358,121 @@ def test_perron_is_valid_rejects_each_broken_clause():
     assert not perron_is_valid(order, [off_by_one] + alphas[1:], res)
     half = [[Fraction(1, 2), 0, 0]] + alphas[1:]
     assert not perron_is_valid(order, half, res)
+    # a change entry that is not an int: int() would read 1/2 as 0, giving
+    # determinant 1, and 2*(1, 1/2) + (0, 1) == (2, 2) holds
+    rows = ((1, Fraction(1, 2)), (0, 1))
+    frac = PerronResult(tuple(ORDER_R2.element(r) for r in rows), ((2, 1),), rows)
+    assert not perron_is_valid(ORDER_R2, [ORDER_R2.element([2, 2])], frac)
+
+
+# ---------------------------------------------------------------------------
+# the carried-interval reduction against the exact floor-quotient reduction
+
+
+def _oracle_floor_ratio(block, num, den):
+    """Largest q with q*den <= num: a root-bound hint confirmed by exact signs."""
+
+    def fits(q):
+        return block.sign([a - q * b for a, b in zip(num, den)]) >= 0
+
+    roots, bits = block.roots, FILTER_BITS
+    while True:
+        est_den = sum(map(mul, den, roots))
+        if est_den > 0:
+            q = max(0, sum(map(mul, num, roots)) // est_den)
+            if fits(q) and not fits(q + 1):
+                return q
+        bits *= 2
+        roots = root_bounds(block.radicands, bits)
+
+
+def _oracle_reduction(block, alphas):
+    """(basis, coeffs, steps) of the reduction that decides every minimum
+    and every quotient by exact signs; steps counts floor quotients."""
+    r = len(block.weights)
+    basis = [[int(i == j) for j in range(r)] for i in range(r)]
+    vals = [list(row) for row in block.matrix]
+    coeffs = [list(map(int, a)) for a in alphas]
+    steps = 0
+    while any(c < 0 for row in coeffs for c in row):
+        m = 0
+        for j in range(1, r):
+            if block.sign([a - b for a, b in zip(vals[j], vals[m])]) < 0:
+                m = j
+        for j in range(r):
+            if j == m:
+                continue
+            steps += 1
+            q = _oracle_floor_ratio(block, vals[j], vals[m])
+            basis[j] = [a - q * b for a, b in zip(basis[j], basis[m])]
+            vals[j] = [a - q * b for a, b in zip(vals[j], vals[m])]
+            for row in coeffs:
+                row[m] += q * row[j]
+    return basis, coeffs, steps
+
+
+@st.composite
+def reduction_instances(draw):
+    rank = draw(st.integers(min_value=2, max_value=4))
+    radicands = draw(st.permutations([1, 2, 3, 5, 7, 11]))[:rank]
+    weights = []
+    for d in radicands:
+        terms = [(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 5))), d)]
+        if draw(st.booleans()):
+            terms.append((Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3))), 1 if d != 1 else 2))
+        weights.append(SurdScalar.make(terms))
+    assume(is_independent(weights))
+    order = GroupOrder((tuple(weights),))
+    bound = draw(st.sampled_from([5, 50]))
+    alphas = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        coords = [draw(st.integers(-bound, bound)) for _ in range(rank)]
+        if order.element(coords).sign() < 0:
+            coords = [-c for c in coords]
+        alphas.append(coords)
+    return order, alphas
+
+
+# Reductions the drawn cases reach rarely.  The first two have basis entries
+# of about 10**55 and 10**70, and their quotients need root bounds at 512
+# bits (found by scripts/perron_sweep.py --coord-bound 50, where about 3 in
+# 100 rank-3 and rank-4 draws refine).  In the third, the least 64-bit
+# estimate belongs to a row that is not the minimal one (1 in 20,000 random
+# rank 2-4 draws with coordinates up to 50).
+_HARD_REDUCTIONS = [
+    (_order([(Fraction(3, 2), 11), (Fraction(1, 4), 2), (6, 1)]),
+     [[-1, -44, 26], [48, 41, -29], [5, 41, -2]]),
+    (_order([(Fraction(5, 3), 1), (3, 2), (6, 5)]), [[28, -47, 25], [-15, 3, 31]]),
+    (_order([(Fraction(7, 2), 7), (Fraction(2, 3), 3), (6, 1), (3, 5)]),
+     [[39, -19, -18, 2], [22, 40, -14, -10]]),
+]
+
+
+def test_reduction_matches_floor_ratio_oracle(monkeypatch):
+    """Same (change, coeffs) and the same smallest step cap as the exact
+    reduction, with some cases refining past 64 bits."""
+    bits_seen = {FILTER_BITS}
+
+    def recording_root_bounds(radicands, bits=FILTER_BITS):
+        bits_seen.add(bits)
+        return root_bounds(radicands, bits)
+
+    monkeypatch.setattr(vg, "root_bounds", recording_root_bounds)
+
+    @given(reduction_instances())
+    @example(_HARD_REDUCTIONS[0])
+    @example(_HARD_REDUCTIONS[1])
+    @example(_HARD_REDUCTIONS[2])
+    @settings(max_examples=80, deadline=None)
+    def check(inst):
+        order, alphas = inst
+        basis, coeffs, steps = _oracle_reduction(order._blocks[0], alphas)
+        res = perron_positive_basis(order, alphas, max_steps=steps)
+        assert res.change == tuple(map(tuple, basis))
+        assert res.coeffs == tuple(map(tuple, coeffs))
+        if steps:
+            with pytest.raises(ResourceError, match="UNIFORMIZER_MAX_PERRON_STEPS"):
+                perron_positive_basis(order, alphas, max_steps=steps - 1)
+
+    check()
+    assert max(bits_seen) > FILTER_BITS
