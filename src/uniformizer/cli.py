@@ -71,7 +71,8 @@ def _load(path: str):
         raise InputError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer longer than int() converts
         raise InputError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise InputError("invalid JSON: nested too deeply") from None
@@ -94,7 +95,7 @@ def _max_steps(doc) -> int | None:
 
 
 def _is_series_literal(text: str) -> bool:
-    return "O(" in text.replace(" ", "")
+    return "O(" in "".join(text.split())
 
 
 # ---------------------------------------------------------------------------

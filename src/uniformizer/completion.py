@@ -404,6 +404,11 @@ def _kt_mul(a: list, b: list, p: int) -> list:
     return [c % p for c in out] if p else out
 
 
+def _kt_scale(a: list, k: int, p: int) -> list:
+    """a times a nonzero integer k (nonzero modulo p over F_p)."""
+    return [c * k % p for c in a] if p else [c * k for c in a]
+
+
 def _kt_divexact(a: list, b: list, p: int) -> list:
     """a / b in K0[t], where b is known to divide a."""
     if not a or b == [1]:
@@ -435,7 +440,7 @@ class _QuotientRing:
         # over Q, the coordinate Y = L*X with L the lcm of m's denominators
         # makes m monic with integer coefficients
         self.L = _ints(m)[1]
-        self.neg_m = [_kt_mul(c, [-1], self.p) for c in self._split(m)[0][:-1]]
+        self.neg_m = [_kt_scale(c, -1, self.p) for c in self._split(m)[0][:-1]]
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
         """(P, s) with f = P(Y)/s: P over Y with K0[t] entries, s an integer."""
@@ -477,7 +482,7 @@ class _QuotientRing:
         """
         p, prev = self.p, [1]
         for col, prow in pivots:
-            piv, neg_c = prow[col], _kt_mul(row[col], [-1], p)
+            piv, neg_c = prow[col], _kt_scale(row[col], -1, p)
             row = [
                 _kt_divexact(_kt_add(_kt_mul(piv, x, p), _kt_mul(neg_c, y, p), p), prev, p)
                 for x, y in zip(row, prow)
@@ -510,8 +515,8 @@ class _QuotientRing:
             col = self._reduce([[]] + col)
         e = self._eliminate(pivots, _kt_unit(dim, 0) + _kt_unit(dim + 1, dim))
         # f = A/d over the common denominator d
-        A = self._mul(self._reduce(num), [_kt_mul(c, [-den_s], p) for c in e[:dim]])
-        d = _kt_mul(e[dim], [num_s], p)
+        A = self._mul(self._reduce(num), [_kt_scale(c, -den_s, p) for c in e[:dim]])
+        d = _kt_scale(e[dim], num_s, p)
         # the first dependency sum_i e_i A^i = 0 among the powers of A gives
         # sum_i e_i d^i f^i = 0
         pivots, power = [], _kt_unit(dim, 0)

@@ -10,83 +10,102 @@ element round-trips:
     primary  :=  INTEGER | NAME | '(' expr ')'
     exponent :=  INTEGER | '-' INTEGER | '(' ['-'] INTEGER ')'
 
-'^' binds tighter than unary minus, so -x^2 means -(x^2).  Exponents are
-integer literals; negative exponents invert.  Series literals are sums of
-t-monomials with a trailing + O(t^N) marking the precision.
+'^' binds tighter than unary minus, so -x^2 means -(x^2).  Integer
+literals are decimal digits; exponents are integer literals, and negative
+exponents invert.  Series literals are sums of t-monomials with a trailing
++ O(t^N) marking the precision.
+
+The parser evaluates in the polynomial ring: its values are ``SparsePoly``
+until a division by a nonconstant or a negative power makes a quotient,
+and only then ``RationalFunction``.  A sum of polynomials collects its
+terms in one dict, a product or power of monomials is one exponent tuple
+and one scalar, and a quotient of two polynomials is one
+``RationalFunction.make``.  The canonical form of a rational function is
+unique, so the result is the element the same arithmetic on rational
+functions would give.
 
 The parser descends recursively, so it bounds the nesting of parentheses
 and unary minus signs at MAX_NESTING and reports deeper input as a syntax
-error, well before the interpreter's recursion limit.
+error, well before the interpreter's recursion limit.  Tokens carry their
+character offset; line and column are worked out only for an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from fractions import Fraction
+from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError
 from .fields import BaseField
-from .polyfield import RationalFunction
+from .polyfield import RationalFunction, SparsePoly
 from .series import TruncatedSeries, ratfun_to_series
 
 MAX_NESTING = 100
 
+Value = Union[SparsePoly, RationalFunction]
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _syntax_error(text: str, message: str, offset: int) -> ExprSyntaxError:
+    """The error at a character offset, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ExprSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+# one token per match, after any whitespace: \d is exactly str.isdecimal (the
+# digits int() reads) and \w exactly str.isalnum or '_'; the last group
+# catches any other character
+_TOKENS = re.compile(r"[ \t\r\n]*(?:(\d+)|(\w+)|([-+*/^()])|([^ \t\r\n]))")
+_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            out.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    out.append(_Token("end", "", line, col))
+    for m in _TOKENS.finditer(text):
+        group = m.lastindex
+        word = m.group(group)
+        # a name starts with a letter or '_', not with a digit such as '²'
+        if group == 4 or group == 2 and not (word[0].isalpha() or word[0] == "_"):
+            raise _syntax_error(text, f"unexpected character {word[0]!r}", m.start(group))
+        out.append(_Token(_KINDS[group], word, m.start(group)))
+    out.append(_Token("end", "", len(text)))
     return out
+
+
+def _integer(text: str, tok: _Token) -> int:
+    """The value of an integer token; one longer than the interpreter
+    converts (sys.get_int_max_str_digits) is a syntax error."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise _syntax_error(
+            text, f"integer literal too long ({len(tok.text)} digits)", tok.offset
+        ) from None
+
+
+def _as_ratfun(v: Value) -> RationalFunction:
+    return v if isinstance(v, RationalFunction) else RationalFunction.from_poly(v)
 
 
 class _Parser:
     def __init__(self, text: str, base: BaseField, names):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs around the current token
         self.base = base
-        self.names = list(names)
+        self.p = base.p
+        self.nvars = len(names)
+        self.index = {}
+        for i, name in enumerate(names):
+            self.index.setdefault(name, i)
+        self.origin = (0,) * self.nvars
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -98,7 +117,7 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise ExprSyntaxError(message, tok.line, tok.column)
+        raise _syntax_error(self.text, message, tok.offset)
 
     def nest(self, tok: _Token):
         self.depth += 1
@@ -110,61 +129,133 @@ class _Parser:
         if tok.kind != "op" or tok.text != op:
             self.fail(f"expected {op!r}", tok)
 
+    def at_op(self, ops: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "op" and tok.text in ops
+
+    def monomial(self, exps, c) -> SparsePoly:
+        return SparsePoly(self.base, self.nvars, ((exps, c),) if c else ())
+
+    def scaled(self, f: SparsePoly, c) -> SparsePoly:
+        """f times a nonzero scalar c; the terms keep their order."""
+        p = self.p
+        return SparsePoly(self.base, self.nvars, tuple(
+            (e, k * c % p if p else k * c) for e, k in f.terms
+        ))
+
     # grammar ------------------------------------------------------------
 
     def parse(self) -> RationalFunction:
         value = self.expr()
         if self.peek().kind != "end":
             self.fail("trailing input")
-        return value
+        return _as_ratfun(value)
 
-    def expr(self) -> RationalFunction:
+    def expr(self) -> Value:
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if not self.at_op("+-"):
+            return value
+        # polynomial terms add up in one dict, quotients as rational functions
+        acc, quotient, negate = {}, None, False
+        while True:
+            if isinstance(value, RationalFunction):
+                value = -value if negate else value
+                quotient = value if quotient is None else quotient + value
+            else:
+                for e, c in value.terms:
+                    c = -c if negate else c
+                    prev = acc.get(e)
+                    acc[e] = c if prev is None else prev + c
+            if not self.at_op("+-"):
+                break
+            negate = self.take().text == "-"
+            value = self.term()
+        p = self.p
+        if p:
+            acc = {e: c % p for e, c in acc.items()}
+        total = SparsePoly._canon(self.base, self.nvars, acc)
+        if quotient is None:
+            return total
+        if total.is_zero:
+            return quotient
+        return RationalFunction.make(quotient.num + total * quotient.den, quotient.den)
 
-    def term(self) -> RationalFunction:
+    def term(self) -> Value:
         value = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.at_op("*/"):
             op = self.take().text
             tok = self.peek()
             rhs = self.factor()
             if op == "*":
-                value = value * rhs
+                value = self.product(value, rhs)
             else:
                 if rhs.is_zero:
                     self.fail("division by zero", tok)
-                value = value / rhs
+                value = self.quotient(value, rhs)
         return value
 
-    def factor(self) -> RationalFunction:
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def product(self, a: Value, b: Value) -> Value:
+        if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
+            return _as_ratfun(a) * _as_ratfun(b)
+        if a.is_zero or b.is_zero:
+            return a if a.is_zero else b
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
+            p = self.p
+            return self.monomial(tuple(map(int.__add__, ea, eb)), ca * cb % p if p else ca * cb)
+        if a.is_constant:
+            return self.scaled(b, a.terms[0][1])
+        if b.is_constant:
+            return self.scaled(a, b.terms[0][1])
+        return a * b
+
+    def quotient(self, a: Value, b: Value) -> Value:
+        if isinstance(b, SparsePoly):
+            if b.is_constant:
+                inv = self.base.inv(b.terms[0][1])
+                if isinstance(a, SparsePoly):
+                    return self.scaled(a, inv)
+                return RationalFunction.make(self.scaled(a.num, inv), a.den)
+            if isinstance(a, SparsePoly):
+                return RationalFunction.make(a, b)
+        return _as_ratfun(a) / _as_ratfun(b)
+
+    def factor(self) -> Value:
+        if self.at_op("-"):
             self.nest(self.take())
             value = -self.factor()
             self.depth -= 1
             return value
         return self.power()
 
-    def power(self) -> RationalFunction:
+    def power(self) -> Value:
         value = self.primary()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.at_op("^"):
             tok = self.take()
             k = self.exponent()
             if k < 0 and value.is_zero:
                 self.fail("zero raised to a negative power", tok)
+            if isinstance(value, RationalFunction):
+                return value ** k
+            if k == 0:
+                return self.monomial(self.origin, self.base.one)
+            if k < 0 and not value.is_constant:
+                return RationalFunction.make(self.monomial(self.origin, self.base.one), value ** -k)
+            if len(value.terms) == 1:
+                e, c = value.terms[0]
+                if k < 0:
+                    c, k = self.base.inv(c), -k
+                return self.monomial(tuple(x * k for x in e), self.base.pow(c, k))
             value = value ** k
         return value
 
     def exponent(self) -> int:
         neg = False
         parens = False
-        if self.peek().kind == "op" and self.peek().text == "(":
+        if self.at_op("("):
             self.take()
             parens = True
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at_op("-"):
             self.take()
             neg = True
         tok = self.take()
@@ -172,19 +263,19 @@ class _Parser:
             self.fail("expected an integer exponent", tok)
         if parens:
             self.expect_op(")")
-        k = int(tok.text)
+        k = _integer(self.text, tok)
         return -k if neg else k
 
-    def primary(self) -> RationalFunction:
+    def primary(self) -> Value:
         tok = self.take()
         if tok.kind == "int":
-            return RationalFunction.const(self.base, len(self.names), int(tok.text))
+            c = _integer(self.text, tok)
+            return self.monomial(self.origin, c % self.p if self.p else Fraction(c))
         if tok.kind == "name":
-            try:
-                i = self.names.index(tok.text)
-            except ValueError:
+            i = self.index.get(tok.text)
+            if i is None:
                 self.fail(f"unknown variable {tok.text!r}", tok)
-            return RationalFunction.variable(self.base, len(self.names), i)
+            return SparsePoly.variable(self.base, self.nvars, i)
         if tok.kind == "op" and tok.text == "(":
             self.nest(tok)
             value = self.expr()
@@ -207,59 +298,38 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     """
     tokens = _tokenize(text)
     # locate the trailing "+ O(name^N)"
-    o_at = None
-    for i, tok in enumerate(tokens):
-        if tok.kind == "name" and tok.text == "O":
-            o_at = i
-            break
+    o_at = next((i for i, tok in enumerate(tokens) if tok.kind == "name" and tok.text == "O"), None)
     if o_at is None:
-        raise ExprSyntaxError(
-            "series literal needs a precision marker O(...)",
-            tokens[-1].line,
-            tokens[-1].column,
-        )
+        raise _syntax_error(text, "series literal needs a precision marker O(...)", len(text))
 
     def op(i, ch):
         return tokens[i].kind == "op" and tokens[i].text == ch
 
+    def fail(message, i):
+        raise _syntax_error(text, message, tokens[i].offset)
+
     i = o_at + 1
     if not op(i, "("):
-        raise ExprSyntaxError("expected '(' after O", tokens[i].line, tokens[i].column)
+        fail("expected '(' after O", i)
     i += 1
     if not (tokens[i].kind == "name" and tokens[i].text == name):
-        raise ExprSyntaxError(f"expected {name!r} inside O(...)", tokens[i].line, tokens[i].column)
+        fail(f"expected {name!r} inside O(...)", i)
     i += 1
     precision = 1
     if op(i, "^"):
         i += 1
         if tokens[i].kind != "int":
-            raise ExprSyntaxError("expected an integer exponent", tokens[i].line, tokens[i].column)
-        precision = int(tokens[i].text)
+            fail("expected an integer exponent", i)
+        precision = _integer(text, tokens[i])
         i += 1
     if not op(i, ")"):
-        raise ExprSyntaxError("expected ')'", tokens[i].line, tokens[i].column)
+        fail("expected ')'", i)
     if tokens[i + 1].kind != "end":
-        raise ExprSyntaxError("trailing input after O(...)", tokens[i + 1].line, tokens[i + 1].column)
+        fail("trailing input after O(...)", i + 1)
 
     head_end = o_at
-    if head_end > 0 and tokens[head_end - 1].kind == "op" and tokens[head_end - 1].text == "+":
+    if head_end > 0 and op(head_end - 1, "+"):
         head_end -= 1
-    head = tokens[:head_end]
-    if not head:
+    if head_end == 0:
         return TruncatedSeries.zero(base, precision)
-    src = text[: _offset_of(text, tokens[head_end])]
-    return ratfun_to_series(parse_element(src, base, (name,)), precision)
-
-
-def _offset_of(text: str, tok: _Token) -> int:
-    """Character offset of a token within the source text."""
-    line, col = 1, 1
-    for i, ch in enumerate(text):
-        if line == tok.line and col == tok.column:
-            return i
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    return len(text)
+    return ratfun_to_series(parse_element(text[: tokens[head_end].offset], base, (name,)), precision)

@@ -411,7 +411,7 @@ def uniformize_abhyankar(
             place.order, [place.order.element(a) for a in alphas], max_steps
         )
         row_of = {a: result.coeffs[i] for i, a in enumerate(alphas)}
-        basis = [list(map(int, row)) for row in result.change]
+        basis = [list(row) for row in result.change]
         basis_inv = unimodular_inverse(basis)
 
     s = rho + tau

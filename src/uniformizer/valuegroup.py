@@ -276,9 +276,21 @@ class PerronResult:
     change: tuple[tuple[int, ...], ...]
 
 
+def _int_rows(matrix) -> list[list[int]]:
+    """The rows of a matrix as lists, refusing any entry that is not an ``int``
+    (the same rule ``perron_is_valid`` applies): truncating a ``Fraction``
+    would answer for another matrix."""
+    rows = [list(row) for row in matrix]
+    for row in rows:
+        for c in row:
+            if not isinstance(c, int):
+                raise PreconditionError(f"matrix entry {c!r} is not an int")
+    return rows
+
+
 def int_det(matrix) -> int:
     """Exact determinant of an integer matrix."""
-    m = [list(map(int, row)) for row in matrix]
+    m = _int_rows(matrix)
     if not m:
         return 1
     rank, sign, m = gauss_jordan(m, len(m))
@@ -287,9 +299,9 @@ def int_det(matrix) -> int:
 
 def unimodular_inverse(matrix) -> list[list[int]]:
     """Inverse of an integer matrix with determinant +-1, as integers."""
-    n = len(matrix)
-    aug = [[int(matrix[i][j]) for j in range(n)] + [int(i == j) for j in range(n)]
-           for i in range(n)]
+    rows = _int_rows(matrix)
+    n = len(rows)
+    aug = [[rows[i][j] for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
     rank, _, aug = gauss_jordan(aug, n)
     if rank < n:
         raise PreconditionError("matrix is singular")

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON envelopes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -49,9 +50,9 @@ def test_value_discrete_and_series_literal(tmp_path, capsys):
     doc = {"place": PRES_F5, "element": "z - 1"}
     env = run_json(tmp_path, capsys, "value", doc)
     assert env["result"] == {"value": 1}
-    doc = {"place": PRES_F5, "element": "3*t^2 + O(t^5)"}
-    env = run_json(tmp_path, capsys, "value", doc)
-    assert env["result"] == {"value": 2}
+    for element in ("3*t^2 + O(t^5)", "3*t^2 + O\t(t^5)", "3*t^2 +\nO (t^5)"):
+        env = run_json(tmp_path, capsys, "value", {"place": PRES_F5, "element": element})
+        assert env["result"] == {"value": 2}
 
 
 def test_residue_discrete(tmp_path, capsys):
@@ -438,3 +439,44 @@ def test_parser_is_reused_and_handlers_are_looked_up_per_call(tmp_path, capsys, 
     env = run_json(tmp_path, capsys, "report", doc)
     assert env["result"] == {"stub": True}
     assert cli._parser() is parser
+
+
+@pytest.mark.parametrize("element", ["x1^²", "x1 + ²", "x1*٣²", "x1 . 2"])
+def test_digits_int_cannot_read_exit_4(tmp_path, capsys, element):
+    # only decimal digits make an integer literal; a superscript is no digit
+    code, _, err = run(tmp_path, capsys, "value", {"place": PLACE_R2, "element": element})
+    _assert_input_error(code, err)
+    assert "unexpected character" in err and "(line 1, column" in err
+
+
+def _too_many_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer string conversion limit")
+    return "7" * (limit + 1)
+
+
+@pytest.mark.parametrize("template", ["x1 + {}", "x1^{}", "x1^(-{})"])
+def test_integer_literal_over_the_digit_limit_exits_4(tmp_path, capsys, template):
+    digits = _too_many_digits()
+    doc = {"place": PLACE_R2, "element": template.format(digits)}
+    code, _, err = run(tmp_path, capsys, "value", doc)
+    _assert_input_error(code, err)
+    assert "integer literal too long" in err and "(line 1, column" in err
+
+
+@pytest.mark.parametrize("template", ["1 + {}*t + O(t^4)", "1 + t + O(t^{})"])
+def test_series_literal_over_the_digit_limit_exits_4(tmp_path, capsys, template):
+    doc = {"place": PRES_F5, "element": template.format(_too_many_digits())}
+    code, _, err = run(tmp_path, capsys, "value", doc)
+    _assert_input_error(code, err)
+    assert "integer literal too long" in err
+
+
+def test_json_number_over_the_digit_limit_exits_4(tmp_path, capsys):
+    path = tmp_path / "req.json"
+    path.write_text('{"place": ' + _too_many_digits() + "}")
+    code = main(["value", "--input", str(path)])
+    err = capsys.readouterr().err
+    _assert_input_error(code, err)
+    assert "invalid JSON" in err

@@ -122,6 +122,16 @@ def test_elimination_edge_cases():
     assert gauss_jordan([[0, 0], [0, 0]], 2)[0] == 0
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), Fraction(1), 1.0, "1"])
+def test_elimination_rejects_entries_that_are_not_ints(entry):
+    # int() would truncate 3/2 to 1 and answer for [[1, 0], [0, 1]]
+    rows = [[entry, 0], [0, 1]]
+    with pytest.raises(PreconditionError, match="not an int"):
+        int_det(rows)
+    with pytest.raises(PreconditionError, match="not an int"):
+        unimodular_inverse(rows)
+
+
 # ---------------------------------------------------------------------------
 # powers against repeated products
 
