@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .completion import (
@@ -95,7 +96,8 @@ def _max_steps(doc) -> int | None:
 
 
 def _is_series_literal(text: str) -> bool:
-    return "O(" in "".join(text.split())
+    # the whitespace the expression tokenizer skips
+    return "O(" in re.sub(r"[ \t\r\n]+", "", text)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ character offset; line and column are worked out only for an error.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError
@@ -105,7 +104,6 @@ class _Parser:
         self.index = {}
         for i, name in enumerate(names):
             self.index.setdefault(name, i)
-        self.origin = (0,) * self.nvars
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,13 +133,6 @@ class _Parser:
 
     def monomial(self, exps, c) -> SparsePoly:
         return SparsePoly(self.base, self.nvars, ((exps, c),) if c else ())
-
-    def scaled(self, f: SparsePoly, c) -> SparsePoly:
-        """f times a nonzero scalar c; the terms keep their order."""
-        p = self.p
-        return SparsePoly(self.base, self.nvars, tuple(
-            (e, k * c % p if p else k * c) for e, k in f.terms
-        ))
 
     # grammar ------------------------------------------------------------
 
@@ -203,21 +194,13 @@ class _Parser:
             (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
             p = self.p
             return self.monomial(tuple(map(int.__add__, ea, eb)), ca * cb % p if p else ca * cb)
-        if a.is_constant:
-            return self.scaled(b, a.terms[0][1])
-        if b.is_constant:
-            return self.scaled(a, b.terms[0][1])
         return a * b
 
     def quotient(self, a: Value, b: Value) -> Value:
-        if isinstance(b, SparsePoly):
+        if isinstance(a, SparsePoly) and isinstance(b, SparsePoly):
             if b.is_constant:
-                inv = self.base.inv(b.terms[0][1])
-                if isinstance(a, SparsePoly):
-                    return self.scaled(a, inv)
-                return RationalFunction.make(self.scaled(a.num, inv), a.den)
-            if isinstance(a, SparsePoly):
-                return RationalFunction.make(a, b)
+                return a._scale(self.base.inv(b.terms[0][1]))
+            return RationalFunction.make(a, b)
         return _as_ratfun(a) / _as_ratfun(b)
 
     def factor(self) -> Value:
@@ -238,9 +221,9 @@ class _Parser:
             if isinstance(value, RationalFunction):
                 return value ** k
             if k == 0:
-                return self.monomial(self.origin, self.base.one)
+                return SparsePoly.const(self.base, self.nvars, 1)
             if k < 0 and not value.is_constant:
-                return RationalFunction.make(self.monomial(self.origin, self.base.one), value ** -k)
+                return RationalFunction.make(SparsePoly.const(self.base, self.nvars, 1), value ** -k)
             if len(value.terms) == 1:
                 e, c = value.terms[0]
                 if k < 0:
@@ -270,7 +253,7 @@ class _Parser:
         tok = self.take()
         if tok.kind == "int":
             c = _integer(self.text, tok)
-            return self.monomial(self.origin, c % self.p if self.p else Fraction(c))
+            return SparsePoly.const(self.base, self.nvars, c)
         if tok.kind == "name":
             i = self.index.get(tok.text)
             if i is None:

@@ -97,7 +97,8 @@ class SparsePoly:
 
     @staticmethod
     def const(base: BaseField, nvars: int, c) -> "SparsePoly":
-        return SparsePoly._canon(base, nvars, {(0,) * nvars: base.coerce(c)})
+        c = base.coerce(c)
+        return SparsePoly(base, nvars, (((0,) * nvars, c),) if c else ())
 
     @staticmethod
     def variable(base: BaseField, nvars: int, i: int) -> "SparsePoly":
@@ -184,8 +185,12 @@ class SparsePoly:
         c = self.base.coerce(c)
         if c == 0:
             return SparsePoly.zero(self.base, self.nvars)
-        return SparsePoly(self.base, self.nvars,
-                          tuple((e, self.base.mul(k, c)) for e, k in self.terms))
+        return self._scale(c)
+
+    def _scale(self, c) -> "SparsePoly":
+        """Trusted: c is a nonzero canonical scalar; the terms keep their order."""
+        mul = self.base.mul
+        return SparsePoly(self.base, self.nvars, tuple((e, mul(k, c)) for e, k in self.terms))
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
