@@ -6,10 +6,15 @@ JSON output is byte-deterministic: keys are sorted and no timestamps or
 environment data are embedded.  --seed is echoed back untouched so runs
 can be tagged; no randomness is used anywhere.
 
+A monomial request loads no series code: the handlers import
+``completion`` and ``series`` only for a discrete series place, which
+keeps the start-up of a one-request process short.
+
 Exit codes:
     0   success (including a verify run whose checks fail: the report is
         the deliverable)
-    2   precondition or resource-cap failure
+    2   precondition or resource-cap failure, including a result integer
+        past the interpreter's limit for integer string conversion
     3   insufficient series precision
     4   malformed input: JSON, schema, or expression syntax
 """
@@ -21,13 +26,8 @@ import functools
 import json
 import re
 import sys
+from fractions import Fraction
 
-from .completion import (
-    DEFAULT_PRECISION,
-    series_element_residue,
-    series_element_value,
-    uniformize_discrete_rational,
-)
 from .errors import (
     InputError,
     InsufficientPrecisionError,
@@ -46,8 +46,8 @@ from .jsonio import (
     parse_system,
     system_to_json,
 )
-from .polyfield import ratfun_str
-from .uniformize import verify
+from .polyfield import poly_str, ratfun_str
+from .uniformize import compose, uniformize_abhyankar, verify
 from .valuation import (
     MonomialPlace,
     abhyankar_report,
@@ -55,8 +55,6 @@ from .valuation import (
     value_of_ratfun,
 )
 from .valuegroup import perron_positive_basis
-from .uniformize import uniformize_abhyankar
-from fractions import Fraction
 
 
 def _load(path: str):
@@ -115,6 +113,8 @@ def _cmd_value(doc, args):
             "coordinates": [str(c) for c in v.coords],
         }
         return result, f"value = {v}"
+    from .completion import series_element_value
+
     if _is_series_literal(text):
         s = parse_series(text, place.base, place.uniformizer)
         v = s.known_order()
@@ -131,6 +131,8 @@ def _cmd_residue(doc, args):
         f = _parse_rf(text, place.base, place.ambient_names, "element")
         r = residue_of(place, f)
         return {"residue": str(r)}, f"residue = {r}"
+    from .completion import series_element_residue
+
     if _is_series_literal(text):
         s = parse_series(text, place.base, place.uniformizer)
         r = s.residue()
@@ -189,6 +191,8 @@ def _cmd_uniformize(doc, args):
 
 
 def _cmd_discrete_uniformize(doc, args):
+    from .completion import DEFAULT_PRECISION, uniformize_discrete_rational
+
     pres, doc_prec = parse_presentation(_get(doc, "presentation", ""), "presentation")
     precision = args.precision if args.precision is not None else doc_prec
     if precision is None:
@@ -207,8 +211,6 @@ def _cmd_discrete_uniformize(doc, args):
 
 
 def _cmd_compose(doc, args):
-    from .uniformize import compose
-
     outer = parse_system(_get(doc, "outer", ""), "outer")
     inner = parse_system(_get(doc, "inner", ""), "inner")
     system = compose(outer, inner)
@@ -268,8 +270,6 @@ def _system_text(system) -> str:
     lines.append("etas:")
     lines += [f"  X{j + 1} = {ratfun_str(f, amb)}" for j, f in enumerate(system.etas)]
     lines.append("rows:")
-    from .polyfield import poly_str
-
     lines += [f"  f{j + 1} = {poly_str(f, names)}" for j, f in enumerate(system.fs)]
     if system.coeff_table:
         cn = list(system.coeff_field_names)
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
             raise InputError("--precision must be at least 1")
         doc = _load(args.input)
         result, text = _HANDLERS[args.command](doc, args)
+        if args.format == "json":
+            envelope = {"command": args.command, "seed": args.seed, "result": result}
+            text = json.dumps(envelope, sort_keys=True, indent=2)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
@@ -358,11 +361,18 @@ def main(argv=None) -> int:
     except (PreconditionError, ResourceError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        envelope = {"command": args.command, "seed": args.seed, "result": result}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(text)
+    except ValueError as e:
+        # an integer in the result too long for str() (Python 3.11 and later)
+        if "integer string conversion" not in str(e):
+            raise
+        print(
+            f"error: a result integer has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for integer string conversion; raise it with "
+            "PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits",
+            file=sys.stderr,
+        )
+        return 2
+    print(text)
     return 0
 
 

@@ -38,7 +38,6 @@ from typing import NamedTuple, Union
 from .errors import ExprSyntaxError
 from .fields import BaseField
 from .polyfield import RationalFunction, SparsePoly
-from .series import TruncatedSeries, ratfun_to_series
 
 MAX_NESTING = 100
 
@@ -279,6 +278,8 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     The O-term is required; it fixes the precision.  The polynomial part
     may use negative exponents of the variable (a Laurent head).
     """
+    from .series import TruncatedSeries, ratfun_to_series
+
     tokens = _tokenize(text)
     # locate the trailing "+ O(name^N)"
     o_at = next((i for i, tok in enumerate(tokens) if tok.kind == "name" and tok.text == "O"), None)

@@ -15,11 +15,13 @@ This module also owns the two formats the other layers share.
 - Text.  ``BaseField.scalar_str`` renders one scalar and
   ``BaseField.sum_str`` a signed sum of scalar multiples of monomials,
   the form every printer of the package emits.
+
+It also holds ``Frozen``, the base of the package's immutable value
+classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -62,18 +64,61 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
-@dataclass(frozen=True)
-class BaseField:
+class Frozen:
+    """An immutable value that compares, hashes and prints like a frozen dataclass.
+
+    A subclass lists its fields in ``__slots__``; a name with a leading
+    underscore is a cache, which ``repr`` leaves out.  ``_key`` holds the
+    tuple of fields that ``==`` and ``hash`` see, in the order ``__init__``
+    takes them, so neither builds a tuple.  Assignment raises, so
+    ``__init__`` writes each slot through ``_setters``: the slots' own
+    ``__set__`` in ``__slots__`` order, then the one of ``_key``.  Unlike a
+    dataclass, the class generates no code at import.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):
+        own = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._setters = own + (Frozen._key.__set__,)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class BaseField(Frozen):
     """The rationals when ``p`` is None, else the field with ``p`` elements."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or self.p >= 1 << 63:
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not isinstance(p, int) or p >= 1 << 63:
                 raise PreconditionError("characteristic must be a machine-word integer")
-            if not _is_prime(self.p):
-                raise PreconditionError(f"characteristic {self.p} is not prime")
+            if not _is_prime(p):
+                raise PreconditionError(f"characteristic {p} is not prime")
+        set_p, set_key = self._setters
+        set_p(self, p)
+        set_key(self, (p,))
 
     @property
     def is_rationals(self) -> bool:

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .completion import (
-    DEFAULT_PRECISION,
-    DiscretePresentation,
-    DiscreteSeriesPlace,
-    realize_presentation,
-)
 from .errors import ExprSyntaxError, InputError, PreconditionError, SchemaError
 from .expr import parse_element, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
-from .series import series_str
 from .surd import SurdScalar, is_square_free
 from .uniformize import TriangularSystem
 from .valuation import MonomialPlace
@@ -196,6 +189,8 @@ def _parse_precision(doc, path: str, default=_MISSING) -> int | None:
 
 
 def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None]:
+    from .completion import DiscretePresentation
+
     _need(doc, dict, path, "an object")
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
@@ -235,6 +230,8 @@ def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None
 
 def parse_series_place(doc, path: str) -> DiscreteSeriesPlace:
     """Realized form: generators carried as series literals."""
+    from .completion import DiscreteSeriesPlace
+
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
         _get(doc, "uniformizer", path, default="t"), str, f"{path}.uniformizer", "a string"
@@ -270,6 +267,9 @@ def place_to_json(place) -> dict:
             "x_names": list(place.x_names),
             "y_names": list(place.y_names),
         }
+    from .completion import DiscreteSeriesPlace
+    from .series import series_str
+
     if isinstance(place, DiscreteSeriesPlace):
         return {
             "kind": "discrete_series",
@@ -291,6 +291,8 @@ def parse_place(doc, path: str, precision: int | None = None):
     if kind == "monomial":
         return parse_monomial_place(doc, path)
     if kind == "discrete_series":
+        from .completion import DEFAULT_PRECISION, realize_presentation
+
         if "generators" in doc:
             return parse_series_place(doc, path)
         pres, doc_prec = parse_presentation(doc, path)

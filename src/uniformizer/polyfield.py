@@ -15,8 +15,8 @@ for external input (parsers, JSON, user code).  ``SparsePoly._canon``
 trusts: it takes a dict of canonical scalars keyed by valid exponent
 tuples, sorts the keys and drops zeros, and is what the arithmetic here
 uses on its own results.  Code that keeps both the order and the nonzero
-coefficients (a shift of every exponent, a scaling by a unit) builds the
-dataclass directly.
+coefficients (a shift of every exponent, a scaling by a unit) calls the
+class directly.
 
 Hot loops compute on plain integers, in the integer-row format of
 ``fields``.  ``_ints`` reads a polynomial over Q as integers over one
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .errors import PreconditionError
-from .fields import BaseField, Scalar, clear_denominators
+from .fields import BaseField, Frozen, Scalar, clear_denominators
 
 Exps = tuple[int, ...]
 
@@ -63,11 +62,15 @@ def _term_key(term):
     return (sum(e), e)
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    base: BaseField
-    nvars: int
-    terms: tuple[tuple[Exps, Scalar], ...]
+class SparsePoly(Frozen):
+    __slots__ = ("base", "nvars", "terms")
+
+    def __init__(self, base: BaseField, nvars: int, terms: tuple[tuple[Exps, Scalar], ...]):
+        set_base, set_nvars, set_terms, set_key = self._setters
+        set_base(self, base)
+        set_nvars(self, nvars)
+        set_terms(self, terms)
+        set_key(self, (base, nvars, terms))
 
     # -- construction -------------------------------------------------
 
@@ -521,10 +524,14 @@ def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 # Rational functions
 
 
-@dataclass(frozen=True)
-class RationalFunction:
-    num: SparsePoly
-    den: SparsePoly
+class RationalFunction(Frozen):
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: SparsePoly, den: SparsePoly):
+        set_num, set_den, set_key = self._setters
+        set_num(self, num)
+        set_den(self, den)
+        set_key(self, (num, den))
 
     @staticmethod
     def make(num: SparsePoly, den: SparsePoly) -> "RationalFunction":

@@ -26,13 +26,12 @@ row and takes its root bounds from that memo too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import PreconditionError
-from .fields import QQ, clear_denominators
+from .fields import QQ, Frozen, clear_denominators
 
 _Q = QQ()
 
@@ -104,8 +103,7 @@ def surd_sign(coeffs, radicands, roots=None) -> int:
         roots = root_bounds(radicands, bits)
 
 
-@dataclass(frozen=True)
-class SurdScalar:
+class SurdScalar(Frozen):
     """Canonical sum of rational multiples of square roots.
 
     ``terms`` maps are stored as a tuple of (coefficient, radicand) pairs,
@@ -113,7 +111,12 @@ class SurdScalar:
     rational part uses radicand 1.
     """
 
-    terms: tuple[tuple[Fraction, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Fraction, int], ...] = ()):
+        set_terms, set_key = self._setters
+        set_terms(self, terms)
+        set_key(self, (terms,))
 
     @staticmethod
     def make(pairs) -> "SurdScalar":

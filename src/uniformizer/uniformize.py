@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInValuationRingError, PreconditionError
+from .fields import Frozen
 from .polyfield import (
     RationalFunction,
     SparsePoly,
@@ -131,22 +132,53 @@ def ambient_names(place) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    __slots__ = ("passed", "detail")
+
+    def __init__(self, passed: bool, detail: str = ""):
+        set_passed, set_detail, set_key = self._setters
+        set_passed(self, passed)
+        set_detail(self, detail)
+        set_key(self, (passed, detail))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    u1: CheckResult
-    u2: CheckResult
-    u3: CheckResult
-    generation: CheckResult
-    diagonal_value: str
-    diagonal_residue: str
-    diagonal_entries: tuple[str, ...]
-    precision: int | None = None
+class VerificationReport(Frozen):
+    __slots__ = (
+        "u1",
+        "u2",
+        "u3",
+        "generation",
+        "diagonal_value",
+        "diagonal_residue",
+        "diagonal_entries",
+        "precision",
+    )
+
+    def __init__(
+        self,
+        u1: CheckResult,
+        u2: CheckResult,
+        u3: CheckResult,
+        generation: CheckResult,
+        diagonal_value: str,
+        diagonal_residue: str,
+        diagonal_entries: tuple[str, ...],
+        precision: int | None = None,
+    ):
+        (set_u1, set_u2, set_u3, set_generation, set_value, set_residue, set_entries,
+         set_precision, set_key) = self._setters
+        set_u1(self, u1)
+        set_u2(self, u2)
+        set_u3(self, u3)
+        set_generation(self, generation)
+        set_value(self, diagonal_value)
+        set_residue(self, diagonal_residue)
+        set_entries(self, diagonal_entries)
+        set_precision(self, precision)
+        set_key(
+            self,
+            (u1, u2, u3, generation, diagonal_value, diagonal_residue, diagonal_entries, precision),
+        )
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,6 @@ function in the ybar alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -19,37 +18,42 @@ from .errors import (
     PreconditionError,
     ValueOfZeroError,
 )
-from .fields import BaseField
+from .fields import BaseField, Frozen
 from .polyfield import RationalFunction, SparsePoly, ratfun_str
 from .valuegroup import GroupElement, GroupOrder, compare, rational_rank
 
 
-@dataclass(frozen=True)
-class MonomialPlace:
-    base: BaseField
-    order: GroupOrder
-    tau: int = 0
-    x_names: tuple[str, ...] = ()
-    y_names: tuple[str, ...] = ()
+class MonomialPlace(Frozen):
+    __slots__ = ("base", "order", "tau", "x_names", "y_names")
 
-    def __post_init__(self):
-        if self.tau < 0:
+    def __init__(
+        self,
+        base: BaseField,
+        order: GroupOrder,
+        tau: int = 0,
+        x_names: tuple[str, ...] = (),
+        y_names: tuple[str, ...] = (),
+    ):
+        if tau < 0:
             raise PreconditionError("tau must be non-negative")
-        if self.order.ngens + self.tau < 1:
+        if order.ngens + tau < 1:
             raise PreconditionError("the field needs at least one generator")
-        if not self.x_names:
-            object.__setattr__(
-                self, "x_names", tuple(f"x{i + 1}" for i in range(self.order.ngens))
-            )
-        if not self.y_names:
-            object.__setattr__(
-                self, "y_names", tuple(f"y{j + 1}" for j in range(self.tau))
-            )
-        if len(self.x_names) != self.order.ngens or len(self.y_names) != self.tau:
+        if not x_names:
+            x_names = tuple(f"x{i + 1}" for i in range(order.ngens))
+        if not y_names:
+            y_names = tuple(f"y{j + 1}" for j in range(tau))
+        if len(x_names) != order.ngens or len(y_names) != tau:
             raise PreconditionError("variable name counts do not match the place")
-        names = self.x_names + self.y_names
+        names = x_names + y_names
         if len(set(names)) != len(names):
             raise PreconditionError("ambient variable names must be distinct")
+        set_base, set_order, set_tau, set_x_names, set_y_names, set_key = self._setters
+        set_base(self, base)
+        set_order(self, order)
+        set_tau(self, tau)
+        set_x_names(self, x_names)
+        set_y_names(self, y_names)
+        set_key(self, (base, order, tau, x_names, y_names))
 
     @property
     def rho(self) -> int:
@@ -71,12 +75,16 @@ class MonomialPlace:
         return self.order.element([Fraction(e) for e in exps[: self.rho]])
 
 
-@dataclass(frozen=True)
-class ResidueElement:
+class ResidueElement(Frozen):
     """A residue written as a rational function in the ybar variables."""
 
-    place: MonomialPlace
-    rep: RationalFunction
+    __slots__ = ("place", "rep")
+
+    def __init__(self, place: MonomialPlace, rep: RationalFunction):
+        set_place, set_rep, set_key = self._setters
+        set_place(self, place)
+        set_rep(self, rep)
+        set_key(self, (place, rep))
 
     @property
     def is_zero(self) -> bool:
@@ -146,12 +154,30 @@ def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
     return ResidueElement(place, rep)
 
 
-@dataclass(frozen=True)
-class AbhyankarReport:
-    transcendence_degree: int
-    rational_rank: int
-    residue_transcendence_degree: int
-    is_abhyankar: bool
+class AbhyankarReport(Frozen):
+    __slots__ = (
+        "transcendence_degree",
+        "rational_rank",
+        "residue_transcendence_degree",
+        "is_abhyankar",
+    )
+
+    def __init__(
+        self,
+        transcendence_degree: int,
+        rational_rank: int,
+        residue_transcendence_degree: int,
+        is_abhyankar: bool,
+    ):
+        set_trdeg, set_rank, set_residue_trdeg, set_is_abhyankar, set_key = self._setters
+        set_trdeg(self, transcendence_degree)
+        set_rank(self, rational_rank)
+        set_residue_trdeg(self, residue_transcendence_degree)
+        set_is_abhyankar(self, is_abhyankar)
+        set_key(
+            self,
+            (transcendence_degree, rational_rank, residue_transcendence_degree, is_abhyankar),
+        )
 
 
 def abhyankar_report(place: MonomialPlace) -> AbhyankarReport:

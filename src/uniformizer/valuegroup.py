@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import DimensionError, InputError, PreconditionError, ResourceError
-from .fields import clear_denominators
+from .fields import Frozen, clear_denominators
 from .surd import FILTER_BITS, SurdScalar, root_bounds, surd_sign
 
 DEFAULT_MAX_PERRON_STEPS = 10_000
@@ -102,8 +102,7 @@ def gauss_jordan(rows, ncols: int) -> tuple[int, int, list[list[int]]]:
     return rank, sign, m
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(Frozen):
     """One block's weights as an integer matrix over their radicands.
 
     Row i of ``matrix`` holds the coefficients of weight i on ``radicands``,
@@ -111,10 +110,21 @@ class _Block:
     block value of the same sign as  value(x) . sqrt(radicands).
     """
 
-    weights: tuple[SurdScalar, ...]
-    radicands: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    roots: tuple[int, ...]
+    __slots__ = ("weights", "radicands", "matrix", "roots")
+
+    def __init__(
+        self,
+        weights: tuple[SurdScalar, ...],
+        radicands: tuple[int, ...],
+        matrix: tuple[tuple[int, ...], ...],
+        roots: tuple[int, ...],
+    ):
+        set_weights, set_radicands, set_matrix, set_roots, set_key = self._setters
+        set_weights(self, weights)
+        set_radicands(self, radicands)
+        set_matrix(self, matrix)
+        set_roots(self, roots)
+        set_key(self, (weights, radicands, matrix, roots))
 
     @staticmethod
     def of(weights) -> "_Block":
@@ -131,16 +141,17 @@ class _Block:
         return surd_sign(v, self.radicands, self.roots)
 
 
-@dataclass(frozen=True)
-class GroupOrder:
-    """Blocks of weights defining a lexicographic product of rank-1 groups."""
+class GroupOrder(Frozen):
+    """Blocks of weights defining a lexicographic product of rank-1 groups.
 
-    blocks: tuple[tuple[SurdScalar, ...], ...]
-    _blocks: tuple[_Block, ...] = field(init=False, repr=False, compare=False)
-    _ngens: int = field(init=False, repr=False, compare=False)
+    ``_blocks`` and ``_ngens`` are caches: ``==``, ``hash`` and ``repr``
+    see ``blocks`` alone.
+    """
 
-    def __post_init__(self):
-        for b, block in enumerate(self.blocks):
+    __slots__ = ("blocks", "_blocks", "_ngens")
+
+    def __init__(self, blocks: tuple[tuple[SurdScalar, ...], ...]):
+        for b, block in enumerate(blocks):
             if not block:
                 raise PreconditionError(f"block {b} is empty")
             for w in block:
@@ -150,8 +161,11 @@ class GroupOrder:
                 raise PreconditionError(
                     f"weights in block {b} are linearly dependent over Q"
                 )
-        object.__setattr__(self, "_blocks", tuple(_Block.of(b) for b in self.blocks))
-        object.__setattr__(self, "_ngens", sum(len(b) for b in self.blocks))
+        set_blocks, set_int_blocks, set_ngens, set_key = self._setters
+        set_blocks(self, blocks)
+        set_int_blocks(self, tuple(_Block.of(b) for b in blocks))
+        set_ngens(self, sum(len(b) for b in blocks))
+        set_key(self, (blocks,))
 
     def _sign_of(self, x) -> int:
         """Lexicographic sign of an integer coordinate vector, block by block."""
@@ -195,10 +209,14 @@ class GroupOrder:
         return out
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    order: GroupOrder
-    coords: tuple[Fraction, ...]
+class GroupElement(Frozen):
+    __slots__ = ("order", "coords")
+
+    def __init__(self, order: GroupOrder, coords: tuple[Fraction, ...]):
+        set_order, set_coords, set_key = self._setters
+        set_order(self, order)
+        set_coords(self, coords)
+        set_key(self, (order, coords))
 
     def _need_same(self, other: "GroupElement"):
         if not isinstance(other, GroupElement) or other.order != self.order:

@@ -1,7 +1,10 @@
 """Command-line front end: exit codes, JSON envelopes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +483,91 @@ def test_json_number_over_the_digit_limit_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     _assert_input_error(code, err)
     assert "invalid JSON" in err
+
+
+@pytest.fixture
+def set_digit_limit():
+    """sys.set_int_max_str_digits for one test; the old limit is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer string conversion limit")
+    before = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("command, place, element, limit, digits", [
+    # the residue N^2 * y1bar has twice the digits of N
+    ("residue", dict(PLACE_R2, tau=1), "{N}*{N}*y1", 640, 600),
+    # the value's x1 coordinate is 2N, one digit longer than N
+    ("value", PLACE_R2, "x1^{N}*x1^{N}", 4300, 4300),
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_result_integer_over_the_digit_limit_exits_2(
+    tmp_path, capsys, set_digit_limit, command, place, element, limit, digits, fmt
+):
+    set_digit_limit(limit)
+    doc = {"place": place, "element": element.format(N="9" * digits)}
+    code, out, err = run(tmp_path, capsys, command, doc, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"more than {limit} digits" in err
+    assert "PYTHONINTMAXSTRDIGITS" in err and "sys.set_int_max_str_digits" in err
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# one request through cli.main in a fresh interpreter; the last line of
+# stderr lists the package's modules that were loaded
+_PROBE = (
+    "import sys\n"
+    "from uniformizer.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('uniformizer')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_fresh(tmp_path, command, doc):
+    """(exit code, stdout, loaded uniformizer modules) of one request in a new process."""
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, command, "--input", str(path)],
+        capture_output=True, env=env, text=True,
+    )
+    return done.returncode, done.stdout, set(done.stderr.splitlines()[-1].split())
+
+
+_SERIES_STACK = {"uniformizer.completion", "uniformizer.series"}
+
+
+def test_monomial_requests_never_load_the_series_stack(tmp_path, capsys):
+    place = dict(PLACE_R2, tau=1)
+    system = run_json(tmp_path, capsys, "uniformize", {"place": place, "zetas": ["x2/x1"]})
+    requests = {
+        "value": {"place": place, "element": "x2/x1 + y1"},
+        "residue": {"place": place, "element": "(x1*y1 + x1)/x1"},
+        "perron": {"order": PLACE_R2["x_weights"], "alphas": [["3", "-2"], [1, 0]]},
+        "report": {"place": place},
+        "uniformize": {"place": place, "zetas": ["x2/x1", "y1"]},
+        "verify": {"system": system["result"]["system"]},
+    }
+    for command, doc in requests.items():
+        code, out, loaded = _run_fresh(tmp_path, command, doc)
+        assert code == 0, command
+        assert "uniformizer.cli" in loaded and "uniformizer.valuation" in loaded
+        assert not loaded & _SERIES_STACK, (command, loaded & _SERIES_STACK)
+        assert json.loads(out)["command"] == command
+
+
+def test_series_request_loads_the_series_stack_and_prints_the_same_bytes(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["z", "(z - 1)/t"]}
+    code, out, loaded = _run_fresh(tmp_path, "discrete-uniformize", doc)
+    assert code == 0
+    assert _SERIES_STACK <= loaded
+    assert (code, out) == run(tmp_path, capsys, "discrete-uniformize", doc)[:2]
