@@ -29,13 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd, isqrt
 
+from . import dense
 from .errors import (
     InsufficientPrecisionError,
     NotInValuationRingError,
     PreconditionError,
 )
-from .fields import BaseField, Scalar, clear_denominators
+from .fields import BaseField, Scalar
 from .polyfield import (
     RationalFunction,
     SparsePoly,
@@ -190,10 +192,17 @@ class SeriesContext:
 _NOT_SIMPLE = "x0 is not a simple root of the reduction; the root does not lift"
 
 
+def _reduction(g: SparsePoly) -> tuple[list, int]:
+    """g(0, X) for g in (t, X), as a row over one denominator."""
+    low = {e[1]: c for e, c in g.terms if e[0] == 0}
+    return g.base.int_row([low.get(j, 0) for j in range(max(low, default=-1) + 1)])
+
+
 def _at_residue(g: SparsePoly, x0) -> Scalar:
-    """g(0, x0) for g in (t, X)."""
-    base = g.base
-    return base.coerce(sum(c * base.pow(x0, e[1]) for e, c in g.terms if e[0] == 0))
+    """g(0, x0) for g in (t, X), x0 canonical."""
+    (row, den), q = _reduction(g), x0.denominator
+    value = dense.horner(row, x0.numerator, g.base.p, q)
+    return g.base.settle_row([value], den * q ** max(len(row) - 1, 0))[0]
 
 
 def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
@@ -366,65 +375,14 @@ def value_via_lvpol(witness: ApproximationWitness, f: SparsePoly) -> int:
 # ---------------------------------------------------------------------------
 # The quotient ring K0(t)[X]/(m), computed fraction-free over K0[t]
 #
-# An element of K0[t] is a dense coefficient list, lowest degree first, with
-# no trailing zeros: ints in [0, p) over F_p, and plain ints over Q, where
-# every denominator is cleared on the way in.  A ring element is a vector of
-# dim such lists over the power basis 1, X, ..., X^(dim-1), read over one
-# common denominator in K0[t] that is kept beside it.  m is monic in X, so
-# reduction modulo m never divides.  Linear algebra is Bareiss elimination
-# (E. H. Bareiss, 1968): every entry after a step is a minor of the input
-# rows, so dividing by the previous pivot is exact in K0[t] and needs no gcd.
-# The only gcds are the ones RationalFunction.make takes, once per output
-# coefficient of a minimal polynomial.
+# Elements are vectors of dense K0[t] rows (see ``dense``).  Linear algebra
+# is Bareiss elimination (E. H. Bareiss, 1968): every entry after a step is
+# a minor of the input rows, so dividing by the previous pivot is exact in
+# K0[t] and needs no gcd.  The only gcds are the ones RationalFunction.make
+# takes, once per output coefficient of a minimal polynomial.
 
 
-def _kt_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _kt_add(a: list, b: list, p: int) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p if p else out[i] + y
-    return _kt_trim(out)
-
-
-def _kt_mul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out] if p else out
-
-
-def _kt_scale(a: list, k: int, p: int) -> list:
-    """a times a nonzero integer k (nonzero modulo p over F_p)."""
-    return [c * k % p for c in a] if p else [c * k for c in a]
-
-
-def _kt_divexact(a: list, b: list, p: int) -> list:
-    """a / b in K0[t], where b is known to divide a."""
-    if not a or b == [1]:
-        return a
-    a, n, lead = list(a), len(b) - 1, b[-1]
-    inv = pow(lead, -1, p) if p else 0
-    q = [0] * (len(a) - n)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + n] * inv % p if p else a[k + n] // lead
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] -= c * y
-    return q
-
-
-def _kt_unit(n: int, j: int) -> list:
+def _unit(n: int, j: int) -> list:
     return [[1] if i == j else [] for i in range(n)]
 
 
@@ -440,7 +398,7 @@ class _QuotientRing:
         # over Q, the coordinate Y = L*X with L the lcm of m's denominators
         # makes m monic with integer coefficients
         self.L = _ints(m)[1]
-        self.neg_m = [_kt_scale(c, -1, self.p) for c in self._split(m)[0][:-1]]
+        self.neg_m = [dense.scale(c, -1, self.p) for c in self._split(m)[0][:-1]]
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
         """(P, s) with f = P(Y)/s: P over Y with K0[t] entries, s an integer."""
@@ -450,11 +408,9 @@ class _QuotientRing:
         P = [[0] * (f.degree_in(0) + 1) for _ in range(n + 1)]
         for (i, j), c in f.terms:
             P[j][i] = c * self.L ** (n - j)
-        if self.p:
-            return [_kt_trim(row) for row in P], 1
-        flat, s = clear_denominators([c for row in P for c in row])
+        flat, s = self.base.int_row([c for row in P for c in row])
         w = len(P[0])
-        return [_kt_trim(flat[j * w : (j + 1) * w]) for j in range(n + 1)], s * self.L**n
+        return [dense.trim(flat[j * w : (j + 1) * w]) for j in range(n + 1)], s * self.L**n
 
     def _reduce(self, P: list) -> list:
         """P modulo m, as a vector of length dim."""
@@ -462,7 +418,7 @@ class _QuotientRing:
         for k in range(len(P) - 1, dim - 1, -1):
             if P[k]:
                 for i, c in enumerate(self.neg_m):
-                    P[k - dim + i] = _kt_add(P[k - dim + i], _kt_mul(P[k], c, p), p)
+                    P[k - dim + i] = dense.add(P[k - dim + i], dense.mul(P[k], c, p), p)
         return P[:dim] + [[]] * (dim - len(P))
 
     def _mul(self, A: list, B: list) -> list:
@@ -471,7 +427,7 @@ class _QuotientRing:
         for i, a in enumerate(A):
             if a:
                 for j, b in enumerate(B):
-                    out[i + j] = _kt_add(out[i + j], _kt_mul(a, b, p), p)
+                    out[i + j] = dense.add(out[i + j], dense.mul(a, b, p), p)
         return self._reduce(out)
 
     def _eliminate(self, pivots: list, row: list):
@@ -482,9 +438,9 @@ class _QuotientRing:
         """
         p, prev = self.p, [1]
         for col, prow in pivots:
-            piv, neg_c = prow[col], _kt_scale(row[col], -1, p)
+            piv, neg_c = prow[col], dense.scale(row[col], -1, p)
             row = [
-                _kt_divexact(_kt_add(_kt_mul(piv, x, p), _kt_mul(neg_c, y, p), p), prev, p)
+                dense.divexact(dense.add(dense.mul(piv, x, p), dense.mul(neg_c, y, p), p), prev, p)
                 for x, y in zip(row, prow)
             ]
             prev = piv
@@ -510,18 +466,18 @@ class _QuotientRing:
         pivots: list = []
         col = D
         for j in range(dim):
-            if self._eliminate(pivots, col + _kt_unit(dim + 1, j)) is not None:
+            if self._eliminate(pivots, col + _unit(dim + 1, j)) is not None:
                 raise PreconditionError(self._bad_denominator(f, "is a zero divisor"))
             col = self._reduce([[]] + col)
-        e = self._eliminate(pivots, _kt_unit(dim, 0) + _kt_unit(dim + 1, dim))
+        e = self._eliminate(pivots, _unit(dim, 0) + _unit(dim + 1, dim))
         # f = A/d over the common denominator d
-        A = self._mul(self._reduce(num), [_kt_scale(c, -den_s, p) for c in e[:dim]])
-        d = _kt_scale(e[dim], num_s, p)
+        A = self._mul(self._reduce(num), [dense.scale(c, -den_s, p) for c in e[:dim]])
+        d = dense.scale(e[dim], num_s, p)
         # the first dependency sum_i e_i A^i = 0 among the powers of A gives
         # sum_i e_i d^i f^i = 0
-        pivots, power = [], _kt_unit(dim, 0)
+        pivots, power = [], _unit(dim, 0)
         for k in range(dim + 1):
-            e = self._eliminate(pivots, power + _kt_unit(dim + 1, k))
+            e = self._eliminate(pivots, power + _unit(dim + 1, k))
             if e is not None:
                 break
             power = self._mul(power, A)
@@ -529,9 +485,9 @@ class _QuotientRing:
             raise PreconditionError("no dependency found below the ring dimension")
         out, d_pow = [RationalFunction.const(self.base, 1, 1)], d
         for i in range(k - 1, -1, -1):
-            den_i = self._poly(_kt_mul(e[k], d_pow, p))
+            den_i = self._poly(dense.mul(e[k], d_pow, p))
             out.append(RationalFunction.make(self._poly(e[i]), den_i))
-            d_pow = _kt_mul(d_pow, d, p)
+            d_pow = dense.mul(d_pow, d, p)
         return out[::-1]
 
     def _bad_denominator(self, f: RationalFunction, how: str) -> str:
@@ -701,66 +657,42 @@ _FP_ENUMERATION_LIMIT = 4096
 _DIVISOR_LIMIT = 10**12
 
 
-def _synthetic_div(base: BaseField, coeffs: list, r) -> list:
-    """coeffs / (X - r); coeffs indexed by degree, remainder must vanish."""
-    q = [base.zero] * (len(coeffs) - 1)
-    acc = base.zero
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = base.add(coeffs[k], base.mul(r, acc))
-        q[k - 1] = acc
-    rem = base.add(coeffs[0], base.mul(r, acc))
-    if rem != 0:
-        raise PreconditionError("claimed residue root does not divide the reduction")
-    return q
+def _deflate(row: list, r, p: int) -> list:
+    """row / (X - r); over Q row / (qX - x) for r = x/q, so primitive stays primitive."""
+    try:
+        return dense.divexact(row, [-r % p, 1] if p else [-r.numerator, r.denominator], p)
+    except PreconditionError:
+        raise PreconditionError("claimed residue root does not divide the reduction") from None
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+    return sorted(set(small + [abs(n) // d for d in small]))
 
 
-def _find_one_root(base: BaseField, coeffs: list) -> Scalar | None:
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return base.div(base.neg(coeffs[0]), coeffs[1])
-    if base.is_rationals:
-        shift = 0
-        while coeffs[shift] == 0:
-            shift += 1
-        if shift:
-            return Fraction(0)
-        ints, _ = clear_denominators(coeffs)
-        lead, const = ints[-1], ints[0]
-        if abs(lead) > _DIVISOR_LIMIT or abs(const) > _DIVISOR_LIMIT:
-            return None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(coeffs):
-                        acc = acc * cand + Fraction(c)
-                    if acc == 0:
-                        return cand
+def _find_one_root(row: list, p: int) -> Scalar | None:
+    """A root in the residue field of a row of degree >= 1, primitive with a
+    positive leading coefficient over Q, or None when the search gives up."""
+    if len(row) == 2:
+        return -row[0] * pow(row[1], -1, p) % p if p else Fraction(-row[0], row[1])
+    if p:
+        candidates = range(p if p <= _FP_ENUMERATION_LIMIT else 0)
+        return next((x for x in candidates if not dense.horner(row, x, p)), None)
+    if not row[0]:
+        return Fraction(0)
+    if abs(row[-1]) > _DIVISOR_LIMIT or abs(row[0]) > _DIVISOR_LIMIT:
         return None
-    if base.characteristic <= _FP_ENUMERATION_LIMIT:
-        for cand in range(base.characteristic):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * cand + c) % base.characteristic
-            if acc == 0:
-                return cand
-    return None
+    # x/q with q > 1 not in lowest terms comes after its reduced form, so
+    # skipping it still returns the first root in this order
+    qs = _divisors(row[-1])
+    pairs = ((x, q) for x in _divisors(row[0]) for q in qs if gcd(x, q) == 1)
+    found = (Fraction(c, q) for x, q in pairs for c in (x, -x) if not dense.horner(row, c, 0, q))
+    return next(found, None)
 
 
 def _conjugate_residue_roots(base: BaseField, mbar: list, r0, provided) -> list:
-    """Roots of mbar other than r0, found by repeated deflation.
+    """Roots of the row mbar other than r0, found by repeated deflation;
+    over Q, mbar is primitive with a positive leading coefficient.
 
     `provided`, when given, must list the remaining roots (with
     multiplicity); otherwise roots are searched by degree-1 formulas,
@@ -768,27 +700,23 @@ def _conjugate_residue_roots(base: BaseField, mbar: list, r0, provided) -> list:
     fields.  Failure to split is reported as a precondition, with a hint
     to pass the conjugate residues explicitly.
     """
-    rest = _synthetic_div(base, mbar, base.coerce(r0))
-    roots = []
-    if provided is not None:
-        for r in provided:
-            r = base.coerce(r)
-            rest = _synthetic_div(base, rest, r)
-            roots.append(r)
-        if len(rest) != 1:
-            raise PreconditionError(
-                "conjugate_residues does not account for every root of the reduction"
-            )
-        return roots
+    p = base.p
+    rest, roots = _deflate(mbar, base.coerce(r0), p), []
+    for r in provided or ():
+        roots.append(base.coerce(r))
+        rest = _deflate(rest, roots[-1], p)
+    if provided is not None and len(rest) != 1:
+        raise PreconditionError(
+            "conjugate_residues does not account for every root of the reduction"
+        )
     while len(rest) > 1:
-        r = _find_one_root(base, rest)
+        r = _find_one_root(rest, p)
         if r is None:
             raise PreconditionError(
                 "could not split the reduced minimal polynomial over the residue "
                 "field; pass conjugate_residues explicitly"
             )
-        r = base.coerce(r)
-        rest = _synthetic_div(base, rest, r)
+        rest = _deflate(rest, r, p)
         roots.append(r)
     return roots
 
@@ -856,13 +784,11 @@ def realize_presentation(
         return place, []
     m = _monic_min_poly(pres.min_poly)
     z = hensel_lift_root(m, pres.residue, precision)
-    mbar = [base.zero] * (m.degree_in(1) + 1)
-    for e, c in m.terms:
-        if e[0] == 0:
-            mbar[e[1]] = c
-    others = _conjugate_residue_roots(base, mbar, pres.residue, pres.conjugate_residues)
-    dmdx = hasse_derivative(m, 1, var=1)
-    if any(_at_residue(dmdx, r) == 0 for r in others):
+    # m is monic, so over Q the row of its reduction is primitive
+    others = _conjugate_residue_roots(base, _reduction(m)[0], pres.residue, pres.conjugate_residues)
+    # z's residue is simple and the reduction splits: a repeated conjugate
+    # residue is the only multiple root
+    if len(set(others)) != len(others):
         raise PreconditionError(_NOT_SIMPLE)
     place = DiscreteSeriesPlace(base, pres.uniformizer, (pres.gen_name,), (z,), precision)
     return place, others

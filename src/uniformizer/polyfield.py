@@ -35,6 +35,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+from . import dense
 from .errors import PreconditionError
 from .fields import BaseField, Frozen, Scalar, clear_denominators
 
@@ -313,33 +314,6 @@ def _join_main(base: BaseField, nvars: int, coeffs: dict[int, SparsePoly]) -> Sp
     return SparsePoly._canon(base, nvars, out)
 
 
-def _gcd_univariate(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    base = f.base
-    a = {e[0]: c for e, c in f.terms}
-    b = {e[0]: c for e, c in g.terms}
-
-    def remainder(top: dict, bot: dict) -> dict:
-        top = dict(top)
-        db = max(bot)
-        lead_b = bot[db]
-        while top and max(top) >= db:
-            da = max(top)
-            q = base.div(top[da], lead_b)
-            for k, c in bot.items():
-                idx = k + da - db
-                val = base.sub(top.get(idx, base.zero), base.mul(q, c))
-                if val == 0:
-                    top.pop(idx, None)
-                else:
-                    top[idx] = val
-        return top
-
-    while b:
-        a, b = b, remainder(a, b)
-    lead = a[max(a)]
-    return SparsePoly._canon(base, 1, {(k,): base.div(c, lead) for k, c in a.items()})
-
-
 def poly_content(f: SparsePoly) -> SparsePoly:
     """GCD of the coefficients of f seen as univariate in variable 0."""
     coeffs = list(_split_main(f).values())
@@ -359,49 +333,22 @@ def _shift_down(f: SparsePoly, shift) -> SparsePoly:
     )
 
 
-def _eval_except(f: SparsePoly, var: int, point) -> SparsePoly:
-    """Substitute point into every variable but var, leaving a univariate poly."""
-    base = f.base
-    acc: dict[int, Scalar] = {}
-    for e, c in f.terms:
-        val = c
-        pi = 0
-        for j, exp in enumerate(e):
-            if j == var:
-                continue
-            if exp:
-                val = base.mul(val, base.pow(point[pi], exp))
-            pi += 1
-        if val != 0:
-            acc[e[var]] = base.add(acc.get(e[var], base.zero), val)
-    return SparsePoly._canon(base, 1, {(k,): v for k, v in acc.items()})
-
-
-def _sample_point(base: BaseField, rng, n: int):
-    if base.is_rationals:
-        return tuple(base.coerce(rng.randint(-9, 9)) for _ in range(n))
-    return tuple(base.coerce(rng.randrange(base.characteristic)) for _ in range(n))
-
-
-def _var_bound_zero(base: BaseField, f: SparsePoly, g: SparsePoly, var: int, rng) -> bool:
-    for primary, other in ((f, g), (g, f)):
-        d = primary.degree_in(var)
-        # dropping a coordinate that is d in every kept term keeps the order
-        lc = SparsePoly(
-            base,
-            primary.nvars - 1,
-            tuple((e[:var] + e[var + 1 :], c) for e, c in primary.terms if e[var] == d),
-        )
-        for _ in range(4):
-            point = _sample_point(base, rng, primary.nvars - 1)
-            if lc.evaluate(point) == 0:
-                continue
-            u = _gcd_univariate(
-                _eval_except(primary, var, point), _eval_except(other, var, point)
-            )
-            if u.is_constant:
-                return True
-    return False
+def _dense_rows(fs, var: int, point=()) -> tuple[list, int]:
+    """(rows, s): the polynomials fs as dense rows in var^s, every other
+    variable specialised at the integers point, with s >= 1 the gcd of the
+    exponents of var, which keeps the rows of x^(10^8) + y short.  Over Q a
+    row drops its polynomial's common denominator."""
+    p, rows = fs[0].base.p, []
+    step = math.gcd(*(e[var] for f in fs for e, _ in f.terms)) or 1
+    for f in fs:
+        row = [0] * (f.degree_in(var) // step + 1)
+        for e, c in _ints(f)[0]:
+            for x, k in zip(point, e[:var] + e[var + 1 :]):
+                if k:
+                    c *= pow(x, k, p)
+            row[e[var] // step] += c
+        rows.append(dense.trim([c % p for c in row] if p else row))
+    return rows, step
 
 
 def _certified_coprime(f: SparsePoly, g: SparsePoly) -> bool:
@@ -412,14 +359,23 @@ def _certified_coprime(f: SparsePoly, g: SparsePoly) -> bool:
     degree-0 specialized gcd in every variable proves the claim.  A False
     return is never wrong, only slower.
     """
-    base = f.base
     rng = random.Random(0x5EED)
     for var in range(f.nvars):
         if f.degree_in(var) == 0 or g.degree_in(var) == 0:
             continue
-        if not _var_bound_zero(base, f, g, var, rng):
+        tries = ((f, g),) * 4 + ((g, f),) * 4
+        if not any(_coprime_at(a, b, var, rng) for a, b in tries):
             return False
     return True
+
+
+def _coprime_at(f: SparsePoly, g: SparsePoly, var: int, rng) -> bool:
+    """Whether f keeps its degree in var at a random point of the other
+    variables, and its gcd with g there is constant."""
+    p = f.base.p
+    point = [rng.randrange(p) if p else rng.randint(-9, 9) for _ in range(f.nvars - 1)]
+    (a, b), step = _dense_rows((f, g), var, point)
+    return len(a) == f.degree_in(var) // step + 1 and len(dense.gcd(a, b, p)) == 1
 
 
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -439,7 +395,9 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.nvars == 0:
         return SparsePoly.const(base, 0, base.one)
     if f.nvars == 1:
-        return _gcd_univariate(f, g)
+        (a, b), step = _dense_rows((f, g), 0)
+        h = dense.gcd(a, b, base.p)
+        return _from_ints(base, 1, {(k * step,): c for k, c in enumerate(h)}, h[-1])
 
     sf, sg = _min_exps(f), _min_exps(g)
     mono = SparsePoly(base, f.nvars, ((tuple(map(min, sf, sg)), base.one),))

@@ -269,6 +269,20 @@ def test_coefficient_without_inverse_exits_4(tmp_path, capsys):
     assert code == 4 and "place.generator.residue" in err
 
 
+def test_unsplit_reduction_over_q_exits_2(tmp_path, capsys):
+    # after deflating by the residue 0 the quadratic has no rational root;
+    # its leading coefficient and constant have hundreds of divisors, most
+    # of their pairs not in lowest terms
+    generator = {"name": "z", "min_poly": "X^3 + X^2/720720 - 7*X + t", "residue": 0}
+    pres = dict(PRES_F5, base={"field": "Q"}, generator=generator)
+    code, _, err = run(tmp_path, capsys, "discrete-uniformize", {"presentation": pres, "zetas": ["z"]})
+    assert code == 2
+    assert (
+        "could not split the reduced minimal polynomial over the residue field; "
+        "pass conjugate_residues explicitly"
+    ) in err
+
+
 def test_vanishing_denominator_is_named(tmp_path, capsys):
     doc = {"presentation": PRES_F5, "zetas": ["1/(z^2 - 1 - t)"]}
     code, _, err = run(tmp_path, capsys, "discrete-uniformize", doc)

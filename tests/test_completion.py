@@ -234,6 +234,55 @@ def test_realize_presentation_rejects_a_double_conjugate():
         realize_presentation(pres, 8)
 
 
+def _cubic(base, text, residue, conjugates=None):
+    m = parse_element(text, base, ("t", "X")).num
+    return DiscretePresentation(base=base, min_poly=m, residue=residue, conjugate_residues=conjugates)
+
+
+@pytest.mark.parametrize("base, text, residue, want", [
+    # (X - 1/2)(X + 3)(X - 2) + t: the search meets 1/2 before -3
+    (Q, "X^3 + 1/2*X^2 - 13/2*X + 3 + t", 2, [Fraction(1, 2), Fraction(-3)]),
+    # (X - 1)(X - 3)(X - 5) + t over F7: enumeration meets 1 first
+    (F7, "X^3 - 9*X^2 + 23*X - 15 + t", 5, [1, 3]),
+    (F7, "X^3 - 9*X^2 + 23*X - 15 + t", 3, [1, 5]),
+])
+def test_realize_presentation_splits_a_cubic(base, text, residue, want):
+    pres = _cubic(base, text, residue)
+    place, others = realize_presentation(pres, 8)
+    assert others == want
+    assert place.gen_series[0].residue() == residue
+    # each conjugate residue is simple, so it lifts
+    for r in others:
+        assert hensel_lift_root(pres.min_poly, r, 8).residue() == r
+
+
+def test_conjugate_residue_root_errors():
+    cubic = "X^3 - 9*X^2 + 23*X - 15 + t"
+    assert realize_presentation(_cubic(F7, cubic, 5, (3, 1)), 8)[1] == [3, 1]
+    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
+        realize_presentation(_cubic(F7, cubic, 5, (2, 3)), 8)
+    with pytest.raises(PreconditionError, match="does not account for every root"):
+        realize_presentation(_cubic(F7, cubic, 5, (1,)), 8)
+    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
+        realize_presentation(_cubic(F7, cubic, 5, (1, 3, 3)), 8)
+    with pytest.raises(PreconditionError, match="could not split"):
+        realize_presentation(_cubic(Q, "X^3 - 2*X + t", 0), 8)
+    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
+        realize_presentation(_cubic(Q, "X^3 - 2*X + t", 0, ("3/2", "-3/2")), 8)
+
+
+def test_large_prime_field_needs_conjugate_residues():
+    # 4099 lies above the enumeration limit, so the roots 2 and 3 of
+    # (X - 1)(X - 2)(X - 3) + t must be passed in
+    F = GF(4099)
+    cubic = "X^3 - 6*X^2 + 11*X - 6 + t"
+    with pytest.raises(PreconditionError, match="pass conjugate_residues explicitly"):
+        realize_presentation(_cubic(F, cubic, 1), 8)
+    place, others = realize_presentation(_cubic(F, cubic, 1, (3, 2)), 8)
+    assert others == [3, 2]
+    assert place.gen_series[0].residue() == 1
+
+
 def test_presentation_validation():
     with pytest.raises(PreconditionError):
         DiscretePresentation(base=Q, min_poly=P(Q, 1, [((1,), 1)]))
