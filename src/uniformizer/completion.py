@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd
 
 from . import dense
 from .errors import (
@@ -198,13 +198,6 @@ def _reduction(g: SparsePoly) -> tuple[list, int]:
     return g.base.int_row([low.get(j, 0) for j in range(max(low, default=-1) + 1)])
 
 
-def _at_residue(g: SparsePoly, x0) -> Scalar:
-    """g(0, x0) for g in (t, X), x0 canonical."""
-    (row, den), q = _reduction(g), x0.denominator
-    value = dense.horner(row, x0.numerator, g.base.p, q)
-    return g.base.settle_row([value], den * q ** max(len(row) - 1, 0))[0]
-
-
 def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     """Root series of f(t, X) starting from a simple residue root x0.
 
@@ -220,10 +213,10 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
         raise PreconditionError("precision must be at least 1")
     base = f.base
     x0 = base.coerce(x0)
-    if _at_residue(f, x0) != 0:
+    if f.evaluate((0, x0)) != 0:
         raise PreconditionError("x0 is not a root of the reduction")
     dfdx = hasse_derivative(f, 1, var=1)
-    d0 = _at_residue(dfdx, x0)
+    d0 = dfdx.evaluate((0, x0))
     if d0 == 0:
         raise PreconditionError(_NOT_SIMPLE)
     z = TruncatedSeries.constant(base, x0, 1)
@@ -666,8 +659,15 @@ def _deflate(row: list, r, p: int) -> list:
 
 
 def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
-    return sorted(set(small + [abs(n) // d for d in small]))
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
 
 
 def _find_one_root(row: list, p: int) -> Scalar | None:

@@ -333,22 +333,71 @@ def _shift_down(f: SparsePoly, shift) -> SparsePoly:
     )
 
 
-def _dense_rows(fs, var: int, point=()) -> tuple[list, int]:
-    """(rows, s): the polynomials fs as dense rows in var^s, every other
-    variable specialised at the integers point, with s >= 1 the gcd of the
-    exponents of var, which keeps the rows of x^(10^8) + y short.  Over Q a
-    row drops its polynomial's common denominator."""
-    p, rows = fs[0].base.p, []
-    step = math.gcd(*(e[var] for f in fs for e, _ in f.terms)) or 1
-    for f in fs:
-        row = [0] * (f.degree_in(var) // step + 1)
-        for e, c in _ints(f)[0]:
-            for x, k in zip(point, e[:var] + e[var + 1 :]):
-                if k:
-                    c *= pow(x, k, p)
-            row[e[var] // step] += c
-        rows.append(dense.trim([c % p for c in row] if p else row))
-    return rows, step
+# most entries per term that a dense row of a univariate gcd may hold
+_DENSE_FILL = 64
+
+
+def _specialised(f: SparsePoly, var: int, point=()) -> dict[int, int]:
+    """f as {exponent of var: integer}, every other variable specialised at
+    the integers point; over Q without f's common denominator."""
+    p, out = f.base.p, {}
+    for e, c in _ints(f)[0]:
+        for x, k in zip(point, e[:var] + e[var + 1 :]):
+            if k:
+                c *= pow(x, k, p)
+        out[e[var]] = out.get(e[var], 0) + c
+    return {e: c for e, c in ((e, c % p if p else c) for e, c in out.items()) if c}
+
+
+def _gcd_map(a: dict, b: dict, p) -> dict:
+    """A gcd of two nonzero {exponent: integer} maps: monic over F_p, and a
+    gcd up to a constant factor over Q.
+
+    Dense rows in x^s, s the gcd of the exponents, when each holds at most
+    _DENSE_FILL entries per term.  Otherwise, as for x^(10^8) + x, a sparse
+    Euclid whose memory stays that of the terms."""
+    s = math.gcd(*a, *b) or 1
+    if all(max(m) // s < _DENSE_FILL * len(m) for m in (a, b)):
+        rows = [[0] * (max(m) // s + 1) for m in (a, b)]
+        for row, m in zip(rows, (a, b)):
+            for e, c in m.items():
+                row[e // s] = c
+        return {k * s: c for k, c in enumerate(dense.gcd(*rows, p)) if c}
+    while b:
+        a, b = b, _sparse_rem(a, b, p)
+    if p:
+        inv = pow(a[max(a)], -1, p)
+        a = {e: c * inv % p for e, c in a.items()}
+    return a
+
+
+def _sparse_rem(a: dict, b: dict, p) -> dict:
+    """a modulo b over F_p.  Over Z the primitive part of a remainder of
+    c*a, the integer c > 0 grown only where a quotient term needs it."""
+    a, db = dict(a), max(b)
+    lead = b[db]
+    inv = pow(lead, -1, p) if p else 0
+    while a and max(a) >= db:
+        da = max(a)
+        if p:
+            k = a[da] * inv % p
+        else:
+            s = abs(lead) // math.gcd(a[da], lead)
+            if s > 1:
+                a = {e: c * s for e, c in a.items()}
+            k = a[da] // lead
+        for e, c in b.items():
+            key = e + da - db
+            w = a.get(key, 0) - k * c
+            w = w % p if p else w
+            if w:
+                a[key] = w
+            else:
+                a.pop(key, None)
+    if a and not p:
+        g = math.gcd(*a.values())
+        a = {e: c // g for e, c in a.items()}
+    return a
 
 
 def _certified_coprime(f: SparsePoly, g: SparsePoly) -> bool:
@@ -374,8 +423,8 @@ def _coprime_at(f: SparsePoly, g: SparsePoly, var: int, rng) -> bool:
     variables, and its gcd with g there is constant."""
     p = f.base.p
     point = [rng.randrange(p) if p else rng.randint(-9, 9) for _ in range(f.nvars - 1)]
-    (a, b), step = _dense_rows((f, g), var, point)
-    return len(a) == f.degree_in(var) // step + 1 and len(dense.gcd(a, b, p)) == 1
+    a, b = _specialised(f, var, point), _specialised(g, var, point)
+    return max(a, default=-1) == f.degree_in(var) and bool(b) and max(_gcd_map(a, b, p)) == 0
 
 
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -395,9 +444,8 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.nvars == 0:
         return SparsePoly.const(base, 0, base.one)
     if f.nvars == 1:
-        (a, b), step = _dense_rows((f, g), 0)
-        h = dense.gcd(a, b, base.p)
-        return _from_ints(base, 1, {(k * step,): c for k, c in enumerate(h)}, h[-1])
+        h = _gcd_map(_specialised(f, 0), _specialised(g, 0), base.p)
+        return _from_ints(base, 1, {(e,): c for e, c in h.items()}, h[max(h)])
 
     sf, sg = _min_exps(f), _min_exps(g)
     mono = SparsePoly(base, f.nvars, ((tuple(map(min, sf, sg)), base.one),))

@@ -1,10 +1,12 @@
 """Sparse polynomials and reduced rational functions."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from uniformizer import polyfield
 from uniformizer.errors import PreconditionError
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import (
@@ -233,6 +235,40 @@ def test_normalisation_with_huge_exponents():
         rf = RationalFunction.make(num, den)
         assert (rf.num, rf.den) == (num, den)
         assert str(rf) == f"(x1^{k}*x2 + 1)/(x1^{k} + x2)"
+
+
+def test_sparse_univariate_gcd_allocates_no_dense_row():
+    # a dense row of x1^(10^8) + x1 + 1 would hold 10^8 entries; these
+    # gcds take one or two steps of the sparse Euclid instead
+    k = 10**8
+    tracemalloc.start()
+    try:
+        for base in (Q, F5):
+            f = P(base, 1, [((k,), 1), ((1,), 1), ((0,), 1)])
+            assert RationalFunction.make(f, f) == RationalFunction.const(base, 1, 1)
+            rf = RationalFunction.make(P(base, 1, [((k,), 1), ((1,), 1)]), P(base, 1, [((1,), 1)]))
+            assert str(rf) == f"x1^{k - 1} + 1"
+            x = P(base, 1, [((1,), 1)])
+            two, three = (P(base, 1, [((0,), c)]) for c in (2, 3))
+            assert poly_gcd(f * (x + two), f * (x + three)) == f
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+_univariate_terms = st.lists(st.tuples(st.integers(0, 12), st.integers(-4, 4)), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q, F5, F7]), st.lists(_univariate_terms, min_size=3, max_size=3))
+def test_sparse_univariate_gcd_matches_dense_rows(base, factors):
+    a, b, h = (P(base, 1, [((e,), c) for e, c in terms]) for terms in factors)
+    assume(not (a * h).is_zero and not (b * h).is_zero)
+    expected = poly_gcd(a * h, b * h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyfield, "_DENSE_FILL", 0)  # every row counts as long
+        assert poly_gcd(a * h, b * h) == expected
 
 
 def _reference_substitute(f, args):
