@@ -48,6 +48,7 @@ from .polyfield import (
 )
 from .series import (
     TruncatedSeries,
+    _convolve,
     equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
@@ -198,6 +199,37 @@ def _reduction(g: SparsePoly) -> tuple[list, int]:
     return g.base.int_row([low.get(j, 0) for j in range(max(low, default=-1) + 1)])
 
 
+def _rows_in_x(f: SparsePoly, n: int) -> tuple[list, int]:
+    """f in (t, X) as its coefficient rows in t below t^n, lowest power of X
+    first, over one common denominator."""
+    terms, den = _ints(f)
+    rows = [[0] * n for _ in range(f.degree_in(1) + 1)]
+    for (i, j), c in terms:
+        if i < n:
+            rows[j][i] = c
+    return [dense.trim(row) for row in rows], den
+
+
+def _horner(base: BaseField, rows: list, den: int, z: TruncatedSeries, n: int) -> TruncatedSeries:
+    """f(t, z) below t^n, by Horner's rule in X, for f given by its rows and
+    denominator from ``_rows_in_x`` and a series z of order >= 0 known to at
+    least n.
+
+    With z = Z/q over Q, the homogeneous form sum_j F_j Z^j q^(deg - j)
+    keeps every step on integers; the result is that over den * q^deg.
+    """
+    p = base.characteristic
+    nums, q = base.int_row(z.coeffs)
+    Z = [0] * z.offset + nums
+    acc, qk = [], 1
+    for row in reversed(rows):
+        acc = dense.add(_convolve(acc, Z, n), dense.scale(row[:n], qk, p), 0)
+        if p:
+            acc = dense.trim([c % p for c in acc])
+        qk *= q
+    return TruncatedSeries._trimmed(base, 0, base.settle_row(acc, den * q ** (len(rows) - 1)), n)
+
+
 def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     """Root series of f(t, X) starting from a simple residue root x0.
 
@@ -205,7 +237,10 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     correct precision each round, and remain valid in characteristic p
     because only the first derivative is involved.  The inverse of f'(z)
     is carried along as a second Newton iterate, one doubling per round,
-    instead of being recomputed from scratch.
+    instead of being recomputed from scratch.  f and f' are read once as
+    coefficient rows in t, one per power of X, and each round evaluates
+    them at z by Horner's rule in X (``_horner``), so no power of z is
+    formed.
     """
     if f.nvars != 2:
         raise PreconditionError("expected a polynomial in (t, X)")
@@ -219,9 +254,9 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     d0 = dfdx.evaluate((0, x0))
     if d0 == 0:
         raise PreconditionError(_NOT_SIMPLE)
+    f_rows, d_rows = _rows_in_x(f, precision), _rows_in_x(dfdx, precision)
     z = TruncatedSeries.constant(base, x0, 1)
     w = TruncatedSeries.constant(base, base.inv(d0), 1)
-    t = TruncatedSeries.monomial(base, 1, precision)  # each evaluation below caps its terms at p2
     two = TruncatedSeries.constant(base, 2, precision)
     p = 1
     while p < precision:
@@ -230,11 +265,11 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
         # corrects everything beyond the old precision automatically.
         # f(zt) vanishes below p, so w = 1/f'(z) below p settles z below p2
         zt = TruncatedSeries(base, z.offset, z.coeffs, p2)
-        z = zt - eval_poly_at_series(f, [t, zt], p2) * w
+        z = zt - _horner(base, *f_rows, zt, p2) * w
         if p2 < precision:
             # the second Newton iterate, w <- w (2 - f'(z) w): 1/f'(z) below p2
             wt = TruncatedSeries(base, w.offset, w.coeffs, p2)
-            w = wt * (two - eval_poly_at_series(dfdx, [t, z], p2) * wt)
+            w = wt * (two - _horner(base, *d_rows, z, p2) * wt)
         p = p2
     return z
 
@@ -612,12 +647,7 @@ def _zeta_block(
     b_amb = _ambient_rf_from_t_poly(ctx.place.nvars, b)
     w_amb, winv_amb = b_amb / rest, rest / b_amb
 
-    hw = ring.min_poly(w_amb)
-    if len(hw) - 1 != k:
-        raise PreconditionError(
-            "w = b/(zeta - a) does not generate the same extension; "
-            "this lies outside the realized scope"
-        )
+    hw = _w_min_poly(ring, h, a, b, w_amb)
     # sanity: each coefficient must lie in the valuation ring and reduce to
     # the coefficients of X^k - X^(k-1)
     for c, want in zip(hw, [base.zero] * (k - 1) + [minus, one]):
@@ -641,6 +671,61 @@ def _zeta_block(
     return _Block(
         rows=[minpoly, invert, affine], etas=[w_amb, winv_amb, zeta], zeta_at=j + 2, witness=witness
     )
+
+
+def _t_row(f: SparsePoly) -> tuple[list, int]:
+    """A polynomial in t alone as a dense row over one denominator."""
+    terms, den = _ints(f)
+    row = [0] * (terms[0][0][0] + 1 if terms else 0)
+    for (i,), c in terms:
+        row[i] = c
+    return row, den
+
+
+def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -> list:
+    """The minimal polynomial of w = b/(zeta - a) over K0(t), lowest
+    coefficient first, from h, that of zeta.
+
+    zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
+    W^(k-s) is b^s h^[s](a), with h^[s] the s-th Hasse derivative; its
+    leading one is h(a).  Divided by h(a) it is monic of degree
+    k = [K0(t)(zeta) : K0(t)] = [K0(t)(w) : K0(t)], so it is the minimal
+    polynomial.  The h^[s](a) are the coefficients of h(a + Y), one Taylor
+    shift on K0[t] rows over a common denominator L of the h_i.  Over Q,
+    a = A/u, and the shift of sum_i L h_i u^(k-i) Y^i by A stays integral:
+    its coefficient of Y^s is S_s = L u^(k-s) h^[s](a).  Each coefficient
+    is normalised once, by ``RationalFunction.make``.
+
+    h(a) = 0 makes zeta - a a zero divisor of a split modulus, and then
+    ``ring.min_poly(w)`` raises, naming w.  The blocks never get there: a
+    separates zeta's value from every other root of h, and differs from it
+    as b does.
+    """
+    p, k = ring.p, len(h) - 1
+    nums = [_t_row(c.num)[0] for c in h]
+    dens = [_t_row(c.den)[0] for c in h]
+    L = [1]
+    for d in dens:
+        if d != L:
+            L = dense.mul(L, dense.divexact(d, dense.gcd(L, d, p), p), p)
+    A, u = _t_row(a)
+    S = [
+        dense.scale(dense.mul(n, dense.divexact(L, d, p), p), u ** (k - i), p)
+        for i, (n, d) in enumerate(zip(nums, dens))
+    ]
+    for s in range(k):
+        for i in range(k - 1, s - 1, -1):
+            S[i] = dense.add(S[i], dense.mul(A, S[i + 1], p), p)
+    if not S[0]:
+        return ring.min_poly(w)
+    # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
+    (e,), c = b.terms[0]
+    c, d = (c, 1) if p else (c.numerator, c.denominator)
+    out = [RationalFunction.make(
+        ring._poly([0] * (e * s) + dense.scale(S[s], (c * u) ** s, p)),
+        ring._poly(dense.scale(S[0], d ** s, p)),
+    ) for s in range(k, 0, -1)]
+    return out + [RationalFunction.const(ring.base, 1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,23 @@ numerators in the integer-row format of ``fields``, the caller keeps the
 one denominator, and the arithmetic is that of Z[X].
 
 An element of K0[t] is a row in t, with every denominator cleared on the
-way in over Q.  An element of K0(t)[X]/(m) (``completion._QuotientRing``)
-is a vector of dim such rows over the power basis 1, X, ..., X^(dim-1),
-read over one common denominator in K0[t] that is kept beside it.  m is
-monic in X, so reduction modulo m never divides.  Most K0[t] operands have
-one entry, where a schoolbook product beats ``series._convolve``.
+way in over Q.  The users:
+
+- ``completion._QuotientRing``: an element of K0(t)[X]/(m) is a vector of
+  dim such rows over the power basis 1, X, ..., X^(dim-1), read over one
+  common denominator in K0[t] that is kept beside it.  m is monic in X,
+  so reduction modulo m never divides.
+- ``completion._w_min_poly``: the minimal polynomial of w = b/(zeta - a)
+  by one Taylor shift of zeta's on rows; ``completion._horner`` evaluates
+  f(t, z) and f'(t, z) for Hensel lifting by Horner's rule in X.
+- ``completion._deflate`` and ``_find_one_root``: residue roots.
+- ``polyfield._gcd_map`` (``poly_gcd`` in one variable and
+  ``_certified_coprime``) and ``polyfield._make_dense``
+  (``RationalFunction.make`` in one variable): gcd and exact division on
+  rows in x^s, when the rows are not sparse.
+- ``series._convolve``: ``mul`` when the shorter row has at most eight
+  entries.  Most K0[t] operands have one entry, where the schoolbook loop
+  beats Kronecker substitution.
 """
 
 from __future__ import annotations

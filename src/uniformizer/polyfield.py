@@ -349,20 +349,30 @@ def _specialised(f: SparsePoly, var: int, point=()) -> dict[int, int]:
     return {e: c for e, c in ((e, c % p if p else c) for e, c in out.items()) if c}
 
 
+def _dense_rows(a: dict, b: dict):
+    """(s, row of a, row of b): two nonzero {exponent: integer} maps as dense
+    rows in x^s, s the gcd of the exponents, or None when a row would hold
+    more than _DENSE_FILL entries per term."""
+    s = math.gcd(*a, *b) or 1
+    if any(max(m) // s >= _DENSE_FILL * len(m) for m in (a, b)):
+        return None
+    rows = [[0] * (max(m) // s + 1) for m in (a, b)]
+    for row, m in zip(rows, (a, b)):
+        for e, c in m.items():
+            row[e // s] = c
+    return s, rows[0], rows[1]
+
+
 def _gcd_map(a: dict, b: dict, p) -> dict:
     """A gcd of two nonzero {exponent: integer} maps: monic over F_p, and a
     gcd up to a constant factor over Q.
 
-    Dense rows in x^s, s the gcd of the exponents, when each holds at most
-    _DENSE_FILL entries per term.  Otherwise, as for x^(10^8) + x, a sparse
-    Euclid whose memory stays that of the terms."""
-    s = math.gcd(*a, *b) or 1
-    if all(max(m) // s < _DENSE_FILL * len(m) for m in (a, b)):
-        rows = [[0] * (max(m) // s + 1) for m in (a, b)]
-        for row, m in zip(rows, (a, b)):
-            for e, c in m.items():
-                row[e // s] = c
-        return {k * s: c for k, c in enumerate(dense.gcd(*rows, p)) if c}
+    Dense rows (``_dense_rows``) when they fit.  Otherwise, as for
+    x^(10^8) + x, a sparse Euclid whose memory stays that of the terms."""
+    rows = _dense_rows(a, b)
+    if rows is not None:
+        s, ra, rb = rows
+        return {k * s: c for k, c in enumerate(dense.gcd(ra, rb, p)) if c}
     while b:
         a, b = b, _sparse_rem(a, b, p)
     if p:
@@ -505,6 +515,16 @@ def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     base = f.base
+    if len(g.terms) == 1:
+        # one shift for every term keeps the grlex order
+        (ge, gc), p = g.terms[0], base.p
+        inv = pow(gc, -1, p) if p else 1 / gc
+        terms = tuple(
+            (tuple(map(int.__sub__, e, ge)), c * inv % p if p else c * inv) for e, c in f.terms
+        )
+        if any(x < 0 for e, _ in terms for x in e):
+            raise PreconditionError("polynomial division is not exact")
+        return SparsePoly(base, f.nvars, terms)
     rem = f._dict()
     out: dict[Exps, Scalar] = {}
     ge, gc = g.leading()
@@ -541,6 +561,16 @@ class RationalFunction(Frozen):
 
     @staticmethod
     def make(num: SparsePoly, den: SparsePoly) -> "RationalFunction":
+        """num/den in canonical form: coprime, and over F_p den monic; over Q
+        integer coefficients with no common content and den's leading
+        coefficient positive.  A form with these properties is unique, so
+        every path below gives the same result.
+
+        With one variable and two nonconstant sides, the gcd and both exact
+        divisions run on dense rows (``_make_dense``) unless the rows would
+        be sparse (``_dense_rows``).  Otherwise ``poly_gcd`` and
+        ``poly_divexact``; a constant side needs no gcd at all.
+        """
         num._check_mate(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
@@ -548,6 +578,10 @@ class RationalFunction(Frozen):
         if num.is_zero:
             return RationalFunction(num, SparsePoly.const(base, nvars, base.one))
         if not (num.is_constant or den.is_constant):
+            if nvars == 1:
+                out = _make_dense(num, den)
+                if out is not None:
+                    return out
             g = poly_gcd(num, den)
             if not g.is_constant:
                 num = poly_divexact(num, g)
@@ -635,9 +669,24 @@ class RationalFunction(Frozen):
         return power(self, n)
 
     def map_vars(self, mapping, new_nvars: int) -> "RationalFunction":
-        return RationalFunction.make(
-            self.num.map_vars(mapping, new_nvars), self.den.map_vars(mapping, new_nvars)
-        )
+        """Reindex variables: old variable i becomes new variable mapping[i].
+
+        An injective mapping is a renaming into a polynomial ring, which
+        keeps num and den coprime and keeps their coefficients, so the
+        result is canonical once den's new leading coefficient is: 1 over
+        F_p (a scaling), positive over Q (a sign).  A mapping that merges
+        variables can create a common factor and goes through ``make``.
+        """
+        num, den = self.num.map_vars(mapping, new_nvars), self.den.map_vars(mapping, new_nvars)
+        if len(set(mapping)) < len(mapping):
+            return RationalFunction.make(num, den)
+        lead, p = den.terms[0][1], self.base.p
+        if p and lead != 1:
+            inv = pow(lead, -1, p)
+            num, den = num._scale(inv), den._scale(inv)
+        elif not p and lead < 0:
+            num, den = -num, -den
+        return RationalFunction(num, den)
 
     def evaluate(self, args) -> Scalar:
         d = self.den.evaluate(args)
@@ -647,6 +696,34 @@ class RationalFunction(Frozen):
 
     def __str__(self):
         return ratfun_str(self, default_names(self.nvars))
+
+
+def _make_dense(num: SparsePoly, den: SparsePoly) -> RationalFunction | None:
+    """make for one variable and two nonconstant sides, on dense rows; None
+    when ``_dense_rows`` finds the rows too sparse."""
+    base, p = num.base, num.base.p
+    (nt, dn), (dt, dd) = _ints(num), _ints(den)
+    # num/den = (N/dn)/(D/dd) = (N*dd)/(D*dn) for integer N and D
+    rows = _dense_rows({e: c * dd for (e,), c in nt}, {e: c * dn for (e,), c in dt})
+    if rows is None:
+        return None
+    s, rn, rd = rows
+    g = dense.gcd(rn, rd, p)
+    if len(g) > 1:
+        rn, rd = dense.divexact(rn, g, p), dense.divexact(rd, g, p)
+    if p:
+        k = pow(rd[-1], -1, p)
+        rn, rd = dense.scale(rn, k, p), dense.scale(rd, k, p)
+    else:
+        k = math.gcd(*rn, *rd)
+        k = -k if rd[-1] < 0 else k
+        rn, rd = [c // k for c in rn], [c // k for c in rd]
+    scalar = int if p else Fraction
+    num, den = (
+        SparsePoly(base, 1, tuple(((i * s,), scalar(row[i])) for i in range(len(row) - 1, -1, -1) if row[i]))
+        for row in (rn, rd)
+    )
+    return RationalFunction(num, den)
 
 
 def ratfun_str(f: RationalFunction, names) -> str:

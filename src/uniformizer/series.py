@@ -17,18 +17,22 @@ operation for both kinds of field.
   the denominators.  ``BaseField.settle_row`` turns a row back into
   canonical scalars: one ``% p`` per coefficient over F_p, one
   ``Fraction(c, d)`` per coefficient over Q.
-- Products (``_convolve``): one integer convolution by Kronecker
-  substitution.  Each row is packed into one integer as its value at
-  2^w, the two integers are multiplied once, and the product is read back
-  w bits at a time.  A coefficient of the convolution is a sum of at most
-  min(len a, len b) products, so ``bound = max|a| * max|b| * min(len a,
-  len b)`` bounds every output, and every input too when both rows are
-  nonzero; w is a whole number of bytes with bound < 2^(w-1).  When a row
-  has a negative entry, every digit is biased by 2^(w-1) on the way in and
-  on the way out.  A biased digit c + 2^(w-1) lies in [0, 2^w), so no
-  digit borrows from or carries into its neighbour, and each w-bit field
-  of the biased product is exactly one coefficient plus 2^(w-1): the
-  signed unpack is exact.  Rows with no negative entry need no bias.
+- Products (``_convolve``): when the shorter row has at most
+  ``_SCHOOLBOOK`` = 8 entries, the schoolbook loop of ``dense.mul``, cut
+  at n; most products here have rows of one to four entries, where
+  packing costs more than the loop.  Otherwise one integer convolution by
+  Kronecker substitution.  Each row is packed into one integer as its
+  value at 2^w, the two integers are multiplied once, and the product is
+  read back w bits at a time.  A coefficient of the convolution is a sum
+  of at most min(len a, len b) products, so ``bound = max|a| * max|b| *
+  min(len a, len b)`` bounds every output, and every input too when both
+  rows are nonzero; w is a whole number of bytes with bound < 2^(w-1).
+  When a row has a negative entry, every digit is biased by 2^(w-1) on the
+  way in and on the way out.  A biased digit c + 2^(w-1) lies in
+  [0, 2^w), so no digit borrows from or carries into its neighbour, and
+  each w-bit field of the biased product is exactly one coefficient plus
+  2^(w-1): the signed unpack is exact.  Rows with no negative entry need
+  no bias.
 - Sums (``_combine``): the overlap of two aligned slices, added or
   subtracted in place.
 - Inverses (``_inverse``): Newton's g <- g + g(1 - u g) on that product,
@@ -56,6 +60,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from . import dense
 from .errors import InsufficientPrecisionError, NotInValuationRingError, PreconditionError
 from .fields import BaseField, Scalar
 from .polyfield import RationalFunction, SparsePoly, power
@@ -70,6 +75,10 @@ def _reduced(base: BaseField, nums: list[int], den: int) -> tuple[list[int], int
     return [c // g for c in nums], den // g
 
 
+# longest shorter operand that _convolve multiplies by the schoolbook loop
+_SCHOOLBOOK = 8
+
+
 def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
     """The coefficients below n of the product of two integer coefficient lists.
 
@@ -79,6 +88,10 @@ def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
     a, b = a[:n], b[:n]
     if not a or not b:
         return []
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= _SCHOOLBOOK:
+        return dense.mul(a, b, 0)[:n]
     n = min(n, len(a) + len(b) - 1)
     low_a, low_b = min(a), min(b)
     bound = max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))

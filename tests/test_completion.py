@@ -1,18 +1,20 @@
 """Series completions: Hensel lifting, separating truncations, certificates."""
 
+import hashlib
 import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uniformizer.completion import (
     DiscretePresentation,
     _QuotientRing,
     _monic_min_poly,
     _relative_system,
+    _w_min_poly,
     DiscreteSeriesPlace,
     hensel_lift_root,
     kaplansky_normalize,
@@ -32,7 +34,7 @@ from uniformizer.errors import (
 )
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
-from uniformizer.polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
+from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative, poly_str, ratfun_str
 from uniformizer.series import TruncatedSeries, equal_to_precision, eval_poly_at_series, poly_to_series
 from uniformizer.uniformize import compose, uniformize_abhyankar, verify
 from uniformizer.valuation import MonomialPlace
@@ -689,3 +691,150 @@ def test_hensel_root_matches_sympy_over_q_and_reduces_mod_p(m_text, residue, kin
         residual = eval_poly_at_series(mp, [t, zp], n)
         assert residual.is_zero_to_precision and residual.precision == n
         assert [zp.coefficient(k) for k in range(n)] == [base.coerce(want.get(k, 0)) for k in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting by Horner's rule, against the parent's evaluation
+
+
+def _hensel_by_power_tables(f, x0, precision):
+    """The Newton loop that evaluates f and f' with eval_poly_at_series,
+    one fresh power table per evaluation; the reference for the Horner one."""
+    base = f.base
+    x0 = base.coerce(x0)
+    dfdx = hasse_derivative(f, 1, var=1)
+    z = TruncatedSeries.constant(base, x0, 1)
+    w = TruncatedSeries.constant(base, base.inv(dfdx.evaluate((0, x0))), 1)
+    t = TruncatedSeries.monomial(base, 1, precision)
+    two = TruncatedSeries.constant(base, 2, precision)
+    p = 1
+    while p < precision:
+        p2 = min(2 * p, precision)
+        zt = TruncatedSeries(base, z.offset, z.coeffs, p2)
+        z = zt - eval_poly_at_series(f, [t, zt], p2) * w
+        if p2 < precision:
+            wt = TruncatedSeries(base, w.offset, w.coeffs, p2)
+            w = wt * (two - eval_poly_at_series(dfdx, [t, z], p2) * wt)
+        p = p2
+    return z
+
+
+# sha256 of the reprs of hensel_lift_root at precisions 1, 2, 7, 16 and 64,
+# one per line, as the power-table evaluation computed them
+HENSEL_PINS = {
+    ("Q", "X^2 - 1 - t", "1"): "32ad49e66f63fcda",
+    ("Q", "X^2 - 1 - t", "-1"): "95de218e586076d3",
+    ("F5", "X^2 - 1 - t", "1"): "88890bdc4f8e416d",
+    ("F5", "X^2 - 1 - t", "4"): "5567de89b7c14af5",
+    ("F7", "X^2 - 1 - t", "1"): "c9a3c7a1b53f4c8e",
+    ("F7", "X^2 - 1 - t", "-1"): "c5f7e7b686687f61",
+    ("Q", "X^3 + t*X - 1 - t", "1"): "64a2e82a93fb8186",
+    ("Q", "X^3 - X - t", "0"): "d79578b12751ca90",
+    ("F5", "X^3 - X - t", "0"): "5eed7bb8d336fe10",
+    ("F7", "X^3 - X - t", "0"): "13efd4c3a8761d24",
+    ("Q", "X^3 + 1/2*X^2 - 13/2*X + 3 + t", "2"): "1518cd1274da3b29",
+    ("Q", "X^3 + 1/2*X^2 - 13/2*X + 3 + t", "1/2"): "af36fd82bb17fd28",
+    ("Q", "X^3 + 1/2*X^2 - 13/2*X + 3 + t", "-3"): "24a96f73db1828b7",
+    ("F7", "X^3 - 9*X^2 + 23*X - 15 + t", "5"): "aaba2a1394c3313f",
+    ("F7", "X^3 - 9*X^2 + 23*X - 15 + t", "3"): "bf0a58b7d39be574",
+    ("F7", "X^3 - 9*X^2 + 23*X - 15 + t", "1"): "9009431cb82c1917",
+    ("F4099", "X^3 - 6*X^2 + 11*X - 6 + t", "1"): "893c3937e30f9aff",
+    ("F5", "X^3 + 3*X + 1 + t", "1"): "b5ecb51d4468d53f",
+    ("Q", "X^2 - 4 - t + 2*t^3", "2"): "cd99c5cad88bdb0e",
+    ("Q", "X^3 - X/4 - t/3", "0"): "71b91a5cdd6c56fd",
+    ("Q", "X^3 - X/4 - t/3", "1/2"): "9c57f8c33cd64d5d",
+}
+HENSEL_PRECISIONS = (1, 2, 7, 16, 64)
+
+
+@pytest.mark.parametrize("field, m_text, residue", sorted(HENSEL_PINS))
+def test_horner_hensel_matches_the_power_table_evaluation(field, m_text, residue):
+    base = Q if field == "Q" else GF(int(field[1:]))
+    m = parse_element(m_text, base, ("t", "X")).num
+    x0 = base.coerce(Fraction(residue))
+    lifts = [hensel_lift_root(m, x0, n) for n in HENSEL_PRECISIONS]
+    for n, z in zip(HENSEL_PRECISIONS, lifts):
+        assert z == _hensel_by_power_tables(m, x0, n)
+        assert z.precision == n
+    digest = hashlib.sha256("\n".join(map(repr, lifts)).encode()).hexdigest()[:16]
+    assert digest == HENSEL_PINS[field, m_text, residue]
+
+
+@given(
+    st.sampled_from([Q, F5, F7]),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=5),
+    st.integers(-3, 3),
+    st.sampled_from(HENSEL_PRECISIONS),
+)
+@settings(max_examples=60, deadline=None)
+def test_horner_hensel_matches_on_drawn_presentations(base, coeffs, x0, precision):
+    # X^3 + c1*X^2 + ... with the t-terms chosen so that x0 is a root of the reduction
+    f = P(base, 2, [((0, 3), 1)] + [((i, 1 + i % 2), c) for i, c in enumerate(coeffs, 1)])
+    r = base.coerce(x0)
+    f = f - P(base, 2, [((0, 0), f.evaluate((0, r)))])
+    assume(hasse_derivative(f, 1, var=1).evaluate((0, r)) != 0)
+    assert hensel_lift_root(f, r, precision) == _hensel_by_power_tables(f, r, precision)
+
+
+# ---------------------------------------------------------------------------
+# the minimal polynomial of w = b/(zeta - a) by a Moebius map
+
+
+def _w_case(base, m_text, zeta_text, a_text, b_text):
+    ring = _ring(base, m_text)
+    zeta = parse_element(zeta_text, base, ("t", "z"))
+    a = parse_element(a_text, base, ("t",)).num
+    b = parse_element(b_text, base, ("t",)).num
+    rest = zeta - RationalFunction.from_poly(a.map_vars([0], 2))
+    # rest = 0 only where zeta = a lies in K0(t) and h(a) = 0
+    w = None if rest.is_zero else RationalFunction.from_poly(b.map_vars([0], 2)) / rest
+    return ring, ring.min_poly(zeta), a, b, w
+
+
+SPLIT_CUBIC = "(X - 1 - t)*(X - 2 + t^2)*(X - 3)"
+
+
+@pytest.mark.parametrize("base, m_text, zeta_text, a_text, b_text", [
+    (F5, "X^2 - 1 - t", "z", "1", "3*t"),
+    (F5, "X^2 - 1 - t", "(2*z + t)/(1 + 3*t*z)", "1 + t", "2*t^2"),
+    (F7, "X^3 - X - 2*t - 3*t^2", "(3*z + t)/(1 + t*z)", "t", "t^3"),
+    (Q, "X^3 - X/4 - t/3", "z^2 + t*z", "1/4", "-2/3*t"),
+    (Q, "X^2 - 4 - t + 2*t^3", "(3*z + t)/(1 - t*z)", "6 + 5*t", "7/2*t^2"),
+    (Q, SPLIT_CUBIC, "z", "1", "t"),
+    (Q, SPLIT_CUBIC, "z", "3 + t", "1"),
+    (Q, SPLIT_CUBIC, "z^2 + t*z", "2", "-3*t^2"),
+    (F7, SPLIT_CUBIC, "(z - 3)/t", "1/2", "t"),
+    (F5, SPLIT_CUBIC, "z", "2", "t^2"),
+])
+def test_w_min_poly_matches_the_elimination(base, m_text, zeta_text, a_text, b_text):
+    ring, h, a, b, w = _w_case(base, m_text, zeta_text, a_text, b_text)
+    assert _w_min_poly(ring, h, a, b, w) == ring.min_poly(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_cases(), st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3), st.sampled_from([1, -2, 3]))
+def test_w_min_poly_matches_the_elimination_on_drawn_elements(case, a0, a1, e, c):
+    base, m_text, f_text = case
+    ring, h, a, b, w = _w_case(base, m_text, f_text, f"{a0} + {a1}*t", f"{c}*t^{e}")
+    assume(not _at_zero(h, a))
+    assert _w_min_poly(ring, h, a, b, w) == ring.min_poly(w)
+
+
+def _at_zero(h, a):
+    """Whether h(a) = 0, in rational-function arithmetic."""
+    a_rf = RationalFunction.from_poly(a)
+    return sum((c * a_rf ** i for i, c in enumerate(h)), RationalFunction.const(a.base, 1, 0)).is_zero
+
+
+def test_w_min_poly_at_a_root_of_h_raises_as_the_elimination():
+    # zeta = z on the split cubic: h(3) = 0, so zeta - 3 is a zero divisor
+    ring, h, a, b, w = _w_case(Q, SPLIT_CUBIC, "z", "3", "t")
+    assert _at_zero(h, a)
+    with pytest.raises(PreconditionError) as want:
+        ring.min_poly(w)
+    with pytest.raises(PreconditionError) as got:
+        _w_min_poly(ring, h, a, b, w)
+    assert str(got.value) == str(want.value) == (
+        "element (t)/(z - 3) has a denominator that is a zero divisor "
+        "modulo the minimal polynomial"
+    )

@@ -437,3 +437,93 @@ def test_substitute_rejects_non_canonical_arguments():
     arg = RationalFunction(half, SparsePoly.const(Q, 2, 1))  # not made by make
     with pytest.raises(PreconditionError):
         substitute(P(Q, 1, [((1,), 1)]), [arg])
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of RationalFunction.make, map_vars and poly_divexact
+
+
+def _generic_make(num, den):
+    """RationalFunction.make through poly_gcd and poly_divexact alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyfield, "_make_dense", lambda num, den: None)
+        return RationalFunction.make(num, den)
+
+
+_small_coeffs = st.sampled_from([1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _univariate_factor(draw, base, nonconstant=False):
+    terms = draw(st.lists(st.tuples(st.integers(0, 5), _small_coeffs), min_size=1, max_size=3))
+    f = P(base, 1, [((e,), c) for e, c in terms])
+    assume(not f.is_zero and not (nonconstant and f.is_constant))
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([Q, F5, F7]), st.integers(0, 3), st.integers(0, 3))
+def test_dense_make_matches_the_generic_path(data, base, i, j):
+    # a planted common factor h and power-of-x offsets on both sides
+    h = data.draw(_univariate_factor(base, nonconstant=True))
+    f, g = data.draw(_univariate_factor(base)), data.draw(_univariate_factor(base))
+    x = P(base, 1, [((1,), 1)])
+    num, den = x**i * h * f if i else h * f, x**j * h * g if j else h * g
+    assume(not (num.is_constant or den.is_constant))
+    assert polyfield._make_dense(num, den) is not None
+    assert RationalFunction.make(num, den) == _generic_make(num, den)
+
+
+def test_dense_make_keeps_sparse_rows_on_the_generic_path():
+    # 4 terms up to degree 1001 are more than _DENSE_FILL entries per term
+    f = P(F5, 1, [((1000,), 1), ((0,), 1)])
+    g = P(F5, 1, [((1,), 1), ((0,), 1)])
+    assert polyfield._make_dense(f * g, g * g) is None
+    assert RationalFunction.make(f * g, g * g) == RationalFunction.make(f, g)
+
+
+@st.composite
+def _ratfuns(draw, base, nvars):
+    num = draw(polys(base, nvars=nvars, max_terms=3, max_exp=3))
+    den = draw(polys(base, nvars=nvars, max_terms=3, max_exp=3))
+    assume(not den.is_zero)
+    return RationalFunction.make(num, den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([Q, F5, F7]), st.integers(1, 3), st.integers(0, 2))
+def test_injective_map_vars_matches_make(data, base, nvars, extra):
+    rf = data.draw(_ratfuns(base, nvars))
+    # a permutation of the variables, then an embedding into more of them
+    mapping = data.draw(st.permutations(range(nvars + extra)))[:nvars]
+    want = RationalFunction.make(
+        rf.num.map_vars(mapping, nvars + extra), rf.den.map_vars(mapping, nvars + extra)
+    )
+    assert rf.map_vars(mapping, nvars + extra) == want
+
+
+def test_non_injective_map_vars_still_normalises():
+    for base in (Q, F5):
+        rf = RationalFunction.make(
+            P(base, 2, [((1, 0), 1), ((0, 0), -1)]), P(base, 2, [((0, 1), 1), ((0, 0), -1)])
+        )
+        assert rf.map_vars([0, 0], 1) == RationalFunction.const(base, 1, 1)
+    # a renaming that moves den's leading term onto a negative coefficient
+    rf = RationalFunction.make(P(Q, 2, [((1, 0), 1)]), P(Q, 2, [((1, 0), 1), ((0, 2), -1)]))
+    assert str(rf.map_vars([1, 0], 2)) == "(-x2)/(x1^2 - x2)"
+    rf = RationalFunction.make(P(F5, 2, [((1, 0), 1)]), P(F5, 2, [((1, 0), 1), ((0, 2), 3)]))
+    assert str(rf.map_vars([1, 0], 2)) == "(2*x2)/(x1^2 + 2*x2)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Q, F5, F7]), polys(Q, nvars=2), st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       st.sampled_from([1, 3, Fraction(-2, 3)]))
+def test_divexact_by_a_monomial(base, f, shift, c):
+    f = P(base, 2, f.terms)
+    m = P(base, 2, [(shift, c)])
+    assert poly_divexact(f * m, m) == f
+    if any(x < s for e, _ in f.terms for x, s in zip(e, shift)):
+        with pytest.raises(PreconditionError, match="polynomial division is not exact"):
+            poly_divexact(f, m)
+    else:
+        assert poly_divexact(f, m) * m == f
