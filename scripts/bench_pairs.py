@@ -2,16 +2,17 @@
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --workloads series_pipeline cli_mix --seeds 11 12 13 --pairs 2 \\
-        --seconds 25 --out BENCH_<n>_<sha>.json
+        --out BENCH_<n>_<sha>.json
 
 Both directories are checkouts of this repository, the parent one made with
 ``git clone`` or ``git worktree`` outside the repository.  For every
 workload, seed and pair the script runs ``benchmark/run.py`` once in each
-checkout, the parent first in every other pair (counted across workloads
-and seeds) and the change first in the rest, so that a drift of the
-host's speed falls on both sides alike.  It reads the last line of each
-run (one JSON object) and the ``info`` line (CPU model, nproc, Python,
-git revision, line count of ``src/uniformizer``).
+checkout for the ``run_seconds`` of BENCHMARK.json, the parent first in
+every other pair (counted across workloads and seeds) and the change
+first in the rest, so that a drift of the host's speed falls on both
+sides alike.  It reads the last line of each run (one JSON object) and
+the ``info`` line (CPU model, nproc, Python, git revision, line count of
+``src/uniformizer``).
 
 The children run with ``PYTHONDONTWRITEBYTECODE=1``, so neither checkout
 gains a bytecode cache from the runs; start from checkouts that have none,
@@ -100,14 +101,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=1, help="pairs per workload and seed")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 

@@ -569,7 +569,8 @@ class RationalFunction(Frozen):
         With one variable and two nonconstant sides, the gcd and both exact
         divisions run on dense rows (``_make_dense``) unless the rows would
         be sparse (``_dense_rows``).  Otherwise ``poly_gcd`` and
-        ``poly_divexact``; a constant side needs no gcd at all.
+        ``poly_divexact``; a constant side needs no gcd at all.  Every path
+        then ends in the same scaling.
         """
         num._check_mate(den)
         if den.is_zero:
@@ -577,29 +578,29 @@ class RationalFunction(Frozen):
         base, nvars, p = num.base, num.nvars, num.base.p
         if num.is_zero:
             return RationalFunction(num, SparsePoly.const(base, nvars, base.one))
+        nt, dt = num.terms, den.terms
         if not (num.is_constant or den.is_constant):
-            if nvars == 1:
-                out = _make_dense(num, den)
-                if out is not None:
-                    return out
-            g = poly_gcd(num, den)
-            if not g.is_constant:
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
+            divided = _make_dense(num, den) if nvars == 1 else None
+            if divided is not None:
+                nt, dt = divided
+            else:
+                g = poly_gcd(num, den)
+                if not g.is_constant:
+                    nt, dt = poly_divexact(num, g).terms, poly_divexact(den, g).terms
         # scaling by a nonzero constant keeps the terms' order, so the
         # normalised tuples are built directly
         if p:
-            inv = pow(den.terms[0][1], -1, p)
-            ns = tuple((e, c * inv % p) for e, c in num.terms)
-            ds = tuple((e, c * inv % p) for e, c in den.terms)
+            inv = pow(dt[0][1], -1, p)
+            ns = tuple((e, c * inv % p) for e, c in nt)
+            ds = tuple((e, c * inv % p) for e, c in dt)
         else:
-            terms = num.terms + den.terms
+            terms = nt + dt
             ints, _ = clear_denominators([c for _, c in terms])
             k = math.gcd(*ints)
-            if ints[len(num.terms)] < 0:
+            if ints[len(nt)] < 0:
                 k = -k
             scaled = [(e, Fraction(v // k)) for (e, _), v in zip(terms, ints)]
-            ns, ds = tuple(scaled[: len(num.terms)]), tuple(scaled[len(num.terms):])
+            ns, ds = tuple(scaled[: len(nt)]), tuple(scaled[len(nt):])
         return RationalFunction(SparsePoly(base, nvars, ns), SparsePoly(base, nvars, ds))
 
     @staticmethod
@@ -698,32 +699,24 @@ class RationalFunction(Frozen):
         return ratfun_str(self, default_names(self.nvars))
 
 
-def _make_dense(num: SparsePoly, den: SparsePoly) -> RationalFunction | None:
-    """make for one variable and two nonconstant sides, on dense rows; None
+def _make_dense(num: SparsePoly, den: SparsePoly):
+    """The terms of num/g and den/g, g a gcd of two nonconstant polynomials in
+    one variable, with integer coefficients and up to a common constant
+    factor, which ``make`` then scales away; computed on dense rows.  None
     when ``_dense_rows`` finds the rows too sparse."""
-    base, p = num.base, num.base.p
     (nt, dn), (dt, dd) = _ints(num), _ints(den)
     # num/den = (N/dn)/(D/dd) = (N*dd)/(D*dn) for integer N and D
     rows = _dense_rows({e: c * dd for (e,), c in nt}, {e: c * dn for (e,), c in dt})
     if rows is None:
         return None
     s, rn, rd = rows
+    p = num.base.p
     g = dense.gcd(rn, rd, p)
     if len(g) > 1:
         rn, rd = dense.divexact(rn, g, p), dense.divexact(rd, g, p)
-    if p:
-        k = pow(rd[-1], -1, p)
-        rn, rd = dense.scale(rn, k, p), dense.scale(rd, k, p)
-    else:
-        k = math.gcd(*rn, *rd)
-        k = -k if rd[-1] < 0 else k
-        rn, rd = [c // k for c in rn], [c // k for c in rd]
-    scalar = int if p else Fraction
-    num, den = (
-        SparsePoly(base, 1, tuple(((i * s,), scalar(row[i])) for i in range(len(row) - 1, -1, -1) if row[i]))
-        for row in (rn, rd)
+    return tuple(
+        tuple(((i * s,), row[i]) for i in range(len(row) - 1, -1, -1) if row[i]) for row in (rn, rd)
     )
-    return RationalFunction(num, den)
 
 
 def ratfun_str(f: RationalFunction, names) -> str:
