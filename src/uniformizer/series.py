@@ -75,7 +75,9 @@ def _reduced(base: BaseField, nums: list[int], den: int) -> tuple[list[int], int
     return [c // g for c in nums], den // g
 
 
-# longest shorter operand that _convolve multiplies by the schoolbook loop
+# longest shorter operand that _convolve multiplies by the schoolbook loop;
+# on the products of the series pipeline the loop stays faster up to about
+# 12 entries, but on rows of 30-bit integers Kronecker wins from about 8
 _SCHOOLBOOK = 8
 
 
