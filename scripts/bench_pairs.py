@@ -21,9 +21,12 @@ or set-up times are not comparable.
 The output holds every value of every run, and per workload and metric the
 median of each side, their ratio (change / parent), the quartiles of the
 parent's values and the number of pairs in which the change was better,
-with "better" read from BENCHMARK.json.  It exits 1 when an operation
-failed in some run, 0 otherwise, and stops with an error, writing
-nothing, when ``run.py`` exits nonzero.
+with "better" read from BENCHMARK.json.  After the pairs, every workload
+runs once traced (``--trace 1``, seed 1) in each checkout; the record keeps
+those runs' per-layer metrics under ``traced`` and, under
+``traced_summary``, the layers named in TRACED side by side.  It exits 1
+when an operation failed in some run, 0 otherwise, and stops with an
+error, writing nothing, when ``run.py`` exits nonzero.
 """
 
 from __future__ import annotations
@@ -36,14 +39,17 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# per-layer metrics of the traced runs that the summary sets side by side
+TRACED = ("polyfield.mul.self_s", "polyfield.substitute.self_s", "fields.ops.calls")
+TRACE_SEED = 1
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run: its info line and the metrics of its last line."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run: its info line and the metrics of its last line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -94,6 +100,18 @@ def summarise(runs: list, better: dict) -> dict:
     return out
 
 
+def traced_summary(traced: dict) -> dict:
+    """Per workload and metric of TRACED: each side's traced value and their ratio."""
+    out = {}
+    for workload, sides in traced.items():
+        out[workload] = {}
+        for name in TRACED:
+            parent, change = (sides[side]["metrics"].get(name) for side in ("parent", "change"))
+            ratio = change / parent if parent and change is not None else None
+            out[workload][name] = {"parent": parent, "change": change, "ratio": ratio}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -124,6 +142,13 @@ def main(argv=None) -> int:
                     ops = result["metrics"].get("ops_per_s")
                     print(f"{workload} seed {seed} pair {pair} {side}: ops_per_s {ops:.6g}, "
                           f"failed {result['failed']}", flush=True)
+    traced = {}
+    for workload in args.workloads:
+        for side in ("parent", "change"):
+            result = run_once(checkouts[side], workload, TRACE_SEED, seconds, trace=1)
+            info.setdefault(side, result.pop("info"))
+            traced.setdefault(workload, {})[side] = result
+            ok = ok and result["failed"] == 0
 
     record = {
         "command": ["python", "scripts/bench_pairs.py"] + (sys.argv[1:] if argv is None else list(argv)),
@@ -134,6 +159,9 @@ def main(argv=None) -> int:
         "info": info,
         "runs": runs,
         "summary": summarise(runs, better),
+        "trace_seed": TRACE_SEED,
+        "traced": traced,
+        "traced_summary": traced_summary(traced),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -143,6 +171,9 @@ def main(argv=None) -> int:
             ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
             print(f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g} "
                   f"(ratio {ratio}, change better in {m['change_better_pairs']}/{m['pairs']})")
+    for workload, metrics in record["traced_summary"].items():
+        for name, m in metrics.items():
+            print(f"{workload} traced {name}: {m['parent']} -> {m['change']}")
     return 0 if ok else 1
 
 

@@ -41,14 +41,14 @@ from .fields import BaseField, Scalar
 from .polyfield import (
     RationalFunction,
     SparsePoly,
-    _from_ints,
-    _ints,
+    _settled,
     hasse_derivative,
     ratfun_str,
 )
 from .series import (
     TruncatedSeries,
     _convolve,
+    _reduced,
     equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
@@ -195,19 +195,18 @@ _NOT_SIMPLE = "x0 is not a simple root of the reduction; the root does not lift"
 
 def _reduction(g: SparsePoly) -> tuple[list, int]:
     """g(0, X) for g in (t, X), as a row over one denominator."""
-    low = {e[1]: c for e, c in g.terms if e[0] == 0}
-    return g.base.int_row([low.get(j, 0) for j in range(max(low, default=-1) + 1)])
+    low = {e[1]: c for e, c in g.ints if e[0] == 0}
+    return _reduced(g.base, [low.get(j, 0) for j in range(max(low, default=-1) + 1)], g.denom)
 
 
 def _rows_in_x(f: SparsePoly, n: int) -> tuple[list, int]:
     """f in (t, X) as its coefficient rows in t below t^n, lowest power of X
     first, over one common denominator."""
-    terms, den = _ints(f)
     rows = [[0] * n for _ in range(f.degree_in(1) + 1)]
-    for (i, j), c in terms:
+    for (i, j), c in f.ints:
         if i < n:
             rows[j][i] = c
-    return [dense.trim(row) for row in rows], den
+    return [dense.trim(row) for row in rows], f.denom
 
 
 def _horner(base: BaseField, rows: list, den: int, z: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -298,7 +297,8 @@ class ApproximationWitness:
     @property
     def b(self) -> SparsePoly:
         """The monomial b_coeff * t^b_exp."""
-        return SparsePoly(self.a.base, 1, (((self.b_exp,), self.b_coeff),))
+        c = self.b_coeff
+        return SparsePoly(self.a.base, 1, (((self.b_exp,), c.numerator),), c.denominator)
 
 
 def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePoly]:
@@ -306,21 +306,22 @@ def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePol
     z - a.  z has order >= 0 and below is at most its precision."""
     coeffs = z.coeffs
     cut = min(len(coeffs), max(0, below - z.offset))
-    a = SparsePoly._canon(z.base, 1, {(z.offset + i,): c for i, c in enumerate(coeffs[:cut])})
+    a = SparsePoly._of_scalars(z.base, 1, {(z.offset + i,): c for i, c in enumerate(coeffs[:cut])})
     k = next((i for i in range(cut, len(coeffs)) if coeffs[i]), None)
     if k is None:
         raise InsufficientPrecisionError(
             "series vanishes to precision; its leading monomial is not determined",
             needed=z.precision + 1,
         )
-    return a, SparsePoly(z.base, 1, (((z.offset + k,), coeffs[k]),))
+    c = coeffs[k]
+    return a, SparsePoly(z.base, 1, (((z.offset + k,), c.numerator),), c.denominator)
 
 
 def _eval_at_poly(f: SparsePoly, a: SparsePoly) -> SparsePoly:
     """f(t, a(t)) as an exact polynomial in t."""
     acc = SparsePoly.zero(f.base, 1)
-    for (i, j), c in f.terms:
-        acc = acc + SparsePoly._canon(f.base, 1, {(i,): c}) * a ** j
+    for (i, j), c in f.ints:
+        acc = acc + SparsePoly._canon(f.base, 1, {(i,): c}, f.denom) * a ** j
     return acc
 
 
@@ -336,7 +337,7 @@ def _value_table(f: SparsePoly, a: SparsePoly, b: SparsePoly) -> tuple[tuple[int
         raise PreconditionError("expected a polynomial in (t, X)")
     # the lowest term of a polynomial in t alone comes last
     return tuple(
-        (i, g.terms[-1][0][0]) for i, g in enumerate(_gamma_table(f, a, b)) if not g.is_zero
+        (i, g.ints[-1][0][0]) for i, g in enumerate(_gamma_table(f, a, b)) if not g.is_zero
     )
 
 
@@ -375,7 +376,8 @@ def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) ->
         a, b = _split_series(z, below)
         tables = tuple(_value_table(f, a, b) for f in fs)
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
-            (b_exp,), b_coeff = b.terms[0]
+            (b_exp,), c = b.ints[0]
+            b_coeff = z.base.settle_row([c], b.denom)[0]
             return ApproximationWitness(
                 fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, tables=tables
             )
@@ -425,7 +427,7 @@ class _QuotientRing:
         self.dim = m.degree_in(1)
         # over Q, the coordinate Y = L*X with L the lcm of m's denominators
         # makes m monic with integer coefficients
-        self.L = _ints(m)[1]
+        self.L = m.denom
         self.neg_m = [dense.scale(c, -1, self.p) for c in self._split(m)[0][:-1]]
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
@@ -434,9 +436,9 @@ class _QuotientRing:
             return [], 1
         n = f.degree_in(1)
         P = [[0] * (f.degree_in(0) + 1) for _ in range(n + 1)]
-        for (i, j), c in f.terms:
+        for (i, j), c in f.ints:
             P[j][i] = c * self.L ** (n - j)
-        flat, s = self.base.int_row([c for row in P for c in row])
+        flat, s = _reduced(self.base, [c for row in P for c in row], f.denom)
         w = len(P[0])
         return [dense.trim(flat[j * w : (j + 1) * w]) for j in range(n + 1)], s * self.L**n
 
@@ -479,7 +481,7 @@ class _QuotientRing:
         return None
 
     def _poly(self, c: list) -> SparsePoly:
-        return _from_ints(self.base, 1, {(i,): v for i, v in enumerate(c) if v})
+        return SparsePoly._canon(self.base, 1, {(i,): v for i, v in enumerate(c) if v})
 
     def min_poly(self, f: RationalFunction) -> list:
         """Monic minimal polynomial of f over K0(t), lowest coefficient first."""
@@ -558,7 +560,7 @@ class _CoeffPool:
             if c is not None:
                 e[nlead + c] = 1
             acc[tuple(e)] = scalar
-        return SparsePoly._canon(self.base, width, acc)
+        return SparsePoly._of_scalars(self.base, width, acc)
 
 
 def _residue_at_zero(rf: RationalFunction) -> Scalar | None:
@@ -567,8 +569,9 @@ def _residue_at_zero(rf: RationalFunction) -> Scalar | None:
     if rf.is_zero:
         return base.zero
     # the lowest term of a polynomial in t alone comes last
-    (ord_num,), cn = rf.num.terms[-1]
-    (ord_den,), cd = rf.den.terms[-1]
+    # canonical sides have denominator 1: their integers are the coefficients
+    (ord_num,), cn = rf.num.ints[-1]
+    (ord_den,), cd = rf.den.ints[-1]
     if ord_num < ord_den:
         return None
     return base.div(cn, cd) if ord_num == ord_den else base.zero
@@ -675,11 +678,10 @@ def _zeta_block(
 
 def _t_row(f: SparsePoly) -> tuple[list, int]:
     """A polynomial in t alone as a dense row over one denominator."""
-    terms, den = _ints(f)
-    row = [0] * (terms[0][0][0] + 1 if terms else 0)
-    for (i,), c in terms:
+    row = [0] * (f.ints[0][0][0] + 1 if f.ints else 0)
+    for (i,), c in f.ints:
         row[i] = c
-    return row, den
+    return row, f.denom
 
 
 def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -> list:
@@ -719,8 +721,8 @@ def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -
     if not S[0]:
         return ring.min_poly(w)
     # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
-    (e,), c = b.terms[0]
-    c, d = (c, 1) if p else (c.numerator, c.denominator)
+    # a canonical monomial's integer and denominator are coprime
+    ((e,), c), d = b.ints[0], b.denom
     out = [RationalFunction.make(
         ring._poly([0] * (e * s) + dense.scale(S[s], (c * u) ** s, p)),
         ring._poly(dense.scale(S[0], d ** s, p)),
@@ -843,15 +845,16 @@ def _monic_min_poly(m: SparsePoly) -> SparsePoly:
     """Scale so the X^D coefficient is 1; it must be a nonzero constant."""
     base = m.base
     d = m.degree_in(1)
-    lead_terms = [(e, c) for e, c in m.terms if e[1] == d]
+    lead_terms = [(e, c) for e, c in m.ints if e[1] == d]
     if len(lead_terms) != 1 or lead_terms[0][0][0] != 0:
         raise PreconditionError(
             "the X-leading coefficient of min_poly must be a nonzero constant"
         )
+    # the coefficient is c / m.denom
     c = lead_terms[0][1]
-    if c == base.one:
+    if c == m.denom:
         return m
-    return m.scale(base.inv(c))
+    return m.scale(base.div(m.denom, c))
 
 
 def realize_presentation(
@@ -992,9 +995,9 @@ def uniformize_immediate_simple(
         gam_g = _gamma_table(f.num, a, b)
         gam_h = _gamma_table(f.den, a, b)
         low_h = _min_term(gam_h)
-        if _min_term(gam_g)[0] < low_h[0]:
+        if _min_term(gam_g).ints[0][0] < low_h.ints[0][0]:
             raise NotInValuationRingError(f"element {j} lies outside the valuation ring")
-        n_h = RationalFunction.from_poly(SparsePoly(base, 1, (low_h,)))
+        n_h = RationalFunction.from_poly(low_h)
         # (h(z) X_j - g(z))/n_h, with h(z) = sum_i gamma_i(h) ztilde^i
         rows.append(
             [pool.term({0: i, j: 1}, RationalFunction.from_poly(gi) / n_h, one)
@@ -1034,12 +1037,13 @@ def _coerce_ambient(base: BaseField, nvars: int, f) -> RationalFunction:
     raise PreconditionError(f"cannot interpret {f!r} as an ambient element")
 
 
-def _min_term(gam: list[SparsePoly]) -> tuple:
-    """The lowest t-term ((order,), coefficient) across the table; unique by separation."""
-    lows = [g.terms[-1] for g in gam if not g.is_zero]
+def _min_term(gam: list[SparsePoly]) -> SparsePoly:
+    """The lowest t-term across the table, as a monomial; unique by separation."""
+    lows = [g for g in gam if not g.is_zero]
     if not lows:
         raise PreconditionError("element vanishes identically")
-    return min(lows, key=lambda term: term[0])
+    g = min(lows, key=lambda g: g.ints[-1][0])
+    return _settled(g.base, 1, g.ints[-1:], g.denom)
 
 
 def uniformize_discrete_rational(

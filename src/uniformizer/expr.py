@@ -33,6 +33,7 @@ character offset; line and column are worked out only for an error.
 from __future__ import annotations
 
 import re
+from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError
@@ -98,7 +99,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs around the current token
         self.base = base
-        self.p = base.p
         self.nvars = len(names)
         self.index = {}
         for i, name in enumerate(names):
@@ -130,9 +130,6 @@ class _Parser:
         tok = self.tokens[self.pos]
         return tok.kind == "op" and tok.text in ops
 
-    def monomial(self, exps, c) -> SparsePoly:
-        return SparsePoly(self.base, self.nvars, ((exps, c),) if c else ())
-
     # grammar ------------------------------------------------------------
 
     def parse(self) -> RationalFunction:
@@ -145,25 +142,26 @@ class _Parser:
         value = self.term()
         if not self.at_op("+-"):
             return value
-        # polynomial terms add up in one dict, quotients as rational functions
-        acc, quotient, negate = {}, None, False
+        # polynomial terms add up in one dict of integers over the common
+        # denominator den, quotients as rational functions
+        acc, den, quotient, negate = {}, 1, None, False
         while True:
             if isinstance(value, RationalFunction):
                 value = -value if negate else value
                 quotient = value if quotient is None else quotient + value
             else:
-                for e, c in value.terms:
-                    c = -c if negate else c
-                    prev = acc.get(e)
-                    acc[e] = c if prev is None else prev + c
+                d = lcm(den, value.denom)
+                if d != den:
+                    acc, den = {e: c * (d // den) for e, c in acc.items()}, d
+                s = den // value.denom
+                s = -s if negate else s
+                for e, c in value.ints:
+                    acc[e] = acc.get(e, 0) + c * s
             if not self.at_op("+-"):
                 break
             negate = self.take().text == "-"
             value = self.term()
-        p = self.p
-        if p:
-            acc = {e: c % p for e, c in acc.items()}
-        total = SparsePoly._canon(self.base, self.nvars, acc)
+        total = SparsePoly._canon(self.base, self.nvars, acc, den)
         if quotient is None:
             return total
         if total.is_zero:
@@ -187,18 +185,12 @@ class _Parser:
     def product(self, a: Value, b: Value) -> Value:
         if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
             return _as_ratfun(a) * _as_ratfun(b)
-        if a.is_zero or b.is_zero:
-            return a if a.is_zero else b
-        if len(a.terms) == 1 and len(b.terms) == 1:
-            (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
-            p = self.p
-            return self.monomial(tuple(map(int.__add__, ea, eb)), ca * cb % p if p else ca * cb)
         return a * b
 
     def quotient(self, a: Value, b: Value) -> Value:
         if isinstance(a, SparsePoly) and isinstance(b, SparsePoly):
             if b.is_constant:
-                return a._scale(self.base.inv(b.terms[0][1]))
+                return a._scale(self.base.inv(b.constant_value()))
             return RationalFunction.make(a, b)
         return _as_ratfun(a) / _as_ratfun(b)
 
@@ -221,13 +213,10 @@ class _Parser:
                 return value ** k
             if k == 0:
                 return SparsePoly.const(self.base, self.nvars, 1)
-            if k < 0 and not value.is_constant:
-                return RationalFunction.make(SparsePoly.const(self.base, self.nvars, 1), value ** -k)
-            if len(value.terms) == 1:
-                e, c = value.terms[0]
-                if k < 0:
-                    c, k = self.base.inv(c), -k
-                return self.monomial(tuple(x * k for x in e), self.base.pow(c, k))
+            if k < 0:
+                if not value.is_constant:
+                    return RationalFunction.make(SparsePoly.const(self.base, self.nvars, 1), value ** -k)
+                value, k = SparsePoly.const(self.base, self.nvars, self.base.inv(value.constant_value())), -k
             value = value ** k
         return value
 

@@ -72,11 +72,25 @@ class Frozen:
     tuple of fields that ``==`` and ``hash`` see, in the order ``__init__``
     takes them, so neither builds a tuple.  Assignment raises, so
     ``__init__`` writes each slot through ``_setters``: the slots' own
-    ``__set__`` in ``__slots__`` order, then the one of ``_key``.  Unlike a
-    dataclass, the class generates no code at import.
+    ``__set__`` in ``__slots__`` order, then the one of ``_key``.  A
+    subclass with no check and no cache keeps the ``__init__`` here, which
+    takes the fields in ``__slots__`` order, the last ones falling back to
+    the class's ``_defaults``.  Unlike a dataclass, the class generates no
+    code at import.
     """
 
     __slots__ = ("_key",)
+    _defaults: tuple = ()
+
+    def __init__(self, *values):
+        missing = len(self.__slots__) - len(values)
+        if missing:
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields")
+            values += self._defaults[-missing:]
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+        self._setters[-1](self, values)
 
     def __init_subclass__(cls):
         own = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
@@ -226,9 +240,16 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+# one instance per field, so that comparisons of fields end at ``is``
+_FIELDS: dict = {}
+
+
 def QQ() -> BaseField:
-    return BaseField(None)
+    field = _FIELDS.get(None)
+    return field if field is not None else _FIELDS.setdefault(None, BaseField(None))
 
 
 def GF(p: int) -> BaseField:
-    return BaseField(p)
+    # only an exact int is a key: 5.0 == 5, but BaseField(5.0) is an error
+    field = _FIELDS.get(p) if type(p) is int else None
+    return field if field is not None else _FIELDS.setdefault(p, BaseField(p))

@@ -1,31 +1,37 @@
 """Sparse multivariate polynomials and rational functions in canonical form.
 
-Polynomials store their terms as a tuple of (exponent tuple, coefficient)
-pairs sorted in descending graded-lexicographic order with no zero
-coefficients, so structural equality decides mathematical equality.
-Coefficients are ``Fraction`` over the rationals and ints in ``[0, p)``
-over a prime field.  Rational functions keep numerator and denominator
-coprime; over the rationals both are integer polynomials with no common
-integer content and the denominator's graded-lex leading coefficient is
-positive, over a prime field the denominator is monic.
+A polynomial stores integers over one denominator, the content and
+primitive-part form of von zur Gathen and Gerhard (*Modern Computer
+Algebra*, ch. 6).  ``ints`` holds (exponent tuple, integer) pairs sorted
+in descending graded-lexicographic order with no zero integer, and
+``denom`` is a positive integer whose gcd with all of them is 1; the
+polynomial is (1/denom) sum c x^e.  Over a prime field the integers are
+residues in ``[0, p)`` and ``denom`` is 1.  The form is unique, so
+structural equality (``==``, ``hash``, pickling) decides mathematical
+equality, and the arithmetic here computes on the integers with no
+scalar objects in between.  ``terms`` reads the same polynomial as
+(exponent tuple, canonical scalar) pairs, ``Fraction`` over Q and the
+residues over F_p: a view built on first use and kept, for printers, JSON
+and tests.  Rational functions keep numerator and denominator coprime;
+over the rationals both are integer polynomials (``denom`` 1) with no
+common integer content and the denominator's graded-lex leading
+coefficient is positive, over a prime field the denominator is monic.
 
 There are two ways in.  ``SparsePoly.make`` validates: it coerces every
 coefficient and checks every exponent vector, and it is the constructor
 for external input (parsers, JSON, user code).  ``SparsePoly._canon``
-trusts: it takes a dict of canonical scalars keyed by valid exponent
-tuples, sorts the keys and drops zeros, and is what the arithmetic here
-uses on its own results.  Code that keeps both the order and the nonzero
-coefficients (a shift of every exponent, a scaling by a unit) calls the
-class directly.
+trusts: it takes a dict of integers keyed by valid exponent tuples and a
+nonzero denominator, reduces the integers mod p or cancels their common
+factor with the denominator, drops zeros and sorts the keys, and is what
+the arithmetic here uses on its own results.  Code that keeps both the
+order and the nonzero integers (a shift of every exponent, a scaling by a
+unit) calls ``_settled``, which only cancels, or the class directly.
 
-Hot loops compute on plain integers, in the integer-row format of
-``fields``.  ``_ints`` reads a polynomial over Q as integers over one
-positive denominator (``clear_denominators``) and ``_from_ints`` reads
-them back (``BaseField.settle_row``); products, ``substitute`` and the
-normalisation in ``RationalFunction.make`` work on those integers and make
-one ``Fraction`` per output coefficient.  ``substitute`` relies on one
-invariant: over Q the numerator and denominator of a canonical rational
-function are integral, so its arguments are read as integer polynomials.
+``substitute`` relies on one invariant: over Q the numerator and
+denominator of a canonical rational function have denominator 1, so its
+arguments are integer polynomials.  Its expansion can stop before the
+normal form, for checks that need only whether a value is zero, or its
+valuation and initial forms.
 """
 
 from __future__ import annotations
@@ -34,12 +40,14 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 from . import dense
 from .errors import PreconditionError
 from .fields import BaseField, Frozen, Scalar, clear_denominators
 
 Exps = tuple[int, ...]
+_coeff = itemgetter(1)
 
 
 def power(x, n: int):
@@ -64,14 +72,34 @@ def _term_key(term):
 
 
 class SparsePoly(Frozen):
-    __slots__ = ("base", "nvars", "terms")
+    """(1/denom) * sum of c * x^e over the pairs (e, c) of ``ints``."""
 
-    def __init__(self, base: BaseField, nvars: int, terms: tuple[tuple[Exps, Scalar], ...]):
-        set_base, set_nvars, set_terms, set_key = self._setters
+    __slots__ = ("base", "nvars", "ints", "denom", "_terms")
+
+    def __init__(self, base: BaseField, nvars: int, ints: tuple[tuple[Exps, int], ...], denom: int = 1):
+        set_base, set_nvars, set_ints, set_denom, set_terms, set_key = self._setters
         set_base(self, base)
         set_nvars(self, nvars)
-        set_terms(self, terms)
-        set_key(self, (base, nvars, terms))
+        set_ints(self, ints)
+        set_denom(self, denom)
+        set_terms(self, None)
+        set_key(self, (base, nvars, ints, denom))
+
+    def __repr__(self):
+        return f"SparsePoly(base={self.base!r}, nvars={self.nvars!r}, terms={self.terms!r})"
+
+    @property
+    def terms(self) -> tuple[tuple[Exps, Scalar], ...]:
+        """The (exponent tuple, canonical scalar) pairs: over F_p ``ints``
+        itself, over Q a view built on first use and kept."""
+        view = self._terms
+        if view is None:
+            if self.base.p:
+                return self.ints
+            d = self.denom
+            view = tuple((e, Fraction(c, d)) for e, c in self.ints)
+            SparsePoly._terms.__set__(self, view)
+        return view
 
     # -- construction -------------------------------------------------
 
@@ -86,14 +114,24 @@ class SparsePoly(Frozen):
             c = base.coerce(c)
             prev = acc.get(e)
             acc[e] = base.add(prev, c) if prev is not None else c
-        return SparsePoly._canon(base, nvars, acc)
+        return SparsePoly._of_scalars(base, nvars, acc)
 
     @staticmethod
-    def _canon(base: BaseField, nvars: int, acc: dict) -> "SparsePoly":
+    def _of_scalars(base: BaseField, nvars: int, acc: dict) -> "SparsePoly":
         """Trusted: acc maps valid exponent tuples to canonical scalars."""
-        return SparsePoly(base, nvars, tuple(
-            sorted((t for t in acc.items() if t[1]), key=_term_key, reverse=True)
-        ))
+        if base.p:
+            return SparsePoly._canon(base, nvars, acc)
+        nums, denom = clear_denominators(acc.values())
+        return SparsePoly._canon(base, nvars, dict(zip(acc, nums)), denom)
+
+    @staticmethod
+    def _canon(base: BaseField, nvars: int, acc: dict, denom: int = 1) -> "SparsePoly":
+        """Trusted: (1/denom) sum acc[e] x^e, acc mapping valid exponent
+        tuples to integers and denom a nonzero integer."""
+        p = base.p
+        values = map(p.__rmod__, acc.values()) if p else acc.values()
+        ints = sorted([t for t in zip(acc, values) if t[1]], key=_term_key, reverse=True)
+        return _settled(base, nvars, tuple(ints), denom)
 
     @staticmethod
     def zero(base: BaseField, nvars: int) -> "SparsePoly":
@@ -102,88 +140,81 @@ class SparsePoly(Frozen):
     @staticmethod
     def const(base: BaseField, nvars: int, c) -> "SparsePoly":
         c = base.coerce(c)
-        return SparsePoly(base, nvars, (((0,) * nvars, c),) if c else ())
+        if not c:
+            return SparsePoly(base, nvars, ())
+        return SparsePoly(base, nvars, (((0,) * nvars, c.numerator),), c.denominator)
 
     @staticmethod
     def variable(base: BaseField, nvars: int, i: int) -> "SparsePoly":
         e = [0] * nvars
         e[i] = 1
-        return SparsePoly(base, nvars, ((tuple(e), base.one),))
+        return SparsePoly(base, nvars, ((tuple(e), 1),))
 
     # -- queries -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     @property
     def is_constant(self) -> bool:
         # the leading term has the largest total degree
-        return not self.terms or not any(self.terms[0][0])
+        return not self.ints or not any(self.ints[0][0])
 
     def constant_value(self) -> Scalar:
         if self.is_zero:
             return self.base.zero
         if not self.is_constant:
             raise PreconditionError("polynomial is not constant")
-        return self.terms[0][1]
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            raise PreconditionError("degree of the zero polynomial")
-        return sum(self.terms[0][0])
+        return self.base.settle_row([self.ints[0][1]], self.denom)[0]
 
     def degree_in(self, var: int) -> int:
         if self.is_zero:
             raise PreconditionError("degree of the zero polynomial")
-        return max(e[var] for e, _ in self.terms)
-
-    def leading(self) -> tuple[Exps, Scalar]:
-        if self.is_zero:
-            raise PreconditionError("leading term of the zero polynomial")
-        return self.terms[0]
-
-    def coefficient(self, exps) -> Scalar:
-        target = tuple(int(x) for x in exps)
-        for e, c in self.terms:
-            if e == target:
-                return c
-        return self.base.zero
+        return max(e[var] for e, _ in self.ints)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _dict(self) -> dict[Exps, Scalar]:
-        return dict(self.terms)
-
     def _check_mate(self, other: "SparsePoly"):
-        if self.base != other.base or self.nvars != other.nvars:
+        if (self.base is not other.base and self.base != other.base) or self.nvars != other.nvars:
             raise PreconditionError("polynomials live in different rings")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_mate(other)
-        p = self.base.p
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            prev = acc.get(e)
-            acc[e] = c if prev is None else (prev + c) % p if p else prev + c
-        return SparsePoly._canon(self.base, self.nvars, acc)
+        denom = math.lcm(self.denom, other.denom)
+        sa, sb = denom // self.denom, denom // other.denom
+        acc = dict(self.ints) if sa == 1 else {e: c * sa for e, c in self.ints}
+        for e, c in other.ints:
+            acc[e] = acc.get(e, 0) + c * sb
+        return SparsePoly._canon(self.base, self.nvars, acc, denom)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.base, self.nvars,
-                          tuple((e, self.base.neg(c)) for e, c in self.terms))
+        p = self.base.p
+        ints = tuple((e, p - c) for e, c in self.ints) if p else tuple((e, -c) for e, c in self.ints)
+        return SparsePoly(self.base, self.nvars, ints, self.denom)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_mate(other)
-        (a, da), (b, db) = _ints(self), _ints(other)
+        a, b = self.ints, other.ints
+        if len(a) < len(b):
+            a, b = b, a
+        denom = self.denom * other.denom
+        if len(b) == 1:
+            # a monomial keeps the grlex order, and over a field no product vanishes
+            (eb, cb), p = b[0], self.base.p
+            ints = tuple((tuple(map(int.__add__, ea, eb)), ca * cb) for ea, ca in a)
+            if p:
+                ints = tuple((e, c % p) for e, c in ints)
+            return _settled(self.base, self.nvars, ints, denom)
         acc: dict[Exps, int] = {}
         for ea, ca in a:
             for eb, cb in b:
                 e = tuple(map(int.__add__, ea, eb))
                 acc[e] = acc.get(e, 0) + ca * cb
-        return _from_ints(self.base, self.nvars, acc, da * db)
+        return SparsePoly._canon(self.base, self.nvars, acc, denom)
 
     def scale(self, c) -> "SparsePoly":
         c = self.base.coerce(c)
@@ -193,8 +224,12 @@ class SparsePoly(Frozen):
 
     def _scale(self, c) -> "SparsePoly":
         """Trusted: c is a nonzero canonical scalar; the terms keep their order."""
-        mul = self.base.mul
-        return SparsePoly(self.base, self.nvars, tuple((e, mul(k, c)) for e, k in self.terms))
+        p = self.base.p
+        if p:
+            return SparsePoly(self.base, self.nvars, tuple((e, k * c % p) for e, k in self.ints))
+        n = c.numerator
+        ints = tuple((e, k * n) for e, k in self.ints)
+        return _settled(self.base, self.nvars, ints, self.denom * c.denominator)
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
@@ -209,48 +244,46 @@ class SparsePoly(Frozen):
             raise PreconditionError("wrong number of evaluation points")
         base = self.base
         total = base.zero
-        for e, c in self.terms:
+        for e, c in self.ints:
             term = c
             for a, k in zip(args, e):
                 if k:
                     term = base.mul(term, base.pow(a, k))
             total = base.add(total, term)
-        return total
+        return base.div(total, self.denom)
 
     def map_vars(self, mapping, new_nvars: int) -> "SparsePoly":
         """Reindex variables: old variable i becomes new variable mapping[i]."""
         if len(mapping) != self.nvars:
             raise PreconditionError("variable mapping has the wrong length")
-        p = self.base.p
-        acc: dict[Exps, Scalar] = {}
-        for e, c in self.terms:
+        acc: dict[Exps, int] = {}
+        for e, c in self.ints:
             ne = [0] * new_nvars
             for i, k in enumerate(e):
                 if k:
                     ne[mapping[i]] += k
             ne = tuple(ne)
-            prev = acc.get(ne)
-            acc[ne] = c if prev is None else (prev + c) % p if p else prev + c
-        return SparsePoly._canon(self.base, new_nvars, acc)
+            acc[ne] = acc.get(ne, 0) + c
+        return SparsePoly._canon(self.base, new_nvars, acc, self.denom)
 
     def __str__(self):
         return poly_str(self, default_names(self.nvars))
 
 
-def _ints(f: SparsePoly) -> tuple[list[tuple[Exps, int]], int]:
-    """f's terms as integers over one positive denominator d: f = (1/d) sum.
-
-    Over a prime field the coefficients already are ints and d is 1.
-    """
-    if f.base.p:
-        return f.terms, 1
-    nums, d = clear_denominators([c for _, c in f.terms])
-    return list(zip([e for e, _ in f.terms], nums)), d
-
-
-def _from_ints(base: BaseField, nvars: int, acc: dict, d: int = 1) -> SparsePoly:
-    """The polynomial (1/d) sum_e acc[e] x^e, from integer coefficients."""
-    return SparsePoly._canon(base, nvars, dict(zip(acc, base.settle_row(acc.values(), d))))
+def _settled(base: BaseField, nvars: int, ints: tuple, denom: int) -> SparsePoly:
+    """Trusted: ordered pairs with nonzero integers (residues over F_p) over
+    a nonzero denom, brought to the canonical denominator."""
+    if denom != 1:
+        p = base.p
+        if p:
+            inv = pow(denom, -1, p)
+            return SparsePoly(base, nvars, tuple((e, c * inv % p) for e, c in ints))
+        if denom < 0:
+            denom, ints = -denom, tuple((e, -c) for e, c in ints)
+        g = math.gcd(denom, *map(_coeff, ints))
+        if g != 1:
+            ints, denom = tuple((e, c // g) for e, c in ints), denom // g
+    return SparsePoly(base, nvars, ints, denom)
 
 
 def default_names(n: int) -> list[str]:
@@ -281,13 +314,13 @@ def hasse_derivative(f: SparsePoly, i: int, var: int = 0) -> SparsePoly:
     if not 0 <= var < f.nvars:
         raise PreconditionError(f"no variable {var} in a {f.nvars}-variable ring")
     out = {}
-    for e, c in f.terms:
+    for e, c in f.ints:
         if e[var] < i:
             continue
         ne = list(e)
         ne[var] -= i
-        out[tuple(ne)] = f.base.mul(c, math.comb(e[var], i))
-    return SparsePoly._canon(f.base, f.nvars, out)
+        out[tuple(ne)] = c * math.comb(e[var], i)
+    return SparsePoly._canon(f.base, f.nvars, out, f.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +330,23 @@ def hasse_derivative(f: SparsePoly, i: int, var: int = 0) -> SparsePoly:
 def _split_main(f: SparsePoly) -> dict[int, SparsePoly]:
     """View f as a univariate polynomial in variable 0 with SparsePoly coefficients."""
     buckets: dict[int, list] = {}
-    for e, c in f.terms:
+    for e, c in f.ints:
         buckets.setdefault(e[0], []).append((e[1:], c))
     # within one bucket e[0] is fixed, so the grlex order of e is that of e[1:]
     return {
-        d: SparsePoly(f.base, f.nvars - 1, tuple(pairs))
+        d: _settled(f.base, f.nvars - 1, tuple(pairs), f.denom)
         for d, pairs in buckets.items()
     }
 
 
 def _join_main(base: BaseField, nvars: int, coeffs: dict[int, SparsePoly]) -> SparsePoly:
+    denom = math.lcm(*(poly.denom for poly in coeffs.values()))
     out = {}
     for d, poly in coeffs.items():
-        for e, c in poly.terms:
-            out[(d,) + e] = c
-    return SparsePoly._canon(base, nvars, out)
+        s = denom // poly.denom
+        for e, c in poly.ints:
+            out[(d,) + e] = c * s
+    return SparsePoly._canon(base, nvars, out, denom)
 
 
 def poly_content(f: SparsePoly) -> SparsePoly:
@@ -321,7 +356,7 @@ def poly_content(f: SparsePoly) -> SparsePoly:
 
 
 def _min_exps(f: SparsePoly) -> tuple[int, ...]:
-    return tuple(min(e[i] for e, _ in f.terms) for i in range(f.nvars))
+    return tuple(min(e[i] for e, _ in f.ints) for i in range(f.nvars))
 
 
 def _shift_down(f: SparsePoly, shift) -> SparsePoly:
@@ -329,7 +364,7 @@ def _shift_down(f: SparsePoly, shift) -> SparsePoly:
         return f
     # one shift for every term keeps the grlex order
     return SparsePoly(
-        f.base, f.nvars, tuple((tuple(map(int.__sub__, e, shift)), c) for e, c in f.terms)
+        f.base, f.nvars, tuple((tuple(map(int.__sub__, e, shift)), c) for e, c in f.ints), f.denom
     )
 
 
@@ -339,9 +374,9 @@ _DENSE_FILL = 64
 
 def _specialised(f: SparsePoly, var: int, point=()) -> dict[int, int]:
     """f as {exponent of var: integer}, every other variable specialised at
-    the integers point; over Q without f's common denominator."""
+    the integers point; over Q without f's denominator."""
     p, out = f.base.p, {}
-    for e, c in _ints(f)[0]:
+    for e, c in f.ints:
         for x, k in zip(point, e[:var] + e[var + 1 :]):
             if k:
                 c *= pow(x, k, p)
@@ -455,10 +490,10 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         return SparsePoly.const(base, 0, base.one)
     if f.nvars == 1:
         h = _gcd_map(_specialised(f, 0), _specialised(g, 0), base.p)
-        return _from_ints(base, 1, {(e,): c for e, c in h.items()}, h[max(h)])
+        return SparsePoly._canon(base, 1, {(e,): c for e, c in h.items()}, h[max(h)])
 
     sf, sg = _min_exps(f), _min_exps(g)
-    mono = SparsePoly(base, f.nvars, ((tuple(map(min, sf, sg)), base.one),))
+    mono = SparsePoly(base, f.nvars, ((tuple(map(min, sf, sg)), 1),))
     f, g = _shift_down(f, sf), _shift_down(g, sg)
     if f.is_constant or g.is_constant or _certified_coprime(f, g):
         return mono
@@ -505,45 +540,61 @@ def _pseudo_rem(a: SparsePoly, b: SparsePoly) -> SparsePoly:
         dr = max(cr)
         if dr < db:
             break
-        shift = SparsePoly(a.base, nv, (((dr - db,) + (0,) * (nv - 1), a.base.one),))
+        shift = SparsePoly(a.base, nv, (((dr - db,) + (0,) * (nv - 1), 1),))
         r = lead_b * r - shift * lift(cr[dr]) * b
     return r
 
 
 def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Exact quotient f/g; raises if g does not divide f."""
+    """Exact quotient f/g; raises if g does not divide f.
+
+    Over Q, with f = F/df and g = k*G/dg for G primitive, G divides F in
+    Z[x] whenever it does in Q[x] (Gauss's lemma), so every quotient
+    coefficient is an integer and f/g = (F/G)*dg/(df*k).
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    base = f.base
-    if len(g.terms) == 1:
+    base, p = f.base, f.base.p
+    gi = g.ints
+    k = 1 if p else math.gcd(*map(_coeff, gi))
+    if k != 1:
+        gi = tuple((e, c // k) for e, c in gi)
+    ge, gc = gi[0]
+    inv = pow(gc, -1, p) if p else None
+    if len(gi) == 1:
         # one shift for every term keeps the grlex order
-        (ge, gc), p = g.terms[0], base.p
-        inv = pow(gc, -1, p) if p else 1 / gc
-        terms = tuple(
-            (tuple(map(int.__sub__, e, ge)), c * inv % p if p else c * inv) for e, c in f.terms
-        )
-        if any(x < 0 for e, _ in terms for x in e):
+        ints = tuple((tuple(map(int.__sub__, e, ge)), c) for e, c in f.ints)
+        if any(x < 0 for e, _ in ints for x in e):
             raise PreconditionError("polynomial division is not exact")
-        return SparsePoly(base, f.nvars, terms)
-    rem = f._dict()
-    out: dict[Exps, Scalar] = {}
-    ge, gc = g.leading()
+        if p:
+            return SparsePoly(base, f.nvars, tuple((e, c * inv % p) for e, c in ints))
+        return _settled(base, f.nvars, tuple((e, c * g.denom) for e, c in ints), f.denom * k * gc)
+    rem = dict(f.ints)
+    out: dict[Exps, int] = {}
     while rem:
         e = max(rem, key=_grlex_key)
-        c = rem[e]
-        qe = tuple(a - b for a, b in zip(e, ge))
+        qe = tuple(map(int.__sub__, e, ge))
         if any(x < 0 for x in qe):
             raise PreconditionError("polynomial division is not exact")
-        qc = base.div(c, gc)
-        out[qe] = base.add(out.get(qe, base.zero), qc)
-        for te, tc in g.terms:
-            key = tuple(a + b for a, b in zip(qe, te))
-            val = base.sub(rem.get(key, base.zero), base.mul(qc, tc))
-            if val == 0:
-                rem.pop(key, None)
-            else:
+        if p:
+            qc = rem[e] * inv % p
+        else:
+            qc, r = divmod(rem[e], gc)
+            if r:
+                raise PreconditionError("polynomial division is not exact")
+        out[qe] = qc
+        for te, tc in gi:
+            key = tuple(map(int.__add__, qe, te))
+            val = rem.get(key, 0) - qc * tc
+            if p:
+                val %= p
+            if val:
                 rem[key] = val
-    return SparsePoly._canon(base, f.nvars, out)
+            else:
+                rem.pop(key, None)
+    if g.denom != 1:
+        out = {e: c * g.denom for e, c in out.items()}
+    return SparsePoly._canon(base, f.nvars, out, f.denom * k)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +621,7 @@ class RationalFunction(Frozen):
         divisions run on dense rows (``_make_dense``) unless the rows would
         be sparse (``_dense_rows``).  Otherwise ``poly_gcd`` and
         ``poly_divexact``; a constant side needs no gcd at all.  Every path
-        then ends in the same scaling.
+        then ends in the same scaling, on the integers of both sides.
         """
         num._check_mate(den)
         if den.is_zero:
@@ -578,30 +629,36 @@ class RationalFunction(Frozen):
         base, nvars, p = num.base, num.nvars, num.base.p
         if num.is_zero:
             return RationalFunction(num, SparsePoly.const(base, nvars, base.one))
-        nt, dt = num.terms, den.terms
         if not (num.is_constant or den.is_constant):
             divided = _make_dense(num, den) if nvars == 1 else None
             if divided is not None:
-                nt, dt = divided
+                num, den = divided
             else:
                 g = poly_gcd(num, den)
                 if not g.is_constant:
-                    nt, dt = poly_divexact(num, g).terms, poly_divexact(den, g).terms
+                    num, den = poly_divexact(num, g), poly_divexact(den, g)
+        nt, dt = num.ints, den.ints
         # scaling by a nonzero constant keeps the terms' order, so the
         # normalised tuples are built directly
         if p:
             inv = pow(dt[0][1], -1, p)
-            ns = tuple((e, c * inv % p) for e, c in nt)
-            ds = tuple((e, c * inv % p) for e, c in dt)
+            nt = tuple((e, c * inv % p) for e, c in nt)
+            dt = tuple((e, c * inv % p) for e, c in dt)
         else:
-            terms = nt + dt
-            ints, _ = clear_denominators([c for _, c in terms])
-            k = math.gcd(*ints)
-            if ints[len(nt)] < 0:
+            # (N/dn) / (D/dd) = (N*dd) / (D*dn)
+            g = math.gcd(num.denom, den.denom)
+            sn, sd = den.denom // g, num.denom // g
+            if sn != 1:
+                nt = tuple((e, c * sn) for e, c in nt)
+            if sd != 1:
+                dt = tuple((e, c * sd) for e, c in dt)
+            k = math.gcd(*map(_coeff, nt), *map(_coeff, dt))
+            if dt[0][1] < 0:
                 k = -k
-            scaled = [(e, Fraction(v // k)) for (e, _), v in zip(terms, ints)]
-            ns, ds = tuple(scaled[: len(nt)]), tuple(scaled[len(nt):])
-        return RationalFunction(SparsePoly(base, nvars, ns), SparsePoly(base, nvars, ds))
+            if k != 1:
+                nt = tuple((e, c // k) for e, c in nt)
+                dt = tuple((e, c // k) for e, c in dt)
+        return RationalFunction(SparsePoly(base, nvars, nt), SparsePoly(base, nvars, dt))
 
     @staticmethod
     def from_poly(p: SparsePoly) -> "RationalFunction":
@@ -681,7 +738,7 @@ class RationalFunction(Frozen):
         num, den = self.num.map_vars(mapping, new_nvars), self.den.map_vars(mapping, new_nvars)
         if len(set(mapping)) < len(mapping):
             return RationalFunction.make(num, den)
-        lead, p = den.terms[0][1], self.base.p
+        lead, p = den.ints[0][1], self.base.p
         if p and lead != 1:
             inv = pow(lead, -1, p)
             num, den = num._scale(inv), den._scale(inv)
@@ -700,13 +757,13 @@ class RationalFunction(Frozen):
 
 
 def _make_dense(num: SparsePoly, den: SparsePoly):
-    """The terms of num/g and den/g, g a gcd of two nonconstant polynomials in
-    one variable, with integer coefficients and up to a common constant
-    factor, which ``make`` then scales away; computed on dense rows.  None
-    when ``_dense_rows`` finds the rows too sparse."""
-    (nt, dn), (dt, dd) = _ints(num), _ints(den)
+    """num/g and den/g, g a gcd of two nonconstant polynomials in one
+    variable, as integer polynomials up to a common constant factor, which
+    ``make`` then scales away; computed on dense rows.  None when
+    ``_dense_rows`` finds the rows too sparse."""
     # num/den = (N/dn)/(D/dd) = (N*dd)/(D*dn) for integer N and D
-    rows = _dense_rows({e: c * dd for (e,), c in nt}, {e: c * dn for (e,), c in dt})
+    dn, dd = num.denom, den.denom
+    rows = _dense_rows({e: c * dd for (e,), c in num.ints}, {e: c * dn for (e,), c in den.ints})
     if rows is None:
         return None
     s, rn, rd = rows
@@ -715,7 +772,8 @@ def _make_dense(num: SparsePoly, den: SparsePoly):
     if len(g) > 1:
         rn, rd = dense.divexact(rn, g, p), dense.divexact(rd, g, p)
     return tuple(
-        tuple(((i * s,), row[i]) for i in range(len(row) - 1, -1, -1) if row[i]) for row in (rn, rd)
+        SparsePoly(num.base, 1, tuple(((i * s,), row[i]) for i in range(len(row) - 1, -1, -1) if row[i]))
+        for row in (rn, rd)
     )
 
 
@@ -725,64 +783,74 @@ def ratfun_str(f: RationalFunction, names) -> str:
     return f"({poly_str(f.num, names)})/({poly_str(f.den, names)})"
 
 
-def substitute(f: SparsePoly, args) -> RationalFunction:
-    """Evaluate f at rational-function arguments, one per variable.
+def substitute(f: SparsePoly, args, factors: dict | None = None) -> tuple[SparsePoly, SparsePoly]:
+    """Evaluate f at rational-function arguments, one per variable, as (N, D).
 
     With d_i the degree of f in variable i, the result is N / D over the
     common denominator D = prod_i den_i ** d_i, where each term c * x^e of f
     adds c * prod_i num_i ** e_i * den_i ** (d_i - e_i) to N.  An argument
     whose numerator and denominator are single terms contributes, for each
     exponent, one exponent vector and one coefficient; any other argument
-    contributes a polynomial computed once per distinct exponent.  Variables
-    of degree zero contribute nothing.
+    contributes a polynomial.  Variables of degree zero contribute nothing.
 
     The expansion runs on integers.  Over Q the arguments are canonical, so
-    their numerators and denominators are integral; f is scaled once by the
-    lcm L of its coefficient denominators and L goes into D.  Over F_p the
-    sums are reduced once per variable pass.
+    their numerators and denominators are integral; f's integers go in
+    as they are and its denominator goes into D.  Over F_p the sums are
+    reduced once per variable pass.
+
+    The factors num_i ** k * den_i ** r come from ``factors``, a table
+    keyed like the power table of ``series``: id(a) maps to a itself (so no
+    other argument takes over its id while the table lives) and a dict from
+    (k, r) to the factor's integer terms.  A caller that evaluates many
+    polynomials at the same arguments passes one table to every call; None
+    gives a table for this call alone.
+
+    N/D is f(args) before its normal form, which
+    ``RationalFunction.make(*substitute(f, args))`` takes.  Some checks need
+    none: N is zero iff f(args) is, and the value and the initial forms of
+    f(args) are those of N over those of D, since both are multiplicative.
     """
     args = list(args)
     if len(args) != f.nvars:
         raise PreconditionError("wrong number of substitution arguments")
-    if not args:
-        return RationalFunction.const(f.base, 0, f.constant_value() if not f.is_zero else 0)
-    target_nvars = args[0].nvars
     base, p = f.base, f.base.p
+    target_nvars = args[0].nvars if args else 0
     for a in args:
-        if a.nvars != target_nvars or a.base != base:
+        if a.nvars != target_nvars or (a.base is not base and a.base != base):
             raise PreconditionError("substitution arguments live in different fields")
-    if f.is_zero:
-        return RationalFunction.const(base, target_nvars, 0)
-    degs = [max(col) for col in zip(*(e for e, _ in f.terms))]
+    degs = [max(col) for col in zip(*(e for e, _ in f.ints))]
     live = [i for i, d in enumerate(degs) if d]
-    if p is None and any(
-        c.denominator != 1 for i in live for g in (args[i].num, args[i].den) for _, c in g.terms
-    ):
+    if p is None and any(args[i].num.denom != 1 or args[i].den.denom != 1 for i in live):
         raise PreconditionError("substitution argument is not in canonical form")
-    factors: dict[tuple[int, int], tuple] = {}
+    table = {} if factors is None else factors
+    tables = {i: table.setdefault(id(args[i]), (args[i], {}))[1] for i in live}
+    # single-term arguments give single-term factors, multiplied in one pass
+    monos = [i for i in live if len(args[i].num.ints) == 1 and len(args[i].den.ints) == 1]
+    polys = [i for i in live if i not in monos]
 
     def factor(i: int, k: int) -> tuple:
         """The integer terms of num_i ** k * den_i ** (d_i - k)."""
-        out = factors.get((i, k))
+        r = degs[i] - k
+        out = tables[i].get((k, r))
         if out is None:
-            num, den, r = args[i].num, args[i].den, degs[i] - k
-            if len(num.terms) == 1 and len(den.terms) == 1:
-                (en, cn), (ed, cd) = num.terms[0], den.terms[0]
-                exps = tuple(k * a + r * b for a, b in zip(en, ed))
-                if p:
-                    c = pow(cn, k, p) * pow(cd, r, p) % p
-                else:
-                    c = cn.numerator ** k * cd.numerator ** r
-                out = ((exps, c),)
+            num, den = args[i].num, args[i].den
+            if i in monos:
+                (en, cn), (ed, cd) = num.ints[0], den.ints[0]
+                c = pow(cn, k, p) * pow(cd, r, p) % p if p else cn ** k * cd ** r
+                out = ((tuple(k * x + r * y for x, y in zip(en, ed)), c),)
             else:
-                out = _ints(num ** k * den ** r)[0]
-            factors[(i, k)] = out
+                out = (num ** k * den ** r).ints
+            tables[i][(k, r)] = out
         return out
 
     def expand(c: int, ks) -> dict[Exps, int]:
         """c * prod_i factor(i, ks[i]) over the live variables, as a dict."""
-        terms = {(0,) * target_nvars: c}
-        for i in live:
+        e = (0,) * target_nvars
+        for i in monos:
+            (eb, cb), = factor(i, ks[i])
+            e, c = tuple(map(int.__add__, e, eb)), c * cb
+        terms = {e: c % p if p else c}
+        for i in polys:
             acc: dict[Exps, int] = {}
             for eb, cb in factor(i, ks[i]):
                 for ea, ca in terms.items():
@@ -791,11 +859,9 @@ def substitute(f: SparsePoly, args) -> RationalFunction:
             terms = {e: v % p for e, v in acc.items()} if p else acc
         return terms
 
-    fi, lcm = _ints(f)
     num_terms: dict[Exps, int] = {}
-    for e, c in fi:
+    for e, c in f.ints:
         for te, tc in expand(c, e).items():
             num_terms[te] = num_terms.get(te, 0) + tc
-    num = _from_ints(base, target_nvars, num_terms)
-    den = _from_ints(base, target_nvars, expand(lcm, (0,) * f.nvars))
-    return RationalFunction.make(num, den)
+    num = SparsePoly._canon(base, target_nvars, num_terms)
+    return num, SparsePoly._canon(base, target_nvars, expand(f.denom, (0,) * f.nvars))

@@ -355,11 +355,11 @@ def poly_to_series(p: SparsePoly, precision: int) -> TruncatedSeries:
 
 
 def _dense(p: SparsePoly, precision: int) -> list:
-    out = [p.base.zero] * max(0, precision)
-    for e, c in p.terms:
+    out = [0] * max(0, precision)
+    for e, c in p.ints:
         if e[0] < precision:
             out[e[0]] = c
-    return out
+    return p.base.settle_row(out, p.denom)
 
 
 def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
@@ -368,8 +368,8 @@ def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
         raise PreconditionError("series expansion needs a univariate argument")
     if f.num.is_zero:
         return TruncatedSeries.zero(f.base, precision)
-    ord_den = min(e[0] for e, _ in f.den.terms)
-    ord_num = min(e[0] for e, _ in f.num.terms)
+    ord_den = min(e[0] for e, _ in f.den.ints)
+    ord_num = min(e[0] for e, _ in f.num.ints)
     slack = precision + 2 * ord_den - min(ord_num, 0) + 1
     num = poly_to_series(f.num, max(slack, 1))
     den = poly_to_series(f.den, max(slack, 1))
@@ -412,9 +412,9 @@ def eval_poly_at_series(
     base = p.base
     if powers is None:
         powers = {}
-    terms = []  # (coefficient, the (power, row) pairs it multiplies)
+    terms = []  # (integer coefficient, the (power, row) pairs it multiplies)
     prec = precision
-    for e, c in p.terms:
+    for e, c in p.ints:
         factors = [_power(powers, args[i], k, base) for i, k in enumerate(e) if k]
         # lower bound and precision of the chain constant(c) * factors[0] * ...
         low, top = min(0, precision), precision
@@ -431,8 +431,7 @@ def eval_poly_at_series(
         for i, (_, (row, row_den)) in enumerate(factors):
             nums = row[: prec - off] if i == 0 else _convolve(nums, row, prec - off)
             d *= row_den
-        cn, cd = (c, 1) if base.p else (c.numerator, c.denominator)
-        rows.append((off, nums, cn, cd * d))
+        rows.append((off, nums, c, p.denom * d))
     lo = min((row[0] for row in rows), default=prec)
     den = lcm(*(row[3] for row in rows))
     acc = [0] * (prec - lo)

@@ -34,7 +34,8 @@ context with this contract:
   eval_poly(f, args), eval_ratfun(f, args), is_zero(a), equal(a, b)
         evaluate a row or a witness, test for zero, and test two elements
         for equality; eval_ratfun raises ZeroDivisionError when the
-        denominator vanishes;
+        denominator vanishes, and eval_poly's result need only support
+        is_zero and valuation;
   valuation(a)
         (value, residue) of a nonzero element, the residue None unless the
         value is zero; values add, and compare with the attribute ``zero``;
@@ -47,6 +48,7 @@ support ``-`` and ``/`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotInValuationRingError, PreconditionError
 from .fields import Frozen
@@ -134,12 +136,7 @@ def ambient_names(place) -> tuple[str, ...]:
 
 class CheckResult(Frozen):
     __slots__ = ("passed", "detail")
-
-    def __init__(self, passed: bool, detail: str = ""):
-        set_passed, set_detail, set_key = self._setters
-        set_passed(self, passed)
-        set_detail(self, detail)
-        set_key(self, (passed, detail))
+    _defaults = ("",)
 
 
 class VerificationReport(Frozen):
@@ -153,32 +150,7 @@ class VerificationReport(Frozen):
         "diagonal_entries",
         "precision",
     )
-
-    def __init__(
-        self,
-        u1: CheckResult,
-        u2: CheckResult,
-        u3: CheckResult,
-        generation: CheckResult,
-        diagonal_value: str,
-        diagonal_residue: str,
-        diagonal_entries: tuple[str, ...],
-        precision: int | None = None,
-    ):
-        (set_u1, set_u2, set_u3, set_generation, set_value, set_residue, set_entries,
-         set_precision, set_key) = self._setters
-        set_u1(self, u1)
-        set_u2(self, u2)
-        set_u3(self, u3)
-        set_generation(self, generation)
-        set_value(self, diagonal_value)
-        set_residue(self, diagonal_residue)
-        set_entries(self, diagonal_entries)
-        set_precision(self, precision)
-        set_key(
-            self,
-            (u1, u2, u3, generation, diagonal_value, diagonal_residue, diagonal_entries, precision),
-        )
+    _defaults = (None,)
 
     @property
     def passed(self) -> bool:
@@ -220,16 +192,38 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
+class _Quotient(NamedTuple):
+    """N/D as ``substitute`` leaves it before the normal form.  Whether it
+    is zero, its value v(N) - v(D) and its initial forms need no common
+    factor cancelled, so U2 and U3 read it as it is."""
+
+    num: SparsePoly
+    den: SparsePoly
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+
 class MonomialContext:
-    """Exact rational-function evaluation over a monomial place."""
+    """Exact rational-function evaluation over a monomial place.
+
+    The context keeps one factor table (see ``substitute``) for its
+    lifetime, so a factor num^k * den^r of an argument is expanded once per
+    context rather than once per call.  ``eval_poly`` and ``eval_ratfun``
+    stop before the normal form, ``equal`` cross-multiplies, and
+    ``residue_text`` normalises what it prints.
+    """
 
     def __init__(self, place: MonomialPlace):
         self.place = place
         self.precision = None
         self.zero = place.order.zero()
+        self.factors = {}  # the factor table of every argument substituted so far
 
     def ambient(self, rf: RationalFunction) -> RationalFunction:
-        if rf.nvars != self.place.nvars or rf.base != self.place.base:
+        base = self.place.base
+        if rf.nvars != self.place.nvars or (rf.base is not base and rf.base != base):
             raise PreconditionError("element does not live in the ambient field")
         return rf
 
@@ -246,20 +240,23 @@ class MonomialContext:
     def generator(self, i: int) -> RationalFunction:
         return RationalFunction.variable(self.place.base, self.place.nvars, i)
 
-    def eval_poly(self, f: SparsePoly, args) -> RationalFunction:
-        return substitute(f, args)
+    def eval_poly(self, f: SparsePoly, args) -> _Quotient:
+        return _Quotient(*substitute(f, args, self.factors))
 
-    def eval_ratfun(self, f: RationalFunction, args) -> RationalFunction:
-        return substitute(f.num, args) / substitute(f.den, args)
+    def eval_ratfun(self, f: RationalFunction, args) -> _Quotient:
+        (nn, nd), (dn, dd) = (substitute(g, args, self.factors) for g in (f.num, f.den))
+        if dn.is_zero:
+            raise ZeroDivisionError("denominator vanishes")
+        return _Quotient(nn * dd, nd * dn)
 
     def is_zero(self, a) -> bool:
         return a.is_zero
 
     def equal(self, a, b) -> bool:
-        # canonical forms are unique, so equal elements are equal structures
-        return a == b
+        # by cross-multiplication, so a quotient needs no normal form
+        return a.num * b.den == b.num * a.den
 
-    def valuation(self, a: RationalFunction):
+    def valuation(self, a: RationalFunction | _Quotient):
         """(value, residue) of a nonzero element; the residue is None unless
         the value is zero, and is then kept as the minimal terms of the
         numerator and the denominator."""
@@ -307,7 +304,7 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
     # U1: row i may only use X_1..X_i
     u1 = CheckResult(True)
     for i, f in enumerate(system.fs):
-        for e, _ in f.terms:
+        for e, _ in f.ints:
             bad = next((j for j in range(i + 1, n) if e[s + j] > 0), None)
             if bad is not None:
                 u1 = CheckResult(
@@ -373,16 +370,7 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
             missing.append(f"{name} (no witness)")
     generation = CheckResult(not missing, "; ".join(missing))
 
-    return VerificationReport(
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        generation=generation,
-        diagonal_value=dval,
-        diagonal_residue=dres,
-        diagonal_entries=entry_strs,
-        precision=ctx.precision,
-    )
+    return VerificationReport(u1, u2, u3, generation, dval, dres, entry_strs, ctx.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +412,7 @@ def uniformize_abhyankar(
         e0, c0 = dterms[-1]  # graded-lex smallest among the minimal-value terms
         mu0 = e0[:rho]
         offsets = []
-        for e, _ in list(z.num.terms) + list(z.den.terms):
+        for e, _ in z.num.ints + z.den.ints:
             xi = tuple(a - b for a, b in zip(e[:rho], mu0))
             offsets.append(xi)
             seen.setdefault(xi, None)
@@ -453,12 +441,10 @@ def uniformize_abhyankar(
     def rewrite(poly: SparsePoly, mu0, c0) -> SparsePoly:
         # distinct x-exponents have distinct coordinates in the basis
         terms = {}
-        inv_c0 = base.inv(c0)
-        for e, c in poly.terms:
+        for e, c in poly.ints:
             xi = tuple(a - b for a, b in zip(e[:rho], mu0))
-            nu = row_of[xi]
-            terms[tuple(nu) + tuple(e[rho:]) + (0,) * n] = base.mul(c, inv_c0)
-        return SparsePoly._canon(base, width, terms)
+            terms[tuple(row_of[xi]) + e[rho:] + (0,) * n] = c
+        return SparsePoly._canon(base, width, terms, poly.denom)._scale(base.inv(c0))
 
     fs = []
     for j, z in enumerate(zetas):
@@ -496,9 +482,7 @@ def _monomial(base, nvars: int, exps) -> RationalFunction:
     num = tuple([max(e, 0) for e in exps] + pad)
     den = tuple([max(-e, 0) for e in exps] + pad)
     # coprime monic monomials: already canonical
-    return RationalFunction(
-        SparsePoly(base, nvars, ((num, base.one),)), SparsePoly(base, nvars, ((den, base.one),))
-    )
+    return RationalFunction(SparsePoly(base, nvars, ((num, 1),)), SparsePoly(base, nvars, ((den, 1),)))
 
 
 # ---------------------------------------------------------------------------

@@ -72,19 +72,13 @@ class MonomialPlace(Frozen):
         return tuple(f"{n}bar" for n in self.y_names)
 
     def term_value(self, exps) -> GroupElement:
-        return self.order.element([Fraction(e) for e in exps[: self.rho]])
+        return self.order.element(exps[: self.rho])
 
 
 class ResidueElement(Frozen):
     """A residue written as a rational function in the ybar variables."""
 
     __slots__ = ("place", "rep")
-
-    def __init__(self, place: MonomialPlace, rep: RationalFunction):
-        set_place, set_rep, set_key = self._setters
-        set_place(self, place)
-        set_rep(self, rep)
-        set_key(self, (place, rep))
 
     @property
     def is_zero(self) -> bool:
@@ -100,21 +94,26 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
     Terms compare on the integer difference of their x-exponent vectors,
     block by block through the order's integer weight matrices; only the
     minimum becomes a GroupElement.  A zero difference is the only tie,
-    since the weights in each block are independent.
+    since the weights in each block are independent.  The scan reads f's
+    integers; only the minimal terms get their scalars.
     """
-    if f.base != place.base or f.nvars != place.nvars:
+    base = place.base
+    if (f.base is not base and f.base != base) or f.nvars != place.nvars:
         raise PreconditionError("polynomial does not live in the ambient ring")
     if f.is_zero:
         raise ValueOfZeroError("the zero polynomial has no value")
     order, rho = place.order, place.rho
     best_head = None
     best_terms: list = []
-    for e, c in f.terms:
-        head = e[:rho]
+    for t in f.ints:
+        head = t[0][:rho]
         if head == best_head:
-            best_terms.append((e, c))
+            best_terms.append(t)
         elif best_head is None or order._sign_of([p - q for p, q in zip(head, best_head)]) < 0:
-            best_head, best_terms = head, [(e, c)]
+            best_head, best_terms = head, [t]
+    if not base.p:
+        d = f.denom
+        best_terms = [(e, Fraction(c) if d == 1 else Fraction(c, d)) for e, c in best_terms]
     return place.term_value(best_head), tuple(best_terms)
 
 
@@ -135,7 +134,7 @@ def in_valuation_ring(place: MonomialPlace, f: RationalFunction) -> bool:
 def _residue_numerator(place: MonomialPlace, terms) -> SparsePoly:
     # minimal-value terms share their x-exponents, so the y-exponents differ
     rho, tau = place.rho, place.tau
-    return SparsePoly._canon(place.base, tau, {e[rho:]: c for e, c in terms})
+    return SparsePoly._of_scalars(place.base, tau, {e[rho:]: c for e, c in terms})
 
 
 def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
@@ -162,31 +161,9 @@ class AbhyankarReport(Frozen):
         "is_abhyankar",
     )
 
-    def __init__(
-        self,
-        transcendence_degree: int,
-        rational_rank: int,
-        residue_transcendence_degree: int,
-        is_abhyankar: bool,
-    ):
-        set_trdeg, set_rank, set_residue_trdeg, set_is_abhyankar, set_key = self._setters
-        set_trdeg(self, transcendence_degree)
-        set_rank(self, rational_rank)
-        set_residue_trdeg(self, residue_transcendence_degree)
-        set_is_abhyankar(self, is_abhyankar)
-        set_key(
-            self,
-            (transcendence_degree, rational_rank, residue_transcendence_degree, is_abhyankar),
-        )
-
 
 def abhyankar_report(place: MonomialPlace) -> AbhyankarReport:
     """Compare trdeg of the field against rational rank plus residue trdeg."""
     trdeg = place.rho + place.tau
     rr = rational_rank(place.order)
-    return AbhyankarReport(
-        transcendence_degree=trdeg,
-        rational_rank=rr,
-        residue_transcendence_degree=place.tau,
-        is_abhyankar=(trdeg == rr + place.tau),
-    )
+    return AbhyankarReport(trdeg, rr, place.tau, trdeg == rr + place.tau)

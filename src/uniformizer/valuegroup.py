@@ -32,7 +32,6 @@ value vector, so ties are decided on the integers.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,20 +111,6 @@ class _Block(Frozen):
 
     __slots__ = ("weights", "radicands", "matrix", "roots")
 
-    def __init__(
-        self,
-        weights: tuple[SurdScalar, ...],
-        radicands: tuple[int, ...],
-        matrix: tuple[tuple[int, ...], ...],
-        roots: tuple[int, ...],
-    ):
-        set_weights, set_radicands, set_matrix, set_roots, set_key = self._setters
-        set_weights(self, weights)
-        set_radicands(self, radicands)
-        set_matrix(self, matrix)
-        set_roots(self, roots)
-        set_key(self, (weights, radicands, matrix, roots))
-
     @staticmethod
     def of(weights) -> "_Block":
         weights = tuple(weights)
@@ -187,7 +172,7 @@ class GroupOrder(Frozen):
         return len(self.blocks)
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(Fraction, coords))
         if len(coords) != self.ngens:
             raise DimensionError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"
@@ -415,43 +400,6 @@ def _perron_single_block(block: _Block, alphas, budget: _Budget):
             for row in coeffs:
                 row[m] += q * row[j]
     return basis, coeffs
-
-
-def brute_force_positive_basis(weights, alphas, bound: int):
-    """Exhaustive search for a valid basis with entries bounded by ``bound``.
-
-    Independent of the reduction above and unbudgeted; a test oracle only.
-    Returns (basis_rows, coeff_rows) or None if no basis with the given
-    entry bound exists.
-    """
-    block = _Block.of(weights)
-    r = len(block.weights)
-    rows = []
-    for v in itertools.product(range(-bound, bound + 1), repeat=r):
-        if block.sign(block.value(v)) == 1:
-            rows.append(list(v))
-    rows.sort(key=lambda v: (max(abs(c) for c in v), v))
-
-    def extend(chosen):
-        if len(chosen) == r:
-            if int_det(chosen) not in (1, -1):
-                return None
-            inv = unimodular_inverse(chosen)
-            coeffs = []
-            for a in alphas:
-                row = [sum(int(a[i]) * inv[i][j] for i in range(r)) for j in range(r)]
-                if any(c < 0 for c in row):
-                    return None
-                coeffs.append(row)
-            return [row[:] for row in chosen], coeffs
-        for v in rows:
-            if gauss_jordan(chosen + [v], r)[0] == len(chosen) + 1:
-                hit = extend(chosen + [v])
-                if hit is not None:
-                    return hit
-        return None
-
-    return extend([])
 
 
 def _perron_multi(blocks, alphas, budget: _Budget):

@@ -1,6 +1,7 @@
 """The summary that scripts/bench_pairs.py writes beside its runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -27,3 +28,37 @@ def test_summary_reads_the_better_direction_per_metric():
     assert ops["parent_quartiles"] == [95.0, 105.0]
     # lower is better: seed 1 is won, seeds 2 and 3 are lost
     assert (p50["parent_median"], p50["change_median"], p50["change_better_pairs"]) == (10.0, 9.0, 1)
+
+
+def test_traced_summary_sets_the_traced_layers_side_by_side():
+    traced = {"w": {
+        "parent": {"metrics": {"polyfield.mul.self_s": 0.02, "polyfield.substitute.self_s": 0.05, "fields.ops.calls": 40}},
+        "change": {"metrics": {"polyfield.mul.self_s": 0.01, "polyfield.substitute.self_s": 0.04, "fields.ops.calls": 0}},
+    }}
+    summary = bench_pairs.traced_summary(traced)["w"]
+    assert set(summary) == set(bench_pairs.TRACED)
+    assert summary["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
+    assert summary["fields.ops.calls"] == {"parent": 40, "change": 0, "ratio": 0.0}
+
+
+def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout, workload, seed, trace))
+        mul = 0.01 if checkout.endswith("change") else 0.02
+        metrics = {"ops_per_s": 100.0} if not trace else {"polyfield.mul.self_s": mul}
+        return {"info": {"git_revision": checkout}, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "record.json"
+    argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
+            "--seeds", "5", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    traced = [c for c in calls if c[3]]
+    assert sorted(traced) == sorted((f"/p/{side}", w, 1, 1) for w in ("a", "b") for side in ("parent", "change"))
+    assert len(calls) - len(traced) == 2 * 2 * 2  # workloads x pairs x sides, untraced
+    record = json.loads(out.read_text())
+    assert record["trace_seed"] == 1 and set(record["traced"]) == {"a", "b"}
+    assert record["traced_summary"]["a"]["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
+    assert record["traced_summary"]["b"]["fields.ops.calls"] == {"parent": None, "change": None, "ratio": None}

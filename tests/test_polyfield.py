@@ -89,7 +89,7 @@ def test_substitute_common_denominator():
     x = RationalFunction.variable(Q, 2, 0)
     y = RationalFunction.variable(Q, 2, 1)
     f = P(Q, 2, [((2, 0), 1), ((0, 1), 1)])  # x^2 + y
-    out = substitute(f, [x / y, y])
+    out = _value(f, [x / y, y])
     assert out == (x * x) / (y * y) + y
 
 
@@ -161,7 +161,7 @@ def test_taylor_identity_char5(f, a, z):
 def _check_taylor(base, f, a, z):
     """f(z) = sum_i f^[i](a) (z - a)^i, evaluated at scalars."""
     a, z = base.coerce(a), base.coerce(z)
-    deg = f.total_degree() if not f.is_zero else 0
+    deg = sum(f.terms[0][0]) if not f.is_zero else 0  # the leading term's total degree
     acc = base.zero
     for i in range(deg + 1):
         fi = hasse_derivative(f, i).evaluate([a])
@@ -271,6 +271,11 @@ def test_sparse_univariate_gcd_matches_dense_rows(base, factors):
         assert poly_gcd(a * h, b * h) == expected
 
 
+def _value(f, args):
+    """f(args) in canonical form."""
+    return RationalFunction.make(*substitute(f, args))
+
+
 def _reference_substitute(f, args):
     """sum(c * prod(args[i] ** k)), in rational-function arithmetic only."""
     acc = RationalFunction.const(f.base, args[0].nvars, 0)
@@ -313,17 +318,17 @@ def substitution_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_substitute_matches_term_by_term_reference(case):
     f, args = case
-    assert substitute(f, args) == _reference_substitute(f, args)
+    assert _value(f, args) == _reference_substitute(f, args)
 
 
 def test_substitute_skips_absent_variables_and_zero():
     x = RationalFunction.variable(F5, 2, 0)
     y = RationalFunction.variable(F5, 2, 1)
     f = P(F5, 3, [((2, 0, 0), 3), ((0, 0, 1), 1)])  # 3*X1^2 + X3, X2 absent
-    out = substitute(f, [x / y, x * x + y, y])
+    out = _value(f, [x / y, x * x + y, y])
     assert out == RationalFunction.const(F5, 2, 3) * (x / y) ** 2 + y
-    assert substitute(P(F5, 3, []), [x, y, x]).is_zero
-    assert substitute(P(Q, 0, [((), 4)]), []) == RationalFunction.const(Q, 0, 4)
+    assert _value(P(F5, 3, []), [x, y, x]).is_zero
+    assert _value(P(Q, 0, [((), 4)]), []) == RationalFunction.const(Q, 0, 4)
 
 
 def test_substitute_at_perron_sized_exponents():
@@ -332,7 +337,7 @@ def test_substitute_at_perron_sized_exponents():
     a1 = RationalFunction.const(F5, 2, 2) * x1 ** 3 / x2 ** 2  # 2*x1^3/x2^2
     a2 = x2 / x1
     f = P(F5, 2, [((10**8, 1), 1), ((0, 2), 3)])  # X1^(10^8)*X2 + 3*X2^2
-    out = substitute(f, [a1, a2])
+    out = _value(f, [a1, a2])
     # 2^(10^8) = 1 in F5, so out = x1^(3e8-1)/x2^(2e8-1) + 3*x2^2/x1^2
     assert str(out) == "(x1^300000001 + 3*x2^200000001)/(x1^2*x2^199999999)"
     assert out == _reference_substitute(f, [a1, a2])
@@ -340,7 +345,7 @@ def test_substitute_at_perron_sized_exponents():
     y1 = RationalFunction.variable(Q, 2, 0)
     y2 = RationalFunction.variable(Q, 2, 1)
     g = P(Q, 2, [((4 * 10**8, 0), 1), ((0, 3), -1)])  # X1^(4e8) - X2^3
-    out = substitute(g, [y1 ** 5 / y2 ** 2, -y2])
+    out = _value(g, [y1 ** 5 / y2 ** 2, -y2])
     assert str(out) == "(x1^2000000000 + x2^800000003)/(x2^800000000)"
 
 
@@ -392,7 +397,7 @@ def test_results_are_canonical(data):
         out += [
             x, y, x + y, x - y, x * y, x / y, -x, y ** -2, x.map_vars([1, 0], 2),
             RationalFunction.const(base, 2, Fraction(2, 3)), RationalFunction.variable(base, 2, 0),
-            substitute(f, [x, y]), substitute(h, [y, x]),
+            _value(f, [x, y]), _value(h, [y, x]),
         ]
     for r in out:
         _assert_canonical(r)
@@ -415,7 +420,7 @@ def content_args(draw, nvars=2):
 @given(fraction_polys(Q, max_terms=4, max_exp=2), content_args(), content_args())
 @settings(max_examples=100, deadline=None)
 def test_integer_substitute_matches_reference(f, a, b):
-    assert substitute(f, [a, b]) == _reference_substitute(f, [a, b])
+    assert _value(f, [a, b]) == _reference_substitute(f, [a, b])
 
 
 def test_integer_substitute_with_fractional_coefficients():
@@ -427,7 +432,7 @@ def test_integer_substitute_with_fractional_coefficients():
         RationalFunction.const(Q, 2, 3) * y + RationalFunction.const(Q, 2, 9)
     )
     assert str(a) == "(4*x1^2)/(9*x2)" and str(b) == "(6*x1 + 4)/(3*x2 + 9)"
-    out = substitute(f, [a, b])
+    out = _value(f, [a, b])
     assert out == _reference_substitute(f, [a, b])
     assert out.num.terms[0][1].denominator == 1
 
@@ -436,7 +441,7 @@ def test_substitute_rejects_non_canonical_arguments():
     half = P(Q, 2, [((1, 0), Fraction(1, 2))])
     arg = RationalFunction(half, SparsePoly.const(Q, 2, 1))  # not made by make
     with pytest.raises(PreconditionError):
-        substitute(P(Q, 1, [((1,), 1)]), [arg])
+        _value(P(Q, 1, [((1,), 1)]), [arg])
 
 
 # ---------------------------------------------------------------------------

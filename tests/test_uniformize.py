@@ -338,7 +338,7 @@ def test_jacobian_determinant_matches_diagonal_product(data):
     from uniformizer.polyfield import substitute
 
     mat = [
-        [substitute(hasse_derivative(sys_.fs[i], 1, var=s + j), args) for j in range(n)]
+        [RationalFunction.make(*substitute(hasse_derivative(sys_.fs[i], 1, var=s + j), args)) for j in range(n)]
         for i in range(n)
     ]
     for i in range(n):

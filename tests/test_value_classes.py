@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from uniformizer.errors import PreconditionError
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ, BaseField
 from uniformizer.polyfield import SparsePoly
@@ -39,7 +40,8 @@ def _report(detail=""):
 # name -> a builder called twice for two equal, distinct instances, and a
 # builder of an unequal instance of the same class
 SAMPLES = {
-    "BaseField": (lambda: GF(5), lambda: QQ()),
+    # GF and QQ hand out one instance per field; the constructor builds new ones
+    "BaseField": (lambda: BaseField(5), lambda: QQ()),
     "SparsePoly": (lambda: _element("y1 + 1").num, lambda: _element("y1 + 2").num),
     "RationalFunction": (lambda: _element("(y1 + 1)/2"), lambda: _element("(y1 + 1)/3")),
     "SurdScalar": (lambda: SurdScalar.sqrt(2, 3), lambda: SurdScalar.sqrt(3, 3)),
@@ -123,6 +125,15 @@ def test_instances_of_different_classes_are_unequal():
     assert SurdScalar() != GroupOrder(()) and not SurdScalar() == GroupOrder(())
     assert QQ() != (None,) and CheckResult(True) != (True, "")
     assert BaseField(None) == QQ() and BaseField() == QQ()
+
+
+def test_fields_are_interned_and_built_ones_still_compare_equal():
+    assert GF(5) is GF(5) and QQ() is QQ() and GF(5) is not GF(7)
+    assert BaseField(5) is not GF(5) and BaseField(5) == GF(5) and hash(BaseField(5)) == hash(GF(5))
+    assert pickle.loads(pickle.dumps(GF(5))) == GF(5)
+    for bad in (4, 5.0, True):
+        with pytest.raises(PreconditionError):
+            GF(bad)
 
 
 @pytest.mark.parametrize("name", SAMPLES)

@@ -16,7 +16,6 @@ from uniformizer.surd import FILTER_BITS, SurdScalar, root_bounds
 from uniformizer.valuegroup import (
     GroupOrder,
     PerronResult,
-    brute_force_positive_basis,
     compare,
     int_det,
     is_independent,
@@ -25,6 +24,7 @@ from uniformizer.valuegroup import (
     rational_rank,
     unimodular_inverse,
 )
+from perron_oracle import brute_force_positive_basis
 
 
 def _order(*blocks):
