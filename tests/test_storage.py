@@ -3,7 +3,7 @@
 A polynomial is integers over one positive denominator coprime to them
 (residues over 1 over F_p).  These properties draw polynomials over Q and
 F5 and check the form against a scalar reference that adds and multiplies
-dicts of canonical scalars, as the storage did before it held integers.
+dicts of canonical scalars.
 """
 
 import copy
@@ -24,7 +24,7 @@ _FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 @st.composite
 def scalar_terms(draw, base, nvars=2, max_terms=4, max_exp=3):
-    """{exponents: canonical scalar} with no zero, as the old storage held it."""
+    """{exponents: canonical scalar} with no zero."""
     acc = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         e = tuple(draw(st.integers(min_value=0, max_value=max_exp)) for _ in range(nvars))
@@ -32,8 +32,8 @@ def scalar_terms(draw, base, nvars=2, max_terms=4, max_exp=3):
     return {e: c for e, c in acc.items() if c}
 
 
-def _old_terms(acc: dict) -> tuple:
-    """The old storage: nonzero (exponents, scalar) pairs, graded-lex descending."""
+def _scalar_terms(acc: dict) -> tuple:
+    """Nonzero (exponents, scalar) pairs, graded-lex descending."""
     return tuple(sorted(((e, c) for e, c in acc.items() if c), key=lambda t: (sum(t[0]), t[0]), reverse=True))
 
 
@@ -105,13 +105,13 @@ def test_every_construction_path_gives_one_form(data):
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_terms_is_the_old_fraction_form(data):
+def test_terms_is_the_scalar_form(data):
     base = data.draw(_BASES)
     fa, fb = data.draw(scalar_terms(base)), data.draw(scalar_terms(base))
     f, g = SparsePoly.make(base, 2, fa), SparsePoly.make(base, 2, fb)
-    assert f.terms == _old_terms(fa)
-    assert (f * g).terms == _old_terms(_ref_mul(base, fa, fb))
-    assert (f + g).terms == _old_terms(_ref_add(base, fa, fb))
+    assert f.terms == _scalar_terms(fa)
+    assert (f * g).terms == _scalar_terms(_ref_mul(base, fa, fb))
+    assert (f + g).terms == _scalar_terms(_ref_add(base, fa, fb))
     assert all(type(c) is (Fraction if base.is_rationals else int) for _, c in (f * g).terms)
     # the view is built once and kept
     assert f.terms is f.terms
@@ -122,8 +122,9 @@ def test_terms_is_the_old_fraction_form(data):
 def test_pickles_and_copies_round_trip(data):
     base = data.draw(_BASES)
     f = SparsePoly.make(base, 2, data.draw(scalar_terms(base)))
-    built = SparsePoly.make(base, 2, f.terms)  # this one's view exists before the copy
-    for g in (f, built):
+    fresh = f * SparsePoly.const(base, 2, 1)  # a copy whose view is not built
+    assert len(f.terms) == len(f.ints)  # builds and keeps f's view
+    for g in (f, fresh):
         for dup in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
             _assert_same(dup, g)
             assert dup.terms == g.terms and repr(dup) == repr(g)

@@ -1,8 +1,7 @@
 """verify on a monomial place skips normal forms; the report must not notice.
 
 The reference context normalises every value with ``RationalFunction.make``
-before any check reads it, as verify did when every substitution ended in
-a normal form.  Both must give the same report, byte for byte, on
+before any check reads it.  Both must give the same report, byte for byte, on
 certificates drawn as ``scripts/certificate_survey.py`` draws them and on
 three mutants of each: a changed row coefficient, a vanishing diagonal
 entry and a diagonal entry of positive value.
