@@ -24,9 +24,13 @@ parent's values and the number of pairs in which the change was better,
 with "better" read from BENCHMARK.json.  After the pairs, every workload
 runs once traced (``--trace 1``, seed 1) in each checkout; the record keeps
 those runs' per-layer metrics under ``traced`` and, under
-``traced_summary``, the layers named in TRACED side by side.  It exits 1
-when an operation failed in some run, 0 otherwise, and stops with an
-error, writing nothing, when ``run.py`` exits nonzero.
+``traced_summary``, the layers named in TRACED side by side.  Last, each
+checkout runs ``scripts/series_sweep.py`` once over Q and F5 at the
+precisions 256, 512 and 1024, the high-precision series path that the
+benchmark workloads do not reach; the record keeps its realize and verify
+seconds under ``sweep`` and, side by side, under ``sweep_summary``.  It
+exits 1 when an operation failed in some run, 0 otherwise, and stops with
+an error, writing nothing, when ``run.py`` or the sweep exits nonzero.
 """
 
 from __future__ import annotations
@@ -40,8 +44,13 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # per-layer metrics of the traced runs that the summary sets side by side
-TRACED = ("polyfield.mul.self_s", "polyfield.substitute.self_s", "fields.ops.calls")
+TRACED = (
+    "polyfield.mul.self_s", "polyfield.substitute.self_s", "fields.ops.calls",
+    "series.mul.self_s", "series.eval_poly.self_s", "completion.kaplansky.self_s",
+)
 TRACE_SEED = 1
+# the fields (0 is Q) and precisions of scripts/series_sweep.py in the record
+SWEEP_ARGS = ("--fields", "0,5", "--precisions", "256,512,1024")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -63,6 +72,32 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
         "failed": last["failed"],
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
     }
+
+
+def run_sweep(checkout: str) -> dict:
+    """scripts/series_sweep.py's realize and verify seconds in one checkout."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(checkout, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join("scripts", "series_sweep.py"), *SWEEP_ARGS],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"series_sweep.py exited {done.returncode} in {checkout}: {done.stdout.strip()}")
+    return parse_sweep(done.stdout)
+
+
+def parse_sweep(text: str) -> dict:
+    """{field: {precision: {"realize_s", "verify_s"}}} from the sweep's rows."""
+    out: dict = {}
+    for line in text.splitlines()[1:]:
+        field, n, realize, _value, verify = line.split()[:5]
+        out.setdefault(field, {})[n] = {"realize_s": float(realize), "verify_s": float(verify)}
+    return out
+
+
+def _side_by_side(parent, change) -> dict:
+    ratio = change / parent if parent and change is not None else None
+    return {"parent": parent, "change": change, "ratio": ratio}
 
 
 def quartiles(values: list) -> list:
@@ -106,10 +141,19 @@ def traced_summary(traced: dict) -> dict:
     for workload, sides in traced.items():
         out[workload] = {}
         for name in TRACED:
-            parent, change = (sides[side]["metrics"].get(name) for side in ("parent", "change"))
-            ratio = change / parent if parent and change is not None else None
-            out[workload][name] = {"parent": parent, "change": change, "ratio": ratio}
+            out[workload][name] = _side_by_side(*(sides[side]["metrics"].get(name) for side in ("parent", "change")))
     return out
+
+
+def sweep_summary(sweep: dict) -> dict:
+    """Per field, precision and step of the sweep: each side's seconds and their ratio."""
+    return {
+        field: {
+            n: {step: _side_by_side(cell[step], sweep["change"].get(field, {}).get(n, {}).get(step)) for step in cell}
+            for n, cell in cells.items()
+        }
+        for field, cells in sweep["parent"].items()
+    }
 
 
 def main(argv=None) -> int:
@@ -149,6 +193,7 @@ def main(argv=None) -> int:
             info.setdefault(side, result.pop("info"))
             traced.setdefault(workload, {})[side] = result
             ok = ok and result["failed"] == 0
+    sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
 
     record = {
         "command": ["python", "scripts/bench_pairs.py"] + (sys.argv[1:] if argv is None else list(argv)),
@@ -162,6 +207,9 @@ def main(argv=None) -> int:
         "trace_seed": TRACE_SEED,
         "traced": traced,
         "traced_summary": traced_summary(traced),
+        "sweep_args": list(SWEEP_ARGS),
+        "sweep": sweep,
+        "sweep_summary": sweep_summary(sweep),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -174,6 +222,10 @@ def main(argv=None) -> int:
     for workload, metrics in record["traced_summary"].items():
         for name, m in metrics.items():
             print(f"{workload} traced {name}: {m['parent']} -> {m['change']}")
+    for field, cells in record["sweep_summary"].items():
+        for n, steps in cells.items():
+            for step, m in steps.items():
+                print(f"sweep {field} {n} {step}: {m['parent']} -> {m['change']}")
     return 0 if ok else 1
 
 

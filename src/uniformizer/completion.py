@@ -47,8 +47,6 @@ from .polyfield import (
 )
 from .series import (
     TruncatedSeries,
-    _convolve,
-    _reduced,
     equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
@@ -115,9 +113,9 @@ class SeriesContext:
 
     The context keeps one power table (see ``series``) for its lifetime:
     ``ambient``, ``coeff`` and ``eval_poly`` all evaluate through it, so a
-    power a^k of an argument, and its integer row, is built once per
-    context rather than once per call.  An element whose denominator is a
-    constant c is its numerator scaled by 1/c, with no series inverse.
+    power a^k of an argument is built once per context rather than once per
+    call.  An element whose denominator is a constant c is its numerator
+    scaled by 1/c, with no series inverse.
     """
 
     def __init__(self, place: DiscreteSeriesPlace, precision: int | None = None):
@@ -193,40 +191,18 @@ class SeriesContext:
 _NOT_SIMPLE = "x0 is not a simple root of the reduction; the root does not lift"
 
 
-def _reduction(g: SparsePoly) -> tuple[list, int]:
-    """g(0, X) for g in (t, X), as a row over one denominator."""
-    low = {e[1]: c for e, c in g.ints if e[0] == 0}
-    return _reduced(g.base, [low.get(j, 0) for j in range(max(low, default=-1) + 1)], g.denom)
-
-
-def _rows_in_x(f: SparsePoly, n: int) -> tuple[list, int]:
-    """f in (t, X) as its coefficient rows in t below t^n, lowest power of X
-    first, over one common denominator."""
-    rows = [[0] * n for _ in range(f.degree_in(1) + 1)]
-    for (i, j), c in f.ints:
-        if i < n:
-            rows[j][i] = c
-    return [dense.trim(row) for row in rows], f.denom
-
-
-def _horner(base: BaseField, rows: list, den: int, z: TruncatedSeries, n: int) -> TruncatedSeries:
-    """f(t, z) below t^n, by Horner's rule in X, for f given by its rows and
-    denominator from ``_rows_in_x`` and a series z of order >= 0 known to at
-    least n.
-
-    With z = Z/q over Q, the homogeneous form sum_j F_j Z^j q^(deg - j)
-    keeps every step on integers; the result is that over den * q^deg.
-    """
-    p = base.characteristic
-    nums, q = base.int_row(z.coeffs)
-    Z = [0] * z.offset + nums
+def _horner(f: SparsePoly, z: TruncatedSeries, n: int) -> TruncatedSeries:
+    """f(t, z) below t^n, for f in (t, X) and a series z of order >= 0 known
+    to at least n, by Horner's rule in X on f's rows in t.  With z = Z/q,
+    the homogeneous form sum_j F_j Z^j q^(deg - j) keeps every step on
+    integers; the result is that over f.denom * q^deg."""
+    p, q, rows = f.base.characteristic, z.denom, dense.of_poly(f, n)
+    Z = [0] * z.offset + list(z.row)
     acc, qk = [], 1
     for row in reversed(rows):
-        acc = dense.add(_convolve(acc, Z, n), dense.scale(row[:n], qk, p), 0)
-        if p:
-            acc = dense.trim([c % p for c in acc])
+        acc = dense.add(dense.mul(acc, Z, p, n), dense.scale(row, qk, p), p)
         qk *= q
-    return TruncatedSeries._trimmed(base, 0, base.settle_row(acc, den * q ** (len(rows) - 1)), n)
+    return TruncatedSeries._canon(f.base, 0, acc, f.denom * q ** (len(rows) - 1), n)
 
 
 def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
@@ -236,10 +212,8 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     correct precision each round, and remain valid in characteristic p
     because only the first derivative is involved.  The inverse of f'(z)
     is carried along as a second Newton iterate, one doubling per round,
-    instead of being recomputed from scratch.  f and f' are read once as
-    coefficient rows in t, one per power of X, and each round evaluates
-    them at z by Horner's rule in X (``_horner``), so no power of z is
-    formed.
+    instead of being recomputed from scratch.  Each round evaluates f and
+    f' at z by Horner's rule in X (``_horner``), so no power of z is formed.
     """
     if f.nvars != 2:
         raise PreconditionError("expected a polynomial in (t, X)")
@@ -253,7 +227,6 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     d0 = dfdx.evaluate((0, x0))
     if d0 == 0:
         raise PreconditionError(_NOT_SIMPLE)
-    f_rows, d_rows = _rows_in_x(f, precision), _rows_in_x(dfdx, precision)
     z = TruncatedSeries.constant(base, x0, 1)
     w = TruncatedSeries.constant(base, base.inv(d0), 1)
     two = TruncatedSeries.constant(base, 2, precision)
@@ -263,12 +236,12 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
         # the known coefficients form a polynomial approximant; Newton
         # corrects everything beyond the old precision automatically.
         # f(zt) vanishes below p, so w = 1/f'(z) below p settles z below p2
-        zt = TruncatedSeries(base, z.offset, z.coeffs, p2)
-        z = zt - _horner(base, *f_rows, zt, p2) * w
+        zt = TruncatedSeries(base, z.offset, z.row, z.denom, p2)
+        z = zt - _horner(f, zt, p2) * w
         if p2 < precision:
             # the second Newton iterate, w <- w (2 - f'(z) w): 1/f'(z) below p2
-            wt = TruncatedSeries(base, w.offset, w.coeffs, p2)
-            w = wt * (two - _horner(base, *d_rows, z, p2) * wt)
+            wt = TruncatedSeries(base, w.offset, w.row, w.denom, p2)
+            w = wt * (two - _horner(dfdx, z, p2) * wt)
         p = p2
     return z
 
@@ -304,41 +277,51 @@ class ApproximationWitness:
 def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePoly]:
     """(a, b): the terms of z below t^below, and the exact leading monomial of
     z - a.  z has order >= 0 and below is at most its precision."""
-    coeffs = z.coeffs
-    cut = min(len(coeffs), max(0, below - z.offset))
-    a = SparsePoly._of_scalars(z.base, 1, {(z.offset + i,): c for i, c in enumerate(coeffs[:cut])})
-    k = next((i for i in range(cut, len(coeffs)) if coeffs[i]), None)
+    row, off = z.row, z.offset
+    cut = min(len(row), max(0, below - off))
+    a = _settled(z.base, 1, dense.to_ints(row[:cut], off), z.denom)
+    k = next((i for i in range(cut, len(row)) if row[i]), None)
     if k is None:
         raise InsufficientPrecisionError(
             "series vanishes to precision; its leading monomial is not determined",
             needed=z.precision + 1,
         )
-    c = coeffs[k]
-    return a, SparsePoly(z.base, 1, (((z.offset + k,), c.numerator),), c.denominator)
+    return a, _settled(z.base, 1, (((off + k,), row[k]),), z.denom)
 
 
-def _eval_at_poly(f: SparsePoly, a: SparsePoly) -> SparsePoly:
-    """f(t, a(t)) as an exact polynomial in t."""
-    acc = SparsePoly.zero(f.base, 1)
-    for (i, j), c in f.ints:
-        acc = acc + SparsePoly._canon(f.base, 1, {(i,): c}, f.denom) * a ** j
-    return acc
+def _shifted(rows: list, a: SparsePoly, p: int) -> tuple[list, int]:
+    """(S, u): H(a + Y) for H = sum_i rows[i] X^i, by one Taylor shift on
+    K0[t] rows.  With a = A/u, the shift of sum_i rows[i] u^(k-i) X^i by A
+    stays integral: S_s = u^(k-s) H^[s](a), for k = deg H and H^[s] the
+    s-th Hasse derivative in X."""
+    u, k = a.denom, len(rows) - 1
+    scaled = [dense.scale(row, u ** (k - i), p) for i, row in enumerate(rows)]
+    return dense.taylor_shift(scaled, dense.of_poly(a), p), u
 
 
 def _gamma_table(g: SparsePoly, a: SparsePoly, b: SparsePoly) -> list[SparsePoly]:
-    """gamma_i = g^[i](a) * b^i, exact polynomials in t."""
-    deg = g.degree_in(1) if not g.is_zero else -1
-    return [_eval_at_poly(hasse_derivative(g, i, var=1), a) * b ** i for i in range(deg + 1)]
+    """gamma_i = g^[i](a) * b^i, exact polynomials in t, from one Taylor
+    shift of g's rows in X: with b = (c/d) t^e and D g's denominator,
+    gamma_s = S_s c^s t^(e s) / (u^(k-s) D d^s) (see ``_shifted``)."""
+    p, rows = g.base.characteristic, dense.of_poly(g)
+    S, u = _shifted(rows, a, p)
+    k = len(rows) - 1
+    ((e,), c), d = b.ints[0], b.denom
+    return [
+        _settled(g.base, 1, dense.to_ints(dense.scale(row, c**s, p), e * s), u ** (k - s) * g.denom * d**s)
+        for s, row in enumerate(S)
+    ]
 
 
 def _value_table(f: SparsePoly, a: SparsePoly, b: SparsePoly) -> tuple[tuple[int, int], ...]:
-    """(i, v(f^[i](a) b^i)) for every i with f^[i](a) nonzero; exact."""
+    """(i, v(f^[i](a) b^i)) for every i with f^[i](a) nonzero; exact.  With
+    b = (c/d) t^e, gamma_i is S_i t^(e i) times a nonzero constant (see
+    ``_gamma_table``), so its value is e i plus the lowest index of S_i."""
     if f.nvars != 2:
         raise PreconditionError("expected a polynomial in (t, X)")
-    # the lowest term of a polynomial in t alone comes last
-    return tuple(
-        (i, g.ints[-1][0][0]) for i, g in enumerate(_gamma_table(f, a, b)) if not g.is_zero
-    )
+    S, _ = _shifted(dense.of_poly(f), a, f.base.characteristic)
+    ((e,), _), = b.ints
+    return tuple((i, e * i + next(j for j, c in enumerate(row) if c)) for i, row in enumerate(S) if row)
 
 
 def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) -> ApproximationWitness:
@@ -376,8 +359,7 @@ def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) ->
         a, b = _split_series(z, below)
         tables = tuple(_value_table(f, a, b) for f in fs)
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
-            (b_exp,), c = b.ints[0]
-            b_coeff = z.base.settle_row([c], b.denom)[0]
+            ((b_exp,), b_coeff), = b.terms
             return ApproximationWitness(
                 fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, tables=tables
             )
@@ -432,15 +414,13 @@ class _QuotientRing:
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
         """(P, s) with f = P(Y)/s: P over Y with K0[t] entries, s an integer."""
-        if f.is_zero:
-            return [], 1
-        n = f.degree_in(1)
-        P = [[0] * (f.degree_in(0) + 1) for _ in range(n + 1)]
-        for (i, j), c in f.ints:
-            P[j][i] = c * self.L ** (n - j)
-        flat, s = _reduced(self.base, [c for row in P for c in row], f.denom)
-        w = len(P[0])
-        return [dense.trim(flat[j * w : (j + 1) * w]) for j in range(n + 1)], s * self.L**n
+        P = dense.of_poly(f)
+        n = len(P) - 1
+        P = [dense.scale(row, self.L ** (n - j), self.p) for j, row in enumerate(P)]
+        g = 1 if self.p else gcd(f.denom, *(c for row in P for c in row))
+        if g > 1:
+            P = [[c // g for c in row] for row in P]
+        return P, f.denom // g * self.L ** max(n, 0)
 
     def _reduce(self, P: list) -> list:
         """P modulo m, as a vector of length dim."""
@@ -480,8 +460,9 @@ class _QuotientRing:
         pivots.append((col, row))
         return None
 
-    def _poly(self, c: list) -> SparsePoly:
-        return SparsePoly._canon(self.base, 1, {(i,): v for i, v in enumerate(c) if v})
+    def _poly(self, c: list, offset: int = 0) -> SparsePoly:
+        """A reduced row in t as a polynomial, its entry i at t^(offset + i)."""
+        return SparsePoly(self.base, 1, dense.to_ints(c, offset))
 
     def min_poly(self, f: RationalFunction) -> list:
         """Monic minimal polynomial of f over K0(t), lowest coefficient first."""
@@ -676,14 +657,6 @@ def _zeta_block(
     )
 
 
-def _t_row(f: SparsePoly) -> tuple[list, int]:
-    """A polynomial in t alone as a dense row over one denominator."""
-    row = [0] * (f.ints[0][0][0] + 1 if f.ints else 0)
-    for (i,), c in f.ints:
-        row[i] = c
-    return row, f.denom
-
-
 def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -> list:
     """The minimal polynomial of w = b/(zeta - a) over K0(t), lowest
     coefficient first, from h, that of zeta.
@@ -693,10 +666,9 @@ def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -
     leading one is h(a).  Divided by h(a) it is monic of degree
     k = [K0(t)(zeta) : K0(t)] = [K0(t)(w) : K0(t)], so it is the minimal
     polynomial.  The h^[s](a) are the coefficients of h(a + Y), one Taylor
-    shift on K0[t] rows over a common denominator L of the h_i.  Over Q,
-    a = A/u, and the shift of sum_i L h_i u^(k-i) Y^i by A stays integral:
-    its coefficient of Y^s is S_s = L u^(k-s) h^[s](a).  Each coefficient
-    is normalised once, by ``RationalFunction.make``.
+    shift (``_shifted``) of sum_i L h_i X^i, with L a common denominator of
+    the h_i in K0[t]: S_s = L u^(k-s) h^[s](a) for a = A/u.  Each
+    coefficient is normalised once, by ``RationalFunction.make``.
 
     h(a) = 0 makes zeta - a a zero divisor of a split modulus, and then
     ``ring.min_poly(w)`` raises, naming w.  The blocks never get there: a
@@ -704,27 +676,20 @@ def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -
     as b does.
     """
     p, k = ring.p, len(h) - 1
-    nums = [_t_row(c.num)[0] for c in h]
-    dens = [_t_row(c.den)[0] for c in h]
+    nums = [dense.of_poly(c.num) for c in h]
+    dens = [dense.of_poly(c.den) for c in h]
     L = [1]
     for d in dens:
         if d != L:
             L = dense.mul(L, dense.divexact(d, dense.gcd(L, d, p), p), p)
-    A, u = _t_row(a)
-    S = [
-        dense.scale(dense.mul(n, dense.divexact(L, d, p), p), u ** (k - i), p)
-        for i, (n, d) in enumerate(zip(nums, dens))
-    ]
-    for s in range(k):
-        for i in range(k - 1, s - 1, -1):
-            S[i] = dense.add(S[i], dense.mul(A, S[i + 1], p), p)
+    S, u = _shifted([dense.mul(n, dense.divexact(L, d, p), p) for n, d in zip(nums, dens)], a, p)
     if not S[0]:
         return ring.min_poly(w)
     # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
     # a canonical monomial's integer and denominator are coprime
     ((e,), c), d = b.ints[0], b.denom
     out = [RationalFunction.make(
-        ring._poly([0] * (e * s) + dense.scale(S[s], (c * u) ** s, p)),
+        ring._poly(dense.scale(S[s], (c * u) ** s, p), e * s),
         ring._poly(dense.scale(S[0], d ** s, p)),
     ) for s in range(k, 0, -1)]
     return out + [RationalFunction.const(ring.base, 1, 1)]
@@ -872,8 +837,9 @@ def realize_presentation(
         return place, []
     m = _monic_min_poly(pres.min_poly)
     z = hensel_lift_root(m, pres.residue, precision)
-    # m is monic, so over Q the row of its reduction is primitive
-    others = _conjugate_residue_roots(base, _reduction(m)[0], pres.residue, pres.conjugate_residues)
+    # m is monic: its reduction's row, reduced, is primitive over Q
+    mbar = dense.reduce([row[0] if row else 0 for row in dense.of_poly(m, 1)], m.denom, base.p)[0]
+    others = _conjugate_residue_roots(base, mbar, pres.residue, pres.conjugate_residues)
     # z's residue is simple and the reduction splits: a repeated conjugate
     # residue is the only multiple root
     if len(set(others)) != len(others):

@@ -1,29 +1,41 @@
-"""Dense univariate polynomials as integer rows.
+"""Dense univariate polynomials as integer rows: the one integer-row kernel.
 
 A row is a list of ints, lowest degree first, with no trailing zeros; the
 empty row is zero.  Each function takes the characteristic p: over F_p the
 entries are residues in [0, p); over Q (p is 0 or None) they are integer
 numerators in the integer-row format of ``fields``, the caller keeps the
-one denominator, and the arithmetic is that of Z[X].
+one denominator, and the arithmetic is that of Z[X].  The algorithms are
+the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+§8.4 and ch. 9).
 
-An element of K0[t] is a row in t, with every denominator cleared on the
-way in over Q.  The users:
+- Products (``mul``), whole or cut below x^n.  When the shorter row has
+  at most ``_SCHOOLBOOK`` = 8 entries, the schoolbook loop: most K0[t]
+  operands have one to four entries, where packing costs more than the
+  loop.  Otherwise Kronecker substitution: each row is packed into one
+  integer as its value at 2^w, the two integers are multiplied once, and
+  the product is read back w bits at a time.  A coefficient of the
+  product is a sum of at most min(len a, len b) products, so ``bound =
+  max|a| * max|b| * min(len a, len b)`` bounds every output, and every
+  input too when both rows are nonzero; w is a whole number of bytes with
+  bound < 2^(w-1).  When a row has a negative entry, every digit is
+  biased by 2^(w-1) on the way in and on the way out.  A biased digit
+  lies in [0, 2^w), so no digit borrows from or carries into its
+  neighbour, and each w-bit field of the biased product is exactly one
+  coefficient plus 2^(w-1).  Rows of residues need no bias.
+- Inverses (``inverse``): Newton iteration on those products, one integer
+  row over one denominator, reduced after every round (``reduce``).
+- ``taylor_shift``: H(a + Y) for H with rows as coefficients.
+- ``of_poly`` reads a SparsePoly's integers as rows, and ``to_ints``
+  gives a row back as SparsePoly integer pairs.
 
-- ``completion._QuotientRing``: an element of K0(t)[X]/(m) is a vector of
-  dim such rows over the power basis 1, X, ..., X^(dim-1), read over one
-  common denominator in K0[t] that is kept beside it.  m is monic in X,
-  so reduction modulo m never divides.
-- ``completion._w_min_poly``: the minimal polynomial of w = b/(zeta - a)
-  by one Taylor shift of zeta's on rows; ``completion._horner`` evaluates
-  f(t, z) and f'(t, z) for Hensel lifting by Horner's rule in X.
-- ``completion._deflate`` and ``_find_one_root``: residue roots.
-- ``polyfield._gcd_map`` (``poly_gcd`` in one variable and
-  ``_certified_coprime``) and ``polyfield._make_dense``
-  (``RationalFunction.make`` in one variable): gcd and exact division on
-  rows in x^s, when the rows are not sparse.
-- ``series._convolve``: ``mul`` when the shorter row has at most eight
-  entries.  Most K0[t] operands have one entry, where the schoolbook loop
-  beats Kronecker substitution.
+The users: ``series`` (a ``TruncatedSeries`` is one row over one
+denominator); ``completion``: the quotient ring K0(t)[X]/(m), whose
+elements are vectors of rows in t, Hensel lifting by Horner's rule in X,
+one Taylor shift each for the minimal polynomial of w = b/(zeta - a) and
+Kaplansky's tables g^[i](a) b^i, and residue roots; ``polyfield``: gcd and
+exact division of one-variable polynomials on rows in x^s, when the rows
+are not sparse (``poly_gcd``, ``_certified_coprime`` and
+``RationalFunction.make``).
 """
 
 from __future__ import annotations
@@ -32,12 +44,26 @@ from math import gcd as _igcd
 
 from .errors import PreconditionError
 
+# longest shorter operand that mul multiplies by the schoolbook loop; on the
+# products of the series pipeline the loop stays faster up to about 12
+# entries, but on rows of 30-bit integers Kronecker wins from about 8
+_SCHOOLBOOK = 8
+
 
 def trim(a: list) -> list:
     """a without its trailing zeros, in place."""
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def reduce(a: list, den: int, p: int) -> tuple[list, int]:
+    """The row a over a positive den with its integers made small: % p over
+    1, or a and den divided by their gcd."""
+    if p:
+        return [c % p for c in a], 1
+    g = _igcd(den, *a)
+    return ([c // g for c in a], den // g) if g > 1 else (a, den)
 
 
 def add(a: list, b: list, p: int) -> list:
@@ -54,15 +80,84 @@ def scale(a: list, k: int, p: int) -> list:
     return [c * k % p for c in a] if p else [c * k for c in a]
 
 
-def mul(a: list, b: list, p: int) -> list:
+def mul(a: list, b: list, p: int, n: int | None = None) -> list:
+    """a * b, or its coefficients below x^n when n is given; trimmed."""
+    if n is not None:
+        a, b = a[:n], b[:n]
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out] if p else out
+    if len(a) > len(b):
+        a, b = b, a
+    m = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
+    if len(a) > _SCHOOLBOOK:
+        out = _kronecker(a, b, m)
+    else:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        del out[m:]
+    return trim([c % p for c in out] if p else out)
+
+
+def _kronecker(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a * b, from one product of packed integers."""
+    low_a, low_b = min(a), min(b)
+    bound = max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
+    if not bound:
+        return []
+    size = (bound.bit_length() + 8) >> 3  # bytes per digit, so that bound < 2^(8*size - 1)
+    # nonnegative digits cannot borrow; signed ones are biased into [0, 2^(8*size))
+    bias = 0 if low_a >= 0 <= low_b else 1 << ((size << 3) - 1)
+    product = _pack(a, size, bias) * _pack(b, size, bias)
+    if bias:
+        product += bias * _ones(size, n)
+    width = size * n
+    digits = (product & ((1 << (width << 3)) - 1)).to_bytes(width, "little")
+    return [int.from_bytes(digits[i : i + size], "little") - bias for i in range(0, width, size)]
+
+
+def _ones(size: int, n: int) -> int:
+    """sum(2^(8*size*i) for i < n): a 1 in each of n digits of size bytes."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+
+
+def _pack(coeffs: list, size: int, bias: int) -> int:
+    """sum(c_i * 2^(8*size*i)), from the bytes of the digits c_i + bias."""
+    digits = b"".join([(c + bias).to_bytes(size, "little") for c in coeffs])
+    packed = int.from_bytes(digits, "little")
+    return packed - bias * _ones(size, len(coeffs)) if bias else packed
+
+
+def inverse(a: list, n: int, p: int) -> tuple[list, int]:
+    """(g, d): the coefficients below x^n of 1/a as the row g over d > 0
+    (1 over F_p), reduced; empty for n <= 0.  ZeroDivisionError when a's
+    constant term is zero.
+
+    Newton's g <- g + g(1 - a g): when g/d is 1/a below x^k and
+    a g = d + x^k r, the coefficients k .. 2k-1 of 1/a are those of -g r/d^2.
+    As g stops at x^k, r only meets a from x^1 on.
+    """
+    c = (a[0] % p if p else a[0]) if a else 0
+    if not c:
+        raise ZeroDivisionError("inverse of a row with no constant term")
+    if n <= 0:
+        return [], 1
+    if p:
+        g, d = [pow(c, -1, p)], 1
+    else:
+        g, d = ([1], c) if c > 0 else ([-1], -c)
+    tail = a[1:n]  # the coefficients of a from x^1 on
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        r = mul(tail, g, p, k2 - 1)[k - 1 :]  # over d
+        corr = mul(g, r, p, k2 - k)  # g r, over d * d
+        g = [x * d for x in g] + [-x for x in corr] + [0] * (k2 - k - len(corr))
+        g, d = reduce(g, d * d, p)
+        k = k2
+    return trim(g), d
 
 
 def _divmod(a: list, b: list, p: int) -> tuple:
@@ -105,6 +200,20 @@ def horner(a: list, x: int, p: int, q: int = 1) -> int:
     return acc
 
 
+def taylor_shift(rows: list, a: list, p: int) -> list:
+    """The coefficients S_s of H(a + Y) = sum_s S_s Y^s, for the polynomial
+    H(Y) = sum_i rows[i] Y^i whose coefficients, like a, are rows in t:
+    Horner's rule repeated, k(k+1)/2 products for degree k.  Over F_p each
+    S_s is reduced, so a binomial coefficient that vanishes mod p vanishes
+    here too."""
+    S, k = list(rows), len(rows) - 1
+    if a:
+        for s in range(k):
+            for i in range(k - 1, s - 1, -1):
+                S[i] = add(S[i], mul(a, S[i + 1], p), p)
+    return S
+
+
 def _primitive(a: list) -> list:
     g = _igcd(*a)
     return [c // g for c in a] if g > 1 else a
@@ -124,3 +233,26 @@ def gcd(a: list, b: list, p: int) -> list:
         k = max(0, len(a) - len(b) + 1)
         a, b = b, _primitive(_divmod(scale(a, b[-1] ** k, 0), b, 0)[1])
     return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def of_poly(f, n: int | None = None) -> list:
+    """The integers of a SparsePoly f as rows in its first variable, below
+    x0^n when n is given, without f's denominator: for f in one variable its
+    row; for f in (x0, x1) the rows of the coefficients of x1^0, x1^1, ...,
+    x1^deg (none for the zero polynomial)."""
+    ints, two = f.ints, f.nvars == 2
+    width = max((e[0] for e, _ in ints), default=-1) + 1
+    if n is not None:
+        width = min(width, max(n, 0))
+    rows = [[0] * width for _ in range(max((e[-1] for e, _ in ints), default=-1) + 1 if two else 1)]
+    for e, c in ints:
+        if e[0] < width:
+            rows[e[-1] if two else 0][e[0]] = c
+    return [trim(row) for row in rows] if two else trim(rows[0])
+
+
+def to_ints(row, offset: int = 0, step: int = 1) -> tuple:
+    """The nonzero entries of a row as the (exponent tuple, integer) pairs of
+    a polynomial in one variable, entry i at exponent offset + step*i,
+    highest first (the order of ``SparsePoly.ints``)."""
+    return tuple(((offset + step * i,), row[i]) for i in range(len(row) - 1, -1, -1) if row[i])

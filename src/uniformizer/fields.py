@@ -7,11 +7,11 @@ code can stay field-agnostic.
 
 This module also owns the two formats the other layers share.
 
-- Integer rows.  Exact kernels compute on a list of integers over one
-  positive denominator.  ``clear_denominators`` reads a list of rationals
-  that way; ``BaseField.int_row`` reads a list of scalars (over F_p the
-  residues themselves, over 1) and ``BaseField.settle_row`` turns a row
-  back into canonical scalars.
+- Integer rows.  Exact values are stored as integers over one positive
+  denominator (residues over 1 over F_p), and the kernels of ``dense``
+  compute on them.  ``clear_denominators`` reads a list of rationals that
+  way, and ``BaseField.settle_row`` turns a row back into canonical
+  scalars, for the views that printers and tests read.
 - Text.  ``BaseField.scalar_str`` renders one scalar and
   ``BaseField.sum_str`` a signed sum of scalar multiples of monomials,
   the form every printer of the package emits.
@@ -191,12 +191,6 @@ class BaseField(Frozen):
     def pow(self, a: Scalar, k: int) -> Scalar:
         """a ** k for an integer k >= 0, by square-and-multiply."""
         return pow(a, k, self.p) if self.p else a ** k
-
-    def int_row(self, coeffs) -> tuple[list[int], int]:
-        """Canonical scalars as integer numerators over one positive denominator."""
-        if self.p:
-            return list(coeffs), 1
-        return clear_denominators(coeffs)
 
     def settle_row(self, nums, den: int) -> list:
         """Canonical scalars nums[i] / den."""

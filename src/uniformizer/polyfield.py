@@ -771,10 +771,7 @@ def _make_dense(num: SparsePoly, den: SparsePoly):
     g = dense.gcd(rn, rd, p)
     if len(g) > 1:
         rn, rd = dense.divexact(rn, g, p), dense.divexact(rd, g, p)
-    return tuple(
-        SparsePoly(num.base, 1, tuple(((i * s,), row[i]) for i in range(len(row) - 1, -1, -1) if row[i]))
-        for row in (rn, rd)
-    )
+    return tuple(SparsePoly(num.base, 1, dense.to_ints(row, 0, s)) for row in (rn, rd))
 
 
 def ratfun_str(f: RationalFunction, names) -> str:

@@ -8,118 +8,35 @@ justify.  A series whose stored coefficients are all zero may still be
 nonzero beyond its precision; order and residue queries distinguish the
 two situations honestly.
 
-The arithmetic runs on Python integers, with one code path per
-operation for both kinds of field.
+Storage.  A ``TruncatedSeries`` is t^offset * sum(row[i] t^i) / denom +
+O(t^precision): ``row`` is a tuple of integers whose first and last
+entries are nonzero and lie below the precision, ``denom`` a positive
+integer coprime to them; over F_p the entries are residues over 1.  The
+zero series is the empty row over 1 at offset 0.  The form is unique, so
+``==``, ``hash`` and pickling are structural.  ``coeffs`` reads the
+series as canonical scalars (``Fraction`` over Q, residues over F_p), a
+view built on first use and kept, for printers and tests.
 
-- Coefficients.  ``BaseField.int_row`` (see ``fields``) turns a
-  coefficient list into an integer row over one denominator: over F_p the
-  residues themselves over 1, over Q the numerators scaled to the lcm of
-  the denominators.  ``BaseField.settle_row`` turns a row back into
-  canonical scalars: one ``% p`` per coefficient over F_p, one
-  ``Fraction(c, d)`` per coefficient over Q.
-- Products (``_convolve``): when the shorter row has at most
-  ``_SCHOOLBOOK`` = 8 entries, the schoolbook loop of ``dense.mul``, cut
-  at n; most products here have rows of one to four entries, where
-  packing costs more than the loop.  Otherwise one integer convolution by
-  Kronecker substitution.  Each row is packed into one integer as its
-  value at 2^w, the two integers are multiplied once, and the product is
-  read back w bits at a time.  A coefficient of the convolution is a sum
-  of at most min(len a, len b) products, so ``bound = max|a| * max|b| *
-  min(len a, len b)`` bounds every output, and every input too when both
-  rows are nonzero; w is a whole number of bytes with bound < 2^(w-1).
-  When a row has a negative entry, every digit is biased by 2^(w-1) on the
-  way in and on the way out.  A biased digit c + 2^(w-1) lies in
-  [0, 2^w), so no digit borrows from or carries into its neighbour, and
-  each w-bit field of the biased product is exactly one coefficient plus
-  2^(w-1): the signed unpack is exact.  Rows with no negative entry need
-  no bias.
-- Sums (``_combine``): the overlap of two aligned slices, added or
-  subtracted in place.
-- Inverses (``_inverse``): Newton's g <- g + g(1 - u g) on that product,
-  doubling the known coefficients each round.  The iterate stays one
-  integer row, reduced after every round (``% p``, or by the gcd with its
-  denominator), so no intermediate swells.
-- Polynomial evaluation (``eval_poly_at_series``): each term multiplies
-  the powers of the arguments its nonzero exponents name, as integer rows,
-  and adds the product, scaled by its coefficient, into one dense integer
-  accumulator over a common denominator, settled once.  The powers come
-  from a power table keyed by id(a): an entry holds a itself (so no other
-  series takes over its id while the table lives) and a, a^2, ... with
-  their integer rows, each a^(k+1) built as a^k * a on first use.  A
-  caller that evaluates many polynomials at the same arguments, such as
-  ``completion.SeriesContext``, keeps one table for all of them; without
-  one, a call builds its own.  ``eval_ratfun_at_series`` shares the table
-  between numerator and denominator and, when the denominator is a
-  constant c, scales the numerator by 1/c with the precision of the
-  product num * constant(1/c, precision), instead of inverting a series.
+Arithmetic runs on the rows with the kernels of ``dense`` (Kronecker
+products, Newton inverses), and ``TruncatedSeries._canon`` brings each
+result to that form once: ``% p`` over F_p, one gcd with the denominator
+over Q.  Sums align the two rows over the lcm of their denominators.
+``eval_poly_at_series`` adds every term of a polynomial into one integer
+accumulator, with the powers of its arguments from a power table that a
+caller such as ``completion.SeriesContext`` shares between calls;
+``eval_ratfun_at_series`` scales by 1/c for a constant denominator c
+instead of inverting a series.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from . import dense
 from .errors import InsufficientPrecisionError, NotInValuationRingError, PreconditionError
-from .fields import BaseField, Scalar
+from .fields import BaseField, Frozen, Scalar, clear_denominators
 from .polyfield import RationalFunction, SparsePoly, power
-
-
-def _reduced(base: BaseField, nums: list[int], den: int) -> tuple[list[int], int]:
-    """The same row with its integers made small: % p, or divided by their gcd with den."""
-    if base.p:
-        p = base.p
-        return [c % p for c in nums], 1
-    g = gcd(den, *nums)
-    return [c // g for c in nums], den // g
-
-
-# longest shorter operand that _convolve multiplies by the schoolbook loop;
-# on the products of the series pipeline the loop stays faster up to about
-# 12 entries, but on rows of 30-bit integers Kronecker wins from about 8
-_SCHOOLBOOK = 8
-
-
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    """The coefficients below n of the product of two integer coefficient lists.
-
-    The list stops where the product does, after min(n, len(a) + len(b) - 1)
-    entries.
-    """
-    a, b = a[:n], b[:n]
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) <= _SCHOOLBOOK:
-        return dense.mul(a, b, 0)[:n]
-    n = min(n, len(a) + len(b) - 1)
-    low_a, low_b = min(a), min(b)
-    bound = max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
-    if not bound:
-        return [0] * n
-    size = (bound.bit_length() + 8) >> 3  # bytes per digit, so that bound < 2^(8*size - 1)
-    # nonnegative digits cannot borrow; signed ones are biased into [0, 2^(8*size))
-    bias = 0 if low_a >= 0 <= low_b else 1 << ((size << 3) - 1)
-    product = _pack(a, size, bias) * _pack(b, size, bias)
-    if bias:
-        product += bias * _ones(size, n)
-    width = size * n
-    digits = (product & ((1 << (width << 3)) - 1)).to_bytes(width, "little")
-    return [int.from_bytes(digits[i : i + size], "little") - bias for i in range(0, width, size)]
-
-
-def _ones(size: int, n: int) -> int:
-    """sum(2^(8*size*i) for i < n): a 1 in each of n digits of size bytes."""
-    return int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-
-
-def _pack(coeffs: list[int], size: int, bias: int) -> int:
-    """sum(c_i * 2^(8*size*i)), from the bytes of the digits c_i + bias."""
-    digits = b"".join([(c + bias).to_bytes(size, "little") for c in coeffs])
-    packed = int.from_bytes(digits, "little")
-    return packed - bias * _ones(size, len(coeffs)) if bias else packed
 
 
 def _product_bounds(low_a: int, prec_a: int, low_b: int, prec_b: int) -> tuple[int, int]:
@@ -134,56 +51,70 @@ def _product_bounds(low_a: int, prec_a: int, low_b: int, prec_b: int) -> tuple[i
     return min(low_a + low_b, prec), prec
 
 
-def _inverse(base: BaseField, u, n: int) -> list:
-    """1/u below exponent n, for u[0] != 0.
+class TruncatedSeries(Frozen):
+    """t^offset * sum(row[i] t^i) / denom + O(t^precision)."""
 
-    Newton's g <- g + g(1 - u g): when g is 1/u below t^k and
-    u g = 1 + t^k r, the coefficients k .. 2k-1 of 1/u are those of -g r.
-    As g stops at t^k, r only meets u from t^1 on, so a constant u needs
-    no product at all.
-    """
-    nu, du = base.int_row(u[1:n])  # the coefficients of u from t^1 on
-    ng, dg = base.int_row([base.inv(u[0])])
-    k = 1
-    while k < n:
-        k2 = min(2 * k, n)
-        r = _convolve(nu, ng, k2 - 1)[k - 1 :]  # over du * dg
-        tail = _convolve(ng, r, k2 - k)  # g r, over dg * du * dg
-        scale = du * dg
-        ng = [c * scale for c in ng] + [-c for c in tail] + [0] * (k2 - k - len(tail))
-        ng, dg = _reduced(base, ng, dg * scale)
-        k = k2
-    return base.settle_row(ng, dg)
+    __slots__ = ("base", "offset", "row", "denom", "precision", "_coeffs")
 
+    def __init__(self, base: BaseField, offset: int, row: tuple, denom: int, precision: int):
+        set_base, set_offset, set_row, set_denom, set_precision, set_coeffs, set_key = self._setters
+        set_base(self, base)
+        set_offset(self, offset)
+        set_row(self, row)
+        set_denom(self, denom)
+        set_precision(self, precision)
+        set_coeffs(self, None)
+        set_key(self, (base, offset, row, denom, precision))
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    base: BaseField
-    offset: int
-    coeffs: tuple[Scalar, ...]
-    precision: int
+    def __repr__(self):
+        return (
+            f"TruncatedSeries(base={self.base!r}, offset={self.offset!r}, "
+            f"coeffs={self.coeffs!r}, precision={self.precision!r})"
+        )
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The stored coefficients as canonical scalars: over F_p ``row``
+        itself, over Q a view built on first use and kept."""
+        view = self._coeffs
+        if view is None:
+            if self.base.p:
+                return self.row
+            view = tuple(self.base.settle_row(self.row, self.denom))
+            TruncatedSeries._coeffs.__set__(self, view)
+        return view
+
+    @staticmethod
+    def _canon(base: BaseField, offset: int, row, den: int, precision: int) -> "TruncatedSeries":
+        """Trusted: the canonical form of t^offset * row / den + O(t^precision),
+        for integers row over a positive den (1 over F_p)."""
+        cut = precision - offset
+        if len(row) > cut:
+            row = row[: max(0, cut)]
+        p = base.p
+        if p:
+            row = [c % p for c in row]
+        lo, hi = 0, len(row)
+        while lo < hi and not row[lo]:
+            lo += 1
+        while hi > lo and not row[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            return TruncatedSeries(base, 0, (), 1, precision)
+        row = row[lo:hi]
+        if den != 1:
+            row, den = dense.reduce(row, den, 0)
+        return TruncatedSeries(base, offset + lo, tuple(row), den, precision)
 
     @staticmethod
     def make(base: BaseField, offset: int, coeffs, precision: int) -> "TruncatedSeries":
-        return TruncatedSeries._trimmed(base, offset, [base.coerce(c) for c in coeffs], precision)
-
-    @staticmethod
-    def _trimmed(base: BaseField, offset: int, coeffs: list, precision: int) -> "TruncatedSeries":
-        """make for coefficients already in canonical form."""
-        # drop anything at or beyond the precision bound, then trim zeros
-        hi = min(len(coeffs), max(0, precision - offset))
-        lo = 0
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            return TruncatedSeries(base, 0, (), precision)
-        return TruncatedSeries(base, offset + lo, tuple(coeffs[lo:hi]), precision)
+        scalars = [base.coerce(c) for c in coeffs]
+        row, den = (scalars, 1) if base.p else clear_denominators(scalars)
+        return TruncatedSeries._canon(base, offset, row, den, precision)
 
     @staticmethod
     def zero(base: BaseField, precision: int) -> "TruncatedSeries":
-        return TruncatedSeries(base, 0, (), precision)
+        return TruncatedSeries(base, 0, (), 1, precision)
 
     @staticmethod
     def constant(base: BaseField, c, precision: int) -> "TruncatedSeries":
@@ -197,11 +128,11 @@ class TruncatedSeries:
 
     @property
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.row
 
     def order(self) -> int | None:
         """Exponent of the lowest known nonzero coefficient, None if all zero."""
-        return None if not self.coeffs else self.offset
+        return self.offset if self.row else None
 
     def known_order(self) -> int:
         o = self.order()
@@ -218,7 +149,7 @@ class TruncatedSeries:
                 f"coefficient of exponent {k} lies beyond precision {self.precision}",
                 needed=k + 1,
             )
-        if k < self.offset or k >= self.offset + len(self.coeffs):
+        if k < self.offset or k >= self.offset + len(self.row):
             return self.base.zero
         return self.coeffs[k - self.offset]
 
@@ -236,27 +167,25 @@ class TruncatedSeries:
 
     def _lower_bound(self) -> int:
         # true order is >= this value
-        return self.offset if self.coeffs else self.precision
+        return self.offset if self.row else self.precision
 
     def _mate(self, other: "TruncatedSeries"):
         if self.base != other.base:
             raise PreconditionError("series over different base fields")
 
     def _combine(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
-        """self op other for op = operator.add or operator.sub, on aligned slices."""
+        """self op other for op = operator.add or operator.sub."""
         self._mate(other)
         prec = min(self.precision, other.precision)
         lo = min(self._lower_bound(), other._lower_bound(), prec)
-        out = [self.base.zero] * (prec - lo)
-        mine = self.coeffs[: max(0, prec - self.offset)]
-        i = self.offset - lo
-        out[i : i + len(mine)] = mine
-        theirs = other.coeffs[: max(0, prec - other.offset)]
-        j = other.offset - lo
-        mixed = map(op, out[j : j + len(theirs)], theirs)
-        p = self.base.p
-        out[j : j + len(theirs)] = [c % p for c in mixed] if p else list(mixed)
-        return TruncatedSeries._trimmed(self.base, lo, out, prec)
+        den = self.denom if self.denom == other.denom else lcm(self.denom, other.denom)
+        acc = [0] * (prec - lo)
+        for s, k in ((self, den // self.denom), (other, op(0, den // other.denom))):
+            row = s.row[: max(0, prec - s.offset)]
+            if row:
+                i = s.offset - lo
+                acc[i : i + len(row)] = [x + k * y for x, y in zip(acc[i : i + len(row)], row)]
+        return TruncatedSeries._canon(self.base, lo, acc, den, prec)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self._combine(other, operator.add)
@@ -265,47 +194,37 @@ class TruncatedSeries:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "TruncatedSeries":
-        p = self.base.p
-        coeffs = tuple(-c % p for c in self.coeffs) if p else tuple(-c for c in self.coeffs)
-        return TruncatedSeries(self.base, self.offset, coeffs, self.precision)
+        return self.scale(-1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._mate(other)
         _, prec = _product_bounds(
             self._lower_bound(), self.precision, other._lower_bound(), other.precision
         )
-        if not self.coeffs or not other.coeffs:
-            return TruncatedSeries.zero(self.base, prec)
-        base = self.base
         lo = self.offset + other.offset
-        width = prec - lo  # >= 1: each offset lies below its own precision
-        na, da = base.int_row(self.coeffs[:width])
-        nb, db = base.int_row(other.coeffs[:width])
-        coeffs = base.settle_row(_convolve(na, nb, width), da * db)
-        return TruncatedSeries._trimmed(base, lo, coeffs, prec)
+        # a zero factor gives the empty row; otherwise prec - lo >= 1, as
+        # each offset lies below its own precision
+        row = dense.mul(self.row, other.row, 0, prec - lo)
+        return TruncatedSeries._canon(self.base, lo, row, self.denom * other.denom, prec)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = self.base.coerce(c)
-        if c == 0:
-            return TruncatedSeries.zero(self.base, self.precision)
-        p = self.base.p
-        coeffs = [a * c % p for a in self.coeffs] if p else [a * c for a in self.coeffs]
-        return TruncatedSeries(self.base, self.offset, tuple(coeffs), self.precision)
+        return _scaled(self, self.base.coerce(c), self.precision)
 
     def shift(self, k: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.base, self.offset + k, self.coeffs, self.precision + k)
+        if not self.row:
+            return TruncatedSeries.zero(self.base, self.precision + k)
+        return TruncatedSeries(self.base, self.offset + k, self.row, self.denom, self.precision + k)
 
     def inverse(self) -> "TruncatedSeries":
-        if not self.coeffs:
+        if not self.row:
             raise InsufficientPrecisionError(
                 "cannot invert a series that is zero to its precision",
                 needed=self.precision,
             )
-        base = self.base
-        o = self.offset
-        rel = self.precision - o  # known coefficients of the unit part
-        inv = _inverse(base, self.coeffs, rel)
-        return TruncatedSeries._trimmed(base, -o, inv, self.precision - 2 * o)
+        o, d = self.offset, self.denom
+        # 1/(t^o U/d) = t^-o d/U, with U's inverse known below the precision of U
+        inv, den = dense.inverse(self.row, self.precision - o, self.base.characteristic)
+        return TruncatedSeries._canon(self.base, -o, dense.scale(inv, d, 0), den, self.precision - 2 * o)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self * other.inverse()
@@ -320,10 +239,16 @@ class TruncatedSeries:
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise PreconditionError("cannot raise precision by truncation")
-        return TruncatedSeries.make(self.base, self.offset, list(self.coeffs), precision)
+        return TruncatedSeries._canon(self.base, self.offset, self.row, self.denom, precision)
 
     def __str__(self):
         return series_str(self)
+
+
+def _scaled(s: TruncatedSeries, c: Scalar, precision: int) -> TruncatedSeries:
+    """s times a canonical scalar c, known below the given precision."""
+    row = [x * c.numerator for x in s.row]
+    return TruncatedSeries._canon(s.base, s.offset, row, s.denom * c.denominator, precision)
 
 
 def series_str(s: TruncatedSeries, name: str = "t") -> str:
@@ -349,17 +274,7 @@ def poly_to_series(p: SparsePoly, precision: int) -> TruncatedSeries:
     """Exact expansion of a univariate polynomial, cut at the precision."""
     if p.nvars != 1:
         raise PreconditionError("series expansion needs a univariate polynomial")
-    return TruncatedSeries.make(
-        p.base, 0, _dense(p, precision), precision
-    )
-
-
-def _dense(p: SparsePoly, precision: int) -> list:
-    out = [0] * max(0, precision)
-    for e, c in p.ints:
-        if e[0] < precision:
-            out[e[0]] = c
-    return p.base.settle_row(out, p.denom)
+    return TruncatedSeries._canon(p.base, 0, dense.of_poly(p, precision), p.denom, precision)
 
 
 def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
@@ -376,18 +291,16 @@ def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
     return (num / den).truncate(precision)
 
 
-def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> tuple:
-    """(a ** k, its integer row), from the table, built upwards on first use."""
-    entry = powers.get(id(a))
-    if entry is None:
+def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> TruncatedSeries:
+    """a ** k from the table, built upwards on first use."""
+    table = powers.get(id(a))
+    if table is None:
         if a.base != base:
             raise PreconditionError("series over different base fields")
         # the entry holds a itself, so its id stays a's while the table lives
-        entry = powers[id(a)] = (a, [None, (a, base.int_row(a.coeffs))])
-    table = entry[1]
+        table = powers[id(a)] = [None, a]
     while len(table) <= k:
-        s = table[-1][0] * a
-        table.append((s, base.int_row(s.coeffs)))
+        table.append(table[-1] * a)
     return table[k]
 
 
@@ -396,50 +309,50 @@ def eval_poly_at_series(
 ) -> TruncatedSeries:
     """Evaluate a multivariate polynomial at series arguments.
 
-    Each term multiplies only the powers of the arguments its nonzero
-    exponents name, as integer rows cut to the result's precision; its
-    coefficient scales that product as it goes into one dense integer
-    accumulator.  The result carries the precision of the sum of the terms
+    Each term multiplies only the rows of the powers of the arguments its
+    nonzero exponents name, cut to the result's precision; its coefficient
+    scales that product as it goes into one dense integer accumulator.  The
+    result carries the precision of the sum of the terms
     constant(c) * a1**k1 * a2**k2 * ...
 
     ``powers`` is the table those powers come from: it maps id(a) to a and
-    the powers of a built so far, each with its integer row, and callers
-    that evaluate many polynomials at the same arguments pass one table to
-    every call.  None gives a table for this call alone.
+    the powers of a built so far, and callers that evaluate many
+    polynomials at the same arguments pass one table to every call.  None
+    gives a table for this call alone.
     """
     if len(args) != p.nvars:
         raise PreconditionError("wrong number of series arguments")
     base = p.base
     if powers is None:
         powers = {}
-    terms = []  # (integer coefficient, the (power, row) pairs it multiplies)
+    terms = []  # (integer coefficient, the powers it multiplies)
     prec = precision
     for e, c in p.ints:
         factors = [_power(powers, args[i], k, base) for i, k in enumerate(e) if k]
         # lower bound and precision of the chain constant(c) * factors[0] * ...
         low, top = min(0, precision), precision
-        for s, _ in factors:
+        for s in factors:
             low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
         prec = min(prec, top)
         terms.append((c, factors))
-    rows = []  # (offset, integer numerators, scale numerator, denominator)
+    rows = []  # (offset, integer row, scale numerator, denominator)
     for c, factors in terms:
-        off = sum(s.offset for s, _ in factors)
-        if off >= prec or not all(s.coeffs for s, _ in factors):
+        off = sum(s.offset for s in factors)
+        if off >= prec or not all(s.row for s in factors):
             continue
-        nums, d = [1], 1
-        for i, (_, (row, row_den)) in enumerate(factors):
-            nums = row[: prec - off] if i == 0 else _convolve(nums, row, prec - off)
-            d *= row_den
-        rows.append((off, nums, c, p.denom * d))
+        row, d = [1], 1
+        for i, s in enumerate(factors):
+            row = s.row[: prec - off] if i == 0 else dense.mul(row, s.row, 0, prec - off)
+            d *= s.denom
+        rows.append((off, row, c, p.denom * d))
     lo = min((row[0] for row in rows), default=prec)
     den = lcm(*(row[3] for row in rows))
     acc = [0] * (prec - lo)
-    for off, nums, cn, d in rows:
+    for off, row, cn, d in rows:
         f = cn * (den // d)
         i = off - lo
-        acc[i : i + len(nums)] = [x + f * y for x, y in zip(acc[i : i + len(nums)], nums)]
-    return TruncatedSeries._trimmed(base, lo, base.settle_row(acc, den), prec)
+        acc[i : i + len(row)] = [x + f * y for x, y in zip(acc[i : i + len(row)], row)]
+    return TruncatedSeries._canon(base, lo, acc, den, prec)
 
 
 def eval_ratfun_at_series(
@@ -456,10 +369,6 @@ def eval_ratfun_at_series(
     num = eval_poly_at_series(f.num, args, precision, powers)
     if not f.den.is_constant:
         return num / eval_poly_at_series(f.den, args, precision, powers)
-    base = f.base
-    inv = base.inv(f.den.constant_value())
     # constant(1/c, precision) starts at exponent 0, or is zero when precision < 1
     _, prec = _product_bounds(num._lower_bound(), num.precision, min(0, precision), precision)
-    p = base.p
-    coeffs = [x * inv % p for x in num.coeffs] if p else [x * inv for x in num.coeffs]
-    return TruncatedSeries._trimmed(base, num.offset, coeffs, prec)
+    return _scaled(num, f.base.inv(f.den.constant_value()), prec)

@@ -39,6 +39,28 @@ def test_traced_summary_sets_the_traced_layers_side_by_side():
     assert set(summary) == set(bench_pairs.TRACED)
     assert summary["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
     assert summary["fields.ops.calls"] == {"parent": 40, "change": 0, "ratio": 0.0}
+    # the series layers are traced too; a layer a side did not report reads None
+    assert {"series.mul.self_s", "series.eval_poly.self_s", "completion.kaplansky.self_s"} <= set(summary)
+    assert summary["series.mul.self_s"] == {"parent": None, "change": None, "ratio": None}
+
+
+SWEEP_OUTPUT = """  K0   prec  realize_s    value_s   verify_s  checks
+   Q    256      0.050      0.010      0.400  ok
+   Q    512      0.200      0.030      1.500  ok
+  F5    256      0.004      0.001      0.080  ok
+"""
+
+
+def test_parse_sweep_reads_realize_and_verify_per_field_and_precision():
+    sweep = bench_pairs.parse_sweep(SWEEP_OUTPUT)
+    assert sweep == {
+        "Q": {"256": {"realize_s": 0.05, "verify_s": 0.4}, "512": {"realize_s": 0.2, "verify_s": 1.5}},
+        "F5": {"256": {"realize_s": 0.004, "verify_s": 0.08}},
+    }
+    summary = bench_pairs.sweep_summary({"parent": sweep, "change": {"Q": {"256": {"realize_s": 0.025, "verify_s": 0.4}}}})
+    assert summary["Q"]["256"]["realize_s"] == {"parent": 0.05, "change": 0.025, "ratio": 0.5}
+    assert summary["Q"]["512"]["verify_s"] == {"parent": 1.5, "change": None, "ratio": None}
+    assert bench_pairs.SWEEP_ARGS == ("--fields", "0,5", "--precisions", "256,512,1024")
 
 
 def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch):
@@ -51,6 +73,13 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
         return {"info": {"git_revision": checkout}, "attempted": 10, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    swept = []
+
+    def fake_sweep(checkout):
+        swept.append(checkout)
+        return bench_pairs.parse_sweep(SWEEP_OUTPUT)
+
+    monkeypatch.setattr(bench_pairs, "run_sweep", fake_sweep)
     out = tmp_path / "record.json"
     argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
             "--seeds", "5", "--pairs", "2", "--out", str(out)]
@@ -62,3 +91,8 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     assert record["trace_seed"] == 1 and set(record["traced"]) == {"a", "b"}
     assert record["traced_summary"]["a"]["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
     assert record["traced_summary"]["b"]["fields.ops.calls"] == {"parent": None, "change": None, "ratio": None}
+    # one sweep per side, recorded with its arguments and side by side
+    assert swept == ["/p/parent", "/p/change"]
+    assert record["sweep_args"] == list(bench_pairs.SWEEP_ARGS)
+    assert record["sweep"]["change"]["Q"]["512"] == {"realize_s": 0.2, "verify_s": 1.5}
+    assert record["sweep_summary"]["F5"]["256"]["verify_s"] == {"parent": 0.08, "change": 0.08, "ratio": 1.0}

@@ -14,6 +14,8 @@ from uniformizer.completion import (
     _QuotientRing,
     _monic_min_poly,
     _relative_system,
+    _gamma_table,
+    _value_table,
     _w_min_poly,
     DiscreteSeriesPlace,
     hensel_lift_root,
@@ -111,6 +113,15 @@ def test_hensel_root_annihilates(which, a1, a2):
 # separating truncations
 
 
+def _eval_at_poly(f, a):
+    """f(t, a(t)) as an exact polynomial in t, term by term: the oracle for
+    exact values and the reference for Kaplansky's tables."""
+    acc = SparsePoly.zero(f.base, 1)
+    for (i, j), c in f.ints:
+        acc = acc + SparsePoly._canon(f.base, 1, {(i,): c}, f.denom) * a ** j
+    return acc
+
+
 def _tpoly(base, pairs):
     return P(base, 1, [((k,), c) for k, c in pairs])
 
@@ -135,8 +146,6 @@ def test_kaplansky_deepens_on_collision():
     tab = w.tables[0]
     assert len({v for _, v in tab}) == len(tab)
     # oracle: exact order of f(t, z(t)) for the polynomial z
-    from uniformizer.completion import _eval_at_poly
-
     exact = _eval_at_poly(f, z_poly)
     assert value_via_lvpol(w, f) == min(e[0] for e, _ in exact.terms)
 
@@ -162,8 +171,6 @@ def test_value_via_lvpol_fresh_polynomial():
     anchor = P(F5, 2, [((0, 1), 1)])  # X
     w = kaplansky_normalize([anchor], z)
     g = P(F5, 2, [((0, 2), 1), ((1, 1), 3)])  # X^2 + 3 t X
-    from uniformizer.completion import _eval_at_poly
-
     exact = _eval_at_poly(g, z_poly)
     assert value_via_lvpol(w, g) == min(e[0] for e, _ in exact.terms)
     with pytest.raises(PreconditionError):
@@ -194,8 +201,6 @@ def test_lvpol_matches_exact_order(which, zpairs, fterms):
     if z_poly.is_zero:
         return
     f = P(base, 2, [((i, j), c) for i, j, c in fterms])
-    from uniformizer.completion import _eval_at_poly
-
     exact = _eval_at_poly(f, z_poly)
     if exact.is_zero:
         return  # no finite value to predict
@@ -710,10 +715,10 @@ def _hensel_by_power_tables(f, x0, precision):
     p = 1
     while p < precision:
         p2 = min(2 * p, precision)
-        zt = TruncatedSeries(base, z.offset, z.coeffs, p2)
+        zt = TruncatedSeries.make(base, z.offset, z.coeffs, p2)
         z = zt - eval_poly_at_series(f, [t, zt], p2) * w
         if p2 < precision:
-            wt = TruncatedSeries(base, w.offset, w.coeffs, p2)
+            wt = TruncatedSeries.make(base, w.offset, w.coeffs, p2)
             w = wt * (two - eval_poly_at_series(dfdx, [t, z], p2) * wt)
         p = p2
     return z
@@ -838,3 +843,55 @@ def test_w_min_poly_at_a_root_of_h_raises_as_the_elimination():
         "element (t)/(z - 3) has a denominator that is a zero divisor "
         "modulo the minimal polynomial"
     )
+
+
+# ---------------------------------------------------------------------------
+# Kaplansky's tables from one Taylor shift, against the term-by-term build
+
+
+def _ref_gamma_table(g, a, b):
+    """gamma_i = g^[i](a) * b^i: each Hasse derivative, then exact evaluation."""
+    deg = g.degree_in(1) if not g.is_zero else -1
+    return [_eval_at_poly(hasse_derivative(g, i, var=1), a) * b ** i for i in range(deg + 1)]
+
+
+def _ref_value_table(f, a, b):
+    return tuple((i, g.ints[-1][0][0]) for i, g in enumerate(_ref_gamma_table(f, a, b)) if not g.is_zero)
+
+
+def _assert_tables_match(g, a, b):
+    assert _gamma_table(g, a, b) == _ref_gamma_table(g, a, b)
+    assert _value_table(g, a, b) == _ref_value_table(g, a, b)
+
+
+# X-degree p and above, where some binomials vanish mod p
+@pytest.mark.parametrize("base, g_text, a_text, b_text", [
+    (F5, "X^5 - X - t", "1 + t^2", "3*t^3"),
+    (F5, "X^7 + 2*t*X^5 + X^2 - t^2", "4 + t", "t"),
+    (F7, "X^7 + t*X - 1 - t", "1 + 2*t + t^4", "5*t^2"),
+    (F7, "X^10 - t*X^7 + 3*X^3", "2*t", "t^3"),
+    (Q, "X^5 - X/4 - t/3", "1/2 + t/3", "-2/5*t^2"),
+    (Q, "X^3 + 1/2*X^2 - 13/2*X + 3 + t", "2 - t/7", "1/49*t^2"),
+    (Q, "X^2 - t^2 - t^4", "0", "t"),
+])
+def test_gamma_table_matches_hasse_derivatives(base, g_text, a_text, b_text):
+    g = parse_element(g_text, base, ("t", "X")).num
+    a = parse_element(a_text, base, ("t",)).num
+    b = parse_element(b_text, base, ("t",)).num
+    _assert_tables_match(g, a, b)
+
+
+@given(
+    st.sampled_from([Q, F5, F7]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.fractions(-5, 5, max_denominator=4)), max_size=6),
+    st.lists(st.tuples(st.integers(0, 4), st.fractions(-5, 5, max_denominator=4)), max_size=3),
+    st.integers(0, 4),
+    st.fractions(-5, 5, max_denominator=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_gamma_table_matches_hasse_derivatives_on_drawn_polynomials(base, g_terms, a_terms, e, c):
+    # denominators below 5 are units of F5 and F7
+    assume(base.coerce(c) != 0)
+    g = P(base, 2, [((i, j), v) for i, j, v in g_terms])
+    a = P(base, 1, [((i,), v) for i, v in a_terms])
+    _assert_tables_match(g, a, P(base, 1, [((e,), c)]))

@@ -1,4 +1,5 @@
-"""Differential tests of the dense univariate rows against sympy's Poly.
+"""Differential tests of the dense univariate rows against sympy's Poly
+and against schoolbook references.
 
 Over ZZ and the prime fields a row is the polynomial itself; over QQ it is
 a row of integer numerators over one denominator, as the callers keep it,
@@ -6,6 +7,7 @@ so a product's denominator is the product of the denominators and a gcd is
 read monic.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,3 +124,99 @@ def test_gcd_matches_sympy(domain, data):
     else:
         assert [Fraction(c, got[-1]) for c in got] == _values(domain, prim)
     assert got[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the truncated product and the Newton inverse against schoolbook references
+
+P61 = (1 << 61) - 1
+P63 = 9223372036854775783  # the largest prime BaseField accepts
+
+
+def _schoolbook(a, b, n, p):
+    """The coefficients below x^n of a * b, one sum per coefficient, trimmed."""
+    full = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+    return dense.trim([c % p for c in full] if p else full)
+
+
+_signed_entries = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
+
+
+@given(
+    st.lists(_signed_entries, min_size=1, max_size=dense._SCHOOLBOOK),
+    st.lists(_signed_entries, max_size=30),
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_short_product_matches_kronecker(short, other, n, swap):
+    """A shorter operand of at most _SCHOOLBOOK entries takes the schoolbook
+    loop; with the cut-off at 0 every product packs, so the two must agree."""
+    a, b = (other, short) if swap else (short, other)
+    got = dense.mul(a, b, 0, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_SCHOOLBOOK", 0)
+        assert got == dense.mul(a, b, 0, n)
+    assert got == _schoolbook(a, b, n, 0)
+
+
+@st.composite
+def residue_rows(draw, p, max_size=30):
+    """Rows of residues, the largest residue and zero runs among them."""
+    entry = st.integers(0, p - 1) | st.just(p - 1) | st.just(0)
+    return draw(st.lists(entry, max_size=max_size))
+
+
+@given(st.sampled_from([2, 5, P61, P63]), st.data(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_truncated_product_over_fp_matches_schoolbook(p, data, n):
+    """Residues are nonnegative, so the packed product needs no bias; both
+    the loop and the packed path reduce to the schoolbook residues."""
+    a, b = data.draw(residue_rows(p)), data.draw(residue_rows(p))
+    want = _schoolbook(a, b, n, p)
+    assert dense.mul(a, b, p, n) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_SCHOOLBOOK", 0)
+        assert dense.mul(a, b, p, n) == want
+    assert dense.mul(a, b, p) == _schoolbook(a, b, len(a) + len(b), p)
+
+
+def _schoolbook_inverse(a, n, p):
+    """The coefficients below x^n of 1/a, one recurrence step each: Fractions
+    over Q, residues over F_p."""
+    inv0 = pow(a[0], -1, p) if p else Fraction(1, a[0])
+    out = [inv0] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        out[k] = -inv0 * acc % p if p else -inv0 * acc
+    return dense.trim(out)
+
+
+INVERSE_FIELDS = [0, 5, P61]
+
+
+@given(st.sampled_from(INVERSE_FIELDS), st.data(), st.integers(min_value=-3, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_newton_inverse_matches_schoolbook(p, data, n):
+    if p:
+        a = data.draw(residue_rows(p, max_size=20))
+    else:
+        a = data.draw(st.lists(st.integers(-(10**12), 10**12) | st.integers(-3, 3), max_size=20))
+    if not a or not (a[0] % p if p else a[0]):
+        # the empty row too: no row without a constant term has an inverse
+        with pytest.raises(ZeroDivisionError):
+            dense.inverse(a, n, p)
+        return
+    g, d = dense.inverse(a, n, p)
+    if n <= 0:
+        assert (g, d) == ([], 1)
+        return
+    assert d > 0 and (not g or g[-1])
+    if p:
+        assert d == 1 and all(0 <= c < p for c in g)
+        assert g == _schoolbook_inverse(a, n, p)
+    else:
+        assert math.gcd(d, *g) == 1
+        assert [Fraction(c, d) for c in g] == _schoolbook_inverse(a, n, 0)
+    # the product with a is 1 below x^n, over d
+    assert _schoolbook(a, g, n, p) == [d % p if p else d]

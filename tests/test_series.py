@@ -13,7 +13,6 @@ from uniformizer.errors import (
     PreconditionError,
 )
 from uniformizer.fields import GF, QQ
-from uniformizer import series
 from uniformizer.polyfield import RationalFunction, SparsePoly
 from uniformizer.series import (
     TruncatedSeries,
@@ -368,28 +367,6 @@ def test_kernel_inverse_when_a_newton_product_meets_a_zero_run():
     # the first Newton round multiplies the zero u_1 by the wide residue 1/2
     s = S(GF(P61), 0, [2, 0, P61 - 1], 3)
     _same(s.inverse(), _ref_inverse(s))
-
-
-_signed_entries = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
-
-
-@given(
-    st.lists(_signed_entries, min_size=1, max_size=series._SCHOOLBOOK),
-    st.lists(_signed_entries, max_size=30),
-    st.integers(min_value=1, max_value=40),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_short_convolve_matches_kronecker(short, other, n, swap):
-    """A shorter operand of at most _SCHOOLBOOK entries takes the schoolbook
-    loop; with the cut-off at 0 every product packs, so the two must agree."""
-    a, b = (other, short) if swap else (short, other)
-    got = series._convolve(a, b, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_SCHOOLBOOK", 0)
-        assert got == series._convolve(a, b, n)
-    full = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
-    assert got == full[: min(n, len(a) + len(b) - 1)] if a and b else got == []
 
 
 EVAL_FIELDS = [Q, F5, GF(P61)]
