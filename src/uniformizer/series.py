@@ -149,9 +149,10 @@ class TruncatedSeries(Frozen):
                 f"coefficient of exponent {k} lies beyond precision {self.precision}",
                 needed=k + 1,
             )
-        if k < self.offset or k >= self.offset + len(self.row):
+        i = k - self.offset
+        if i < 0 or i >= len(self.row):
             return self.base.zero
-        return self.coeffs[k - self.offset]
+        return self.base.settle_row([self.row[i]], self.denom)[0]
 
     def residue(self) -> Scalar:
         o = self.order()
@@ -208,7 +209,9 @@ class TruncatedSeries(Frozen):
         return TruncatedSeries._canon(self.base, lo, row, self.denom * other.denom, prec)
 
     def scale(self, c) -> "TruncatedSeries":
-        return _scaled(self, self.base.coerce(c), self.precision)
+        c = self.base.coerce(c)
+        row, den = dense.scale(self.row, c.numerator, 0), self.denom * c.denominator
+        return TruncatedSeries._canon(self.base, self.offset, row, den, self.precision)
 
     def shift(self, k: int) -> "TruncatedSeries":
         if not self.row:
@@ -243,12 +246,6 @@ class TruncatedSeries(Frozen):
 
     def __str__(self):
         return series_str(self)
-
-
-def _scaled(s: TruncatedSeries, c: Scalar, precision: int) -> TruncatedSeries:
-    """s times a canonical scalar c, known below the given precision."""
-    row = [x * c.numerator for x in s.row]
-    return TruncatedSeries._canon(s.base, s.offset, row, s.denom * c.denominator, precision)
 
 
 def series_str(s: TruncatedSeries, name: str = "t") -> str:
@@ -371,4 +368,7 @@ def eval_ratfun_at_series(
         return num / eval_poly_at_series(f.den, args, precision, powers)
     # constant(1/c, precision) starts at exponent 0, or is zero when precision < 1
     _, prec = _product_bounds(num._lower_bound(), num.precision, min(0, precision), precision)
-    return _scaled(num, f.base.inv(f.den.constant_value()), prec)
+    # 1/(c/d) = d/c for the constant denominator's integer c over d
+    ((_, c),), d, p = f.den.ints, f.den.denom, f.base.p
+    k, q = (pow(c, -1, p), 1) if p else (d, c) if c > 0 else (-d, -c)
+    return TruncatedSeries._canon(f.base, num.offset, dense.scale(num.row, k, 0), num.denom * q, prec)
