@@ -28,8 +28,10 @@ those runs' per-layer metrics under ``traced`` and, under
 checkout runs ``scripts/series_sweep.py`` once over Q and F5 at the
 precisions 256, 512 and 1024, the high-precision series path that the
 benchmark workloads do not reach; the record keeps its realize and verify
-seconds under ``sweep`` and, side by side, under ``sweep_summary``.  It
-exits 1 when an operation failed in some run, 0 otherwise, and stops with
+seconds under ``sweep`` and, side by side, under ``sweep_summary``.  The
+record also keeps each checkout's line count per module of
+``src/uniformizer``, counted as ``run.py`` counts the info line's total,
+under ``lines`` and, side by side, under ``lines_summary``.  It exits 1 when an operation failed in some run, 0 otherwise, and stops with
 an error, writing nothing, when ``run.py`` or the sweep exits nonzero.
 """
 
@@ -92,6 +94,25 @@ def parse_sweep(text: str) -> dict:
     for line in text.splitlines()[1:]:
         field, n, realize, _value, verify = line.split()[:5]
         out.setdefault(field, {})[n] = {"realize_s": float(realize), "verify_s": float(verify)}
+    return out
+
+
+def module_lines(checkout: str) -> dict:
+    """{module file: line count} of src/uniformizer in one checkout."""
+    pkg = os.path.join(checkout, "src", "uniformizer")
+    out = {}
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
+                out[fname] = sum(1 for _ in fh)
+    return out
+
+
+def lines_summary(lines: dict) -> dict:
+    """Per module and in total: each side's line count and their ratio."""
+    parent, change = lines["parent"], lines["change"]
+    out = {name: _side_by_side(parent.get(name), change.get(name)) for name in sorted(set(parent) | set(change))}
+    out["total"] = _side_by_side(sum(parent.values()), sum(change.values()))
     return out
 
 
@@ -194,6 +215,7 @@ def main(argv=None) -> int:
             traced.setdefault(workload, {})[side] = result
             ok = ok and result["failed"] == 0
     sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
+    lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
 
     record = {
         "command": ["python", "scripts/bench_pairs.py"] + (sys.argv[1:] if argv is None else list(argv)),
@@ -210,6 +232,8 @@ def main(argv=None) -> int:
         "sweep_args": list(SWEEP_ARGS),
         "sweep": sweep,
         "sweep_summary": sweep_summary(sweep),
+        "lines": lines,
+        "lines_summary": lines_summary(lines),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -226,6 +250,9 @@ def main(argv=None) -> int:
         for n, steps in cells.items():
             for step, m in steps.items():
                 print(f"sweep {field} {n} {step}: {m['parent']} -> {m['change']}")
+    for name, m in record["lines_summary"].items():
+        if m["parent"] != m["change"]:
+            print(f"lines {name}: {m['parent']} -> {m['change']}")
     return 0 if ok else 1
 
 

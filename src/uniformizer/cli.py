@@ -157,6 +157,8 @@ def _cmd_perron(doc, args):
                 coords.append(Fraction(str(c)))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"bad rational {c!r}", f"alphas[{i}][{k}]") from None
+        if len(coords) != order.ngens:
+            raise SchemaError(f"expected {order.ngens} coordinates, got {len(coords)}", f"alphas[{i}]")
         alphas.append(order.element(coords))
     res = perron_positive_basis(order, alphas, max_steps=_max_steps(doc))
     result = {

@@ -16,7 +16,7 @@ from .expr import parse_element, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
 from .surd import SurdScalar, is_square_free
-from .uniformize import TriangularSystem
+from .uniformize import TriangularSystem, layout_names
 from .valuation import MonomialPlace
 from .valuegroup import GroupOrder
 
@@ -357,12 +357,7 @@ def parse_system(doc, path: str) -> TriangularSystem:
     ctable_doc = _get(doc, "coeff_table", path, default=[])
     _need(ctable_doc, list, f"{path}.coeff_table", "a list")
 
-    s, n, nc = len(tvars_doc), len(etas_doc), len(ctable_doc)
-    names = (
-        [f"t{i + 1}" for i in range(s)]
-        + [f"X{j + 1}" for j in range(n)]
-        + [f"c{k + 1}" for k in range(nc)]
-    )
+    names = layout_names(len(tvars_doc), len(etas_doc), len(ctable_doc))
 
     tvars = [_parse_rf(f, base, amb, f"{path}.tvars[{i}]") for i, f in enumerate(tvars_doc)]
     etas = [_parse_rf(f, base, amb, f"{path}.etas[{i}]") for i, f in enumerate(etas_doc)]

@@ -780,7 +780,7 @@ def ratfun_str(f: RationalFunction, names) -> str:
     return f"({poly_str(f.num, names)})/({poly_str(f.den, names)})"
 
 
-def substitute(f: SparsePoly, args, factors: dict | None = None) -> tuple[SparsePoly, SparsePoly]:
+def substitute(f: SparsePoly, args) -> tuple[SparsePoly, SparsePoly]:
     """Evaluate f at rational-function arguments, one per variable, as (N, D).
 
     With d_i the degree of f in variable i, the result is N / D over the
@@ -788,19 +788,13 @@ def substitute(f: SparsePoly, args, factors: dict | None = None) -> tuple[Sparse
     adds c * prod_i num_i ** e_i * den_i ** (d_i - e_i) to N.  An argument
     whose numerator and denominator are single terms contributes, for each
     exponent, one exponent vector and one coefficient; any other argument
-    contributes a polynomial.  Variables of degree zero contribute nothing.
+    contributes a polynomial, expanded once per exponent for this call.
+    Variables of degree zero contribute nothing.
 
     The expansion runs on integers.  Over Q the arguments are canonical, so
     their numerators and denominators are integral; f's integers go in
     as they are and its denominator goes into D.  Over F_p the sums are
     reduced once per variable pass.
-
-    The factors num_i ** k * den_i ** r come from ``factors``, a table
-    keyed like the power table of ``series``: id(a) maps to a itself (so no
-    other argument takes over its id while the table lives) and a dict from
-    (k, r) to the factor's integer terms.  A caller that evaluates many
-    polynomials at the same arguments passes one table to every call; None
-    gives a table for this call alone.
 
     N/D is f(args) before its normal form, which
     ``RationalFunction.make(*substitute(f, args))`` takes.  Some checks need
@@ -819,33 +813,27 @@ def substitute(f: SparsePoly, args, factors: dict | None = None) -> tuple[Sparse
     live = [i for i, d in enumerate(degs) if d]
     if p is None and any(args[i].num.denom != 1 or args[i].den.denom != 1 for i in live):
         raise PreconditionError("substitution argument is not in canonical form")
-    table = {} if factors is None else factors
-    tables = {i: table.setdefault(id(args[i]), (args[i], {}))[1] for i in live}
-    # single-term arguments give single-term factors, multiplied in one pass
-    monos = [i for i in live if len(args[i].num.ints) == 1 and len(args[i].den.ints) == 1]
-    polys = [i for i in live if i not in monos]
+    # a single-term argument's factor num^k * den^r is the one term
+    # c_num^k * c_den^r * x^(k * e_num + r * e_den), multiplied in one pass
+    single = [i for i in live if len(args[i].num.ints) == 1 and len(args[i].den.ints) == 1]
+    monos = [(i, *args[i].num.ints[0], *args[i].den.ints[0]) for i in single]
+    polys = [i for i in live if i not in single]
+    factors: dict[tuple[int, int], tuple] = {}  # (i, k) -> num_i ** k * den_i ** (d_i - k)
 
     def factor(i: int, k: int) -> tuple:
-        """The integer terms of num_i ** k * den_i ** (d_i - k)."""
-        r = degs[i] - k
-        out = tables[i].get((k, r))
+        out = factors.get((i, k))
         if out is None:
-            num, den = args[i].num, args[i].den
-            if i in monos:
-                (en, cn), (ed, cd) = num.ints[0], den.ints[0]
-                c = pow(cn, k, p) * pow(cd, r, p) % p if p else cn ** k * cd ** r
-                out = ((tuple(k * x + r * y for x, y in zip(en, ed)), c),)
-            else:
-                out = (num ** k * den ** r).ints
-            tables[i][(k, r)] = out
+            out = factors[i, k] = (args[i].num ** k * args[i].den ** (degs[i] - k)).ints
         return out
 
     def expand(c: int, ks) -> dict[Exps, int]:
-        """c * prod_i factor(i, ks[i]) over the live variables, as a dict."""
+        """c * prod_i num_i ** ks[i] * den_i ** (d_i - ks[i]) over the live
+        variables, as a dict."""
         e = (0,) * target_nvars
-        for i in monos:
-            (eb, cb), = factor(i, ks[i])
-            e, c = tuple(map(int.__add__, e, eb)), c * cb
+        for i, en, cn, ed, cd in monos:
+            k, r = ks[i], degs[i] - ks[i]
+            e = tuple([x + k * y + r * z for x, y, z in zip(e, en, ed)])
+            c *= pow(cn, k, p) * pow(cd, r, p) if p else cn ** k * cd ** r
         terms = {e: c % p if p else c}
         for i in polys:
             acc: dict[Exps, int] = {}

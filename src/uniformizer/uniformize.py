@@ -27,7 +27,7 @@ The product itself is never formed.
 Over a monomial place all checks are exact rational-function identities;
 over a truncated-series place identities hold to the tracked precision,
 which the report carries.  Each place kind supplies a verification
-context with this contract:
+context through ``make_context(precision)``, with this contract:
   ambient(rf), coeff(rf, names), generator(i)
         embed an ambient element, a coefficient-field element, or the i-th
         ambient generator;
@@ -48,7 +48,6 @@ support ``-`` and ``/`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import NotInValuationRingError, PreconditionError
 from .fields import Frozen
@@ -57,14 +56,8 @@ from .polyfield import (
     SparsePoly,
     hasse_derivative,
     ratfun_str,
-    substitute,
 )
-from .valuation import (
-    MonomialPlace,
-    _residue_numerator,
-    in_valuation_ring,
-    value_of_poly,
-)
+from .valuation import MonomialPlace, in_valuation_ring, value_of_poly
 from .valuegroup import perron_positive_basis, unimodular_inverse
 
 
@@ -89,7 +82,7 @@ class TriangularSystem:
                 raise PreconditionError(
                     f"row {i + 1} has {f.nvars} variables, expected {width}"
                 )
-        ambient = set(ambient_names(self.place))
+        ambient = set(self.place.ambient_names)
         seen = set()
         for name, w in self.witnesses:
             if name not in ambient:
@@ -117,21 +110,19 @@ class TriangularSystem:
         return len(self.etas)
 
     def var_names(self) -> list[str]:
-        return (
-            [f"t{i + 1}" for i in range(self.s)]
-            + [f"X{j + 1}" for j in range(self.n)]
-            + [f"c{k + 1}" for k in range(len(self.coeff_table))]
-        )
+        return layout_names(self.s, self.n, len(self.coeff_table))
 
     def witness_map(self) -> dict[str, RationalFunction]:
         return dict(self.witnesses)
 
 
-def ambient_names(place) -> tuple[str, ...]:
-    names = getattr(place, "ambient_names", None)
-    if names is None:
-        raise PreconditionError("place does not expose ambient generator names")
-    return tuple(names)
+def layout_names(s: int, n: int, nc: int) -> list[str]:
+    """The names t1..ts, X1..Xn, c1..cnc of the variable layout above."""
+    return (
+        [f"t{i + 1}" for i in range(s)]
+        + [f"X{j + 1}" for j in range(n)]
+        + [f"c{k + 1}" for k in range(nc)]
+    )
 
 
 class CheckResult(Frozen):
@@ -192,89 +183,6 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
-class _Quotient(NamedTuple):
-    """N/D as ``substitute`` leaves it before the normal form.  Whether it
-    is zero, its value v(N) - v(D) and its initial forms need no common
-    factor cancelled, so U2 and U3 read it as it is."""
-
-    num: SparsePoly
-    den: SparsePoly
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-
-class MonomialContext:
-    """Exact rational-function evaluation over a monomial place.
-
-    The context keeps one factor table (see ``substitute``) for its
-    lifetime, so a factor num^k * den^r of an argument is expanded once per
-    context rather than once per call.  ``eval_poly`` and ``eval_ratfun``
-    stop before the normal form, ``equal`` cross-multiplies, and
-    ``residue_text`` normalises what it prints.
-    """
-
-    def __init__(self, place: MonomialPlace):
-        self.place = place
-        self.precision = None
-        self.zero = place.order.zero()
-        self.factors = {}  # the factor table of every argument substituted so far
-
-    def ambient(self, rf: RationalFunction) -> RationalFunction:
-        base = self.place.base
-        if rf.nvars != self.place.nvars or (rf.base is not base and rf.base != base):
-            raise PreconditionError("element does not live in the ambient field")
-        return rf
-
-    def coeff(self, rf: RationalFunction, names) -> RationalFunction:
-        amb = ambient_names(self.place)
-        try:
-            mapping = [amb.index(n) for n in names]
-        except ValueError as exc:
-            raise PreconditionError(
-                f"coefficient field name missing from the ambient field: {exc}"
-            ) from None
-        return rf.map_vars(mapping, self.place.nvars)
-
-    def generator(self, i: int) -> RationalFunction:
-        return RationalFunction.variable(self.place.base, self.place.nvars, i)
-
-    def eval_poly(self, f: SparsePoly, args) -> _Quotient:
-        return _Quotient(*substitute(f, args, self.factors))
-
-    def eval_ratfun(self, f: RationalFunction, args) -> _Quotient:
-        (nn, nd), (dn, dd) = (substitute(g, args, self.factors) for g in (f.num, f.den))
-        if dn.is_zero:
-            raise ZeroDivisionError("denominator vanishes")
-        return _Quotient(nn * dd, nd * dn)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def equal(self, a, b) -> bool:
-        # by cross-multiplication, so a quotient needs no normal form
-        return a.num * b.den == b.num * a.den
-
-    def valuation(self, a: RationalFunction | _Quotient):
-        """(value, residue) of a nonzero element; the residue is None unless
-        the value is zero, and is then kept as the minimal terms of the
-        numerator and the denominator."""
-        vn, tn = value_of_poly(self.place, a.num)
-        vd, td = value_of_poly(self.place, a.den)
-        value = vn - vd
-        return value, ((tn, td) if value.is_zero else None)
-
-    def residue_text(self, residues) -> str:
-        """The product of the given residues, in the ybar variables."""
-        place = self.place
-        num = den = SparsePoly.const(place.base, place.tau, place.base.one)
-        for tn, td in residues:
-            num = num * _residue_numerator(place, tn)
-            den = den * _residue_numerator(place, td)
-        return ratfun_str(RationalFunction.make(num, den), place.residue_names)
-
-
 def verify(system: TriangularSystem, precision: int | None = None) -> VerificationReport:
     """Check (U1)-(U3) and generation; return a full report.
 
@@ -284,10 +192,7 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
     malformed rather than merely failing a check.
     """
     place = system.place
-    if isinstance(place, MonomialPlace):
-        ctx = MonomialContext(place)
-    else:
-        ctx = place.make_context(precision)
+    ctx = place.make_context(precision)
     s, n = system.s, system.n
 
     ts = [ctx.ambient(rf) for rf in system.tvars]
@@ -353,7 +258,7 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
     # coefficient-field generators are free in a relative system
     missing = []
     wmap = system.witness_map()
-    names = ambient_names(place)
+    names = place.ambient_names
     for i, name in enumerate(names):
         if name in system.coeff_field_names:
             continue
@@ -500,12 +405,12 @@ def compose(outer: TriangularSystem, inner: TriangularSystem) -> TriangularSyste
     """
     if inner.coeff_table:
         raise PreconditionError("inner system must not use a coefficient table")
-    inner_names = ambient_names(inner.place)
+    inner_names = inner.place.ambient_names
     if tuple(outer.coeff_field_names) != inner_names:
         raise PreconditionError(
             "outer coefficient field does not match the inner ambient field"
         )
-    outer_names = ambient_names(outer.place)
+    outer_names = outer.place.ambient_names
     if not set(inner_names) <= set(outer_names):
         raise PreconditionError(
             "inner field generators must embed into the outer field"

@@ -7,11 +7,16 @@ terms of the term value; because the weights inside each block of the
 group order are rationally independent, all terms attaining that minimum
 share one x-exponent vector, and the residue of a unit is a rational
 function in the ybar alone.
+
+The module also holds the place's verification context (``MonomialContext``,
+made by ``MonomialPlace.make_context``), which evaluates the rows of a
+triangular system exactly for ``uniformize.verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NotAUnitError,
@@ -19,7 +24,7 @@ from .errors import (
     ValueOfZeroError,
 )
 from .fields import BaseField, Frozen
-from .polyfield import RationalFunction, SparsePoly, ratfun_str
+from .polyfield import RationalFunction, SparsePoly, ratfun_str, substitute
 from .valuegroup import GroupElement, GroupOrder, compare, rational_rank
 
 
@@ -73,6 +78,10 @@ class MonomialPlace(Frozen):
 
     def term_value(self, exps) -> GroupElement:
         return self.order.element(exps[: self.rho])
+
+    def make_context(self, precision: int | None = None) -> "MonomialContext":
+        # evaluation is exact, so there is no precision to select
+        return MonomialContext(self)
 
 
 class ResidueElement(Frozen):
@@ -151,6 +160,85 @@ def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
         _residue_numerator(place, tn), _residue_numerator(place, td)
     )
     return ResidueElement(place, rep)
+
+
+class _Quotient(NamedTuple):
+    """N/D as ``substitute`` leaves it before the normal form.  Whether it
+    is zero, its value v(N) - v(D) and its initial forms need no common
+    factor cancelled, so U2 and U3 read it as it is."""
+
+    num: SparsePoly
+    den: SparsePoly
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+
+class MonomialContext:
+    """Exact rational-function evaluation over a monomial place.
+
+    ``eval_poly`` and ``eval_ratfun`` stop before the normal form, ``equal``
+    cross-multiplies, and ``residue_text`` normalises what it prints.
+    """
+
+    def __init__(self, place: MonomialPlace):
+        self.place = place
+        self.precision = None
+        self.zero = place.order.zero()
+
+    def ambient(self, rf: RationalFunction) -> RationalFunction:
+        base = self.place.base
+        if rf.nvars != self.place.nvars or (rf.base is not base and rf.base != base):
+            raise PreconditionError("element does not live in the ambient field")
+        return rf
+
+    def coeff(self, rf: RationalFunction, names) -> RationalFunction:
+        amb = self.place.ambient_names
+        try:
+            mapping = [amb.index(n) for n in names]
+        except ValueError as exc:
+            raise PreconditionError(
+                f"coefficient field name missing from the ambient field: {exc}"
+            ) from None
+        return rf.map_vars(mapping, self.place.nvars)
+
+    def generator(self, i: int) -> RationalFunction:
+        return RationalFunction.variable(self.place.base, self.place.nvars, i)
+
+    def eval_poly(self, f: SparsePoly, args) -> _Quotient:
+        return _Quotient(*substitute(f, args))
+
+    def eval_ratfun(self, f: RationalFunction, args) -> _Quotient:
+        (nn, nd), (dn, dd) = (substitute(g, args) for g in (f.num, f.den))
+        if dn.is_zero:
+            raise ZeroDivisionError("denominator vanishes")
+        return _Quotient(nn * dd, nd * dn)
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero
+
+    def equal(self, a, b) -> bool:
+        # by cross-multiplication, so a quotient needs no normal form
+        return a.num * b.den == b.num * a.den
+
+    def valuation(self, a: RationalFunction | _Quotient):
+        """(value, residue) of a nonzero element; the residue is None unless
+        the value is zero, and is then kept as the minimal terms of the
+        numerator and the denominator."""
+        vn, tn = value_of_poly(self.place, a.num)
+        vd, td = value_of_poly(self.place, a.den)
+        value = vn - vd
+        return value, ((tn, td) if value.is_zero else None)
+
+    def residue_text(self, residues) -> str:
+        """The product of the given residues, in the ybar variables."""
+        place = self.place
+        num = den = SparsePoly.const(place.base, place.tau, place.base.one)
+        for tn, td in residues:
+            num = num * _residue_numerator(place, tn)
+            den = den * _residue_numerator(place, td)
+        return ratfun_str(RationalFunction.make(num, den), place.residue_names)
 
 
 class AbhyankarReport(Frozen):

@@ -80,6 +80,7 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
         return bench_pairs.parse_sweep(SWEEP_OUTPUT)
 
     monkeypatch.setattr(bench_pairs, "run_sweep", fake_sweep)
+    monkeypatch.setattr(bench_pairs, "module_lines", lambda checkout: LINES[checkout.rsplit("/", 1)[-1]])
     out = tmp_path / "record.json"
     argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
             "--seeds", "5", "--pairs", "2", "--out", str(out)]
@@ -96,3 +97,34 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     assert record["sweep_args"] == list(bench_pairs.SWEEP_ARGS)
     assert record["sweep"]["change"]["Q"]["512"] == {"realize_s": 0.2, "verify_s": 1.5}
     assert record["sweep_summary"]["F5"]["256"]["verify_s"] == {"parent": 0.08, "change": 0.08, "ratio": 1.0}
+    # each side's line count per module, side by side
+    assert record["lines"] == LINES
+    assert record["lines_summary"]["total"] == {"parent": 130, "change": 110, "ratio": 110 / 130}
+
+
+LINES = {"parent": {"a.py": 100, "b.py": 30}, "change": {"a.py": 100, "c.py": 10}}
+
+
+def test_module_lines_counts_each_module_of_the_package(tmp_path):
+    pkg = tmp_path / "src" / "uniformizer"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("\n" * 5 + "z = 3")  # a last line without a newline counts
+    (pkg / "notes.txt").write_text("not a module\n")
+    assert bench_pairs.module_lines(str(tmp_path)) == {"a.py": 2, "b.py": 6}
+    summary = bench_pairs.lines_summary(LINES)
+    assert summary["a.py"] == {"parent": 100, "change": 100, "ratio": 1.0}
+    # a module on one side only reads None on the other
+    assert summary["b.py"] == {"parent": 30, "change": None, "ratio": None}
+    assert summary["c.py"] == {"parent": None, "change": 10, "ratio": None}
+    assert list(summary)[-1] == "total"
+
+
+def test_module_lines_sum_to_the_total_that_run_py_reports():
+    root = PATH.parents[1]
+    spec = importlib.util.spec_from_file_location("bench_run", root / "benchmark" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    lines = bench_pairs.module_lines(str(root))
+    assert "uniformize.py" in lines and "valuation.py" in lines
+    assert sum(lines.values()) == run.run_info()["src_uniformizer_lines"]

@@ -106,6 +106,13 @@ def test_perron_schema_path(tmp_path, capsys):
     assert "alphas[0][0]" in err
 
 
+def test_perron_alpha_of_wrong_length_names_its_path(tmp_path, capsys):
+    doc = {"order": PLACE_R2["x_weights"], "alphas": [[1, 0], [1]]}
+    code, out, err = run(tmp_path, capsys, "perron", doc)
+    assert code == 4 and out == ""
+    assert "alphas[1]: expected 2 coordinates, got 1" in err and "Traceback" not in err
+
+
 def test_uniformize_monomial(tmp_path, capsys):
     doc = {"place": PLACE_R2, "zetas": ["x2/x1"]}
     env = run_json(tmp_path, capsys, "uniformize", doc)

@@ -3,8 +3,11 @@
 The reference context normalises every value with ``RationalFunction.make``
 before any check reads it.  Both must give the same report, byte for byte, on
 certificates drawn as ``scripts/certificate_survey.py`` draws them and on
-three mutants of each: a changed row coefficient, a vanishing diagonal
-entry and a diagonal entry of positive value.
+four mutants of each: a changed row coefficient, a vanishing diagonal
+entry, a diagonal entry of positive value and a last row X_n * f_n.  No
+workload's rows have degree above 1 in an argument with more than one
+term; the last mutant has degree 2 in eta_n, so ``substitute`` expands
+that argument's factors num^k * den^(2 - k) for k = 0, 1 and 2.
 """
 
 import dataclasses
@@ -14,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from uniformizer import uniformize
+from uniformizer import valuation
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, substitute
-from uniformizer.uniformize import MonomialContext, uniformize_abhyankar, verify
+from uniformizer.uniformize import uniformize_abhyankar, verify
+from uniformizer.valuation import MonomialContext
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "certificate_survey.py"
 SPEC = importlib.util.spec_from_file_location("certificate_survey", PATH)
@@ -40,7 +44,7 @@ class NormalisingContext(MonomialContext):
 
 def _reference(system):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uniformize, "MonomialContext", NormalisingContext)
+        mp.setattr(valuation, "MonomialContext", NormalisingContext)
         return verify(system)
 
 
@@ -59,8 +63,9 @@ def _row_with(system, i, row):
 
 
 def _mutants(system):
-    """(name, mutant) for a row coefficient changed, a diagonal entry made 0
-    and a diagonal entry of positive value, each on the last row."""
+    """(name, mutant) for a row coefficient changed, a diagonal entry made 0,
+    a diagonal entry of positive value and the row times its own X, each on
+    the last row."""
     i, f = system.n - 1, system.fs[-1]
     s, base = system.s, f.base
     e, _ = f.ints[-1]
@@ -69,13 +74,20 @@ def _mutants(system):
         bumped = f + SparsePoly.const(base, f.nvars, 1)
     no_xi = SparsePoly._canon(base, f.nvars, {e: c for e, c in f.ints if not e[s + i]}, f.denom)
     t1 = SparsePoly.variable(base, f.nvars, 0)  # an x-monomial: positive value
+    xi = SparsePoly.variable(base, f.nvars, s + i)
     return [("coefficient", _row_with(system, i, bumped)),
             ("vanishing diagonal", _row_with(system, i, no_xi)),
-            ("positive diagonal", _row_with(system, i, t1 * f))]
+            ("positive diagonal", _row_with(system, i, t1 * f)),
+            ("squared", _row_with(system, i, xi * f))]
+
+
+def _multi_term(rf):
+    return len(rf.num.ints) > 1 or len(rf.den.ints) > 1
 
 
 @pytest.mark.parametrize("p, seed", [(0, 1), (0, 2), (5, 3), (7, 4)])
 def test_reports_equal_the_normalising_reference(p, seed):
+    squared_multi_term = 0
     for system in _certificates(p, 6, seed):
         report = verify(system)
         assert report.passed
@@ -89,5 +101,11 @@ def test_reports_equal_the_normalising_reference(p, seed):
                 assert got.u2.detail == f"row {system.n} does not vanish"
             elif name == "vanishing diagonal":
                 assert got.u3.detail == "diagonal product vanishes"
-            else:
+            elif name == "positive diagonal":
                 assert got.u2.passed and got.u3.detail == "diagonal product has nonzero value"
+            else:
+                # X_n * f_n still vanishes at eta_n
+                assert got.u2.passed
+                squared_multi_term += _multi_term(system.etas[-1])
+    # the degree-2 expansion of a multi-term argument ran in every case
+    assert squared_multi_term
