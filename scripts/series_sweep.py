@@ -57,7 +57,7 @@ def refines(coarse: TruncatedSeries, fine: TruncatedSeries) -> bool:
 
 def run_cell(pres, element, zetas, n) -> Cell:
     t0 = time.perf_counter()
-    place, _ = realize_presentation(pres, n)
+    place = realize_presentation(pres, n)
     t1 = time.perf_counter()
     value = series_element_value(place, element)
     t2 = time.perf_counter()

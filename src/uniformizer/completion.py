@@ -27,7 +27,6 @@ polynomial over (leading variables | c-variables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd
 
@@ -47,7 +46,6 @@ from .polyfield import (
 )
 from .series import (
     TruncatedSeries,
-    equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
 )
@@ -188,9 +186,6 @@ class SeriesContext:
 # Hensel lifting
 
 
-_NOT_SIMPLE = "x0 is not a simple root of the reduction; the root does not lift"
-
-
 def _horner(f: SparsePoly, z: TruncatedSeries, n: int) -> TruncatedSeries:
     """f(t, z) below t^n, for f in (t, X) and a series z of order >= 0 known
     to at least n, by Horner's rule in X on f's rows in t.  With z = Z/q,
@@ -226,7 +221,7 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
     dfdx = hasse_derivative(f, 1, var=1)
     d0 = dfdx.evaluate((0, x0))
     if d0 == 0:
-        raise PreconditionError(_NOT_SIMPLE)
+        raise PreconditionError("x0 is not a simple root of the reduction; the root does not lift")
     z = TruncatedSeries.constant(base, x0, 1)
     w = TruncatedSeries.constant(base, base.inv(d0), 1)
     two = TruncatedSeries.constant(base, 2, precision)
@@ -575,7 +570,6 @@ def _zeta_block(
     pool: _CoeffPool,
     ring: _QuotientRing,
     ctx: SeriesContext,
-    conj_series: list[TruncatedSeries],
     zeta: RationalFunction,
     n_before: int,
 ) -> _Block:
@@ -586,10 +580,17 @@ def _zeta_block(
     k >= 2 over K0(t) gives three rows: the minimal polynomial of
     w = b/(zeta - a) (whose reduction is X^k - X^(k-1)), the inversion row
     X_w * X_winv - 1, and the affine row X_zeta - b*X_winv - a.
+
+    The cut a is the shortest truncation of zeta's series that passes that
+    reduction test exactly: the cuts below t^1, then one past each further
+    nonzero term, are tried in turn.  A cut passes exactly when v(b) exceeds
+    v(zeta_r - zeta) for every other root zeta_r of zeta's minimal
+    polynomial, which holds from the first cut past all of them on.
     """
     base = pool.base
     one, minus = base.one, base.neg(base.one)
     j = n_before
+    names = ctx.place.ambient_names
 
     h = ring.min_poly(zeta)
     k = len(h) - 1
@@ -599,53 +600,40 @@ def _zeta_block(
         c_rf = -h[0]
         if _residue_at_zero(c_rf) is None:
             raise NotInValuationRingError(
-                f"element {ratfun_str(zeta, ctx.place.ambient_names)} lies outside the valuation ring"
+                f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
             )
         row = [({j: 1}, None, one), pool.term({}, c_rf, minus)]
         return _Block(rows=[row], etas=[zeta], zeta_at=j, witness=[])
 
-    # realize zeta at z and its conjugates, conj_series[0] being ctx's own z,
-    # and cluster the values; the number of distinct ones must be k
-    reps: list[TruncatedSeries] = []
-    for czs in conj_series:
-        v = eval_ratfun_at_series(zeta, [ctx.args[0], czs], ctx.precision, ctx.powers)
-        if not any(equal_to_precision(v, r) for r in reps):
-            reps.append(v)
-    if len(reps) != k:
-        raise InsufficientPrecisionError(
-            f"found {len(reps)} distinct conjugate expansions but the minimal "
-            f"polynomial has degree {k}; raise the precision",
-            needed=2 * ctx.precision,
-        )
-    zs = reps[0]  # zeta's own value
+    zs = ctx.ambient(zeta)
     o = zs.order()
     if o is not None and o < 0:
         raise NotInValuationRingError(
-            f"element {ratfun_str(zeta, ctx.place.ambient_names)} lies outside the valuation ring"
+            f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
         )
-    # truncating past every order of zs - r, r another conjugate value,
-    # separates zeta from its conjugates
-    a, b = _split_series(zs, 1 + max(0, *((zs - r).known_order() for r in reps[1:])))
-
-    rest = zeta - _ambient_rf_from_t_poly(ctx.place.nvars, a)
-    b_amb = _ambient_rf_from_t_poly(ctx.place.nvars, b)
-    w_amb, winv_amb = b_amb / rest, rest / b_amb
-
-    hw = _w_min_poly(ring, h, a, b, w_amb)
-    # sanity: each coefficient must lie in the valuation ring and reduce to
-    # the coefficients of X^k - X^(k-1)
-    for c, want in zip(hw, [base.zero] * (k - 1) + [minus, one]):
-        res = _residue_at_zero(c)
-        if res is None:
-            raise PreconditionError(
-                "minimal polynomial of w has a coefficient outside the valuation ring"
-            )
-        if res != want:
+    # the coefficients of X^k - X^(k-1), lowest first
+    want = [base.zero] * (k - 1) + [minus, one]
+    below = 1
+    while True:
+        try:
+            a, b = _split_series(zs, below)
+        except InsufficientPrecisionError:
             raise InsufficientPrecisionError(
-                "minimal polynomial of w does not reduce to X^k - X^(k-1); "
-                "the truncation depth or precision is too small",
+                f"no truncation of the series of element {ratfun_str(zeta, names)} below "
+                f"t^{ctx.precision} makes the minimal polynomial of w reduce to "
+                "X^k - X^(k-1); raise the precision",
                 needed=2 * ctx.precision,
-            )
+            ) from None
+        hw = _w_min_poly(h, a, b)
+        # h(a) = 0, a coefficient outside the valuation ring or a wrong
+        # residue all move the cut past b
+        if hw is not None and all(_residue_at_zero(c) == r for c, r in zip(hw, want)):
+            break
+        below = b.ints[0][0][0] + 1
+
+    rest = zeta - _ambient_rf_from_t_poly(len(names), a)
+    b_amb = _ambient_rf_from_t_poly(len(names), b)
+    w_amb, winv_amb = b_amb / rest, rest / b_amb
 
     a_rf, b_rf = RationalFunction.from_poly(a), RationalFunction.from_poly(b)
     minpoly = [({j: k}, None, one)] + [pool.term({j: i}, c, one) for i, c in enumerate(hw[:-1])]
@@ -657,9 +645,9 @@ def _zeta_block(
     )
 
 
-def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -> list:
+def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
     """The minimal polynomial of w = b/(zeta - a) over K0(t), lowest
-    coefficient first, from h, that of zeta.
+    coefficient first, from h, that of zeta; None when h(a) = 0.
 
     zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
     W^(k-s) is b^s h^[s](a), with h^[s] the s-th Hasse derivative; its
@@ -670,12 +658,11 @@ def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -
     the h_i in K0[t]: S_s = L u^(k-s) h^[s](a) for a = A/u.  Each
     coefficient is normalised once, by ``RationalFunction.make``.
 
-    h(a) = 0 makes zeta - a a zero divisor of a split modulus, and then
-    ``ring.min_poly(w)`` raises, naming w.  The blocks never get there: a
-    separates zeta's value from every other root of h, and differs from it
-    as b does.
+    h(a) = 0 makes zeta - a a zero divisor of a split modulus: w is then
+    not an element of the ring at all.
     """
-    p, k = ring.p, len(h) - 1
+    base = a.base
+    p, k = base.characteristic, len(h) - 1
     nums = [dense.of_poly(c.num) for c in h]
     dens = [dense.of_poly(c.den) for c in h]
     L = [1]
@@ -684,93 +671,15 @@ def _w_min_poly(ring: _QuotientRing, h: list, a: SparsePoly, b: SparsePoly, w) -
             L = dense.mul(L, dense.divexact(d, dense.gcd(L, d, p), p), p)
     S, u = _shifted([dense.mul(n, dense.divexact(L, d, p), p) for n, d in zip(nums, dens)], a, p)
     if not S[0]:
-        return ring.min_poly(w)
+        return None
     # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
     # a canonical monomial's integer and denominator are coprime
     ((e,), c), d = b.ints[0], b.denom
     out = [RationalFunction.make(
-        ring._poly(dense.scale(S[s], (c * u) ** s, p), e * s),
-        ring._poly(dense.scale(S[0], d ** s, p)),
+        SparsePoly(base, 1, dense.to_ints(dense.scale(S[s], (c * u) ** s, p), e * s)),
+        SparsePoly(base, 1, dense.to_ints(dense.scale(S[0], d ** s, p))),
     ) for s in range(k, 0, -1)]
-    return out + [RationalFunction.const(ring.base, 1, 1)]
-
-
-# ---------------------------------------------------------------------------
-# Residue roots of the reduced minimal polynomial
-
-_FP_ENUMERATION_LIMIT = 4096
-_DIVISOR_LIMIT = 10**12
-
-
-def _deflate(row: list, r, p: int) -> list:
-    """row / (X - r); over Q row / (qX - x) for r = x/q, so primitive stays primitive."""
-    try:
-        return dense.divexact(row, [-r % p, 1] if p else [-r.numerator, r.denominator], p)
-    except PreconditionError:
-        raise PreconditionError("claimed residue root does not divide the reduction") from None
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _find_one_root(row: list, p: int) -> Scalar | None:
-    """A root in the residue field of a row of degree >= 1, primitive with a
-    positive leading coefficient over Q, or None when the search gives up."""
-    if len(row) == 2:
-        return -row[0] * pow(row[1], -1, p) % p if p else Fraction(-row[0], row[1])
-    if p:
-        candidates = range(p if p <= _FP_ENUMERATION_LIMIT else 0)
-        return next((x for x in candidates if not dense.horner(row, x, p)), None)
-    if not row[0]:
-        return Fraction(0)
-    if abs(row[-1]) > _DIVISOR_LIMIT or abs(row[0]) > _DIVISOR_LIMIT:
-        return None
-    # x/q with q > 1 not in lowest terms comes after its reduced form, so
-    # skipping it still returns the first root in this order
-    qs = _divisors(row[-1])
-    pairs = ((x, q) for x in _divisors(row[0]) for q in qs if gcd(x, q) == 1)
-    found = (Fraction(c, q) for x, q in pairs for c in (x, -x) if not dense.horner(row, c, 0, q))
-    return next(found, None)
-
-
-def _conjugate_residue_roots(base: BaseField, mbar: list, r0, provided) -> list:
-    """Roots of the row mbar other than r0, found by repeated deflation;
-    over Q, mbar is primitive with a positive leading coefficient.
-
-    `provided`, when given, must list the remaining roots (with
-    multiplicity); otherwise roots are searched by degree-1 formulas,
-    rational-root candidates over Q, or enumeration over small prime
-    fields.  Failure to split is reported as a precondition, with a hint
-    to pass the conjugate residues explicitly.
-    """
-    p = base.p
-    rest, roots = _deflate(mbar, base.coerce(r0), p), []
-    for r in provided or ():
-        roots.append(base.coerce(r))
-        rest = _deflate(rest, roots[-1], p)
-    if provided is not None and len(rest) != 1:
-        raise PreconditionError(
-            "conjugate_residues does not account for every root of the reduction"
-        )
-    while len(rest) > 1:
-        r = _find_one_root(rest, p)
-        if r is None:
-            raise PreconditionError(
-                "could not split the reduced minimal polynomial over the residue "
-                "field; pass conjugate_residues explicitly"
-            )
-        rest = _deflate(rest, r, p)
-        roots.append(r)
-    return roots
+    return out + [RationalFunction.const(base, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +695,6 @@ class DiscretePresentation:
     gen_name: str = "z"
     min_poly: SparsePoly | None = None
     residue: Scalar = 0
-    conjugate_residues: tuple | None = None
 
     def __post_init__(self):
         if self.min_poly is None:
@@ -824,28 +732,15 @@ def _monic_min_poly(m: SparsePoly) -> SparsePoly:
 
 def realize_presentation(
     pres: DiscretePresentation, precision: int = DEFAULT_PRECISION
-) -> tuple[DiscreteSeriesPlace, list]:
-    """The series place and the residues of the other conjugates of z.
-
-    Only z is lifted.  Each conjugate residue is checked to be a simple
-    root of the reduction, which is all its lift needs, so a presentation
-    that realizes here also gives the relative block its conjugates.
-    """
+) -> DiscreteSeriesPlace:
+    """The series place, with z lifted from its residue, which must be a
+    simple root of the reduction; the other roots of the reduction may be
+    repeated or lie outside K0."""
     base = pres.base
     if pres.min_poly is None:
-        place = DiscreteSeriesPlace(base, pres.uniformizer, (), (), precision)
-        return place, []
-    m = _monic_min_poly(pres.min_poly)
-    z = hensel_lift_root(m, pres.residue, precision)
-    # m is monic: its reduction's row, reduced, is primitive over Q
-    mbar = dense.reduce([row[0] if row else 0 for row in dense.of_poly(m, 1)], m.denom, base.p)[0]
-    others = _conjugate_residue_roots(base, mbar, pres.residue, pres.conjugate_residues)
-    # z's residue is simple and the reduction splits: a repeated conjugate
-    # residue is the only multiple root
-    if len(set(others)) != len(others):
-        raise PreconditionError(_NOT_SIMPLE)
-    place = DiscreteSeriesPlace(base, pres.uniformizer, (pres.gen_name,), (z,), precision)
-    return place, others
+        return DiscreteSeriesPlace(base, pres.uniformizer, (), (), precision)
+    z = hensel_lift_root(_monic_min_poly(pres.min_poly), pres.residue, precision)
+    return DiscreteSeriesPlace(base, pres.uniformizer, (pres.gen_name,), (z,), precision)
 
 
 def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> TriangularSystem:
@@ -856,11 +751,9 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
     coefficient table, and the block for z carries the witness for z.
     """
     base = pres.base
-    place, others = realize_presentation(pres, precision)
+    place = realize_presentation(pres, precision)
     ctx = place.make_context()
-    m = _monic_min_poly(pres.min_poly)
-    conj = ctx.args[1:] + [hensel_lift_root(m, r, precision) for r in others]
-    ring = _QuotientRing(m, place.ambient_names)
+    ring = _QuotientRing(_monic_min_poly(pres.min_poly), place.ambient_names)
     requested = [_coerce_ambient(base, 2, f) for f in zetas]
 
     unique = list(dict.fromkeys(requested))
@@ -872,7 +765,7 @@ def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> Trian
     blocks = []
     n_total = 0
     for f in unique:
-        blk = _zeta_block(pool, ring, ctx, conj, f, n_total)
+        blk = _zeta_block(pool, ring, ctx, f, n_total)
         blocks.append(blk)
         n_total += len(blk.rows)
 
@@ -902,7 +795,6 @@ def uniformize_completion_algebraic(
     *,
     uniformizer: str = "t",
     gen_name: str = "z",
-    conjugate_residues=None,
 ) -> TriangularSystem:
     """Relative certificate over K0(t) for the extension by one algebraic series.
 
@@ -916,7 +808,6 @@ def uniformize_completion_algebraic(
         gen_name=gen_name,
         min_poly=min_poly,
         residue=min_poly.base.coerce(residue),
-        conjugate_residues=conjugate_residues,
     )
     return _relative_system(pres, [RationalFunction.variable(pres.base, 2, 1)], precision)
 

@@ -188,18 +188,6 @@ def divexact(a: list, b: list, p: int) -> list:
     return q
 
 
-def horner(a: list, x: int, p: int, q: int = 1) -> int:
-    """a(x) modulo p over F_p.  Over Q, the integer q^deg(a) * a(x/q), which
-    is zero exactly when x/q is a root."""
-    acc, qk = 0, 1
-    for c in reversed(a):
-        acc = acc * x + c * qk
-        if p:
-            acc %= p
-        qk *= q
-    return acc
-
-
 def taylor_shift(rows: list, a: list, p: int) -> list:
     """The coefficients S_s of H(a + Y) = sum_s S_s Y^s, for the polynomial
     H(Y) = sum_i rows[i] Y^i whose coefficients, like a, are rows in t:

@@ -206,14 +206,6 @@ def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None
     mp_text = _need(_get(gen, "min_poly", gpath), str, f"{gpath}.min_poly", "an expression string")
     mp = _parse_poly(mp_text, base, (uniformizer, "X"), f"{gpath}.min_poly")
     residue = _scalar_in(_get(gen, "residue", gpath), base, f"{gpath}.residue")
-    conj = _get(gen, "conjugate_residues", gpath, default=None)
-    conj_parsed = None
-    if conj is not None:
-        _need(conj, list, f"{gpath}.conjugate_residues", "a list")
-        conj_parsed = tuple(
-            _scalar_in(c, base, f"{gpath}.conjugate_residues[{i}]")
-            for i, c in enumerate(conj)
-        )
     try:
         pres = DiscretePresentation(
             base=base,
@@ -221,7 +213,6 @@ def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None
             gen_name=name,
             min_poly=mp,
             residue=residue,
-            conjugate_residues=conj_parsed,
         )
     except PreconditionError as e:
         raise SchemaError(str(e), gpath) from None
@@ -299,8 +290,7 @@ def parse_place(doc, path: str, precision: int | None = None):
         chosen = precision if precision is not None else doc_prec
         if chosen is None:
             chosen = DEFAULT_PRECISION
-        place, _ = realize_presentation(pres, chosen)
-        return place
+        return realize_presentation(pres, chosen)
     raise SchemaError("kind must be 'monomial' or 'discrete_series'", f"{path}.kind")
 
 

@@ -57,7 +57,7 @@ from .polyfield import (
     hasse_derivative,
     ratfun_str,
 )
-from .valuation import MonomialPlace, in_valuation_ring, value_of_poly
+from .valuation import MonomialPlace, value_of_poly
 from .valuegroup import perron_positive_basis, unimodular_inverse
 
 
@@ -298,30 +298,27 @@ def uniformize_abhyankar(
     zetas = list(zetas)
     rho, tau = place.rho, place.tau
     base = place.base
+    # x-exponent offsets relative to each denominator's minimal monomial; one
+    # scan of each side gives membership and that monomial
+    seen: dict[tuple[int, ...], None] = {}
+    per_zeta: list[tuple] = []
     for i, z in enumerate(zetas):
         if not isinstance(z, RationalFunction) or z.nvars != place.nvars or z.base != base:
             raise PreconditionError(f"element {i + 1} does not live in the ambient field")
-        if not in_valuation_ring(place, z):
-            raise PreconditionError(
-                f"element {i + 1} lies outside the valuation ring"
-            )
-
-    # collect x-exponent offsets relative to each denominator's minimal monomial
-    seen: dict[tuple[int, ...], None] = {}
-    per_zeta: list[tuple] = []
-    for z in zetas:
         if z.is_zero:
             per_zeta.append(None)
             continue
-        _, dterms = value_of_poly(place, z.den)
+        vn, _ = value_of_poly(place, z.num)
+        vd, dterms = value_of_poly(place, z.den)
+        if (vn - vd).sign() < 0:
+            raise PreconditionError(
+                f"element {i + 1} lies outside the valuation ring"
+            )
         e0, c0 = dterms[-1]  # graded-lex smallest among the minimal-value terms
         mu0 = e0[:rho]
-        offsets = []
         for e, _ in z.num.ints + z.den.ints:
-            xi = tuple(a - b for a, b in zip(e[:rho], mu0))
-            offsets.append(xi)
-            seen.setdefault(xi, None)
-        per_zeta.append((mu0, c0))
+            seen.setdefault(tuple(a - b for a, b in zip(e[:rho], mu0)), None)
+        per_zeta.append((mu0, c0, z.den.denom))
     for i in range(rho):
         unit = tuple(int(i == j) for j in range(rho))
         seen.setdefault(unit, None)
@@ -343,13 +340,14 @@ def uniformize_abhyankar(
     n = len(zetas)
     width = s + n
 
-    def rewrite(poly: SparsePoly, mu0, c0) -> SparsePoly:
-        # distinct x-exponents have distinct coordinates in the basis
+    def rewrite(poly: SparsePoly, mu0, c0, d) -> SparsePoly:
+        # divided by the minimal term's scalar c0/d; distinct x-exponents
+        # have distinct coordinates in the basis
         terms = {}
         for e, c in poly.ints:
             xi = tuple(a - b for a, b in zip(e[:rho], mu0))
-            terms[tuple(row_of[xi]) + e[rho:] + (0,) * n] = c
-        return SparsePoly._canon(base, width, terms, poly.denom)._scale(base.inv(c0))
+            terms[tuple(row_of[xi]) + e[rho:] + (0,) * n] = c * d
+        return SparsePoly._canon(base, width, terms, poly.denom * c0)
 
     fs = []
     for j, z in enumerate(zetas):
@@ -357,9 +355,8 @@ def uniformize_abhyankar(
         if per_zeta[j] is None:
             fs.append(xj)
             continue
-        mu0, c0 = per_zeta[j]
-        den_poly = rewrite(z.den, mu0, c0)
-        num_poly = rewrite(z.num, mu0, c0)
+        den_poly = rewrite(z.den, *per_zeta[j])
+        num_poly = rewrite(z.num, *per_zeta[j])
         fs.append(den_poly * xj - num_poly)
 
     tvars = [_monomial(base, place.nvars, row) for row in basis]

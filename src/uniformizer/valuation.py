@@ -15,7 +15,6 @@ triangular system exactly for ``uniformize.verify``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     ValueOfZeroError,
 )
 from .fields import BaseField, Frozen
-from .polyfield import RationalFunction, SparsePoly, ratfun_str, substitute
+from .polyfield import RationalFunction, SparsePoly, _settled, ratfun_str, substitute
 from .valuegroup import GroupElement, GroupOrder, compare, rational_rank
 
 
@@ -98,13 +97,13 @@ class ResidueElement(Frozen):
 
 
 def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tuple]:
-    """Value of a nonzero polynomial and its minimal-value terms.
+    """Value of a nonzero polynomial and its minimal-value terms, as f's
+    own (exponents, integer) pairs over f.denom, in f's grlex order.
 
     Terms compare on the integer difference of their x-exponent vectors,
     block by block through the order's integer weight matrices; only the
     minimum becomes a GroupElement.  A zero difference is the only tie,
-    since the weights in each block are independent.  The scan reads f's
-    integers; only the minimal terms get their scalars.
+    since the weights in each block are independent.
     """
     base = place.base
     if (f.base is not base and f.base != base) or f.nvars != place.nvars:
@@ -120,9 +119,6 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
             best_terms.append(t)
         elif best_head is None or order._sign_of([p - q for p, q in zip(head, best_head)]) < 0:
             best_head, best_terms = head, [t]
-    if not base.p:
-        d = f.denom
-        best_terms = [(e, Fraction(c) if d == 1 else Fraction(c, d)) for e, c in best_terms]
     return place.term_value(best_head), tuple(best_terms)
 
 
@@ -140,10 +136,12 @@ def in_valuation_ring(place: MonomialPlace, f: RationalFunction) -> bool:
     return value_of_ratfun(place, f).sign() >= 0
 
 
-def _residue_numerator(place: MonomialPlace, terms) -> SparsePoly:
-    # minimal-value terms share their x-exponents, so the y-exponents differ
-    rho, tau = place.rho, place.tau
-    return SparsePoly._of_scalars(place.base, tau, {e[rho:]: c for e, c in terms})
+def _residue_numerator(place: MonomialPlace, terms, denom: int) -> SparsePoly:
+    """The ybar-polynomial of minimal-value terms over denom.  The terms
+    share their x-exponents, so their y-exponents differ and keep f's grlex
+    order."""
+    rho = place.rho
+    return _settled(place.base, place.tau, tuple((e[rho:], c) for e, c in terms), denom)
 
 
 def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
@@ -157,7 +155,7 @@ def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
             "element has nonzero value; only units have unit residues"
         )
     rep = RationalFunction.make(
-        _residue_numerator(place, tn), _residue_numerator(place, td)
+        _residue_numerator(place, tn, f.num.denom), _residue_numerator(place, td, f.den.denom)
     )
     return ResidueElement(place, rep)
 
@@ -225,19 +223,19 @@ class MonomialContext:
     def valuation(self, a: RationalFunction | _Quotient):
         """(value, residue) of a nonzero element; the residue is None unless
         the value is zero, and is then kept as the minimal terms of the
-        numerator and the denominator."""
+        numerator and the denominator, each with its side's denominator."""
         vn, tn = value_of_poly(self.place, a.num)
         vd, td = value_of_poly(self.place, a.den)
         value = vn - vd
-        return value, ((tn, td) if value.is_zero else None)
+        return value, (((tn, a.num.denom), (td, a.den.denom)) if value.is_zero else None)
 
     def residue_text(self, residues) -> str:
         """The product of the given residues, in the ybar variables."""
         place = self.place
         num = den = SparsePoly.const(place.base, place.tau, place.base.one)
-        for tn, td in residues:
-            num = num * _residue_numerator(place, tn)
-            den = den * _residue_numerator(place, td)
+        for n, d in residues:
+            num = num * _residue_numerator(place, *n)
+            den = den * _residue_numerator(place, *d)
         return ratfun_str(RationalFunction.make(num, den), place.residue_names)
 
 

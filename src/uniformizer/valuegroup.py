@@ -466,15 +466,16 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
     """
     alphas = list(alphas)
     vectors = []
-    for a in alphas:
+    for i, a in enumerate(alphas):
         if not isinstance(a, GroupElement):
             a = order.element(a)
         elif a.order != order:
-            raise DimensionError("alpha belongs to a different ordered group")
+            raise DimensionError(f"alphas[{i}] belongs to a different ordered group")
         if any(c.denominator != 1 for c in a.coords):
-            raise PreconditionError(f"alpha {a.coords} has non-integer coordinates")
+            coords = ", ".join(map(str, a.coords))
+            raise PreconditionError(f"alphas[{i}]: coordinates ({coords}) are not all integers")
         if a.sign() < 0:
-            raise PreconditionError(f"alpha with value {a} is negative")
+            raise PreconditionError(f"alphas[{i}]: value {a} is negative")
         vectors.append([int(c) for c in a.coords])
 
     budget = _Budget(_resolve_cap(max_steps))

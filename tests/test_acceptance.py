@@ -322,9 +322,7 @@ def test_criterion_4_composition():
             outer = _immediate_outer(rng, base)
         if outer is None:
             m, roots = _split_min_poly(rng, base, rng.randint(2, 3))
-            outer = uniformize_completion_algebraic(
-                m, roots[0], 16, conjugate_residues=tuple(roots[1:])
-            )
+            outer = uniformize_completion_algebraic(m, roots[0], 16)
         inner = uniformize_abhyankar(_t_place(base), list(outer.coeff_table))
         composed = compose(outer, inner)
         rep_in = verify(inner)

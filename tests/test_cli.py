@@ -99,6 +99,17 @@ def test_perron_step_cap_exits_2_and_names_the_knob(tmp_path, capsys):
     assert "UNIFORMIZER_MAX_PERRON_STEPS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alphas, message", [
+    ([[1, 0], ["1/2", 0]], "alphas[1]: coordinates (1/2, 0) are not all integers"),
+    ([[1, 0], [-1, 0]], "alphas[1]: value -1 is negative"),
+])
+def test_perron_rejected_alpha_is_named(tmp_path, capsys, alphas, message):
+    doc = {"order": PLACE_R2["x_weights"], "alphas": alphas}
+    code, out, err = run(tmp_path, capsys, "perron", doc)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_perron_schema_path(tmp_path, capsys):
     doc = {"order": [[{"q": "1"}]], "alphas": [[1.5]]}
     code, _, err = run(tmp_path, capsys, "perron", doc)
@@ -276,18 +287,54 @@ def test_coefficient_without_inverse_exits_4(tmp_path, capsys):
     assert code == 4 and "place.generator.residue" in err
 
 
-def test_unsplit_reduction_over_q_exits_2(tmp_path, capsys):
-    # after deflating by the residue 0 the quadratic has no rational root;
-    # its leading coefficient and constant have hundreds of divisors, most
-    # of their pairs not in lowest terms
+def _certified(tmp_path, capsys, pres, zetas):
+    """discrete-uniformize exits 0 with a passing report, and verify passes
+    the certificate it printed."""
+    env = run_json(tmp_path, capsys, "discrete-uniformize", {"presentation": pres, "zetas": zetas})
+    assert env["result"]["report"]["passed"] is True
+    system = env["result"]["system"]
+    assert run_json(tmp_path, capsys, "verify", {"system": system})["result"]["report"]["passed"] is True
+    return system
+
+
+def test_unsplit_reduction_over_q_is_certified(tmp_path, capsys):
+    # after removing the residue 0 the reduction's quadratic has no rational
+    # root; the relative block needs none of the other roots, so the place
+    # is certified instead of refused
     generator = {"name": "z", "min_poly": "X^3 + X^2/720720 - 7*X + t", "residue": 0}
     pres = dict(PRES_F5, base={"field": "Q"}, generator=generator)
-    code, _, err = run(tmp_path, capsys, "discrete-uniformize", {"presentation": pres, "zetas": ["z"]})
-    assert code == 2
-    assert (
-        "could not split the reduced minimal polynomial over the residue field; "
-        "pass conjugate_residues explicitly"
-    ) in err
+    _certified(tmp_path, capsys, pres, ["z"])
+
+
+# F5(t, z) with z a root of (X - 1)(X^2 - 2) + t at residue 1: the roots of
+# X^2 - 2 are not in F5
+PRES_F5_UNSPLIT = dict(PRES_F5, generator={"name": "z", "min_poly": "(X - 1)*(X^2 - 2) + t", "residue": 1})
+
+
+def test_place_with_roots_outside_the_residue_field_answers_queries(tmp_path, capsys):
+    doc = {"place": PRES_F5_UNSPLIT, "element": "z"}
+    assert run_json(tmp_path, capsys, "value", doc)["result"] == {"value": 0}
+    assert run_json(tmp_path, capsys, "residue", doc)["result"] == {"residue": "1"}
+    doc = {"place": PRES_F5_UNSPLIT, "element": "z - 1"}
+    assert run_json(tmp_path, capsys, "value", doc)["result"] == {"value": 1}
+    report = run_json(tmp_path, capsys, "report", {"place": PRES_F5_UNSPLIT})["result"]
+    assert report["rational_rank"] == 1 and report["is_abhyankar"] is True
+
+
+def test_place_with_roots_outside_the_residue_field_is_certified(tmp_path, capsys):
+    system = _certified(tmp_path, capsys, PRES_F5_UNSPLIT, ["z", "(z - 1)/t", "z^2 + t*z"])
+    assert system["coeff_table"] == []
+
+
+def test_conjugate_residues_key_is_ignored(tmp_path, capsys):
+    # the key no longer means anything, even a wrong or malformed claim
+    doc = {"presentation": PRES_F5_UNSPLIT, "zetas": ["z"]}
+    _, plain, _ = run(tmp_path, capsys, "discrete-uniformize", doc)
+    for claimed in ([2, 3], "junk"):
+        generator = dict(PRES_F5_UNSPLIT["generator"], conjugate_residues=claimed)
+        doc = {"presentation": dict(PRES_F5_UNSPLIT, generator=generator), "zetas": ["z"]}
+        code, out, _ = run(tmp_path, capsys, "discrete-uniformize", doc)
+        assert code == 0 and out == plain
 
 
 def test_vanishing_denominator_is_named(tmp_path, capsys):
@@ -415,13 +462,17 @@ def test_precision_flag_overrides_the_document(tmp_path, capsys):
     assert env["result"]["report"]["precision"] == 16
 
 
-def test_double_conjugate_residue_exits_2(tmp_path, capsys):
-    # X^3 + 3*X + 1 + t over F5: the residue 1 is simple, but the conjugate
-    # residue 2 is a double root of the reduction, so the presentation is
-    # refused even by queries that read z alone
+def test_double_conjugate_residue_is_certified(tmp_path, capsys):
+    # X^3 + 3*X + 1 + t over F5: the residue 1 is simple, the conjugate
+    # residue 2 is a double root of the reduction; only the residue of z
+    # must be simple, so queries answer and the place is certified
     generator = {"name": "z", "min_poly": "X^3 + 3*X + 1 + t", "residue": 1}
-    doc = {"place": dict(PRES_F5, generator=generator), "element": "z"}
-    code, _, err = run(tmp_path, capsys, "value", doc)
+    pres = dict(PRES_F5, generator=generator)
+    assert run_json(tmp_path, capsys, "value", {"place": pres, "element": "z"})["result"] == {"value": 0}
+    _certified(tmp_path, capsys, pres, ["z", "(z - 1)/t"])
+    # the double root itself cannot be z's residue
+    pres = dict(PRES_F5, generator=dict(generator, residue=2))
+    code, _, err = run(tmp_path, capsys, "value", {"place": pres, "element": "z"})
     assert code == 2
     assert "error:" in err and "not a simple root" in err
 

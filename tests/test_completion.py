@@ -14,6 +14,8 @@ from uniformizer.completion import (
     _QuotientRing,
     _monic_min_poly,
     _relative_system,
+    _residue_at_zero,
+    _split_series,
     _gamma_table,
     _value_table,
     _w_min_poly,
@@ -37,7 +39,14 @@ from uniformizer.errors import (
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative, poly_str, ratfun_str
-from uniformizer.series import TruncatedSeries, equal_to_precision, eval_poly_at_series, poly_to_series
+from uniformizer.jsonio import parse_presentation
+from uniformizer.series import (
+    TruncatedSeries,
+    equal_to_precision,
+    eval_poly_at_series,
+    eval_ratfun_at_series,
+    poly_to_series,
+)
 from uniformizer.uniformize import compose, uniformize_abhyankar, verify
 from uniformizer.valuation import MonomialPlace
 from uniformizer.valuegroup import GroupOrder
@@ -217,77 +226,168 @@ def test_lvpol_matches_exact_order(which, zpairs, fterms):
 
 
 def test_realize_presentation_conjugates():
-    # only z is lifted; the other conjugates come back as residues, which
-    # lift to the other root series
+    # only z is lifted; the other root residue, lifted here, gives the
+    # other root series -z
     pres = DiscretePresentation(base=F5, min_poly=_sqrt_1_plus_t(F5), residue=1)
-    place, others = realize_presentation(pres, 12)
+    place = realize_presentation(pres, 12)
     assert place.gen_names == ("z",)
-    assert others == [4]
-    conj = hensel_lift_root(_sqrt_1_plus_t(F5), others[0], 12)
+    conj = hensel_lift_root(_sqrt_1_plus_t(F5), 4, 12)
     assert equal_to_precision(conj, -place.gen_series[0])
     presq = DiscretePresentation(base=Q, min_poly=_sqrt_1_plus_t(Q), residue=1)
-    placeq, othersq = realize_presentation(presq, 12)
-    assert othersq == [-1]
-    conjq = hensel_lift_root(_sqrt_1_plus_t(Q), othersq[0], 12)
+    placeq = realize_presentation(presq, 12)
+    conjq = hensel_lift_root(_sqrt_1_plus_t(Q), -1, 12)
     assert equal_to_precision(conjq, -placeq.gen_series[0])
 
 
-def test_realize_presentation_rejects_a_double_conjugate():
+def _certified(pres, texts, precision=16):
+    """The ground certificate for the elements, which must verify."""
+    zetas = [parse_element(text, pres.base, ("t", "z")) for text in texts]
+    system = uniformize_discrete_rational(pres, zetas, precision=precision)
+    report = verify(system)
+    assert report.passed, report.summary()
+    return system
+
+
+def test_realize_presentation_accepts_a_double_conjugate():
     # X^3 + 3X + 1 + t over F5: the residue 1 is simple, the conjugate
-    # residue 2 is a double root of the reduction, so it cannot be lifted
+    # residue 2 is a double root of the reduction; only z is lifted, so
+    # the place realizes, and only the double root itself is refused
     m = parse_element("X^3 + 3*X + 1 + t", F5, ("t", "X")).num
     pres = DiscretePresentation(base=F5, min_poly=m, residue=1)
+    assert realize_presentation(pres, 8).gen_series[0].residue() == 1
+    _certified(pres, ["z", "(z - 1)/t"])
     with pytest.raises(PreconditionError, match="not a simple root"):
-        realize_presentation(pres, 8)
+        realize_presentation(DiscretePresentation(base=F5, min_poly=m, residue=2), 8)
 
 
-def _cubic(base, text, residue, conjugates=None):
+def _cubic(base, text, residue):
     m = parse_element(text, base, ("t", "X")).num
-    return DiscretePresentation(base=base, min_poly=m, residue=residue, conjugate_residues=conjugates)
+    return DiscretePresentation(base=base, min_poly=m, residue=residue)
 
 
 @pytest.mark.parametrize("base, text, residue, want", [
-    # (X - 1/2)(X + 3)(X - 2) + t: the search meets 1/2 before -3
+    # (X - 1/2)(X + 3)(X - 2) + t
     (Q, "X^3 + 1/2*X^2 - 13/2*X + 3 + t", 2, [Fraction(1, 2), Fraction(-3)]),
-    # (X - 1)(X - 3)(X - 5) + t over F7: enumeration meets 1 first
+    # (X - 1)(X - 3)(X - 5) + t over F7
     (F7, "X^3 - 9*X^2 + 23*X - 15 + t", 5, [1, 3]),
     (F7, "X^3 - 9*X^2 + 23*X - 15 + t", 3, [1, 5]),
 ])
 def test_realize_presentation_splits_a_cubic(base, text, residue, want):
+    # the reduction splits with the residues `want` besides z's; the block
+    # cuts zeta's series where the conjugate rule on their lifts does
     pres = _cubic(base, text, residue)
-    place, others = realize_presentation(pres, 8)
-    assert others == want
+    place = realize_presentation(pres, 8)
     assert place.gen_series[0].residue() == residue
-    # each conjugate residue is simple, so it lifts
-    for r in others:
-        assert hensel_lift_root(pres.min_poly, r, 8).residue() == r
+    for element in ("z", f"(z - {residue})/t", "z^2 + t*z"):
+        zeta = parse_element(element, base, ("t", "z"))
+        assert _assert_block_cut_is_the_conjugate_rule(pres, [residue] + want, zeta, 8)
+    _certified(pres, ["z", f"(z - {residue})/t"], 8)
 
 
 def test_conjugate_residue_root_errors():
-    cubic = "X^3 - 9*X^2 + 23*X - 15 + t"
-    assert realize_presentation(_cubic(F7, cubic, 5, (3, 1)), 8)[1] == [3, 1]
-    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
-        realize_presentation(_cubic(F7, cubic, 5, (2, 3)), 8)
-    with pytest.raises(PreconditionError, match="does not account for every root"):
-        realize_presentation(_cubic(F7, cubic, 5, (1,)), 8)
-    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
-        realize_presentation(_cubic(F7, cubic, 5, (1, 3, 3)), 8)
-    with pytest.raises(PreconditionError, match="could not split"):
-        realize_presentation(_cubic(Q, "X^3 - 2*X + t", 0), 8)
-    with pytest.raises(PreconditionError, match="claimed residue root does not divide the reduction"):
-        realize_presentation(_cubic(Q, "X^3 - 2*X + t", 0, ("3/2", "-3/2")), 8)
+    # the root search and its errors are gone: a presentation whose other
+    # roots are not in K0 realizes and certifies, and a conjugate_residues
+    # key is ignored like any key the schema does not name
+    pres = _cubic(Q, "X^3 - 2*X + t", 0)
+    assert realize_presentation(pres, 8).gen_series[0].residue() == 0
+    _certified(pres, ["z"], 8)
+    doc = {"base": {"field": "Fp", "p": 7},
+           "generator": {"min_poly": "X^3 - 9*X^2 + 23*X - 15 + t", "residue": 5}}
+    plain, _ = parse_presentation(doc, "presentation")
+    for claimed in ([3, 1], [2, 3], [1], [1, 3, 3], "junk"):
+        doc["generator"]["conjugate_residues"] = claimed
+        assert parse_presentation(doc, "presentation") == (plain, None)
+    with pytest.raises(TypeError):
+        DiscretePresentation(base=Q, min_poly=pres.min_poly, residue=0, conjugate_residues=())
 
 
-def test_large_prime_field_needs_conjugate_residues():
-    # 4099 lies above the enumeration limit, so the roots 2 and 3 of
-    # (X - 1)(X - 2)(X - 3) + t must be passed in
+def test_large_prime_field_needs_no_conjugate_residues():
+    # 4099 lay above the old enumeration limit; the block no longer needs
+    # the roots 2 and 3 of (X - 1)(X - 2)(X - 3) + t
     F = GF(4099)
-    cubic = "X^3 - 6*X^2 + 11*X - 6 + t"
-    with pytest.raises(PreconditionError, match="pass conjugate_residues explicitly"):
-        realize_presentation(_cubic(F, cubic, 1), 8)
-    place, others = realize_presentation(_cubic(F, cubic, 1, (3, 2)), 8)
-    assert others == [3, 2]
-    assert place.gen_series[0].residue() == 1
+    pres = _cubic(F, "X^3 - 6*X^2 + 11*X - 6 + t", 1)
+    assert realize_presentation(pres, 8).gen_series[0].residue() == 1
+    _certified(pres, ["z", "(z - 1)/t"], 8)
+
+
+def _conjugate_rule_cut(m, roots, zeta, precision):
+    """zeta's distinct values at the Hensel lifts of the residues `roots`
+    (its own first) and, from them, the cut (a, b) one past every order at
+    which zeta's value meets another: the rule the relative block followed
+    when it was given the conjugate residues."""
+    t = TruncatedSeries.monomial(m.base, 1, precision)
+    values = []
+    for r in roots:
+        v = eval_ratfun_at_series(zeta, [t, hensel_lift_root(m, r, precision)], precision)
+        if not any(equal_to_precision(v, u) for u in values):
+            values.append(v)
+    zs = values[0]
+    return values, _split_series(zs, 1 + max(0, *((zs - v).known_order() for v in values[1:])))
+
+
+def _assert_block_cut_is_the_conjugate_rule(pres, roots, zeta, precision):
+    """Where the conjugate rule gives a cut that passes the reduction test,
+    the block's w is b/(zeta - a) for that cut; returns whether it did."""
+    m = _monic_min_poly(pres.min_poly)
+    h = _QuotientRing(m, ("t", "z")).min_poly(zeta)
+    k = len(h) - 1
+    if k == 1:
+        return False
+    try:
+        values, (a, b) = _conjugate_rule_cut(m, roots, zeta, precision)
+    except InsufficientPrecisionError:
+        return False
+    if len(values) != k or values[0].order() is None or values[0].order() < 0:
+        return False
+    hw = _w_min_poly(h, a, b)
+    want = [pres.base.zero] * (k - 1) + [pres.base.neg(pres.base.one), pres.base.one]
+    if hw is None or [_residue_at_zero(c) for c in hw] != want:
+        return False
+    system = _relative_system(pres, [zeta], precision)
+    lift = lambda p: RationalFunction.from_poly(p.map_vars([0], 2))
+    assert system.etas[0] == lift(b) / (zeta - lift(a))
+    return True
+
+
+@st.composite
+def _split_presentations(draw):
+    """A monic m over Q, F5 or F7 with distinct root residues, each root
+    with its own t-tail, the residues in order (z's first), and an element.
+    z's tail starts at t^1, so that z is no constant (a constant z, whose
+    series ends, is the open defect of a root in K0(t))."""
+    base = draw(st.sampled_from((Q, F5, F7)))
+    pool = list(range(-4, 5)) if base is Q else list(range(base.p))
+    k = draw(st.integers(2, 3))
+    roots = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    nonzero = [c for c in range(-3, 4) if c % (base.p or 7)]
+    factors = []
+    for r in roots:
+        tail = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        if not factors:
+            tail[0] = draw(st.sampled_from(nonzero))
+        factors.append(f"(X - ({r}) - ({' + '.join(f'({c})*t^{j + 1}' for j, c in enumerate(tail))}))")
+    pres = _cubic(base, "*".join(factors), roots[0])
+    c = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    zeta = draw(st.sampled_from([
+        "z",
+        f"({c[0]})*z^2 + ({c[1]})*t*z + ({c[2]})*z",
+        f"(z - ({roots[0]}))/t",
+        f"(({c[0]})*z + ({c[1]})*t)/(1 + ({c[3]})*t*z)",
+        f"(z^2 - ({roots[0] ** 2}))/t + ({c[2]})*z",
+    ]))
+    return pres, [base.coerce(r) for r in roots], parse_element(zeta, base, ("t", "z"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_presentations())
+def test_block_cut_matches_the_conjugate_rule_on_drawn_split_presentations(case):
+    pres, roots, zeta = case
+    try:
+        h = _QuotientRing(_monic_min_poly(pres.min_poly), ("t", "z")).min_poly(zeta)
+    except (ZeroDivisionError, PreconditionError):
+        assume(False)
+    assume(len(h) > 2)
+    assume(_assert_block_cut_is_the_conjugate_rule(pres, roots, zeta, 12))
 
 
 def test_presentation_validation():
@@ -316,7 +416,7 @@ def test_series_place_validation():
 
 def test_series_element_queries():
     pres = DiscretePresentation(base=F5, min_poly=_sqrt_1_plus_t(F5), residue=1)
-    place, _ = realize_presentation(pres, 16)
+    place = realize_presentation(pres, 16)
     t = RationalFunction.variable(F5, 2, 0)
     zv = RationalFunction.variable(F5, 2, 1)
     one = RationalFunction.const(F5, 2, 1)
@@ -813,7 +913,7 @@ SPLIT_CUBIC = "(X - 1 - t)*(X - 2 + t^2)*(X - 3)"
 ])
 def test_w_min_poly_matches_the_elimination(base, m_text, zeta_text, a_text, b_text):
     ring, h, a, b, w = _w_case(base, m_text, zeta_text, a_text, b_text)
-    assert _w_min_poly(ring, h, a, b, w) == ring.min_poly(w)
+    assert _w_min_poly(h, a, b) == ring.min_poly(w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -822,7 +922,7 @@ def test_w_min_poly_matches_the_elimination_on_drawn_elements(case, a0, a1, e, c
     base, m_text, f_text = case
     ring, h, a, b, w = _w_case(base, m_text, f_text, f"{a0} + {a1}*t", f"{c}*t^{e}")
     assume(not _at_zero(h, a))
-    assert _w_min_poly(ring, h, a, b, w) == ring.min_poly(w)
+    assert _w_min_poly(h, a, b) == ring.min_poly(w)
 
 
 def _at_zero(h, a):
@@ -831,18 +931,18 @@ def _at_zero(h, a):
     return sum((c * a_rf ** i for i, c in enumerate(h)), RationalFunction.const(a.base, 1, 0)).is_zero
 
 
-def test_w_min_poly_at_a_root_of_h_raises_as_the_elimination():
-    # zeta = z on the split cubic: h(3) = 0, so zeta - 3 is a zero divisor
+def test_w_min_poly_at_a_root_of_h_is_none():
+    # zeta = z on the split cubic: h(3) = 0, so zeta - 3 is a zero divisor,
+    # w is no element of the ring, and the cut is refused
     ring, h, a, b, w = _w_case(Q, SPLIT_CUBIC, "z", "3", "t")
     assert _at_zero(h, a)
-    with pytest.raises(PreconditionError) as want:
+    with pytest.raises(PreconditionError) as err:
         ring.min_poly(w)
-    with pytest.raises(PreconditionError) as got:
-        _w_min_poly(ring, h, a, b, w)
-    assert str(got.value) == str(want.value) == (
+    assert str(err.value) == (
         "element (t)/(z - 3) has a denominator that is a zero divisor "
         "modulo the minimal polynomial"
     )
+    assert _w_min_poly(h, a, b) is None
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,6 @@ def test_product_division_and_horner_match_sympy(domain, data):
     else:
         assert dense.divexact(c, b, p) == _values(ring, quo)
 
-    # Horner at x/q: q^deg(a) * a(x/q), over the row's denominator
-    x, q = data.draw(st.integers(-20, 20)), data.draw(st.integers(1, 6))
-    if p:
-        assert dense.horner(a, x, p) == int(pa.eval(x)) % p
-    else:
-        deg = max(len(a) - 1, 0)
-        want = pa.eval(sp.Rational(x, q)) * da * q**deg
-        assert dense.horner(a, x, 0, q) == want
-
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=[d[0] for d in DOMAINS])
 @settings(max_examples=60, deadline=None)

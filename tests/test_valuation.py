@@ -48,7 +48,7 @@ def test_value_picks_minimal_term():
     f = P(Q, 3, [((2, 1, 0), 1), ((3, 0, 0), 1)])
     v, terms = value_of_poly(PLACE_R2, f)
     assert v.coords == (Fraction(3), Fraction(0))
-    assert terms == (((3, 0, 0), Fraction(1)),)
+    assert terms == (((3, 0, 0), 1),)
 
 
 def test_value_of_ratfun_subtracts():
@@ -91,6 +91,21 @@ def test_residue_of_unit():
     assert not r.is_zero
     # a pure residue transcendental keeps its name
     assert str(residue_of(PLACE_R2, y1)) == "y1bar"
+
+
+def test_residue_text_reads_each_side_over_its_denominator():
+    # a quotient left unreduced keeps its sides over their own denominators;
+    # the residue of N/D is the ratio of the minimal terms over theirs
+    from uniformizer.valuation import _Quotient
+
+    num = P(Q, 3, [((1, 0, 1), Fraction(1, 3)), ((1, 0, 0), Fraction(1, 2)), ((2, 0, 0), 7)])
+    den = P(Q, 3, [((1, 0, 0), Fraction(2, 5)), ((1, 1, 0), 1)])
+    assert (num.denom, den.denom) == (6, 5)
+    ctx = PLACE_R2.make_context()
+    value, residue = ctx.valuation(_Quotient(num, den))
+    assert value.is_zero
+    want = residue_of(PLACE_R2, RationalFunction.make(num, den))
+    assert ctx.residue_text([residue]) == str(want) == "(10*y1bar + 15)/(12)"
 
 
 def test_residue_requires_value_zero():
@@ -226,7 +241,7 @@ def test_term_scan_matches_group_compares(data):
     if f.is_zero:
         return
     best, terms = None, []
-    for e, c in f.terms:
+    for e, c in f.ints:
         v = place.order.element(e[: place.rho])
         s = -1 if best is None else compare(v, best)
         if s < 0:
