@@ -21,18 +21,26 @@ the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
   biased by 2^(w-1) on the way in and on the way out.  A biased digit
   lies in [0, 2^w), so no digit borrows from or carries into its
   neighbour, and each w-bit field of the biased product is exactly one
-  coefficient plus 2^(w-1).  Rows of residues need no bias.
+  coefficient plus 2^(w-1).  Rows of residues need no bias.  A one-entry
+  operand only scales the other row.
 - Inverses (``inverse``): Newton iteration on those products, one integer
   row over one denominator, reduced after every round (``reduce``).
+- Quotients (``quotient``): the coefficients below x^n of a/b by long
+  division, one integer row over one denominator, fraction-free over Q.
+  Its n * min(len b, n) products are those of the schoolbook product b * q
+  that it undoes, so ``series`` divides this way when the shorter of the
+  divisor and the quotient has at most ``_SCHOOLBOOK`` entries, and by the
+  Newton inverse and one product otherwise.
 - ``taylor_shift``: H(a + Y) for H with rows as coefficients.
 - ``of_poly`` reads a SparsePoly's integers as rows, and ``to_ints``
   gives a row back as SparsePoly integer pairs.
 
 The users: ``series`` (a ``TruncatedSeries`` is one row over one
-denominator); ``completion``: the quotient ring K0(t)[X]/(m), whose
-elements are vectors of rows in t, Hensel lifting by Horner's rule in X,
-one Taylor shift each for the minimal polynomial of w = b/(zeta - a) and
-Kaplansky's tables g^[i](a) b^i, and residue roots; ``polyfield``: gcd and
+denominator: products, inverses and quotients); ``completion``: the
+quotient ring K0(t)[X]/(m), whose elements are vectors of rows in t,
+Hensel lifting by Horner's rule in X, one Taylor shift each for the
+minimal polynomial of w = b/(zeta - a) and Kaplansky's tables
+g^[i](a) b^i, and residue roots; ``polyfield``: gcd and
 exact division of one-variable polynomials on rows in x^s, when the rows
 are not sparse (``poly_gcd``, ``_certified_coprime`` and
 ``RationalFunction.make``).
@@ -40,6 +48,7 @@ are not sparse (``poly_gcd``, ``_certified_coprime`` and
 
 from __future__ import annotations
 
+import operator
 from math import gcd as _igcd
 
 from .errors import PreconditionError
@@ -88,6 +97,8 @@ def mul(a: list, b: list, p: int, n: int | None = None) -> list:
         return []
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:  # b is already cut below x^n
+        return trim(scale(b, a[0], p))
     m = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
     if len(a) > _SCHOOLBOOK:
         out = _kronecker(a, b, m)
@@ -158,6 +169,48 @@ def inverse(a: list, n: int, p: int) -> tuple[list, int]:
         g, d = reduce(g, d * d, p)
         k = k2
     return trim(g), d
+
+
+def quotient(a: list, b: list, n: int, p: int) -> tuple[list, int]:
+    """(q, d): the coefficients below x^n of a/b as the row q over d > 0 (1
+    over F_p), reduced, by long division; empty for n <= 0 or an empty a.
+    ZeroDivisionError when b's constant term is zero.
+
+    Step k is q_k = (a_k - sum_{j >= 1} b_j q_{k-j}) / b_0, which takes
+    min(k, len(b) - 1) products.  Over Q it stays fraction-free: Q_k =
+    b_0^(k+1) q_k is b_0^k a_k - sum_j b_j b_0^(j-1) Q_{k-j}, and q is read
+    over b_0^n.
+    """
+    c = (b[0] % p if p else b[0]) if b else 0
+    if not c:
+        raise ZeroDivisionError("quotient by a row with no constant term")
+    if n <= 0 or not a:
+        return [], 1
+    a, tail = list(a[:n]), b[1:n]
+    a += [0] * (n - len(a))
+    if p:
+        inv = pow(c, -1, p)
+        back = tail[::-1]  # b_m .. b_1, against q_{k-m} .. q_{k-1}
+    else:
+        back = [y * c**j for j, y in enumerate(tail)][::-1]  # b_j c^(j-1)
+    m, q, ck = len(back), [], 1
+    for k in range(n):
+        w = min(k, m)
+        s = sum(map(operator.mul, back[m - w :], q[k - w :]))
+        if p:
+            q.append((a[k] - s) * inv % p)
+        else:
+            q.append(ck * a[k] - s)
+            ck *= c
+    if p:
+        return trim(q), 1
+    # q_k = Q_k / c^(k+1) = Q_k c^(n-1-k) / c^n, over a positive c^n
+    sign = -1 if ck < 0 else 1
+    row = [0] * n
+    for k in range(n - 1, -1, -1):
+        row[k] = sign * q[k]
+        sign *= c
+    return reduce(trim(row), abs(ck), 0)
 
 
 def _divmod(a: list, b: list, p: int) -> tuple:

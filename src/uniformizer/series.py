@@ -18,14 +18,20 @@ series as canonical scalars (``Fraction`` over Q, residues over F_p), a
 view built on first use and kept, for printers and tests.
 
 Arithmetic runs on the rows with the kernels of ``dense`` (Kronecker
-products, Newton inverses), and ``TruncatedSeries._canon`` brings each
-result to that form once: ``% p`` over F_p, one gcd with the denominator
-over Q.  Sums align the two rows over the lcm of their denominators.
-``eval_poly_at_series`` adds every term of a polynomial into one integer
-accumulator, with the powers of its arguments from a power table that a
-caller such as ``completion.SeriesContext`` shares between calls;
-``eval_ratfun_at_series`` scales by 1/c for a constant denominator c
-instead of inverting a series.
+products, Newton inverses, long-division quotients), and
+``TruncatedSeries._canon`` brings each result to that form once: ``% p``
+over F_p, one gcd with the denominator over Q.  Sums align the two rows
+over the lcm of their denominators.  A quotient a / b is a * b.inverse(),
+coefficients and precision alike; when the divisor's row, cut to the
+quotient's length, or that length has at most ``dense._SCHOOLBOOK``
+entries it comes from ``dense.quotient`` in one pass, otherwise from the
+Newton inverse and one product.  ``eval_poly_at_series`` makes one pass
+over the terms of a polynomial into one integer accumulator: a power with
+a one-entry row (every power of t, any monomial argument) scales the
+term, and only longer rows are multiplied.  The powers come from a power
+table that a caller such as ``completion.SeriesContext`` shares between
+calls; ``eval_ratfun_at_series`` scales by 1/c for a constant
+denominator c instead of dividing by a series.
 """
 
 from __future__ import annotations
@@ -218,19 +224,36 @@ class TruncatedSeries(Frozen):
             return TruncatedSeries.zero(self.base, self.precision + k)
         return TruncatedSeries(self.base, self.offset + k, self.row, self.denom, self.precision + k)
 
-    def inverse(self) -> "TruncatedSeries":
+    def _check_invertible(self):
         if not self.row:
             raise InsufficientPrecisionError(
                 "cannot invert a series that is zero to its precision",
                 needed=self.precision,
             )
+
+    def inverse(self) -> "TruncatedSeries":
+        self._check_invertible()
         o, d = self.offset, self.denom
         # 1/(t^o U/d) = t^-o d/U, with U's inverse known below the precision of U
         inv, den = dense.inverse(self.row, self.precision - o, self.base.characteristic)
         return TruncatedSeries._canon(self.base, -o, dense.scale(inv, d, 0), den, self.precision - 2 * o)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self * other.inverse()
+        """self * other.inverse(), coefficients and precision alike; by long
+        division when the divisor's row, cut to the quotient's length, or
+        that length is short."""
+        other._check_invertible()
+        self._mate(other)
+        o = other.offset
+        # the bounds of self * t^-o (1/U): the inverse starts at -o and is
+        # known to precision other.precision - 2*o
+        prec = min(self.precision - o, other.precision - 2 * o + self._lower_bound())
+        lo = self.offset - o
+        if min(len(other.row), prec - lo) > dense._SCHOOLBOOK:
+            return self * other.inverse()
+        row, den = dense.quotient(self.row, other.row, prec - lo, self.base.characteristic)
+        row = dense.scale(row, other.denom, 0)
+        return TruncatedSeries._canon(self.base, lo, row, self.denom * den, prec)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -306,11 +329,13 @@ def eval_poly_at_series(
 ) -> TruncatedSeries:
     """Evaluate a multivariate polynomial at series arguments.
 
-    Each term multiplies only the rows of the powers of the arguments its
-    nonzero exponents name, cut to the result's precision; its coefficient
-    scales that product as it goes into one dense integer accumulator.  The
-    result carries the precision of the sum of the terms
-    constant(c) * a1**k1 * a2**k2 * ...
+    Each term takes the powers of the arguments its nonzero exponents name.
+    A power whose row has one entry only scales the term's coefficient and
+    shifts its offset; the rows of the others are multiplied, cut to the
+    result's precision, and the scaled product goes into one dense integer
+    accumulator.  The result carries the precision of the sum of the terms
+    constant(c) * a1**k1 * a2**k2 * ..., with ``_product_bounds`` run per
+    factor.
 
     ``powers`` is the table those powers come from: it maps id(a) to a and
     the powers of a built so far, and callers that evaluate many
@@ -322,32 +347,40 @@ def eval_poly_at_series(
     base = p.base
     if powers is None:
         powers = {}
-    terms = []  # (integer coefficient, the powers it multiplies)
-    prec = precision
+    terms = []  # (offset, integer scale, factor rows of two or more entries, denominator)
+    prec, low0 = precision, min(0, precision)
     for e, c in p.ints:
-        factors = [_power(powers, args[i], k, base) for i, k in enumerate(e) if k]
-        # lower bound and precision of the chain constant(c) * factors[0] * ...
-        low, top = min(0, precision), precision
-        for s in factors:
-            low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
+        # lower bound and precision of the chain constant(c) * a1**k1 * ...
+        low, top = low0, precision
+        off, d, rows = 0, p.denom, []
+        for i, k in enumerate(e):
+            if k:
+                s = _power(powers, args[i], k, base)
+                low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
+                row = s.row
+                if len(row) == 1:
+                    c *= row[0]
+                elif not row:
+                    c = 0
+                else:
+                    rows.append(row)
+                off += s.offset
+                d *= s.denom
         prec = min(prec, top)
-        terms.append((c, factors))
-    rows = []  # (offset, integer row, scale numerator, denominator)
-    for c, factors in terms:
-        off = sum(s.offset for s in factors)
-        if off >= prec or not all(s.row for s in factors):
-            continue
-        row, d = [1], 1
-        for i, s in enumerate(factors):
-            row = s.row[: prec - off] if i == 0 else dense.mul(row, s.row, 0, prec - off)
-            d *= s.denom
-        rows.append((off, row, c, p.denom * d))
-    lo = min((row[0] for row in rows), default=prec)
-    den = lcm(*(row[3] for row in rows))
+        if c:
+            terms.append((off, c, rows, d))
+    terms = [term for term in terms if term[0] < prec]
+    lo = min((term[0] for term in terms), default=prec)
+    den = lcm(*(term[3] for term in terms))
     acc = [0] * (prec - lo)
-    for off, row, cn, d in rows:
-        f = cn * (den // d)
-        i = off - lo
+    for off, c, rows, d in terms:
+        f, i = c * (den // d), off - lo
+        if not rows:  # a monomial: one entry
+            acc[i] += f
+            continue
+        row = rows[0][: prec - off]
+        for other in rows[1:]:
+            row = dense.mul(row, other, 0, prec - off)
         acc[i : i + len(row)] = [x + f * y for x, y in zip(acc[i : i + len(row)], row)]
     return TruncatedSeries._canon(base, lo, acc, den, prec)
 

@@ -130,12 +130,6 @@ def value_of_ratfun(place: MonomialPlace, f: RationalFunction) -> GroupElement:
     return vn - vd
 
 
-def in_valuation_ring(place: MonomialPlace, f: RationalFunction) -> bool:
-    if f.is_zero:
-        return True
-    return value_of_ratfun(place, f).sign() >= 0
-
-
 def _residue_numerator(place: MonomialPlace, terms, denom: int) -> SparsePoly:
     """The ybar-polynomial of minimal-value terms over denom.  The terms
     share their x-exponents, so their y-exponents differ and keep f's grlex

@@ -211,3 +211,53 @@ def test_newton_inverse_matches_schoolbook(p, data, n):
         assert [Fraction(c, d) for c in g] == _schoolbook_inverse(a, n, 0)
     # the product with a is 1 below x^n, over d
     assert _schoolbook(a, g, n, p) == [d % p if p else d]
+
+
+QUOTIENT_FIELDS = [0, 2, 5, P61, P63]
+
+
+def _quotient_rows(draw, p, min_size, max_size):
+    if p:
+        return draw(residue_rows(p, max_size=max_size).filter(lambda r: len(r) >= min_size))
+    entry = st.integers(-(10**12), 10**12) | st.integers(-3, 3)
+    return draw(st.lists(entry, min_size=min_size, max_size=max_size))
+
+
+@pytest.mark.parametrize("schoolbook", [0, dense._SCHOOLBOOK], ids=["packed", "loop"])
+@given(st.sampled_from(QUOTIENT_FIELDS), st.data(), st.integers(min_value=-3, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_quotient_matches_the_inverse_product(schoolbook, p, data, n):
+    """Long division gives what the Newton inverse times the numerator gives,
+    with the reference's products on either side of the schoolbook cut: the
+    same residues over F_p, the same fractions over Q."""
+    a = dense.trim(_quotient_rows(data.draw, p, 0, 20))
+    b = _quotient_rows(data.draw, p, 1, 12)
+    b[0] = b[0] or 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_SCHOOLBOOK", schoolbook)
+        q, d = dense.quotient(a, b, n, p)
+        g, e = dense.inverse(b, n, p)
+        want = dense.mul(a, g, p, n) if n > 0 else []
+    if n <= 0 or not a:
+        assert (q, d) == ([], 1) and want == []
+        return
+    assert d > 0 and (not q or q[-1])
+    if p:
+        assert d == 1 and all(0 <= c < p for c in q)
+        assert q == want
+    else:
+        assert math.gcd(d, *q) == 1
+        assert [Fraction(c, d) for c in q] == [Fraction(c, e) for c in want]
+    # the divisor times the quotient is the numerator below x^n, over d
+    assert _schoolbook(b, q, n, p) == dense.trim([c * d % p if p else c * d for c in a[:n]])
+
+
+@given(st.sampled_from(QUOTIENT_FIELDS), st.data(), st.integers(min_value=-3, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_quotient_by_a_row_without_constant_term_raises(p, data, n):
+    a = _quotient_rows(data.draw, p, 0, 6)
+    b = _quotient_rows(data.draw, p, 0, 6)
+    if b:
+        b[0] = data.draw(st.sampled_from([0, p]))  # zero, or p unreduced
+    with pytest.raises(ZeroDivisionError):
+        dense.quotient(a, b, n, p)

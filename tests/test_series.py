@@ -2,11 +2,13 @@
 
 import importlib.util
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uniformizer import dense
 from uniformizer.errors import (
     InsufficientPrecisionError,
     NotInValuationRingError,
@@ -16,6 +18,8 @@ from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly
 from uniformizer.series import (
     TruncatedSeries,
+    _power,
+    _product_bounds,
     equal_to_precision,
     eval_poly_at_series,
     eval_ratfun_at_series,
@@ -423,14 +427,18 @@ def test_constant_denominator_of_a_numerator_zero_to_precision():
 
 def test_verify_evaluates_each_power_once(monkeypatch):
     # verify of the F5 X^2 - 1 - t certificate for z and (z - 1)/t: the
-    # context's power table and the constant-denominator rule, which also
-    # serves the polynomial witnesses of t and z, fix how many series
-    # products and inverses it takes; a context that rebuilt its powers on
-    # every call, or divided by a witness denominator, would give the same
-    # report with more of both
+    # context's power table, the constant-denominator rule, which also
+    # serves the polynomial witnesses of t and z, and the division rule fix
+    # how many series products, inverses and long divisions it takes; a
+    # context that rebuilt its powers on every call, or divided by a witness
+    # denominator, would give the same report with more of them
     from dataclasses import replace
 
-    from uniformizer.completion import DiscretePresentation, uniformize_discrete_rational
+    from uniformizer.completion import (
+        DiscretePresentation,
+        SeriesContext,
+        uniformize_discrete_rational,
+    )
     from uniformizer.expr import parse_element
     from uniformizer.uniformize import verify
 
@@ -438,8 +446,8 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     pres = DiscretePresentation(base=F5, min_poly=m, residue=1)
     zetas = [parse_element(z, F5, ("t", "z")) for z in ("z", "(z - 1)/t")]
     system = uniformize_discrete_rational(pres, zetas, precision=16)
-    counts = {"mul": 0, "inverse": 0}
-    mul, inverse = TruncatedSeries.__mul__, TruncatedSeries.inverse
+    counts = {"mul": 0, "inverse": 0, "quotient": 0}
+    mul, inverse, quotient = TruncatedSeries.__mul__, TruncatedSeries.inverse, dense.quotient
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -449,24 +457,121 @@ def test_verify_evaluates_each_power_once(monkeypatch):
         counts["inverse"] += 1
         return inverse(a)
 
+    def counted_quotient(*args):
+        counts["quotient"] += 1
+        return quotient(*args)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+    monkeypatch.setattr(dense, "quotient", counted_quotient)
+    pinned = {"mul": 6, "inverse": 2, "quotient": 3}
     assert verify(system).passed
-    assert counts == {"mul": 9, "inverse": 5}
+    assert counts == pinned
     # the witnesses of t and z are polynomials: checking them takes no inverse
+    # and no division
     assert all(w.den.is_constant for _, w in system.witnesses)
-    counts.update(mul=0, inverse=0)
+    counts.update(mul=0, inverse=0, quotient=0)
     assert verify(replace(system, witnesses=())).passed
-    assert counts["inverse"] == 5
+    assert counts == pinned
     # three rows square a variable; a second pass over the rows through the
     # same context finds those squares in its table
     ctx = system.place.make_context()
     args = [ctx.ambient(rf) for rf in system.tvars + system.etas]
-    counts.update(mul=0, inverse=0)
+    counts.update(mul=0, inverse=0, quotient=0)
     for _ in range(2):
         for f in system.fs:
             ctx.eval_poly(f, args)
-        assert counts == {"mul": 3, "inverse": 0}
+        assert counts == {"mul": 3, "inverse": 0, "quotient": 0}
+    # a context whose power table is new on every call gives the same report
+    # and misses the pin
+    with monkeypatch.context() as mp:
+        table = property(lambda ctx: {}, lambda ctx, table: None)
+        mp.setattr(SeriesContext, "powers", table, raising=False)
+        counts.update(mul=0, inverse=0, quotient=0)
+        assert verify(system).passed
+        assert counts["mul"] > pinned["mul"]
+
+
+def _eval_per_term_chain(p, args, precision, powers):
+    """eval_poly_at_series as it was before one-entry factors scaled: every
+    term's factor rows multiplied by dense.mul in turn, cut to the result's
+    precision, then scaled into one accumulator; the reference for the
+    one-pass evaluation."""
+    from math import lcm
+
+    from uniformizer import dense
+    from uniformizer.series import _power, _product_bounds
+
+    terms, prec = [], precision
+    for e, c in p.ints:
+        factors = [_power(powers, args[i], k, p.base) for i, k in enumerate(e) if k]
+        low, top = min(0, precision), precision
+        for s in factors:
+            low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
+        prec = min(prec, top)
+        terms.append((c, factors))
+    rows = []
+    for c, factors in terms:
+        off = sum(s.offset for s in factors)
+        if off >= prec or not all(s.row for s in factors):
+            continue
+        row, d = [1], 1
+        for i, s in enumerate(factors):
+            row = s.row[: prec - off] if i == 0 else dense.mul(row, s.row, 0, prec - off)
+            d *= s.denom
+        rows.append((off, row, c, p.denom * d))
+    lo = min((row[0] for row in rows), default=prec)
+    den = lcm(*(row[3] for row in rows))
+    acc = [0] * (prec - lo)
+    for off, row, cn, d in rows:
+        f = cn * (den // d)
+        i = off - lo
+        acc[i : i + len(row)] = [x + f * y for x, y in zip(acc[i : i + len(row)], row)]
+    return TruncatedSeries._canon(p.base, lo, acc, den, prec)
+
+
+@st.composite
+def _short_series(draw, base):
+    """One-entry series (monomials, t^-k among them) and zero ones."""
+    offset = draw(st.integers(min_value=-3, max_value=4))
+    precision = offset + draw(st.integers(min_value=-2, max_value=8))
+    c = draw(_scalars(base))
+    return S(base, offset, [c], precision)
+
+
+@given(st.sampled_from(EVAL_FIELDS), st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_poly_matches_the_per_term_chain(base, nvars, data):
+    arg = kernel_series(base, max_blocks=3) | _short_series(base)
+    args = data.draw(st.lists(arg, min_size=nvars, max_size=nvars))
+    p = data.draw(kernel_polys(base, nvars))
+    precision = data.draw(st.integers(min_value=-2, max_value=12))
+    got = eval_poly_at_series(p, args, precision)
+    want = _eval_per_term_chain(p, args, precision, {})
+    assert (got.offset, got.row, got.denom, got.precision) == (
+        want.offset, want.row, want.denom, want.precision
+    )
+
+
+@pytest.mark.parametrize("schoolbook", [0, 8, 10**6], ids=["inverse", "cut", "long"])
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_division_is_the_product_by_the_inverse(schoolbook, base, data):
+    """a / b is a * b.inverse() on both sides of the cut, offsets, numerators
+    zero to precision and precision alike; a divisor zero to its precision
+    raises the inverse's error."""
+    a = data.draw(kernel_series(base) | _short_series(base))
+    b = data.draw(kernel_series(base) | _short_series(base))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_SCHOOLBOOK", schoolbook)
+        if b.is_zero_to_precision:
+            with pytest.raises(InsufficientPrecisionError) as want:
+                b.inverse()
+            with pytest.raises(InsufficientPrecisionError) as got:
+                a / b
+            assert (str(got.value), got.value.needed) == (str(want.value), want.value.needed)
+            return
+        assert a / b == a * b.inverse()
 
 
 def test_eval_rejects_a_used_argument_over_another_field():
