@@ -249,9 +249,10 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
 class ApproximationWitness:
     """A truncation a of z and the monomial b with distinct term values.
 
-    For each input polynomial the table lists (i, v(f^[i](a) * b^i)) over
-    the indices with f^[i](a) nonzero; all listed values are pairwise
-    distinct, which makes  v f(z) = min_i v(f^[i](a) b^i)  exact.
+    For each input polynomial f, gammas holds Kaplansky's table
+    gamma_i = f^[i](a) * b^i, and tables lists (i, v(gamma_i)) over the
+    indices with gamma_i nonzero; all listed values are pairwise distinct,
+    which makes  v f(z) = min_i v(f^[i](a) b^i)  exact.
     """
 
     fs: tuple[SparsePoly, ...]
@@ -260,6 +261,7 @@ class ApproximationWitness:
     b_coeff: Scalar
     b_exp: int
     depth: int
+    gammas: tuple[list[SparsePoly], ...]
     tables: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -298,6 +300,8 @@ def _gamma_table(g: SparsePoly, a: SparsePoly, b: SparsePoly) -> list[SparsePoly
     """gamma_i = g^[i](a) * b^i, exact polynomials in t, from one Taylor
     shift of g's rows in X: with b = (c/d) t^e and D g's denominator,
     gamma_s = S_s c^s t^(e s) / (u^(k-s) D d^s) (see ``_shifted``)."""
+    if g.nvars != 2:
+        raise PreconditionError("polynomials must live in (t, X)")
     p, rows = g.base.characteristic, dense.of_poly(g)
     S, u = _shifted(rows, a, p)
     k = len(rows) - 1
@@ -308,43 +312,31 @@ def _gamma_table(g: SparsePoly, a: SparsePoly, b: SparsePoly) -> list[SparsePoly
     ]
 
 
-def _value_table(f: SparsePoly, a: SparsePoly, b: SparsePoly) -> tuple[tuple[int, int], ...]:
-    """(i, v(f^[i](a) b^i)) for every i with f^[i](a) nonzero; exact.  With
-    b = (c/d) t^e, gamma_i is S_i t^(e i) times a nonzero constant (see
-    ``_gamma_table``), so its value is e i plus the lowest index of S_i."""
-    if f.nvars != 2:
-        raise PreconditionError("expected a polynomial in (t, X)")
-    S, _ = _shifted(dense.of_poly(f), a, f.base.characteristic)
-    ((e,), _), = b.ints
-    return tuple((i, e * i + next(j for j, c in enumerate(row) if c)) for i, row in enumerate(S) if row)
+def _value_table(gam: list[SparsePoly]) -> tuple[tuple[int, int], ...]:
+    """(i, v(gamma_i)) for every nonzero entry of a gamma table: a monomial
+    b makes each gamma_i one row in t, whose value is its lowest exponent."""
+    return tuple((i, g.ints[-1][0][0]) for i, g in enumerate(gam) if not g.is_zero)
 
 
-def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) -> ApproximationWitness:
+def kaplansky_normalize(fs, z: TruncatedSeries) -> ApproximationWitness:
     """Find a truncation a of z whose term values separate, per polynomial.
 
     Doubles the truncation depth until, for every input polynomial, the
     nonzero values v(f^[i](a) b^i) are pairwise distinct, where b is the
     exact leading monomial of z - a.  Raises InsufficientPrecisionError
-    (carrying the last depth tried) when the series precision runs out
-    before separation happens.
+    when the series precision runs out before separation happens.  The
+    gamma tables of the accepted cut are kept on the witness.
     """
     fs = tuple(fs)
-    for f in fs:
-        if f.nvars != 2:
-            raise PreconditionError("polynomials must live in (t, X)")
     if z.is_zero_to_precision:
         raise InsufficientPrecisionError(
-            "series is zero to its precision; nothing to normalize", needed=z.precision
+            "series is zero to its precision; nothing to normalize", needed=z.precision + 1
         )
     offset = z.known_order()
     if offset < 0:
         raise PreconditionError("series must lie in the valuation ring")
     d = 1
     while True:
-        if max_depth is not None and d > max_depth:
-            raise InsufficientPrecisionError(
-                f"no separating truncation up to depth {max_depth}", needed=d
-            )
         below = offset + d
         if below > z.precision:
             raise InsufficientPrecisionError(
@@ -352,24 +344,21 @@ def kaplansky_normalize(fs, z: TruncatedSeries, max_depth: int | None = None) ->
                 needed=below,
             )
         a, b = _split_series(z, below)
-        tables = tuple(_value_table(f, a, b) for f in fs)
+        gammas = tuple(_gamma_table(f, a, b) for f in fs)
+        tables = tuple(map(_value_table, gammas))
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
             ((b_exp,), b_coeff), = b.terms
             return ApproximationWitness(
-                fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, tables=tables
+                fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, gammas=gammas, tables=tables
             )
         d *= 2
 
 
 def value_via_lvpol(witness: ApproximationWitness, f: SparsePoly) -> int:
     """v f(z) as min_i v(f^[i](a) b^i), valid because those values are distinct."""
-    tab = None
-    for g, t in zip(witness.fs, witness.tables):
-        if g == f:
-            tab = t
-            break
+    tab = next((t for g, t in zip(witness.fs, witness.tables) if g == f), None)
     if tab is None:
-        tab = _value_table(f, witness.a, witness.b)
+        tab = _value_table(_gamma_table(f, witness.a, witness.b))
         if len({v for _, v in tab}) != len(tab):
             raise PreconditionError(
                 "the witness truncation does not separate this polynomial's term values"
@@ -385,8 +374,8 @@ def value_via_lvpol(witness: ApproximationWitness, f: SparsePoly) -> int:
 # Elements are vectors of dense K0[t] rows (see ``dense``).  Linear algebra
 # is Bareiss elimination (E. H. Bareiss, 1968): every entry after a step is
 # a minor of the input rows, so dividing by the previous pivot is exact in
-# K0[t] and needs no gcd.  The only gcds are the ones RationalFunction.make
-# takes, once per output coefficient of a minimal polynomial.
+# K0[t] and needs no gcd.  The only gcds are those of one content per
+# minimal polynomial, which makes its rows primitive.
 
 
 def _unit(n: int, j: int) -> list:
@@ -455,12 +444,9 @@ class _QuotientRing:
         pivots.append((col, row))
         return None
 
-    def _poly(self, c: list, offset: int = 0) -> SparsePoly:
-        """A reduced row in t as a polynomial, its entry i at t^(offset + i)."""
-        return SparsePoly(self.base, 1, dense.to_ints(c, offset))
-
     def min_poly(self, f: RationalFunction) -> list:
-        """Monic minimal polynomial of f over K0(t), lowest coefficient first."""
+        """The minimal polynomial h of f over K0(t) as primitive rows over
+        K0[t], lowest coefficient first: h is fixed up to a unit of K0."""
         dim, p = self.dim, self.p
         num, num_s = self._split(f.num)
         den, den_s = self._split(f.den)
@@ -480,7 +466,7 @@ class _QuotientRing:
         A = self._mul(self._reduce(num), [dense.scale(c, -den_s, p) for c in e[:dim]])
         d = dense.scale(e[dim], num_s, p)
         # the first dependency sum_i e_i A^i = 0 among the powers of A gives
-        # sum_i e_i d^i f^i = 0
+        # sum_i e_i d^i f^i = 0, whose rows e_i d^i are divided by their content
         pivots, power = [], _unit(dim, 0)
         for k in range(dim + 1):
             e = self._eliminate(pivots, power + _unit(dim + 1, k))
@@ -489,12 +475,18 @@ class _QuotientRing:
             power = self._mul(power, A)
         else:  # pragma: no cover - dimension bound
             raise PreconditionError("no dependency found below the ring dimension")
-        out, d_pow = [RationalFunction.const(self.base, 1, 1)], d
-        for i in range(k - 1, -1, -1):
-            den_i = self._poly(dense.mul(e[k], d_pow, p))
-            out.append(RationalFunction.make(self._poly(e[i]), den_i))
+        rows, d_pow = [], [1]
+        for i in range(k + 1):
+            rows.append(dense.mul(e[i], d_pow, p))
             d_pow = dense.mul(d_pow, d, p)
-        return out[::-1]
+        g = rows[k]
+        for row in rows[:k]:
+            g = dense.gcd(g, row, p)
+            if g == [1]:
+                break
+        rows = [dense.divexact(row, g, p) for row in rows]
+        c = 1 if p else gcd(*(c for row in rows for c in row))
+        return [[x // c for x in row] for row in rows] if c > 1 else rows
 
     def _bad_denominator(self, f: RationalFunction, how: str) -> str:
         return (
@@ -596,8 +588,9 @@ def _zeta_block(
     k = len(h) - 1
 
     if k == 1:
-        # zeta already lies in K0(t): one affine row X - c
-        c_rf = -h[0]
+        # zeta already lies in K0(t): one affine row X - c, c = -h_0/h_1
+        h0, h1 = (SparsePoly(base, 1, dense.to_ints(row)) for row in h)
+        c_rf = RationalFunction.make(-h0, h1)
         if _residue_at_zero(c_rf) is None:
             raise NotInValuationRingError(
                 f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
@@ -646,30 +639,24 @@ def _zeta_block(
 
 
 def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
-    """The minimal polynomial of w = b/(zeta - a) over K0(t), lowest
-    coefficient first, from h, that of zeta; None when h(a) = 0.
+    """The monic minimal polynomial of w = b/(zeta - a) over K0(t), lowest
+    coefficient first, from the rows h of that of zeta (see
+    ``_QuotientRing.min_poly``); None when h(a) = 0.
 
     zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
     W^(k-s) is b^s h^[s](a), with h^[s] the s-th Hasse derivative; its
     leading one is h(a).  Divided by h(a) it is monic of degree
     k = [K0(t)(zeta) : K0(t)] = [K0(t)(w) : K0(t)], so it is the minimal
     polynomial.  The h^[s](a) are the coefficients of h(a + Y), one Taylor
-    shift (``_shifted``) of sum_i L h_i X^i, with L a common denominator of
-    the h_i in K0[t]: S_s = L u^(k-s) h^[s](a) for a = A/u.  Each
-    coefficient is normalised once, by ``RationalFunction.make``.
+    shift (``_shifted``) of the rows: S_s = u^(k-s) h^[s](a) for a = A/u.
+    Each coefficient is normalised once, by ``RationalFunction.make``.
 
     h(a) = 0 makes zeta - a a zero divisor of a split modulus: w is then
     not an element of the ring at all.
     """
     base = a.base
     p, k = base.characteristic, len(h) - 1
-    nums = [dense.of_poly(c.num) for c in h]
-    dens = [dense.of_poly(c.den) for c in h]
-    L = [1]
-    for d in dens:
-        if d != L:
-            L = dense.mul(L, dense.divexact(d, dense.gcd(L, d, p), p), p)
-    S, u = _shifted([dense.mul(n, dense.divexact(L, d, p), p) for n, d in zip(nums, dens)], a, p)
+    S, u = _shifted(h, a, p)
     if not S[0]:
         return None
     # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
@@ -792,9 +779,6 @@ def uniformize_completion_algebraic(
     min_poly: SparsePoly,
     residue,
     precision: int = DEFAULT_PRECISION,
-    *,
-    uniformizer: str = "t",
-    gen_name: str = "z",
 ) -> TriangularSystem:
     """Relative certificate over K0(t) for the extension by one algebraic series.
 
@@ -802,35 +786,22 @@ def uniformize_completion_algebraic(
     the system's coefficient field is K0(t), recorded through the
     coefficient table.
     """
-    pres = DiscretePresentation(
-        base=min_poly.base,
-        uniformizer=uniformizer,
-        gen_name=gen_name,
-        min_poly=min_poly,
-        residue=min_poly.base.coerce(residue),
-    )
-    return _relative_system(pres, [RationalFunction.variable(pres.base, 2, 1)], precision)
+    base = min_poly.base
+    pres = DiscretePresentation(base=base, min_poly=min_poly, residue=base.coerce(residue))
+    return _relative_system(pres, [RationalFunction.variable(base, 2, 1)], precision)
 
 
-def uniformize_immediate_simple(
-    z: TruncatedSeries,
-    zetas,
-    *,
-    uniformizer: str = "t",
-    gen_name: str = "z",
-    precision: int | None = None,
-) -> TriangularSystem:
-    """Certificate over K0(t) for K0(t, z) with z a series limit.
+def uniformize_immediate_simple(z: TruncatedSeries, zetas) -> TriangularSystem:
+    """Certificate over K0(t) for K0(t, z) with z a series limit, named t and z.
 
     A separating truncation a of z is found first; with b the exact
     leading monomial of z - a, every requested element g(z)/h(z) rewrites
     as a ratio of units in ztilde = (z - a)/b, giving one row per element
-    whose X-partial is a unit.  T consists of ztilde alone.
+    whose X-partial is a unit; the witness's gamma tables of g and h are
+    its coefficients.  T consists of ztilde alone.
     """
     base = z.base
-    if precision is None:
-        precision = z.precision
-    place = DiscreteSeriesPlace(base, uniformizer, (gen_name,), (z,), precision)
+    place = DiscreteSeriesPlace(base, "t", ("z",), (z,), z.precision)
     zetas = [_coerce_ambient(base, 2, f) for f in zetas]
     polys = []
     for f in zetas:
@@ -845,12 +816,14 @@ def uniformize_immediate_simple(
     n = len(zetas)
     pool = _CoeffPool(base)
     rows = []
+    # the tables in the order of polys: a zero element's denominator has one too
+    gammas = iter(witness.gammas)
     for j, f in enumerate(zetas, 1):
         if f.num.is_zero:
+            next(gammas)
             rows.append([({j: 1}, None, one)])
             continue
-        gam_g = _gamma_table(f.num, a, b)
-        gam_h = _gamma_table(f.den, a, b)
+        gam_g, gam_h = next(gammas), next(gammas)
         low_h = _min_term(gam_h)
         if _min_term(gam_g).ints[0][0] < low_h.ints[0][0]:
             raise NotInValuationRingError(f"element {j} lies outside the valuation ring")
@@ -877,10 +850,10 @@ def uniformize_immediate_simple(
         tvars=(ztilde,),
         etas=tuple(zetas),
         fs=tuple(fs),
-        coeff_field_names=(uniformizer,),
+        coeff_field_names=("t",),
         coeff_table=tuple(pool.entries),
         zeta_indices=tuple(range(n)),
-        witnesses=((gen_name, RationalFunction.from_poly(pool.poly(z_terms, 1 + n))),),
+        witnesses=(("z", RationalFunction.from_poly(pool.poly(z_terms, 1 + n))),),
     )
 
 
@@ -925,12 +898,6 @@ def uniformize_discrete_rational(
         return uniformize_abhyankar(inner_place, ground, max_steps=max_steps)
 
     outer = _relative_system(pres, zetas, precision)
-    for entry in outer.coeff_table:
-        if _residue_at_zero(entry) is None:
-            raise PreconditionError(
-                "a coefficient-field element of the relative system lies outside "
-                "the valuation ring"
-            )
     inner = uniformize_abhyankar(inner_place, list(outer.coeff_table), max_steps=max_steps)
     return compose(outer, inner)
 

@@ -38,11 +38,11 @@ the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
 The users: ``series`` (a ``TruncatedSeries`` is one row over one
 denominator: products, inverses and quotients); ``completion``: the
 quotient ring K0(t)[X]/(m), whose elements are vectors of rows in t,
-Hensel lifting by Horner's rule in X, one Taylor shift each for the
-minimal polynomial of w = b/(zeta - a) and Kaplansky's tables
-g^[i](a) b^i, and residue roots; ``polyfield``: gcd and
-exact division of one-variable polynomials on rows in x^s, when the rows
-are not sparse (``poly_gcd``, ``_certified_coprime`` and
+Hensel lifting by Horner's rule in X, the content of each minimal
+polynomial's rows, and one Taylor shift each for the minimal polynomial
+of w = b/(zeta - a) and Kaplansky's tables g^[i](a) b^i; ``polyfield``:
+gcd and exact division of one-variable polynomials on rows in x^s, when
+the rows are not sparse (``poly_gcd``, ``_certified_coprime`` and
 ``RationalFunction.make``).
 """
 

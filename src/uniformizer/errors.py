@@ -39,8 +39,8 @@ class ResourceError(UniformizerError):
 class InsufficientPrecisionError(UniformizerError):
     """A series computation could not be decided at the available precision.
 
-    ``needed`` carries a hint (a depth or precision that was tried last)
-    so callers can report how far the search went.
+    ``needed`` carries a hint: a precision above the one that failed, so
+    that a caller can rerun with at least that much.
     """
 
     def __init__(self, message: str, needed: int | None = None):

@@ -145,7 +145,7 @@ class TruncatedSeries(Frozen):
         if o is None:
             raise InsufficientPrecisionError(
                 "series is zero to its precision; its order is undecided",
-                needed=self.precision,
+                needed=self.precision + 1,
             )
         return o
 
@@ -228,7 +228,7 @@ class TruncatedSeries(Frozen):
         if not self.row:
             raise InsufficientPrecisionError(
                 "cannot invert a series that is zero to its precision",
-                needed=self.precision,
+                needed=self.precision + 1,
             )
 
     def inverse(self) -> "TruncatedSeries":

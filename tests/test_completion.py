@@ -1,7 +1,9 @@
 """Series completions: Hensel lifting, separating truncations, certificates."""
 
+import functools
 import hashlib
 import importlib.util
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from uniformizer import dense
 from uniformizer.completion import (
     DiscretePresentation,
     _QuotientRing,
@@ -39,7 +42,7 @@ from uniformizer.errors import (
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative, poly_str, ratfun_str
-from uniformizer.jsonio import parse_presentation
+from uniformizer.jsonio import parse_presentation, system_to_json
 from uniformizer.series import (
     TruncatedSeries,
     equal_to_precision,
@@ -169,9 +172,7 @@ def test_kaplansky_error_paths():
     z2 = poly_to_series(_tpoly(Q, [(1, 1), (2, 1)]), 6)
     with pytest.raises(InsufficientPrecisionError):
         # X - z has no finite value; separation cannot happen at any depth
-        kaplansky_normalize(
-            [P(Q, 2, [((0, 1), 1), ((1, 0), -1), ((2, 0), -1)])], z2, max_depth=4
-        )
+        kaplansky_normalize([P(Q, 2, [((0, 1), 1), ((1, 0), -1), ((2, 0), -1)])], z2)
 
 
 def test_value_via_lvpol_fresh_polynomial():
@@ -580,6 +581,17 @@ def _strs(rfs):
     return [ratfun_str(c, ("t",)) for c in rfs]
 
 
+def _monic(base, rows):
+    """The primitive K0[t] rows of a minimal polynomial as its monic
+    coefficients h_i / h_k, lowest first."""
+    poly = lambda row: SparsePoly(base, 1, dense.to_ints(row))
+    return [RationalFunction.make(poly(row), poly(rows[-1])) for row in rows]
+
+
+def _ring_min_poly(ring, f):
+    return _monic(ring.base, ring.min_poly(f))
+
+
 @st.composite
 def _ring_cases(draw):
     """An irreducible m of degree 2 or 3 as in the benchmark, and one element.
@@ -618,7 +630,7 @@ def test_ring_min_poly_matches_the_resultant(case):
     base, m_text, f_text = case
     ring = _ring(base, m_text)
     f = parse_element(f_text, base, ("t", "z"))
-    h = ring.min_poly(f)
+    h = _ring_min_poly(ring, f)
     t, X, Y = sp.symbols("t X Y")
 
     def sym(poly, gens):
@@ -671,7 +683,12 @@ PINNED_MIN_POLYS = [
 @pytest.mark.parametrize("base, m_text, f_text, want", PINNED_MIN_POLYS)
 def test_ring_min_poly_pinned(base, m_text, f_text, want):
     f = parse_element(f_text, base, ("t", "z"))
-    assert _strs(_ring(base, m_text).min_poly(f)) == want
+    rows = _ring(base, m_text).min_poly(f)
+    assert _strs(_monic(base, rows)) == want
+    # primitive: no common factor in K0[t], and over Q no common integer
+    p = base.characteristic
+    assert functools.reduce(lambda g, row: dense.gcd(g, row, p), rows) == [1]
+    assert p or math.gcd(*(c for row in rows for c in row)) == 1
 
 
 @pytest.mark.parametrize("base, m_text, residue, zetas, precision, want", [
@@ -699,8 +716,8 @@ def test_relative_coefficient_table_pinned(base, m_text, residue, zetas, precisi
 def test_ring_denominators_on_a_split_modulus():
     ring = _ring(F5, "(X - 1)*(X - 2)")
     z = parse_element("z", F5, ("t", "z"))
-    assert _strs(ring.min_poly(z)) == ["2", "2", "1"]
-    assert _strs(ring.min_poly(z * z - z - z - z)) == ["2", "1"]
+    assert _strs(_ring_min_poly(ring, z)) == ["2", "2", "1"]
+    assert _strs(_ring_min_poly(ring, z * z - z - z - z)) == ["2", "1"]
     zero = parse_element("1/((z - 1)*(z - 2))", F5, ("t", "z"))
     with pytest.raises(ZeroDivisionError) as err:
         ring.min_poly(zero)
@@ -741,6 +758,26 @@ def test_immediate_simple_certificate():
     assert report.passed, report.summary()
     assert sys_.coeff_field_names == ("t",)
     assert len(sys_.tvars) == 1
+
+
+# sha256 of json.dumps(system_to_json(...), sort_keys=True), first 16 digits
+IMMEDIATE_WITH_ZEROS_PINS = {"Q": "1a7934e682fe4580", "F5": "b8f2a7a872d256c7"}
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_immediate_simple_aligns_tables_past_zero_elements(field):
+    """A zero element enters Kaplansky's inputs with its denominator alone;
+    the rows after it must still read their own elements' tables."""
+    base = {"Q": Q, "F5": F5}[field]
+    z = poly_to_series(_tpoly(base, [(1, 1), (3, 1), (7, 1)]), 12)
+    zv = RationalFunction.variable(base, 2, 1)
+    t = RationalFunction.variable(base, 2, 0)
+    zero = RationalFunction.const(base, 2, 0)
+    sys_ = uniformize_immediate_simple(z, [zv, zero, zv * zv, zero, (zv - t) / t ** 3])
+    report = verify(sys_)
+    assert report.passed, report.summary()
+    text = json.dumps(system_to_json(sys_), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == IMMEDIATE_WITH_ZEROS_PINS[field]
 
 
 def test_immediate_simple_rejects_nonring_elements():
@@ -913,7 +950,7 @@ SPLIT_CUBIC = "(X - 1 - t)*(X - 2 + t^2)*(X - 3)"
 ])
 def test_w_min_poly_matches_the_elimination(base, m_text, zeta_text, a_text, b_text):
     ring, h, a, b, w = _w_case(base, m_text, zeta_text, a_text, b_text)
-    assert _w_min_poly(h, a, b) == ring.min_poly(w)
+    assert _w_min_poly(h, a, b) == _ring_min_poly(ring, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -922,13 +959,14 @@ def test_w_min_poly_matches_the_elimination_on_drawn_elements(case, a0, a1, e, c
     base, m_text, f_text = case
     ring, h, a, b, w = _w_case(base, m_text, f_text, f"{a0} + {a1}*t", f"{c}*t^{e}")
     assume(not _at_zero(h, a))
-    assert _w_min_poly(h, a, b) == ring.min_poly(w)
+    assert _w_min_poly(h, a, b) == _ring_min_poly(ring, w)
 
 
 def _at_zero(h, a):
     """Whether h(a) = 0, in rational-function arithmetic."""
     a_rf = RationalFunction.from_poly(a)
-    return sum((c * a_rf ** i for i, c in enumerate(h)), RationalFunction.const(a.base, 1, 0)).is_zero
+    coeffs = _monic(a.base, h)
+    return sum((c * a_rf ** i for i, c in enumerate(coeffs)), RationalFunction.const(a.base, 1, 0)).is_zero
 
 
 def test_w_min_poly_at_a_root_of_h_is_none():
@@ -960,8 +998,33 @@ def _ref_value_table(f, a, b):
 
 
 def _assert_tables_match(g, a, b):
-    assert _gamma_table(g, a, b) == _ref_gamma_table(g, a, b)
-    assert _value_table(g, a, b) == _ref_value_table(g, a, b)
+    gam = _gamma_table(g, a, b)
+    assert gam == _ref_gamma_table(g, a, b)
+    assert _value_table(gam) == _ref_value_table(g, a, b)
+
+
+@given(
+    st.sampled_from([Q, F5]),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(-4, 4)), min_size=1, max_size=3),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)), max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_witness_tables_match_the_reference(base, zpairs, fs_terms):
+    """The witness keeps, per input and in input order, the gamma table of
+    the accepted cut; its value tables read them."""
+    z_poly = _tpoly(base, zpairs)
+    assume(not z_poly.is_zero)
+    fs = [P(base, 2, [((i, j), c) for i, j, c in terms]) for terms in fs_terms]
+    try:
+        w = kaplansky_normalize(fs, poly_to_series(z_poly, 16))
+    except InsufficientPrecisionError:
+        assume(False)
+    assert w.gammas == tuple(_ref_gamma_table(f, w.a, w.b) for f in fs)
+    assert w.tables == tuple(_ref_value_table(f, w.a, w.b) for f in fs)
 
 
 # X-degree p and above, where some binomials vanish mod p

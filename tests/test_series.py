@@ -51,7 +51,42 @@ def test_order_queries():
     assert z.order() is None
     with pytest.raises(InsufficientPrecisionError) as exc:
         z.known_order()
-    assert exc.value.needed == 6
+    assert exc.value.needed == 7
+
+
+def _needed_sites():
+    """(site, failing call, the precision it failed at) for each place that
+    raises InsufficientPrecisionError with a needed hint."""
+    from uniformizer.completion import (
+        DiscretePresentation,
+        _split_series,
+        kaplansky_normalize,
+        uniformize_discrete_rational,
+    )
+
+    zero, t = TruncatedSeries.zero(Q, 6), TruncatedSeries.monomial(Q, 1, 4)
+    x_minus_z = SparsePoly.make(Q, 2, [((0, 1), 1), ((1, 0), -1), ((2, 0), -1)])
+    m = SparsePoly.make(F5, 2, [((0, 2), 1), ((0, 0), -1), ((1, 0), -1)])
+    return [
+        ("known_order", zero.known_order, 6),
+        ("inverse", zero.inverse, 6),
+        ("quotient", lambda: S(Q, 0, [1, 2], 6) / zero, 6),
+        ("coefficient", lambda: S(Q, 1, [2], 8).coefficient(8), 8),
+        ("residue", lambda: TruncatedSeries.zero(Q, 0).residue(), 0),
+        ("split_series", lambda: _split_series(t, 2), 4),
+        ("kaplansky_zero", lambda: kaplansky_normalize([], zero), 6),
+        ("kaplansky_exhausted", lambda: kaplansky_normalize([x_minus_z], S(Q, 1, [1, 1], 6)), 6),
+        ("zeta_block", lambda: uniformize_discrete_rational(
+            DiscretePresentation(base=F5, min_poly=m, residue=1), [], precision=1), 1),
+    ]
+
+
+@pytest.mark.parametrize("site, run, precision", _needed_sites(), ids=[c[0] for c in _needed_sites()])
+def test_needed_exceeds_the_failed_precision(site, run, precision):
+    """A rerun at needed is a rerun above the precision that failed."""
+    with pytest.raises(InsufficientPrecisionError) as exc:
+        run()
+    assert exc.value.needed > precision
 
 
 def test_coefficient_window():
