@@ -8,7 +8,6 @@ z |-> 1, certifying z, z + t and (z - 1)/t.
 
 import argparse
 import json
-from dataclasses import dataclass, field
 
 from uniformizer.completion import DiscretePresentation, uniformize_discrete_rational
 from uniformizer.expr import parse_element
@@ -24,24 +23,17 @@ def parse_poly(text, base, names):
     return rf.num.scale(base.inv(rf.den.constant_value()))
 
 
-@dataclass
-class PipelineConfig:
-    p: int = 5                      # 0 means rationals
-    min_poly: str = "X^2 - 1 - t"
-    residue: int = 1
-    zetas: list = field(default_factory=lambda: ["z", "z + t", "(z - 1)/t"])
-    precision: int = 16
-
-
-def run(cfg: PipelineConfig):
-    base = QQ() if cfg.p == 0 else GF(cfg.p)
+def run(args):
+    """The ground certificate and its report for the parsed command-line flags."""
+    base = QQ() if args.p == 0 else GF(args.p)
     pres = DiscretePresentation(
         base,
-        min_poly=parse_poly(cfg.min_poly, base, ("t", "X")),
-        residue=base.coerce(cfg.residue),
+        min_poly=parse_poly(args.min_poly, base, ("t", "X")),
+        residue=base.coerce(args.residue),
     )
-    zetas = [parse_element(text, base, ("t", "z")) for text in cfg.zetas]
-    system = uniformize_discrete_rational(pres, zetas, precision=cfg.precision)
+    texts = args.zeta or ["z", "z + t", "(z - 1)/t"]
+    zetas = [parse_element(text, base, ("t", "z")) for text in texts]
+    system = uniformize_discrete_rational(pres, zetas, precision=args.precision)
     report = verify(system)
     return system, report
 
@@ -56,10 +48,7 @@ def main(argv=None):
     ap.add_argument("--json", action="store_true", help="print the full certificate")
     args = ap.parse_args(argv)
 
-    cfg = PipelineConfig(p=args.p, min_poly=args.min_poly, residue=args.residue, precision=args.precision)
-    if args.zeta:
-        cfg.zetas = args.zeta
-    system, report = run(cfg)
+    system, report = run(args)
 
     print(f"rows: {len(system.fs)}  etas: {len(system.etas)}  T-vars: {len(system.tvars)}")
     print(report.summary())

@@ -30,7 +30,7 @@ from uniformizer.completion import (
 )
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
-from uniformizer.series import TruncatedSeries, equal_to_precision, eval_poly_at_series
+from uniformizer.series import TruncatedSeries, eval_poly_at_series
 from uniformizer.uniformize import verify
 
 PRECISIONS = (64, 128, 256, 512, 1024, 2048)
@@ -52,7 +52,7 @@ class Cell:
 
 def refines(coarse: TruncatedSeries, fine: TruncatedSeries) -> bool:
     """fine knows at least as much as coarse and agrees with it there."""
-    return fine.precision >= coarse.precision and equal_to_precision(coarse, fine)
+    return fine.precision >= coarse.precision and (coarse - fine).is_zero_to_precision
 
 
 def run_cell(pres, element, zetas, n) -> Cell:

@@ -26,7 +26,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     InputError,
@@ -40,6 +39,7 @@ from .jsonio import (
     _get,
     _need,
     _parse_rf,
+    _rational_in,
     parse_order,
     parse_place,
     parse_presentation,
@@ -149,14 +149,7 @@ def _cmd_perron(doc, args):
     alphas = []
     for i, row in enumerate(alphas_doc):
         _need(row, list, f"alphas[{i}]", "a coordinate list")
-        coords = []
-        for k, c in enumerate(row):
-            if not isinstance(c, (int, str)) or isinstance(c, bool):
-                raise SchemaError("expected an integer or rational string", f"alphas[{i}][{k}]")
-            try:
-                coords.append(Fraction(str(c)))
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(f"bad rational {c!r}", f"alphas[{i}][{k}]") from None
+        coords = [_rational_in(c, f"alphas[{i}][{k}]") for k, c in enumerate(row)]
         if len(coords) != order.ngens:
             raise SchemaError(f"expected {order.ngens} coordinates, got {len(coords)}", f"alphas[{i}]")
         alphas.append(order.element(coords))
@@ -358,7 +351,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except InsufficientPrecisionError as e:
-        print(f"error: {e}", file=sys.stderr)
+        hint = "" if e.needed is None else f" (needed precision: {e.needed})"
+        print(f"error: {e}{hint}", file=sys.stderr)
         return 3
     except (PreconditionError, ResourceError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -110,7 +110,7 @@ class SeriesContext:
     """Evaluation of ambient rational functions into truncated series.
 
     The context keeps one power table (see ``series``) for its lifetime:
-    ``ambient``, ``coeff`` and ``eval_poly`` all evaluate through it, so a
+    ``ambient`` and ``eval_poly`` both evaluate through it, so a
     power a^k of an argument is built once per context rather than once per
     call.  An element whose denominator is a constant c is its numerator
     scaled by 1/c, with no series inverse.
@@ -138,21 +138,6 @@ class SeriesContext:
         if rf.nvars != self.place.nvars or rf.base != self.place.base:
             raise PreconditionError("element does not live in the ambient field")
         return eval_ratfun_at_series(rf, self.args, self.precision, self.powers)
-
-    def coeff(self, rf: RationalFunction, names) -> TruncatedSeries:
-        amb = self.place.ambient_names
-        try:
-            picked = [self.args[amb.index(n)] for n in names]
-        except ValueError:
-            raise PreconditionError(
-                "coefficient field names missing from the ambient field"
-            ) from None
-        if rf.nvars != len(picked):
-            raise PreconditionError("coefficient entry has the wrong width")
-        return eval_ratfun_at_series(rf, picked, self.precision, self.powers)
-
-    def generator(self, i: int) -> TruncatedSeries:
-        return self.args[i]
 
     def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
         return eval_poly_at_series(f, args, self.precision, self.powers)
@@ -258,17 +243,10 @@ class ApproximationWitness:
     fs: tuple[SparsePoly, ...]
     z: TruncatedSeries
     a: SparsePoly
-    b_coeff: Scalar
-    b_exp: int
+    b: SparsePoly
     depth: int
     gammas: tuple[list[SparsePoly], ...]
     tables: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def b(self) -> SparsePoly:
-        """The monomial b_coeff * t^b_exp."""
-        c = self.b_coeff
-        return SparsePoly(self.a.base, 1, (((self.b_exp,), c.numerator),), c.denominator)
 
 
 def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePoly]:
@@ -286,30 +264,28 @@ def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePol
     return a, _settled(z.base, 1, (((off + k,), row[k]),), z.denom)
 
 
-def _shifted(rows: list, a: SparsePoly, p: int) -> tuple[list, int]:
-    """(S, u): H(a + Y) for H = sum_i rows[i] X^i, by one Taylor shift on
-    K0[t] rows.  With a = A/u, the shift of sum_i rows[i] u^(k-i) X^i by A
-    stays integral: S_s = u^(k-s) H^[s](a), for k = deg H and H^[s] the
-    s-th Hasse derivative in X."""
-    u, k = a.denom, len(rows) - 1
+def _kaplansky_table(rows: list, D: int, a: SparsePoly, b: SparsePoly) -> list[SparsePoly]:
+    """gamma_s = H^[s](a) * b^s, exact polynomials in t, for H = sum_i
+    rows[i] X^i / D with K0[t] rows and H^[s] the s-th Hasse derivative in
+    X, from one Taylor shift of the rows.  With a = A/u, the shift of
+    sum_i rows[i] u^(k-i) X^i by A stays integral: its entries are
+    S_s = u^(k-s) D H^[s](a) for k = deg H.  With b = (c/d) t^e,
+    gamma_s = S_s c^s t^(e s) / (u^(k-s) D d^s)."""
+    p, u, k = a.base.characteristic, a.denom, len(rows) - 1
     scaled = [dense.scale(row, u ** (k - i), p) for i, row in enumerate(rows)]
-    return dense.taylor_shift(scaled, dense.of_poly(a), p), u
+    S = dense.taylor_shift(scaled, dense.of_poly(a), p)
+    ((e,), c), d = b.ints[0], b.denom
+    return [
+        _settled(a.base, 1, dense.to_ints(dense.scale(row, c**s, p), e * s), u ** (k - s) * D * d**s)
+        for s, row in enumerate(S)
+    ]
 
 
 def _gamma_table(g: SparsePoly, a: SparsePoly, b: SparsePoly) -> list[SparsePoly]:
-    """gamma_i = g^[i](a) * b^i, exact polynomials in t, from one Taylor
-    shift of g's rows in X: with b = (c/d) t^e and D g's denominator,
-    gamma_s = S_s c^s t^(e s) / (u^(k-s) D d^s) (see ``_shifted``)."""
+    """Kaplansky's table gamma_i = g^[i](a) * b^i of g in (t, X)."""
     if g.nvars != 2:
         raise PreconditionError("polynomials must live in (t, X)")
-    p, rows = g.base.characteristic, dense.of_poly(g)
-    S, u = _shifted(rows, a, p)
-    k = len(rows) - 1
-    ((e,), c), d = b.ints[0], b.denom
-    return [
-        _settled(g.base, 1, dense.to_ints(dense.scale(row, c**s, p), e * s), u ** (k - s) * g.denom * d**s)
-        for s, row in enumerate(S)
-    ]
+    return _kaplansky_table(dense.of_poly(g), g.denom, a, b)
 
 
 def _value_table(gam: list[SparsePoly]) -> tuple[tuple[int, int], ...]:
@@ -347,10 +323,7 @@ def kaplansky_normalize(fs, z: TruncatedSeries) -> ApproximationWitness:
         gammas = tuple(_gamma_table(f, a, b) for f in fs)
         tables = tuple(map(_value_table, gammas))
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
-            ((b_exp,), b_coeff), = b.terms
-            return ApproximationWitness(
-                fs=fs, z=z, a=a, b_coeff=b_coeff, b_exp=b_exp, depth=d, gammas=gammas, tables=tables
-            )
+            return ApproximationWitness(fs=fs, z=z, a=a, b=b, depth=d, gammas=gammas, tables=tables)
         d *= 2
 
 
@@ -644,29 +617,20 @@ def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
     ``_QuotientRing.min_poly``); None when h(a) = 0.
 
     zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
-    W^(k-s) is b^s h^[s](a), with h^[s] the s-th Hasse derivative; its
-    leading one is h(a).  Divided by h(a) it is monic of degree
+    W^(k-s) is gamma_s = b^s h^[s](a), Kaplansky's table of h; its leading
+    one is h(a).  Divided by h(a) it is monic of degree
     k = [K0(t)(zeta) : K0(t)] = [K0(t)(w) : K0(t)], so it is the minimal
-    polynomial.  The h^[s](a) are the coefficients of h(a + Y), one Taylor
-    shift (``_shifted``) of the rows: S_s = u^(k-s) h^[s](a) for a = A/u.
-    Each coefficient is normalised once, by ``RationalFunction.make``.
+    polynomial.  Each coefficient is normalised once, by
+    ``RationalFunction.make``.
 
     h(a) = 0 makes zeta - a a zero divisor of a split modulus: w is then
     not an element of the ring at all.
     """
-    base = a.base
-    p, k = base.characteristic, len(h) - 1
-    S, u = _shifted(h, a, p)
-    if not S[0]:
+    gam = _kaplansky_table(h, 1, a, b)
+    if gam[0].is_zero:
         return None
-    # the coefficient of W^(k-s) is (c u)^s t^(e s) S_s / (d^s S_0) for b = (c/d) t^e
-    # a canonical monomial's integer and denominator are coprime
-    ((e,), c), d = b.ints[0], b.denom
-    out = [RationalFunction.make(
-        SparsePoly(base, 1, dense.to_ints(dense.scale(S[s], (c * u) ** s, p), e * s)),
-        SparsePoly(base, 1, dense.to_ints(dense.scale(S[0], d ** s, p))),
-    ) for s in range(k, 0, -1)]
-    return out + [RationalFunction.const(base, 1, 1)]
+    out = [RationalFunction.make(gam[s], gam[0]) for s in range(len(h) - 1, 0, -1)]
+    return out + [RationalFunction.const(a.base, 1, 1)]
 
 
 # ---------------------------------------------------------------------------

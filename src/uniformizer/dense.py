@@ -39,8 +39,9 @@ The users: ``series`` (a ``TruncatedSeries`` is one row over one
 denominator: products, inverses and quotients); ``completion``: the
 quotient ring K0(t)[X]/(m), whose elements are vectors of rows in t,
 Hensel lifting by Horner's rule in X, the content of each minimal
-polynomial's rows, and one Taylor shift each for the minimal polynomial
-of w = b/(zeta - a) and Kaplansky's tables g^[i](a) b^i; ``polyfield``:
+polynomial's rows, and one Taylor shift per Kaplansky table
+g^[i](a) b^i, whose table of zeta's minimal polynomial also gives that
+of w = b/(zeta - a); ``polyfield``:
 gcd and exact division of one-variable polynomials on rows in x^s, when
 the rows are not sparse (``poly_gcd``, ``_certified_coprime`` and
 ``RationalFunction.make``).

@@ -49,15 +49,8 @@ def _get(doc: dict, key: str, path: str, default=_MISSING):
 
 
 def _scalar_in(value, base: BaseField, path: str):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return base.coerce(value)
-    _need(value, str, path, "a rational written as a string")
     try:
-        q = parse_rational(value)
-    except InputError as e:
-        raise SchemaError(str(e), path) from None
-    try:
-        return base.coerce(q)
+        return base.coerce(_rational_in(value, path))
     except PreconditionError as e:
         raise SchemaError(str(e), path) from None
 

@@ -286,10 +286,6 @@ def series_str(s: TruncatedSeries, name: str = "t") -> str:
     return f"{head}*({inner}) + {tail}"
 
 
-def equal_to_precision(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    return (a - b).is_zero_to_precision
-
-
 def poly_to_series(p: SparsePoly, precision: int) -> TruncatedSeries:
     """Exact expansion of a univariate polynomial, cut at the precision."""
     if p.nvars != 1:

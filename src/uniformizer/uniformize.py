@@ -28,9 +28,9 @@ Over a monomial place all checks are exact rational-function identities;
 over a truncated-series place identities hold to the tracked precision,
 which the report carries.  Each place kind supplies a verification
 context through ``make_context(precision)``, with this contract:
-  ambient(rf), coeff(rf, names), generator(i)
-        embed an ambient element, a coefficient-field element, or the i-th
-        ambient generator;
+  ambient(rf)
+        embed an ambient element; ``verify`` maps each coefficient-field
+        element and each generator into the ambient field first;
   eval_poly(f, args), eval_ratfun(f, args), is_zero(a), equal(a, b)
         evaluate a row or a witness, test for zero, and test two elements
         for equality; eval_ratfun raises ZeroDivisionError when the
@@ -112,9 +112,6 @@ class TriangularSystem:
     def var_names(self) -> list[str]:
         return layout_names(self.s, self.n, len(self.coeff_table))
 
-    def witness_map(self) -> dict[str, RationalFunction]:
-        return dict(self.witnesses)
-
 
 def layout_names(s: int, n: int, nc: int) -> list[str]:
     """The names t1..ts, X1..Xn, c1..cnc of the variable layout above."""
@@ -189,15 +186,23 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
     ``precision`` selects the series precision on a series place and is
     ignored on a monomial place.  Raises NotInValuationRingError if a listed
     element fails membership in the valuation ring, since such a system is
-    malformed rather than merely failing a check.
+    malformed rather than merely failing a check, and PreconditionError if
+    a coefficient field name is not an ambient generator.
     """
     place = system.place
     ctx = place.make_context(precision)
     s, n = system.s, system.n
+    names, nvars = place.ambient_names, place.nvars
+    for name in system.coeff_field_names:
+        if name not in names:
+            raise PreconditionError(
+                f"coefficient field name {name!r} is missing from the ambient field"
+            )
+    idx = [names.index(name) for name in system.coeff_field_names]
 
     ts = [ctx.ambient(rf) for rf in system.tvars]
     xs = [ctx.ambient(rf) for rf in system.etas]
-    cs = [ctx.coeff(rf, system.coeff_field_names) for rf in system.coeff_table]
+    cs = [ctx.ambient(rf.map_vars(idx, nvars)) for rf in system.coeff_table]
     for kind, elems in (("T", ts), ("eta", xs), ("coefficient", cs)):
         for i, el in enumerate(elems):
             if not ctx.is_zero(el) and ctx.valuation(el)[0] < ctx.zero:
@@ -257,12 +262,11 @@ def verify(system: TriangularSystem, precision: int | None = None) -> Verificati
     # generation: each ambient generator from T, eta, and witnesses;
     # coefficient-field generators are free in a relative system
     missing = []
-    wmap = system.witness_map()
-    names = place.ambient_names
+    wmap = dict(system.witnesses)
     for i, name in enumerate(names):
         if name in system.coeff_field_names:
             continue
-        gen = ctx.generator(i)
+        gen = ctx.ambient(RationalFunction.variable(place.base, nvars, i))
         if name in wmap:
             try:
                 wit = ctx.eval_ratfun(wmap[name], args)

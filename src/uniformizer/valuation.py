@@ -75,9 +75,6 @@ class MonomialPlace(Frozen):
     def residue_names(self) -> tuple[str, ...]:
         return tuple(f"{n}bar" for n in self.y_names)
 
-    def term_value(self, exps) -> GroupElement:
-        return self.order.element(exps[: self.rho])
-
     def make_context(self, precision: int | None = None) -> "MonomialContext":
         # evaluation is exact, so there is no precision to select
         return MonomialContext(self)
@@ -119,7 +116,7 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
             best_terms.append(t)
         elif best_head is None or order._sign_of([p - q for p, q in zip(head, best_head)]) < 0:
             best_head, best_terms = head, [t]
-    return place.term_value(best_head), tuple(best_terms)
+    return order.element(best_head), tuple(best_terms)
 
 
 def value_of_ratfun(place: MonomialPlace, f: RationalFunction) -> GroupElement:
@@ -184,19 +181,6 @@ class MonomialContext:
         if rf.nvars != self.place.nvars or (rf.base is not base and rf.base != base):
             raise PreconditionError("element does not live in the ambient field")
         return rf
-
-    def coeff(self, rf: RationalFunction, names) -> RationalFunction:
-        amb = self.place.ambient_names
-        try:
-            mapping = [amb.index(n) for n in names]
-        except ValueError as exc:
-            raise PreconditionError(
-                f"coefficient field name missing from the ambient field: {exc}"
-            ) from None
-        return rf.map_vars(mapping, self.place.nvars)
-
-    def generator(self, i: int) -> RationalFunction:
-        return RationalFunction.variable(self.place.base, self.place.nvars, i)
 
     def eval_poly(self, f: SparsePoly, args) -> _Quotient:
         return _Quotient(*substitute(f, args))

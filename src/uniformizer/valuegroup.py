@@ -167,10 +167,6 @@ class GroupOrder(Frozen):
     def ngens(self) -> int:
         return self._ngens
 
-    @property
-    def nblocks(self) -> int:
-        return len(self.blocks)
-
     def element(self, coords) -> "GroupElement":
         coords = tuple(map(Fraction, coords))
         if len(coords) != self.ngens:
@@ -245,7 +241,7 @@ class GroupElement(Frozen):
     def __str__(self):
         vals = self.order.block_values(self.coords)
         body = ", ".join(str(v) for v in vals)
-        return body if self.order.nblocks > 1 else body or "0"
+        return body if len(vals) > 1 else body or "0"
 
 
 def compare(a: GroupElement, b: GroupElement) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,11 +111,12 @@ def test_perron_rejected_alpha_is_named(tmp_path, capsys, alphas, message):
     assert err == f"error: {message}\n"
 
 
-def test_perron_schema_path(tmp_path, capsys):
-    doc = {"order": [[{"q": "1"}]], "alphas": [[1.5]]}
+@pytest.mark.parametrize("coord", [1.5, True, None, "abc", "1/0"])
+def test_perron_schema_path(tmp_path, capsys, coord):
+    doc = {"order": [[{"q": "1"}]], "alphas": [[coord]]}
     code, _, err = run(tmp_path, capsys, "perron", doc)
     assert code == 4
-    assert "alphas[0][0]" in err
+    assert "alphas[0][0]" in err and "Traceback" not in err
 
 
 def test_perron_alpha_of_wrong_length_names_its_path(tmp_path, capsys):
@@ -213,6 +215,24 @@ def test_verify_round_trip(tmp_path, capsys):
     assert env2["result"]["report"]["passed"] is True
 
 
+def test_verify_of_an_unknown_coefficient_field_name_exits_2(tmp_path, capsys):
+    import dataclasses
+
+    from uniformizer.completion import uniformize_completion_algebraic
+    from uniformizer.fields import GF
+    from uniformizer.jsonio import system_to_json
+    from uniformizer.polyfield import SparsePoly
+
+    F5 = GF(5)
+    m = SparsePoly.make(F5, 2, [((0, 2), 1), ((1, 0), -1), ((0, 0), -1)])
+    relative = uniformize_completion_algebraic(m, 1, 16)
+    assert relative.coeff_table
+    system = system_to_json(dataclasses.replace(relative, coeff_field_names=("w",)))
+    code, out, err = run(tmp_path, capsys, "verify", {"system": system})
+    assert code == 2 and out == ""
+    assert "'w'" in err and "Traceback" not in err
+
+
 def test_verify_reports_failure_with_exit_zero(tmp_path, capsys):
     system = {
         "place": {
@@ -275,6 +295,8 @@ def test_exit_code_3_on_insufficient_precision(tmp_path, capsys):
     code, _, err = run(tmp_path, capsys, "value", doc)
     assert code == 3
     assert "error:" in err
+    needed = re.search(r"needed precision: (\d+)", err)
+    assert needed and int(needed.group(1)) > PRES_F5["precision"]
 
 
 def test_coefficient_without_inverse_exits_4(tmp_path, capsys):

@@ -9,7 +9,7 @@ from uniformizer.errors import ExprSyntaxError
 from uniformizer.expr import parse_element, parse_series
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, ratfun_str
-from uniformizer.series import TruncatedSeries, equal_to_precision, series_str
+from uniformizer.series import TruncatedSeries, series_str
 
 Q = QQ()
 F5 = GF(5)
@@ -87,7 +87,7 @@ def test_parse_series_errors():
 def test_series_round_trip():
     s = TruncatedSeries.make(F5, 1, [2, 0, 4], 9)
     again = parse_series(series_str(s), F5)
-    assert equal_to_precision(s, again) and again.precision == s.precision
+    assert (s - again).is_zero_to_precision and again.precision == s.precision
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Triangular systems: construction, the four checks, and composition."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,32 @@ def test_compose_rejects_mismatches():
     with pytest.raises(PreconditionError) as exc:
         compose(unmatched, inner)
     assert "matches no inner eta" in str(exc.value)
+
+
+def _sqrt_1_plus_t_system():
+    from uniformizer.completion import uniformize_completion_algebraic
+
+    m = SparsePoly.make(F5, 2, [((0, 2), 1), ((0, 0), -1), ((1, 0), -1)])  # X^2 - 1 - t
+    return uniformize_completion_algebraic(m, 1, 16)
+
+
+@pytest.mark.parametrize("make", [_outer_relative, _sqrt_1_plus_t_system])
+def test_verify_names_an_unknown_coefficient_field_name(make):
+    system = make()
+    assert system.coeff_table and verify(system).passed
+    renamed = dataclasses.replace(system, coeff_field_names=("w",))
+    with pytest.raises(PreconditionError, match="'w'"):
+        verify(renamed)
+
+
+def test_both_verify_contexts_expose_the_contract():
+    from uniformizer.completion import SeriesContext
+    from uniformizer.valuation import MonomialContext
+
+    contract = {"ambient", "eval_poly", "eval_ratfun", "is_zero", "equal", "valuation", "residue_text"}
+    for cls in (MonomialContext, SeriesContext):
+        public = {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
+        assert public == contract, cls.__name__
 
 
 # ---------------------------------------------------------------------------
