@@ -6,6 +6,10 @@ JSON output is byte-deterministic: keys are sorted and no timestamps or
 environment data are embedded.  --seed is echoed back untouched so runs
 can be tagged; no randomness is used anywhere.
 
+The handlers that build a certificate share ``_certificate``, whose text
+view is read from the JSON reply.  ``jsonio`` decides the precision of a
+series place; ``--precision`` is handed to it unchanged.
+
 A monomial request loads no series code: the handlers import
 ``completion`` and ``series`` only for a discrete series place, which
 keeps the start-up of a one-request process short.
@@ -46,7 +50,7 @@ from .jsonio import (
     parse_system,
     system_to_json,
 )
-from .polyfield import poly_str, ratfun_str
+from .polyfield import RationalFunction
 from .uniformize import compose, uniformize_abhyankar, verify
 from .valuation import (
     MonomialPlace,
@@ -80,10 +84,6 @@ def _load(path: str):
     return doc
 
 
-def _element_text(doc) -> str:
-    return _need(_get(doc, "element", ""), str, "element", "an expression string")
-
-
 def _max_steps(doc) -> int | None:
     steps = _get(doc, "max_steps", "", default=None)
     if steps is not None:
@@ -93,9 +93,26 @@ def _max_steps(doc) -> int | None:
     return steps
 
 
-def _is_series_literal(text: str) -> bool:
-    # the whitespace the expression tokenizer skips
-    return "O(" in re.sub(r"[ \t\r\n]+", "", text)
+def _element(doc, args):
+    """The request's place and element: a RationalFunction, or a literal's series."""
+    place = parse_place(_get(doc, "place", ""), "place", args.precision)
+    text = _need(_get(doc, "element", ""), str, "element", "an expression string")
+    # a series literal, once the whitespace the expression tokenizer skips is gone
+    if not isinstance(place, MonomialPlace) and "O(" in re.sub(r"[ \t\r\n]+", "", text):
+        return place, parse_series(text, place.base, place.uniformizer)
+    return place, _parse_rf(text, place.base, place.ambient_names, "element")
+
+
+def _zetas(doc, base, names) -> list:
+    zetas = _need(_get(doc, "zetas", ""), list, "zetas", "a list")
+    return [_parse_rf(z, base, names, f"zetas[{i}]") for i, z in enumerate(zetas)]
+
+
+def _certificate(system):
+    """Verify a built system; reply with it, its report and their text."""
+    report, reply = verify(system), system_to_json(system)
+    text = _system_text(reply) + "\n" + report.summary()
+    return {"system": reply, "report": report.as_dict()}, text
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +120,8 @@ def _is_series_literal(text: str) -> bool:
 
 
 def _cmd_value(doc, args):
-    place = parse_place(_get(doc, "place", ""), "place", args.precision)
-    text = _element_text(doc)
+    place, f = _element(doc, args)
     if isinstance(place, MonomialPlace):
-        f = _parse_rf(text, place.base, place.ambient_names, "element")
         v = value_of_ratfun(place, f)
         result = {
             "value": str(v),
@@ -115,31 +130,17 @@ def _cmd_value(doc, args):
         return result, f"value = {v}"
     from .completion import series_element_value
 
-    if _is_series_literal(text):
-        s = parse_series(text, place.base, place.uniformizer)
-        v = s.known_order()
-    else:
-        f = _parse_rf(text, place.base, place.ambient_names, "element")
-        v = series_element_value(place, f)
+    v = series_element_value(place, f) if isinstance(f, RationalFunction) else f.known_order()
     return {"value": v}, f"value = {v}"
 
 
 def _cmd_residue(doc, args):
-    place = parse_place(_get(doc, "place", ""), "place", args.precision)
-    text = _element_text(doc)
+    place, f = _element(doc, args)
     if isinstance(place, MonomialPlace):
-        f = _parse_rf(text, place.base, place.ambient_names, "element")
         r = residue_of(place, f)
         return {"residue": str(r)}, f"residue = {r}"
-    from .completion import series_element_residue
-
-    if _is_series_literal(text):
-        s = parse_series(text, place.base, place.uniformizer)
-        r = s.residue()
-    else:
-        f = _parse_rf(text, place.base, place.ambient_names, "element")
-        r = series_element_residue(place, f)
-    rendered = place.base.scalar_str(r)
+    s = place.element_series(f) if isinstance(f, RationalFunction) else f
+    rendered = place.base.scalar_str(s.residue())
     return {"residue": rendered}, f"residue = {rendered}"
 
 
@@ -161,9 +162,9 @@ def _cmd_perron(doc, args):
         "valid": True,
     }
     lines = ["basis rows (coordinates):"]
-    lines += [f"  {[str(c) for c in el.coords]}" for el in res.basis]
+    lines += [f"  {row}" for row in result["basis"]]
     lines.append("coefficients:")
-    lines += [f"  {list(map(int, row))}" for row in res.coeffs]
+    lines += [f"  {row}" for row in result["coeffs"]]
     return result, "\n".join(lines)
 
 
@@ -174,59 +175,30 @@ def _cmd_uniformize(doc, args):
             "uniformize expects a monomial place; use discrete-uniformize "
             "for series places"
         )
-    zetas_doc = _need(_get(doc, "zetas", ""), list, "zetas", "a list")
-    zetas = [
-        _parse_rf(z, place.base, place.ambient_names, f"zetas[{i}]")
-        for i, z in enumerate(zetas_doc)
-    ]
-    system = uniformize_abhyankar(place, zetas, max_steps=_max_steps(doc))
-    report = verify(system)
-    result = {"system": system_to_json(system), "report": report.as_dict()}
-    return result, _system_text(system) + "\n" + report.summary()
+    zetas = _zetas(doc, place.base, place.ambient_names)
+    return _certificate(uniformize_abhyankar(place, zetas, max_steps=_max_steps(doc)))
 
 
 def _cmd_discrete_uniformize(doc, args):
-    from .completion import DEFAULT_PRECISION, uniformize_discrete_rational
+    from .completion import uniformize_discrete_rational
 
-    pres, doc_prec = parse_presentation(_get(doc, "presentation", ""), "presentation")
-    precision = args.precision if args.precision is not None else doc_prec
-    if precision is None:
-        precision = DEFAULT_PRECISION
-    zetas_doc = _need(_get(doc, "zetas", ""), list, "zetas", "a list")
-    names = pres.ambient_names
-    zetas = [
-        _parse_rf(z, pres.base, names, f"zetas[{i}]") for i, z in enumerate(zetas_doc)
-    ]
-    system = uniformize_discrete_rational(
-        pres, zetas, precision=precision, max_steps=_max_steps(doc)
+    pres, precision = parse_presentation(
+        _get(doc, "presentation", ""), "presentation", args.precision
     )
-    report = verify(system)
-    result = {"system": system_to_json(system), "report": report.as_dict()}
-    return result, _system_text(system) + "\n" + report.summary()
+    zetas = _zetas(doc, pres.base, pres.ambient_names)
+    return _certificate(
+        uniformize_discrete_rational(pres, zetas, precision=precision, max_steps=_max_steps(doc))
+    )
 
 
 def _cmd_compose(doc, args):
     outer = parse_system(_get(doc, "outer", ""), "outer")
     inner = parse_system(_get(doc, "inner", ""), "inner")
-    system = compose(outer, inner)
-    report = verify(system)
-    result = {"system": system_to_json(system), "report": report.as_dict()}
-    return result, _system_text(system) + "\n" + report.summary()
+    return _certificate(compose(outer, inner))
 
 
 def _cmd_verify(doc, args):
-    system = parse_system(_get(doc, "system", ""), "system")
-    place = system.place
-    if (
-        args.precision is not None
-        and not isinstance(place, MonomialPlace)
-        and args.precision > place.precision
-    ):
-        raise InputError(
-            f"--precision {args.precision} exceeds the certificate place's realized "
-            f"precision {place.precision}"
-        )
-    report = verify(system, precision=args.precision)
+    report = verify(parse_system(_get(doc, "system", ""), "system", args.precision))
     return {"report": report.as_dict()}, report.summary()
 
 
@@ -257,23 +229,19 @@ def _cmd_report(doc, args):
     return result, "discrete series place: rational rank 1, residue trdeg 0"
 
 
-def _system_text(system) -> str:
-    amb = list(system.place.ambient_names)
-    names = system.var_names()
+def _system_text(system: dict) -> str:
+    """The text view of a certificate, read from its JSON reply."""
     lines = ["T elements:"]
-    lines += [f"  t{i + 1} = {ratfun_str(f, amb)}" for i, f in enumerate(system.tvars)]
+    lines += [f"  t{i + 1} = {f}" for i, f in enumerate(system["tvars"])]
     lines.append("etas:")
-    lines += [f"  X{j + 1} = {ratfun_str(f, amb)}" for j, f in enumerate(system.etas)]
+    lines += [f"  X{j + 1} = {f}" for j, f in enumerate(system["etas"])]
     lines.append("rows:")
-    lines += [f"  f{j + 1} = {poly_str(f, names)}" for j, f in enumerate(system.fs)]
-    if system.coeff_table:
-        cn = list(system.coeff_field_names)
+    lines += [f"  f{j + 1} = {f}" for j, f in enumerate(system["fs"])]
+    if system["coeff_table"]:
         lines.append("coefficients:")
-        lines += [
-            f"  c{k + 1} = {ratfun_str(f, cn)}" for k, f in enumerate(system.coeff_table)
-        ]
-    if system.zeta_indices:
-        lines.append(f"requested elements at: {list(system.zeta_indices)}")
+        lines += [f"  c{k + 1} = {f}" for k, f in enumerate(system["coeff_table"])]
+    if system["zeta_indices"]:
+        lines.append(f"requested elements at: {system['zeta_indices']}")
     return "\n".join(lines)
 
 
@@ -300,7 +268,13 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    It names the subcommand only; ``main`` looks its handler up in
+    ``_HANDLERS`` on every call, so a handler rebound later still runs.
+    """
     ap = argparse.ArgumentParser(
         prog="uniformizer",
         description="exact certificates for places of rational function fields",
@@ -325,16 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="series precision override where applicable",
         )
     return ap
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
-
-    It names the subcommand only; ``main`` looks its handler up in
-    ``_HANDLERS`` on every call, so a handler rebound later still runs.
-    """
-    return build_parser()
 
 
 def main(argv=None) -> int:

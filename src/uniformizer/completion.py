@@ -35,6 +35,7 @@ from .errors import (
     InsufficientPrecisionError,
     NotInValuationRingError,
     PreconditionError,
+    ValueOfZeroError,
 )
 from .fields import BaseField, Scalar
 from .polyfield import (
@@ -867,18 +868,16 @@ def uniformize_discrete_rational(
 
 
 # ---------------------------------------------------------------------------
-# Element queries used by the command-line front end
+# The element value query of the command-line front end
 
 
 def series_element_value(place: DiscreteSeriesPlace, f: RationalFunction) -> int:
-    from .errors import ValueOfZeroError
-
     if _coerce_ambient(place.base, place.nvars, f).is_zero:
         raise ValueOfZeroError("the zero element has no value")
     s = place.element_series(f)
-    return s.known_order()
-
-
-def series_element_residue(place: DiscreteSeriesPlace, f: RationalFunction) -> Scalar:
-    s = place.element_series(f)
-    return s.residue()
+    # f's series loses a fixed number of exponents, so the place's next
+    # precision is the first that can know one more
+    if s.is_zero_to_precision:
+        msg = "series is zero to its precision; its order is undecided"
+        raise InsufficientPrecisionError(msg, needed=place.precision + 1)
+    return s.order()

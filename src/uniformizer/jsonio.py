@@ -1,7 +1,9 @@
 """JSON encoding and validated decoding of requests and certificates.
 
 Validation errors carry a path into the offending document, e.g.
-``place.x_weights[0][1].d``.  Scalars travel as strings ("3/4", "2"),
+``place.x_weights[0][1].d``.  The precision of a series place is decided
+here alone: by ``parse_presentation``, and for a literal place by
+``parse_series_place``.  Scalars travel as strings ("3/4", "2"),
 exponent matrices as integer arrays, and all polynomials and rational
 functions as expression strings in the appropriate variable names, which
 the expression grammar round-trips exactly.
@@ -181,15 +183,19 @@ def _parse_precision(doc, path: str, default=_MISSING) -> int | None:
     return precision
 
 
-def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None]:
-    from .completion import DiscretePresentation
+def parse_presentation(doc, path: str, precision: int | None = None) -> tuple[DiscretePresentation, int]:
+    """The presentation and the precision to realize it at: ``precision``
+    when given, else the document's, else DEFAULT_PRECISION."""
+    from .completion import DEFAULT_PRECISION, DiscretePresentation
 
     _need(doc, dict, path, "an object")
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
         _get(doc, "uniformizer", path, default="t"), str, f"{path}.uniformizer", "a string"
     )
-    precision = _parse_precision(doc, path, default=None)
+    doc_precision = _parse_precision(doc, path, default=None)  # validated even when overridden
+    if precision is None:
+        precision = doc_precision or DEFAULT_PRECISION
     gen = _get(doc, "generator", path, default=None)
     if gen is None:
         return DiscretePresentation(base=base, uniformizer=uniformizer), precision
@@ -212,15 +218,19 @@ def parse_presentation(doc, path: str) -> tuple[DiscretePresentation, int | None
     return pres, precision
 
 
-def parse_series_place(doc, path: str) -> DiscreteSeriesPlace:
-    """Realized form: generators carried as series literals."""
+def parse_series_place(doc, path: str, precision: int | None = None) -> DiscreteSeriesPlace:
+    """Realized form: generators carried as series literals.  Its series
+    are fixed, so ``precision`` may lower the place's precision but not
+    raise it."""
     from .completion import DiscreteSeriesPlace
 
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
         _get(doc, "uniformizer", path, default="t"), str, f"{path}.uniformizer", "a string"
     )
-    precision = _parse_precision(doc, path)
+    realized = _parse_precision(doc, path)
+    if precision is not None and precision > realized:
+        raise InputError(f"--precision {precision} exceeds the place's realized precision {realized}")
     gens = _get(doc, "generators", path, default=[])
     _need(gens, list, f"{path}.generators", "a list")
     names, series = [], []
@@ -235,7 +245,7 @@ def parse_series_place(doc, path: str) -> DiscreteSeriesPlace:
             raise SchemaError(str(e), f"{gp}.series") from None
     try:
         return DiscreteSeriesPlace(
-            base, uniformizer, tuple(names), tuple(series), precision
+            base, uniformizer, tuple(names), tuple(series), precision or realized
         )
     except PreconditionError as e:
         raise SchemaError(str(e), path) from None
@@ -275,15 +285,11 @@ def parse_place(doc, path: str, precision: int | None = None):
     if kind == "monomial":
         return parse_monomial_place(doc, path)
     if kind == "discrete_series":
-        from .completion import DEFAULT_PRECISION, realize_presentation
+        from .completion import realize_presentation
 
         if "generators" in doc:
-            return parse_series_place(doc, path)
-        pres, doc_prec = parse_presentation(doc, path)
-        chosen = precision if precision is not None else doc_prec
-        if chosen is None:
-            chosen = DEFAULT_PRECISION
-        return realize_presentation(pres, chosen)
+            return parse_series_place(doc, path, precision)
+        return realize_presentation(*parse_presentation(doc, path, precision))
     raise SchemaError("kind must be 'monomial' or 'discrete_series'", f"{path}.kind")
 
 
@@ -322,9 +328,9 @@ def system_to_json(system: TriangularSystem) -> dict:
     }
 
 
-def parse_system(doc, path: str) -> TriangularSystem:
+def parse_system(doc, path: str, precision: int | None = None) -> TriangularSystem:
     _need(doc, dict, path, "an object")
-    place = parse_place(_get(doc, "place", path), f"{path}.place")
+    place = parse_place(_get(doc, "place", path), f"{path}.place", precision)
     base = place.base
     amb = list(place.ambient_names)
 

@@ -665,3 +665,143 @@ def test_series_request_loads_the_series_stack_and_prints_the_same_bytes(tmp_pat
     assert code == 0
     assert _SERIES_STACK <= loaded
     assert (code, out) == run(tmp_path, capsys, "discrete-uniformize", doc)[:2]
+
+
+# --format text of the certificate subcommands, byte for byte
+UNIFORMIZE_TEXT = """\
+T elements:
+  t1 = x1
+  t2 = (x2)/(x1)
+etas:
+  X1 = (x2)/(x1)
+rows:
+  f1 = -t2 + X1
+requested elements at: [0]
+U1 triangular shape: pass
+U2 rows vanish: pass
+U3 unit Jacobian: pass
+generation: pass
+"""
+
+VERIFY_TEXT = """\
+U1 triangular shape: pass
+U2 rows vanish: pass
+U3 unit Jacobian: pass
+generation: pass
+checked at series precision 16
+"""
+
+DISCRETE_UNIFORMIZE_TEXT = """\
+T elements:
+  t1 = t
+etas:
+  X1 = t
+  X2 = 3*t
+  X3 = t^2
+  X4 = 2*t + 4
+  X5 = (3*t)/(z + 4)
+  X6 = (2*z + 3)/(t)
+  X7 = z
+  X8 = (4*t^2)/(t + 3*z + 2)
+  X9 = (4*t + 2*z + 3)/(t^2)
+  X10 = (z + 4)/(t)
+rows:
+  f1 = 4*t1 + X1
+  f2 = 2*t1 + X2
+  f3 = 4*t1^2 + X3
+  f4 = 3*t1 + X4 + 1
+  f5 = X5^2 + X1 + 4*X5
+  f6 = X5*X6 + 4
+  f7 = 4*X2*X6 + X7 + 4
+  f8 = X4*X8 + X8^2 + X3
+  f9 = X8*X9 + 4
+  f10 = 4*X2*X9 + X10 + 2
+requested elements at: [6, 9]
+""" + VERIFY_TEXT
+
+COMPOSE_TEXT = """\
+T elements:
+  t1 = t
+etas:
+  X1 = t
+  X2 = 3*t
+  X3 = (3*t)/(z + 4)
+  X4 = (2*z + 3)/(t)
+  X5 = z
+rows:
+  f1 = 4*t1 + X1
+  f2 = 2*t1 + X2
+  f3 = X3^2 + X1 + 4*X3
+  f4 = X3*X4 + 4
+  f5 = 4*X2*X4 + X5 + 4
+requested elements at: [4]
+""" + VERIFY_TEXT
+
+
+def _f5_compose_request():
+    from uniformizer.completion import uniformize_completion_algebraic
+    from uniformizer.fields import GF
+    from uniformizer.jsonio import system_to_json
+    from uniformizer.polyfield import SparsePoly
+    from uniformizer.surd import SurdScalar
+    from uniformizer.uniformize import uniformize_abhyankar
+    from uniformizer.valuation import MonomialPlace
+    from uniformizer.valuegroup import GroupOrder
+
+    F5 = GF(5)
+    m = SparsePoly.make(F5, 2, [((0, 2), 1), ((1, 0), -1), ((0, 0), -1)])
+    outer = uniformize_completion_algebraic(m, 1, 16)
+    t_place = MonomialPlace(F5, GroupOrder(((SurdScalar.rational(1),),)), x_names=("t",))
+    inner = uniformize_abhyankar(t_place, list(outer.coeff_table))
+    return {"outer": system_to_json(outer), "inner": system_to_json(inner)}
+
+
+def test_certificate_text_views(tmp_path, capsys):
+    discrete = {"presentation": PRES_F5, "zetas": ["z", "(z - 1)/t"]}
+    for command, doc, want in (
+        ("uniformize", {"place": PLACE_R2, "zetas": ["x2/x1"]}, UNIFORMIZE_TEXT),
+        ("discrete-uniformize", discrete, DISCRETE_UNIFORMIZE_TEXT),
+        ("compose", _f5_compose_request(), COMPOSE_TEXT),
+    ):
+        assert run(tmp_path, capsys, command, doc, "--format", "text") == (0, want, "")
+    system = run_json(tmp_path, capsys, "discrete-uniformize", discrete)["result"]["system"]
+    assert run(tmp_path, capsys, "verify", {"system": system}, "--format", "text") == (0, VERIFY_TEXT, "")
+
+
+# z = t + 2*t^3 known to precision 14, given by series literals
+LITERAL_F5 = {
+    "kind": "discrete_series",
+    "base": {"field": "Fp", "p": 5},
+    "uniformizer": "t",
+    "precision": 14,
+    "generators": [{"name": "z", "series": "t + 2*t^3 + O(t^14)"}],
+}
+
+
+@pytest.mark.parametrize("command, element, answer", [
+    ("value", "z - t", "value = 3"),
+    ("residue", "(z - t)/t^3", "residue = 2"),
+])
+def test_literal_place_honours_precision_up_to_its_own(tmp_path, capsys, command, element, answer):
+    doc = {"place": LITERAL_F5, "element": element}
+    code, _, err = run(tmp_path, capsys, command, doc, "--precision", "3")
+    assert code == 3 and "(needed precision: 4)" in err
+    assert run(tmp_path, capsys, command, doc, "--precision", "4", "--format", "text") == (0, answer + "\n", "")
+    code, out, err = run(tmp_path, capsys, command, doc, "--precision", "15")
+    assert code == 4 and out == ""
+    assert "--precision 15" in err and "14" in err and "Traceback" not in err
+
+
+def test_needed_exceeds_the_precision_of_a_literal_place(tmp_path, capsys):
+    doc = {"place": LITERAL_F5, "element": "(z - t - 2*t^3)/t"}
+    code, _, err = run(tmp_path, capsys, "value", doc)
+    assert code == 3 and err.endswith("(needed precision: 15)\n")
+
+
+def test_verify_realizes_a_presentation_place_at_the_flag(tmp_path, capsys):
+    doc = {"presentation": PRES_F5, "zetas": ["z"]}
+    system = run_json(tmp_path, capsys, "discrete-uniformize", doc)["result"]["system"]
+    system["place"] = PRES_F5
+    env = run_json(tmp_path, capsys, "verify", {"system": system}, "--precision", "32")
+    report = env["result"]["report"]
+    assert report["precision"] == 32 and report["passed"] is True

@@ -58,14 +58,20 @@ def _needed_sites():
     raises InsufficientPrecisionError with a needed hint."""
     from uniformizer.completion import (
         DiscretePresentation,
+        DiscreteSeriesPlace,
         _split_series,
         kaplansky_normalize,
+        series_element_value,
         uniformize_discrete_rational,
     )
+    from uniformizer.expr import parse_element, parse_series
 
     zero, t = TruncatedSeries.zero(Q, 6), TruncatedSeries.monomial(Q, 1, 4)
     x_minus_z = SparsePoly.make(Q, 2, [((0, 1), 1), ((1, 0), -1), ((2, 0), -1)])
     m = SparsePoly.make(F5, 2, [((0, 2), 1), ((0, 0), -1), ((1, 0), -1)])
+    # z known to precision 14, and an element whose series is zero to it
+    literal = DiscreteSeriesPlace(F5, "t", ("z",), (parse_series("t + 2*t^3 + O(t^14)", F5, "t"),), 14)
+    vanishing = parse_element("(z - t - 2*t^3)/t", F5, ("t", "z"))
     return [
         ("known_order", zero.known_order, 6),
         ("inverse", zero.inverse, 6),
@@ -77,6 +83,7 @@ def _needed_sites():
         ("kaplansky_exhausted", lambda: kaplansky_normalize([x_minus_z], S(Q, 1, [1, 1], 6)), 6),
         ("zeta_block", lambda: uniformize_discrete_rational(
             DiscretePresentation(base=F5, min_poly=m, residue=1), [], precision=1), 1),
+        ("series_element_value", lambda: series_element_value(literal, vanishing), 14),
     ]
 
 
