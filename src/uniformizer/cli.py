@@ -8,7 +8,7 @@ can be tagged; no randomness is used anywhere.
 
 The handlers that build a certificate share ``_certificate``, whose text
 view is read from the JSON reply.  ``jsonio`` decides the precision of a
-series place; ``--precision`` is handed to it unchanged.
+series place; ``--precision`` is handed to it, and cuts a literal element.
 
 A monomial request loads no series code: the handlers import
 ``completion`` and ``series`` only for a discrete series place, which
@@ -99,7 +99,9 @@ def _element(doc, args):
     text = _need(_get(doc, "element", ""), str, "element", "an expression string")
     # a series literal, once the whitespace the expression tokenizer skips is gone
     if not isinstance(place, MonomialPlace) and "O(" in re.sub(r"[ \t\r\n]+", "", text):
-        return place, parse_series(text, place.base, place.uniformizer)
+        s = parse_series(text, place.base, place.uniformizer)
+        # the literal runs at --precision as its place does
+        return place, s if args.precision is None else s.truncate(min(s.precision, args.precision))
     return place, _parse_rf(text, place.base, place.ambient_names, "element")
 
 

@@ -103,8 +103,8 @@ class DiscreteSeriesPlace:
     def make_context(self, precision: int | None = None) -> "SeriesContext":
         return SeriesContext(self, precision)
 
-    def element_series(self, rf: RationalFunction, precision: int | None = None) -> TruncatedSeries:
-        return self.make_context(precision).ambient(rf)
+    def element_series(self, rf: RationalFunction) -> TruncatedSeries:
+        return self.make_context().ambient(rf)
 
 
 class SeriesContext:

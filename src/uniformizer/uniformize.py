@@ -27,7 +27,7 @@ The product itself is never formed.
 Over a monomial place all checks are exact rational-function identities;
 over a truncated-series place identities hold to the tracked precision,
 which the report carries.  Each place kind supplies a verification
-context through ``make_context(precision)``, with this contract:
+context through ``make_context()``, with this contract:
   ambient(rf)
         embed an ambient element; ``verify`` maps each coefficient-field
         element and each generator into the ambient field first;
@@ -180,17 +180,16 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
-def verify(system: TriangularSystem, precision: int | None = None) -> VerificationReport:
+def verify(system: TriangularSystem) -> VerificationReport:
     """Check (U1)-(U3) and generation; return a full report.
 
-    ``precision`` selects the series precision on a series place and is
-    ignored on a monomial place.  Raises NotInValuationRingError if a listed
-    element fails membership in the valuation ring, since such a system is
-    malformed rather than merely failing a check, and PreconditionError if
-    a coefficient field name is not an ambient generator.
+    Raises NotInValuationRingError if a listed element fails membership in
+    the valuation ring, since such a system is malformed rather than merely
+    failing a check, and PreconditionError if a coefficient field name is
+    not an ambient generator.
     """
     place = system.place
-    ctx = place.make_context(precision)
+    ctx = place.make_context()
     s, n = system.s, system.n
     names, nvars = place.ambient_names, place.nvars
     for name in system.coeff_field_names:

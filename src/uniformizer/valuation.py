@@ -75,8 +75,7 @@ class MonomialPlace(Frozen):
     def residue_names(self) -> tuple[str, ...]:
         return tuple(f"{n}bar" for n in self.y_names)
 
-    def make_context(self, precision: int | None = None) -> "MonomialContext":
-        # evaluation is exact, so there is no precision to select
+    def make_context(self) -> "MonomialContext":
         return MonomialContext(self)
 
 

@@ -781,6 +781,7 @@ LITERAL_F5 = {
 @pytest.mark.parametrize("command, element, answer", [
     ("value", "z - t", "value = 3"),
     ("residue", "(z - t)/t^3", "residue = 2"),
+    ("value", "t^3 + O(t^10)", "value = 3"),  # a series-literal element
 ])
 def test_literal_place_honours_precision_up_to_its_own(tmp_path, capsys, command, element, answer):
     doc = {"place": LITERAL_F5, "element": element}
