@@ -2,17 +2,18 @@
 
 A group order is a tuple of blocks; each block is a tuple of positive
 ``SurdScalar`` weights that are linearly independent over the rationals.
-An element is an integer (or rational) coordinate vector split across the
-blocks; its sign is decided lexicographically, block by block, where the
-contribution of a block is the exact real number  sum(coord * weight).
+An element is a rational coordinate vector split across the blocks, kept
+as integers ``nums`` over one positive ``den`` in lowest terms; its sign
+is decided lexicographically, block by block, where the contribution of a
+block is the exact real number  sum(coord * weight).
 
 Each order computes, once per block, the sorted radicands of its weights,
-the weight matrix over those radicands scaled to integers by the lcm of its
-denominators, and the 64-bit root bounds of the radicands.  A coordinate
-row, scaled to integers, times that matrix is the block value as an
-integer vector on the radicands, and ``surd.surd_sign`` decides its sign
-exactly.  Compares and the bounded search run on plain integers, and so do
-ranks, determinants and unimodular inverses, which come from one
+the weight matrix over those radicands scaled to integers, their 64-bit
+root bounds and, per generator, the estimate of its weight at those
+bounds with an error bound.  The sign of a block's part x is the sign of
+sum(x_i * est_i) when that exceeds sum(|x_i| * err_i) (proved at
+``_Block``); otherwise ``surd.surd_sign`` decides it exactly on x times
+the matrix.  Ranks, determinants and unimodular inverses come from one
 fraction-free Gauss-Jordan elimination (``gauss_jordan``).
 
 The Perron reduction carries, per basis row, an integer estimate of its
@@ -35,6 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, InputError, PreconditionError, ResourceError
@@ -105,17 +107,24 @@ class _Block(Frozen):
     """One block's weights as an integer matrix over their radicands.
 
     Row i of ``matrix`` holds the coefficients of weight i on ``radicands``,
-    all scaled by one positive integer, so an integer coordinate row x has a
-    block value of the same sign as  value(x) . sqrt(radicands).
+    all scaled by one positive integer S.  The sign filter keeps, at b =
+    FILTER_BITS, _est[i] = matrix[i] . roots and _err[i] = sum(|matrix[i]|).
+    For an integer row x with c = x . matrix and est = x . _est = c . roots,
+    2**b * S * V(x) - est = sum_j c_j * (2**b * sqrt(d_j) - roots[j]) for the
+    block value V(x).  Each bracket lies in [0, 1), so the error is at most
+    sum(|c|) <= err = |x| . _err, and |est| > err gives the sign of V(x).
     """
 
-    __slots__ = ("weights", "radicands", "matrix", "roots")
+    __slots__ = ("weights", "radicands", "matrix", "roots", "_est", "_err")
 
     @staticmethod
     def of(weights) -> "_Block":
         weights = tuple(weights)
         radicands, rows = _weight_matrix(weights)
-        return _Block(weights, radicands, tuple(map(tuple, rows)), root_bounds(radicands))
+        roots = root_bounds(radicands)
+        est = tuple(sum(map(mul, row, roots)) for row in rows)
+        err = tuple(sum(map(abs, row)) for row in rows)
+        return _Block(weights, radicands, tuple(map(tuple, rows)), roots, est, err)
 
     def value(self, x) -> list[int]:
         """Integer value vector of an integer coordinate row."""
@@ -159,6 +168,9 @@ class GroupOrder(Frozen):
             part = x[at : at + len(block.weights)]
             at += len(block.weights)
             if any(part):
+                est = sum(map(mul, part, block._est))
+                if abs(est) > sum(map(mul, map(abs, part), block._err)):
+                    return 1 if est > 0 else -1
                 # independent weights: a nonzero row has a nonzero value
                 return block.sign(block.value(part))
         return 0
@@ -168,15 +180,18 @@ class GroupOrder(Frozen):
         return self._ngens
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(map(Fraction, coords))
+        """The element with the given int, Fraction or string coordinates."""
+        coords = tuple(coords)
         if len(coords) != self.ngens:
-            raise DimensionError(
-                f"expected {self.ngens} coordinates, got {len(coords)}"
-            )
-        return GroupElement(self, coords)
+            raise DimensionError(f"expected {self.ngens} coordinates, got {len(coords)}")
+        if all(type(c) is int for c in coords):
+            return GroupElement(self, coords, 1)
+        # the lcm of reduced denominators leaves nums and den coprime
+        nums, den = clear_denominators(tuple(map(Fraction, coords)))
+        return GroupElement(self, tuple(nums), den)
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (Fraction(0),) * self.ngens)
+        return GroupElement(self, (0,) * self.ngens, 1)
 
     def block_values(self, coords) -> list[SurdScalar]:
         """Exact real contribution of each block for the given coordinates."""
@@ -191,40 +206,45 @@ class GroupOrder(Frozen):
 
 
 class GroupElement(Frozen):
-    __slots__ = ("order", "coords")
+    """An element of an ordered group: coordinates ``nums / den`` on the
+    order's generators, with ``den`` positive and the fraction in lowest
+    terms, so equal elements have equal fields."""
 
-    def __init__(self, order: GroupOrder, coords: tuple[Fraction, ...]):
-        set_order, set_coords, set_key = self._setters
-        set_order(self, order)
-        set_coords(self, coords)
-        set_key(self, (order, coords))
+    __slots__ = ("order", "nums", "den")
 
-    def _need_same(self, other: "GroupElement"):
+    @property
+    def coords(self) -> tuple:
+        """The coordinates, as ints when ``den`` is 1, else as Fractions."""
+        return self.nums if self.den == 1 else tuple(Fraction(n, self.den) for n in self.nums)
+
+    def _plus(self, other: "GroupElement", s: int) -> "GroupElement":
+        """self + s * other, for s = 1 or -1, in lowest terms."""
         if not isinstance(other, GroupElement) or other.order != self.order:
             raise DimensionError("elements belong to different ordered groups")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, s * (den // other.den)
+        nums = tuple(p * fa + q * fb for p, q in zip(self.nums, other.nums))
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        return GroupElement(self.order, nums, den)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._need_same(other)
-        return GroupElement(self.order, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._need_same(other)
-        return GroupElement(self.order, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.order, tuple(-a for a in self.coords))
-
-    def scale(self, n) -> "GroupElement":
-        n = Fraction(n)
-        return GroupElement(self.order, tuple(n * a for a in self.coords))
+        return GroupElement(self.order, tuple(-n for n in self.nums), self.den)
 
     def sign(self) -> int:
-        # a positive multiple of the rational vector keeps every block sign
-        return self.order._sign_of(clear_denominators(self.coords)[0])
+        # a positive denominator keeps every block sign
+        return self.order._sign_of(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __lt__(self, other):
         return compare(self, other) < 0
@@ -243,12 +263,14 @@ class GroupElement(Frozen):
         body = ", ".join(str(v) for v in vals)
         return body if len(vals) > 1 else body or "0"
 
+    def __repr__(self):
+        coords = tuple(Fraction(n, self.den) for n in self.nums)
+        return f"{type(self).__qualname__}(order={self.order!r}, coords={coords!r})"
+
 
 def compare(a: GroupElement, b: GroupElement) -> int:
     """-1, 0, or 1 as a is below, equal to, or above b in the group order."""
-    a._need_same(b)
-    x, n = clear_denominators(a.coords + b.coords)[0], len(a.coords)
-    return a.order._sign_of([p - q for p, q in zip(x, x[n:])])
+    return (a - b).sign()
 
 
 def rational_rank(order: GroupOrder) -> int:
@@ -367,9 +389,7 @@ def _perron_single_block(block: _Block, alphas, budget: _Budget):
             raise PreconditionError("negative coordinate on a single positive weight")
         return basis, coeffs
     vals = [list(row) for row in block.matrix]
-    err = [sum(map(abs, v)) for v in vals]
-    bits = FILTER_BITS
-    est = _estimates(block, vals, bits)
+    err, est, bits = list(block._err), list(block._est), FILTER_BITS
     while any(c < 0 for row in coeffs for c in row):
         m = min(range(r), key=est.__getitem__)
         top = est[m] + err[m]
@@ -467,12 +487,12 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
             a = order.element(a)
         elif a.order != order:
             raise DimensionError(f"alphas[{i}] belongs to a different ordered group")
-        if any(c.denominator != 1 for c in a.coords):
+        if a.den != 1:
             coords = ", ".join(map(str, a.coords))
             raise PreconditionError(f"alphas[{i}]: coordinates ({coords}) are not all integers")
         if a.sign() < 0:
             raise PreconditionError(f"alphas[{i}]: value {a} is negative")
-        vectors.append([int(c) for c in a.coords])
+        vectors.append(list(a.nums))
 
     budget = _Budget(_resolve_cap(max_steps))
     rows, coeffs = _perron_multi(order._blocks, vectors, budget)
@@ -505,9 +525,7 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     if len(result.basis) != n:
         return False
     for el, row in zip(result.basis, change):
-        if el.order != order or tuple(el.coords) != tuple(row):
-            return False
-        if order._sign_of(row) != 1:
+        if el != GroupElement(order, tuple(row), 1) or order._sign_of(row) != 1:
             return False
     alphas = list(alphas)
     if len(result.coeffs) != len(alphas):
@@ -517,6 +535,6 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
         if len(row) != n or any((not isinstance(c, int)) or c < 0 for c in row):
             return False
         target = a if isinstance(a, GroupElement) else order.element(a)
-        if tuple(target.coords) != tuple(sum(map(mul, row, col)) for col in columns):
+        if target.den != 1 or target.nums != tuple(sum(map(mul, row, col)) for col in columns):
             return False
     return True

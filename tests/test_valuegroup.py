@@ -4,6 +4,7 @@ import importlib.util
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd, isqrt
 from operator import mul
 from pathlib import Path
 
@@ -232,6 +233,109 @@ def test_sign_matches_decimal_oracle(coords):
         assert order.element(coords).sign() == (1 if value > 0 else -1)
     elif value == 0:
         assert order.element(coords).sign() == 0
+
+
+def _convergents(d, low, high):
+    """(p, q) of the continued-fraction convergents of sqrt(d) with low <= q < high."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, q0, p, q = 1, 0, a0, 1
+    out = []
+    while q < high:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        if q >= low:
+            out.append((p, q))
+    return out
+
+
+def _decimal_sign(order, coords, digits=150):
+    """Lexicographic sign of a coordinate vector, block by block, in Decimal."""
+    at = 0
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for block in order.blocks:
+            value = Decimal(0)
+            for c, w in zip(coords[at : at + len(block)], block):
+                c = Fraction(c)
+                for q, d in w.terms:
+                    value += Decimal(c.numerator) * q.numerator / (c.denominator * q.denominator) * Decimal(d).sqrt()
+            at += len(block)
+            if value:
+                return 1 if value > 0 else -1
+    return 0
+
+
+def _near_ties():
+    """(order, coords) pairs whose value is below 2**-30 of the coordinate size."""
+    r2, r3, r23 = _order([(1, 1), (1, 2)]), _order([(1, 1), (1, 3)]), _order([(1, 1), (1, 2), (1, 3)])
+    lex3 = _order([(1, 1)], [(1, 1), (1, 3)])
+    cases = []
+    for p, q in _convergents(2, 2**33, 2**40):
+        cases += [(r2, (p, -q)), (r2, (-p, q)), (r23, (p, -q, 0)), (ORDER_2BLOCK, (0, p, -q))]
+    for p, q in _convergents(3, 2**33, 2**40):
+        cases += [(r3, (p, -q)), (r3, (-p, q)), (r23, (-p, 0, q)), (lex3, (0, -p, q))]
+    return cases
+
+
+def _count_exact_signs(monkeypatch):
+    calls = []
+    exact = vg._Block.sign
+    monkeypatch.setattr(vg._Block, "sign", lambda block, v: calls.append(v) or exact(block, v))
+    return calls
+
+
+def test_filter_hands_near_ties_to_the_exact_kernel(monkeypatch):
+    cases = _near_ties()
+    assert len(cases) >= 16
+    calls = _count_exact_signs(monkeypatch)
+    for order, coords in cases:
+        want = _decimal_sign(order, coords)
+        assert want != 0
+        assert order.element(coords).sign() == want
+        assert compare(order.element(coords), order.zero()) == want
+        # mixed denominators: a - b = 5/6 * coords
+        a, b = order.element([Fraction(c, 2) for c in coords]), order.element([Fraction(-c, 3) for c in coords])
+        assert (a.den, b.den) == (2, 3) and compare(a, b) == want
+    assert len(calls) >= len(cases)
+    calls.clear()
+    for order, coords in [(ORDER_R2, (3, -2)), (ORDER_R2, (-99, 70)), (ORDER_2BLOCK, (0, 7, -5))]:
+        assert order.element(coords).sign() == _decimal_sign(order, coords)
+    assert calls == []
+
+
+_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=12)
+
+
+@st.composite
+def _spelled(draw, q):
+    """q as an int (when integral), a Fraction or a string."""
+    kinds = ["fraction", "string"] + (["int"] if q.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    return int(q) if kind == "int" else q if kind == "fraction" else str(q)
+
+
+@given(st.data(), st.lists(_RATIONALS, min_size=3, max_size=3), st.lists(_RATIONALS, min_size=3, max_size=3))
+@settings(max_examples=150)
+def test_integer_elements_match_fraction_coordinates(data, xs, ys):
+    order = _order([(1, 1)], [(1, 2), (Fraction(1, 3), 3)])
+    a = order.element([data.draw(_spelled(q)) for q in xs])
+    again = order.element([data.draw(_spelled(q)) for q in xs])
+    b = order.element([data.draw(_spelled(q)) for q in ys])
+    assert a == again and hash(a) == hash(again)
+    expected = [
+        (a, xs), (b, ys), (-a, [-x for x in xs]),
+        (a + b, [x + y for x, y in zip(xs, ys)]), (a - b, [x - y for x, y in zip(xs, ys)]),
+    ]
+    for el, qs in expected:
+        assert el.coords == tuple(qs)
+        assert el.den > 0 and gcd(el.den, *el.nums) == 1
+        same = order.element(tuple(map(Fraction, qs)))
+        assert el == same and hash(el) == hash(same) and str(el) == str(same)
+    assert compare(a, b) == _decimal_sign(order, [x - y for x, y in zip(xs, ys)])
+    assert (a == b) == (xs == ys)
 
 
 def test_perron_large_quotient_is_pinned():
