@@ -4,8 +4,8 @@ The d are pairwise distinct square-free positive integers and the q are
 rationals.  Every sign in the package is decided by one integer kernel,
 ``surd_sign``: the sign of  c1*sqrt(d1) + ... + ck*sqrt(dk)  for integers c
 and distinct square-free d.  ``SurdScalar.sign`` scales its coefficients by
-the lcm of their denominators and calls it; ``valuegroup`` calls it on the
-integer value vectors of its weight matrices.
+the lcm of their denominators and calls it; ``valuegroup`` calls it on a
+block's integer value vector when its per-generator filter cannot decide.
 
 Ties are exact: square roots of distinct square-free integers are linearly
 independent over the rationals, so the sum is zero exactly when every c is
