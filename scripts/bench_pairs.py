@@ -31,8 +31,15 @@ benchmark workloads do not reach; the record keeps its realize and verify
 seconds under ``sweep`` and, side by side, under ``sweep_summary``.  The
 record also keeps each checkout's line count per module of
 ``src/uniformizer``, counted as ``run.py`` counts the info line's total,
-under ``lines`` and, side by side, under ``lines_summary``.  It exits 1 when an operation failed in some run, 0 otherwise, and stops with
-an error, writing nothing, when ``run.py`` or the sweep exits nonzero.
+under ``lines`` and, side by side, under ``lines_summary``.  Under
+``startup`` it keeps ``--startup`` N (default 40) fresh imports of
+``uniformizer.cli`` per checkout, taken alternately, the parent first in
+every other one, each timed by that checkout's ``benchmark/run.py``
+``import_time`` (CPU seconds at the reference speed) with
+``PYTHONDONTWRITEBYTECODE=1``, and each side's median with their ratio.
+It exits 1 when an operation failed in some run, 0 otherwise, and stops
+with an error, writing nothing, when ``run.py`` or the sweep exits
+nonzero.
 """
 
 from __future__ import annotations
@@ -95,6 +102,26 @@ def parse_sweep(text: str) -> dict:
         field, n, realize, _value, verify = line.split()[:5]
         out.setdefault(field, {})[n] = {"realize_s": float(realize), "verify_s": float(verify)}
     return out
+
+
+def import_seconds(checkout: str) -> float:
+    """One fresh import of ``uniformizer.cli`` in a checkout, timed by its ``run.py``'s ``import_time``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    code = "import sys; sys.path.insert(0, 'benchmark'); from run import import_time; print(import_time())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"import_time exited {done.returncode} in {checkout}: {done.stderr.strip()}")
+    return float(done.stdout)
+
+
+def startup(checkouts: dict, count: int) -> dict:
+    """count alternating fresh imports per checkout: every time, and each side's median with their ratio."""
+    seconds: dict = {"parent": [], "change": []}
+    for i in range(count):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            seconds[side].append(import_seconds(checkouts[side]))
+    medians = (statistics.median(seconds[side]) if seconds[side] else None for side in ("parent", "change"))
+    return {"import_s": seconds, "summary": _side_by_side(*medians)}
 
 
 def module_lines(checkout: str) -> dict:
@@ -184,6 +211,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=1, help="pairs per workload and seed")
+    ap.add_argument("--startup", type=int, default=40, help="fresh imports of uniformizer.cli per checkout")
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
 
@@ -216,6 +244,7 @@ def main(argv=None) -> int:
             ok = ok and result["failed"] == 0
     sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
     lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
+    started = startup(checkouts, args.startup)
 
     record = {
         "command": ["python", "scripts/bench_pairs.py"] + (sys.argv[1:] if argv is None else list(argv)),
@@ -234,6 +263,7 @@ def main(argv=None) -> int:
         "sweep_summary": sweep_summary(sweep),
         "lines": lines,
         "lines_summary": lines_summary(lines),
+        "startup": started,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -253,6 +283,8 @@ def main(argv=None) -> int:
     for name, m in record["lines_summary"].items():
         if m["parent"] != m["change"]:
             print(f"lines {name}: {m['parent']} -> {m['change']}")
+    m = started["summary"]
+    print(f"startup import_s over {args.startup} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
     return 0 if ok else 1
 
 

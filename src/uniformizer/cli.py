@@ -10,9 +10,11 @@ The handlers that build a certificate share ``_certificate``, whose text
 view is read from the JSON reply.  ``jsonio`` decides the precision of a
 series place; ``--precision`` is handed to it, and cuts a literal element.
 
-A monomial request loads no series code: the handlers import
-``completion`` and ``series`` only for a discrete series place, which
-keeps the start-up of a one-request process short.
+Every request is one process, so the handlers import what only some of
+them use: ``completion`` and ``series`` for a discrete series place, and
+``uniformize`` where a certificate is built or checked.  A ``value``,
+``residue`` or ``report`` request on a monomial place, or a ``perron``
+request, loads neither.
 
 Exit codes:
     0   success (including a verify run whose checks fail: the report is
@@ -51,7 +53,6 @@ from .jsonio import (
     system_to_json,
 )
 from .polyfield import RationalFunction
-from .uniformize import compose, uniformize_abhyankar, verify
 from .valuation import (
     MonomialPlace,
     abhyankar_report,
@@ -112,6 +113,8 @@ def _zetas(doc, base, names) -> list:
 
 def _certificate(system):
     """Verify a built system; reply with it, its report and their text."""
+    from .uniformize import verify
+
     report, reply = verify(system), system_to_json(system)
     text = _system_text(reply) + "\n" + report.summary()
     return {"system": reply, "report": report.as_dict()}, text
@@ -171,6 +174,8 @@ def _cmd_perron(doc, args):
 
 
 def _cmd_uniformize(doc, args):
+    from .uniformize import uniformize_abhyankar
+
     place = parse_place(_get(doc, "place", ""), "place")
     if not isinstance(place, MonomialPlace):
         raise PreconditionError(
@@ -194,12 +199,16 @@ def _cmd_discrete_uniformize(doc, args):
 
 
 def _cmd_compose(doc, args):
+    from .uniformize import compose
+
     outer = parse_system(_get(doc, "outer", ""), "outer")
     inner = parse_system(_get(doc, "inner", ""), "inner")
     return _certificate(compose(outer, inner))
 
 
 def _cmd_verify(doc, args):
+    from .uniformize import verify
+
     report = verify(parse_system(_get(doc, "system", ""), "system", args.precision))
     return {"report": report.as_dict()}, report.summary()
 

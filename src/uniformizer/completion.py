@@ -26,7 +26,6 @@ polynomial over (leading variables | c-variables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
@@ -37,7 +36,7 @@ from .errors import (
     PreconditionError,
     ValueOfZeroError,
 )
-from .fields import BaseField, Scalar
+from .fields import BaseField, Frozen, Scalar
 from .polyfield import (
     RationalFunction,
     SparsePoly,
@@ -62,35 +61,33 @@ DEFAULT_PRECISION = 32
 # The place handle and its verification context
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesPlace:
+class DiscreteSeriesPlace(Frozen):
     """K0(t, gens) with each generator realized as a truncated series."""
 
-    base: BaseField
-    uniformizer: str = "t"
-    gen_names: tuple[str, ...] = ()
-    gen_series: tuple[TruncatedSeries, ...] = ()
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ("base", "uniformizer", "gen_names", "gen_series", "precision")
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(
+        self, base: BaseField, uniformizer="t", gen_names=(), gen_series=(), precision=DEFAULT_PRECISION
+    ):
+        if precision < 1:
             raise PreconditionError("precision must be at least 1")
-        if len(self.gen_names) != len(self.gen_series):
+        if len(gen_names) != len(gen_series):
             raise PreconditionError("generator names and series do not match up")
-        names = (self.uniformizer,) + self.gen_names
+        names = (uniformizer,) + gen_names
         if len(set(names)) != len(names):
             raise PreconditionError("ambient generator names must be distinct")
-        for name, s in zip(self.gen_names, self.gen_series):
-            if s.base != self.base:
+        for name, s in zip(gen_names, gen_series):
+            if s.base != base:
                 raise PreconditionError(f"series for {name!r} is over the wrong field")
-            if s.precision < self.precision:
+            if s.precision < precision:
                 raise PreconditionError(
                     f"series for {name!r} is known to precision {s.precision}, "
-                    f"the place claims {self.precision}"
+                    f"the place claims {precision}"
                 )
             o = s.order()
             if o is not None and o < 0:
                 raise PreconditionError(f"generator {name!r} has negative value")
+        Frozen.__init__(self, base, uniformizer, gen_names, gen_series, precision)
 
     @property
     def ambient_names(self) -> tuple[str, ...]:
@@ -231,23 +228,17 @@ def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
 # Separating truncations and the value formula
 
 
-@dataclass(frozen=True)
-class ApproximationWitness:
+class ApproximationWitness(Frozen):
     """A truncation a of z and the monomial b with distinct term values.
 
-    For each input polynomial f, gammas holds Kaplansky's table
-    gamma_i = f^[i](a) * b^i, and tables lists (i, v(gamma_i)) over the
-    indices with gamma_i nonzero; all listed values are pairwise distinct,
-    which makes  v f(z) = min_i v(f^[i](a) b^i)  exact.
+    For each input polynomial f of ``fs``, gammas holds Kaplansky's table
+    gamma_i = f^[i](a) * b^i as a list, and tables lists (i, v(gamma_i))
+    over the indices with gamma_i nonzero; all listed values are pairwise
+    distinct, which makes  v f(z) = min_i v(f^[i](a) b^i)  exact.  a holds
+    the terms of z below t^(v(z) + depth).
     """
 
-    fs: tuple[SparsePoly, ...]
-    z: TruncatedSeries
-    a: SparsePoly
-    b: SparsePoly
-    depth: int
-    gammas: tuple[list[SparsePoly], ...]
-    tables: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("fs", "z", "a", "b", "depth", "gammas", "tables")
 
 
 def _split_series(z: TruncatedSeries, below: int) -> tuple[SparsePoly, SparsePoly]:
@@ -324,7 +315,7 @@ def kaplansky_normalize(fs, z: TruncatedSeries) -> ApproximationWitness:
         gammas = tuple(_gamma_table(f, a, b) for f in fs)
         tables = tuple(map(_value_table, gammas))
         if all(len({v for _, v in tab}) == len(tab) for tab in tables):
-            return ApproximationWitness(fs=fs, z=z, a=a, b=b, depth=d, gammas=gammas, tables=tables)
+            return ApproximationWitness(fs, z, a, b, d, gammas, tables)
         d *= 2
 
 
@@ -524,12 +515,13 @@ def _ambient_rf_from_t_poly(nvars: int, p: SparsePoly) -> RationalFunction:
     return RationalFunction.from_poly(p.map_vars([0], nvars))
 
 
-@dataclass
-class _Block:
-    rows: list  # term lists
-    etas: list
-    zeta_at: int  # index of the requested element among all etas
-    witness: list  # terms of b*X_winv + a, the element again; empty in K0(t)
+class _Block(Frozen):
+    """One element's rows: ``rows`` holds term lists, ``etas`` their
+    elements, ``zeta_at`` the index of the requested element among all
+    etas, and ``witness`` the terms of b*X_winv + a, the element again
+    (empty in K0(t))."""
+
+    __slots__ = ("rows", "etas", "zeta_at", "witness")
 
 
 def _zeta_block(
@@ -570,7 +562,7 @@ def _zeta_block(
                 f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
             )
         row = [({j: 1}, None, one), pool.term({}, c_rf, minus)]
-        return _Block(rows=[row], etas=[zeta], zeta_at=j, witness=[])
+        return _Block([row], [zeta], j, [])
 
     zs = ctx.ambient(zeta)
     o = zs.order()
@@ -607,9 +599,7 @@ def _zeta_block(
     invert = [({j: 1, j + 1: 1}, None, one), ({}, None, minus)]
     affine = [({j + 2: 1}, None, one), pool.term({j + 1: 1}, b_rf, minus), pool.term({}, a_rf, minus)]
     witness = [pool.term({j + 1: 1}, b_rf, one), pool.term({}, a_rf, one)]
-    return _Block(
-        rows=[minpoly, invert, affine], etas=[w_amb, winv_amb, zeta], zeta_at=j + 2, witness=witness
-    )
+    return _Block([minpoly, invert, affine], [w_amb, winv_amb, zeta], j + 2, witness)
 
 
 def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
@@ -638,26 +628,21 @@ def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
 # Presentations and the public constructors
 
 
-@dataclass(frozen=True)
-class DiscretePresentation:
+class DiscretePresentation(Frozen):
     """K0(t) or K0(t, z) with z given by a monic minimal polynomial and a residue."""
 
-    base: BaseField
-    uniformizer: str = "t"
-    gen_name: str = "z"
-    min_poly: SparsePoly | None = None
-    residue: Scalar = 0
+    __slots__ = ("base", "uniformizer", "gen_name", "min_poly", "residue")
 
-    def __post_init__(self):
-        if self.min_poly is None:
-            return
-        m = self.min_poly
-        if m.nvars != 2 or m.base != self.base:
-            raise PreconditionError("min_poly must be a polynomial in (t, X) over the base field")
-        if m.is_zero or m.degree_in(1) < 1:
-            raise PreconditionError("min_poly must involve X")
-        if self.uniformizer == self.gen_name:
-            raise PreconditionError("generator names must be distinct")
+    def __init__(self, base: BaseField, uniformizer="t", gen_name="z", min_poly=None, residue=0):
+        m = min_poly
+        if m is not None:
+            if m.nvars != 2 or m.base != base:
+                raise PreconditionError("min_poly must be a polynomial in (t, X) over the base field")
+            if m.is_zero or m.degree_in(1) < 1:
+                raise PreconditionError("min_poly must involve X")
+            if uniformizer == gen_name:
+                raise PreconditionError("generator names must be distinct")
+        Frozen.__init__(self, base, uniformizer, gen_name, min_poly, residue)
 
     @property
     def ambient_names(self) -> tuple[str, ...]:

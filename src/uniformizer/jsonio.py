@@ -18,7 +18,6 @@ from .expr import parse_element, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
 from .surd import SurdScalar, is_square_free
-from .uniformize import TriangularSystem, layout_names
 from .valuation import MonomialPlace
 from .valuegroup import GroupOrder
 
@@ -329,6 +328,8 @@ def system_to_json(system: TriangularSystem) -> dict:
 
 
 def parse_system(doc, path: str, precision: int | None = None) -> TriangularSystem:
+    from .uniformize import TriangularSystem, layout_names
+
     _need(doc, dict, path, "an object")
     place = parse_place(_get(doc, "place", path), f"{path}.place", precision)
     base = place.base

@@ -34,7 +34,6 @@ value vector, so ties are decided on the integers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -145,19 +144,22 @@ class GroupOrder(Frozen):
     __slots__ = ("blocks", "_blocks", "_ngens")
 
     def __init__(self, blocks: tuple[tuple[SurdScalar, ...], ...]):
+        int_blocks = []
         for b, block in enumerate(blocks):
             if not block:
                 raise PreconditionError(f"block {b} is empty")
             for w in block:
                 if w.sign() != 1:
                     raise PreconditionError(f"weight {w} in block {b} is not positive")
-            if not is_independent(block):
+            blk = _Block.of(block)
+            if gauss_jordan(blk.matrix, len(blk.radicands))[0] != len(block):
                 raise PreconditionError(
                     f"weights in block {b} are linearly dependent over Q"
                 )
+            int_blocks.append(blk)
         set_blocks, set_int_blocks, set_ngens, set_key = self._setters
         set_blocks(self, blocks)
-        set_int_blocks(self, tuple(_Block.of(b) for b in blocks))
+        set_int_blocks(self, tuple(int_blocks))
         set_ngens(self, sum(len(b) for b in blocks))
         set_key(self, (blocks,))
 
@@ -282,8 +284,7 @@ def rational_rank(order: GroupOrder) -> int:
 # Perron-style positive bases
 
 
-@dataclass(frozen=True)
-class PerronResult:
+class PerronResult(Frozen):
     """A positive basis together with the coordinates of the inputs.
 
     ``change`` holds the basis rows in the original generators, ``coeffs``
@@ -292,9 +293,10 @@ class PerronResult:
     canonical; ``perron_is_valid`` is the contract.
     """
 
-    basis: tuple[GroupElement, ...]
-    coeffs: tuple[tuple[int, ...], ...]
-    change: tuple[tuple[int, ...], ...]
+    __slots__ = ("basis", "coeffs", "change")
+
+    def __init__(self, basis, coeffs, change):
+        Frozen.__init__(self, basis, coeffs, change)
 
 
 def _int_rows(matrix) -> list[list[int]]:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 SPEC = importlib.util.spec_from_file_location("bench_pairs", PATH)
 bench_pairs = importlib.util.module_from_spec(SPEC)
@@ -81,9 +83,16 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
 
     monkeypatch.setattr(bench_pairs, "run_sweep", fake_sweep)
     monkeypatch.setattr(bench_pairs, "module_lines", lambda checkout: LINES[checkout.rsplit("/", 1)[-1]])
+    imports = []
+
+    def fake_import(checkout):
+        imports.append(checkout)
+        return 0.04 if checkout.endswith("change") else 0.05
+
+    monkeypatch.setattr(bench_pairs, "import_seconds", fake_import)
     out = tmp_path / "record.json"
     argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
-            "--seeds", "5", "--pairs", "2", "--out", str(out)]
+            "--seeds", "5", "--pairs", "2", "--startup", "3", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     traced = [c for c in calls if c[3]]
     assert sorted(traced) == sorted((f"/p/{side}", w, 1, 1) for w in ("a", "b") for side in ("parent", "change"))
@@ -100,6 +109,25 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     # each side's line count per module, side by side
     assert record["lines"] == LINES
     assert record["lines_summary"]["total"] == {"parent": 130, "change": 110, "ratio": 110 / 130}
+    # three fresh imports per side, in alternating order
+    assert imports == ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
+    assert record["startup"]["import_s"] == {"parent": [0.05] * 3, "change": [0.04] * 3}
+    assert record["startup"]["summary"] == {"parent": 0.05, "change": 0.04, "ratio": 0.04 / 0.05}
+
+
+def test_startup_takes_each_sides_median(monkeypatch):
+    times = {"parent": iter([0.050, 0.070, 0.060, 0.055]), "change": iter([0.040, 0.042, 0.090, 0.041])}
+    monkeypatch.setattr(bench_pairs, "import_seconds", lambda checkout: next(times[checkout]))
+    started = bench_pairs.startup({"parent": "parent", "change": "change"}, 4)
+    assert started["import_s"] == {"parent": [0.050, 0.070, 0.060, 0.055], "change": [0.040, 0.042, 0.090, 0.041]}
+    assert started["summary"]["parent"] == pytest.approx(0.0575)
+    assert started["summary"]["change"] == pytest.approx(0.0415)
+    assert bench_pairs.startup({}, 0)["summary"] == {"parent": None, "change": None, "ratio": None}
+
+
+def test_import_seconds_times_a_fresh_import_with_run_py():
+    seconds = bench_pairs.import_seconds(str(PATH.parents[1]))
+    assert 0 < seconds < 10
 
 
 LINES = {"parent": {"a.py": 100, "b.py": 30}, "change": {"a.py": 100, "c.py": 10}}

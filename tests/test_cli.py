@@ -216,18 +216,17 @@ def test_verify_round_trip(tmp_path, capsys):
 
 
 def test_verify_of_an_unknown_coefficient_field_name_exits_2(tmp_path, capsys):
-    import dataclasses
-
     from uniformizer.completion import uniformize_completion_algebraic
     from uniformizer.fields import GF
     from uniformizer.jsonio import system_to_json
     from uniformizer.polyfield import SparsePoly
+    from frozen_copy import replace
 
     F5 = GF(5)
     m = SparsePoly.make(F5, 2, [((0, 2), 1), ((1, 0), -1), ((0, 0), -1)])
     relative = uniformize_completion_algebraic(m, 1, 16)
     assert relative.coeff_table
-    system = system_to_json(dataclasses.replace(relative, coeff_field_names=("w",)))
+    system = system_to_json(replace(relative, coeff_field_names=("w",)))
     code, out, err = run(tmp_path, capsys, "verify", {"system": system})
     assert code == 2 and out == ""
     assert "'w'" in err and "Traceback" not in err

@@ -501,7 +501,7 @@ def _u3_fields(system):
 
 
 def test_u3_on_a_series_place():
-    import dataclasses
+    from frozen_copy import replace
 
     zv = RationalFunction.variable(F5, 2, 1)
     sys_ = uniformize_discrete_rational(_pres5(), [zv], precision=16)
@@ -511,7 +511,7 @@ def test_u3_on_a_series_place():
         fs = list(sys_.fs)
         for row, change in changes.items():
             fs[row] = change(fs[row])
-        return dataclasses.replace(sys_, fs=tuple(fs))
+        return replace(sys_, fs=tuple(fs))
 
     assert _u3_fields(sys_) == (True, "", "0", "1", ("1",) * 5)
     # t1 * f keeps the zero and gives its X-partial value 1

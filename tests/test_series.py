@@ -473,8 +473,6 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     # how many series products, inverses and long divisions it takes; a
     # context that rebuilt its powers on every call, or divided by a witness
     # denominator, would give the same report with more of them
-    from dataclasses import replace
-
     from uniformizer.completion import (
         DiscretePresentation,
         SeriesContext,
@@ -482,6 +480,7 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     )
     from uniformizer.expr import parse_element
     from uniformizer.uniformize import verify
+    from frozen_copy import replace
 
     m = parse_element("X^2 - 1 - t", F5, ("t", "X")).num
     pres = DiscretePresentation(base=F5, min_poly=m, residue=1)

@@ -1,6 +1,5 @@
 """Triangular systems: construction, the four checks, and composition."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from uniformizer.uniformize import (
 )
 from uniformizer.valuation import MonomialPlace, value_of_poly, value_of_ratfun
 from uniformizer.valuegroup import GroupOrder, compare
+from frozen_copy import replace
 
 Q = QQ()
 F2 = GF(2)
@@ -262,7 +262,7 @@ def _sqrt_1_plus_t_system():
 def test_verify_names_an_unknown_coefficient_field_name(make):
     system = make()
     assert system.coeff_table and verify(system).passed
-    renamed = dataclasses.replace(system, coeff_field_names=("w",))
+    renamed = replace(system, coeff_field_names=("w",))
     with pytest.raises(PreconditionError, match="'w'"):
         verify(renamed)
 

@@ -1,7 +1,6 @@
 """Ordered groups of values and positive-basis computation."""
 
 import importlib.util
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -25,6 +24,7 @@ from uniformizer.valuegroup import (
     rational_rank,
     unimodular_inverse,
 )
+from frozen_copy import replace
 from perron_oracle import brute_force_positive_basis
 
 

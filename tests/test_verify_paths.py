@@ -10,7 +10,6 @@ term; the last mutant has degree 2 in eta_n, so ``substitute`` expands
 that argument's factors num^k * den^(2 - k) for k = 0, 1 and 2.
 """
 
-import dataclasses
 import importlib.util
 import random
 from pathlib import Path
@@ -22,6 +21,7 @@ from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, substitute
 from uniformizer.uniformize import uniformize_abhyankar, verify
 from uniformizer.valuation import MonomialContext
+from frozen_copy import replace
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "certificate_survey.py"
 SPEC = importlib.util.spec_from_file_location("certificate_survey", PATH)
@@ -59,7 +59,7 @@ def _certificates(p, count, seed):
 
 
 def _row_with(system, i, row):
-    return dataclasses.replace(system, fs=system.fs[:i] + (row,) + system.fs[i + 1:])
+    return replace(system, fs=system.fs[:i] + (row,) + system.fs[i + 1:])
 
 
 def _mutants(system):
