@@ -32,7 +32,7 @@ seconds under ``sweep`` and, side by side, under ``sweep_summary``.  The
 record also keeps each checkout's line count per module of
 ``src/uniformizer``, counted as ``run.py`` counts the info line's total,
 under ``lines`` and, side by side, under ``lines_summary``.  Under
-``startup`` it keeps ``--startup`` N (default 40) fresh imports of
+``startup`` it keeps STARTUP_IMPORTS (40) fresh imports of
 ``uniformizer.cli`` per checkout, taken alternately, the parent first in
 every other one, each timed by that checkout's ``benchmark/run.py``
 ``import_time`` (CPU seconds at the reference speed) with
@@ -60,6 +60,7 @@ TRACED = (
 TRACE_SEED = 1
 # the fields (0 is Q) and precisions of scripts/series_sweep.py in the record
 SWEEP_ARGS = ("--fields", "0,5", "--precisions", "256,512,1024")
+STARTUP_IMPORTS = 40  # fresh imports of uniformizer.cli per checkout
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -211,7 +212,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=1, help="pairs per workload and seed")
-    ap.add_argument("--startup", type=int, default=40, help="fresh imports of uniformizer.cli per checkout")
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
             ok = ok and result["failed"] == 0
     sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
     lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
-    started = startup(checkouts, args.startup)
+    started = startup(checkouts, STARTUP_IMPORTS)
 
     record = {
         "command": ["python", "scripts/bench_pairs.py"] + (sys.argv[1:] if argv is None else list(argv)),
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         if m["parent"] != m["change"]:
             print(f"lines {name}: {m['parent']} -> {m['change']}")
     m = started["summary"]
-    print(f"startup import_s over {args.startup} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
+    print(f"startup import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
     return 0 if ok else 1
 
 

@@ -75,8 +75,8 @@ class Frozen:
     ``__set__`` in ``__slots__`` order, then the one of ``_key``.  A
     subclass with no check and no cache keeps the ``__init__`` here, which
     takes the fields in ``__slots__`` order, the last ones falling back to
-    the class's ``_defaults``; one with checks or keywords calls it last.  Unlike a dataclass, the class generates no
-    code at import.
+    the class's ``_defaults``; one with checks or keywords calls it last.
+    Unlike a dataclass, the class generates no code at import.
     """
 
     __slots__ = ("_key",)

@@ -47,6 +47,8 @@ support ``-`` and ``/`` directly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import NotInValuationRingError, PreconditionError
 from .fields import Frozen
 from .polyfield import (
@@ -59,30 +61,31 @@ from .valuation import MonomialPlace, value_of_poly
 from .valuegroup import perron_positive_basis, unimodular_inverse
 
 
-class TriangularSystem(Frozen):
-    """The layout above: tuples of RationalFunctions ``tvars``, ``etas`` and
-    ``coeff_table``, of SparsePolys ``fs``, and of (name, RationalFunction)
-    pairs ``witnesses``."""
+# the package's one dataclass: benchmark/tests/test_gate.py copies it with dataclasses.replace
+@dataclass(frozen=True)
+class TriangularSystem:
+    place: object
+    tvars: tuple[RationalFunction, ...]
+    etas: tuple[RationalFunction, ...]
+    fs: tuple[SparsePoly, ...]
+    coeff_field_names: tuple[str, ...] = ()
+    coeff_table: tuple[RationalFunction, ...] = ()
+    zeta_indices: tuple[int, ...] = ()
+    witnesses: tuple[tuple[str, RationalFunction], ...] = ()
 
-    __slots__ = (
-        "place", "tvars", "etas", "fs", "coeff_field_names", "coeff_table", "zeta_indices", "witnesses"
-    )
-
-    def __init__(
-        self, place, tvars, etas, fs, coeff_field_names=(), coeff_table=(), zeta_indices=(), witnesses=()
-    ):
-        s, n, nc = len(tvars), len(etas), len(coeff_table)
-        if len(fs) != n:
+    def __post_init__(self):
+        s, n, nc = len(self.tvars), len(self.etas), len(self.coeff_table)
+        if len(self.fs) != n:
             raise PreconditionError("need exactly one row polynomial per eta")
         width = s + n + nc
-        for i, f in enumerate(fs):
+        for i, f in enumerate(self.fs):
             if f.nvars != width:
                 raise PreconditionError(
                     f"row {i + 1} has {f.nvars} variables, expected {width}"
                 )
-        ambient = set(place.ambient_names)
+        ambient = set(self.place.ambient_names)
         seen = set()
-        for name, w in witnesses:
+        for name, w in self.witnesses:
             if name not in ambient:
                 raise PreconditionError(f"witness for unknown generator {name!r}")
             if name in seen:
@@ -90,17 +93,14 @@ class TriangularSystem(Frozen):
             seen.add(name)
             if w.nvars != width:
                 raise PreconditionError(f"witness for {name!r} has the wrong width")
-        for idx in zeta_indices:
+        for idx in self.zeta_indices:
             if not 0 <= idx < n:
                 raise PreconditionError(f"requested index {idx} out of range")
-        if coeff_table and not coeff_field_names:
+        if self.coeff_table and not self.coeff_field_names:
             raise PreconditionError("coefficient table needs coefficient field names")
-        for c in coeff_table:
-            if c.nvars != len(coeff_field_names):
+        for c in self.coeff_table:
+            if c.nvars != len(self.coeff_field_names):
                 raise PreconditionError("coefficient entry has the wrong width")
-        Frozen.__init__(
-            self, place, tvars, etas, fs, coeff_field_names, coeff_table, zeta_indices, witnesses
-        )
 
     @property
     def s(self) -> int:

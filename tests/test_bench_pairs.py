@@ -90,9 +90,10 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
         return 0.04 if checkout.endswith("change") else 0.05
 
     monkeypatch.setattr(bench_pairs, "import_seconds", fake_import)
+    monkeypatch.setattr(bench_pairs, "STARTUP_IMPORTS", 3)
     out = tmp_path / "record.json"
     argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
-            "--seeds", "5", "--pairs", "2", "--startup", "3", "--out", str(out)]
+            "--seeds", "5", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     traced = [c for c in calls if c[3]]
     assert sorted(traced) == sorted((f"/p/{side}", w, 1, 1) for w in ("a", "b") for side in ("parent", "change"))

@@ -4,7 +4,8 @@ Each class compares, hashes and prints its fields the way a frozen
 dataclass does, and no field can be assigned after construction.  The
 classes that were dataclasses print their old dataclass repr, and their
 constructors take the same keywords and defaults and raise the same
-errors.
+errors.  ``TriangularSystem``, still a frozen dataclass, is held to the
+same tests.
 """
 
 import copy
@@ -165,7 +166,8 @@ REPRS = {
         f"VerificationReport(u1={_CHECK}, u2={_CHECK}, u3={_CHECK}, generation={_CHECK}, "
         "diagonal_value='0', diagonal_residue='1', diagonal_entries=('1',), precision=None)"
     ),
-    # the reprs of the six classes below are those of the dataclasses they were
+    # the reprs of the six classes below are those of the dataclasses they were,
+    # and TriangularSystem still is one
     "TriangularSystem": (
         f"TriangularSystem(place={_PLACE}, tvars=(), etas=({_ELEMENT_Y1},), "
         "fs=(SparsePoly(base=BaseField(p=None), nvars=1, terms=(((1,), Fraction(1, 1)), ((0,), Fraction(-1, 1)))),), "
