@@ -31,7 +31,10 @@ benchmark workloads do not reach; the record keeps its realize and verify
 seconds under ``sweep`` and, side by side, under ``sweep_summary``.  The
 record also keeps each checkout's line count per module of
 ``src/uniformizer``, counted as ``run.py`` counts the info line's total,
-under ``lines`` and, side by side, under ``lines_summary``.  Under
+under ``lines`` and, side by side, under ``lines_summary``, and under
+``checker_lines`` each side's line count of the modules that one fresh
+``python -X importtime -m uniformizer verify`` of SERIES_CERTIFICATE
+loads.  Under
 ``startup`` it keeps STARTUP_IMPORTS (40) fresh imports of
 ``uniformizer.cli`` per checkout, taken alternately, the parent first in
 every other one, each timed by that checkout's ``benchmark/run.py``
@@ -61,6 +64,20 @@ TRACE_SEED = 1
 # the fields (0 is Q) and precisions of scripts/series_sweep.py in the record
 SWEEP_ARGS = ("--fields", "0,5", "--precisions", "256,512,1024")
 STARTUP_IMPORTS = 40  # fresh imports of uniformizer.cli per checkout
+# a small series certificate as system_to_json writes it: F5(t, z) with z^2 = 1 + t
+SERIES_CERTIFICATE = {
+    "place": {
+        "kind": "discrete_series", "base": {"field": "Fp", "p": 5}, "uniformizer": "t", "precision": 8,
+        "generators": [{"name": "z", "series": "1 + 3*t + 3*t^2 + t^3 + 2*t^5 + t^6 + t^7 + O(t^8)"}],
+    },
+    "tvars": [],
+    "etas": ["(3*t)/(z + 4)", "(2*z + 3)/(t)", "z"],
+    "fs": ["X1^2 + 4*X1 + c1", "X1*X2 + 4", "4*X2*c2 + X3 + 4"],
+    "coeff_field_names": ["t"],
+    "coeff_table": ["t", "3*t"],
+    "zeta_indices": [2],
+    "witnesses": [["z", "X2*c2 + 1"]],
+}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -134,6 +151,25 @@ def module_lines(checkout: str) -> dict:
             with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
                 out[fname] = sum(1 for _ in fh)
     return out
+
+
+def checker_lines(checkout: str) -> int:
+    """Lines of the modules of src/uniformizer that one fresh ``python -X
+    importtime -m uniformizer verify`` of SERIES_CERTIFICATE loads in a
+    checkout, counted as ``module_lines`` counts them.  The package's
+    ``__init__.py`` and the ``__main__.py`` that ``-m`` runs count too."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(checkout, "src"))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "uniformizer", "verify", "--input", "-"],
+        input=json.dumps({"system": SERIES_CERTIFICATE}), cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"verify exited {done.returncode} in {checkout}: {done.stderr.strip()}")
+    # -X importtime prints one line per imported module, its name last
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    files = {"__init__.py", "__main__.py"} | {n.split(".", 1)[1] + ".py" for n in names if n.startswith("uniformizer.")}
+    lines = module_lines(checkout)
+    return sum(lines[name] for name in files)
 
 
 def lines_summary(lines: dict) -> dict:
@@ -244,6 +280,7 @@ def main(argv=None) -> int:
             ok = ok and result["failed"] == 0
     sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
     lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
+    checker = _side_by_side(*(checker_lines(checkouts[side]) for side in ("parent", "change")))
     started = startup(checkouts, STARTUP_IMPORTS)
 
     record = {
@@ -263,6 +300,7 @@ def main(argv=None) -> int:
         "sweep_summary": sweep_summary(sweep),
         "lines": lines,
         "lines_summary": lines_summary(lines),
+        "checker_lines": checker,
         "startup": started,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -283,6 +321,7 @@ def main(argv=None) -> int:
     for name, m in record["lines_summary"].items():
         if m["parent"] != m["change"]:
             print(f"lines {name}: {m['parent']} -> {m['change']}")
+    print(f"checker lines: {checker['parent']} -> {checker['change']}")
     m = started["summary"]
     print(f"startup import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
     return 0 if ok else 1

@@ -12,10 +12,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from uniformizer.checker import verify
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly
 from uniformizer.surd import SurdScalar
-from uniformizer.uniformize import uniformize_abhyankar, verify
+from uniformizer.uniformize import uniformize_abhyankar
 from uniformizer.valuation import MonomialPlace, value_of_ratfun
 
 RADICANDS = [1, 2, 3, 5, 7]

@@ -9,11 +9,12 @@ z |-> 1, certifying z, z + t and (z - 1)/t.
 import argparse
 import json
 
-from uniformizer.completion import DiscretePresentation, uniformize_discrete_rational
+from uniformizer.checker import verify
+from uniformizer.completion import uniformize_discrete_rational
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
 from uniformizer.jsonio import system_to_json
-from uniformizer.uniformize import verify
+from uniformizer.series import DiscretePresentation
 
 
 def parse_poly(text, base, names):

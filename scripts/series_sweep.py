@@ -22,16 +22,17 @@ import argparse
 import time
 from dataclasses import dataclass
 
-from uniformizer.completion import (
-    DiscretePresentation,
-    realize_presentation,
-    series_element_value,
-    uniformize_discrete_rational,
-)
+from uniformizer.checker import verify
+from uniformizer.completion import uniformize_discrete_rational
 from uniformizer.expr import parse_element
 from uniformizer.fields import GF, QQ
-from uniformizer.series import TruncatedSeries, eval_poly_at_series
-from uniformizer.uniformize import verify
+from uniformizer.series import (
+    DiscretePresentation,
+    TruncatedSeries,
+    eval_poly_at_series,
+    realize_presentation,
+    series_element_value,
+)
 
 PRECISIONS = (64, 128, 256, 512, 1024, 2048)
 QUICK_PRECISIONS = (64, 128)
@@ -66,7 +67,7 @@ def run_cell(pres, element, zetas, n) -> Cell:
     report = verify(system)
     t4 = time.perf_counter()
     seconds = (t1 - t0, t2 - t1, t4 - t3)
-    return Cell(place.gen_series[0], place.element_series(element), value, report.passed, seconds)
+    return Cell(place.gen_series[0], place.make_context().ambient(element), value, report.passed, seconds)
 
 
 def sweep_field(p, precisions):

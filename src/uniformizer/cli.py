@@ -11,10 +11,11 @@ view is read from the JSON reply.  ``jsonio`` decides the precision of a
 series place; ``--precision`` is handed to it, and cuts a literal element.
 
 Every request is one process, so the handlers import what only some of
-them use: ``completion`` and ``series`` for a discrete series place, and
-``uniformize`` where a certificate is built or checked.  A ``value``,
-``residue`` or ``report`` request on a monomial place, or a ``perron``
-request, loads neither.
+them use: ``series`` for a discrete series place, ``checker`` where a
+certificate is checked, ``uniformize`` where one is built or composed,
+and ``completion`` for ``discrete-uniformize`` alone.  ``verify`` loads
+no construction code, and a ``value``, ``residue`` or ``report`` request
+on a monomial place, or a ``perron`` request, loads none of the four.
 
 Exit codes:
     0   success (including a verify run whose checks fail: the report is
@@ -113,7 +114,7 @@ def _zetas(doc, base, names) -> list:
 
 def _certificate(system):
     """Verify a built system; reply with it, its report and their text."""
-    from .uniformize import verify
+    from .checker import verify
 
     report, reply = verify(system), system_to_json(system)
     text = _system_text(reply) + "\n" + report.summary()
@@ -133,7 +134,7 @@ def _cmd_value(doc, args):
             "coordinates": [str(c) for c in v.coords],
         }
         return result, f"value = {v}"
-    from .completion import series_element_value
+    from .series import series_element_value
 
     v = series_element_value(place, f) if isinstance(f, RationalFunction) else f.known_order()
     return {"value": v}, f"value = {v}"
@@ -144,7 +145,7 @@ def _cmd_residue(doc, args):
     if isinstance(place, MonomialPlace):
         r = residue_of(place, f)
         return {"residue": str(r)}, f"residue = {r}"
-    s = place.element_series(f) if isinstance(f, RationalFunction) else f
+    s = place.make_context().ambient(f) if isinstance(f, RationalFunction) else f
     rendered = place.base.scalar_str(s.residue())
     return {"residue": rendered}, f"residue = {rendered}"
 
@@ -207,7 +208,7 @@ def _cmd_compose(doc, args):
 
 
 def _cmd_verify(doc, args):
-    from .uniformize import verify
+    from .checker import verify
 
     report = verify(parse_system(_get(doc, "system", ""), "system", args.precision))
     return {"report": report.as_dict()}, report.summary()

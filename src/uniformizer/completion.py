@@ -1,11 +1,8 @@
-"""Discrete rational places realized through truncated series, and the
-uniformization pipeline that runs through the completion.
-
-The field is K0(t, z) with t a uniformizing transcendental and z an
-algebraic generator given by a monic minimal polynomial over K0[t]
-together with a residue; z itself is realized as a truncated root series
-by Hensel lifting.  Elements are rational functions in (t, z); their
-values are series orders, their residues the constant coefficients.
+"""The uniformization pipeline that runs through the completion of a
+discrete rational place K0(t, z), z given by a monic minimal polynomial
+over K0[t] and a residue.  The presentation and its series place live in
+``series``; this module is construction only, imported by neither
+``series`` nor ``checker``.
 
 The pipeline splits any requested valuation-ring element into a short
 relative block over K0(t) (three rows built from a separating truncation
@@ -26,7 +23,6 @@ polynomial over (leading variables | c-variables).
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
 
 from . import dense
@@ -34,194 +30,30 @@ from .errors import (
     InsufficientPrecisionError,
     NotInValuationRingError,
     PreconditionError,
-    ValueOfZeroError,
 )
 from .fields import BaseField, Frozen, Scalar
 from .polyfield import (
     RationalFunction,
     SparsePoly,
     _settled,
-    hasse_derivative,
     ratfun_str,
 )
+
+# hensel_lift_root stays bound here: benchmark/ traces completion.hensel_lift_root
 from .series import (
+    DEFAULT_PRECISION,
+    DiscretePresentation,
+    DiscreteSeriesPlace,
+    SeriesContext,
     TruncatedSeries,
-    eval_poly_at_series,
-    eval_ratfun_at_series,
+    _monic_min_poly,
+    hensel_lift_root,
+    realize_presentation,
 )
 from .surd import SurdScalar
 from .uniformize import TriangularSystem, compose, uniformize_abhyankar
 from .valuation import MonomialPlace
 from .valuegroup import GroupOrder
-
-DEFAULT_PRECISION = 32
-
-
-# ---------------------------------------------------------------------------
-# The place handle and its verification context
-
-
-class DiscreteSeriesPlace(Frozen):
-    """K0(t, gens) with each generator realized as a truncated series."""
-
-    __slots__ = ("base", "uniformizer", "gen_names", "gen_series", "precision")
-
-    def __init__(
-        self, base: BaseField, uniformizer="t", gen_names=(), gen_series=(), precision=DEFAULT_PRECISION
-    ):
-        if precision < 1:
-            raise PreconditionError("precision must be at least 1")
-        if len(gen_names) != len(gen_series):
-            raise PreconditionError("generator names and series do not match up")
-        names = (uniformizer,) + gen_names
-        if len(set(names)) != len(names):
-            raise PreconditionError("ambient generator names must be distinct")
-        for name, s in zip(gen_names, gen_series):
-            if s.base != base:
-                raise PreconditionError(f"series for {name!r} is over the wrong field")
-            if s.precision < precision:
-                raise PreconditionError(
-                    f"series for {name!r} is known to precision {s.precision}, "
-                    f"the place claims {precision}"
-                )
-            o = s.order()
-            if o is not None and o < 0:
-                raise PreconditionError(f"generator {name!r} has negative value")
-        Frozen.__init__(self, base, uniformizer, gen_names, gen_series, precision)
-
-    @property
-    def ambient_names(self) -> tuple[str, ...]:
-        return (self.uniformizer,) + self.gen_names
-
-    @property
-    def nvars(self) -> int:
-        return 1 + len(self.gen_names)
-
-    def make_context(self, precision: int | None = None) -> "SeriesContext":
-        return SeriesContext(self, precision)
-
-    def element_series(self, rf: RationalFunction) -> TruncatedSeries:
-        return self.make_context().ambient(rf)
-
-
-class SeriesContext:
-    """Evaluation of ambient rational functions into truncated series.
-
-    The context keeps one power table (see ``series``) for its lifetime:
-    ``ambient`` and ``eval_poly`` both evaluate through it, so a
-    power a^k of an argument is built once per context rather than once per
-    call.  An element whose denominator is a constant c is its numerator
-    scaled by 1/c, with no series inverse.
-    """
-
-    def __init__(self, place: DiscreteSeriesPlace, precision: int | None = None):
-        if precision is None:
-            precision = place.precision
-        if precision < 1:
-            raise PreconditionError("precision must be at least 1")
-        if precision > place.precision:
-            # the place's series are fixed, so no rerun can reach more
-            raise PreconditionError(
-                f"place is realized to precision {place.precision}, "
-                f"{precision} was requested"
-            )
-        self.place = place
-        self.precision = precision
-        self.zero = 0
-        t = TruncatedSeries.monomial(place.base, 1, precision)
-        self.args = [t] + [g.truncate(precision) for g in place.gen_series]
-        self.powers = {}  # the power table of every argument evaluated so far
-
-    def ambient(self, rf: RationalFunction) -> TruncatedSeries:
-        if rf.nvars != self.place.nvars or rf.base != self.place.base:
-            raise PreconditionError("element does not live in the ambient field")
-        return eval_ratfun_at_series(rf, self.args, self.precision, self.powers)
-
-    def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
-        return eval_poly_at_series(f, args, self.precision, self.powers)
-
-    def eval_ratfun(self, f: RationalFunction, args) -> TruncatedSeries:
-        try:
-            return eval_ratfun_at_series(f, args, self.precision, self.powers)
-        except InsufficientPrecisionError:
-            # its one way to fail: a denominator zero to precision has no inverse
-            raise ZeroDivisionError("denominator vanishes to precision") from None
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero_to_precision
-
-    def equal(self, a, b) -> bool:
-        return (a - b).is_zero_to_precision
-
-    def valuation(self, a: TruncatedSeries):
-        """(order, residue) of a series nonzero to precision; the residue is
-        None unless the order is zero."""
-        o = a.known_order()
-        return o, (a.residue() if o == 0 else None)
-
-    def residue_text(self, residues) -> str:
-        """The product of the given residues, as a scalar of K0."""
-        base = self.place.base
-        return base.scalar_str(reduce(base.mul, residues, base.one))
-
-
-# ---------------------------------------------------------------------------
-# Hensel lifting
-
-
-def _horner(f: SparsePoly, z: TruncatedSeries, n: int) -> TruncatedSeries:
-    """f(t, z) below t^n, for f in (t, X) and a series z of order >= 0 known
-    to at least n, by Horner's rule in X on f's rows in t.  With z = Z/q,
-    the homogeneous form sum_j F_j Z^j q^(deg - j) keeps every step on
-    integers; the result is that over f.denom * q^deg."""
-    p, q, rows = f.base.characteristic, z.denom, dense.of_poly(f, n)
-    Z = [0] * z.offset + list(z.row)
-    acc, qk = [], 1
-    for row in reversed(rows):
-        acc = dense.add(dense.mul(acc, Z, p, n), dense.scale(row, qk, p), p)
-        qk *= q
-    return TruncatedSeries._canon(f.base, 0, acc, f.denom * q ** (len(rows) - 1), n)
-
-
-def hensel_lift_root(f: SparsePoly, x0, precision: int) -> TruncatedSeries:
-    """Root series of f(t, X) starting from a simple residue root x0.
-
-    Requires f(0, x0) = 0 and (df/dX)(0, x0) != 0; Newton steps double the
-    correct precision each round, and remain valid in characteristic p
-    because only the first derivative is involved.  The inverse of f'(z)
-    is carried along as a second Newton iterate, one doubling per round,
-    instead of being recomputed from scratch.  Each round evaluates f and
-    f' at z by Horner's rule in X (``_horner``), so no power of z is formed.
-    """
-    if f.nvars != 2:
-        raise PreconditionError("expected a polynomial in (t, X)")
-    if precision < 1:
-        raise PreconditionError("precision must be at least 1")
-    base = f.base
-    x0 = base.coerce(x0)
-    if f.evaluate((0, x0)) != 0:
-        raise PreconditionError("x0 is not a root of the reduction")
-    dfdx = hasse_derivative(f, 1, var=1)
-    d0 = dfdx.evaluate((0, x0))
-    if d0 == 0:
-        raise PreconditionError("x0 is not a simple root of the reduction; the root does not lift")
-    z = TruncatedSeries.constant(base, x0, 1)
-    w = TruncatedSeries.constant(base, base.inv(d0), 1)
-    two = TruncatedSeries.constant(base, 2, precision)
-    p = 1
-    while p < precision:
-        p2 = min(2 * p, precision)
-        # the known coefficients form a polynomial approximant; Newton
-        # corrects everything beyond the old precision automatically.
-        # f(zt) vanishes below p, so w = 1/f'(z) below p settles z below p2
-        zt = TruncatedSeries(base, z.offset, z.row, z.denom, p2)
-        z = zt - _horner(f, zt, p2) * w
-        if p2 < precision:
-            # the second Newton iterate, w <- w (2 - f'(z) w): 1/f'(z) below p2
-            wt = TruncatedSeries(base, w.offset, w.row, w.denom, p2)
-            w = wt * (two - _horner(dfdx, z, p2) * wt)
-        p = p2
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -625,59 +457,7 @@ def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Presentations and the public constructors
-
-
-class DiscretePresentation(Frozen):
-    """K0(t) or K0(t, z) with z given by a monic minimal polynomial and a residue."""
-
-    __slots__ = ("base", "uniformizer", "gen_name", "min_poly", "residue")
-
-    def __init__(self, base: BaseField, uniformizer="t", gen_name="z", min_poly=None, residue=0):
-        m = min_poly
-        if m is not None:
-            if m.nvars != 2 or m.base != base:
-                raise PreconditionError("min_poly must be a polynomial in (t, X) over the base field")
-            if m.is_zero or m.degree_in(1) < 1:
-                raise PreconditionError("min_poly must involve X")
-            if uniformizer == gen_name:
-                raise PreconditionError("generator names must be distinct")
-        Frozen.__init__(self, base, uniformizer, gen_name, min_poly, residue)
-
-    @property
-    def ambient_names(self) -> tuple[str, ...]:
-        if self.min_poly is None:
-            return (self.uniformizer,)
-        return (self.uniformizer, self.gen_name)
-
-
-def _monic_min_poly(m: SparsePoly) -> SparsePoly:
-    """Scale so the X^D coefficient is 1; it must be a nonzero constant."""
-    base = m.base
-    d = m.degree_in(1)
-    lead_terms = [(e, c) for e, c in m.ints if e[1] == d]
-    if len(lead_terms) != 1 or lead_terms[0][0][0] != 0:
-        raise PreconditionError(
-            "the X-leading coefficient of min_poly must be a nonzero constant"
-        )
-    # the coefficient is c / m.denom
-    c = lead_terms[0][1]
-    if c == m.denom:
-        return m
-    return m.scale(base.div(m.denom, c))
-
-
-def realize_presentation(
-    pres: DiscretePresentation, precision: int = DEFAULT_PRECISION
-) -> DiscreteSeriesPlace:
-    """The series place, with z lifted from its residue, which must be a
-    simple root of the reduction; the other roots of the reduction may be
-    repeated or lie outside K0."""
-    base = pres.base
-    if pres.min_poly is None:
-        return DiscreteSeriesPlace(base, pres.uniformizer, (), (), precision)
-    z = hensel_lift_root(_monic_min_poly(pres.min_poly), pres.residue, precision)
-    return DiscreteSeriesPlace(base, pres.uniformizer, (pres.gen_name,), (z,), precision)
+# The public constructors
 
 
 def _relative_system(pres: DiscretePresentation, zetas, precision: int) -> TriangularSystem:
@@ -851,18 +631,3 @@ def uniformize_discrete_rational(
     inner = uniformize_abhyankar(inner_place, list(outer.coeff_table), max_steps=max_steps)
     return compose(outer, inner)
 
-
-# ---------------------------------------------------------------------------
-# The element value query of the command-line front end
-
-
-def series_element_value(place: DiscreteSeriesPlace, f: RationalFunction) -> int:
-    if _coerce_ambient(place.base, place.nvars, f).is_zero:
-        raise ValueOfZeroError("the zero element has no value")
-    s = place.element_series(f)
-    # f's series loses a fixed number of exponents, so the place's next
-    # precision is the first that can know one more
-    if s.is_zero_to_precision:
-        msg = "series is zero to its precision; its order is undecided"
-        raise InsufficientPrecisionError(msg, needed=place.precision + 1)
-    return s.order()

@@ -36,9 +36,9 @@ the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
   gives a row back as SparsePoly integer pairs.
 
 The users: ``series`` (a ``TruncatedSeries`` is one row over one
-denominator: products, inverses and quotients); ``completion``: the
-quotient ring K0(t)[X]/(m), whose elements are vectors of rows in t,
-Hensel lifting by Horner's rule in X, the content of each minimal
+denominator: products, inverses and quotients; Hensel lifting by
+Horner's rule in X); ``completion``: the quotient ring K0(t)[X]/(m),
+whose elements are vectors of rows in t, the content of each minimal
 polynomial's rows, and one Taylor shift per Kaplansky table
 g^[i](a) b^i, whose table of zeta's minimal polynomial also gives that
 of w = b/(zeta - a); ``polyfield``:

@@ -130,9 +130,7 @@ class BaseField(Frozen):
                 raise PreconditionError("characteristic must be a machine-word integer")
             if not _is_prime(p):
                 raise PreconditionError(f"characteristic {p} is not prime")
-        set_p, set_key = self._setters
-        set_p(self, p)
-        set_key(self, (p,))
+        Frozen.__init__(self, p)
 
     @property
     def is_rationals(self) -> bool:

@@ -185,7 +185,7 @@ def _parse_precision(doc, path: str, default=_MISSING) -> int | None:
 def parse_presentation(doc, path: str, precision: int | None = None) -> tuple[DiscretePresentation, int]:
     """The presentation and the precision to realize it at: ``precision``
     when given, else the document's, else DEFAULT_PRECISION."""
-    from .completion import DEFAULT_PRECISION, DiscretePresentation
+    from .series import DEFAULT_PRECISION, DiscretePresentation
 
     _need(doc, dict, path, "an object")
     base = parse_base(_get(doc, "base", path), f"{path}.base")
@@ -221,7 +221,7 @@ def parse_series_place(doc, path: str, precision: int | None = None) -> Discrete
     """Realized form: generators carried as series literals.  Its series
     are fixed, so ``precision`` may lower the place's precision but not
     raise it."""
-    from .completion import DiscreteSeriesPlace
+    from .series import DiscreteSeriesPlace
 
     base = parse_base(_get(doc, "base", path), f"{path}.base")
     uniformizer = _need(
@@ -260,8 +260,7 @@ def place_to_json(place) -> dict:
             "x_names": list(place.x_names),
             "y_names": list(place.y_names),
         }
-    from .completion import DiscreteSeriesPlace
-    from .series import series_str
+    from .series import DiscreteSeriesPlace, series_str
 
     if isinstance(place, DiscreteSeriesPlace):
         return {
@@ -284,7 +283,7 @@ def parse_place(doc, path: str, precision: int | None = None):
     if kind == "monomial":
         return parse_monomial_place(doc, path)
     if kind == "discrete_series":
-        from .completion import realize_presentation
+        from .series import realize_presentation
 
         if "generators" in doc:
             return parse_series_place(doc, path, precision)
@@ -328,7 +327,7 @@ def system_to_json(system: TriangularSystem) -> dict:
 
 
 def parse_system(doc, path: str, precision: int | None = None) -> TriangularSystem:
-    from .uniformize import TriangularSystem, layout_names
+    from .checker import TriangularSystem, layout_names
 
     _need(doc, dict, path, "an object")
     place = parse_place(_get(doc, "place", path), f"{path}.place", precision)

@@ -10,7 +10,7 @@ function in the ybar alone.
 
 The module also holds the place's verification context (``MonomialContext``,
 made by ``MonomialPlace.make_context``), which evaluates the rows of a
-triangular system exactly for ``uniformize.verify``.
+triangular system exactly for ``checker.verify``.
 """
 
 from __future__ import annotations
@@ -51,13 +51,7 @@ class MonomialPlace(Frozen):
         names = x_names + y_names
         if len(set(names)) != len(names):
             raise PreconditionError("ambient variable names must be distinct")
-        set_base, set_order, set_tau, set_x_names, set_y_names, set_key = self._setters
-        set_base(self, base)
-        set_order(self, order)
-        set_tau(self, tau)
-        set_x_names(self, x_names)
-        set_y_names(self, y_names)
-        set_key(self, (base, order, tau, x_names, y_names))
+        Frozen.__init__(self, base, order, tau, x_names, y_names)
 
     @property
     def rho(self) -> int:
@@ -207,10 +201,13 @@ class MonomialContext:
         return value, (((tn, a.num.denom), (td, a.den.denom)) if value.is_zero else None)
 
     def residue_text(self, residues) -> str:
-        """The product of the given residues, in the ybar variables."""
+        """The product of the given residues, in the ybar variables ("1" for none)."""
+        if not residues:
+            return "1"
         place = self.place
-        num = den = SparsePoly.const(place.base, place.tau, place.base.one)
-        for n, d in residues:
+        (n, d), *rest = residues
+        num, den = _residue_numerator(place, *n), _residue_numerator(place, *d)
+        for n, d in rest:
             num = num * _residue_numerator(place, *n)
             den = den * _residue_numerator(place, *d)
         return ratfun_str(RationalFunction.make(num, den), place.residue_names)

@@ -2,7 +2,7 @@
 
 The value classes derive from ``fields.Frozen`` and list their fields in
 ``_fields``, in the order their constructors take them.  The one
-dataclass left, ``uniformize.TriangularSystem``, is copied by
+dataclass left, ``checker.TriangularSystem``, is copied by
 ``dataclasses.replace``.
 """
 

@@ -83,6 +83,7 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
 
     monkeypatch.setattr(bench_pairs, "run_sweep", fake_sweep)
     monkeypatch.setattr(bench_pairs, "module_lines", lambda checkout: LINES[checkout.rsplit("/", 1)[-1]])
+    monkeypatch.setattr(bench_pairs, "checker_lines", lambda checkout: {"/p/parent": 130, "/p/change": 90}[checkout])
     imports = []
 
     def fake_import(checkout):
@@ -110,6 +111,7 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     # each side's line count per module, side by side
     assert record["lines"] == LINES
     assert record["lines_summary"]["total"] == {"parent": 130, "change": 110, "ratio": 110 / 130}
+    assert record["checker_lines"] == {"parent": 130, "change": 90, "ratio": 90 / 130}
     # three fresh imports per side, in alternating order
     assert imports == ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
     assert record["startup"]["import_s"] == {"parent": [0.05] * 3, "change": [0.04] * 3}
@@ -157,3 +159,15 @@ def test_module_lines_sum_to_the_total_that_run_py_reports():
     lines = bench_pairs.module_lines(str(root))
     assert "uniformize.py" in lines and "valuation.py" in lines
     assert sum(lines.values()) == run.run_info()["src_uniformizer_lines"]
+
+
+def test_checker_lines_counts_the_modules_a_series_verify_loads():
+    root = PATH.parents[1]
+    lines = bench_pairs.module_lines(str(root))
+    # the package, its __main__, the request layer, the checker and the series places
+    loaded = {
+        "__init__.py", "__main__.py", "cli.py", "dense.py", "errors.py", "expr.py", "fields.py", "jsonio.py",
+        "polyfield.py", "surd.py", "valuation.py", "valuegroup.py", "checker.py", "series.py",
+    }
+    assert bench_pairs.checker_lines(str(root)) == sum(lines[name] for name in loaded)
+    assert sum(lines[name] for name in loaded) < sum(lines.values())

@@ -57,14 +57,12 @@ def _needed_sites():
     """(site, failing call, the precision it failed at) for each place that
     raises InsufficientPrecisionError with a needed hint."""
     from uniformizer.completion import (
-        DiscretePresentation,
-        DiscreteSeriesPlace,
         _split_series,
         kaplansky_normalize,
-        series_element_value,
         uniformize_discrete_rational,
     )
     from uniformizer.expr import parse_element, parse_series
+    from uniformizer.series import DiscretePresentation, DiscreteSeriesPlace, series_element_value
 
     zero, t = TruncatedSeries.zero(Q, 6), TruncatedSeries.monomial(Q, 1, 4)
     x_minus_z = SparsePoly.make(Q, 2, [((0, 1), 1), ((1, 0), -1), ((2, 0), -1)])
@@ -473,13 +471,10 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     # how many series products, inverses and long divisions it takes; a
     # context that rebuilt its powers on every call, or divided by a witness
     # denominator, would give the same report with more of them
-    from uniformizer.completion import (
-        DiscretePresentation,
-        SeriesContext,
-        uniformize_discrete_rational,
-    )
+    from uniformizer.checker import verify
+    from uniformizer.completion import uniformize_discrete_rational
     from uniformizer.expr import parse_element
-    from uniformizer.uniformize import verify
+    from uniformizer.series import DiscretePresentation, SeriesContext
     from frozen_copy import replace
 
     m = parse_element("X^2 - 1 - t", F5, ("t", "X")).num

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from uniformizer.completion import hensel_lift_root
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import SparsePoly
-from uniformizer.series import TruncatedSeries, eval_poly_at_series
+from uniformizer.series import TruncatedSeries, eval_poly_at_series, hensel_lift_root
 
 Q = QQ()
 F5 = GF(5)

@@ -3,21 +3,28 @@
 Every command-line request is one process, so each module it imports is
 paid for once per request.  ``import uniformizer.cli`` loads the layers a
 ``value``, ``residue``, ``perron`` or ``report`` request on a monomial
-place needs and no more; the certificate code (``uniformize``) and the
-series stack (``series``, ``completion``) are imported by the handlers
-that use them.  Only ``uniformize`` imports ``dataclasses``, for
+place needs and no more; the checker (``checker``), the construction code
+(``uniformize``, ``completion``) and the series places (``series``) are
+imported by the handlers that use them.  The checker side imports no
+construction code, so a ``verify`` loads neither ``uniformize`` nor
+``completion``.  Only ``checker`` imports ``dataclasses``, for
 ``TriangularSystem``, so a request loads ``dataclasses`` when it loads
-``uniformize`` and not otherwise.
+``checker`` and not otherwise.
 
 LOADS is the table of the ``uniformizer`` modules that one small request
 per subcommand loads, run through ``python -m uniformizer``:
 
     monomial value, residue, report; perron       BASE
-    uniformize; verify of a monomial certificate  BASE + uniformize
-    any request on a discrete series place,       BASE + uniformize
-    discrete-uniformize, compose                     + series + completion
+    verify of a monomial certificate              BASE + checker
+    verify of a series certificate                BASE + checker + series
+    value, residue, report on a series place      BASE + series
+    uniformize                                    BASE + checker + uniformize
+    compose                                       BASE + checker + uniformize + series
+    discrete-uniformize                           BASE + checker + uniformize + series
+                                                       + completion
 """
 
+import ast
 import json
 import os
 import re
@@ -39,10 +46,10 @@ from uniformizer.valuegroup import GroupOrder
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE = {"cli", "dense", "errors", "expr", "fields", "jsonio", "polyfield", "surd", "valuation", "valuegroup"}
-CERTIFICATE = BASE | {"uniformize"}
-SERIES = CERTIFICATE | {"series", "completion"}
-# loaded with uniformize and by no other request: dataclasses, and inspect, which it imports
-WITH_UNIFORMIZE = {"dataclasses", "inspect"}
+CHECKER = BASE | {"checker"}
+BUILD = CHECKER | {"uniformize"}
+# loaded with checker and by no other request: dataclasses, and inspect, which it imports
+WITH_CHECKER = {"dataclasses", "inspect"}
 
 PLACE = {"kind": "monomial", "base": {"field": "Q"}, "x_weights": [[{"q": "1"}, {"q": "1", "d": 2}]], "tau": 1}
 PRES = {
@@ -68,14 +75,14 @@ LOADS = {
     ("residue", "monomial"): BASE,
     ("report", "monomial"): BASE,
     ("perron", "order"): BASE,
-    ("uniformize", "monomial"): CERTIFICATE,
-    ("verify", "monomial"): CERTIFICATE,
-    ("value", "series"): SERIES,
-    ("residue", "series"): SERIES,
-    ("report", "series"): SERIES,
-    ("discrete-uniformize", "series"): SERIES,
-    ("compose", "series"): SERIES,
-    ("verify", "series"): SERIES,
+    ("verify", "monomial"): CHECKER,
+    ("verify", "series"): CHECKER | {"series"},
+    ("value", "series"): BASE | {"series"},
+    ("residue", "series"): BASE | {"series"},
+    ("report", "series"): BASE | {"series"},
+    ("uniformize", "monomial"): BUILD,
+    ("compose", "series"): BUILD | {"series"},
+    ("discrete-uniformize", "series"): BUILD | {"series", "completion"},
 }
 
 
@@ -115,29 +122,58 @@ def test_importing_the_cli_loads_no_certificate_or_series_code(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = set(json.loads(done.stdout))
     assert "uniformizer.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "uniformizer.uniformize", "uniformizer.completion", "uniformizer.series"}
+    package = {f"uniformizer.{name}" for name in ("checker", "uniformize", "series", "completion")}
+    assert not loaded & ({"dataclasses", "inspect"} | package)
 
 
-@pytest.mark.parametrize("command, kind", LOADS)
-def test_each_request_loads_the_modules_of_its_table_row(tmp_path, command, kind):
+def _run(tmp_path, command, kind) -> set:
+    """The modules one request of the table imports, read from -X
+    importtime, which prints one line per imported module, its name last."""
     path = tmp_path / "request.json"
     path.write_text(json.dumps(_request(command, kind)), encoding="utf-8")
     done = _python(["-X", "importtime", "-m", "uniformizer", command, "--input", str(path)], tmp_path)
     assert done.returncode == 0, done.stderr
-    # -X importtime prints one line per imported module, its name last
     lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
-    names = {line.rsplit("|", 1)[1].strip() for line in lines}
-    assert {n.split(".", 1)[1] for n in names if n.startswith("uniformizer.")} == LOADS[command, kind]
-    if "uniformize" in LOADS[command, kind]:
-        assert WITH_UNIFORMIZE <= names
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def _package(names) -> set:
+    return {n.split(".", 1)[1] for n in names if n.startswith("uniformizer.")}
+
+
+@pytest.mark.parametrize("command, kind", LOADS)
+def test_each_request_loads_the_modules_of_its_table_row(tmp_path, command, kind):
+    names = _run(tmp_path, command, kind)
+    assert _package(names) == LOADS[command, kind]
+    if "checker" in LOADS[command, kind]:
+        assert WITH_CHECKER <= names
     else:
-        assert not names & WITH_UNIFORMIZE
+        assert not names & WITH_CHECKER
 
 
-def test_only_uniformize_imports_dataclasses():
+def _imported(module: str) -> set:
+    """The package modules that a module's import statements name, in
+    functions too (the package imports its own modules relatively)."""
+    tree = ast.parse(Path(_SRC, "uniformizer", f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_no_module_a_series_verify_loads_imports_construction_code(tmp_path):
+    # cli dispatches every subcommand, so its handlers import both sides;
+    # the table pins what its verify handler loads
+    checker_side = _package(_run(tmp_path, "verify", "series")) - {"cli"}
+    importers = {module: _imported(module) & {"completion", "uniformize"} for module in checker_side}
+    assert importers == {module: set() for module in checker_side}
+
+
+def test_only_checker_imports_dataclasses():
     importers = [
         module.name
         for module in sorted(Path(_SRC, "uniformizer").glob("*.py"))
         if re.search(r"^\s*(import|from) dataclasses\b", module.read_text(encoding="utf-8"), re.M)
     ]
-    assert importers == ["uniformize.py"]
+    assert importers == ["checker.py"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uniformizer.checker import TriangularSystem, verify
 from uniformizer.errors import NotInValuationRingError, PreconditionError
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import (
@@ -15,12 +16,7 @@ from uniformizer.polyfield import (
     ratfun_str,
 )
 from uniformizer.surd import SurdScalar
-from uniformizer.uniformize import (
-    TriangularSystem,
-    compose,
-    uniformize_abhyankar,
-    verify,
-)
+from uniformizer.uniformize import compose, uniformize_abhyankar
 from uniformizer.valuation import MonomialPlace, value_of_poly, value_of_ratfun
 from uniformizer.valuegroup import GroupOrder, compare
 from frozen_copy import replace
@@ -66,6 +62,14 @@ def test_polynomial_zetas_and_zero():
     assert verify(sys_).passed
     # the zero element gets the bare row X_j
     assert poly_str(sys_.fs[1], sys_.var_names()) == "X2"
+
+
+@pytest.mark.parametrize("place", [PLACE_R2, PLACE_TAU])
+def test_no_requested_element_reports_diagonal_residue_one(place):
+    # the empty diagonal product: value 0, residue 1, no entries
+    report = verify(uniformize_abhyankar(place, []))
+    assert report.passed
+    assert report.as_dict()["diagonal"] == {"value": "0", "residue": "1", "entries": []}
 
 
 def test_residue_transcendentals_pass_through():
@@ -268,7 +272,7 @@ def test_verify_names_an_unknown_coefficient_field_name(make):
 
 
 def test_both_verify_contexts_expose_the_contract():
-    from uniformizer.completion import SeriesContext
+    from uniformizer.series import SeriesContext
     from uniformizer.valuation import MonomialContext
 
     contract = {"ambient", "eval_poly", "eval_ratfun", "is_zero", "equal", "valuation", "residue_text"}

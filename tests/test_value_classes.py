@@ -13,26 +13,15 @@ import pickle
 
 import pytest
 
-from uniformizer.completion import (
-    DiscretePresentation,
-    DiscreteSeriesPlace,
-    _Block as SeriesBlock,
-    kaplansky_normalize,
-    realize_presentation,
-    uniformize_completion_algebraic,
-)
+from uniformizer.checker import CheckResult, TriangularSystem, VerificationReport, verify
+from uniformizer.completion import _Block as SeriesBlock, kaplansky_normalize, uniformize_completion_algebraic
 from uniformizer.errors import PreconditionError
 from uniformizer.expr import parse_element, parse_series
 from uniformizer.fields import GF, QQ, BaseField
 from uniformizer.polyfield import SparsePoly
+from uniformizer.series import DiscretePresentation, DiscreteSeriesPlace, realize_presentation
 from uniformizer.surd import SurdScalar
-from uniformizer.uniformize import (
-    CheckResult,
-    TriangularSystem,
-    VerificationReport,
-    uniformize_abhyankar,
-    verify,
-)
+from uniformizer.uniformize import uniformize_abhyankar
 from uniformizer.valuation import AbhyankarReport, MonomialPlace, abhyankar_report, residue_of
 from uniformizer.valuegroup import GroupOrder, PerronResult, perron_positive_basis
 from frozen_copy import replace

@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 from uniformizer import valuation
+from uniformizer.checker import verify
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, substitute
-from uniformizer.uniformize import uniformize_abhyankar, verify
+from uniformizer.uniformize import uniformize_abhyankar
 from uniformizer.valuation import MonomialContext
 from frozen_copy import replace
 
