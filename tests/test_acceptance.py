@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from uniformizer import jsonio
-from uniformizer.checker import verify
 from uniformizer.completion import (
     kaplansky_normalize,
     uniformize_completion_algebraic,
@@ -27,7 +26,7 @@ from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative, substitute
 from uniformizer.series import TruncatedSeries, eval_poly_at_series, ratfun_to_series
 from uniformizer.surd import SurdScalar
-from uniformizer.uniformize import compose, uniformize_abhyankar
+from uniformizer.uniformize import compose, uniformize_abhyankar, verify
 from uniformizer.valuation import MonomialPlace, value_of_poly, value_of_ratfun
 from uniformizer.valuegroup import (
     GroupOrder,
