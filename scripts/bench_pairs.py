@@ -25,10 +25,12 @@ with "better" read from BENCHMARK.json.  After the pairs, every workload
 runs once traced (``--trace 1``, seed 1) in each checkout; the record keeps
 those runs' per-layer metrics under ``traced`` and, under
 ``traced_summary``, the layers named in TRACED side by side.  Last, each
-checkout runs ``scripts/series_sweep.py`` once over Q and F5 at the
-precisions 256, 512 and 1024, the high-precision series path that the
-benchmark workloads do not reach; the record keeps its realize and verify
-seconds under ``sweep`` and, side by side, under ``sweep_summary``.  The
+checkout runs ``scripts/series_sweep.py`` SWEEP_RUNS (5) times over Q and
+F5 at the precisions 256, 512 and 1024, the high-precision series path that
+the benchmark workloads do not reach, in alternating rounds with the parent
+first in every other one; the record keeps the realize and verify seconds
+of every run under ``sweep`` and, per cell, each side's median with their
+ratio under ``sweep_summary``.  The
 record also keeps each checkout's line count per module of
 ``src/uniformizer``, counted as ``run.py`` counts the info line's total,
 under ``lines`` and, side by side, under ``lines_summary``, and under
@@ -39,7 +41,10 @@ loads.  Under
 ``uniformizer.cli`` per checkout, taken alternately, the parent first in
 every other one, each timed by that checkout's ``benchmark/run.py``
 ``import_time`` (CPU seconds at the reference speed) with
-``PYTHONDONTWRITEBYTECODE=1``, and each side's median with their ratio.
+``PYTHONDONTWRITEBYTECODE=1``, and each side's median with their ratio;
+beside each, the same import with bytecode cached, read from a temporary
+``PYTHONPYCACHEPREFIX`` directory per side that one untimed import warmed,
+so no ``__pycache__`` lands in either checkout.
 It exits 1 when an operation failed in some run, 0 otherwise, and stops
 with an error, writing nothing, when ``run.py`` or the sweep exits
 nonzero.
@@ -53,6 +58,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # per-layer metrics of the traced runs that the summary sets side by side
@@ -63,6 +69,7 @@ TRACED = (
 TRACE_SEED = 1
 # the fields (0 is Q) and precisions of scripts/series_sweep.py in the record
 SWEEP_ARGS = ("--fields", "0,5", "--precisions", "256,512,1024")
+SWEEP_RUNS = 5  # sweeps per checkout: one varies by more than half on a busy host
 STARTUP_IMPORTS = 40  # fresh imports of uniformizer.cli per checkout
 # a small series certificate as system_to_json writes it: F5(t, z) with z^2 = 1 + t
 SERIES_CERTIFICATE = {
@@ -122,9 +129,15 @@ def parse_sweep(text: str) -> dict:
     return out
 
 
-def import_seconds(checkout: str) -> float:
-    """One fresh import of ``uniformizer.cli`` in a checkout, timed by its ``run.py``'s ``import_time``."""
+def import_seconds(checkout: str, pycache: str | None = None) -> float:
+    """One fresh import of ``uniformizer.cli`` in a checkout, timed by its
+    ``run.py``'s ``import_time``: with no bytecode, or with the bytecode
+    cache kept under the directory ``pycache`` (``PYTHONPYCACHEPREFIX``)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if pycache is not None:
+        del env["PYTHONDONTWRITEBYTECODE"]
+        env["PYTHONPYCACHEPREFIX"] = pycache
     code = "import sys; sys.path.insert(0, 'benchmark'); from run import import_time; print(import_time())"
     done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -133,13 +146,33 @@ def import_seconds(checkout: str) -> float:
 
 
 def startup(checkouts: dict, count: int) -> dict:
-    """count alternating fresh imports per checkout: every time, and each side's median with their ratio."""
+    """count alternating fresh imports per checkout, each with no bytecode
+    and with bytecode cached: every time, and each side's median with their
+    ratio.  Each side's cache is a temporary directory, warmed by one
+    untimed import."""
     seconds: dict = {"parent": [], "change": []}
-    for i in range(count):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            seconds[side].append(import_seconds(checkouts[side]))
-    medians = (statistics.median(seconds[side]) if seconds[side] else None for side in ("parent", "change"))
-    return {"import_s": seconds, "summary": _side_by_side(*medians)}
+    cached: dict = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        caches = {side: os.path.join(tmp, side) for side in checkouts}
+        for side, cache in caches.items():
+            import_seconds(checkouts[side], cache)
+        for i in range(count):
+            for side in _sides(i):
+                seconds[side].append(import_seconds(checkouts[side]))
+                cached[side].append(import_seconds(checkouts[side], caches[side]))
+    return {
+        "import_s": seconds, "summary": _medians(seconds),
+        "cached_import_s": cached, "cached_summary": _medians(cached),
+    }
+
+
+def _sides(i: int) -> tuple:
+    """The order of the sides in round i: the parent first in every other round."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def _medians(values: dict) -> dict:
+    return _side_by_side(*(statistics.median(values[side]) if values[side] else None for side in ("parent", "change")))
 
 
 def module_lines(checkout: str) -> dict:
@@ -230,14 +263,27 @@ def traced_summary(traced: dict) -> dict:
     return out
 
 
+def sweeps(checkouts: dict, count: int) -> dict:
+    """count sweeps per checkout in alternating rounds: every run per side."""
+    runs: dict = {"parent": [], "change": []}
+    for i in range(count):
+        for side in _sides(i):
+            runs[side].append(run_sweep(checkouts[side]))
+    return runs
+
+
 def sweep_summary(sweep: dict) -> dict:
-    """Per field, precision and step of the sweep: each side's seconds and their ratio."""
+    """Per field, precision and step of the sweep: each side's median
+    seconds over its runs, and their ratio."""
+    def median(side, field, n, step):
+        values = [run[field][n][step] for run in sweep[side] if n in run.get(field, {})]
+        return statistics.median(values) if values else None
+
+    cells = sweep["parent"][0] if sweep["parent"] else {}
     return {
-        field: {
-            n: {step: _side_by_side(cell[step], sweep["change"].get(field, {}).get(n, {}).get(step)) for step in cell}
-            for n, cell in cells.items()
-        }
-        for field, cells in sweep["parent"].items()
+        field: {n: {step: _side_by_side(*(median(side, field, n, step) for side in ("parent", "change"))) for step in cell}
+                for n, cell in by_n.items()}
+        for field, by_n in cells.items()
     }
 
 
@@ -261,7 +307,7 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             for pair in range(args.pairs):
-                order = ("parent", "change") if count % 2 == 0 else ("change", "parent")
+                order = _sides(count)
                 count += 1
                 for side in order:
                     result = run_once(checkouts[side], workload, seed, seconds)
@@ -278,7 +324,7 @@ def main(argv=None) -> int:
             info.setdefault(side, result.pop("info"))
             traced.setdefault(workload, {})[side] = result
             ok = ok and result["failed"] == 0
-    sweep = {side: run_sweep(checkouts[side]) for side in ("parent", "change")}
+    sweep = sweeps(checkouts, SWEEP_RUNS)
     lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
     checker = _side_by_side(*(checker_lines(checkouts[side]) for side in ("parent", "change")))
     started = startup(checkouts, STARTUP_IMPORTS)
@@ -296,6 +342,7 @@ def main(argv=None) -> int:
         "traced": traced,
         "traced_summary": traced_summary(traced),
         "sweep_args": list(SWEEP_ARGS),
+        "sweep_runs": SWEEP_RUNS,
         "sweep": sweep,
         "sweep_summary": sweep_summary(sweep),
         "lines": lines,
@@ -324,6 +371,8 @@ def main(argv=None) -> int:
     print(f"checker lines: {checker['parent']} -> {checker['change']}")
     m = started["summary"]
     print(f"startup import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
+    m = started["cached_summary"]
+    print(f"startup cached import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
     return 0 if ok else 1
 
 

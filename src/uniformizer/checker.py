@@ -180,6 +180,10 @@ class VerificationReport(Frozen):
 def verify(system: TriangularSystem) -> VerificationReport:
     """Check (U1)-(U3) and generation; return a full report.
 
+    A failed U2 names the first row that does not vanish and its value at
+    (T, eta); a failed U3 names the first diagonal entry that is 0 or has
+    nonzero value.
+
     Raises NotInValuationRingError if a listed element fails membership in
     the valuation ring, since such a system is malformed rather than merely
     failing a check, and PreconditionError if a coefficient field name is
@@ -220,7 +224,7 @@ def verify(system: TriangularSystem) -> VerificationReport:
     for i, f in enumerate(system.fs):
         val = ctx.eval_poly(f, args)
         if not ctx.is_zero(val):
-            u2 = CheckResult(False, f"row {i + 1} does not vanish")
+            u2 = CheckResult(False, f"row {i + 1} does not vanish: value {ctx.valuation(val)[0]}")
             break
 
     # U3: the product of diagonal partials is a unit.  It vanishes iff an
@@ -236,15 +240,17 @@ def verify(system: TriangularSystem) -> VerificationReport:
         else ctx.residue_text([v[1]])
         for v in vals
     )
-    if any(v is None for v in vals):
-        u3 = CheckResult(False, "diagonal product vanishes")
+    zero = next((k for k, v in enumerate(vals) if v is None), None)
+    if zero is not None:
+        u3 = CheckResult(False, f"diagonal product vanishes: entry {zero + 1} is 0")
         dval, dres = "undefined", "0"
     else:
         dval = str(sum((value for value, _ in vals), ctx.zero))
         residues = [r for _, r in vals]
-        if any(r is None for r in residues):
+        off = next((k for k, r in enumerate(residues) if r is None), None)
+        if off is not None:
             # the entries lie in the valuation ring, so the value is positive
-            u3 = CheckResult(False, "diagonal product has nonzero value")
+            u3 = CheckResult(False, f"diagonal product has nonzero value: entry {off + 1} has value {vals[off][0]}")
             dres = "0"
         else:
             u3 = CheckResult(True)

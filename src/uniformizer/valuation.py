@@ -15,6 +15,7 @@ triangular system exactly for ``checker.verify``.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -90,7 +91,10 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
     """Value of a nonzero polynomial and its minimal-value terms, as f's
     own (exponents, integer) pairs over f.denom, in f's grlex order.
 
-    Terms compare on the integer difference of their x-exponent vectors,
+    With three terms or more, an interval of each term's first-block value
+    (``GroupOrder._may_be_least``) first drops the terms certainly above
+    another; every term of the least value survives.  The survivors then
+    compare exactly on the integer difference of their x-exponent vectors,
     block by block through the order's integer weight matrices; only the
     minimum becomes a GroupElement.  A zero difference is the only tie,
     since the weights in each block are independent.
@@ -101,15 +105,19 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
     if f.is_zero:
         raise ValueOfZeroError("the zero polynomial has no value")
     order, rho = place.order, place.rho
+    ints = f.ints
+    if len(ints) > 2 and rho:
+        ints = [t for t, keep in zip(ints, order._may_be_least([e for e, _ in ints])) if keep]
     best_head = None
     best_terms: list = []
-    for t in f.ints:
+    for t in ints:
         head = t[0][:rho]
         if head == best_head:
             best_terms.append(t)
-        elif best_head is None or order._sign_of([p - q for p, q in zip(head, best_head)]) < 0:
+        elif best_head is None or order._sign_of(list(map(sub, head, best_head))) < 0:
             best_head, best_terms = head, [t]
-    return order.element(best_head), tuple(best_terms)
+    # a head is a tuple of ints already
+    return GroupElement(order, best_head, 1), tuple(best_terms)
 
 
 def value_of_ratfun(place: MonomialPlace, f: RationalFunction) -> GroupElement:
@@ -197,7 +205,7 @@ class MonomialContext:
         numerator and the denominator, each with its side's denominator."""
         vn, tn = value_of_poly(self.place, a.num)
         vd, td = value_of_poly(self.place, a.den)
-        value = vn - vd
+        value = GroupElement(vn.order, tuple(map(sub, vn.nums, vd.nums)), 1)
         return value, (((tn, a.num.denom), (td, a.den.denom)) if value.is_zero else None)
 
     def residue_text(self, residues) -> str:

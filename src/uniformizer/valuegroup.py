@@ -13,8 +13,11 @@ root bounds and, per generator, the estimate of its weight at those
 bounds with an error bound.  The sign of a block's part x is the sign of
 sum(x_i * est_i) when that exceeds sum(|x_i| * err_i) (proved at
 ``_Block``); otherwise ``surd.surd_sign`` decides it exactly on x times
-the matrix.  Ranks, determinants and unimodular inverses come from one
-fraction-free Gauss-Jordan elimination (``gauss_jordan``).
+the matrix.  They also give a term's x-exponents h the interval
+h . est +- h . err around its first-block value; the term scan drops a
+term whose interval lies above another's before any exact comparison
+(``GroupOrder._may_be_least``).  Ranks, determinants and unimodular
+inverses come from one fraction-free elimination (``gauss_jordan``).
 
 The Perron reduction carries, per basis row, an integer estimate of its
 value at b bits and an error bound, the interval that ``surd_sign`` filters
@@ -36,7 +39,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionError, InputError, PreconditionError, ResourceError
 from .fields import Frozen, clear_denominators
@@ -112,6 +115,14 @@ class _Block(Frozen):
     2**b * S * V(x) - est = sum_j c_j * (2**b * sqrt(d_j) - roots[j]) for the
     block value V(x).  Each bracket lies in [0, 1), so the error is at most
     sum(|c|) <= err = |x| . _err, and |est| > err gives the sign of V(x).
+    A non-negative row h, such as a term's x-exponents, has |h| = h, so
+    2**b * S * V(h) lies in [est(h) - err(h), est(h) + err(h)] with
+    est(h) = h . _est and err(h) = h . _err.  On the order's first block, a
+    lower end above g's upper end gives V(h) > V(g), so h's value is above
+    g's whatever later blocks hold; and a least h has est(h) - err(h) <=
+    2**b * S * V(h) <= 2**b * S * V(g) <= est(g) + err(g) for every g.  So
+    dropping each h whose lower end exceeds the least upper end keeps every
+    vector of least value.
     """
 
     __slots__ = ("weights", "radicands", "matrix", "roots", "_est", "_err")
@@ -162,6 +173,16 @@ class GroupOrder(Frozen):
         set_int_blocks(self, tuple(int_blocks))
         set_ngens(self, sum(len(b) for b in blocks))
         set_key(self, (blocks,))
+
+    def _may_be_least(self, heads) -> list[bool]:
+        """Per non-negative integer vector (its first-block entries read, the
+        rest ignored): False where its first-block value is certainly above
+        another's, so it cannot be least; see ``_Block``."""
+        block = self._blocks[0]
+        est = [sum(map(mul, h, block._est)) for h in heads]
+        err = [sum(map(mul, h, block._err)) for h in heads]
+        top = min(map(add, est, err))
+        return [e - d <= top for e, d in zip(est, err)]
 
     def _sign_of(self, x) -> int:
         """Lexicographic sign of an integer coordinate vector, block by block."""
@@ -223,6 +244,8 @@ class GroupElement(Frozen):
         """self + s * other, for s = 1 or -1, in lowest terms."""
         if not isinstance(other, GroupElement) or other.order != self.order:
             raise DimensionError("elements belong to different ordered groups")
+        if self.den == other.den == 1:
+            return GroupElement(self.order, tuple(map(add if s == 1 else sub, self.nums, other.nums)), 1)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, s * (den // other.den)
         nums = tuple(p * fa + q * fb for p, q in zip(self.nums, other.nums))
@@ -498,11 +521,9 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
 
     budget = _Budget(_resolve_cap(max_steps))
     rows, coeffs = _perron_multi(order._blocks, vectors, budget)
-    result = PerronResult(
-        basis=tuple(order.element(row) for row in rows),
-        coeffs=tuple(tuple(int(c) for c in row) for row in coeffs),
-        change=tuple(tuple(int(c) for c in row) for row in rows),
-    )
+    # the reduction keeps int rows, so neither needs order.element's checks
+    change = tuple(map(tuple, rows))
+    result = PerronResult(tuple(GroupElement(order, row, 1) for row in change), tuple(map(tuple, coeffs)), change)
     if not perron_is_valid(order, alphas, result):
         raise ResourceError("reduction produced an invalid basis")  # pragma: no cover
     return result
@@ -527,7 +548,10 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     if len(result.basis) != n:
         return False
     for el, row in zip(result.basis, change):
-        if el != GroupElement(order, tuple(row), 1) or order._sign_of(row) != 1:
+        # el == GroupElement(order, tuple(row), 1), field by field
+        if el.__class__ is not GroupElement or el.order != order or el.den != 1 or el.nums != tuple(row):
+            return False
+        if order._sign_of(row) != 1:
             return False
     alphas = list(alphas)
     if len(result.coeffs) != len(alphas):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -59,10 +60,29 @@ def test_parse_sweep_reads_realize_and_verify_per_field_and_precision():
         "Q": {"256": {"realize_s": 0.05, "verify_s": 0.4}, "512": {"realize_s": 0.2, "verify_s": 1.5}},
         "F5": {"256": {"realize_s": 0.004, "verify_s": 0.08}},
     }
-    summary = bench_pairs.sweep_summary({"parent": sweep, "change": {"Q": {"256": {"realize_s": 0.025, "verify_s": 0.4}}}})
+    summary = bench_pairs.sweep_summary({"parent": [sweep], "change": [{"Q": {"256": {"realize_s": 0.025, "verify_s": 0.4}}}]})
     assert summary["Q"]["256"]["realize_s"] == {"parent": 0.05, "change": 0.025, "ratio": 0.5}
     assert summary["Q"]["512"]["verify_s"] == {"parent": 1.5, "change": None, "ratio": None}
     assert bench_pairs.SWEEP_ARGS == ("--fields", "0,5", "--precisions", "256,512,1024")
+
+
+def test_sweep_summary_compares_each_cells_median_over_the_runs(monkeypatch):
+    def cell(realize, verify):
+        return {"Q": {"512": {"realize_s": realize, "verify_s": verify}}}
+
+    # one slow parent run in three does not move its median
+    sweep = {"parent": [cell(0.2, 0.40), cell(0.2, 0.67), cell(0.3, 0.43)],
+             "change": [cell(0.1, 0.46), cell(0.1, 0.44), cell(0.1, 0.41)]}
+    summary = bench_pairs.sweep_summary(sweep)["Q"]["512"]
+    assert summary["verify_s"] == {"parent": 0.43, "change": 0.44, "ratio": 0.44 / 0.43}
+    assert summary["realize_s"] == {"parent": 0.2, "change": 0.1, "ratio": 0.5}
+    assert bench_pairs.sweep_summary({"parent": [], "change": []}) == {}
+    # the rounds alternate, the parent first in the odd ones
+    order = []
+    monkeypatch.setattr(bench_pairs, "run_sweep", lambda checkout: order.append(checkout) or cell(0.1, 0.4))
+    runs = bench_pairs.sweeps({"parent": "p", "change": "c"}, 3)
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    assert runs == {"parent": [cell(0.1, 0.4)] * 3, "change": [cell(0.1, 0.4)] * 3}
 
 
 def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch):
@@ -84,14 +104,17 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "run_sweep", fake_sweep)
     monkeypatch.setattr(bench_pairs, "module_lines", lambda checkout: LINES[checkout.rsplit("/", 1)[-1]])
     monkeypatch.setattr(bench_pairs, "checker_lines", lambda checkout: {"/p/parent": 130, "/p/change": 90}[checkout])
-    imports = []
+    imports, caches = [], {}
 
-    def fake_import(checkout):
-        imports.append(checkout)
-        return 0.04 if checkout.endswith("change") else 0.05
+    def fake_import(checkout, pycache=None):
+        imports.append((checkout, pycache is not None))
+        if pycache is not None:
+            caches.setdefault(checkout, set()).add(pycache)
+        return (0.04 if checkout.endswith("change") else 0.05) / (4 if pycache else 1)
 
     monkeypatch.setattr(bench_pairs, "import_seconds", fake_import)
     monkeypatch.setattr(bench_pairs, "STARTUP_IMPORTS", 3)
+    monkeypatch.setattr(bench_pairs, "SWEEP_RUNS", 3)
     out = tmp_path / "record.json"
     argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "b",
             "--seeds", "5", "--pairs", "2", "--out", str(out)]
@@ -103,34 +126,66 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     assert record["trace_seed"] == 1 and set(record["traced"]) == {"a", "b"}
     assert record["traced_summary"]["a"]["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
     assert record["traced_summary"]["b"]["fields.ops.calls"] == {"parent": None, "change": None, "ratio": None}
-    # one sweep per side, recorded with its arguments and side by side
-    assert swept == ["/p/parent", "/p/change"]
-    assert record["sweep_args"] == list(bench_pairs.SWEEP_ARGS)
-    assert record["sweep"]["change"]["Q"]["512"] == {"realize_s": 0.2, "verify_s": 1.5}
+    # three sweeps per side in alternating rounds, every run recorded with its arguments
+    assert swept == ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
+    assert record["sweep_args"] == list(bench_pairs.SWEEP_ARGS) and record["sweep_runs"] == 3
+    assert [run["Q"]["512"] for run in record["sweep"]["change"]] == [{"realize_s": 0.2, "verify_s": 1.5}] * 3
     assert record["sweep_summary"]["F5"]["256"]["verify_s"] == {"parent": 0.08, "change": 0.08, "ratio": 1.0}
     # each side's line count per module, side by side
     assert record["lines"] == LINES
     assert record["lines_summary"]["total"] == {"parent": 130, "change": 110, "ratio": 110 / 130}
     assert record["checker_lines"] == {"parent": 130, "change": 90, "ratio": 90 / 130}
-    # three fresh imports per side, in alternating order
-    assert imports == ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
+    # one untimed cached import per side warms its cache; then three rounds
+    # in alternating order, each side with no bytecode and then with its cache
+    rounds = ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
+    assert imports == [("/p/parent", True), ("/p/change", True)] + [
+        (checkout, cached) for checkout in rounds for cached in (False, True)
+    ]
     assert record["startup"]["import_s"] == {"parent": [0.05] * 3, "change": [0.04] * 3}
     assert record["startup"]["summary"] == {"parent": 0.05, "change": 0.04, "ratio": 0.04 / 0.05}
+    assert record["startup"]["cached_import_s"] == {"parent": [0.0125] * 3, "change": [0.01] * 3}
+    assert record["startup"]["cached_summary"] == {"parent": 0.0125, "change": 0.01, "ratio": 0.01 / 0.0125}
+    # each side keeps one cache of its own, in a temporary directory outside both checkouts, gone afterwards
+    (parent_cache,), (change_cache,) = caches["/p/parent"], caches["/p/change"]
+    assert parent_cache != change_cache
+    assert not any(cache.startswith("/p/") or os.path.exists(cache) for cache in (parent_cache, change_cache))
 
 
 def test_startup_takes_each_sides_median(monkeypatch):
     times = {"parent": iter([0.050, 0.070, 0.060, 0.055]), "change": iter([0.040, 0.042, 0.090, 0.041])}
-    monkeypatch.setattr(bench_pairs, "import_seconds", lambda checkout: next(times[checkout]))
+    # the first cached import of a side warms its cache and is not recorded
+    cached = {"parent": iter([0.5, 0.020, 0.021, 0.019, 0.030]), "change": iter([0.5, 0.010, 0.012, 0.011, 0.013])}
+    monkeypatch.setattr(
+        bench_pairs, "import_seconds", lambda checkout, pycache=None: next((cached if pycache else times)[checkout])
+    )
     started = bench_pairs.startup({"parent": "parent", "change": "change"}, 4)
     assert started["import_s"] == {"parent": [0.050, 0.070, 0.060, 0.055], "change": [0.040, 0.042, 0.090, 0.041]}
     assert started["summary"]["parent"] == pytest.approx(0.0575)
     assert started["summary"]["change"] == pytest.approx(0.0415)
-    assert bench_pairs.startup({}, 0)["summary"] == {"parent": None, "change": None, "ratio": None}
+    assert started["cached_import_s"] == {"parent": [0.020, 0.021, 0.019, 0.030], "change": [0.010, 0.012, 0.011, 0.013]}
+    assert started["cached_summary"]["parent"] == pytest.approx(0.0205)
+    assert started["cached_summary"]["change"] == pytest.approx(0.0115)
+    empty = bench_pairs.startup({}, 0)
+    assert empty["summary"] == empty["cached_summary"] == {"parent": None, "change": None, "ratio": None}
 
 
 def test_import_seconds_times_a_fresh_import_with_run_py():
     seconds = bench_pairs.import_seconds(str(PATH.parents[1]))
     assert 0 < seconds < 10
+
+
+def test_cached_import_keeps_its_bytecode_out_of_the_checkout(tmp_path):
+    root = PATH.parents[1]
+
+    def caches():
+        return sorted(str(p.relative_to(root)) for d in ("src", "benchmark") for p in (root / d).rglob("__pycache__"))
+
+    before = caches()
+    for _ in range(2):  # the first call writes the cache, the second reads it
+        assert 0 < bench_pairs.import_seconds(str(root), str(tmp_path)) < 10
+    assert caches() == before
+    written = {p.name for p in tmp_path.rglob("*.pyc")}
+    assert any(name.startswith("cli.") for name in written) and any(name.startswith("run.") for name in written)
 
 
 LINES = {"parent": {"a.py": 100, "b.py": 30}, "change": {"a.py": 100, "c.py": 10}}

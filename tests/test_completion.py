@@ -499,6 +499,21 @@ def _u3_fields(system):
     return (r.u3.passed, r.u3.detail, r.diagonal_value, r.diagonal_residue, r.diagonal_entries)
 
 
+def test_u2_on_a_series_place_gives_the_order_of_the_residual():
+    from frozen_copy import replace
+
+    zv = RationalFunction.variable(F5, 2, 1)
+    sys_ = uniformize_discrete_rational(_pres5(), [zv], precision=16)
+    width = sys_.s + sys_.n
+    t1 = SparsePoly.variable(F5, width, 0)  # the T element t, of order 1
+    for row, extra, order in ((0, t1 * t1, 2), (1, SparsePoly.const(F5, width, 3), 0)):
+        fs = list(sys_.fs)
+        fs[row] = fs[row] + extra
+        report = verify(replace(sys_, fs=tuple(fs)))
+        assert report.u2.detail == f"row {row + 1} does not vanish: value {order}"
+    assert verify(sys_).u2.detail == ""
+
+
 def test_u3_on_a_series_place():
     from frozen_copy import replace
 
@@ -515,12 +530,12 @@ def test_u3_on_a_series_place():
     assert _u3_fields(sys_) == (True, "", "0", "1", ("1",) * 5)
     # t1 * f keeps the zero and gives its X-partial value 1
     assert _u3_fields(mutant({2: lambda f: f * t1})) == (
-        False, "diagonal product has nonzero value", "1", "0",
+        False, "diagonal product has nonzero value: entry 3 has value 1", "1", "0",
         ("1", "1", "value 1", "1", "1"),
     )
     # f^2 keeps the zero and its X-partial 2*f*f_X vanishes there
     assert _u3_fields(mutant({4: lambda f: f * f})) == (
-        False, "diagonal product vanishes", "undefined", "0",
+        False, "diagonal product vanishes: entry 5 is 0", "undefined", "0",
         ("1", "1", "1", "1", "0"),
     )
     # the diagonal residue is the product of the entry residues

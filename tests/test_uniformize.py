@@ -112,7 +112,7 @@ def test_u2_violation_is_reported():
     report = verify(sys_)
     assert report.u1.passed
     assert not report.u2.passed
-    assert report.u2.detail == "row 1 does not vanish"
+    assert report.u2.detail == "row 1 does not vanish: value 2"  # t^2 - t^3
 
 
 def test_u3_square_fails_every_characteristic():
@@ -126,7 +126,7 @@ def test_u3_square_fails_every_characteristic():
         report = verify(sys_)
         assert report.u1.passed and report.u2.passed
         assert not report.u3.passed
-        assert report.u3.detail == "diagonal product vanishes"
+        assert report.u3.detail == "diagonal product vanishes: entry 1 is 0"
         assert report.diagonal_value == "undefined"
 
 
@@ -139,7 +139,7 @@ def test_u3_positive_value_detail():
     )
     report = verify(sys_)
     assert not report.u3.passed
-    assert report.u3.detail == "diagonal product has nonzero value"
+    assert report.u3.detail == "diagonal product has nonzero value: entry 1 has value 1"
 
 
 def test_verify_rejects_elements_outside_the_ring():

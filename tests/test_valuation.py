@@ -262,3 +262,97 @@ def test_residue_is_multiplicative_on_units(data):
         return
     prod = residue_of(place, rf_ * rg_)
     assert prod.rep == residue_of(place, rf_).rep * residue_of(place, rg_).rep
+
+
+# ---------------------------------------------------------------------------
+# the term scan pruned by per-term intervals, against an unpruned scan
+
+
+def _unpruned_scan(place, f):
+    """The least value and its terms, in f's order, from pairwise compares
+    of every term's value with every other's; no interval is read."""
+    values = [place.order.element(e[: place.rho]) for e, _ in f.ints]
+    least = next(v for v in values if all(compare(v, w) <= 0 for w in values))
+    return least, tuple(t for t, v in zip(f.ints, values) if compare(v, least) == 0)
+
+
+_RADICANDS = [1, 2, 3, 5, 6, 7]
+
+
+@st.composite
+def _blocks(draw, size):
+    rads = draw(st.lists(st.sampled_from(_RADICANDS), min_size=size, max_size=size, unique=True))
+    return [(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4))), d) for d in rads]
+
+
+@st.composite
+def pruned_cases(draw):
+    """A place of one or two blocks, the first of one to three weights, and
+    a polynomial of up to 12 terms with exponents up to 6."""
+    blocks = [draw(_blocks(draw(st.integers(1, 3))))]
+    if draw(st.booleans()):
+        blocks.append(draw(_blocks(draw(st.integers(1, 2)))))
+    place = MonomialPlace(draw(st.sampled_from([Q, F5])), _order(*blocks), tau=draw(st.integers(0, 1)))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 6)] * place.nvars), st.integers(1, 4)), min_size=1, max_size=12
+    ))
+    return place, P(place.base, place.nvars, terms)
+
+
+@given(pruned_cases())
+@settings(max_examples=200, deadline=None)
+def test_pruned_scan_matches_the_unpruned_scan(case):
+    place, f = case
+    if f.is_zero:
+        return
+    assert value_of_poly(place, f) == _unpruned_scan(place, f)
+
+
+def _sqrt2_convergent(near):
+    """A convergent p/q of sqrt(2) with q the first denominator above near."""
+    p, q = 1, 1
+    while q <= near:
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def test_overlapping_intervals_fall_back_to_the_exact_kernel(monkeypatch):
+    import uniformizer.valuegroup as vg
+
+    exact, surd_sign = [], vg.surd_sign
+    monkeypatch.setattr(vg, "surd_sign", lambda *args: exact.append(args) or surd_sign(*args))
+    p, q = _sqrt2_convergent(10**12)
+    assert 10**12 < q < 3 * 10**12
+    # x1^p and x2^q sit at p and q*sqrt(2), within 1/q of each other; x1^(2p) lies far above
+    for a, b in ((p, q), _sqrt2_convergent(q)):
+        f = P(Q, 3, [((a, 0, 0), 1), ((0, b, 0), 1), ((2 * a, 0, 0), 1)])
+        heads = [e for e, _ in f.ints]
+        kept = dict(zip(heads, PLACE_R2.order._may_be_least(heads)))
+        assert kept == {(a, 0, 0): True, (0, b, 0): True, (2 * a, 0, 0): False}
+        exact.clear()
+        v, terms = value_of_poly(PLACE_R2, f)
+        assert exact, "the 64-bit bounds cannot tell p from q*sqrt(2)"
+        below = (a, 0) if a * a < 2 * b * b else (0, b)
+        assert v.nums == below and v.den == 1
+        assert [e[:2] for e, _ in terms] == [below]
+        assert (v, terms) == _unpruned_scan(PLACE_R2, f)
+
+
+def test_scan_with_no_x_variables_keeps_every_term():
+    # rho = 0: every term has the empty head, value zero, and no interval is read
+    place = MonomialPlace(Q, GroupOrder(()), tau=2)
+    f = P(Q, 2, [((2, 0), 1), ((1, 1), 2), ((0, 1), 3), ((0, 0), 4)])
+    v, terms = value_of_poly(place, f)
+    assert v.nums == () and v.den == 1 and v.is_zero
+    assert terms == f.ints
+    assert str(residue_of(place, RationalFunction.from_poly(f))) == "y1bar^2 + 2*y1bar*y2bar + 3*y2bar + 4"
+
+
+def test_terms_that_share_a_head_survive_together():
+    # x1*y1 and x1 share the head (1, 0); x1^2 and x2^2 lie above it
+    for extra in ([], [((2, 0, 0), 5), ((0, 2, 0), 6)]):
+        f = P(Q, 3, [((1, 0, 1), 1), ((1, 0, 0), 2)] + extra)
+        v, terms = value_of_poly(PLACE_R2, f)
+        assert v.nums == (1, 0)
+        assert terms == (((1, 0, 1), 1), ((1, 0, 0), 2))
+        assert (v, terms) == _unpruned_scan(PLACE_R2, f)

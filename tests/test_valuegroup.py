@@ -471,6 +471,36 @@ def test_perron_is_valid_rejects_each_broken_clause():
     assert not perron_is_valid(ORDER_R2, [ORDER_R2.element([2, 2])], frac)
 
 
+def test_perron_is_valid_reads_each_field_of_a_basis_element():
+    # the basis clause holds exactly when the element equals
+    # GroupElement(order, row, 1): its class, order, den and nums
+    order, alphas, res = _valid_rank3()
+    row = res.change[0]
+
+    class Lookalike(vg.GroupElement):
+        pass
+
+    other = _order([(1, 1), (1, 2), (1, 5)])
+    broken = {
+        "wrong class": Lookalike(order, row, 1),
+        "not an element": row,
+        "wrong order": vg.GroupElement(other, row, 1),
+        "den 2": vg.GroupElement(order, row, 2),
+        "wrong nums": vg.GroupElement(order, (row[0] + 1,) + row[1:], 1),
+    }
+    for label, el in broken.items():
+        assert el != vg.GroupElement(order, row, 1), label
+        assert not perron_is_valid(order, alphas, replace(res, basis=_with_row(res.basis, 0, el))), label
+    # an equal element built apart, over an equal order built apart, passes
+    twin = _order([(1, 1), (1, 2), (1, 3)])
+    assert twin is not order
+    same = replace(res, basis=_with_row(res.basis, 0, vg.GroupElement(twin, tuple(row), 1)))
+    assert perron_is_valid(order, alphas, same)
+    # list rows in the change are read as their tuples
+    listed = replace(res, change=tuple(map(list, res.change)))
+    assert perron_is_valid(order, alphas, listed)
+
+
 # ---------------------------------------------------------------------------
 # the carried-interval reduction against the exact floor-quotient reduction
 

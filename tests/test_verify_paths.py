@@ -21,7 +21,7 @@ from uniformizer.checker import verify
 from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, substitute
 from uniformizer.uniformize import uniformize_abhyankar
-from uniformizer.valuation import MonomialContext
+from uniformizer.valuation import MonomialContext, value_of_ratfun
 from frozen_copy import replace
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "certificate_survey.py"
@@ -82,6 +82,14 @@ def _mutants(system):
             ("squared", _row_with(system, i, xi * f))]
 
 
+def _residual_value(system, mutant):
+    """The value of the mutant's last row at (T, eta), read from its
+    difference with the system's row, which vanishes there."""
+    assert not system.coeff_table
+    diff = mutant.fs[-1] - system.fs[-1]
+    return value_of_ratfun(system.place, RationalFunction.make(*substitute(diff, system.tvars + system.etas)))
+
+
 def _multi_term(rf):
     return len(rf.num.ints) > 1 or len(rf.den.ints) > 1
 
@@ -99,11 +107,14 @@ def test_reports_equal_the_normalising_reference(p, seed):
             got = verify(mutant)
             assert got.as_dict() == _reference(mutant).as_dict(), name
             if name == "coefficient":
-                assert got.u2.detail == f"row {system.n} does not vanish"
+                assert got.u2.detail == f"row {system.n} does not vanish: value {_residual_value(system, mutant)}"
             elif name == "vanishing diagonal":
-                assert got.u3.detail == "diagonal product vanishes"
+                assert got.u3.detail == f"diagonal product vanishes: entry {system.n} is 0"
             elif name == "positive diagonal":
-                assert got.u2.passed and got.u3.detail == "diagonal product has nonzero value"
+                # t1 times a unit
+                t1 = value_of_ratfun(system.place, system.tvars[0])
+                assert got.u2.passed
+                assert got.u3.detail == f"diagonal product has nonzero value: entry {system.n} has value {t1}"
             else:
                 # X_n * f_n still vanishes at eta_n
                 assert got.u2.passed
