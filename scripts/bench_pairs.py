@@ -275,14 +275,14 @@ def sweeps(checkouts: dict, count: int) -> dict:
 def sweep_summary(sweep: dict) -> dict:
     """Per field, precision and step of the sweep: each side's median
     seconds over its runs, and their ratio."""
-    def median(side, field, n, step):
-        values = [run[field][n][step] for run in sweep[side] if n in run.get(field, {})]
-        return statistics.median(values) if values else None
+    def medians(field, n, step):
+        for side in ("parent", "change"):
+            values = [run[field][n][step] for run in sweep[side] if n in run.get(field, {})]
+            yield statistics.median(values) if values else None
 
     cells = sweep["parent"][0] if sweep["parent"] else {}
     return {
-        field: {n: {step: _side_by_side(*(median(side, field, n, step) for side in ("parent", "change"))) for step in cell}
-                for n, cell in by_n.items()}
+        field: {n: {step: _side_by_side(*medians(field, n, step)) for step in cell} for n, cell in by_n.items()}
         for field, by_n in cells.items()
     }
 
@@ -369,10 +369,9 @@ def main(argv=None) -> int:
         if m["parent"] != m["change"]:
             print(f"lines {name}: {m['parent']} -> {m['change']}")
     print(f"checker lines: {checker['parent']} -> {checker['change']}")
-    m = started["summary"]
-    print(f"startup import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
-    m = started["cached_summary"]
-    print(f"startup cached import_s over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
+    for label, key in (("import_s", "summary"), ("cached import_s", "cached_summary")):
+        m = started[key]
+        print(f"startup {label} over {STARTUP_IMPORTS} imports: {m['parent']} -> {m['change']} (ratio {m['ratio']})")
     return 0 if ok else 1
 
 
