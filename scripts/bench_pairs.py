@@ -22,9 +22,12 @@ The output holds every value of every run, and per workload and metric the
 median of each side, their ratio (change / parent), the quartiles of the
 parent's values and the number of pairs in which the change was better,
 with "better" read from BENCHMARK.json.  After the pairs, every workload
-runs once traced (``--trace 1``, seed 1) in each checkout; the record keeps
-those runs' per-layer metrics under ``traced`` and, under
-``traced_summary``, the layers named in TRACED side by side.  Last, each
+runs TRACE_RUNS (3) times traced (``--trace 1``, seed 1) in each checkout,
+in alternating rounds with the parent first in every other one; the
+record keeps every traced run under ``traced``, under ``traced_summary``
+each side's median of the layers named in TRACED, side by side, and under
+``traced_hashes`` each side's distinct ``outputs_sha256`` and
+``counts_sha256`` values, one each when its runs repeat.  Last, each
 checkout runs ``scripts/series_sweep.py`` SWEEP_RUNS (5) times over Q and
 F5 at the precisions 256, 512 and 1024, the high-precision series path that
 the benchmark workloads do not reach, in alternating rounds with the parent
@@ -45,9 +48,9 @@ every other one, each timed by that checkout's ``benchmark/run.py``
 beside each, the same import with bytecode cached, read from a temporary
 ``PYTHONPYCACHEPREFIX`` directory per side that one untimed import warmed,
 so no ``__pycache__`` lands in either checkout.
-It exits 1 when an operation failed in some run, 0 otherwise, and stops
-with an error, writing nothing, when ``run.py`` or the sweep exits
-nonzero.
+It exits 1 when an operation failed in some run or a side's traced hashes
+did not repeat, 0 otherwise, and stops with an error, writing nothing,
+when ``run.py`` or the sweep exits nonzero.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ TRACED = (
     "series.mul.self_s", "series.eval_poly.self_s", "completion.kaplansky.self_s",
 )
 TRACE_SEED = 1
+TRACE_RUNS = 3  # traced runs per checkout and workload: one cannot tell a layer's change from drift
+# the digests a traced run prints, which repeat at one seed
+TRACE_HASHES = ("outputs_sha256", "counts_sha256")
 # the fields (0 is Q) and precisions of scripts/series_sweep.py in the record
 SWEEP_ARGS = ("--fields", "0,5", "--precisions", "256,512,1024")
 SWEEP_RUNS = 5  # sweeps per checkout: one varies by more than half on a busy host
@@ -88,7 +94,8 @@ SERIES_CERTIFICATE = {
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One run: its info line and the metrics of its last line."""
+    """One run: its info line, the metrics of its last line and, when
+    traced, its TRACE_HASHES."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
@@ -100,11 +107,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     lines = done.stdout.splitlines()
     info = json.loads(next(line[len("info "):] for line in lines if line.startswith("info ")))
     last = json.loads(lines[-1])
+    hashes = {key: value for key, _, value in (line.partition(" ") for line in lines) if key in TRACE_HASHES}
     return {
         "info": info,
         "attempted": last["attempted"],
         "failed": last["failed"],
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+        **hashes,
     }
 
 
@@ -254,13 +263,24 @@ def summarise(runs: list, better: dict) -> dict:
 
 
 def traced_summary(traced: dict) -> dict:
-    """Per workload and metric of TRACED: each side's traced value and their ratio."""
-    out = {}
-    for workload, sides in traced.items():
-        out[workload] = {}
-        for name in TRACED:
-            out[workload][name] = _side_by_side(*(sides[side]["metrics"].get(name) for side in ("parent", "change")))
-    return out
+    """Per workload and metric of TRACED: each side's median over its
+    traced runs, and their ratio."""
+    def medians(runs, name):
+        for side in ("parent", "change"):
+            values = [run["metrics"][name] for run in runs[side] if name in run["metrics"]]
+            yield statistics.median(values) if values else None
+
+    return {workload: {name: _side_by_side(*medians(runs, name)) for name in TRACED} for workload, runs in traced.items()}
+
+
+def traced_hashes(traced: dict) -> dict:
+    """Per workload, side and hash of TRACE_HASHES: the distinct values over
+    the side's traced runs, in the order they came."""
+    return {
+        workload: {side: {key: list(dict.fromkeys(run.get(key) for run in side_runs)) for key in TRACE_HASHES}
+                   for side, side_runs in runs.items()}
+        for workload, runs in traced.items()
+    }
 
 
 def sweeps(checkouts: dict, count: int) -> dict:
@@ -319,11 +339,22 @@ def main(argv=None) -> int:
                           f"failed {result['failed']}", flush=True)
     traced = {}
     for workload in args.workloads:
-        for side in ("parent", "change"):
-            result = run_once(checkouts[side], workload, TRACE_SEED, seconds, trace=1)
-            info.setdefault(side, result.pop("info"))
-            traced.setdefault(workload, {})[side] = result
-            ok = ok and result["failed"] == 0
+        traced[workload] = {"parent": [], "change": []}
+        for _ in range(TRACE_RUNS):
+            order = _sides(count)
+            count += 1
+            for side in order:
+                result = run_once(checkouts[side], workload, TRACE_SEED, seconds, trace=1)
+                info.setdefault(side, result.pop("info"))
+                traced[workload][side].append(result)
+                ok = ok and result["failed"] == 0
+    hashes = traced_hashes(traced)
+    for workload, sides in hashes.items():
+        for side, values in sides.items():
+            for key, distinct in values.items():
+                if len(distinct) != 1:
+                    ok = False
+                    print(f"{workload} {side}: {key} did not repeat over the traced runs: {distinct}", flush=True)
     sweep = sweeps(checkouts, SWEEP_RUNS)
     lines = {side: module_lines(checkouts[side]) for side in ("parent", "change")}
     checker = _side_by_side(*(checker_lines(checkouts[side]) for side in ("parent", "change")))
@@ -339,8 +370,10 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": summarise(runs, better),
         "trace_seed": TRACE_SEED,
+        "trace_runs": TRACE_RUNS,
         "traced": traced,
         "traced_summary": traced_summary(traced),
+        "traced_hashes": hashes,
         "sweep_args": list(SWEEP_ARGS),
         "sweep_runs": SWEEP_RUNS,
         "sweep": sweep,
@@ -360,7 +393,7 @@ def main(argv=None) -> int:
                   f"(ratio {ratio}, change better in {m['change_better_pairs']}/{m['pairs']})")
     for workload, metrics in record["traced_summary"].items():
         for name, m in metrics.items():
-            print(f"{workload} traced {name}: {m['parent']} -> {m['change']}")
+            print(f"{workload} traced median {name}: {m['parent']} -> {m['change']}")
     for field, cells in record["sweep_summary"].items():
         for n, steps in cells.items():
             for step, m in steps.items():

@@ -41,8 +41,7 @@ context through ``make_context()``, with this contract:
         value is zero; values add, and compare with the attribute ``zero``;
   residue_text(residues)
         render the product of residues returned by valuation;
-and the attribute ``precision`` (None on a monomial place).  Elements
-support ``-`` and ``/`` directly.
+and the attribute ``precision`` (None on a monomial place).
 
 The checker imports no construction code (``uniformize``, ``completion``):
 it reads a place only through the place's ``make_context()``.

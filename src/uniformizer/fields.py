@@ -11,7 +11,8 @@ This module also owns the two formats the other layers share.
   denominator (residues over 1 over F_p), and the kernels of ``dense``
   compute on them.  ``clear_denominators`` reads a list of rationals that
   way, and ``BaseField.settle_row`` turns a row back into canonical
-  scalars, for the views that printers and tests read.
+  scalars, for the views that printers and tests read, computed on each
+  read.
 - Text.  ``BaseField.scalar_str`` renders one scalar and
   ``BaseField.sum_str`` a signed sum of scalar multiples of monomials,
   the form every printer of the package emits.
@@ -68,10 +69,11 @@ class Frozen:
     """An immutable value that compares, hashes and prints like a frozen dataclass.
 
     A subclass lists its fields in ``__slots__``; a name with a leading
-    underscore is a cache, which ``repr`` leaves out.  ``_key`` holds the
-    tuple of fields that ``==`` and ``hash`` see, in the order ``__init__``
-    takes them, so neither builds a tuple.  Assignment raises, so
-    ``__init__`` writes each slot through ``_setters``: the slots' own
+    underscore is a cache that ``__init__`` builds (``GroupOrder`` and
+    ``valuegroup._Block`` have some), which ``repr`` leaves out.  ``_key``
+    holds the tuple of fields that ``==`` and ``hash`` see, in the order
+    ``__init__`` takes them, so neither builds a tuple.  Assignment raises,
+    so ``__init__`` writes each slot through ``_setters``: the slots' own
     ``__set__`` in ``__slots__`` order, then the one of ``_key``.  A
     subclass with no check and no cache keeps the ``__init__`` here, which
     takes the fields in ``__slots__`` order, the last ones falling back to

@@ -11,11 +11,12 @@ structural equality (``==``, ``hash``, pickling) decides mathematical
 equality, and the arithmetic here computes on the integers with no
 scalar objects in between.  ``terms`` reads the same polynomial as
 (exponent tuple, canonical scalar) pairs, ``Fraction`` over Q and the
-residues over F_p: a view built on first use and kept, for printers, JSON
-and tests.  Rational functions keep numerator and denominator coprime;
-over the rationals both are integer polynomials (``denom`` 1) with no
-common integer content and the denominator's graded-lex leading
-coefficient is positive, over a prime field the denominator is monic.
+residues over F_p: a view computed from ``ints`` on each read and never
+stored, for printers, JSON and tests.  Rational functions keep numerator
+and denominator coprime; over the rationals both are integer polynomials
+(``denom`` 1) with no common integer content and the denominator's
+graded-lex leading coefficient is positive, over a prime field the
+denominator is monic.
 
 There are two ways in.  ``SparsePoly.make`` validates: it coerces every
 coefficient and checks every exponent vector, and it is the constructor
@@ -74,15 +75,14 @@ def _term_key(term):
 class SparsePoly(Frozen):
     """(1/denom) * sum of c * x^e over the pairs (e, c) of ``ints``."""
 
-    __slots__ = ("base", "nvars", "ints", "denom", "_terms")
+    __slots__ = ("base", "nvars", "ints", "denom")
 
     def __init__(self, base: BaseField, nvars: int, ints: tuple[tuple[Exps, int], ...], denom: int = 1):
-        set_base, set_nvars, set_ints, set_denom, set_terms, set_key = self._setters
+        set_base, set_nvars, set_ints, set_denom, set_key = self._setters
         set_base(self, base)
         set_nvars(self, nvars)
         set_ints(self, ints)
         set_denom(self, denom)
-        set_terms(self, None)
         set_key(self, (base, nvars, ints, denom))
 
     def __repr__(self):
@@ -90,16 +90,12 @@ class SparsePoly(Frozen):
 
     @property
     def terms(self) -> tuple[tuple[Exps, Scalar], ...]:
-        """The (exponent tuple, canonical scalar) pairs: over F_p ``ints``
-        itself, over Q a view built on first use and kept."""
-        view = self._terms
-        if view is None:
-            if self.base.p:
-                return self.ints
-            d = self.denom
-            view = tuple((e, Fraction(c, d)) for e, c in self.ints)
-            SparsePoly._terms.__set__(self, view)
-        return view
+        """The (exponent tuple, canonical scalar) pairs, computed on each
+        read: over F_p ``ints`` itself."""
+        if self.base.p:
+            return self.ints
+        d = self.denom
+        return tuple((e, Fraction(c, d)) for e, c in self.ints)
 
     # -- construction -------------------------------------------------
 

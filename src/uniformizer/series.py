@@ -15,7 +15,8 @@ integer coprime to them; over F_p the entries are residues over 1.  The
 zero series is the empty row over 1 at offset 0.  The form is unique, so
 ``==``, ``hash`` and pickling are structural.  ``coeffs`` reads the
 series as canonical scalars (``Fraction`` over Q, residues over F_p), a
-view built on first use and kept, for printers and tests.
+view computed from ``row`` on each read and never stored, for printers
+and tests.
 
 Arithmetic runs on the rows with the kernels of ``dense`` (Kronecker
 products, Newton inverses, long-division quotients), and
@@ -67,16 +68,15 @@ def _product_bounds(low_a: int, prec_a: int, low_b: int, prec_b: int) -> tuple[i
 class TruncatedSeries(Frozen):
     """t^offset * sum(row[i] t^i) / denom + O(t^precision)."""
 
-    __slots__ = ("base", "offset", "row", "denom", "precision", "_coeffs")
+    __slots__ = ("base", "offset", "row", "denom", "precision")
 
     def __init__(self, base: BaseField, offset: int, row: tuple, denom: int, precision: int):
-        set_base, set_offset, set_row, set_denom, set_precision, set_coeffs, set_key = self._setters
+        set_base, set_offset, set_row, set_denom, set_precision, set_key = self._setters
         set_base(self, base)
         set_offset(self, offset)
         set_row(self, row)
         set_denom(self, denom)
         set_precision(self, precision)
-        set_coeffs(self, None)
         set_key(self, (base, offset, row, denom, precision))
 
     def __repr__(self):
@@ -87,15 +87,11 @@ class TruncatedSeries(Frozen):
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        """The stored coefficients as canonical scalars: over F_p ``row``
-        itself, over Q a view built on first use and kept."""
-        view = self._coeffs
-        if view is None:
-            if self.base.p:
-                return self.row
-            view = tuple(self.base.settle_row(self.row, self.denom))
-            TruncatedSeries._coeffs.__set__(self, view)
-        return view
+        """The stored coefficients as canonical scalars, computed on each
+        read: over F_p ``row`` itself."""
+        if self.base.p:
+            return self.row
+        return tuple(self.base.settle_row(self.row, self.denom))
 
     @staticmethod
     def _canon(base: BaseField, offset: int, row, den: int, precision: int) -> "TruncatedSeries":

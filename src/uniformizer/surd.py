@@ -142,7 +142,8 @@ class SurdScalar(Frozen):
         return SurdScalar.make(self.terms + other.terms)
 
     def __neg__(self) -> "SurdScalar":
-        return SurdScalar(tuple((-q, d) for q, d in self.terms))
+        # negation reverses the coefficient order: sort again, without ``make``
+        return SurdScalar(tuple(sorted((-q, d) for q, d in self.terms)))
 
     def __sub__(self, other: "SurdScalar") -> "SurdScalar":
         return self + (-other)
@@ -158,7 +159,7 @@ class SurdScalar(Frozen):
         q = Fraction(q)
         if q == 0:
             return SurdScalar()
-        return SurdScalar(tuple((c * q, d) for c, d in self.terms))
+        return SurdScalar(tuple(sorted((c * q, d) for c, d in self.terms)))
 
     @property
     def is_zero(self) -> bool:

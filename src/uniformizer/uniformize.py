@@ -10,7 +10,7 @@ from __future__ import annotations
 from .checker import TriangularSystem, verify
 from .errors import PreconditionError
 from .polyfield import RationalFunction, SparsePoly, ratfun_str
-from .valuation import MonomialPlace, value_of_poly
+from .valuation import MonomialPlace, _quotient_value
 from .valuegroup import perron_positive_basis, unimodular_inverse
 
 
@@ -40,9 +40,8 @@ def uniformize_abhyankar(
         if z.is_zero:
             per_zeta.append(None)
             continue
-        vn, _ = value_of_poly(place, z.num)
-        vd, dterms = value_of_poly(place, z.den)
-        if (vn - vd).sign() < 0:
+        value, _, dterms = _quotient_value(place, z.num, z.den)
+        if value.sign() < 0:
             raise PreconditionError(
                 f"element {i + 1} lies outside the valuation ring"
             )

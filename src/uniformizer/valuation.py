@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import BaseField, Frozen
 from .polyfield import RationalFunction, SparsePoly, _settled, ratfun_str, substitute
-from .valuegroup import GroupElement, GroupOrder, compare, rational_rank
+from .valuegroup import GroupElement, GroupOrder, rational_rank
 
 
 class MonomialPlace(Frozen):
@@ -120,36 +120,44 @@ def value_of_poly(place: MonomialPlace, f: SparsePoly) -> tuple[GroupElement, tu
     return GroupElement(order, best_head, 1), tuple(best_terms)
 
 
+def _quotient_value(place: MonomialPlace, num: SparsePoly, den: SparsePoly):
+    """(v(num) - v(den), num's minimal terms, den's minimal terms) for
+    nonzero num and den, the terms as ``value_of_poly`` returns them."""
+    vn, tn = value_of_poly(place, num)
+    vd, td = value_of_poly(place, den)
+    return GroupElement(vn.order, tuple(map(sub, vn.nums, vd.nums)), 1), tn, td
+
+
+def _residue_product(place: MonomialPlace, residues) -> RationalFunction:
+    """The product of residues in the ybar variables, each given as the
+    minimal terms of a numerator and a denominator with their sides'
+    denominators.  The terms of one side share their x-exponents, so their
+    y-exponents differ and keep f's grlex order."""
+    rho, base, tau = place.rho, place.base, place.tau
+    num = den = None
+    for (tn, dn), (td, dd) in residues:
+        n = _settled(base, tau, tuple((e[rho:], c) for e, c in tn), dn)
+        d = _settled(base, tau, tuple((e[rho:], c) for e, c in td), dd)
+        num, den = (n, d) if num is None else (num * n, den * d)
+    return RationalFunction.make(num, den)
+
+
 def value_of_ratfun(place: MonomialPlace, f: RationalFunction) -> GroupElement:
     if f.is_zero:
         raise ValueOfZeroError("the zero element has no value")
-    vn, _ = value_of_poly(place, f.num)
-    vd, _ = value_of_poly(place, f.den)
-    return vn - vd
-
-
-def _residue_numerator(place: MonomialPlace, terms, denom: int) -> SparsePoly:
-    """The ybar-polynomial of minimal-value terms over denom.  The terms
-    share their x-exponents, so their y-exponents differ and keep f's grlex
-    order."""
-    rho = place.rho
-    return _settled(place.base, place.tau, tuple((e[rho:], c) for e, c in terms), denom)
+    return _quotient_value(place, f.num, f.den)[0]
 
 
 def residue_of(place: MonomialPlace, f: RationalFunction) -> ResidueElement:
     """Residue of a unit of the valuation ring, in the ybar variables."""
     if f.is_zero:
         raise ValueOfZeroError("the zero element has no residue here: its value is not zero")
-    vn, tn = value_of_poly(place, f.num)
-    vd, td = value_of_poly(place, f.den)
-    if compare(vn, vd) != 0:
+    value, tn, td = _quotient_value(place, f.num, f.den)
+    if not value.is_zero:
         raise NotAUnitError(
             "element has nonzero value; only units have unit residues"
         )
-    rep = RationalFunction.make(
-        _residue_numerator(place, tn, f.num.denom), _residue_numerator(place, td, f.den.denom)
-    )
-    return ResidueElement(place, rep)
+    return ResidueElement(place, _residue_product(place, [((tn, f.num.denom), (td, f.den.denom))]))
 
 
 class _Quotient(NamedTuple):
@@ -203,22 +211,14 @@ class MonomialContext:
         """(value, residue) of a nonzero element; the residue is None unless
         the value is zero, and is then kept as the minimal terms of the
         numerator and the denominator, each with its side's denominator."""
-        vn, tn = value_of_poly(self.place, a.num)
-        vd, td = value_of_poly(self.place, a.den)
-        value = GroupElement(vn.order, tuple(map(sub, vn.nums, vd.nums)), 1)
+        value, tn, td = _quotient_value(self.place, a.num, a.den)
         return value, (((tn, a.num.denom), (td, a.den.denom)) if value.is_zero else None)
 
     def residue_text(self, residues) -> str:
         """The product of the given residues, in the ybar variables ("1" for none)."""
         if not residues:
             return "1"
-        place = self.place
-        (n, d), *rest = residues
-        num, den = _residue_numerator(place, *n), _residue_numerator(place, *d)
-        for n, d in rest:
-            num = num * _residue_numerator(place, *n)
-            den = den * _residue_numerator(place, *d)
-        return ratfun_str(RationalFunction.make(num, den), place.residue_names)
+        return ratfun_str(_residue_product(self.place, residues), self.place.residue_names)
 
 
 class AbhyankarReport(Frozen):

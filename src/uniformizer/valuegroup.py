@@ -534,8 +534,9 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
 
     Every clause runs on the integer rows of ``result.change``: the rows
     hold ``int`` entries only, the basis elements carry exactly those rows,
-    the rows have determinant +-1 and positive values, and each alpha is the
-    combination of the rows by its non-negative integer coefficient row.
+    the rows have determinant +-1 and positive values, and each alpha, an
+    element of ``order``, is the combination of the rows by its
+    non-negative integer coefficient row.
     """
     n = order.ngens
     change = result.change
@@ -561,6 +562,6 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
         if len(row) != n or any((not isinstance(c, int)) or c < 0 for c in row):
             return False
         target = a if isinstance(a, GroupElement) else order.element(a)
-        if target.den != 1 or target.nums != tuple(sum(map(mul, row, col)) for col in columns):
+        if target.order != order or target.den != 1 or target.nums != tuple(sum(map(mul, row, col)) for col in columns):
             return False
     return True

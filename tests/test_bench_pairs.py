@@ -33,18 +33,36 @@ def test_summary_reads_the_better_direction_per_metric():
     assert (p50["parent_median"], p50["change_median"], p50["change_better_pairs"]) == (10.0, 9.0, 1)
 
 
+def _traced(mul, sub, ops, outputs="o", counts="c"):
+    metrics = {"polyfield.mul.self_s": mul, "polyfield.substitute.self_s": sub, "fields.ops.calls": ops}
+    return {"metrics": metrics, "outputs_sha256": outputs, "counts_sha256": counts}
+
+
 def test_traced_summary_sets_the_traced_layers_side_by_side():
+    # each side's median over its runs: one slow run in three does not move it
     traced = {"w": {
-        "parent": {"metrics": {"polyfield.mul.self_s": 0.02, "polyfield.substitute.self_s": 0.05, "fields.ops.calls": 40}},
-        "change": {"metrics": {"polyfield.mul.self_s": 0.01, "polyfield.substitute.self_s": 0.04, "fields.ops.calls": 0}},
+        "parent": [_traced(0.02, 0.05, 40), _traced(0.09, 0.05, 40), _traced(0.03, 0.06, 40)],
+        "change": [_traced(0.01, 0.04, 0), _traced(0.01, 0.03, 0), _traced(0.015, 0.04, 0)],
     }}
     summary = bench_pairs.traced_summary(traced)["w"]
     assert set(summary) == set(bench_pairs.TRACED)
-    assert summary["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
+    assert summary["polyfield.mul.self_s"] == {"parent": 0.03, "change": 0.01, "ratio": 0.01 / 0.03}
+    assert summary["polyfield.substitute.self_s"] == {"parent": 0.05, "change": 0.04, "ratio": 0.04 / 0.05}
     assert summary["fields.ops.calls"] == {"parent": 40, "change": 0, "ratio": 0.0}
     # the series layers are traced too; a layer a side did not report reads None
     assert {"series.mul.self_s", "series.eval_poly.self_s", "completion.kaplansky.self_s"} <= set(summary)
     assert summary["series.mul.self_s"] == {"parent": None, "change": None, "ratio": None}
+
+
+def test_traced_hashes_list_each_sides_distinct_values():
+    traced = {"w": {
+        "parent": [_traced(0.02, 0.05, 40)] * 3,
+        "change": [_traced(0.01, 0.04, 0), _traced(0.01, 0.04, 0, counts="d"), _traced(0.01, 0.04, 0)],
+    }}
+    assert bench_pairs.traced_hashes(traced) == {"w": {
+        "parent": {"outputs_sha256": ["o"], "counts_sha256": ["c"]},
+        "change": {"outputs_sha256": ["o"], "counts_sha256": ["c", "d"]},
+    }}
 
 
 SWEEP_OUTPUT = """  K0   prec  realize_s    value_s   verify_s  checks
@@ -85,14 +103,19 @@ def test_sweep_summary_compares_each_cells_median_over_the_runs(monkeypatch):
     assert runs == {"parent": [cell(0.1, 0.4)] * 3, "change": [cell(0.1, 0.4)] * 3}
 
 
-def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch):
+def test_each_side_gets_three_traced_seed_1_runs_per_workload(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace=0):
         calls.append((checkout, workload, seed, trace))
+        if not trace:
+            return {"info": {"git_revision": checkout}, "attempted": 10, "failed": 0, "metrics": {"ops_per_s": 100.0}}
+        # the change's second traced run of "a" is slow; the median does not see it
+        n = sum(c[:2] == (checkout, workload) and c[3] for c in calls)
         mul = 0.01 if checkout.endswith("change") else 0.02
-        metrics = {"ops_per_s": 100.0} if not trace else {"polyfield.mul.self_s": mul}
-        return {"info": {"git_revision": checkout}, "attempted": 10, "failed": 0, "metrics": metrics}
+        mul = 0.5 if (checkout, workload, n) == ("/p/change", "a", 2) else mul
+        return {"info": {"git_revision": checkout}, "attempted": 10, "failed": 0,
+                "metrics": {"polyfield.mul.self_s": mul}, "outputs_sha256": workload, "counts_sha256": checkout}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     swept = []
@@ -120,11 +143,17 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
             "--seeds", "5", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     traced = [c for c in calls if c[3]]
-    assert sorted(traced) == sorted((f"/p/{side}", w, 1, 1) for w in ("a", "b") for side in ("parent", "change"))
+    # three rounds per workload, the order alternating on from the four untraced pairs
+    rounds = {"a": ("parent", "change", "change", "parent", "parent", "change"),
+              "b": ("change", "parent", "parent", "change", "change", "parent")}
+    assert traced == [(f"/p/{side}", w, 1, 1) for w in ("a", "b") for side in rounds[w]]
     assert len(calls) - len(traced) == 2 * 2 * 2  # workloads x pairs x sides, untraced
     record = json.loads(out.read_text())
-    assert record["trace_seed"] == 1 and set(record["traced"]) == {"a", "b"}
+    assert record["trace_seed"] == 1 and record["trace_runs"] == bench_pairs.TRACE_RUNS == 3
+    assert set(record["traced"]) == {"a", "b"}
+    assert [run["metrics"]["polyfield.mul.self_s"] for run in record["traced"]["a"]["change"]] == [0.01, 0.5, 0.01]
     assert record["traced_summary"]["a"]["polyfield.mul.self_s"] == {"parent": 0.02, "change": 0.01, "ratio": 0.5}
+    assert record["traced_hashes"]["b"]["change"] == {"outputs_sha256": ["b"], "counts_sha256": ["/p/change"]}
     assert record["traced_summary"]["b"]["fields.ops.calls"] == {"parent": None, "change": None, "ratio": None}
     # three sweeps per side in alternating rounds, every run recorded with its arguments
     assert swept == ["/p/parent", "/p/change", "/p/change", "/p/parent", "/p/parent", "/p/change"]
@@ -149,6 +178,29 @@ def test_each_side_gets_one_traced_seed_1_run_per_workload(tmp_path, monkeypatch
     (parent_cache,), (change_cache,) = caches["/p/parent"], caches["/p/change"]
     assert parent_cache != change_cache
     assert not any(cache.startswith("/p/") or os.path.exists(cache) for cache in (parent_cache, change_cache))
+
+
+def test_traced_hashes_that_do_not_repeat_fail_the_record(tmp_path, monkeypatch):
+    traced = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        traced.append(trace)
+        # the parent's second traced run counts differently
+        counts = "x" if checkout == "/p/parent" and traced.count(1) == 3 else "c"
+        return {"info": {}, "attempted": 1, "failed": 0, "metrics": {"ops_per_s": 1.0},
+                "outputs_sha256": "o", "counts_sha256": counts}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "SWEEP_RUNS", 0)
+    monkeypatch.setattr(bench_pairs, "STARTUP_IMPORTS", 0)
+    monkeypatch.setattr(bench_pairs, "module_lines", lambda checkout: {})
+    monkeypatch.setattr(bench_pairs, "checker_lines", lambda checkout: 1)
+    monkeypatch.setattr(bench_pairs, "import_seconds", lambda checkout, pycache=None: 0.01)
+    out = tmp_path / "record.json"
+    argv = ["--parent", "/p/parent", "--change", "/p/change", "--workloads", "a", "--seeds", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    hashes = json.loads(out.read_text())["traced_hashes"]["a"]
+    assert hashes["parent"]["counts_sha256"] == ["c", "x"] and hashes["change"]["counts_sha256"] == ["c"]
 
 
 def test_startup_takes_each_sides_median(monkeypatch):

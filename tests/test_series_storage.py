@@ -163,10 +163,13 @@ def test_coeffs_is_the_scalar_form_and_equality_is_structural(data):
     ra = data.draw(scalar_series(base))
     a = TruncatedSeries.make(base, *ra)
     assert (a.offset, a.coeffs) == _ref(base, *ra)
-    # the view is built once and kept; it plays no part in == and hash
+    # the view is computed on each read, stores nothing and plays no part
+    # in == and hash
     fresh = TruncatedSeries.make(base, *ra)
-    assert a.coeffs is a.coeffs
-    assert a == fresh and hash(a) == hash(fresh) and fresh._coeffs is None
+    slots = [getattr(a, name) for name in ("_key",) + TruncatedSeries.__slots__]
+    assert a.coeffs == a.coeffs and str(a) and repr(a)
+    assert all(x is y for x, y in zip([getattr(a, name) for name in ("_key",) + TruncatedSeries.__slots__], slots))
+    assert a == fresh and hash(a) == hash(fresh)
     # a different precision or coefficient is a different series
     assert a != TruncatedSeries.make(base, ra[0], ra[1], ra[2] + 1)
     if a.row:
@@ -178,8 +181,7 @@ def test_coeffs_is_the_scalar_form_and_equality_is_structural(data):
 def test_pickles_and_copies_round_trip(data):
     base = data.draw(_BASES)
     a = TruncatedSeries.make(base, *data.draw(scalar_series(base)))
-    fresh = a * TruncatedSeries.constant(base, 1, a.precision)  # a copy whose view is not built
-    assert len(a.coeffs) == len(a.row)  # builds and keeps a's view
+    fresh = a * TruncatedSeries.constant(base, 1, a.precision)  # an equal series built apart
     for s in (a, fresh):
         for dup in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
             _assert_canonical(dup)

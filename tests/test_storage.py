@@ -113,8 +113,14 @@ def test_terms_is_the_scalar_form(data):
     assert (f * g).terms == _scalar_terms(_ref_mul(base, fa, fb))
     assert (f + g).terms == _scalar_terms(_ref_add(base, fa, fb))
     assert all(type(c) is (Fraction if base.is_rationals else int) for _, c in (f * g).terms)
-    # the view is built once and kept
-    assert f.terms is f.terms
+    # the view is computed on each read and stores nothing
+    slots = _slot_values(f)
+    assert f.terms == f.terms and str(f) and repr(f)
+    assert all(a is b for a, b in zip(_slot_values(f), slots))
+
+
+def _slot_values(f):
+    return [getattr(f, name) for name in ("_key",) + SparsePoly.__slots__]
 
 
 @given(st.data())
@@ -122,8 +128,7 @@ def test_terms_is_the_scalar_form(data):
 def test_pickles_and_copies_round_trip(data):
     base = data.draw(_BASES)
     f = SparsePoly.make(base, 2, data.draw(scalar_terms(base)))
-    fresh = f * SparsePoly.const(base, 2, 1)  # a copy whose view is not built
-    assert len(f.terms) == len(f.ints)  # builds and keeps f's view
+    fresh = f * SparsePoly.const(base, 2, 1)  # an equal polynomial built apart
     for g in (f, fresh):
         for dup in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
             _assert_same(dup, g)

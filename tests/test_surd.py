@@ -4,6 +4,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformizer.surd import SurdScalar, is_square_free, root_bounds, square_free_part, surd_sign
@@ -91,6 +92,31 @@ def test_ring_axioms(a, b, c):
 def test_scale_matches_repeated_addition(s):
     assert s.scale(3) == s + s + s
     assert s.scale(0).is_zero
+
+
+def _same_as_make(got, pairs):
+    want = SurdScalar.make(pairs)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert got.terms == want.terms
+
+
+def test_negation_keeps_the_canonical_order():
+    s = SurdScalar.make([(1, 1), (2, 2)])
+    _same_as_make(-s, [(-1, 1), (-2, 2)])
+    assert str(-s) == "-2*sqrt(2) - 1"
+    _same_as_make(s.scale(-1), [(-1, 1), (-2, 2)])
+
+
+@given(surds(), _COEFF)
+@settings(max_examples=150)
+def test_negation_and_scale_equal_make_without_calling_it(s, q):
+    pairs = s.terms
+    with pytest.MonkeyPatch.context() as mp:
+        # both re-sort the pairs themselves
+        mp.setattr(SurdScalar, "make", staticmethod(lambda pairs: pytest.fail("called make")))
+        neg, scaled = -s, s.scale(q)
+    _same_as_make(neg, [(-c, d) for c, d in pairs])
+    _same_as_make(scaled, [(c * q, d) for c, d in pairs])
 
 
 # ---------------------------------------------------------------------------

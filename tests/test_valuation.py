@@ -264,6 +264,30 @@ def test_residue_is_multiplicative_on_units(data):
     assert prod.rep == residue_of(place, rf_).rep * residue_of(place, rg_).rep
 
 
+@given(place_and_polys())
+@settings(max_examples=120, deadline=None)
+def test_one_quotient_routine_behind_value_residue_and_context(data):
+    # f/g, and the unit f*x^hg / (g*x^hf) with hf, hg the x-exponents of
+    # the minimal terms of f and g
+    place, (f, g) = data
+    if f.is_zero or g.is_zero:
+        return
+    (_, ((ef, _), *_)), (_, ((eg, _), *_)) = value_of_poly(place, f), value_of_poly(place, g)
+    rho, n = place.rho, place.nvars
+    hf, hg = (P(place.base, n, [(e[:rho] + (0,) * place.tau, 1)]) for e in (ef, eg))
+    ctx = place.make_context()
+    for q in (RationalFunction.make(f, g), RationalFunction.make(f * hg, g * hf)):
+        value, residue = ctx.valuation(q)
+        assert value_of_ratfun(place, q) == value
+        if value.is_zero:
+            assert str(residue_of(place, q)) == ctx.residue_text([residue])
+        else:
+            assert residue is None
+            with pytest.raises(NotAUnitError):
+                residue_of(place, q)
+    assert value.is_zero  # the second quotient is a unit
+
+
 # ---------------------------------------------------------------------------
 # the term scan pruned by per-term intervals, against an unpruned scan
 

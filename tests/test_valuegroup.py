@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import uniformizer.valuegroup as vg
-from uniformizer.errors import InputError, PreconditionError, ResourceError
+from uniformizer.errors import DimensionError, InputError, PreconditionError, ResourceError
 from uniformizer.surd import FILTER_BITS, SurdScalar, root_bounds
 from uniformizer.valuegroup import (
     GroupOrder,
@@ -109,6 +109,18 @@ def test_perron_cap_raises_resource_error(monkeypatch):
     alphas = [order.element([4, -1, -1]), order.element([5, -2, 1])]
     with pytest.raises(ResourceError, match="UNIFORMIZER_MAX_PERRON_STEPS"):
         perron_positive_basis(order, alphas)
+
+
+def test_perron_validator_rejects_an_alpha_of_another_group():
+    # (3, -1) is positive under both weights, so only the group differs
+    alpha = ORDER_R2.element([3, -1])
+    res = perron_positive_basis(ORDER_R2, [alpha])
+    assert perron_is_valid(ORDER_R2, [alpha], res)
+    other = _order([(1, 1), (1, 3)])  # weights 1, sqrt(3)
+    foreign = other.element([3, -1])
+    assert not perron_is_valid(ORDER_R2, [foreign], res)
+    with pytest.raises(DimensionError):
+        perron_positive_basis(ORDER_R2, [foreign])
 
 
 def test_perron_zero_alpha_and_empty():

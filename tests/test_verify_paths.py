@@ -49,6 +49,22 @@ def _reference(system):
         return verify(system)
 
 
+def _verify_reading_no_row_view(system):
+    """verify, with ``SparsePoly.terms`` made to fail on the system's rows:
+    the checks read the rows' integers, never their scalar view."""
+    rows = {id(f) for f in system.fs}
+    view = SparsePoly.terms.fget
+
+    def guarded(f):
+        if id(f) in rows:
+            pytest.fail("verify read the scalar view of a row")
+        return view(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparsePoly, "terms", property(guarded))
+        return verify(system)
+
+
 def _certificates(p, count, seed):
     cfg = survey.SurveyConfig(max_elements=3, max_terms=5, max_exp=4, p=p)
     base = QQ() if p == 0 else GF(p)
@@ -98,11 +114,9 @@ def _multi_term(rf):
 def test_reports_equal_the_normalising_reference(p, seed):
     squared_multi_term = 0
     for system in _certificates(p, 6, seed):
-        report = verify(system)
+        report = _verify_reading_no_row_view(system)
         assert report.passed
         assert report.as_dict() == _reference(system).as_dict()
-        # the checks read the rows' integers, never their scalar view
-        assert all(f._terms is None for f in system.fs)
         for name, mutant in _mutants(system):
             got = verify(mutant)
             assert got.as_dict() == _reference(mutant).as_dict(), name
