@@ -166,14 +166,18 @@ def test_coeffs_is_the_scalar_form_and_equality_is_structural(data):
     # the view is computed on each read, stores nothing and plays no part
     # in == and hash
     fresh = TruncatedSeries.make(base, *ra)
-    slots = [getattr(a, name) for name in ("_key",) + TruncatedSeries.__slots__]
+    slots = _slot_values(a)
     assert a.coeffs == a.coeffs and str(a) and repr(a)
-    assert all(x is y for x, y in zip([getattr(a, name) for name in ("_key",) + TruncatedSeries.__slots__], slots))
+    assert all(x is y for x, y in zip(_slot_values(a), slots))
     assert a == fresh and hash(a) == hash(fresh)
     # a different precision or coefficient is a different series
     assert a != TruncatedSeries.make(base, ra[0], ra[1], ra[2] + 1)
     if a.row:
         assert a != a + TruncatedSeries.monomial(base, a.offset, a.precision)
+
+
+def _slot_values(a):
+    return [getattr(a, name) for name in ("_key",) + TruncatedSeries.__slots__]
 
 
 @given(st.data())
