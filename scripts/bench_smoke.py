@@ -5,8 +5,9 @@ and checks that no operation failed and that each workload's
 ``outputs_sha256`` equals the hash pinned in EXPECTED.  The hashes are
 those of the seed-1 outputs that every change since the benchmark was
 introduced has kept; a change that means to alter an output updates its
-hash here and says so.  Prints one line per workload and exits 1 when a
-check fails, 0 otherwise.
+hash here and says so.  Prints one line per workload, with the prefix of
+its ``counts_sha256`` (the traced call counts, not pinned: a change may
+move them, and says which), and exits 1 when a check fails, 0 otherwise.
 
     python scripts/bench_smoke.py
 """
@@ -25,25 +26,26 @@ EXPECTED = {
 }
 
 
-def run(workload: str) -> tuple[int, str]:
-    """(failed operations, outputs_sha256) of one traced seed-1 run."""
+def run(workload: str) -> tuple[int, str, str]:
+    """(failed operations, outputs_sha256, counts_sha256) of one traced seed-1 run."""
     done = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     lines = done.stdout.splitlines()
-    digest = next(line.split()[1] for line in lines if line.startswith("outputs_sha256 "))
-    return json.loads(lines[-1])["failed"], digest
+    found = dict(line.split()[:2] for line in lines if line.startswith(("outputs_sha256 ", "counts_sha256 ")))
+    return json.loads(lines[-1])["failed"], found["outputs_sha256"], found["counts_sha256"]
 
 
 def main() -> int:
     ok = True
     for workload, expected in EXPECTED.items():
-        failed, digest = run(workload)
+        failed, digest, counts = run(workload)
         good = failed == 0 and digest == expected
         ok = ok and good
-        print(f"{workload}: {'ok' if good else 'FAIL'} (failed {failed}, outputs_sha256 {digest[:8]}...)")
+        print(f"{workload}: {'ok' if good else 'FAIL'} (failed {failed}, outputs_sha256 {digest[:8]}..., "
+              f"counts_sha256 {counts[:8]}...)")
     return 0 if ok else 1
 
 

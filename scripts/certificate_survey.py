@@ -42,14 +42,11 @@ def random_place(rng, cfg, base):
     for size in sizes:
         rads = rng.sample(RADICANDS, size)
         blocks.append(
-            tuple(
-                SurdScalar.make([(Fraction(rng.randint(1, 3), rng.randint(1, 3)), d)])
-                for d in rads
-            )
+            [SurdScalar.make([(Fraction(rng.randint(1, 3), rng.randint(1, 3)), d)]) for d in rads]
         )
     from uniformizer.valuegroup import GroupOrder
 
-    return MonomialPlace(base, GroupOrder(tuple(blocks)), tau=rng.randint(0, cfg.max_tau))
+    return MonomialPlace(base, GroupOrder(blocks), tau=rng.randint(0, cfg.max_tau))
 
 
 def random_poly(rng, base, nvars, cfg):

@@ -162,7 +162,7 @@ def _cmd_perron(doc, args):
         alphas.append(order.element(coords))
     res = perron_positive_basis(order, alphas, max_steps=_max_steps(doc))
     result = {
-        "basis": [[str(c) for c in el.coords] for el in res.basis],
+        "basis": [[str(c) for c in row] for row in res.change],
         "change": [list(map(int, row)) for row in res.change],
         "coeffs": [list(map(int, row)) for row in res.coeffs],
         "valid": True,

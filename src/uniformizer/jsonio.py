@@ -130,13 +130,9 @@ def parse_order(doc, path: str) -> GroupOrder:
     blocks = []
     for b, block in enumerate(doc):
         _need(block, list, f"{path}[{b}]", "a list of weights")
-        blocks.append(
-            tuple(
-                parse_weight(w, f"{path}[{b}][{i}]") for i, w in enumerate(block)
-            )
-        )
+        blocks.append([parse_weight(w, f"{path}[{b}][{i}]") for i, w in enumerate(block)])
     try:
-        return GroupOrder(tuple(blocks))
+        return GroupOrder(blocks)
     except PreconditionError as e:
         raise SchemaError(str(e), path) from None
 

@@ -63,10 +63,6 @@ def power(x, n: int):
         square = square * square
 
 
-def _grlex_key(e: Exps):
-    return (sum(e), e)
-
-
 def _term_key(term):
     e = term[0]
     return (sum(e), e)
@@ -568,7 +564,7 @@ def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     rem = dict(f.ints)
     out: dict[Exps, int] = {}
     while rem:
-        e = max(rem, key=_grlex_key)
+        e = max(rem.items(), key=_term_key)[0]
         qe = tuple(map(int.__sub__, e, ge))
         if any(x < 0 for x in qe):
             raise PreconditionError("polynomial division is not exact")

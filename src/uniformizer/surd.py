@@ -1,7 +1,10 @@
 """Exact real numbers of the form  q1*sqrt(d1) + ... + qk*sqrt(dk).
 
 The d are pairwise distinct square-free positive integers and the q are
-rationals.  Every sign in the package is decided by one integer kernel,
+rationals.  ``SurdScalar`` is the input and output form of such a number:
+a weight as read from a request, and a block value as printed.  It does
+no arithmetic; ``valuegroup`` computes on integer rows over the radicands.
+Every sign in the package is decided by one integer kernel,
 ``surd_sign``: the sign of  c1*sqrt(d1) + ... + ck*sqrt(dk)  for integers c
 and distinct square-free d.  ``SurdScalar.sign`` scales its coefficients by
 the lcm of their denominators and calls it; ``valuegroup`` calls it on a
@@ -104,11 +107,13 @@ def surd_sign(coeffs, radicands, roots=None) -> int:
 
 
 class SurdScalar(Frozen):
-    """Canonical sum of rational multiples of square roots.
+    """Canonical sum of rational multiples of square roots: a weight or a
+    printed block value.
 
-    ``terms`` maps are stored as a tuple of (coefficient, radicand) pairs,
-    sorted (by coefficient, then radicand), with no zero coefficients; the
-    rational part uses radicand 1.
+    ``terms`` is a tuple of (coefficient, radicand) pairs with distinct
+    square-free radicands, sorted (by coefficient, then radicand), with no
+    zero coefficients; the rational part uses radicand 1.  ``make`` builds
+    the canonical form from any pairs.
     """
 
     __slots__ = ("terms",)
@@ -134,52 +139,9 @@ class SurdScalar(Frozen):
         q = Fraction(q)
         return SurdScalar(((q, 1),) if q else ())
 
-    @staticmethod
-    def sqrt(d: int, coeff=1) -> "SurdScalar":
-        return SurdScalar.make([(Fraction(coeff), d)])
-
-    def __add__(self, other: "SurdScalar") -> "SurdScalar":
-        return SurdScalar.make(self.terms + other.terms)
-
-    def __neg__(self) -> "SurdScalar":
-        # negation reverses the coefficient order: sort again, without ``make``
-        return SurdScalar(tuple(sorted((-q, d) for q, d in self.terms)))
-
-    def __sub__(self, other: "SurdScalar") -> "SurdScalar":
-        return self + (-other)
-
-    def __mul__(self, other: "SurdScalar") -> "SurdScalar":
-        out = []
-        for qa, da in self.terms:
-            for qb, db in other.terms:
-                out.append((qa * qb, da * db))
-        return SurdScalar.make(out)
-
-    def scale(self, q) -> "SurdScalar":
-        q = Fraction(q)
-        if q == 0:
-            return SurdScalar()
-        return SurdScalar(tuple(sorted((c * q, d) for c, d in self.terms)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sign(self) -> int:
         nums, _ = clear_denominators([q for q, _ in self.terms])
         return surd_sign(nums, tuple(d for _, d in self.terms))
-
-    def __lt__(self, other: "SurdScalar") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "SurdScalar") -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: "SurdScalar") -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: "SurdScalar") -> bool:
-        return (self - other).sign() >= 0
 
     def __str__(self):
         if not self.terms:

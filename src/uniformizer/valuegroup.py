@@ -10,14 +10,17 @@ block is the exact real number  sum(coord * weight).
 Each order computes, once per block, the sorted radicands of its weights,
 the weight matrix over those radicands scaled to integers, their 64-bit
 root bounds and, per generator, the estimate of its weight at those
-bounds with an error bound.  The sign of a block's part x is the sign of
-sum(x_i * est_i) when that exceeds sum(|x_i| * err_i) (proved at
-``_Block``); otherwise ``surd.surd_sign`` decides it exactly on x times
-the matrix.  They also give a term's x-exponents h the interval
-h . est +- h . err around its first-block value; the term scan drops a
-term whose interval lies above another's before any exact comparison
-(``GroupOrder._may_be_least``).  Ranks, determinants and unimodular
-inverses come from one fraction-free elimination (``gauss_jordan``).
+bounds with an error bound.  The weights are data: every value and sign
+is computed on those integer rows, and ``block_values`` builds one
+``SurdScalar`` per block only to print an element.  The sign of a block's
+part x is the sign of sum(x_i * est_i) when that exceeds
+sum(|x_i| * err_i) (proved at ``_Block``); otherwise ``surd.surd_sign``
+decides it exactly on x times the matrix.  They also give a term's
+x-exponents h the interval h . est +- h . err around its first-block
+value; the term scan drops a term whose interval lies above another's
+before any exact comparison (``GroupOrder._may_be_least``).  Ranks,
+determinants and unimodular inverses come from one fraction-free
+elimination (``gauss_jordan``).
 
 The Perron reduction carries, per basis row, an integer estimate of its
 value at b bits and an error bound, the interval that ``surd_sign`` filters
@@ -60,13 +63,6 @@ def _weight_matrix(weights) -> tuple[tuple[int, ...], list[list[int]]]:
             flat[k * r + at[d]] = q
     nums, _ = clear_denominators(flat)
     return radicands, [nums[k * r : (k + 1) * r] for k in range(len(weights))]
-
-
-def is_independent(weights) -> bool:
-    """Whether the given SurdScalars are linearly independent over Q."""
-    weights = list(weights)
-    radicands, rows = _weight_matrix(weights)
-    return gauss_jordan(rows, len(radicands))[0] == len(weights)
 
 
 def gauss_jordan(rows, ncols: int) -> tuple[int, int, list[list[int]]]:
@@ -155,6 +151,8 @@ class GroupOrder(Frozen):
     __slots__ = ("blocks", "_blocks", "_ngens")
 
     def __init__(self, blocks: tuple[tuple[SurdScalar, ...], ...]):
+        # equal blocks given as lists or tuples make equal, hashable orders
+        blocks = tuple(map(tuple, blocks))
         int_blocks = []
         for b, block in enumerate(blocks):
             if not block:
@@ -220,11 +218,9 @@ class GroupOrder(Frozen):
         """Exact real contribution of each block for the given coordinates."""
         out, at = [], 0
         for block in self.blocks:
-            acc = SurdScalar()
-            for w in block:
-                acc = acc + w.scale(coords[at])
-                at += 1
-            out.append(acc)
+            part = coords[at : at + len(block)]
+            at += len(block)
+            out.append(SurdScalar.make((c * q, d) for c, w in zip(part, block) if c for q, d in w.terms))
         return out
 
 
@@ -310,16 +306,16 @@ def rational_rank(order: GroupOrder) -> int:
 class PerronResult(Frozen):
     """A positive basis together with the coordinates of the inputs.
 
-    ``change`` holds the basis rows in the original generators, ``coeffs``
-    holds one non-negative integer row per input alpha, so that
-    alphas[i] == sum_j coeffs[i][j] * basis[j].  The output is not
-    canonical; ``perron_is_valid`` is the contract.
+    ``change`` holds the basis rows as integer coordinate rows on the
+    order's generators, and ``coeffs`` one non-negative integer row per
+    input alpha, so that alphas[i] == sum_j coeffs[i][j] * change[j].  The
+    output is not canonical; ``perron_is_valid`` is the contract.
     """
 
-    __slots__ = ("basis", "coeffs", "change")
+    __slots__ = ("coeffs", "change")
 
-    def __init__(self, basis, coeffs, change):
-        Frozen.__init__(self, basis, coeffs, change)
+    def __init__(self, coeffs, change):
+        Frozen.__init__(self, coeffs, change)
 
 
 def _int_rows(matrix) -> list[list[int]]:
@@ -521,9 +517,7 @@ def perron_positive_basis(order: GroupOrder, alphas, max_steps: int | None = Non
 
     budget = _Budget(_resolve_cap(max_steps))
     rows, coeffs = _perron_multi(order._blocks, vectors, budget)
-    # the reduction keeps int rows, so neither needs order.element's checks
-    change = tuple(map(tuple, rows))
-    result = PerronResult(tuple(GroupElement(order, row, 1) for row in change), tuple(map(tuple, coeffs)), change)
+    result = PerronResult(tuple(map(tuple, coeffs)), tuple(map(tuple, rows)))
     if not perron_is_valid(order, alphas, result):
         raise ResourceError("reduction produced an invalid basis")  # pragma: no cover
     return result
@@ -533,10 +527,9 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
     """Check the full contract of ``perron_positive_basis`` on a candidate.
 
     Every clause runs on the integer rows of ``result.change``: the rows
-    hold ``int`` entries only, the basis elements carry exactly those rows,
-    the rows have determinant +-1 and positive values, and each alpha, an
-    element of ``order``, is the combination of the rows by its
-    non-negative integer coefficient row.
+    hold ``int`` entries only, have determinant +-1 and positive values,
+    and each alpha, an element of ``order``, is the combination of the rows
+    by its non-negative integer coefficient row.
     """
     n = order.ngens
     change = result.change
@@ -546,14 +539,8 @@ def perron_is_valid(order: GroupOrder, alphas, result: PerronResult) -> bool:
         return False
     if int_det(change) not in (1, -1):
         return False
-    if len(result.basis) != n:
+    if any(order._sign_of(row) != 1 for row in change):
         return False
-    for el, row in zip(result.basis, change):
-        # el == GroupElement(order, tuple(row), 1), field by field
-        if el.__class__ is not GroupElement or el.order != order or el.den != 1 or el.nums != tuple(row):
-            return False
-        if order._sign_of(row) != 1:
-            return False
     alphas = list(alphas)
     if len(result.coeffs) != len(alphas):
         return False

@@ -121,7 +121,6 @@ def test_criterion_1_perron_validity():
         assert hit is not None
         brows, bcoeffs = hit
         alt = PerronResult(
-            basis=tuple(order.element(r) for r in brows),
             coeffs=tuple(tuple(r) for r in bcoeffs),
             change=tuple(tuple(r) for r in brows),
         )

@@ -85,6 +85,20 @@ def test_perron(tmp_path, capsys):
         assert all(isinstance(x, int) for x in row)
     for row in res["coeffs"]:
         assert all(isinstance(x, int) and x >= 0 for x in row)
+    # the whole reply: "basis" spells the rows of "change" as strings
+    assert res == {
+        "basis": [["3", "-2"], ["-1", "1"]],
+        "change": [[3, -2], [-1, 1]],
+        "coeffs": [[1, 0], [1, 2]],
+        "valid": True,
+    }
+
+
+def test_value_on_weights_sharing_a_radicand(tmp_path, capsys):
+    # weights 1 and 1 + sqrt(2): x1^3/x2^2 has value 3 - 2*(1 + sqrt(2))
+    place = dict(PLACE_R2, x_weights=[[{"q": "1"}, [{"q": "1"}, {"q": "1", "d": 2}]]])
+    env = run_json(tmp_path, capsys, "value", {"place": place, "element": "x1^3/x2^2"})
+    assert env["result"] == {"coordinates": ["3", "-2"], "value": "-2*sqrt(2) + 1"}
 
 
 def test_perron_step_cap_exits_2_and_names_the_knob(tmp_path, capsys):

@@ -10,7 +10,7 @@ matrices, repeated products for the powers, the parsers for the printers.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uniformizer.errors import PreconditionError
 from uniformizer.expr import parse_element, parse_series
@@ -18,7 +18,7 @@ from uniformizer.fields import GF, QQ
 from uniformizer.polyfield import RationalFunction, SparsePoly, poly_str
 from uniformizer.series import TruncatedSeries, series_str
 from uniformizer.surd import SurdScalar
-from uniformizer.valuegroup import gauss_jordan, int_det, is_independent, unimodular_inverse
+from uniformizer.valuegroup import GroupOrder, gauss_jordan, int_det, unimodular_inverse
 
 Q = QQ()
 F5 = GF(5)
@@ -104,15 +104,23 @@ def test_unimodular_inverse_of_unimodular_matrices(rows):
 ))
 @settings(max_examples=150, deadline=None)
 def test_is_independent_matches_sympy_rank(pairs):
+    """A block of positive weights is refused as linearly dependent exactly
+    when sympy's rank of their coefficient matrix falls short."""
     sp = pytest.importorskip("sympy")
     weights = [SurdScalar.make(p) for p in pairs]
+    assume(all(w.terms for w in weights))
+    # a weight and its negative span the same line
+    weights = [w if w.sign() > 0 else SurdScalar.make((-q, d) for q, d in w.terms) for w in weights]
     radicands = sorted({d for w in weights for _, d in w.terms})
     rows = [[sp.Rational(0)] * len(radicands) for _ in weights]
     for row, w in zip(rows, weights):
         for q, d in w.terms:
             row[radicands.index(d)] = sp.Rational(q.numerator, q.denominator)
-    rank = sp.Matrix(rows).rank() if radicands else 0
-    assert is_independent(weights) == (rank == len(weights))
+    if sp.Matrix(rows).rank() == len(weights):
+        assert GroupOrder((tuple(weights),)).ngens == len(weights)
+    else:
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            GroupOrder((tuple(weights),))
 
 
 def test_elimination_edge_cases():
@@ -217,5 +225,6 @@ def test_surd_text():
     assert str(SurdScalar.make([(1, 1), (-1, 2)])) == "-sqrt(2) + 1"
     assert str(SurdScalar.make([(2, 1), (1, 3), (Fraction(1, 2), 2)])) == "1/2*sqrt(2) + sqrt(3) + 2"
     assert str(SurdScalar.make([(Fraction(-3, 2), 1), (2, 3)])) == "-3/2 + 2*sqrt(3)"
-    assert str(SurdScalar.sqrt(5, -1)) == "-sqrt(5)"
-    assert str(SurdScalar.sqrt(8, Fraction(1, 3))) == "2/3*sqrt(2)"
+    assert str(SurdScalar.make([(-1, 1), (-2, 2)])) == "-2*sqrt(2) - 1"
+    assert str(SurdScalar.make([(-1, 5)])) == "-sqrt(5)"
+    assert str(SurdScalar.make([(Fraction(1, 3), 8)])) == "2/3*sqrt(2)"
