@@ -30,7 +30,8 @@ the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
   Its n * min(len b, n) products are those of the schoolbook product b * q
   that it undoes, so ``series`` divides this way when the shorter of the
   divisor and the quotient has at most ``_SCHOOLBOOK`` entries, and by the
-  Newton inverse and one product otherwise.
+  Newton inverse and one product otherwise.  A one-entry divisor only
+  scales a.
 - ``taylor_shift``: H(a + Y) for H with rows as coefficients.
 - ``of_poly`` reads a SparsePoly's integers as rows, and ``to_ints``
   gives a row back as SparsePoly integer pairs.
@@ -187,6 +188,10 @@ def quotient(a: list, b: list, n: int, p: int) -> tuple[list, int]:
         raise ZeroDivisionError("quotient by a row with no constant term")
     if n <= 0 or not a:
         return [], 1
+    if len(b) == 1:  # a one-entry divisor only scales a
+        if p:
+            return trim(scale(a[:n], pow(c, -1, p), p)), 1
+        return reduce(trim(scale(a[:n], 1 if c > 0 else -1, 0)), abs(c), 0)
     a, tail = list(a[:n]), b[1:n]
     a += [0] * (n - len(a))
     if p:

@@ -319,8 +319,9 @@ def hasse_derivative(f: SparsePoly, i: int, var: int = 0) -> SparsePoly:
 # GCD machinery (primitive remainder sequences over the base field)
 
 
-def _split_main(f: SparsePoly) -> dict[int, SparsePoly]:
-    """View f as a univariate polynomial in variable 0 with SparsePoly coefficients."""
+def _coeff_rows(f: SparsePoly) -> dict[int, SparsePoly]:
+    """f as rows {degree in variable 0: coefficient in the other variables},
+    nonzero coefficients only."""
     buckets: dict[int, list] = {}
     for e, c in f.ints:
         buckets.setdefault(e[0], []).append((e[1:], c))
@@ -331,20 +332,11 @@ def _split_main(f: SparsePoly) -> dict[int, SparsePoly]:
     }
 
 
-def _join_main(base: BaseField, nvars: int, coeffs: dict[int, SparsePoly]) -> SparsePoly:
-    denom = math.lcm(*(poly.denom for poly in coeffs.values()))
-    out = {}
-    for d, poly in coeffs.items():
-        s = denom // poly.denom
-        for e, c in poly.ints:
-            out[(d,) + e] = c * s
-    return SparsePoly._canon(base, nvars, out, denom)
-
-
-def poly_content(f: SparsePoly) -> SparsePoly:
-    """GCD of the coefficients of f seen as univariate in variable 0."""
-    coeffs = list(_split_main(f).values())
-    return reduce(poly_gcd, coeffs) if coeffs else SparsePoly.zero(f.base, f.nvars - 1)
+def _primitive_rows(rows: dict) -> tuple[SparsePoly, dict]:
+    """(content, rows divided by it) for nonempty rows, the content the gcd
+    of the rows."""
+    content = reduce(poly_gcd, rows.values())
+    return content, {d: poly_divexact(c, content) for d, c in rows.items()}
 
 
 def _min_exps(f: SparsePoly) -> tuple[int, ...]:
@@ -467,10 +459,12 @@ def _coprime_at(f: SparsePoly, g: SparsePoly, var: int, rng) -> bool:
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """A greatest common divisor, monic-normalized when univariate.
 
-    Multivariate recursion by primitive remainder sequences in variable 0,
-    after stripping the common monomial factor and attempting a cheap
-    coprimality certificate; any associate of the gcd serves the
-    rational-function normalization, which rescales afterwards.
+    Multivariate: strip the common monomial factor and attempt a cheap
+    coprimality certificate; otherwise a primitive remainder sequence in
+    variable 0, run on the operands split once into coefficient rows
+    (``_coeff_rows``) and joined once at the end.  Any associate of the
+    gcd serves the rational-function normalization, which rescales
+    afterwards.
     """
     f._check_mate(g)
     base = f.base
@@ -478,8 +472,6 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         return g
     if g.is_zero:
         return f
-    if f.nvars == 0:
-        return SparsePoly.const(base, 0, base.one)
     if f.nvars == 1:
         h = _gcd_map(_specialised(f, 0), _specialised(g, 0), base.p)
         return SparsePoly._canon(base, 1, {(e,): c for e, c in h.items()}, h[max(h)])
@@ -490,51 +482,42 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.is_constant or g.is_constant or _certified_coprime(f, g):
         return mono
 
-    cf, cg = poly_content(f), poly_content(g)
+    cf, a = _primitive_rows(_coeff_rows(f))
+    cg, b = _primitive_rows(_coeff_rows(g))
     cont = poly_gcd(cf, cg)
-    a = _primitive_part(f, cf)
-    b = _primitive_part(g, cg)
-    while not b.is_zero:
+    while b:
         r = _pseudo_rem(a, b)
-        if not r.is_zero:
-            r = _primitive_part(r, poly_content(r))
-        a, b = b, r
-    lifted_cont = cont.map_vars(list(range(1, f.nvars)), f.nvars)
-    return mono * lifted_cont * a
+        a, b = b, r and _primitive_rows(r)[1]
+    # the content times each row of a, joined into one polynomial
+    a = {d: cont * c for d, c in a.items()}
+    denom = math.lcm(*(c.denom for c in a.values()))
+    out = {(d,) + e: c * (denom // row.denom) for d, row in a.items() for e, c in row.ints}
+    return mono * SparsePoly._canon(base, f.nvars, out, denom)
 
 
-def _primitive_part(f: SparsePoly, content: SparsePoly) -> SparsePoly:
-    if content.is_zero:
-        return f
-    coeffs = _split_main(f)
-    out = {d: poly_divexact(c, content) for d, c in coeffs.items()}
-    return _join_main(f.base, f.nvars, out)
+def _pseudo_rem(a: dict, b: dict) -> dict:
+    """Pseudo remainder of the rows a by the rows b.
 
-
-def _pseudo_rem(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """Pseudo remainder of a by b in variable 0.
-
-    Multiplies by powers of b's leading coefficient instead of dividing,
-    so every step stays inside the polynomial ring; the leading terms
-    cancel exactly, which forces the main-variable degree down each pass.
+    Multiplies by b's leading coefficient instead of dividing, so every
+    step stays inside the polynomial ring; the top row of a cancels
+    exactly, which forces the degree down each pass.
     """
-    nv = a.nvars
-
-    def lift(p: SparsePoly) -> SparsePoly:
-        return p.map_vars(list(range(1, nv)), nv)
-
-    cb = _split_main(b)
-    db = max(cb)
-    lead_b = lift(cb[db])
-    r = a
-    while not r.is_zero:
-        cr = _split_main(r)
-        dr = max(cr)
-        if dr < db:
-            break
-        shift = SparsePoly(a.base, nv, (((dr - db,) + (0,) * (nv - 1), 1),))
-        r = lead_b * r - shift * lift(cr[dr]) * b
-    return r
+    db = max(b)
+    lead = b[db]
+    zero = SparsePoly.zero(lead.base, lead.nvars)
+    while a and max(a) >= db:
+        da = max(a)
+        k = a[da]
+        a = {d: lead * c for d, c in a.items() if d != da}
+        for d, c in b.items():
+            if d < db:
+                key = d + da - db
+                w = a.get(key, zero) - k * c
+                if w.is_zero:
+                    a.pop(key, None)
+                else:
+                    a[key] = w
+    return a
 
 
 def poly_divexact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -737,12 +720,6 @@ class RationalFunction(Frozen):
         elif not p and lead < 0:
             num, den = -num, -den
         return RationalFunction(num, den)
-
-    def evaluate(self, args) -> Scalar:
-        d = self.den.evaluate(args)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.base.div(self.num.evaluate(args), d)
 
     def __str__(self):
         return ratfun_str(self, default_names(self.nvars))

@@ -30,7 +30,8 @@ Newton inverse and one product.  ``eval_poly_at_series`` makes one pass
 over the terms of a polynomial into one integer accumulator: a power with
 a one-entry row (every power of t, any monomial argument) scales the
 term, and only longer rows are multiplied.  The powers come from a power
-table that a caller such as ``SeriesContext`` shares between calls;
+table that a caller such as ``SeriesContext`` shares between calls, with
+each missing power built from its two halves;
 ``eval_ratfun_at_series`` scales by 1/c for a constant denominator c
 instead of dividing by a series.
 
@@ -311,16 +312,20 @@ def ratfun_to_series(f: RationalFunction, precision: int) -> TruncatedSeries:
 
 
 def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> TruncatedSeries:
-    """a ** k from the table, built upwards on first use."""
+    """a ** k for k >= 1 from the table, a missing power built as the
+    product of its two halves: consecutive powers cost one product each,
+    a lone power k at most about 2 log2(k)."""
     table = powers.get(id(a))
     if table is None:
         if a.base != base:
             raise PreconditionError("series over different base fields")
         # the entry holds a itself, so its id stays a's while the table lives
-        table = powers[id(a)] = [None, a]
-    while len(table) <= k:
-        table.append(table[-1] * a)
-    return table[k]
+        table = powers[id(a)] = {1: a}
+    s = table.get(k)
+    if s is None:
+        h = k // 2
+        s = table[k] = _power(powers, a, h, base) * _power(powers, a, k - h, base)
+    return s
 
 
 def eval_poly_at_series(

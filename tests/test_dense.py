@@ -8,6 +8,7 @@ read monic.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -261,3 +262,22 @@ def test_quotient_by_a_row_without_constant_term_raises(p, data, n):
         b[0] = data.draw(st.sampled_from([0, p]))  # zero, or p unreduced
     with pytest.raises(ZeroDivisionError):
         dense.quotient(a, b, n, p)
+
+
+def test_quotient_by_a_one_entry_row_only_scales():
+    # dividing 1 + 3x + O(x^n) by a constant allocates no row of n entries
+    n = 10**7
+    tracemalloc.start()
+    try:
+        over_q = dense.quotient([1, 3], [-1], n, 0)
+        over_f5 = dense.quotient([1, 3, 0, 4], [3], n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert over_q == ([-1, -3], 1)
+    assert over_f5 == ([2, 1, 0, 3], 1)  # 1/3 = 2 in F5
+    assert dense.quotient([1, 3], [-4], 5, 0) == ([-1, -3], 4)
+    assert dense.quotient([2, 0, 4, 6], [-2], 3, 0) == ([-1, 0, -2], 1)
+    assert dense.quotient([2, 0, 0, 6], [2], 3, 5) == ([1], 1)
+

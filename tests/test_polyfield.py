@@ -227,8 +227,10 @@ def test_evaluate_at_huge_exponents():
 
 
 def test_normalisation_with_huge_exponents():
-    # the coprimality certificate specializes these at sample points; each
-    # specialization is one power per variable, not one product per unit
+    # over Q the coprimality certificate settles these: it specializes them
+    # at sample points, one power per variable, not one product per unit;
+    # over F5 every specialization of x1^(10^8) is 0 or 1, the certificate
+    # fails, and the remainder sequence runs on rows keyed by degree in x1
     for base, k in ((Q, 10**5), (F5, 10**8)):
         num = P(base, 2, [((k, 1), 1), ((0, 0), 1)])  # x1^k*x2 + 1
         den = P(base, 2, [((k, 0), 1), ((0, 1), 1)])  # x1^k + x2
@@ -255,6 +257,44 @@ def test_sparse_univariate_gcd_allocates_no_dense_row():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@st.composite
+def _shared_factor_pairs(draw):
+    """(f*h, g*h) in two or three variables with degree at most 4 in each,
+    the shared factor h neither constant nor a monomial."""
+    base = draw(st.sampled_from([Q, F5, F7]))
+    nvars = draw(st.integers(2, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-4, 4))
+    f, g, h = (P(base, nvars, draw(st.lists(term, min_size=1, max_size=3))) for _ in range(3))
+    assume(not f.is_zero and not g.is_zero and len(h.ints) >= 2)
+    return f * h, g * h
+
+
+@given(_shared_factor_pairs())
+@settings(max_examples=100, deadline=None)
+def test_remainder_sequence_matches_sympy_gcd(pair):
+    sp = pytest.importorskip("sympy")
+    a, b = pair
+    calls = []
+    pseudo_rem = polyfield._pseudo_rem
+
+    def counted(*args):
+        calls.append(1)
+        return pseudo_rem(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyfield, "_pseudo_rem", counted)
+        d = poly_gcd(a, b)
+    assert calls  # h is no monomial, so no certificate settles the pair
+    base, gens = a.base, sp.symbols(f"x1:{a.nvars + 1}")
+    domain = {"modulus": base.p} if base.p else {"domain": "QQ"}
+
+    def to_sympy(f):
+        return sp.Poly.from_dict({e: sp.Rational(c.numerator, c.denominator) for e, c in f.terms}, gens, **domain)
+
+    # equal up to a unit: the same polynomial once each is made monic
+    assert to_sympy(d).monic() == sp.gcd(to_sympy(a), to_sympy(b)).monic()
 
 
 _univariate_terms = st.lists(st.tuples(st.integers(0, 12), st.integers(-4, 4)), min_size=1, max_size=4)

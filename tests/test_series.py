@@ -527,6 +527,28 @@ def test_verify_evaluates_each_power_once(monkeypatch):
         assert counts["mul"] > pinned["mul"]
 
 
+def test_a_lone_power_takes_logarithmically_many_products(monkeypatch):
+    # z^k at precision 8 over F5 from a fresh table: each missing power is
+    # the product of its two halves, so about two products per halving
+    # instead of one per power below k
+    k = 10_000
+    z = S(F5, 0, [1, 3, 0, 2, 4], 8)
+    want = z ** k
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counted_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    x = SparsePoly.make(F5, 1, [((k,), 1)])
+    out = eval_poly_at_series(x, [z], 8, {})
+    assert len(calls) <= 2 * k.bit_length() + 2
+    monkeypatch.undo()
+    _same(out, want)
+
+
 def _eval_per_term_chain(p, args, precision, powers):
     """eval_poly_at_series as it was before one-entry factors scaled: every
     term's factor rows multiplied by dense.mul in turn, cut to the result's
