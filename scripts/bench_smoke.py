@@ -20,9 +20,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = {
     "monomial_survey": "4d3d484536b549afb6a27b7f9be92a5d4afb0286bf974a775770c39298534220",
-    "series_pipeline": "2bb66544a84b4ffe5453dc4f87f0e9775cd91ba23fae72136eaa7bcda228fed3",
+    "series_pipeline": "58f02451bbb67abb3f1c7c8456961fe6b699b0415073871960f0fe0399fa0017",
     "place_queries": "89d10ec9015fede4293b45d9b5a5c6af7945aa47368cab1b497f69e081f2cf15",
-    "cli_mix": "6bc254a766d92a99501febbee9e929daeb05a7608be01c7e8aed1d053fad06a7",
+    "cli_mix": "72c7c97fdfe1e48c57aaaf04dee9ea2e5e4a797aaff1366412487554d65c418e",
 }
 
 

@@ -12,13 +12,15 @@ characteristic), collects all coefficient-field elements those blocks
 use, uniformizes the coefficients over K0(t) with the monomial machinery,
 and composes the two layers into one ground system.
 
-A row is built as a list of terms (exps, c, scalar) before its width is
-known.  exps maps a variable index to an exponent; c is the index of a
-pooled coefficient-field element, which becomes one c-variable after the
-leading variables, or None; scalar is a canonical element of K0, into
-which a constant coefficient is folded when the term is made.  Once every
-block has registered its coefficients, the pool turns each list into a
-polynomial over (leading variables | c-variables).
+A row is built as a list of terms (exps, (index, power) | None, scalar)
+before its width is known.  exps maps a variable index to an exponent;
+(index, power) raises a pooled coefficient-field element, one c-variable
+after the leading variables, to a power: a polynomial in t is one term
+per monomial on the single pooled entry t, any other element of K0(t) an
+entry of its own.  scalar is a canonical element of K0, into which
+constant coefficients fold.  Once every block has registered its
+coefficients, the pool turns each list into a polynomial over (leading
+variables | c-variables).
 """
 
 from __future__ import annotations
@@ -192,6 +194,9 @@ class _QuotientRing:
         # makes m monic with integer coefficients
         self.L = m.denom
         self.neg_m = [dense.scale(c, -1, self.p) for c in self._split(m)[0][:-1]]
+        # the first dependency among 1, X, X^2, ... modulo m is m itself,
+        # whose rows are primitive: m is monic, its integers over m.denom
+        self.z, self.z_rows = RationalFunction.variable(m.base, 2, 1), dense.of_poly(m)
 
     def _split(self, f: SparsePoly) -> tuple[list, int]:
         """(P, s) with f = P(Y)/s: P over Y with K0[t] entries, s an integer."""
@@ -297,34 +302,44 @@ class _QuotientRing:
 
 
 class _CoeffPool:
-    """Ordered, deduplicated registry of coefficient-field elements.
-
-    Non-constant elements of K0(t) become c-variables, numbered in order of
-    first use; constants are folded into the scalar of the term using them.
+    """Ordered, deduplicated registry of coefficient-field elements, numbered
+    in order of first use.  A polynomial in t is one term c_k t^k per
+    monomial, t^k the k-th power of one pooled entry t, its constant folded
+    into the scalar; any other element of K0(t) is an entry of its own.
     """
 
     def __init__(self, base: BaseField):
         self.base = base
         self.entries: dict[RationalFunction, int] = {}
+        self.t = RationalFunction.variable(base, 1, 0)
 
-    def term(self, exps: dict, rf: RationalFunction, scalar: Scalar) -> tuple:
-        """The row term exps * rf * scalar."""
-        if rf.is_constant:
-            return exps, None, self.base.mul(scalar, rf.constant_value())
-        return exps, self.entries.setdefault(rf, len(self.entries)), scalar
+    def term(self, exps: dict, c, scalar: Scalar) -> list:
+        """The row terms of exps * c * scalar, for c in K0(t) given as a
+        RationalFunction or, when it is a polynomial, as a SparsePoly."""
+        if isinstance(c, RationalFunction):
+            if not c.den.is_constant:
+                return [(exps, (self.entries.setdefault(c, len(self.entries)), 1), scalar)]
+            c = _settled(self.base, 1, c.num.ints, c.den.ints[0][1])  # canonical sides: denominator 1
+        base, entries = self.base, self.entries
+        scalars = base.settle_row([x for _, x in c.ints], c.denom)
+        return [
+            (exps, (entries.setdefault(self.t, len(entries)), k) if k else None, base.mul(scalar, ck))
+            for ((k,), _), ck in zip(c.ints, scalars)
+        ]
 
     def poly(self, terms, nlead: int) -> SparsePoly:
         """A row over (nlead leading variables | the c-variables); every
         entry must be registered before the first call."""
-        width = nlead + len(self.entries)
+        base, width = self.base, nlead + len(self.entries)
         acc = {}
-        for exps, c, scalar in terms:
+        for exps, c_pow, scalar in terms:
             e = [0] * width
             for v, k in exps.items():
                 e[v] = k
-            if c is not None:
-                e[nlead + c] = 1
-            acc[tuple(e)] = scalar
+            if c_pow is not None:
+                e[nlead + c_pow[0]] = c_pow[1]
+            e = tuple(e)
+            acc[e] = base.add(acc[e], scalar) if e in acc else scalar
         return SparsePoly._of_scalars(self.base, width, acc)
 
 
@@ -382,7 +397,7 @@ def _zeta_block(
     j = n_before
     names = ctx.place.ambient_names
 
-    h = ring.min_poly(zeta)
+    h = ring.z_rows if zeta == ring.z else ring.min_poly(zeta)
     k = len(h) - 1
 
     if k == 1:
@@ -393,7 +408,7 @@ def _zeta_block(
             raise NotInValuationRingError(
                 f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
             )
-        row = [({j: 1}, None, one), pool.term({}, c_rf, minus)]
+        row = [({j: 1}, None, one)] + pool.term({}, c_rf, minus)
         return _Block([row], [zeta], j, [])
 
     zs = ctx.ambient(zeta)
@@ -426,11 +441,10 @@ def _zeta_block(
     b_amb = _ambient_rf_from_t_poly(len(names), b)
     w_amb, winv_amb = b_amb / rest, rest / b_amb
 
-    a_rf, b_rf = RationalFunction.from_poly(a), RationalFunction.from_poly(b)
-    minpoly = [({j: k}, None, one)] + [pool.term({j: i}, c, one) for i, c in enumerate(hw[:-1])]
+    minpoly = [({j: k}, None, one)] + [t for i, c in enumerate(hw[:-1]) for t in pool.term({j: i}, c, one)]
     invert = [({j: 1, j + 1: 1}, None, one), ({}, None, minus)]
-    affine = [({j + 2: 1}, None, one), pool.term({j + 1: 1}, b_rf, minus), pool.term({}, a_rf, minus)]
-    witness = [pool.term({j + 1: 1}, b_rf, one), pool.term({}, a_rf, one)]
+    affine = [({j + 2: 1}, None, one)] + pool.term({j + 1: 1}, b, minus) + pool.term({}, a, minus)
+    witness = pool.term({j + 1: 1}, b, one) + pool.term({}, a, one)
     return _Block([minpoly, invert, affine], [w_amb, winv_amb, zeta], j + 2, witness)
 
 
@@ -527,8 +541,9 @@ def uniformize_immediate_simple(z: TruncatedSeries, zetas) -> TriangularSystem:
     A separating truncation a of z is found first; with b the exact
     leading monomial of z - a, every requested element g(z)/h(z) rewrites
     as a ratio of units in ztilde = (z - a)/b, giving one row per element
-    whose X-partial is a unit; the witness's gamma tables of g and h are
-    its coefficients.  T consists of ztilde alone.
+    whose X-partial is a unit; its coefficients, the witness's gamma
+    tables of g and h over their lowest term, are polynomials in t like a
+    and b, so the coefficient table is at most (t,).  T is ztilde alone.
     """
     base = z.base
     place = DiscreteSeriesPlace(base, "t", ("z",), (z,), z.precision)
@@ -555,21 +570,18 @@ def uniformize_immediate_simple(z: TruncatedSeries, zetas) -> TriangularSystem:
             continue
         gam_g, gam_h = next(gammas), next(gammas)
         low_h = _min_term(gam_h)
-        if _min_term(gam_g).ints[0][0] < low_h.ints[0][0]:
+        ((e,), c), d = low_h.ints[0], low_h.denom
+        if _min_term(gam_g).ints[0][0][0] < e:
             raise NotInValuationRingError(f"element {j} lies outside the valuation ring")
-        n_h = RationalFunction.from_poly(low_h)
-        # (h(z) X_j - g(z))/n_h, with h(z) = sum_i gamma_i(h) ztilde^i
+        # (h(z) X_j - g(z))/n_h, with h(z) = sum_i gamma_i(h) ztilde^i and
+        # n_h = (c/d) t^e the lowest term of both tables, which divides every entry
+        over_n = lambda g: _settled(base, 1, tuple(((k - e,), x * d) for (k,), x in g.ints), g.denom * c)
         rows.append(
-            [pool.term({0: i, j: 1}, RationalFunction.from_poly(gi) / n_h, one)
-             for i, gi in enumerate(gam_h) if not gi.is_zero]
-            + [pool.term({0: i}, RationalFunction.from_poly(gi) / n_h, minus)
-               for i, gi in enumerate(gam_g) if not gi.is_zero]
+            [t for i, gi in enumerate(gam_h) if not gi.is_zero for t in pool.term({0: i, j: 1}, over_n(gi), one)]
+            + [t for i, gi in enumerate(gam_g) if not gi.is_zero for t in pool.term({0: i}, over_n(gi), minus)]
         )
     # z = b*ztilde + a can extend the pool, so it comes before any row is sized
-    z_terms = [
-        pool.term({0: 1}, RationalFunction.from_poly(b), one),
-        pool.term({}, RationalFunction.from_poly(a), one),
-    ]
+    z_terms = pool.term({0: 1}, b, one) + pool.term({}, a, one)
     fs = [pool.poly(row, 1 + n) for row in rows]
 
     zvar = RationalFunction.variable(base, 2, 1)

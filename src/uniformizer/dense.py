@@ -32,7 +32,8 @@ the standard ones (von zur Gathen and Gerhard, *Modern Computer Algebra*,
   divisor and the quotient has at most ``_SCHOOLBOOK`` entries, and by the
   Newton inverse and one product otherwise.  A one-entry divisor only
   scales a.
-- ``taylor_shift``: H(a + Y) for H with rows as coefficients.
+- ``taylor_shift``: H(a + Y) for H with rows as coefficients; ``xpow_mod``:
+  x^e modulo a row over F_p, for the sparse Euclid of ``polyfield``.
 - ``of_poly`` reads a SparsePoly's integers as rows, and ``to_ints``
   gives a row back as SparsePoly integer pairs.
 
@@ -234,6 +235,16 @@ def _divmod(a: list, b: list, p: int) -> tuple:
             for i, y in enumerate(b):
                 a[k + i] -= c * y
     return q, trim([c % p for c in a[:n]] if p else a[:n])
+
+
+def xpow_mod(e: int, b: list, p: int) -> list:
+    """x^e modulo a nonzero row b over F_p, by repeated squaring."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _divmod(mul(r, r, p), b, p)[1]
+        if bit == "1":
+            r = _divmod([0] + r, b, p)[1]
+    return r
 
 
 def divexact(a: list, b: list, p: int) -> list:

@@ -401,10 +401,19 @@ def _gcd_map(a: dict, b: dict, p) -> dict:
 
 
 def _sparse_rem(a: dict, b: dict, p) -> dict:
-    """a modulo b over F_p.  Over Z the primitive part of a remainder of
-    c*a, the integer c > 0 grown only where a quotient term needs it."""
-    a, db = dict(a), max(b)
-    lead = b[db]
+    """a modulo b over F_p: when b fits a dense row, the sum of the terms'
+    c * (x^e mod b) by repeated squaring (30 squarings for x^(10^9)), else
+    by long division.  Over Z by long division: the primitive part of a
+    remainder of c*a, the integer c > 0 grown only where a quotient term
+    needs it."""
+    db = max(b)
+    if p and db < _DENSE_FILL * len(b):
+        row, out = [b.get(e, 0) for e in range(db + 1)], [0] * db
+        for e, c in a.items():
+            for i, y in enumerate(dense.xpow_mod(e, row, p)):
+                out[i] += c * y
+        return {e: c % p for e, c in enumerate(out) if c % p}
+    a, lead = dict(a), b[db]
     inv = pow(lead, -1, p) if p else 0
     while a and max(a) >= db:
         da = max(a)

@@ -197,28 +197,26 @@ def test_discrete_uniformize_and_determinism(tmp_path, capsys):
 
 def test_discrete_uniformize_elements_of_the_coefficient_field(tmp_path, capsys):
     # z^2 = 1 + t and t*z^2/(1 + t^2) lie in K0(t): each gets the single row
-    # X - c, with c pooled as the negated constant coefficient of its
-    # minimal polynomial
+    # X - c, with c the negated constant coefficient of its minimal
+    # polynomial; the polynomial 1 + t is written on the pooled t (X1), the
+    # fraction is a coefficient entry of its own (X2)
     doc = {"presentation": PRES_F5, "zetas": ["z^2", "t*z^2/(1 + t^2)"]}
     system = run_json(tmp_path, capsys, "discrete-uniformize", doc)["result"]["system"]
     assert system["etas"] == [
-        "t + 1", "(t^2 + t)/(t^2 + 1)", "t", "3*t", "z^2", "(t*z^2)/(t^2 + 1)",
-        "(3*t)/(z + 4)", "(2*z + 3)/(t)", "z",
+        "t", "(t^2 + t)/(t^2 + 1)", "z^2", "(t*z^2)/(t^2 + 1)", "(3*t)/(z + 4)", "(2*z + 3)/(t)", "z",
     ]
     assert system["fs"] == [
-        "4*t1 + X1 + 4",
+        "4*t1 + X1",
         "t1^2*X2 + 4*t1^2 + 4*t1 + X2",
-        "4*t1 + X3",
-        "2*t1 + X4",
-        "4*X1 + X5",
-        "4*X2 + X6",
-        "X7^2 + X3 + 4*X7",
-        "X7*X8 + 4",
-        "4*X4*X8 + X9 + 4",
+        "4*X1 + X3 + 4",
+        "4*X2 + X4",
+        "X5^2 + X1 + 4*X5",
+        "X5*X6 + 4",
+        "2*X1*X6 + X7 + 4",
     ]
     assert system["coeff_table"] == [] and system["tvars"] == ["t"]
-    assert system["witnesses"] == [["t", "t1"], ["z", "X4*X8 + 1"]]
-    assert system["zeta_indices"] == [4, 5]
+    assert system["witnesses"] == [["t", "t1"], ["z", "3*X1*X6 + 1"]]
+    assert system["zeta_indices"] == [2, 3]
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -709,27 +707,21 @@ T elements:
   t1 = t
 etas:
   X1 = t
-  X2 = 3*t
-  X3 = t^2
-  X4 = 2*t + 4
-  X5 = (3*t)/(z + 4)
-  X6 = (2*z + 3)/(t)
-  X7 = z
-  X8 = (4*t^2)/(t + 3*z + 2)
-  X9 = (4*t + 2*z + 3)/(t^2)
-  X10 = (z + 4)/(t)
+  X2 = (3*t)/(z + 4)
+  X3 = (2*z + 3)/(t)
+  X4 = z
+  X5 = (4*t^2)/(t + 3*z + 2)
+  X6 = (4*t + 2*z + 3)/(t^2)
+  X7 = (z + 4)/(t)
 rows:
   f1 = 4*t1 + X1
-  f2 = 2*t1 + X2
-  f3 = 4*t1^2 + X3
-  f4 = 3*t1 + X4 + 1
-  f5 = X5^2 + X1 + 4*X5
+  f2 = X2^2 + X1 + 4*X2
+  f3 = X2*X3 + 4
+  f4 = 2*X1*X3 + X4 + 4
+  f5 = X1^2 + 2*X1*X5 + X5^2 + 4*X5
   f6 = X5*X6 + 4
-  f7 = 4*X2*X6 + X7 + 4
-  f8 = X4*X8 + X8^2 + X3
-  f9 = X8*X9 + 4
-  f10 = 4*X2*X9 + X10 + 2
-requested elements at: [6, 9]
+  f7 = 2*X1*X6 + X7 + 2
+requested elements at: [3, 6]
 """ + VERIFY_TEXT
 
 COMPOSE_TEXT = """\
@@ -737,17 +729,15 @@ T elements:
   t1 = t
 etas:
   X1 = t
-  X2 = 3*t
-  X3 = (3*t)/(z + 4)
-  X4 = (2*z + 3)/(t)
-  X5 = z
+  X2 = (3*t)/(z + 4)
+  X3 = (2*z + 3)/(t)
+  X4 = z
 rows:
   f1 = 4*t1 + X1
-  f2 = 2*t1 + X2
-  f3 = X3^2 + X1 + 4*X3
-  f4 = X3*X4 + 4
-  f5 = 4*X2*X4 + X5 + 4
-requested elements at: [4]
+  f2 = X2^2 + X1 + 4*X2
+  f3 = X2*X3 + 4
+  f4 = 2*X1*X3 + X4 + 4
+requested elements at: [3]
 """ + VERIFY_TEXT
 
 

@@ -438,9 +438,10 @@ def test_algebraic_certificate_frozen():
     assert [poly_str(f, names) for f in sys_.fs] == [
         "X1^2 + 4*X1 + c1",
         "X1*X2 + 4",
-        "4*X2*c2 + X3 + 4",
+        "2*X2*c1 + X3 + 4",
     ]
-    assert [ratfun_str(c, ("t",)) for c in sys_.coeff_table] == ["t", "3*t"]
+    # 3*t is the pooled entry t with the scalar 3 folded in: 4*3 = 2
+    assert [ratfun_str(c, ("t",)) for c in sys_.coeff_table] == ["t"]
     assert sys_.coeff_field_names == ("t",)
     assert sys_.zeta_indices == (2,)
     report = verify(sys_)
@@ -527,21 +528,22 @@ def test_u3_on_a_series_place():
             fs[row] = change(fs[row])
         return replace(sys_, fs=tuple(fs))
 
-    assert _u3_fields(sys_) == (True, "", "0", "1", ("1",) * 5)
+    # one inner row for the pooled t, then the three rows of z's block
+    assert _u3_fields(sys_) == (True, "", "0", "1", ("1",) * 4)
     # t1 * f keeps the zero and gives its X-partial value 1
-    assert _u3_fields(mutant({2: lambda f: f * t1})) == (
-        False, "diagonal product has nonzero value: entry 3 has value 1", "1", "0",
-        ("1", "1", "value 1", "1", "1"),
+    assert _u3_fields(mutant({1: lambda f: f * t1})) == (
+        False, "diagonal product has nonzero value: entry 2 has value 1", "1", "0",
+        ("1", "value 1", "1", "1"),
     )
     # f^2 keeps the zero and its X-partial 2*f*f_X vanishes there
-    assert _u3_fields(mutant({4: lambda f: f * f})) == (
-        False, "diagonal product vanishes: entry 5 is 0", "undefined", "0",
-        ("1", "1", "1", "1", "0"),
+    assert _u3_fields(mutant({3: lambda f: f * f})) == (
+        False, "diagonal product vanishes: entry 4 is 0", "undefined", "0",
+        ("1", "1", "1", "0"),
     )
     # the diagonal residue is the product of the entry residues
     double = lambda f: f.scale(2)
-    assert _u3_fields(mutant({2: double, 4: double})) == (
-        True, "", "0", "4", ("1", "1", "2", "1", "2"),
+    assert _u3_fields(mutant({1: double, 3: double})) == (
+        True, "", "0", "4", ("1", "2", "1", "2"),
     )
 
 
@@ -705,17 +707,16 @@ def test_ring_min_poly_pinned(base, m_text, f_text, want):
 
 @pytest.mark.parametrize("base, m_text, residue, zetas, precision, want", [
     (F5, "X^2 - 1 - t", 1, ["z", "z + t", "(z - 1)/t"], 16,
-     ["t", "3*t", "(t)/(t + 2)", "(2*t + 3)/(t + 2)", "4*t", "t^2", "2*t + 4"]),
-    (Q, "X^3 - X - t", 0, ["z"], 32, ["t^2", "-t"]),
+     ["t", "(t)/(t + 2)", "(2*t + 3)/(t + 2)"]),
+    (Q, "X^3 - X - t", 0, ["z"], 32, ["t"]),
     (Q, "X^2 - 4 - t + 2*t^3", 2, ["(3*z + t)/(1 - t*z)"], 16, [
         "(6050*t^6 - 3025*t^4 - 12100*t^3 + 3025*t)/"
         "(1152*t^4 + 1152*t^3 - 288*t^2 - 2864*t - 2640)",
         "(660*t^5 + 330*t^4 - 330*t^3 - 1485*t^2 - 715*t + 330)/"
         "(144*t^4 + 144*t^3 - 36*t^2 - 358*t - 330)",
-        "(55*t)/(4)",
+        "t",
         "(t)/(32*t^2 - 16)",
         "(1)/(2*t^2 - 1)",
-        "(t)/(4)",
     ]),
 ])
 def test_relative_coefficient_table_pinned(base, m_text, residue, zetas, precision, want):
@@ -723,6 +724,115 @@ def test_relative_coefficient_table_pinned(base, m_text, residue, zetas, precisi
     pres = DiscretePresentation(base, min_poly=m, residue=base.coerce(residue))
     system = _relative_system(pres, [parse_element(s, base, ("t", "z")) for s in zetas], precision)
     assert _strs(system.coeff_table) == want
+
+
+@pytest.mark.parametrize("base, m_text", [
+    (F5, "X^2 - 1 - t"),
+    (F5, "(X - 1)*(X^2 - 2) + t"),
+    (F5, "(X - 1 - t)*(X - 2)"),  # reducible
+    (F7, "X^3 - X - 2*t - 3*t^2"),
+    (F7, "(X - 1)*(X - 2)*(X - 3)"),  # split over K0
+    (Q, "X^3 + X^2/720720 - 7*X + t"),
+    (Q, "X^3 - 9*X^2 + 23*X - 15 + t"),
+    (Q, "2*X^2 - 1 - t"),
+    (Q, "X^3 - X/4 - t/3"),
+])
+def test_z_block_reads_its_minimal_polynomial_off_m(base, m_text):
+    """The first dependency among 1, X, X^2, ... modulo m is m itself, so
+    z's block takes m's primitive rows in place of an elimination."""
+    ring = _ring(base, m_text)
+    z = RationalFunction.variable(base, 2, 1)
+    assert _monic(base, ring.z_rows) == _ring_min_poly(ring, z)
+    assert base.p or math.gcd(*(c for row in ring.z_rows for c in row)) == 1
+
+
+@st.composite
+def _relative_cases(draw):
+    """A presentation of the families of ``_ring_cases``, with its residue,
+    and one to three elements of its valuation ring."""
+    base = draw(st.sampled_from((Q, F5, F7)))
+    nonzero = [k for k in range(-4, 5) if k % (base.p or 11)]
+    c1, c2 = draw(st.sampled_from(nonzero)), draw(st.integers(-4, 4))
+    small = st.sampled_from([k for k in range(-3, 4) if k % (base.p or 7)])
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([k for k in range(1, 5) if k % (base.p or 11)]))
+        m, inside = f"X^2 - {r * r} - ({c1})*t - ({c2})*t^3", "z^2"
+    else:
+        r = draw(st.sampled_from((1, -1)))
+        m, inside = f"X^3 - X - ({c1})*t - ({c2})*t^2", "(z^3 - z)"
+    elements = st.builds(
+        lambda k, a, b, c, i: [
+            f"({a})*z + ({b})*t^{i}",
+            f"({a})*z^2 + ({b})*t*z",
+            f"(z - ({r}))/t",
+            f"(({a})*z + ({b})*t)/(1 + ({c})*t*z)",
+            f"({a})*{inside} + ({b})*t^{i}",
+            f"({a})*{inside}/(1 + ({b})*t)",
+        ][k],
+        st.integers(0, 5), small, small, small, st.integers(0, 2),
+    )
+    return base, m, r, draw(st.lists(elements, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relative_cases())
+def test_polynomial_coefficients_fold_onto_the_pooled_t(case):
+    """No coefficient entry but t itself has a constant denominator, and the
+    relative, inner and composed systems verify, with the composed diagonal
+    the inner one followed by the relative one."""
+    base, m_text, residue, texts = case
+    pres = DiscretePresentation(base, min_poly=parse_element(m_text, base, ("t", "X")).num, residue=base.coerce(residue))
+    try:
+        outer = _relative_system(pres, [parse_element(s, base, ("t", "z")) for s in texts], 32)
+    except InsufficientPrecisionError:
+        assume(False)
+    t = RationalFunction.variable(base, 1, 0)
+    assert all(c == t or not c.den.is_constant for c in outer.coeff_table)
+    t_place = MonomialPlace(base, GroupOrder(((SurdScalar.rational(1),),)), x_names=("t",))
+    inner = uniformize_abhyankar(t_place, list(outer.coeff_table))
+    composed = compose(outer, inner)
+    rep_in, rep_out, rep = verify(inner), verify(outer), verify(composed)
+    for r in (rep_in, rep_out, rep):
+        assert r.passed, r.summary()
+    assert rep.diagonal_entries == rep_in.diagonal_entries + rep_out.diagonal_entries
+
+
+def _folded_systems():
+    def relative(base, m_text, residue, texts):
+        pres = DiscretePresentation(base, min_poly=parse_element(m_text, base, ("t", "X")).num, residue=residue)
+        return _relative_system(pres, [parse_element(s, base, ("t", "z")) for s in texts], 16)
+
+    z = poly_to_series(_tpoly(F5, [(1, 1), (3, 1), (7, 1)]), 12)
+    zv, t = RationalFunction.variable(F5, 2, 1), RationalFunction.variable(F5, 2, 0)
+    return [
+        relative(F5, "X^2 - 1 - t", 1, ["z", "z + t", "(z - 1)/t", "z^2"]),
+        relative(Q, "X^3 - X - t", 0, ["z", "z^3 + t^2/3"]),
+        uniformize_immediate_simple(z, [zv, zv * zv, (zv - t) / t ** 3]),
+    ]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_a_changed_t_power_or_scalar_fails_u2(which):
+    """Raising one folded power of t by one, or doubling its scalar, leaves a
+    row that does not vanish."""
+    from frozen_copy import replace
+
+    system = _folded_systems()[which]
+    base = system.place.base
+    at = system.s + system.n + system.coeff_table.index(RationalFunction.variable(base, 1, 0))
+    assert verify(system).passed
+    mutants = 0
+    for i, f in enumerate(system.fs):
+        for j, (e, c) in enumerate(f.terms):
+            if not e[at]:
+                continue
+            for term in ((e[:at] + (e[at] + 1,) + e[at + 1:], c), (e, base.mul(c, 2))):
+                fs = list(system.fs)
+                fs[i] = SparsePoly.make(base, f.nvars, f.terms[:j] + (term,) + f.terms[j + 1:])
+                report = verify(replace(system, fs=tuple(fs)))
+                assert report.u2.detail.startswith(f"row {i + 1} does not vanish"), (i, term)
+                mutants += 1
+    assert mutants >= 4
 
 
 def test_ring_denominators_on_a_split_modulus():
@@ -773,7 +883,7 @@ def test_immediate_simple_certificate():
 
 
 # sha256 of json.dumps(system_to_json(...), sort_keys=True), first 16 digits
-IMMEDIATE_WITH_ZEROS_PINS = {"Q": "1a7934e682fe4580", "F5": "b8f2a7a872d256c7"}
+IMMEDIATE_WITH_ZEROS_PINS = {"Q": "b44fe16c5e5270f5", "F5": "cfde6ee7ec36dd74"}
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

@@ -311,6 +311,31 @@ def test_sparse_univariate_gcd_matches_dense_rows(base, factors):
         assert poly_gcd(a * h, b * h) == expected
 
 
+def test_sparse_euclid_powers_its_way_down_a_huge_degree():
+    # long division would take 5*10^8 steps; x^(10^9) mod x^2 + 1 is
+    # (x^2)^(5*10^8) = 1, so the first remainder is x + 4, coprime to x^2 + 1
+    f = P(F5, 1, [((10**9,), 1), ((1,), 1), ((0,), 3)])
+    g = P(F5, 1, [((2,), 1), ((0,), 1)])
+    assert polyfield._sparse_rem(polyfield._specialised(f, 0), polyfield._specialised(g, 0), 5) == {1: 1, 0: 4}
+    assert poly_gcd(f, g) == P(F5, 1, [((0,), 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([F5, F7]),
+    st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 6)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), min_size=1, max_size=4),
+)
+def test_sparse_remainder_by_powers_matches_long_division(base, a_terms, b_terms):
+    p = base.p
+    a, b = (polyfield._specialised(P(base, 1, [((e,), c) for e, c in terms]), 0) for terms in (a_terms, b_terms))
+    assume(a and b)
+    by_powers = polyfield._sparse_rem(a, b, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyfield, "_DENSE_FILL", 0)  # every row counts as long
+        assert polyfield._sparse_rem(a, b, p) == by_powers
+
+
 def _value(f, args):
     """f(args) in canonical form."""
     return RationalFunction.make(*substitute(f, args))
