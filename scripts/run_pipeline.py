@@ -11,17 +11,10 @@ import json
 
 from uniformizer.checker import verify
 from uniformizer.completion import uniformize_discrete_rational
-from uniformizer.expr import parse_element
+from uniformizer.expr import parse_element, parse_polynomial
 from uniformizer.fields import GF, QQ
 from uniformizer.jsonio import system_to_json
 from uniformizer.series import DiscretePresentation
-
-
-def parse_poly(text, base, names):
-    rf = parse_element(text, base, names)
-    if not rf.den.is_constant:
-        raise ValueError("expected a polynomial, got a proper fraction")
-    return rf.num.scale(base.inv(rf.den.constant_value()))
 
 
 def run(args):
@@ -29,7 +22,7 @@ def run(args):
     base = QQ() if args.p == 0 else GF(args.p)
     pres = DiscretePresentation(
         base,
-        min_poly=parse_poly(args.min_poly, base, ("t", "X")),
+        min_poly=parse_polynomial(args.min_poly, base, ("t", "X")),
         residue=base.coerce(args.residue),
     )
     texts = args.zeta or ["z", "z + t", "(z - 1)/t"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from uniformizer.checker import verify
 from uniformizer.completion import uniformize_discrete_rational
-from uniformizer.expr import parse_element
+from uniformizer.expr import parse_element, parse_polynomial
 from uniformizer.fields import GF, QQ
 from uniformizer.series import (
     DiscretePresentation,
@@ -73,7 +73,7 @@ def run_cell(pres, element, zetas, n) -> Cell:
 def sweep_field(p, precisions):
     """Print one row per precision; return the number of failed checks."""
     base = QQ() if p == 0 else GF(p)
-    m = parse_element(MIN_POLY, base, ("t", "X")).num
+    m = parse_polynomial(MIN_POLY, base, ("t", "X"))
     pres = DiscretePresentation(base, min_poly=m, residue=base.coerce(RESIDUE))
     element = parse_element(ELEMENT, base, ("t", "z"))
     zetas = [parse_element(text, base, ("t", "z")) for text in ZETAS]

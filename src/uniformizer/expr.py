@@ -13,7 +13,9 @@ element round-trips:
 '^' binds tighter than unary minus, so -x^2 means -(x^2).  Integer
 literals are decimal digits; exponents are integer literals, and negative
 exponents invert.  Series literals are sums of t-monomials with a trailing
-+ O(t^N) marking the precision.
++ O(t^N) marking the precision; ``parse_series`` checks that tail with the
+parser's own cursor, then parses the head from the same tokens, so a
+literal is tokenized once.
 
 The parser evaluates in the polynomial ring: its values are ``SparsePoly``
 until a division by a nonconstant or a negative power makes a quotient,
@@ -22,7 +24,9 @@ terms in one dict, a product or power of monomials is one exponent tuple
 and one scalar, and a quotient of two polynomials is one
 ``RationalFunction.make``.  The canonical form of a rational function is
 unique, so the result is the element the same arithmetic on rational
-functions would give.
+functions would give.  The parser returns the type it built:
+``parse_element`` wraps it as a ``RationalFunction``, and
+``parse_polynomial`` takes a polynomial as it is.
 
 The parser descends recursively, so it bounds the nesting of parentheses
 and unary minus signs at MAX_NESTING and reports deeper input as a syntax
@@ -36,7 +40,7 @@ import re
 from math import lcm
 from typing import NamedTuple, Union
 
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, InputError
 from .fields import BaseField
 from .polyfield import RationalFunction, SparsePoly
 
@@ -132,11 +136,11 @@ class _Parser:
 
     # grammar ------------------------------------------------------------
 
-    def parse(self) -> RationalFunction:
+    def parse(self) -> Value:
         value = self.expr()
         if self.peek().kind != "end":
             self.fail("trailing input")
-        return _as_ratfun(value)
+        return value
 
     def expr(self) -> Value:
         value = self.term()
@@ -258,7 +262,18 @@ class _Parser:
 
 def parse_element(text: str, base: BaseField, names) -> RationalFunction:
     """Parse an expression over the given variable names."""
-    return _Parser(text, base, names).parse()
+    return _as_ratfun(_Parser(text, base, names).parse())
+
+
+def parse_polynomial(text: str, base: BaseField, names) -> SparsePoly:
+    """Parse an expression that must be a polynomial; a quotient by a
+    constant, such as (x^2 - 1)/(x - 1) once reduced, is scaled."""
+    value = _Parser(text, base, names).parse()
+    if isinstance(value, SparsePoly):
+        return value
+    if not value.den.is_constant:
+        raise InputError("expected a polynomial, got a proper fraction")
+    return value.num.scale(base.inv(value.den.constant_value()))
 
 
 def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries:
@@ -269,40 +284,33 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     """
     from .series import TruncatedSeries, ratfun_to_series
 
-    tokens = _tokenize(text)
+    p = _Parser(text, base, (name,))
+    tokens = p.tokens
     # locate the trailing "+ O(name^N)"
     o_at = next((i for i, tok in enumerate(tokens) if tok.kind == "name" and tok.text == "O"), None)
     if o_at is None:
         raise _syntax_error(text, "series literal needs a precision marker O(...)", len(text))
-
-    def op(i, ch):
-        return tokens[i].kind == "op" and tokens[i].text == ch
-
-    def fail(message, i):
-        raise _syntax_error(text, message, tokens[i].offset)
-
-    i = o_at + 1
-    if not op(i, "("):
-        fail("expected '(' after O", i)
-    i += 1
-    if not (tokens[i].kind == "name" and tokens[i].text == name):
-        fail(f"expected {name!r} inside O(...)", i)
-    i += 1
+    p.pos = o_at + 1
+    if not p.at_op("("):
+        p.fail("expected '(' after O")
+    p.take()
+    tok = p.take()
+    if tok.kind != "name" or tok.text != name:
+        p.fail(f"expected {name!r} inside O(...)", tok)
     precision = 1
-    if op(i, "^"):
-        i += 1
-        if tokens[i].kind != "int":
-            fail("expected an integer exponent", i)
-        precision = _integer(text, tokens[i])
-        i += 1
-    if not op(i, ")"):
-        fail("expected ')'", i)
-    if tokens[i + 1].kind != "end":
-        fail("trailing input after O(...)", i + 1)
+    if p.at_op("^"):
+        p.take()
+        tok = p.take()
+        if tok.kind != "int":
+            p.fail("expected an integer exponent", tok)
+        precision = _integer(text, tok)
+    p.expect_op(")")
+    if p.peek().kind != "end":
+        p.fail("trailing input after O(...)")
 
-    head_end = o_at
-    if head_end > 0 and op(head_end - 1, "+"):
-        head_end -= 1
+    head_end = o_at - 1 if o_at and tokens[o_at - 1][:2] == ("op", "+") else o_at
     if head_end == 0:
         return TruncatedSeries.zero(base, precision)
-    return ratfun_to_series(parse_element(text[: tokens[head_end].offset], base, (name,)), precision)
+    # the head: every token before the tail "+ O(...)", ended where the tail begins
+    p.tokens, p.pos = tokens[:head_end] + [_Token("end", "", tokens[head_end].offset)], 0
+    return ratfun_to_series(_as_ratfun(p.parse()), precision)

@@ -6,7 +6,9 @@ here alone: by ``parse_presentation``, and for a literal place by
 ``parse_series_place``.  Scalars travel as strings ("3/4", "2"),
 exponent matrices as integer arrays, and all polynomials and rational
 functions as expression strings in the appropriate variable names, which
-the expression grammar round-trips exactly.
+the expression grammar round-trips exactly.  A polynomial field (a row of
+``fs``, a ``min_poly``) is read by ``expr.parse_polynomial``, straight to
+a ``SparsePoly``; a proper fraction there is a schema error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, InputError, PreconditionError, SchemaError
-from .expr import parse_element, parse_series
+from .expr import parse_element, parse_polynomial, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
 from .surd import SurdScalar, is_square_free
@@ -101,6 +103,8 @@ def _parse_weight_term(doc, path: str) -> tuple[Fraction, int]:
     _need(d, int, f"{path}.d", "an integer")
     if d < 1:
         raise SchemaError("radicand must be positive", f"{path}.d")
+    if d >= 1 << 63:
+        raise SchemaError("radicand must be below 2^63", f"{path}.d")
     if not is_square_free(d):
         raise SchemaError(f"radicand {d} is not square-free", f"{path}.d")
     return q, d
@@ -300,10 +304,11 @@ def _parse_rf(text, base, names, path: str) -> RationalFunction:
 
 
 def _parse_poly(text, base, names, path: str) -> SparsePoly:
-    rf = _parse_rf(text, base, names, path)
-    if not rf.den.is_constant:
-        raise SchemaError("expected a polynomial, got a proper fraction", path)
-    return rf.num.scale(base.inv(rf.den.constant_value()))
+    _need(text, str, path, "an expression string")
+    try:
+        return parse_polynomial(text, base, names)
+    except InputError as e:
+        raise SchemaError(str(e), path) from None
 
 
 def system_to_json(system: TriangularSystem) -> dict:

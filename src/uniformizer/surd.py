@@ -40,11 +40,15 @@ _Q = QQ()
 
 
 def square_free_part(n: int) -> tuple[int, int]:
-    """Return (s, f) with n == s*s*f and f square-free, for n >= 1."""
+    """Return (s, f) with n == s*s*f and f square-free, for n >= 1.
+
+    Trial division stops once d**3 > n; what is left has at most two prime
+    factors, so it is a square or square-free, and one isqrt tells which.
+    """
     if n < 1:
         raise PreconditionError("square_free_part needs a positive integer")
     s, f, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -54,6 +58,9 @@ def square_free_part(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= d
         d += 1 if d == 2 else 2
+    r = isqrt(n)
+    if r > 1 and r * r == n:
+        return s * r, f
     return s, f * n
 
 

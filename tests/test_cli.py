@@ -101,6 +101,16 @@ def test_value_on_weights_sharing_a_radicand(tmp_path, capsys):
     assert env["result"] == {"coordinates": ["3", "-2"], "value": "-2*sqrt(2) + 1"}
 
 
+def test_perron_radicand_bound(tmp_path, capsys):
+    # a prime radicand just below 2^63 is factored in well under a second;
+    # 2^63 and above are refused like a characteristic past a machine word
+    for d, code in ((2**63 - 25, 0), (2**63, 4)):
+        doc = {"order": [[{"q": "1"}, {"q": "1", "d": d}]], "alphas": [[1, 0], [0, 1]]}
+        got, out, err = run(tmp_path, capsys, "perron", doc)
+        assert got == code, err
+    assert out == "" and err == "error: order[0][1].d: radicand must be below 2^63\n"
+
+
 def test_perron_step_cap_exits_2_and_names_the_knob(tmp_path, capsys):
     # weights 1, sqrt(2), sqrt(3); 99 - 70*sqrt(2) is about 0.005, so the
     # reduction needs steps; a cap overrun ends the request at once

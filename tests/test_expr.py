@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uniformizer.errors import ExprSyntaxError
+from uniformizer.errors import ExprSyntaxError, SchemaError
 from uniformizer.expr import parse_element, parse_series
 from uniformizer.fields import GF, QQ
-from uniformizer.polyfield import RationalFunction, SparsePoly, ratfun_str
+from uniformizer.polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
 from uniformizer.series import TruncatedSeries, series_str
 
 Q = QQ()
@@ -84,10 +84,72 @@ def test_parse_series_errors():
         parse_series("1 + O(t^4) + t", Q)  # trailing input
 
 
+# every error a series literal can raise past the tokenizer: the message, then
+# the line and column, which the marker's scan and the head's parse both take
+# from offsets into the whole text
+@pytest.mark.parametrize("text, message, line, column", [
+    ("1 + t", "series literal needs a precision marker O(...)", 1, 6),
+    ("1 +\n t", "series literal needs a precision marker O(...)", 2, 3),
+    ("1 + O t^4", "expected '(' after O", 1, 7),
+    ("1 + O", "expected '(' after O", 1, 6),
+    ("1 + O(u^4)", "expected 't' inside O(...)", 1, 7),
+    ("1 + O(\n  2)", "expected 't' inside O(...)", 2, 3),
+    ("1 + O(t^x)", "expected an integer exponent", 1, 9),
+    ("1 + O(t^)", "expected an integer exponent", 1, 9),
+    ("1 + O(t^4", "expected ')'", 1, 10),
+    ("1 + O(t^4 t", "expected ')'", 1, 11),
+    ("1 + O(t^4) + t", "trailing input after O(...)", 1, 12),
+    ("O(t^2)\n*t", "trailing input after O(...)", 2, 1),
+    # the head ends where its "+ O" begins
+    ("1 + + O(t^3)", "expected a number, a variable, or '('", 1, 5),
+    ("(1 + O(t^3)", "expected ')'", 1, 4),
+    ("1\n+ (t\n+ O(t^3)", "expected ')'", 3, 1),
+    ("t * O(t^3)", "expected a number, a variable, or '('", 1, 5),
+    ("u + O(t^3)", "unknown variable 'u'", 1, 1),
+])
+def test_series_literal_errors_pinned(text, message, line, column):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_series(text, Q)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_series_round_trip():
     s = TruncatedSeries.make(F5, 1, [2, 0, 4], 9)
     again = parse_series(series_str(s), F5)
     assert (s - again).is_zero_to_precision and again.precision == s.precision
+
+
+@given(
+    st.sampled_from([Q, F5, GF(7)]),
+    st.integers(-4, 4),
+    st.lists(st.fractions(max_denominator=6).filter(lambda q: abs(q) < 50), max_size=6),
+    st.integers(0, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_series_literals_round_trip_exactly(base, offset, coeffs, slack):
+    if base.p:
+        coeffs = [q.numerator for q in coeffs]
+    # the O(...) exponent is read unsigned, so the precision stays at 0 or above
+    s = TruncatedSeries.make(base, offset, coeffs, max(offset + len(coeffs) + slack, 0))
+    assert parse_series(series_str(s), base) == s
+
+
+def test_a_series_literal_is_tokenized_once(monkeypatch):
+    from uniformizer import expr
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    tokenize = expr._tokenize
+    monkeypatch.setattr(expr, "_tokenize", counting)
+    texts = ["1 + 3*t + 3*t^2 + O(t^6)", "O(t^4)", "t^-1 + 2 + O(t)", "1/(1 - t) + O(t^5)"]
+    for text in texts:
+        parse_series(text, F5)
+    assert calls == texts
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +475,64 @@ def test_malformed_input_matches_the_oracle_parser(base, tree, data):
 ])
 def test_quotient_paths_match_the_oracle(base, text):
     assert parse_element(text, base, NAMES) == _oracle_parse(text, base, NAMES)
+
+
+# ---------------------------------------------------------------------------
+# one polynomial reader: parse_polynomial against parse_element then unwrap
+
+
+def _element_unwrapped(text, base, names, path):
+    """A row read as a rational function, then unwrapped to its polynomial."""
+    try:
+        rf = parse_element(text, base, names)
+    except ExprSyntaxError as e:
+        raise SchemaError(str(e), path) from None
+    if not rf.den.is_constant:
+        raise SchemaError("expected a polynomial, got a proper fraction", path)
+    return rf.num.scale(base.inv(rf.den.constant_value()))
+
+
+@st.composite
+def _sparse_polys(draw, base):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 10**6) | st.integers(0, 4) for _ in range(nvars)])
+    coeff = st.fractions(max_denominator=9) if base.is_rationals else st.integers(-9, 9)
+    terms = draw(st.lists(st.tuples(exps, coeff), max_size=5))
+    return SparsePoly.make(base, nvars, terms)
+
+
+@given(st.sampled_from([Q, F5, F7]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rows_read_as_polynomials_match_the_unwrapped_element(base, data):
+    from uniformizer.jsonio import _parse_poly
+
+    f = data.draw(_sparse_polys(base))
+    names = [f"X{i + 1}" for i in range(f.nvars)]
+    text = poly_str(f, names)
+    divisor = data.draw(st.sampled_from([None, "3", "(2 - 4)", "X1^0*6"]))
+    if divisor is not None:
+        text = f"({text})/{divisor}"
+    got = _parse_poly(text, base, names, "fs[0]")
+    assert got == _element_unwrapped(text, base, names, "fs[0]")
+    if divisor is None:
+        assert got == f
+
+
+@pytest.mark.parametrize("base", [Q, F5, F7])
+def test_a_row_reduces_to_a_polynomial_or_fails_as_a_proper_fraction(base):
+    from uniformizer.jsonio import _parse_poly
+
+    names = ("X1",)
+    got = _parse_poly("(X1^2 - 1)/(X1 - 1)", base, names, "fs[0]")
+    assert poly_str(got, names) == "X1 + 1"
+    assert got == _element_unwrapped("(X1^2 - 1)/(X1 - 1)", base, names, "fs[0]")
+    for text, message in [
+        ("1/X1", "fs[0]: expected a polynomial, got a proper fraction"),
+        ("X1 +", "fs[0]: expected a number, a variable, or '(' (line 1, column 5)"),
+    ]:
+        with pytest.raises(SchemaError) as exc:
+            _parse_poly(text, base, names, "fs[0]")
+        assert str(exc.value) == message
+        with pytest.raises(SchemaError) as old:
+            _element_unwrapped(text, base, names, "fs[0]")
+        assert str(old.value) == message

@@ -4,6 +4,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformizer.surd import SurdScalar, is_square_free, root_bounds, square_free_part, surd_sign
@@ -16,6 +17,44 @@ def test_square_free_part_examples():
     assert square_free_part(50) == (5, 2)
     assert is_square_free(10)
     assert not is_square_free(12)
+
+
+def _trial_division(n):
+    """(s, f) by trial division up to sqrt(n), the plain definition."""
+    s, f, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
+            n //= d
+            f *= d
+        d += 1
+    return s, f * n
+
+
+@given(st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_square_free_part_matches_trial_division(n):
+    assert square_free_part(n) == _trial_division(n)
+
+
+# what is left past the cube root is 1, a prime, two primes, or a prime squared
+@pytest.mark.parametrize("n, expected", [
+    (999983**2, (999983, 1)),
+    (999983**2 * 12, (999983 * 2, 3)),
+    (999983 * 999979, (1, 999983 * 999979)),
+    (999983**2 * 999979, (999983, 999979)),
+    (999983**3, (999983, 999983)),
+    (2**63 - 25, (1, 2**63 - 25)),  # a prime
+    ((2**31 - 1) * (2**31 - 19), (1, (2**31 - 1) * (2**31 - 19))),
+    (3037000493**2, (3037000493, 1)),
+    (2**62, (2**31, 1)),
+])
+def test_square_free_part_past_the_cube_root(n, expected):
+    s, f = expected
+    assert s * s * f == n
+    assert square_free_part(n) == expected
 
 
 def test_canonical_merging():
