@@ -308,7 +308,8 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     if p.peek().kind != "end":
         p.fail("trailing input after O(...)")
 
-    head_end = o_at - 1 if o_at and tokens[o_at - 1][:2] == ("op", "+") else o_at
+    p.pos = o_at - 1
+    head_end = p.pos if o_at and p.at_op("+") else o_at
     if head_end == 0:
         return TruncatedSeries.zero(base, precision)
     # the head: every token before the tail "+ O(...)", ended where the tail begins

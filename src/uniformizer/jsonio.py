@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, InputError, PreconditionError, SchemaError
+from .errors import InputError, PreconditionError, SchemaError
 from .expr import parse_element, parse_polynomial, parse_series
 from .fields import BaseField, GF, QQ, parse_rational
 from .polyfield import RationalFunction, SparsePoly, poly_str, ratfun_str
@@ -237,11 +237,8 @@ def parse_series_place(doc, path: str, precision: int | None = None) -> Discrete
         gp = f"{path}.generators[{i}]"
         _need(g, dict, gp, "an object")
         names.append(_need(_get(g, "name", gp), str, f"{gp}.name", "a string"))
-        text = _need(_get(g, "series", gp), str, f"{gp}.series", "a series literal")
-        try:
-            series.append(parse_series(text, base, uniformizer))
-        except ExprSyntaxError as e:
-            raise SchemaError(str(e), f"{gp}.series") from None
+        text = _get(g, "series", gp)
+        series.append(_read(parse_series, text, base, uniformizer, f"{gp}.series", "a series literal"))
     try:
         return DiscreteSeriesPlace(
             base, uniformizer, tuple(names), tuple(series), precision or realized
@@ -295,20 +292,20 @@ def parse_place(doc, path: str, precision: int | None = None):
 # elements, systems, reports
 
 
-def _parse_rf(text, base, names, path: str) -> RationalFunction:
-    _need(text, str, path, "an expression string")
+def _read(parse, text, base, names, path: str, what: str = "an expression string"):
+    _need(text, str, path, what)
     try:
-        return parse_element(text, base, names)
-    except ExprSyntaxError as e:
+        return parse(text, base, names)
+    except InputError as e:
         raise SchemaError(str(e), path) from None
+
+
+def _parse_rf(text, base, names, path: str) -> RationalFunction:
+    return _read(parse_element, text, base, names, path)
 
 
 def _parse_poly(text, base, names, path: str) -> SparsePoly:
-    _need(text, str, path, "an expression string")
-    try:
-        return parse_polynomial(text, base, names)
-    except InputError as e:
-        raise SchemaError(str(e), path) from None
+    return _read(parse_polynomial, text, base, names, path)
 
 
 def system_to_json(system: TriangularSystem) -> dict:
