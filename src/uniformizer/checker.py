@@ -19,6 +19,7 @@ plus a generation check: every ambient generator of the field must equal
 its recorded witness expression in the system variables (or literally be
 one of the T or eta elements).
 
+U2 and U3 take each row and its diagonal partial from one ``eval_row``.
 U3 is read from the diagonal entries, each valued once: the product
 vanishes iff an entry does, its value is the sum of the entry values, and
 when that sum is zero its residue is the product of the entry residues.
@@ -31,11 +32,13 @@ context through ``make_context()``, with this contract:
   ambient(rf)
         embed an ambient element; ``verify`` maps each coefficient-field
         element and each generator into the ambient field first;
-  eval_poly(f, args), eval_ratfun(f, args), is_zero(a), equal(a, b)
-        evaluate a row or a witness, test for zero, and test two elements
-        for equality; eval_ratfun raises ZeroDivisionError when the
-        denominator vanishes, and eval_poly's result need only support
-        is_zero and valuation;
+  eval_row(f, args, var)
+        a row f and its partial derivative in variable var, both at args,
+        as a pair; each result need only support is_zero and valuation;
+  eval_ratfun(f, args), is_zero(a), equal(a, b)
+        evaluate a witness, test for zero, and test two elements for
+        equality; eval_ratfun raises ZeroDivisionError when the
+        denominator vanishes;
   valuation(a)
         (value, residue) of a nonzero element, the residue None unless the
         value is zero; values add, and compare with the attribute ``zero``;
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 from .errors import NotInValuationRingError, PreconditionError
 from .fields import Frozen
-from .polyfield import RationalFunction, SparsePoly, hasse_derivative
+from .polyfield import RationalFunction, SparsePoly
 
 
 # the package's one dataclass: benchmark/tests/test_gate.py copies it with dataclasses.replace
@@ -218,20 +221,16 @@ def verify(system: TriangularSystem) -> VerificationReport:
             u1 = CheckResult(False, f"row {i + 1} uses X{bad + 1}")
             break
 
-    # U2: every row vanishes at (T, eta)
+    # U2: every row vanishes at (T, eta).  U3: the product of diagonal
+    # partials is a unit.  It vanishes iff an entry does, its value is the
+    # sum of the entry values, and when that sum is zero its residue is the
+    # product of the entry residues.
     u2 = CheckResult(True)
-    for i, f in enumerate(system.fs):
-        val = ctx.eval_poly(f, args)
-        if not ctx.is_zero(val):
-            u2 = CheckResult(False, f"row {i + 1} does not vanish: value {ctx.valuation(val)[0]}")
-            break
-
-    # U3: the product of diagonal partials is a unit.  It vanishes iff an
-    # entry does, its value is the sum of the entry values, and when that
-    # sum is zero its residue is the product of the entry residues.
     vals = []
     for i, f in enumerate(system.fs):
-        d = ctx.eval_poly(hasse_derivative(f, 1, var=s + i), args)
+        val, d = ctx.eval_row(f, args, s + i)
+        if u2.passed and not ctx.is_zero(val):
+            u2 = CheckResult(False, f"row {i + 1} does not vanish: value {ctx.valuation(val)[0]}")
         vals.append(None if ctx.is_zero(d) else ctx.valuation(d))
     entry_strs = tuple(
         "0" if v is None

@@ -10,7 +10,9 @@ a, the exact leading monomial b of the remainder, and the minimal
 polynomial of w = b/(zeta - a), whose reduction is X^k - X^(k-1) in every
 characteristic), collects all coefficient-field elements those blocks
 use, uniformizes the coefficients over K0(t) with the monomial machinery,
-and composes the two layers into one ground system.
+and composes the two layers into one ground system.  A block runs one
+gcd-free Taylor shift per tried cut and normalises rational functions at
+the accepted cut only.
 
 A row is built as a list of terms (exps, (index, power) | None, scalar)
 before its width is known.  exps maps a variable index to an exponent;
@@ -252,21 +254,25 @@ class _QuotientRing:
         dim, p = self.dim, self.p
         num, num_s = self._split(f.num)
         den, den_s = self._split(f.den)
-        D = self._reduce(den)
-        if not any(D):
-            raise ZeroDivisionError(self._bad_denominator(f, "vanishes"))
-        # rows D*X^j (j < dim), then 1; their dependency
-        # sum_j e_j D X^j + e_dim = 0 gives 1/D = -(sum_j e_j X^j)/e_dim
-        pivots: list = []
-        col = D
-        for j in range(dim):
-            if self._eliminate(pivots, col + _unit(dim + 1, j)) is not None:
-                raise PreconditionError(self._bad_denominator(f, "is a zero divisor"))
-            col = self._reduce([[]] + col)
-        e = self._eliminate(pivots, _unit(dim, 0) + _unit(dim + 1, dim))
         # f = A/d over the common denominator d
-        A = self._mul(self._reduce(num), [dense.scale(c, -den_s, p) for c in e[:dim]])
-        d = dense.scale(e[dim], num_s, p)
+        if len(den) == 1:
+            # D lies in K0[t]: 1/D is read off its one row
+            A, d = [dense.scale(c, den_s, p) for c in self._reduce(num)], dense.scale(den[0], num_s, p)
+        else:
+            D = self._reduce(den)
+            if not any(D):
+                raise ZeroDivisionError(self._bad_denominator(f, "vanishes"))
+            # rows D*X^j (j < dim), then 1; their dependency
+            # sum_j e_j D X^j + e_dim = 0 gives 1/D = -(sum_j e_j X^j)/e_dim
+            pivots: list = []
+            col = D
+            for j in range(dim):
+                if self._eliminate(pivots, col + _unit(dim + 1, j)) is not None:
+                    raise PreconditionError(self._bad_denominator(f, "is a zero divisor"))
+                col = self._reduce([[]] + col)
+            e = self._eliminate(pivots, _unit(dim, 0) + _unit(dim + 1, dim))
+            A = self._mul(self._reduce(num), [dense.scale(c, -den_s, p) for c in e[:dim]])
+            d = dense.scale(e[dim], num_s, p)
         # the first dependency sum_i e_i A^i = 0 among the powers of A gives
         # sum_i e_i d^i f^i = 0, whose rows e_i d^i are divided by their content
         pivots, power = [], _unit(dim, 0)
@@ -343,18 +349,19 @@ class _CoeffPool:
         return SparsePoly._of_scalars(self.base, width, acc)
 
 
-def _residue_at_zero(rf: RationalFunction) -> Scalar | None:
-    """Value of a K0(t) element at t = 0, or None when its order there is negative."""
-    base = rf.base
-    if rf.is_zero:
+def _residue_at_zero(num: SparsePoly, den: SparsePoly) -> Scalar | None:
+    """Value of num/den at t = 0, for polynomials in t alone and den nonzero,
+    or None when its order there is negative.  A factor common to num and
+    den does not change it, so neither side need be reduced."""
+    base = num.base
+    if num.is_zero:
         return base.zero
     # the lowest term of a polynomial in t alone comes last
-    # canonical sides have denominator 1: their integers are the coefficients
-    (ord_num,), cn = rf.num.ints[-1]
-    (ord_den,), cd = rf.den.ints[-1]
+    (ord_num,), cn = num.ints[-1]
+    (ord_den,), cd = den.ints[-1]
     if ord_num < ord_den:
         return None
-    return base.div(cn, cd) if ord_num == ord_den else base.zero
+    return base.div(cn * den.denom, cd * num.denom) if ord_num == ord_den else base.zero
 
 
 def _ambient_rf_from_t_poly(nvars: int, p: SparsePoly) -> RationalFunction:
@@ -391,6 +398,14 @@ def _zeta_block(
     nonzero term, are tried in turn.  A cut passes exactly when v(b) exceeds
     v(zeta_r - zeta) for every other root zeta_r of zeta's minimal
     polynomial, which holds from the first cut past all of them on.
+
+    zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
+    W^(k-s) is gamma_s = b^s h^[s](a), Kaplansky's table of h; divided by
+    gamma_0 = h(a) it is monic of degree k, so it is w's minimal polynomial.
+    h(a) = 0 makes zeta - a a zero divisor of a split modulus, and w no
+    element of the ring.  Each cut is tested on the raw pairs
+    (gamma_s, gamma_0), whose residues at t = 0 need no cancelling; only the
+    accepted cut's coefficients are normalised.
     """
     base = pool.base
     one, minus = base.one, base.neg(base.one)
@@ -404,7 +419,7 @@ def _zeta_block(
         # zeta already lies in K0(t): one affine row X - c, c = -h_0/h_1
         h0, h1 = (SparsePoly(base, 1, dense.to_ints(row)) for row in h)
         c_rf = RationalFunction.make(-h0, h1)
-        if _residue_at_zero(c_rf) is None:
+        if _residue_at_zero(c_rf.num, c_rf.den) is None:
             raise NotInValuationRingError(
                 f"element {ratfun_str(zeta, names)} lies outside the valuation ring"
             )
@@ -430,44 +445,28 @@ def _zeta_block(
                 "X^k - X^(k-1); raise the precision",
                 needed=2 * ctx.precision,
             ) from None
-        hw = _w_min_poly(h, a, b)
-        # h(a) = 0, a coefficient outside the valuation ring or a wrong
-        # residue all move the cut past b
-        if hw is not None and all(_residue_at_zero(c) == r for c, r in zip(hw, want)):
+        # h(a) = 0, a coefficient gamma_s/gamma_0 outside the valuation ring
+        # or a wrong residue all move the cut past b
+        gam = _kaplansky_table(h, 1, a, b)
+        if not gam[0].is_zero and all(_residue_at_zero(g, gam[0]) == r for g, r in zip(gam[:0:-1], want)):
             break
         below = b.ints[0][0][0] + 1
 
-    rest = zeta - _ambient_rf_from_t_poly(len(names), a)
-    b_amb = _ambient_rf_from_t_poly(len(names), b)
-    w_amb, winv_amb = b_amb / rest, rest / b_amb
+    # zeta = N/D is coprime, so the gcd of b*D and N - a*D is the power of t
+    # that divides both, and w = b*D/(N - a*D) needs no other cancelling
+    lift = lambda f: f.map_vars([0], 2)
+    sides = [lift(b) * zeta.den, zeta.num - lift(a) * zeta.den]
+    shift = min(b.ints[0][0][0], *(e for (e, _), _ in sides[1].ints))
+    if shift:
+        sides = [SparsePoly(base, 2, tuple(((e - shift, x), c) for (e, x), c in f.ints), f.denom) for f in sides]
+    w_amb, winv_amb = RationalFunction._scaled(*sides), RationalFunction._scaled(*sides[::-1])
 
-    minpoly = [({j: k}, None, one)] + [t for i, c in enumerate(hw[:-1]) for t in pool.term({j: i}, c, one)]
+    hw = [RationalFunction.make(g, gam[0]) for g in gam[:0:-1]]
+    minpoly = [({j: k}, None, one)] + [t for i, c in enumerate(hw) for t in pool.term({j: i}, c, one)]
     invert = [({j: 1, j + 1: 1}, None, one), ({}, None, minus)]
     affine = [({j + 2: 1}, None, one)] + pool.term({j + 1: 1}, b, minus) + pool.term({}, a, minus)
     witness = pool.term({j + 1: 1}, b, one) + pool.term({}, a, one)
     return _Block([minpoly, invert, affine], [w_amb, winv_amb, zeta], j + 2, witness)
-
-
-def _w_min_poly(h: list, a: SparsePoly, b: SparsePoly) -> list | None:
-    """The monic minimal polynomial of w = b/(zeta - a) over K0(t), lowest
-    coefficient first, from the rows h of that of zeta (see
-    ``_QuotientRing.min_poly``); None when h(a) = 0.
-
-    zeta = a + b/w, so w is a root of W^k h(a + b/W), whose coefficient of
-    W^(k-s) is gamma_s = b^s h^[s](a), Kaplansky's table of h; its leading
-    one is h(a).  Divided by h(a) it is monic of degree
-    k = [K0(t)(zeta) : K0(t)] = [K0(t)(w) : K0(t)], so it is the minimal
-    polynomial.  Each coefficient is normalised once, by
-    ``RationalFunction.make``.
-
-    h(a) = 0 makes zeta - a a zero divisor of a split modulus: w is then
-    not an element of the ring at all.
-    """
-    gam = _kaplansky_table(h, 1, a, b)
-    if gam[0].is_zero:
-        return None
-    out = [RationalFunction.make(gam[s], gam[0]) for s in range(len(h) - 1, 0, -1)]
-    return out + [RationalFunction.const(a.base, 1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,9 @@ def parse_polynomial(text: str, base: BaseField, names) -> SparsePoly:
 def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries:
     """Parse a series literal: a polynomial in one variable plus O(name^N).
 
-    The O-term is required; it fixes the precision.  The polynomial part
-    may use negative exponents of the variable (a Laurent head).
+    The O-term is required; its exponent, read as any exponent (so
+    O(t^-1) too), fixes the precision.  The polynomial part may use
+    negative exponents of the variable (a Laurent head).
     """
     from .series import TruncatedSeries, ratfun_to_series
 
@@ -300,10 +301,7 @@ def parse_series(text: str, base: BaseField, name: str = "t") -> TruncatedSeries
     precision = 1
     if p.at_op("^"):
         p.take()
-        tok = p.take()
-        if tok.kind != "int":
-            p.fail("expected an integer exponent", tok)
-        precision = _integer(text, tok)
+        precision = p.exponent()
     p.expect_op(")")
     if p.peek().kind != "end":
         p.fail("trailing input after O(...)")

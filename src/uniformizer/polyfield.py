@@ -605,22 +605,28 @@ class RationalFunction(Frozen):
         divisions run on dense rows (``_make_dense``) unless the rows would
         be sparse (``_dense_rows``).  Otherwise ``poly_gcd`` and
         ``poly_divexact``; a constant side needs no gcd at all.  Every path
-        then ends in the same scaling, on the integers of both sides.
+        then ends in the same scaling, ``_scaled``.
         """
         num._check_mate(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        base, nvars, p = num.base, num.nvars, num.base.p
         if num.is_zero:
-            return RationalFunction(num, SparsePoly.const(base, nvars, base.one))
+            return RationalFunction(num, SparsePoly.const(num.base, num.nvars, num.base.one))
         if not (num.is_constant or den.is_constant):
-            divided = _make_dense(num, den) if nvars == 1 else None
+            divided = _make_dense(num, den) if num.nvars == 1 else None
             if divided is not None:
                 num, den = divided
             else:
                 g = poly_gcd(num, den)
                 if not g.is_constant:
                     num, den = poly_divexact(num, g), poly_divexact(den, g)
+        return RationalFunction._scaled(num, den)
+
+    @staticmethod
+    def _scaled(num: SparsePoly, den: SparsePoly) -> "RationalFunction":
+        """Trusted: num/den in canonical form for coprime num and den != 0,
+        num nonzero, by one scaling of the integers of both sides."""
+        base, nvars, p = num.base, num.nvars, num.base.p
         nt, dt = num.ints, den.ints
         # scaling by a nonzero constant keeps the terms' order, so the
         # normalised tuples are built directly

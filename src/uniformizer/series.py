@@ -31,7 +31,8 @@ over the terms of a polynomial into one integer accumulator: a power with
 a one-entry row (every power of t, any monomial argument) scales the
 term, and only longer rows are multiplied.  The powers come from a power
 table that a caller such as ``SeriesContext`` shares between calls, with
-each missing power built from its two halves;
+each missing power built from its two halves; ``SeriesContext.eval_row``
+gives a row and its partial in one variable from the same pass;
 ``eval_ratfun_at_series`` scales by 1/c for a constant denominator c
 instead of dividing by a series.
 
@@ -328,56 +329,71 @@ def _power(powers: dict, a: TruncatedSeries, k: int, base: BaseField) -> Truncat
     return s
 
 
-def eval_poly_at_series(
-    p: SparsePoly, args, precision: int, powers: dict | None = None
-) -> TruncatedSeries:
-    """Evaluate a multivariate polynomial at series arguments.
+def _times(chain: tuple, s: TruncatedSeries) -> tuple:
+    """A term's chain (see ``_term_walk``) times one more factor s."""
+    low, top, off, c, d, rows = chain
+    low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
+    row = s.row
+    c = c * row[0] if len(row) == 1 else c if row else 0
+    return low, top, off + s.offset, c, d * s.denom, rows + [row] if len(row) > 1 else rows
 
-    Each term takes the powers of the arguments its nonzero exponents name.
-    A power whose row has one entry only scales the term's coefficient and
-    shifts its offset; the rows of the others are multiplied, cut to the
-    result's precision, and the scaled product goes into one dense integer
-    accumulator.  The result carries the precision of the sum of the terms
-    constant(c) * a1**k1 * a2**k2 * ..., with ``_product_bounds`` run per
-    factor.
 
-    ``powers`` is the table those powers come from: it maps id(a) to a and
-    the powers of a built so far, and callers that evaluate many
-    polynomials at the same arguments pass one table to every call.  None
-    gives a table for this call alone.
+def _term_walk(p: SparsePoly, args, precision: int, powers: dict, var: int | None) -> tuple[list, list]:
+    """The chains of the terms of p(args) and, when var is an index, of the
+    partial of p in x_var at args, from one walk over p's terms.
+
+    A chain is (lower bound, precision, offset, integer scale, denominator,
+    factor rows of two or more entries): a factor with a one-entry row only
+    scales, an empty row zeroes the scale, and the bounds follow
+    ``_product_bounds``.  The powers of the other arguments are folded once
+    per term for both sums: c*x^e gives c * a**k * rest to the value and
+    k*c * a**(k-1) * rest to the partial, a = args[var] and k = e[var].  A
+    partial term is dropped exactly when k*c is zero in K0, as
+    ``hasse_derivative`` drops it, so each sum has the precision of the
+    polynomial it evaluates.
     """
     if len(args) != p.nvars:
         raise PreconditionError("wrong number of series arguments")
-    base = p.base
-    if powers is None:
-        powers = {}
-    terms = []  # (offset, integer scale, factor rows of two or more entries, denominator)
-    prec, low0 = precision, min(0, precision)
+    base, mod = p.base, p.base.p
+    low0 = min(0, precision)
+    values, partials = [], []
     for e, c in p.ints:
-        # lower bound and precision of the chain constant(c) * a1**k1 * ...
-        low, top = low0, precision
-        off, d, rows = 0, p.denom, []
-        for i, k in enumerate(e):
-            if k:
-                s = _power(powers, args[i], k, base)
-                low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
-                row = s.row
+        low, top, off, s, d, rows, k = low0, precision, 0, c, p.denom, [], 0
+        for i, ki in enumerate(e):
+            if ki:
+                if i == var:
+                    k = ki
+                    continue
+                a = _power(powers, args[i], ki, base)
+                low, top = _product_bounds(low, top, a._lower_bound(), a.precision)
+                row = a.row
                 if len(row) == 1:
-                    c *= row[0]
+                    s *= row[0]
                 elif not row:
-                    c = 0
+                    s = 0
                 else:
                     rows.append(row)
-                off += s.offset
-                d *= s.denom
-        prec = min(prec, top)
-        if c:
-            terms.append((off, c, rows, d))
-    terms = [term for term in terms if term[0] < prec]
-    lo = min((term[0] for term in terms), default=prec)
-    den = lcm(*(term[3] for term in terms))
+                off += a.offset
+                d *= a.denom
+        chain = (low, top, off, s, d, rows)
+        if k:
+            if not mod or k * c % mod:
+                low, top, off, s, d, rows = _times(chain, _power(powers, args[var], k - 1, base)) if k > 1 else chain
+                partials.append((low, top, off, k * s, d, rows))
+            chain = _times(chain, _power(powers, args[var], k, base))
+        values.append(chain)
+    return values, partials
+
+
+def _sum_terms(base: BaseField, chains: list, precision: int) -> TruncatedSeries:
+    """The sum of the chains below min(precision, their precisions): each
+    term's rows multiplied, cut there, and scaled into one integer row."""
+    prec = min([precision] + [chain[1] for chain in chains])
+    terms = [chain for chain in chains if chain[3] and chain[2] < prec]
+    lo = min((chain[2] for chain in terms), default=prec)
+    den = lcm(*(chain[4] for chain in terms))
     acc = [0] * (prec - lo)
-    for off, c, rows, d in terms:
+    for _, _, off, c, d, rows in terms:
         f, i = c * (den // d), off - lo
         if not rows:  # a monomial: one entry
             acc[i] += f
@@ -387,6 +403,21 @@ def eval_poly_at_series(
             row = dense.mul(row, other, 0, prec - off)
         acc[i : i + len(row)] = [x + f * y for x, y in zip(acc[i : i + len(row)], row)]
     return TruncatedSeries._canon(base, lo, acc, den, prec)
+
+
+def eval_poly_at_series(
+    p: SparsePoly, args, precision: int, powers: dict | None = None
+) -> TruncatedSeries:
+    """Evaluate a multivariate polynomial at series arguments, in one pass
+    over its terms (``_term_walk``) into one accumulator (``_sum_terms``).
+
+    ``powers`` is the table those powers come from: it maps id(a) to a and
+    the powers of a built so far, and callers that evaluate many
+    polynomials at the same arguments pass one table to every call.  None
+    gives a table for this call alone.
+    """
+    values, _ = _term_walk(p, args, precision, {} if powers is None else powers, None)
+    return _sum_terms(p.base, values, precision)
 
 
 def eval_ratfun_at_series(
@@ -462,7 +493,7 @@ class SeriesContext:
     the place's precision.
 
     The context keeps one power table for its lifetime: ``ambient`` and
-    ``eval_poly`` both evaluate through it, so a power a^k of an argument
+    ``eval_row`` both evaluate through it, so a power a^k of an argument
     is built once per context rather than once per call.  An element whose
     denominator is a constant c is its numerator scaled by 1/c, with no
     series inverse.
@@ -481,8 +512,10 @@ class SeriesContext:
             raise PreconditionError("element does not live in the ambient field")
         return eval_ratfun_at_series(rf, self.args, self.precision, self.powers)
 
-    def eval_poly(self, f: SparsePoly, args) -> TruncatedSeries:
-        return eval_poly_at_series(f, args, self.precision, self.powers)
+    def eval_row(self, f: SparsePoly, args, var: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """f(args) and the partial of f in x_var at args, from one walk."""
+        walked = _term_walk(f, args, self.precision, self.powers, var)
+        return tuple(_sum_terms(self.place.base, chains, self.precision) for chains in walked)
 
     def eval_ratfun(self, f: RationalFunction, args) -> TruncatedSeries:
         try:

@@ -24,7 +24,7 @@ from .errors import (
     ValueOfZeroError,
 )
 from .fields import BaseField, Frozen
-from .polyfield import RationalFunction, SparsePoly, _settled, ratfun_str, substitute
+from .polyfield import RationalFunction, SparsePoly, _settled, hasse_derivative, ratfun_str, substitute
 from .valuegroup import GroupElement, GroupOrder, rational_rank
 
 
@@ -176,7 +176,7 @@ class _Quotient(NamedTuple):
 class MonomialContext:
     """Exact rational-function evaluation over a monomial place.
 
-    ``eval_poly`` and ``eval_ratfun`` stop before the normal form, ``equal``
+    ``eval_row`` and ``eval_ratfun`` stop before the normal form, ``equal``
     cross-multiplies, and ``residue_text`` normalises what it prints.
     """
 
@@ -191,8 +191,9 @@ class MonomialContext:
             raise PreconditionError("element does not live in the ambient field")
         return rf
 
-    def eval_poly(self, f: SparsePoly, args) -> _Quotient:
-        return _Quotient(*substitute(f, args))
+    def eval_row(self, f: SparsePoly, args, var: int) -> tuple[_Quotient, _Quotient]:
+        """f(args) and the partial derivative of f in x_var at args."""
+        return _Quotient(*substitute(f, args)), _Quotient(*substitute(hasse_derivative(f, 1, var), args))
 
     def eval_ratfun(self, f: RationalFunction, args) -> _Quotient:
         (nn, nd), (dn, dd) = (substitute(g, args) for g in (f.num, f.den))

@@ -20,7 +20,7 @@ from uniformizer.completion import (
     _split_series,
     _gamma_table,
     _value_table,
-    _w_min_poly,
+    _kaplansky_table,
     kaplansky_normalize,
     uniformize_completion_algebraic,
     uniformize_discrete_rational,
@@ -341,7 +341,7 @@ def _assert_block_cut_is_the_conjugate_rule(pres, roots, zeta, precision):
         return False
     hw = _w_min_poly(h, a, b)
     want = [pres.base.zero] * (k - 1) + [pres.base.neg(pres.base.one), pres.base.one]
-    if hw is None or [_residue_at_zero(c) for c in hw] != want:
+    if hw is None or [_residue_at_zero(c.num, c.den) for c in hw] != want:
         return False
     system = _relative_system(pres, [zeta], precision)
     lift = lambda p: RationalFunction.from_poly(p.map_vars([0], 2))
@@ -902,6 +902,28 @@ def test_immediate_simple_aligns_tables_past_zero_elements(field):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == IMMEDIATE_WITH_ZEROS_PINS[field]
 
 
+# the four element shapes of the series_pipeline benchmark, then t*z and
+# t^2*z + t, whose w = b/(zeta - a) cancels a power of t; r is the residue
+RELATIVE_BLOCK_ELEMENTS = ["2*z - t", "-z^2 + 3*t*z", "(z - {r})/t", "(2*z + t)/(1 + 3*t*z)", "t*z", "t^2*z + t"]
+RELATIVE_BLOCK_PINS = {
+    "Q": ("X^2 - 4 - t", 2, "b661c02cd8c4b7c8"),
+    "F5": ("X^2 - 4 - t", 2, "6ac7f421602a1330"),
+    "F7": ("X^3 - X - 2*t - 3*t^2", 1, "6a3439cee7b24eaf"),
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "F5", "F7"])
+def test_discrete_rational_certificates_pinned(field):
+    """Ground certificates of the relative blocks, byte for byte; every eta
+    is in canonical form."""
+    base = {"Q": Q, "F5": F5, "F7": F7}[field]
+    m_text, r, pin = RELATIVE_BLOCK_PINS[field]
+    system = _certified(_cubic(base, m_text, r), [z.format(r=r) for z in RELATIVE_BLOCK_ELEMENTS], 12)
+    assert all(eta == RationalFunction.make(eta.num, eta.den) for eta in system.etas)
+    text = json.dumps(system_to_json(system), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
+
+
 def test_immediate_simple_rejects_nonring_elements():
     z = poly_to_series(_tpoly(Q, [(1, 1), (3, 1), (7, 1)]), 12)
     zv = RationalFunction.variable(Q, 2, 1)
@@ -1042,6 +1064,17 @@ def test_horner_hensel_matches_on_drawn_presentations(base, coeffs, x0, precisio
 
 # ---------------------------------------------------------------------------
 # the minimal polynomial of w = b/(zeta - a) by a Moebius map
+
+
+def _w_min_poly(h, a, b):
+    """The monic minimal polynomial of w = b/(zeta - a), lowest coefficient
+    first, as the relative block forms it at its accepted cut: gamma_s over
+    gamma_0 = h(a) for Kaplansky's table of the rows h of zeta's; None when
+    h(a) = 0."""
+    gam = _kaplansky_table(h, 1, a, b)
+    if gam[0].is_zero:
+        return None
+    return [RationalFunction.make(g, gam[0]) for g in gam[:0:-1]] + [RationalFunction.const(a.base, 1, 1)]
 
 
 def _w_case(base, m_text, zeta_text, a_text, b_text):

@@ -96,6 +96,8 @@ def test_parse_series_errors():
     ("1 + O(\n  2)", "expected 't' inside O(...)", 2, 3),
     ("1 + O(t^x)", "expected an integer exponent", 1, 9),
     ("1 + O(t^)", "expected an integer exponent", 1, 9),
+    ("1 + O(t^-)", "expected an integer exponent", 1, 10),
+    ("1 + O(t^-x)", "expected an integer exponent", 1, 10),
     ("1 + O(t^4", "expected ')'", 1, 10),
     ("1 + O(t^4 t", "expected ')'", 1, 11),
     ("1 + O(t^4) + t", "trailing input after O(...)", 1, 12),
@@ -130,8 +132,8 @@ def test_series_round_trip():
 def test_series_literals_round_trip_exactly(base, offset, coeffs, slack):
     if base.p:
         coeffs = [q.numerator for q in coeffs]
-    # the O(...) exponent is read unsigned, so the precision stays at 0 or above
-    s = TruncatedSeries.make(base, offset, coeffs, max(offset + len(coeffs) + slack, 0))
+    # a negative offset with little slack draws a negative precision, O(t^-k)
+    s = TruncatedSeries.make(base, offset, coeffs, offset + len(coeffs) + slack)
     assert parse_series(series_str(s), base) == s
 
 

@@ -15,8 +15,10 @@ from uniformizer.errors import (
     PreconditionError,
 )
 from uniformizer.fields import GF, QQ
-from uniformizer.polyfield import RationalFunction, SparsePoly
+from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative
 from uniformizer.series import (
+    DiscreteSeriesPlace,
+    SeriesContext,
     TruncatedSeries,
     _power,
     _product_bounds,
@@ -514,8 +516,8 @@ def test_verify_evaluates_each_power_once(monkeypatch):
     args = [ctx.ambient(rf) for rf in system.tvars + system.etas]
     counts.update(mul=0, inverse=0, quotient=0)
     for _ in range(2):
-        for f in system.fs:
-            ctx.eval_poly(f, args)
+        for i, f in enumerate(system.fs):
+            ctx.eval_row(f, args, system.s + i)
         assert counts == {"mul": 3, "inverse": 0, "quotient": 0}
     # a context whose power table is new on every call gives the same report
     # and misses the pin
@@ -608,6 +610,40 @@ def test_eval_poly_matches_the_per_term_chain(base, nvars, data):
     assert (got.offset, got.row, got.denom, got.precision) == (
         want.offset, want.row, want.denom, want.precision
     )
+
+
+ROW_FIELDS = [Q, F5, GF(7), GF(P61)]
+
+
+@st.composite
+def _rows(draw, base, nvars, var):
+    """Polynomials whose exponents of x_var include multiples of p (whose
+    partial terms vanish) and 0 (terms free of x_var)."""
+    p = base.p
+    var_exps = [0, 1, 2, 3] + ([p, p + 1, 2 * p] if p and p < 10 else [])
+    exps = st.tuples(*[st.sampled_from(var_exps) if i == var else st.integers(0, 3) for i in range(nvars)])
+    return SparsePoly.make(base, nvars, draw(st.lists(st.tuples(exps, _scalars(base)), min_size=1, max_size=5)))
+
+
+@given(st.sampled_from(ROW_FIELDS), st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=250, deadline=None)
+def test_eval_row_is_the_row_and_its_partial(base, nvars, data):
+    """One walk gives f(args) and the partial of f in x_var at args as the
+    two evaluations would: offset, row, denominator and precision alike.
+    Arguments zero to a low precision make a partial term that stays in
+    the sum while its value term vanishes, or the other way round."""
+    var = data.draw(st.integers(min_value=0, max_value=nvars - 1))
+    f = data.draw(_rows(base, nvars, var))
+    zero = st.integers(min_value=-1, max_value=4).map(lambda k: TruncatedSeries.zero(base, k))
+    arg = kernel_series(base, max_blocks=3) | _short_series(base) | zero
+    args = data.draw(st.lists(arg, min_size=nvars, max_size=nvars))
+    precision = data.draw(st.integers(min_value=1, max_value=12))
+    ctx = SeriesContext(DiscreteSeriesPlace(base, "t", (), (), precision))
+    want = (eval_poly_at_series(f, args, precision), eval_poly_at_series(hasse_derivative(f, 1, var), args, precision))
+    got = ctx.eval_row(f, args, var)
+    assert [(s.offset, s.row, s.denom, s.precision) for s in got] == [
+        (s.offset, s.row, s.denom, s.precision) for s in want
+    ]
 
 
 @pytest.mark.parametrize("schoolbook", [0, 8, 10**6], ids=["inverse", "cut", "long"])

@@ -19,9 +19,9 @@ import pytest
 from uniformizer import valuation
 from uniformizer.checker import verify
 from uniformizer.fields import GF, QQ
-from uniformizer.polyfield import RationalFunction, SparsePoly, substitute
+from uniformizer.polyfield import RationalFunction, SparsePoly, hasse_derivative, substitute
 from uniformizer.uniformize import uniformize_abhyankar
-from uniformizer.valuation import MonomialContext, value_of_ratfun
+from uniformizer.valuation import MonomialContext, _Quotient, value_of_ratfun
 from frozen_copy import replace
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "certificate_survey.py"
@@ -35,6 +35,9 @@ class NormalisingContext(MonomialContext):
 
     def eval_poly(self, f, args):
         return RationalFunction.make(*substitute(f, args))
+
+    def eval_row(self, f, args, var):
+        return tuple(RationalFunction.make(*q) for q in super().eval_row(f, args, var))
 
     def eval_ratfun(self, f, args):
         return self.eval_poly(f.num, args) / self.eval_poly(f.den, args)
@@ -135,3 +138,16 @@ def test_reports_equal_the_normalising_reference(p, seed):
                 squared_multi_term += _multi_term(system.etas[-1])
     # the degree-2 expansion of a multi-term argument ran in every case
     assert squared_multi_term
+
+
+@pytest.mark.parametrize("p, seed", [(0, 5), (5, 6), (7, 7)])
+def test_monomial_eval_row_is_two_substitutions(p, seed):
+    """A row and its diagonal partial, each substituted on its own."""
+    for system in _certificates(p, 6, seed):
+        assert not system.coeff_table
+        ctx = system.place.make_context()
+        args = [ctx.ambient(rf) for rf in system.tvars + system.etas]
+        for i, f in enumerate(system.fs):
+            var = system.s + i
+            want = (_Quotient(*substitute(f, args)), _Quotient(*substitute(hasse_derivative(f, 1, var), args)))
+            assert ctx.eval_row(f, args, var) == want
