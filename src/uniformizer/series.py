@@ -333,9 +333,13 @@ def _times(chain: tuple, s: TruncatedSeries) -> tuple:
     """A term's chain (see ``_term_walk``) times one more factor s."""
     low, top, off, c, d, rows = chain
     low, top = _product_bounds(low, top, s._lower_bound(), s.precision)
-    row = s.row
-    c = c * row[0] if len(row) == 1 else c if row else 0
-    return low, top, off + s.offset, c, d * s.denom, rows + [row] if len(row) > 1 else rows
+    if len(s.row) == 1:
+        c *= s.row[0]
+    elif not s.row:
+        c = 0
+    else:
+        rows = rows + [s.row]
+    return low, top, off + s.offset, c, d * s.denom, rows
 
 
 def _term_walk(p: SparsePoly, args, precision: int, powers: dict, var: int | None) -> tuple[list, list]:
